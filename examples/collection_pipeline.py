@@ -2,9 +2,10 @@
 """Drive the measurement-collection substrate directly (§2).
 
 Shows the agent -> flaky uploader -> server path the real measurement
-software used: records sampled every 10 minutes, uploads that fail are
-cached on-device and retried, the server deduplicates retries and assembles
-a dataset. Ends by validating the dataset and printing its row counts.
+software used: each device's records for a day, cut into one upload per
+10-minute slot; uploads that fail are cached on-device and retried, the
+server deduplicates retries and assembles a dataset. Ends by validating
+the dataset and printing its row counts.
 
 Usage::
 
@@ -15,17 +16,56 @@ from datetime import date
 
 import numpy as np
 
-from repro.collection.agent import AgentSnapshot, MeasurementAgent
+from repro.collection.agent import MeasurementAgent
 from repro.collection.server import CollectionServer
 from repro.collection.uploader import FlakyTransport, Uploader, drain_all
-from repro.geo.coords import Coordinate
+from repro.geo.coords import Coordinate, cell_index
 from repro.net.cellular import CellularTechnology
 from repro.timeutil import TimeAxis
-from repro.traces.records import DeviceInfo, DeviceOS, ScanSummary, WifiStateCode
+from repro.traces.records import DeviceInfo, DeviceOS, IfaceKind, WifiStateCode
 from repro.traces.validate import validate_dataset
 
 TOKYO = Coordinate(35.681, 139.767)
 SUBURB = Coordinate(35.86, 139.64)
+
+
+def day_tables(info: DeviceInfo, n_slots: int, rng: np.random.Generator):
+    """One device's day of records as column tables, as the simulator
+    emits them: home nights and evenings in the suburb, daytime in Tokyo."""
+    t = np.arange(n_slots)
+    hour = (t % 144) // 6
+    at_home = (hour < 8) | (hour >= 19)
+    home_cell, city_cell = cell_index(SUBURB), cell_index(TOKYO)
+    device = np.full(n_slots, info.device_id)
+    tables = {
+        "traffic": dict(
+            device=device, t=t,
+            iface=np.full(n_slots, int(IfaceKind.from_technology(info.technology))),
+            rx=rng.exponential(2e5, n_slots), tx=rng.exponential(4e4, n_slots),
+        ),
+        "geo": dict(
+            device=device, t=t,
+            col=np.where(at_home, home_cell[0], city_cell[0]),
+            row=np.where(at_home, home_cell[1], city_cell[1]),
+        ),
+    }
+    if info.os is DeviceOS.ANDROID:
+        # Android reports its WiFi state every slot and scans while out;
+        # iOS reports only associations, and this day has none.
+        tables["wifi"] = dict(
+            device=device, t=t,
+            state=np.where(at_home, int(WifiStateCode.OFF),
+                           int(WifiStateCode.AVAILABLE)),
+            ap_id=np.full(n_slots, -1), rssi=np.zeros(n_slots),
+        )
+        away = t[~at_home]
+        n24 = rng.poisson(3.0, len(away))
+        tables["scans"] = dict(
+            device=device[:len(away)], t=away,
+            n24_all=n24, n24_strong=np.minimum(n24, rng.poisson(1.0, len(away))),
+            n5_all=rng.poisson(1.0, len(away)), n5_strong=np.zeros(len(away), int),
+        )
+    return tables
 
 
 def main() -> None:
@@ -38,45 +78,28 @@ def main() -> None:
         DeviceInfo(2, DeviceOS.ANDROID, "au", CellularTechnology.THREE_G),
     ]
     rng = np.random.default_rng(5)
-    pipeline = []
+    uploads = []
+    uploaders = []
     for info in devices:
         server.register_device(info)
         transport = FlakyTransport(
             server.receive, failure_rate=0.35,
             rng=np.random.default_rng(100 + info.device_id),
         )
-        pipeline.append((MeasurementAgent(info), Uploader(info.device_id, transport)))
+        uploaders.append(Uploader(info.device_id, transport))
+        uploads.append(MeasurementAgent(info).package_uploads(
+            day_tables(info, axis.n_slots, rng), axis.n_slots
+        ))
 
-    print("Sampling one day at 10-minute ticks with a 35% upload-failure rate...")
-    for t in range(axis.n_slots):
-        hour = (t % 144) // 6
-        at_home = hour < 8 or hour >= 19
-        for agent, uploader in pipeline:
-            scan = None
-            if agent.info.os is DeviceOS.ANDROID and not at_home:
-                n24 = int(rng.poisson(3.0))
-                scan = ScanSummary(
-                    agent.info.device_id, t, n24, min(n24, int(rng.poisson(1.0))),
-                    int(rng.poisson(1.0)), 0,
-                )
-            records = agent.sample(
-                AgentSnapshot(
-                    t=t,
-                    location=SUBURB if at_home else TOKYO,
-                    wifi_state=(
-                        WifiStateCode.AVAILABLE if not at_home
-                        else WifiStateCode.OFF
-                    ),
-                    rx_cell=float(rng.exponential(2e5)),
-                    tx_cell=float(rng.exponential(4e4)),
-                    scan=scan,
-                )
-            )
-            uploader.upload(records)
+    print("Uploading one day at 10-minute ticks with a 35% upload-failure rate...")
+    # Every device records geo each slot, so all devices upload every tick.
+    for tick in zip(*uploads):
+        for uploader, (_, payload) in zip(uploaders, tick):
+            uploader.upload(payload)
 
-    caches = [uploader.cached_batches for _, uploader in pipeline]
+    caches = [uploader.cached_batches for uploader in uploaders]
     print(f"End of day: cached batches awaiting retry per device: {caches}")
-    drain_all([uploader for _, uploader in pipeline])
+    drain_all(uploaders)
     print("Caches drained; assembling the dataset server-side...")
 
     dataset = server.build_dataset()

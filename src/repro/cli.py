@@ -138,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: $REPRO_JOBS, else one per CPU; "
                                "1 disables the pool; results are identical "
                                "for any value)")
-    simulate.add_argument("--kernel", choices=["batch", "legacy"],
-                          default="batch",
-                          help="simulation kernel (batch). The removed "
-                               "scalar 'legacy' value is rejected with a "
-                               "migration message")
     simulate.add_argument("--store", choices=["memory", "disk"],
                           default="memory",
                           help="campaign storage: 'memory' merges in RAM "
@@ -155,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="DIR",
                           help="root directory for --store disk campaign "
                                "stores (default: --out)")
-    simulate.add_argument("--store-format", choices=["npy", "parquet", "auto"],
-                          default="npy",
-                          help="column-file backend for --store disk: "
-                               "'npy' is dependency-free (default), "
-                               "'parquet' needs the optional pyarrow "
-                               "extra, 'auto' picks parquet when pyarrow "
-                               "is importable")
     faults = simulate.add_argument_group(
         "fault injection", "route campaigns through a lossy collection "
         "pipeline and report completeness")
@@ -329,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="worker processes for the study (reports "
                                "are bit-identical for any value)")
-    fidelity.add_argument("--kernel", choices=["batch", "legacy"],
-                          default="batch",
-                          help="simulation kernel (batch). The removed "
-                               "scalar 'legacy' value is rejected with a "
-                               "migration message")
     fidelity.add_argument("--out", type=Path,
                           default=Path("fidelity_report.json"),
                           help="FidelityReport JSON output path "
@@ -694,25 +677,7 @@ def _resilience_from_args(
     )
 
 
-def _check_kernel(args: argparse.Namespace) -> None:
-    """Reject the removed scalar kernel with a migration message.
-
-    The flag value is still parsed (so old scripts fail with a clear
-    explanation and exit code 2 instead of an argparse usage error) but
-    no code path behind it survives.
-    """
-    if getattr(args, "kernel", "batch") == "legacy":
-        raise ConfigurationError(
-            "--kernel legacy was removed: the scalar per-device loop and "
-            "DeviceSimulator.collect() are gone. The columnar batch kernel "
-            "is bit-for-bit identical for every configuration (this was "
-            "gated in CI for a full release); drop the flag or pass "
-            "--kernel batch."
-        )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_kernel(args)
     faults = _fault_plan_from_args(args)
     resilience = _resilience_from_args(args)
     n_jobs = resolve_jobs(args.jobs, default=0)  # default: auto (CPU count)
@@ -725,8 +690,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         study = run_study(scale=args.scale, seed=args.seed, faults=faults,
                           n_jobs=n_jobs, resilience=resilience,
-                          kernel=args.kernel, store_dir=store_dir,
-                          store_format=args.store_format)
+                          store_dir=store_dir)
         args.out.mkdir(parents=True, exist_ok=True)
         if study.execution is not None:
             print(f"executor: {study.execution.describe()}")
@@ -762,7 +726,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     *(study.campaigns[y].config for y in study.years)
                 ),
                 seed=args.seed, scale=args.scale, years=list(study.years),
-                kernel=args.kernel,
                 execution=study.execution, shards=_study_shards(study),
                 collection_reports={
                     y: study.campaigns[y].collection for y in study.years
@@ -942,7 +905,6 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     # Lazy: the scorer reaches up into the analysis layer.
     from repro.obs import fidelity as fidelity_mod
 
-    _check_kernel(args)
     tracer = _start_telemetry(args)
     try:
         if args.data is not None:
@@ -950,7 +912,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         else:
             n_jobs = resolve_jobs(args.jobs, default=1)
             study = run_study(scale=args.scale, seed=args.seed,
-                              n_jobs=n_jobs, kernel=args.kernel)
+                              n_jobs=n_jobs)
         cache = AnalysisContext(study)
         report = fidelity_mod.score_fidelity(
             cache, checks=args.checks or None,
@@ -975,7 +937,6 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                              if args.data is not None
                              else config_hash_of(study.config)),
                 seed=args.seed, scale=args.scale, years=list(study.years),
-                kernel="" if args.data is not None else args.kernel,
                 execution=study.execution,
                 shards=_study_shards(study) if study.execution else None,
                 cache_stats=cache.stats,

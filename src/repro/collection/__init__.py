@@ -2,12 +2,7 @@
 plus the fault-injected campaign pipeline that routes simulated devices
 through all three."""
 
-from repro.collection.agent import (
-    MeasurementAgent,
-    AgentSnapshot,
-    ColumnarRecords,
-    Records,
-)
+from repro.collection.agent import ColumnarRecords, MeasurementAgent
 from repro.collection.uploader import (
     Uploader,
     UploadBatch,
@@ -27,9 +22,7 @@ from repro.collection.pipeline import CollectionPump
 
 __all__ = [
     "MeasurementAgent",
-    "AgentSnapshot",
     "ColumnarRecords",
-    "Records",
     "Uploader",
     "UploadBatch",
     "FlakyTransport",

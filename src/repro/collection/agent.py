@@ -1,83 +1,26 @@
 """On-device measurement agent (§2).
 
 The measurement software runs in the background and records, every 10
-minutes, the device state as unit records: interface byte counters, the WiFi
-observation, coarse geolocation, scan summaries, per-app counters, and any
-OS-update event. The agent does not interpret anything — it snapshots and
-hands records to the uploader.
+minutes, the device state: interface byte counters, the WiFi observation,
+coarse geolocation, scan summaries, per-app counters, and any OS-update
+event. Everything recorded during one slot goes out as one upload; the
+agent does not interpret anything.
 
-OS differences are enforced here, mirroring the real software:
-
-- iOS reports only the associated AP (no off/available distinction), no
-  scan results, and no per-application counters.
-- Geolocation is quantized to 5 km before it leaves the device (privacy).
-- Tethering traffic is flagged so the pipeline can exclude it.
+The simulator produces a device's whole campaign as column tables (the
+OS differences of the real software — iOS reports only the associated AP,
+no scans and no per-app counters — are already applied there), and the
+agent cuts those tables into per-slot uploads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
 from repro.constants import SAMPLES_PER_DAY
 from repro.errors import CollectionError
-from repro.geo.coords import Coordinate, cell_index
-from repro.traces.records import (
-    AppTrafficRecord,
-    BatterySample,
-    DeviceInfo,
-    DeviceOS,
-    GeoSample,
-    IfaceKind,
-    ScanSighting,
-    ScanSummary,
-    TrafficSample,
-    UpdateEvent,
-    WifiObservation,
-    WifiStateCode,
-)
-
-
-@dataclass(frozen=True)
-class AgentSnapshot:
-    """Raw device state handed to the agent each sampling tick."""
-
-    t: int
-    location: Coordinate
-    wifi_state: WifiStateCode
-    ap_id: int = -1
-    rssi_dbm: float = 0.0
-    rx_wifi: float = 0.0
-    tx_wifi: float = 0.0
-    rx_cell: float = 0.0
-    tx_cell: float = 0.0
-    tethering: bool = False
-    scan: Optional[ScanSummary] = None
-    update: Optional[UpdateEvent] = None
-    battery: Optional[BatterySample] = None
-
-
-@dataclass
-class Records:
-    """Unit records produced by one tick."""
-
-    traffic: List[TrafficSample] = field(default_factory=list)
-    wifi: List[WifiObservation] = field(default_factory=list)
-    geo: List[GeoSample] = field(default_factory=list)
-    scans: List[ScanSummary] = field(default_factory=list)
-    sightings: List[ScanSighting] = field(default_factory=list)
-    apps: List[AppTrafficRecord] = field(default_factory=list)
-    updates: List[UpdateEvent] = field(default_factory=list)
-    battery: List[BatterySample] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return (
-            len(self.traffic) + len(self.wifi) + len(self.geo)
-            + len(self.scans) + len(self.sightings) + len(self.apps)
-            + len(self.updates) + len(self.battery)
-        )
+from repro.traces.records import DeviceInfo
 
 
 class ColumnarRecords:
@@ -102,73 +45,38 @@ class ColumnarRecords:
         return sum(hi - lo for _, lo, hi in self.ranges.values())
 
 
+def upload_slots(
+    name: str,
+    cols: Mapping[str, np.ndarray],
+    device_id: int,
+    n_slots: int,
+) -> np.ndarray:
+    """The upload slot of every row of one device's non-empty table.
+
+    Per-slot rows upload in their own slot; daily rows ride the last slot
+    of their day. Raises :class:`CollectionError` when any row belongs to
+    another device or uploads outside the campaign window.
+    """
+    if np.any(np.asarray(cols["device"]) != device_id):
+        raise CollectionError(
+            f"table {name!r} holds rows for a foreign device"
+        )
+    if "t" in cols:
+        key = np.asarray(cols["t"], dtype=np.int64)
+    else:
+        key = (np.asarray(cols["day"], np.int64) + 1) * SAMPLES_PER_DAY - 1
+    if key.min() < 0 or key.max() >= n_slots:
+        raise CollectionError(
+            f"table {name!r} has records outside the campaign window"
+        )
+    return key
+
+
 class MeasurementAgent:
-    """Turns device snapshots into schema records, per the device OS."""
+    """Packages one device's records into per-slot uploads."""
 
     def __init__(self, info: DeviceInfo) -> None:
         self.info = info
-        self._last_t: Optional[int] = None
-
-    def sample(self, snapshot: AgentSnapshot) -> Records:
-        """Process one 10-minute tick."""
-        if self._last_t is not None and snapshot.t <= self._last_t:
-            raise CollectionError(
-                f"non-monotonic sampling: {snapshot.t} after {self._last_t}"
-            )
-        self._last_t = snapshot.t
-        records = Records()
-        device_id = self.info.device_id
-
-        if snapshot.rx_wifi or snapshot.tx_wifi:
-            records.traffic.append(
-                TrafficSample(
-                    device_id, snapshot.t, IfaceKind.WIFI,
-                    snapshot.rx_wifi, snapshot.tx_wifi,
-                    tethering=snapshot.tethering,
-                )
-            )
-        if snapshot.rx_cell or snapshot.tx_cell:
-            records.traffic.append(
-                TrafficSample(
-                    device_id, snapshot.t,
-                    IfaceKind.from_technology(self.info.technology),
-                    snapshot.rx_cell, snapshot.tx_cell,
-                    tethering=snapshot.tethering,
-                )
-            )
-
-        records.wifi.extend(self._wifi_observation(snapshot))
-
-        col, row = cell_index(snapshot.location)
-        records.geo.append(GeoSample(device_id, snapshot.t, col, row))
-
-        if snapshot.scan is not None and self.info.os is DeviceOS.ANDROID:
-            records.scans.append(snapshot.scan)
-
-        if snapshot.update is not None:
-            records.updates.append(snapshot.update)
-        if snapshot.battery is not None:
-            records.battery.append(snapshot.battery)
-        return records
-
-    def _wifi_observation(self, snapshot: AgentSnapshot) -> Sequence[WifiObservation]:
-        device_id = self.info.device_id
-        if self.info.os is DeviceOS.IOS:
-            # iOS can only report the associated AP (§2).
-            if snapshot.wifi_state is WifiStateCode.ASSOCIATED:
-                return [
-                    WifiObservation(
-                        device_id, snapshot.t, WifiStateCode.ASSOCIATED,
-                        snapshot.ap_id, snapshot.rssi_dbm,
-                    )
-                ]
-            return []
-        return [
-            WifiObservation(
-                device_id, snapshot.t, snapshot.wifi_state,
-                snapshot.ap_id, snapshot.rssi_dbm,
-            )
-        ]
 
     def package_uploads(
         self,
@@ -179,31 +87,16 @@ class MeasurementAgent:
 
         Mirrors the real software: everything recorded during one 10-minute
         slot goes out as one upload, and the daily per-app counters ride the
-        last slot of their day. Yields ``(t, payload)`` in slot order, which
-        also keeps the agent's monotonic-time invariant.
+        last slot of their day. Yields ``(t, payload)`` in slot order.
         """
         device_id = self.info.device_id
         prepared = []
         for name, cols in tables.items():
-            n = len(next(iter(cols.values())))
-            if n == 0:
+            if len(cols["device"]) == 0:
                 continue
-            device = np.asarray(cols["device"])
-            if int(device[0]) != device_id or int(device[-1]) != device_id:
-                raise CollectionError(
-                    f"table {name!r} holds rows for a foreign device"
-                )
-            if "t" in cols:
-                key = np.asarray(cols["t"], dtype=np.int64)
-            else:
-                # Daily tables upload at the end of their day.
-                key = (np.asarray(cols["day"], np.int64) + 1) * SAMPLES_PER_DAY - 1
+            key = upload_slots(name, cols, device_id, n_slots)
             order = np.argsort(key, kind="stable")
             key = key[order]
-            if key[0] < 0 or key[-1] >= n_slots:
-                raise CollectionError(
-                    f"table {name!r} has records outside the campaign window"
-                )
             sorted_cols = {c: np.asarray(a)[order] for c, a in cols.items()}
             bounds = np.searchsorted(key, np.arange(n_slots + 1)).tolist()
             prepared.append((name, sorted_cols, bounds))
@@ -215,14 +108,4 @@ class MeasurementAgent:
                 if hi > lo:
                     ranges[name] = (cols, lo, hi)
             if ranges:
-                self._last_t = t
                 yield t, ColumnarRecords(ranges)
-
-    def daily_app_records(
-        self, records: Sequence[AppTrafficRecord]
-    ) -> List[AppTrafficRecord]:
-        """Pass through daily per-app counters (Android only)."""
-        if self.info.os is DeviceOS.IOS:
-            # iOS has no interface for per-application traffic (§2).
-            return []
-        return list(records)

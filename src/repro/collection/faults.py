@@ -10,7 +10,8 @@ per-device accounting rolls up into a :class:`CollectionReport`.
 
 A plan with every knob at zero (:meth:`FaultPlan.zero`) is guaranteed to be
 lossless: routing a campaign through the collection pipeline with it yields
-a dataset identical to the direct builder path.
+a dataset identical to appending the kernel's output straight into a
+:class:`~repro.traces.dataset.DatasetBuilder`.
 """
 
 from __future__ import annotations

@@ -2,15 +2,12 @@
 
 Receives upload batches, deduplicates retried deliveries by (device,
 sequence), and assembles everything into a
-:class:`~repro.traces.dataset.DatasetBuilder`. Tethering-flagged traffic is
-dropped at ingest (§2 cleaning).
+:class:`~repro.traces.dataset.DatasetBuilder`.
 
-Two payload kinds are accepted: unit :class:`~repro.collection.agent.Records`
-(row-wise, used by small tests and the original substrate) and
-:class:`~repro.collection.agent.ColumnarRecords` (range views into a
-device's column arrays, used by the campaign pipeline). Columnar payloads
-are buffered and contiguous ranges merged, so a lossless campaign ingests
-with the same bulk appends as the direct builder path.
+Payloads are :class:`~repro.collection.agent.ColumnarRecords` (range views
+into a device's column arrays). They are buffered and contiguous ranges
+merged, so per-tick ingest ends in the same bulk appends as
+:meth:`CollectionServer.receive_bulk`.
 """
 
 from __future__ import annotations
@@ -19,9 +16,8 @@ from typing import Dict, List, Mapping, Set, Tuple
 
 import numpy as np
 
-from repro.collection.agent import ColumnarRecords, Records
+from repro.collection.agent import ColumnarRecords, upload_slots
 from repro.collection.uploader import UploadBatch
-from repro.constants import SAMPLES_PER_DAY
 from repro.errors import CollectionError
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import DatasetBuilder
@@ -71,26 +67,7 @@ class CollectionServer:
         self.received_by_device[batch.device_id] = (
             self.received_by_device.get(batch.device_id, 0) + 1
         )
-        records = batch.records
-        if isinstance(records, ColumnarRecords):
-            self._buffer_columns(records)
-            return
-        for sample in records.traffic:
-            self.builder.add_traffic(sample)  # drops tethering rows
-        for obs in records.wifi:
-            self.builder.add_wifi(obs)
-        for geo in records.geo:
-            self.builder.add_geo(geo)
-        for scan in records.scans:
-            self.builder.add_scan(scan)
-        for sighting in records.sightings:
-            self.builder.add_sighting(sighting)
-        for app in records.apps:
-            self.builder.add_app_traffic(app)
-        for update in records.updates:
-            self.builder.add_update(update)
-        for sample in records.battery:
-            self.builder.add_battery(sample)
+        self._buffer_columns(batch.records)
 
     def receive_bulk(
         self,
@@ -112,31 +89,18 @@ class CollectionServer:
             raise CollectionError(
                 f"upload from unregistered device {device_id}"
             )
-        occupied = np.zeros(n_slots, dtype=bool)
-        any_rows = False
-        for name, cols in tables.items():
-            n = len(next(iter(cols.values())))
-            if n == 0:
-                continue
-            device = np.asarray(cols["device"])
-            if int(device[0]) != device_id or int(device[-1]) != device_id:
-                raise CollectionError(
-                    f"table {name!r} holds rows for a foreign device"
-                )
-            if "t" in cols:
-                key = np.asarray(cols["t"], dtype=np.int64)
-            else:
-                # Daily tables upload at the end of their day.
-                key = (np.asarray(cols["day"], np.int64) + 1) * SAMPLES_PER_DAY - 1
-            if key.min() < 0 or key.max() >= n_slots:
-                raise CollectionError(
-                    f"table {name!r} has records outside the campaign window"
-                )
-            any_rows = True
-            occupied[key] = True
-            self._buffers[name].append([cols, 0, n])
-        if not any_rows:
+        # Check every table before buffering any, so a rejected upload
+        # leaves nothing behind.
+        slots = {
+            name: upload_slots(name, cols, device_id, n_slots)
+            for name, cols in tables.items() if len(cols["device"])
+        }
+        if not slots:
             return 0
+        occupied = np.zeros(n_slots, dtype=bool)
+        for name, key in slots.items():
+            occupied[key] = True
+            self._buffers[name].append([tables[name], 0, len(key)])
         ticks = int(np.count_nonzero(occupied))
         self.batches_received += ticks
         self.received_by_device[device_id] = (

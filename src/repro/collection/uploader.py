@@ -13,7 +13,7 @@ from typing import Callable, List, Protocol, Sequence
 
 import numpy as np
 
-from repro.collection.agent import ColumnarRecords, Records
+from repro.collection.agent import ColumnarRecords
 from repro.errors import ConfigurationError, UploadError
 
 
@@ -23,7 +23,7 @@ class UploadBatch:
 
     device_id: int
     sequence: int
-    records: "Records | ColumnarRecords"
+    records: ColumnarRecords
 
 
 class Transport(Protocol):
@@ -82,7 +82,7 @@ class Uploader:
     #: Batches lost to cache-overflow eviction (bounded on-device storage).
     dropped_batches: int = 0
 
-    def upload(self, records: "Records | ColumnarRecords") -> bool:
+    def upload(self, records: ColumnarRecords) -> bool:
         """Try to upload ``records`` (after draining the cache).
 
         Returns True when everything (cache included) went out; False when

@@ -68,9 +68,6 @@ class RunManifest:
     seed: int
     scale: float
     years: List[int] = field(default_factory=list)
-    #: Which simulation kernel ran the devices ("batch" is the only one
-    #: left; empty for runs that did not simulate, e.g. --data reloads).
-    kernel: str = ""
     executor: str = "serial"
     n_jobs: int = 1
     #: Per-year shard layout: ``[{"year", "n_shards", "n_devices"}, ...]``.
@@ -133,7 +130,6 @@ def build_manifest(
     seed: int = 0,
     scale: float = 0.0,
     years: Optional[List[int]] = None,
-    kernel: str = "",
     execution=None,
     shards: Optional[List[Dict[str, int]]] = None,
     cache_stats=None,
@@ -178,7 +174,6 @@ def build_manifest(
         seed=seed,
         scale=scale,
         years=list(years or []),
-        kernel=kernel,
         executor=getattr(execution, "executor", "serial"),
         n_jobs=getattr(execution, "n_jobs", 1),
         shards=list(shards or []),

@@ -1,8 +1,7 @@
-"""Campaign simulator: devices, traffic, caps, campaigns, the 3-year study."""
+"""Campaign simulator: the batch kernel, caps, campaigns, the 3-year study."""
 
 from repro.simulation.cap import SoftCapPolicy, SoftCapTracker
 from repro.simulation.params import SimParams
-from repro.simulation.device import DeviceSimulator
 from repro.simulation.campaign import CampaignConfig, run_campaign
 from repro.simulation.study import StudyConfig, Study, default_campaign_config
 
@@ -10,7 +9,6 @@ __all__ = [
     "SoftCapPolicy",
     "SoftCapTracker",
     "SimParams",
-    "DeviceSimulator",
     "CampaignConfig",
     "run_campaign",
     "StudyConfig",

@@ -7,12 +7,11 @@ exactly the APs that were actually observed (associated or sighted) — the
 dataset never reveals the full deployed universe, just like the real
 measurement.
 
-By default every device's records flow through the full collection
-substrate (agent → uploader → transport → server) under a
+Every device's records flow through the full collection substrate
+(agent → uploader → transport → server) under a
 :class:`~repro.collection.faults.FaultPlan` — zero-fault unless configured
-otherwise, in which case the resulting dataset is identical to the direct
-builder path (``direct_build=True``). A nonzero plan loses data exactly the
-way real campaigns do, and the resulting
+otherwise, in which case nothing is lost. A nonzero plan loses data exactly
+the way real campaigns do, and the resulting
 :class:`~repro.collection.faults.CollectionReport` rides along on the
 :class:`CampaignResult`.
 
@@ -68,7 +67,7 @@ from repro.obs.span import Tracer, get_tracer, use_tracer
 from repro.network_env.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.population.profiles import UserProfile
 from repro.population.recruitment import RecruitmentConfig, recruit
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES, simulate_devices
+from repro.simulation.kernel import simulate_devices
 from repro.simulation.params import SimParams
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import CampaignDataset, DatasetBuilder, GroundTruth
@@ -92,30 +91,12 @@ class CampaignConfig:
     #: Fault plan for the collection pipeline; None means the lossless
     #: zero-fault plan (the pipeline still runs end to end).
     faults: Optional[FaultPlan] = None
-    #: Bypass the collection pipeline and write simulator output straight
-    #: into the builder (legacy fast path; used to verify equivalence).
-    direct_build: bool = False
-    #: Which simulation kernel runs the devices. Only the columnar
-    #: ``batch`` kernel remains (the scalar ``legacy`` loop completed its
-    #: one-release deprecation window and was removed); the field stays so
-    #: config reprs — and with them checkpoint/world-cache keys — are
-    #: stable.
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.n_days <= 0:
             raise ConfigurationError("n_days must be positive")
         if self.recruitment.year != self.year or self.deployment.year != self.year:
             raise ConfigurationError("year mismatch between configs")
-        if self.direct_build and self.faults is not None and not self.faults.is_zero:
-            raise ConfigurationError(
-                "direct_build bypasses the collection pipeline; a nonzero "
-                "FaultPlan would be silently ignored"
-            )
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
-            )
 
     @property
     def fault_plan(self) -> FaultPlan:
@@ -302,24 +283,16 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
     world = _world_for(config)
     axis = config.axis
 
-    pump: Optional[CollectionPump] = None
-    server: Optional[CollectionServer] = None
-    if config.direct_build:
-        builder = DatasetBuilder(config.year, axis)
-        for info in world.infos:
-            builder.add_device(info)
-    else:
-        server = CollectionServer(config.year, axis)
-        for info in world.infos:
-            server.register_device(info)
-        pump = CollectionPump(
-            server,
-            config.fault_plan,
-            n_slots=axis.n_slots,
-            seed=config.seed,
-            year=config.year,
-        )
-        builder = server.builder
+    server = CollectionServer(config.year, axis)
+    for info in world.infos:
+        server.register_device(info)
+    pump = CollectionPump(
+        server,
+        config.fault_plan,
+        n_slots=axis.n_slots,
+        seed=config.seed,
+        year=config.year,
+    )
 
     tracer = get_tracer()
     stats = []
@@ -329,8 +302,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
                 f"panel is not dense: profile "
                 f"{world.profiles[device_id].user_id} at position {device_id}"
             )
-    with tracer.span("simulate_devices", n_devices=len(work.device_ids),
-                     kernel=config.kernel):
+    with tracer.span("simulate_devices", n_devices=len(work.device_ids)):
         # Columnar kernel: per-device streams key only on the device
         # id, so any shard layout produces bit-identical output.
         for result in simulate_devices(
@@ -338,19 +310,14 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
             config.params, seed=config.seed, year=config.year,
             device_ids=work.device_ids,
         ):
-            if pump is None:
-                for name, columns in result.tables.items():
-                    getattr(builder, f"extend_{name}")(**columns)
-            else:
-                stats.append(pump.transmit_bulk(
-                    world.infos[result.device_id], result.tables
-                ))
+            stats.append(pump.transmit_bulk(
+                world.infos[result.device_id], result.tables
+            ))
             tracer.count("devices")
 
-    if server is not None:
-        with tracer.span("flush_buffers"):
-            server.flush_buffers()
-    chunks = builder.export_chunks()
+    with tracer.span("flush_buffers"):
+        server.flush_buffers()
+    chunks = server.builder.export_chunks()
     payload: Optional[ShardPayload] = None
     if work.shm_token is not None:
         with tracer.span("pack_payload", shard=work.shard_index):
@@ -361,8 +328,8 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
         device_ids=tuple(work.device_ids),
         chunks=chunks,
         stats=stats,
-        batches_received=server.batches_received if server else 0,
-        duplicates_dropped=server.duplicates_dropped if server else 0,
+        batches_received=server.batches_received,
+        duplicates_dropped=server.duplicates_dropped,
         payload=payload,
     )
 
@@ -648,16 +615,14 @@ def merge_campaign(
             merge_chunks(builder, outputs, plan.shard_plan,
                          allow_missing=allow_partial)
 
-        report: Optional[CollectionReport] = None
-        if not config.direct_build:
-            report = merge_reports(outputs, plan.shard_plan,
-                                   config.axis.n_slots,
-                                   allow_missing=allow_partial)
-            totals = report.totals()
-            tracer.count("batches_delivered", totals["delivered"])
-            tracer.count("batches_dropped", totals["dropped"])
-            tracer.count("batches_churned", totals["churned"])
-            tracer.count("duplicates_dropped", report.duplicates_dropped)
+        report = merge_reports(outputs, plan.shard_plan,
+                               config.axis.n_slots,
+                               allow_missing=allow_partial)
+        totals = report.totals()
+        tracer.count("batches_delivered", totals["delivered"])
+        tracer.count("batches_dropped", totals["dropped"])
+        tracer.count("batches_churned", totals["churned"])
+        tracer.count("duplicates_dropped", report.duplicates_dropped)
         if losses is not None:
             tracer.count("shards_dropped", len(losses.dropped_shards))
             tracer.count("devices_dropped", losses.dropped_devices)

@@ -6,10 +6,7 @@ mobility states, interface policy, AP association (home/office attach,
 venue and commute segments, pocket routers), cap-aware traffic draws, the
 battery walk, OS-update events, Android scans/sightings and daily per-app
 records — emitting each device's records as ready-to-ingest column tables
-instead of per-record appends. (It began life as the vectorized
-replacement for a per-day scalar loop in
-:mod:`repro.simulation.device`; that legacy loop completed its
-one-release deprecation window and is gone.)
+instead of per-record appends.
 
 RNG stream layout
 -----------------
@@ -18,8 +15,7 @@ Each device owns exactly one stream,
 campaign identity and the device id — never by shard index or position —
 so batch draws are deterministic and shard-layout-independent: any
 partition of the panel produces bit-identical per-device output. The
-stream key is disjoint from the per-wrapper streams
-(``(seed, year, device_id)``) and the collection-fault streams
+stream key is disjoint from the collection-fault streams
 (``(..., plan_seed, 104729)``), so stream families never alias.
 
 Within a device the draw order is fixed (and documented here, because the
@@ -49,7 +45,7 @@ shard-layout independence of these streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,30 +60,21 @@ from repro.net.cellular import CellularNetwork
 from repro.network_env.deployment import Deployment
 from repro.network_env.public_wifi import PROVIDER_ESSIDS
 from repro.population.profiles import UserProfile, WifiPolicy
+from repro.radio.pathloss import PathLossModel, RssiModel
 from repro.simulation.cap import SoftCapTracker, throttled_slot_limits
-from repro.simulation.device import (
-    _HOME_RSSI_MODEL,
-    _OFFICE_RSSI_MODEL,
-    _PUBLIC_RSSI_MODEL,
-)
 from repro.simulation.params import SimParams
 from repro.timeutil import TimeAxis
 from repro.traces.records import DeviceOS, IfaceKind, WifiStateCode
 
 __all__ = ["DeviceResult", "simulate_devices", "device_stream",
-           "KERNEL_NAMES", "DEFAULT_KERNEL", "_KERNEL_STREAM"]
+           "_KERNEL_STREAM"]
 
 #: Stream-key suffix separating kernel draws from every other stream family.
 _KERNEL_STREAM = 7919
 
-#: Sentinel: ``simulate_devices`` builds its own update model from params.
-_BUILD_UPDATE_MODEL = object()
-
-#: The valid ``kernel`` configuration values. ``legacy`` was removed
-#: after its deprecation release; the CLI maps it to a hard error with a
-#: migration message.
-KERNEL_NAMES = ("batch",)
-DEFAULT_KERNEL = "batch"
+#: Devices per battery-walk block: the sequential per-slot walk runs once
+#: per block instead of once per device.
+_BLOCK_SIZE = 256
 
 _ESSID_CARRIER: Dict[str, Optional[str]] = {
     essid: carrier for essid, _, carrier in PROVIDER_ESSIDS
@@ -105,6 +92,17 @@ _OUT = int(LocationState.OUT)
 
 #: Activity multiplier per state code, as a lookup table.
 _STATE_MULT = np.array([_STATE_ACTIVITY[code] for code in _STATE_CODES])
+
+# Calibrated device<->AP RSSI models per AP context.
+_HOME_RSSI_MODEL = RssiModel(
+    tx_power_dbm=16.0, path_loss=PathLossModel(exponent=3.0), shadowing_sigma_db=3.0
+)
+_OFFICE_RSSI_MODEL = RssiModel(
+    tx_power_dbm=16.0, path_loss=PathLossModel(exponent=3.0), shadowing_sigma_db=3.5
+)
+_PUBLIC_RSSI_MODEL = RssiModel(
+    tx_power_dbm=17.0, path_loss=PathLossModel(exponent=3.0), shadowing_sigma_db=5.0
+)
 
 _RSSI_MODELS = {
     APType.HOME: _HOME_RSSI_MODEL,
@@ -125,16 +123,11 @@ class DeviceResult:
     """One device's simulated campaign, as columnar record tables.
 
     ``tables`` maps table name to named column arrays — the keyword
-    arguments of the matching ``DatasetBuilder.extend_*`` method, i.e. the
-    exact shape ``DeviceSimulator.collect()`` returns. ``day_rx_cell`` is
-    the post-cap daily cellular download (the values fed to
-    ``SoftCapTracker.record_day``), kept so per-device wrappers can replay
-    cap state.
+    arguments of the matching ``DatasetBuilder.extend_*`` method.
     """
 
     device_id: int
     tables: Dict[str, Dict[str, np.ndarray]]
-    day_rx_cell: np.ndarray
 
 
 class _CampaignGrid:
@@ -176,8 +169,8 @@ class _VenueApIndex:
     """Memoized usable-venue-AP lists, shared by all devices of a shard.
 
     Usability depends only on (cell, carrier, public-vs-open), never on the
-    device, so the filter from ``DeviceSimulator._pick_venue_ap`` is paid
-    once per distinct key instead of once per pick.
+    device, so the filter is paid once per distinct key instead of once
+    per pick.
     """
 
     def __init__(self, deployment: Deployment) -> None:
@@ -218,7 +211,7 @@ class _VenueApIndex:
 
 def _draw_base_rssi(ap_type: APType, params: SimParams,
                     rng: np.random.Generator) -> float:
-    """Habitual device<->AP RSSI: same model and draw order as legacy."""
+    """Habitual device<->AP RSSI (two draws: distance, then shadowing)."""
     if ap_type is APType.MOBILE:
         median = 2.0
     elif ap_type is APType.HOME:
@@ -259,15 +252,11 @@ def _day_segments(mask: np.ndarray, grid: _CampaignGrid) -> List[Tuple[int, int]
 class _DevicePass:
     """Everything about one device except the (block-level) battery walk."""
 
-    __slots__ = (
-        "profile", "tables", "day_rx_cell",
-        "drain", "at_home", "battery0",
-    )
+    __slots__ = ("profile", "tables", "drain", "at_home", "battery0")
 
-    def __init__(self, profile, tables, day_rx_cell, drain, at_home, battery0):
+    def __init__(self, profile, tables, drain, at_home, battery0):
         self.profile = profile
         self.tables = tables
-        self.day_rx_cell = day_rx_cell
         self.drain = drain
         self.at_home = at_home
         self.battery0 = battery0
@@ -426,9 +415,8 @@ def _simulate_device(
     throttled_limits = np.minimum(
         throttled_slot_limits(params.cap_policy), cell_capacity
     )
-    day_rx_cell = np.empty(n_days)
     response = params.cap_demand_response
-    for day, (lo, hi) in enumerate(grid.day_bounds):
+    for lo, hi in grid.day_bounds:
         day_rx = rx_cell[lo:hi]
         if cap.throttled_today():
             day_rx *= response
@@ -436,9 +424,7 @@ def _simulate_device(
             np.minimum(day_rx, throttled_limits, out=day_rx)
         else:
             np.minimum(day_rx, cell_capacity, out=day_rx)
-        total = float(day_rx.sum())
-        cap.record_day(total)
-        day_rx_cell[day] = total
+        cap.record_day(float(day_rx.sum()))
 
     # -- 8. iOS update --------------------------------------------------
     tables: Dict[str, Dict[str, np.ndarray]] = {}
@@ -477,7 +463,7 @@ def _simulate_device(
     drain += np.where(wifi_on, np.where(on_wifi, 0.03, 0.05), 0.0)
     at_home = states == _HOME
 
-    return _DevicePass(profile, tables, day_rx_cell, drain, at_home, battery0)
+    return _DevicePass(profile, tables, drain, at_home, battery0)
 
 
 def _associate(
@@ -950,39 +936,28 @@ def simulate_devices(
     seed: int,
     year: int,
     device_ids: Optional[Sequence[int]] = None,
-    rng_for: Optional[Callable[[int], np.random.Generator]] = None,
-    update_model: object = _BUILD_UPDATE_MODEL,
-    block_size: int = 256,
 ) -> Iterator[DeviceResult]:
     """Simulate ``device_ids`` (default: every profile) through the batch
     kernel, yielding one :class:`DeviceResult` per device in input order.
 
-    ``rng_for`` overrides the per-device stream constructor (the
-    ``DeviceSimulator`` compatibility wrapper routes its caller-supplied
-    stream identity through it); by default every device uses
-    :func:`device_stream`, which is shard-layout independent.
-    ``update_model`` overrides the OS-update model — pass ``None`` to
-    disable updates entirely (the ``DeviceSimulator`` contract for an
-    explicit ``update_model=None``); by default one fresh model is built
-    from ``params.update_policy``.
+    Every device draws from its own :func:`device_stream`, so the output
+    does not depend on how the panel is split into calls.
     """
     grid = _CampaignGrid(axis, params)
     venue_index = _VenueApIndex(deployment)
-    if update_model is _BUILD_UPDATE_MODEL:
-        update_model = (UpdateModel(params.update_policy)
-                        if params.update_policy is not None else None)
+    update_model = (UpdateModel(params.update_policy)
+                    if params.update_policy is not None else None)
     if device_ids is None:
         device_ids = range(len(profiles))
-    if rng_for is None:
-        rng_for = lambda device_id: device_stream(seed, year, device_id)
 
     ids = list(device_ids)
-    for lo in range(0, len(ids), max(1, block_size)):
-        block = ids[lo:lo + max(1, block_size)]
+    for lo in range(0, len(ids), _BLOCK_SIZE):
+        block = ids[lo:lo + _BLOCK_SIZE]
         passes = [
             _simulate_device(
                 profiles[device_id], grid, deployment, demand, params,
-                update_model, venue_index, rng_for(device_id),
+                update_model, venue_index,
+                device_stream(seed, year, device_id),
             )
             for device_id in block
         ]
@@ -991,5 +966,4 @@ def simulate_devices(
             yield DeviceResult(
                 device_id=device_pass.profile.user_id,
                 tables=device_pass.tables,
-                day_rx_cell=device_pass.day_rx_cell,
             )

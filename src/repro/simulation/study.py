@@ -43,7 +43,6 @@ from repro.simulation.campaign import (
     merge_campaign,
     plan_campaign,
 )
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.simulation.params import default_params
 from repro.traces.store import CampaignStore
 
@@ -85,7 +84,6 @@ def default_campaign_config(
     scale: float = 1.0,
     seed: int = 7,
     faults: Optional[FaultPlan] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> CampaignConfig:
     """Calibrated campaign configuration for ``year`` at panel ``scale``."""
     if year not in _PANEL:
@@ -130,7 +128,6 @@ def default_campaign_config(
         appetite_median_mb=_APPETITE_MB[year],
         seed=seed + year,
         faults=faults,
-        kernel=kernel,
     )
 
 
@@ -144,8 +141,6 @@ class StudyConfig:
     #: Fault plan applied to every campaign's collection pipeline
     #: (None = lossless zero-fault plan).
     faults: Optional[FaultPlan] = None
-    #: Simulation kernel for every campaign (only ``batch`` remains).
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
@@ -153,11 +148,6 @@ class StudyConfig:
         unknown = [y for y in self.years if y not in YEARS]
         if unknown:
             raise ConfigurationError(f"unknown study years: {unknown}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{KERNEL_NAMES}"
-            )
 
 
 @dataclass
@@ -179,7 +169,6 @@ class Study:
         executor: Optional[Executor] = None,
         resilience: Optional[ResilienceConfig] = None,
         store_dir: Optional[Union[str, Path]] = None,
-        store_format: str = "npy",
     ) -> "Study":
         """Simulate every configured campaign year.
 
@@ -211,7 +200,7 @@ class Study:
                 plan_campaign(
                     default_campaign_config(
                         year, scale=self.config.scale, seed=self.config.seed,
-                        faults=self.config.faults, kernel=self.config.kernel,
+                        faults=self.config.faults,
                     ),
                     n_jobs,
                 )
@@ -223,7 +212,6 @@ class Study:
                     CampaignStore(
                         Path(store_dir) / f"campaign{plan.config.year}",
                         plan.config.year, plan.config.axis,
-                        format=store_format,
                     )
                     for plan in plans
                 ]
@@ -332,16 +320,13 @@ def run_study(
     n_jobs: Optional[int] = None,
     executor: Optional[Executor] = None,
     resilience: Optional[ResilienceConfig] = None,
-    kernel: str = DEFAULT_KERNEL,
     store_dir: Optional[Union[str, Path]] = None,
-    store_format: str = "npy",
 ) -> Study:
     """Convenience: run the full study at ``scale`` and return it."""
     config = StudyConfig(
         scale=scale, seed=seed, years=years or YEARS, faults=faults,
-        kernel=kernel,
     )
     return Study(config).run(
         n_jobs=n_jobs, executor=executor, resilience=resilience,
-        store_dir=store_dir, store_format=store_format,
+        store_dir=store_dir,
     )

@@ -10,21 +10,12 @@ from repro.traces.records import (
     WifiStateCode,
     NetLocation,
     DeviceInfo,
-    TrafficSample,
-    WifiObservation,
-    GeoSample,
-    ScanSummary,
-    ScanSighting,
-    AppTrafficRecord,
-    BatterySample,
-    UpdateEvent,
     ApDirectoryEntry,
 )
 from repro.traces.dataset import CampaignDataset, DatasetBuilder, GroundTruth
 from repro.traces.io import save_dataset, load_dataset
 from repro.traces.cleaning import (
     drop_update_window,
-    drop_tethering,
     CleaningReport,
     clean_for_main_analysis,
 )
@@ -35,14 +26,6 @@ __all__ = [
     "WifiStateCode",
     "NetLocation",
     "DeviceInfo",
-    "TrafficSample",
-    "WifiObservation",
-    "GeoSample",
-    "ScanSummary",
-    "ScanSighting",
-    "AppTrafficRecord",
-    "BatterySample",
-    "UpdateEvent",
     "ApDirectoryEntry",
     "CampaignDataset",
     "DatasetBuilder",
@@ -50,7 +33,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "drop_update_window",
-    "drop_tethering",
     "CleaningReport",
     "clean_for_main_analysis",
     "validate_dataset",

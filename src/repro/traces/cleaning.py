@@ -1,9 +1,9 @@
 """Dataset cleaning rules from §2.
 
-Two atypical events are removed before the main analysis:
+Two atypical events are excluded from the main analysis:
 
-1. Tethering traffic (already excluded at ingest; :func:`drop_tethering`
-   exists for datasets assembled from raw unit records).
+1. Tethering traffic. The simulated agent never records any (the kernel
+   emits no tethering traffic), so no pass is needed for it.
 2. The 2015 iOS 8.2 update: for each updated device, all traffic on the
    update day and the following day is dropped (the update itself is
    analyzed separately in §3.7 / Figure 18).
@@ -12,13 +12,11 @@ Two atypical events are removed before the main analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List
 
 import numpy as np
 
 from repro.constants import SAMPLES_PER_DAY
 from repro.traces.dataset import CampaignDataset
-from repro.traces.records import TrafficSample
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,6 @@ class CleaningReport:
             f"{self.traffic_rows_dropped} traffic rows, "
             f"{self.app_rows_dropped} app rows removed"
         )
-
-
-def drop_tethering(samples: Iterable[TrafficSample]) -> List[TrafficSample]:
-    """Filter tethering samples out of a raw record stream (§2)."""
-    return [s for s in samples if not s.tethering]
 
 
 def drop_update_window(dataset: CampaignDataset) -> "tuple[CampaignDataset, CleaningReport]":

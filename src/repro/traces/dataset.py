@@ -2,8 +2,7 @@
 
 A :class:`CampaignDataset` holds one campaign's records as numpy column
 arrays, which is what every analysis operates on. :class:`DatasetBuilder`
-accumulates records (either unit records from the collection pipeline or bulk
-appends from the simulator) and freezes them into a dataset.
+accumulates column chunks and freezes them into a dataset.
 
 Ground truth (AP deployment categories, users' true home APs) is carried
 separately in :class:`GroundTruth` and is **never read by analyses** — it
@@ -22,19 +21,12 @@ from repro.errors import DatasetError, SchemaError
 from repro.net.accesspoint import APType
 from repro.timeutil import TimeAxis
 from repro.traces.records import (
+    MEAN_RX_PACKET_BYTES,
+    MEAN_TX_PACKET_BYTES,
     ApDirectoryEntry,
-    AppTrafficRecord,
-    BatterySample,
     DeviceInfo,
     DeviceOS,
-    GeoSample,
     IfaceKind,
-    ScanSighting,
-    ScanSummary,
-    TrafficSample,
-    UpdateEvent,
-    WifiObservation,
-    WifiStateCode,
 )
 
 
@@ -210,10 +202,8 @@ class CampaignDataset:
 class DatasetBuilder:
     """Accumulates records and freezes them into a :class:`CampaignDataset`.
 
-    Accepts both unit records (:meth:`add_traffic` etc., used by the
-    collection server) and column chunks (:meth:`extend_traffic` etc., used
-    by the simulator's fast path). Rows may arrive in any order; ``build``
-    sorts each table by (device, t).
+    Records arrive as column chunks (:meth:`extend_traffic` etc.), in any
+    order; ``build`` sorts each table by (device, t).
     """
 
     def __init__(self, year: int, axis: TimeAxis) -> None:
@@ -244,59 +234,10 @@ class DatasetBuilder:
             raise SchemaError(f"duplicate ap_id {entry.ap_id}")
         self.ap_directory[entry.ap_id] = entry
 
-    # -- unit-record appends (collection pipeline) -----------------------
-
-    def add_traffic(self, s: TrafficSample) -> None:
-        if s.tethering:
-            # Tethering traffic is excluded at ingest (§2 cleaning).
-            return
-        self.extend_traffic(
-            device=[s.device_id], t=[s.t], iface=[int(s.iface)],
-            rx=[s.rx_bytes], tx=[s.tx_bytes],
-            rx_pkts=[s.rx_pkts], tx_pkts=[s.tx_pkts],
-        )
-
-    def add_wifi(self, o: WifiObservation) -> None:
-        self.extend_wifi(
-            device=[o.device_id], t=[o.t], state=[int(o.state)],
-            ap_id=[o.ap_id], rssi=[o.rssi_dbm],
-        )
-
-    def add_geo(self, g: GeoSample) -> None:
-        self.extend_geo(device=[g.device_id], t=[g.t], col=[g.cell_col], row=[g.cell_row])
-
-    def add_scan(self, s: ScanSummary) -> None:
-        self.extend_scans(
-            device=[s.device_id], t=[s.t],
-            n24_all=[s.n24_all], n24_strong=[s.n24_strong],
-            n5_all=[s.n5_all], n5_strong=[s.n5_strong],
-        )
-
-    def add_sighting(self, s: ScanSighting) -> None:
-        self.extend_sightings(
-            device=[s.device_id], t=[s.t], ap_id=[s.ap_id], rssi=[s.rssi_dbm]
-        )
-
-    def add_app_traffic(self, r: AppTrafficRecord) -> None:
-        self.extend_apps(
-            device=[r.device_id], day=[r.day], category=[r.category],
-            cellular=[int(r.iface_cellular)], ap_id=[r.ap_id],
-            col=[r.cell_col], row=[r.cell_row], rx=[r.rx_bytes], tx=[r.tx_bytes],
-        )
-
-    def add_update(self, e: UpdateEvent) -> None:
-        self.extend_updates(device=[e.device_id], t=[e.t], bytes=[e.bytes])
-
-    def add_battery(self, b: BatterySample) -> None:
-        self.extend_battery(device=[b.device_id], t=[b.t],
-                            level=[b.level_pct], charging=[int(b.charging)])
-
-    # -- column-chunk appends (simulator fast path) -----------------------
+    # -- column-chunk appends --------------------------------------------
 
     def extend_traffic(self, device, t, iface, rx, tx,
                        rx_pkts=None, tx_pkts=None) -> None:
-        from repro.traces.records import MEAN_RX_PACKET_BYTES, MEAN_TX_PACKET_BYTES
-
         rx_arr = _f64(rx)
         tx_arr = _f64(tx)
         if rx_pkts is None:

@@ -2,10 +2,10 @@
 
 The measurement software records, every 10 minutes: byte counts per network
 interface, application traffic (Android), WiFi association and scan results
-(scans on Android only), coarse geolocation, and device information. These
-dataclasses are the unit records the collection agent emits; the columnar
-:class:`~repro.traces.dataset.CampaignDataset` stores the same fields as
-arrays.
+(scans on Android only), coarse geolocation, and device information. The
+columnar :class:`~repro.traces.dataset.CampaignDataset` stores those records
+as arrays; this module holds the enums that code their fields, the
+enrollment record :class:`DeviceInfo` and the AP directory entry.
 """
 
 from __future__ import annotations
@@ -102,155 +102,10 @@ class DeviceInfo:
             raise SchemaError(f"device_id must be >= 0: {self.device_id}")
 
 
-@dataclass(frozen=True)
-class TrafficSample:
-    """Bytes and packets moved on one interface during one 10-minute slot.
-
-    Packet counts default to a size-derived estimate when the platform
-    counter is unavailable (§2 records both byte and packet counts).
-    """
-
-    device_id: int
-    t: int
-    iface: IfaceKind
-    rx_bytes: float
-    tx_bytes: float
-    rx_pkts: int = -1
-    tx_pkts: int = -1
-    tethering: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rx_bytes < 0 or self.tx_bytes < 0:
-            raise SchemaError(
-                f"negative byte count: rx={self.rx_bytes} tx={self.tx_bytes}"
-            )
-        if self.rx_pkts < 0:
-            object.__setattr__(self, "rx_pkts", estimate_packets(self.rx_bytes))
-        if self.tx_pkts < 0:
-            object.__setattr__(self, "tx_pkts", estimate_packets(self.tx_bytes))
-
-
-#: Mean packet sizes used to estimate counters (download MTU-sized, upload
-#: dominated by ACKs and small requests).
+#: Mean packet sizes used to estimate packet counters from byte counts
+#: (download MTU-sized, upload dominated by ACKs and small requests).
 MEAN_RX_PACKET_BYTES = 1200.0
 MEAN_TX_PACKET_BYTES = 400.0
-
-
-def estimate_packets(n_bytes: float, mean_packet_bytes: float = MEAN_RX_PACKET_BYTES) -> int:
-    """Packet-count estimate for a byte volume (ceil at one packet)."""
-    if n_bytes <= 0:
-        return 0
-    return max(1, int(round(n_bytes / mean_packet_bytes)))
-
-
-@dataclass(frozen=True)
-class WifiObservation:
-    """WiFi interface state during one slot.
-
-    ``ap_id`` and ``rssi_dbm`` are meaningful only when associated.
-    """
-
-    device_id: int
-    t: int
-    state: WifiStateCode
-    ap_id: int = -1
-    rssi_dbm: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.state is WifiStateCode.ASSOCIATED and self.ap_id < 0:
-            raise SchemaError("associated observation requires an ap_id")
-
-
-@dataclass(frozen=True)
-class GeoSample:
-    """Coarse geolocation for one slot: the 5 km grid-cell index (§2)."""
-
-    device_id: int
-    t: int
-    cell_col: int
-    cell_row: int
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    """Counts of detected public WiFi networks in one slot (Android).
-
-    Split by band and by whether the max RSSI clears the "strong" threshold,
-    matching Figure 17 and the §3.5 availability analysis.
-    """
-
-    device_id: int
-    t: int
-    n24_all: int
-    n24_strong: int
-    n5_all: int
-    n5_strong: int
-
-    def __post_init__(self) -> None:
-        if self.n24_strong > self.n24_all or self.n5_strong > self.n5_all:
-            raise SchemaError("strong count exceeds total count")
-        if min(self.n24_all, self.n24_strong, self.n5_all, self.n5_strong) < 0:
-            raise SchemaError("scan counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScanSighting:
-    """One detected (not necessarily associated) AP in a detailed scan."""
-
-    device_id: int
-    t: int
-    ap_id: int
-    rssi_dbm: float
-
-
-@dataclass(frozen=True)
-class AppTrafficRecord:
-    """Per-application-category traffic for one device-day (Android, §2).
-
-    Cellular rows carry the 5 km cell where the traffic occurred (so analyses
-    can infer "cell at home" vs "cell elsewhere"); WiFi rows carry the
-    associated ``ap_id``.
-    """
-
-    device_id: int
-    day: int
-    category: int
-    iface_cellular: bool
-    ap_id: int
-    cell_col: int
-    cell_row: int
-    rx_bytes: float
-    tx_bytes: float
-
-    def __post_init__(self) -> None:
-        if self.rx_bytes < 0 or self.tx_bytes < 0:
-            raise SchemaError("negative app byte count")
-        if not self.iface_cellular and self.ap_id < 0:
-            raise SchemaError("WiFi app record requires an ap_id")
-
-
-@dataclass(frozen=True)
-class BatterySample:
-    """Battery status for one slot (§2: the agent records battery state)."""
-
-    device_id: int
-    t: int
-    level_pct: float
-    charging: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.level_pct <= 100.0:
-            raise SchemaError(f"battery level out of range: {self.level_pct}")
-
-
-@dataclass(frozen=True)
-class UpdateEvent:
-    """A device OS update observed during the campaign (§3.7)."""
-
-    device_id: int
-    t: int
-    bytes: float
-    version: str = "ios-8.2"
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,12 @@ Layout::
             traffic__rx.npy
             ...
 
-Two backends share the layout above the table files:
-
-- ``npy`` (default, **no dependency beyond numpy**): one ``.npy`` file per
-  (table, column), loaded with ``np.load(..., mmap_mode="r")``. Column
-  projection pushdown is structural — a reader opens only the column files
-  it asks for — and predicate pushdown reads just the predicate columns
-  before gathering the projection.
-- ``parquet`` (optional, needs pyarrow): one Parquet file per table,
-  written in row-group chunks and read back memory-mapped. The *data* is
-  bit-identical to the npy backend — the fingerprint hashes column bytes,
-  not files — so backends interoperate freely.
+Every (table, column) is one ``.npy`` file, loaded with
+``np.load(..., mmap_mode="r")`` — no dependency beyond numpy. Column
+projection pushdown is structural — a reader opens only the column files
+it asks for — and predicate pushdown reads just the predicate columns
+before gathering the projection. The manifest records ``"format": "npy"``;
+opening a store whose manifest names any other format is an error.
 
 Determinism: the streaming merge (:meth:`CampaignStore.finalize`)
 reproduces ``DatasetBuilder.build`` exactly — partitions are concatenated
@@ -54,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -79,7 +74,6 @@ from repro.traces.records import ApDirectoryEntry, DeviceInfo
 __all__ = [
     "CampaignStore",
     "PartitionRef",
-    "STORE_FORMATS",
     "STORE_MANIFEST",
     "is_store_dir",
     "open_store",
@@ -90,40 +84,13 @@ __all__ = [
 STORE_MANIFEST = "store_manifest.json"
 _PART_MANIFEST = "part_manifest.json"
 _STORE_VERSION = 1
+_STORE_FORMAT = "npy"
 
 #: Rows copied (and hashed) per block during the streaming merge; bounds
 #: the merge's transient working set to one block per column.
 MERGE_BLOCK_ROWS = 1 << 18
 
-STORE_FORMATS = ("npy", "parquet")
-
 _TABLE_NAMES = tuple(_EMPTY_DTYPES)
-
-
-def _have_pyarrow() -> bool:
-    try:  # pragma: no cover - depends on the host environment
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _resolve_format(fmt: str) -> str:
-    if fmt == "auto":
-        return "parquet" if _have_pyarrow() else "npy"
-    if fmt not in STORE_FORMATS:
-        raise ConfigurationError(
-            f"unknown store format {fmt!r}; expected one of "
-            f"{STORE_FORMATS} (or 'auto')"
-        )
-    if fmt == "parquet" and not _have_pyarrow():
-        raise ConfigurationError(
-            "store format 'parquet' needs pyarrow, which is not "
-            "installed; use the dependency-free 'npy' format or install "
-            "the [arrow] extra"
-        )
-    return fmt
 
 
 @dataclass(frozen=True)
@@ -189,12 +156,11 @@ class PartitionRef:
 class CampaignStore:
     """One campaign's out-of-core columnar storage directory."""
 
-    def __init__(self, root: Union[str, Path], year: int, axis: TimeAxis,
-                 format: str = "npy") -> None:
+    def __init__(self, root: Union[str, Path], year: int,
+                 axis: TimeAxis) -> None:
         self.root = Path(root)
         self.year = year
         self.axis = axis
-        self.format = _resolve_format(format)
         #: Set by :meth:`finalize` / :meth:`_read_manifest`.
         self._manifest: Optional[dict] = None
 
@@ -212,9 +178,15 @@ class CampaignStore:
             raise DatasetError(
                 f"unsupported store version: {manifest.get('store_version')}"
             )
+        if manifest.get("format") != _STORE_FORMAT:
+            raise ConfigurationError(
+                f"campaign store {root} uses column format "
+                f"{manifest.get('format')!r}; only {_STORE_FORMAT!r} stores "
+                f"can be read"
+            )
         axis = TimeAxis(date.fromisoformat(manifest["start"]),
                         manifest["n_days"])
-        store = cls(root, manifest["year"], axis, manifest["format"])
+        store = cls(root, manifest["year"], axis)
         store._manifest = manifest
         return store
 
@@ -375,7 +347,7 @@ class CampaignStore:
                 )
         manifest = {
             "store_version": _STORE_VERSION,
-            "format": self.format,
+            "format": _STORE_FORMAT,
             "year": self.year,
             "start": self.axis.start.isoformat(),
             "n_days": self.axis.n_days,
@@ -468,10 +440,8 @@ class CampaignStore:
 
     def _write_column(self, table: str, column: str, source,
                       staged: Optional[np.ndarray]) -> str:
-        """Write one finalized column (npy or parquet row append) and
-        return the content digest of its sorted bytes."""
-        if self.format == "parquet":
-            return self._write_column_parquet(table, column, source, staged)
+        """Write one finalized column and return the content digest of
+        its sorted bytes."""
         path = self.tables_dir / f"{table}__{column}.npy"
         if staged is None:  # empty table
             np.save(path, np.asarray(source))
@@ -490,73 +460,17 @@ class CampaignStore:
         del out
         return hasher.hexdigest()
 
-    # -- parquet backend ---------------------------------------------------
-
-    def _write_column_parquet(self, table: str, column: str, source,
-                              staged: Optional[np.ndarray]) -> str:
-        """Buffer sorted column blocks; the last column flushes the file.
-
-        Parquet is row-grouped per table, so columns are accumulated and
-        the table file is written once the final column of the table
-        arrives (column specs are iterated in schema order).
-        """
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        buffered = getattr(self, "_parquet_buffer", None)
-        if buffered is None or buffered[0] != table:
-            buffered = (table, {})
-            self._parquet_buffer = buffered
-        hasher = hashlib.sha256()
-        if staged is None:
-            sorted_column = np.asarray(source)
-        else:
-            total = len(source)
-            sorted_column = np.empty(total, dtype=source.dtype)
-            for lo in range(0, total, MERGE_BLOCK_ROWS):
-                hi = min(lo + MERGE_BLOCK_ROWS, total)
-                sorted_column[lo:hi] = source[staged[lo:hi]]
-        hasher.update(np.ascontiguousarray(sorted_column).tobytes())
-        buffered[1][column] = sorted_column
-        specs = _EMPTY_DTYPES[table]
-        if column == specs[-1][0]:  # last column: flush the table file
-            arrays = {name: buffered[1][name] for name, _ in specs}
-            pa_table = pa.table(
-                {name: pa.array(arr) for name, arr in arrays.items()}
-            )
-            pq.write_table(
-                pa_table, self.tables_dir / f"{table}.parquet",
-                row_group_size=MERGE_BLOCK_ROWS, compression="zstd",
-            )
-            self._parquet_buffer = None
-        return hasher.hexdigest()
-
-    def _load_column_parquet(self, table: str, column: str,
-                             dtype: np.dtype) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        pa_table = pq.read_table(
-            self.tables_dir / f"{table}.parquet", columns=[column],
-            memory_map=True,
-        )
-        arr = pa_table.column(column).to_numpy(zero_copy_only=False)
-        return np.ascontiguousarray(arr, dtype=dtype)
-
     # -- read path ---------------------------------------------------------
 
     def column(self, table: str, column: str) -> np.ndarray:
         """One finalized column, memory-mapped read-only where possible."""
         manifest = self._manifest or self._read_manifest()
         self._manifest = manifest
-        try:
-            table_meta = manifest["tables"][table]
-            dtype = np.dtype(table_meta["columns"][column]["dtype"])
-        except KeyError:
+        table_meta = manifest["tables"].get(table)
+        if table_meta is None or column not in table_meta["columns"]:
             raise DatasetError(
                 f"store {self.root} has no column {table}.{column}"
-            ) from None
-        if self.format == "parquet":
-            return self._load_column_parquet(table, column, dtype)
+            )
         path = self.tables_dir / f"{table}__{column}.npy"
         if table_meta["n_rows"] == 0:
             return np.load(path)

@@ -66,6 +66,8 @@ def validate_dataset(dataset: CampaignDataset) -> ValidationSummary:
     _check_range(dataset.geo.t, 0, n_slots, "geo.t")
 
     _check_range(dataset.scans.device, 0, n_dev, "scans.device")
+    for column in ("n24_all", "n24_strong", "n5_all", "n5_strong"):
+        _check_nonnegative(getattr(dataset.scans, column), f"scans.{column}")
     if len(dataset.scans):
         if (dataset.scans.n24_strong > dataset.scans.n24_all).any():
             raise SchemaError("scans: 2.4GHz strong count exceeds total")

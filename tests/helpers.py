@@ -14,6 +14,8 @@ import numpy as np
 from repro.constants import SAMPLES_PER_DAY, SAMPLES_PER_HOUR
 from repro.net.cellular import CellularTechnology
 from repro.radio.bands import Band
+from repro.simulation.campaign import plan_campaign
+from repro.simulation.kernel import simulate_devices
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import CampaignDataset, DatasetBuilder
 from repro.traces.records import (
@@ -166,3 +168,27 @@ def nightly_home_association(
     for day in range(n_days):
         add_association_span(builder, device, ap_id, slot(day, 22), slot(day, 24), rssi)
         add_association_span(builder, device, ap_id, slot(day, 0), slot(day, 6), rssi)
+
+
+def kernel_reference(config) -> CampaignDataset:
+    """A campaign built without the collection pipeline.
+
+    The plan's world runs through the batch kernel and every device's
+    tables go straight into a :class:`DatasetBuilder`; the AP directory
+    holds the observed APs, as in ``run_campaign``. A zero-fault campaign
+    must match it bit for bit.
+    """
+    world = plan_campaign(config).world
+    builder = DatasetBuilder(config.year, config.axis)
+    for info in world.infos:
+        builder.add_device(info)
+    for result in simulate_devices(
+        world.profiles, config.axis, world.deployment, world.demand,
+        config.params, seed=config.seed, year=config.year,
+    ):
+        for name, columns in result.tables.items():
+            getattr(builder, f"extend_{name}")(**columns)
+    for ap_id in sorted(builder.observed_ap_ids()):
+        ap = world.deployment.ap(ap_id)
+        add_ap(builder, ap_id, ap.essid, ap.band, ap.channel, ap.bssid)
+    return builder.build()

@@ -5,29 +5,36 @@ import pytest
 
 from repro.analysis.battery import battery_drain
 from repro.errors import AnalysisError, SchemaError
-from repro.traces.records import BatterySample, WifiStateCode
+from repro.traces.records import WifiStateCode
+from repro.traces.validate import validate_dataset
 from tests.helpers import add_ap, add_association_span, add_state_span, make_builder
 
 
 class TestBatterySchema:
+    @staticmethod
+    def _validate_levels(*levels):
+        builder = make_builder(n_devices=1, n_days=1)
+        builder.extend_battery(device=[0] * len(levels),
+                               t=list(range(len(levels))),
+                               level=list(levels), charging=[0] * len(levels))
+        return validate_dataset(builder.build())
+
     def test_level_bounds(self):
-        BatterySample(0, 0, 0.0, False)
-        BatterySample(0, 0, 100.0, True)
+        self._validate_levels(0.0, 100.0)
         with pytest.raises(SchemaError):
-            BatterySample(0, 0, 101.0, False)
+            self._validate_levels(101.0)
         with pytest.raises(SchemaError):
-            BatterySample(0, 0, -1.0, False)
+            self._validate_levels(-1.0)
 
     def test_builder_round_trip(self):
         builder = make_builder(n_devices=1, n_days=1)
-        builder.add_battery(BatterySample(0, 5, 80.0, True))
+        builder.extend_battery(device=[0], t=[5], level=[80.0], charging=[1])
         ds = builder.build()
         assert len(ds.battery) == 1
         assert ds.battery.level[0] == 80.0
         assert ds.battery.charging[0] == 1
 
     def test_validation_catches_bad_level(self):
-        from repro.traces.validate import validate_dataset
         builder = make_builder(n_devices=1, n_days=1)
         builder.extend_battery(device=[0], t=[0], level=[130.0], charging=[0])
         ds = builder.build()
@@ -92,16 +99,16 @@ class TestBatteryDrainAnalysis:
 
 class TestAgentBattery:
     def test_battery_passthrough(self):
-        from repro.collection.agent import AgentSnapshot, MeasurementAgent
-        from repro.geo.coords import Coordinate
+        from repro.collection.agent import MeasurementAgent
         from repro.net.cellular import CellularTechnology
         from repro.traces.records import DeviceInfo, DeviceOS
         agent = MeasurementAgent(
             DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
         )
-        sample = BatterySample(0, 0, 77.0, False)
-        records = agent.sample(
-            AgentSnapshot(t=0, location=Coordinate(35.68, 139.76),
-                          wifi_state=WifiStateCode.OFF, battery=sample)
-        )
-        assert records.battery == [sample]
+        battery = dict(device=np.array([0]), t=np.array([3]),
+                       level=np.array([77.0]), charging=np.array([0]))
+        uploads = list(agent.package_uploads({"battery": battery}, 144))
+        assert [t for t, _ in uploads] == [3]
+        cols, lo, hi = uploads[0][1].ranges["battery"]
+        assert cols["level"][lo:hi].tolist() == [77.0]
+        assert cols["charging"][lo:hi].tolist() == [0]

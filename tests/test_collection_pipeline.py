@@ -2,7 +2,8 @@
 
 The tentpole invariant lives here: a campaign routed through the full
 agent → uploader → transport → server path under a zero-fault plan must
-produce a dataset *bit-for-bit identical* to the direct builder path.
+produce a dataset *bit-for-bit identical* to appending the kernel's output
+for the same world straight into a ``DatasetBuilder``.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ from repro.collection.faults import CollectionReport, FaultPlan, OutageWindow
 from repro.errors import ConfigurationError
 from repro.simulation.campaign import run_campaign
 from repro.simulation.study import default_campaign_config
+from tests.helpers import kernel_reference
 
 TABLES = ("traffic", "wifi", "geo", "scans", "sightings", "apps",
           "updates", "battery")
@@ -26,16 +28,16 @@ def _small_config(**kwargs):
 
 @pytest.fixture(scope="module")
 def equivalence_pair():
-    direct = run_campaign(dataclasses.replace(_small_config(), direct_build=True))
+    reference = kernel_reference(_small_config())
     piped = run_campaign(_small_config())
-    return direct, piped
+    return reference, piped
 
 
 class TestZeroFaultEquivalence:
     def test_tables_bit_identical(self, equivalence_pair):
-        direct, piped = equivalence_pair
+        reference, piped = equivalence_pair
         for name in TABLES:
-            expected = getattr(direct.dataset, name)
+            expected = getattr(reference, name)
             actual = getattr(piped.dataset, name)
             assert set(expected.columns) == set(actual.columns), name
             for colname, col in expected.columns.items():
@@ -45,10 +47,10 @@ class TestZeroFaultEquivalence:
                                               err_msg=f"{name}.{colname}")
 
     def test_metadata_identical(self, equivalence_pair):
-        direct, piped = equivalence_pair
-        assert piped.dataset.devices == direct.dataset.devices
-        assert piped.dataset.ap_directory == direct.dataset.ap_directory
-        assert piped.dataset.year == direct.dataset.year
+        reference, piped = equivalence_pair
+        assert piped.dataset.devices == reference.devices
+        assert piped.dataset.ap_directory == reference.ap_directory
+        assert piped.dataset.year == reference.year
 
     def test_zero_fault_report_is_lossless(self, equivalence_pair):
         _, piped = equivalence_pair
@@ -61,10 +63,6 @@ class TestZeroFaultEquivalence:
             assert stats.completeness == 1.0
             assert stats.churned == stats.dropped == stats.cached == 0
         assert piped.collection.totals()["delivered"] == report.batches_received
-
-    def test_direct_build_has_no_report(self, equivalence_pair):
-        direct, _ = equivalence_pair
-        assert direct.collection is None
 
 
 class TestConservation:
@@ -139,11 +137,6 @@ class TestFaultPlanValidation:
         assert FaultPlan.zero().is_zero
         assert not FaultPlan(upload_failure_p=0.1).is_zero
         assert not FaultPlan(outages=(OutageWindow(0, 1),)).is_zero
-
-    def test_direct_build_with_nonzero_faults_rejected(self):
-        config = _small_config(faults=FaultPlan(upload_failure_p=0.5))
-        with pytest.raises(ConfigurationError):
-            dataclasses.replace(config, direct_build=True)
 
 
 class TestCLIFaultFlags:

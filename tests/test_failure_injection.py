@@ -78,7 +78,7 @@ class TestDegenerateDatasets:
 
 class TestByzantineTransport:
     def test_transport_raising_unrelated_errors_propagates(self):
-        from repro.collection.agent import Records
+        from repro.collection.agent import ColumnarRecords
         from repro.collection.uploader import Uploader
 
         class Exploding:
@@ -88,17 +88,17 @@ class TestByzantineTransport:
         uploader = Uploader(device_id=0, transport=Exploding())
         # Only UploadError is treated as retryable; other bugs surface.
         with pytest.raises(RuntimeError):
-            uploader.upload(Records())
+            uploader.upload(ColumnarRecords({}))
 
     def test_intermittent_recovery(self, rng):
-        from repro.collection.agent import Records
+        from repro.collection.agent import ColumnarRecords
         from repro.collection.uploader import FlakyTransport, Uploader, drain_all
 
         received = []
         transport = FlakyTransport(received.append, failure_rate=0.8, rng=rng)
         uploader = Uploader(device_id=0, transport=transport)
         for _ in range(30):
-            uploader.upload(Records())
+            uploader.upload(ColumnarRecords({}))
         drain_all([uploader], max_rounds=200)
         assert len(received) == 30
         sequences = [batch.sequence for batch in received]
@@ -106,23 +106,21 @@ class TestByzantineTransport:
 
     def test_server_rejects_foreign_year_slots(self):
         from datetime import date
-        from repro.collection.agent import AgentSnapshot, MeasurementAgent
+        from repro.collection.agent import ColumnarRecords
         from repro.collection.server import CollectionServer
         from repro.collection.uploader import UploadBatch
-        from repro.geo.coords import Coordinate
         from repro.net.cellular import CellularTechnology
         from repro.timeutil import TimeAxis
-        from repro.traces.records import DeviceInfo, DeviceOS, WifiStateCode
+        from repro.traces.records import DeviceInfo, DeviceOS
 
         axis = TimeAxis(date(2015, 3, 2), 1)  # 144 slots only
         server = CollectionServer(2015, axis)
         info = DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
         server.register_device(info)
-        agent = MeasurementAgent(info)
-        records = agent.sample(
-            AgentSnapshot(t=999, location=Coordinate(35.6, 139.7),
-                          wifi_state=WifiStateCode.OFF, rx_cell=5.0)
-        )
+        traffic = dict(device=np.array([0]), t=np.array([999]),
+                       iface=np.array([1]), rx=np.array([5.0]),
+                       tx=np.array([0.0]))
+        records = ColumnarRecords({"traffic": (traffic, 0, 1)})
         server.receive(UploadBatch(0, 0, records))
         with pytest.raises(SchemaError):
             server.build_dataset()  # out-of-range slot caught at freeze
@@ -130,7 +128,7 @@ class TestByzantineTransport:
 
 class TestFaultPlanScenarios:
     def test_outage_window_caches_then_recovers(self):
-        from repro.collection.agent import Records
+        from repro.collection.agent import ColumnarRecords
         from repro.collection.faults import FaultedTransport, FaultPlan, OutageWindow
         from repro.collection.uploader import Uploader
         from repro.net.cellular import CellularTechnology
@@ -144,7 +142,7 @@ class TestFaultPlanScenarios:
         uploader = Uploader(device_id=0, transport=transport)
         for t in range(10):
             transport.now = t
-            uploader.upload(Records())
+            uploader.upload(ColumnarRecords({}))
             if 3 <= t < 7:
                 assert uploader.cached_batches == t - 3 + 1
         # Every batch made it out once coverage returned, in order.
@@ -153,7 +151,7 @@ class TestFaultPlanScenarios:
         assert transport.failures == 4
 
     def test_outage_covering_campaign_end_strands_cache(self):
-        from repro.collection.agent import Records
+        from repro.collection.agent import ColumnarRecords
         from repro.collection.faults import FaultedTransport, FaultPlan, OutageWindow
         from repro.collection.uploader import Uploader
         from repro.net.cellular import CellularTechnology
@@ -166,7 +164,7 @@ class TestFaultPlanScenarios:
         uploader = Uploader(device_id=0, transport=transport)
         for t in range(5):
             transport.now = t
-            assert not uploader.upload(Records())
+            assert not uploader.upload(ColumnarRecords({}))
         for _ in range(4):  # bounded final drain: stalls, never raises
             uploader.flush()
         assert uploader.cached_batches == 5

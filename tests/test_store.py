@@ -9,6 +9,7 @@ store's content fingerprint changes.
 """
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from repro.traces.io import load_dataset
 from repro.traces.store import (
     STORE_MANIFEST,
     CampaignStore,
-    _have_pyarrow,
     is_store_dir,
     open_store,
     store_fingerprint,
@@ -207,31 +207,31 @@ class TestReadPushdown:
 
 
 class TestFormats:
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store format"):
-            CampaignStore(tmp_path, 2015, _axis(), format="feather")
+    @staticmethod
+    def _manifest_with_format(finalized, root, fmt):
+        store, _ = finalized
+        manifest = json.loads((store.root / STORE_MANIFEST).read_text())
+        manifest["format"] = fmt
+        (root / STORE_MANIFEST).write_text(json.dumps(manifest))
+        return root
 
-    @pytest.mark.skipif(_have_pyarrow(), reason="pyarrow is installed")
-    def test_parquet_without_pyarrow_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="needs pyarrow"):
-            CampaignStore(tmp_path, 2015, _axis(), format="parquet")
+    def test_unknown_format_rejected(self, finalized, tmp_path):
+        root = self._manifest_with_format(finalized, tmp_path, "feather")
+        with pytest.raises(ConfigurationError, match="format 'feather'"):
+            CampaignStore.open(root)
 
-    @pytest.mark.skipif(_have_pyarrow(), reason="pyarrow is installed")
-    def test_auto_falls_back_to_npy(self, tmp_path):
-        store = CampaignStore(tmp_path, 2015, _axis(), format="auto")
-        assert store.format == "npy"
+    def test_parquet_without_pyarrow_rejected(self, finalized, tmp_path):
+        # Stores written by the removed Parquet backend no longer open,
+        # whether or not pyarrow is installed.
+        root = self._manifest_with_format(finalized, tmp_path, "parquet")
+        with pytest.raises(ConfigurationError, match="format 'parquet'"):
+            CampaignStore.open(root)
 
-    @pytest.mark.skipif(not _have_pyarrow(), reason="needs pyarrow")
-    def test_parquet_round_trip_matches_npy(self, tmp_path):
-        config = _small_config(2013)
-        npy = CampaignStore(tmp_path / "npy", config.year, config.axis)
-        parquet = CampaignStore(tmp_path / "parquet", config.year,
-                                config.axis, format="parquet")
-        a = run_campaign(config, store=npy)
-        b = run_campaign(config, store=parquet)
-        assert_datasets_identical(a.dataset, b.dataset)
-        # The fingerprint hashes column bytes, not files: backends agree.
-        assert npy.fingerprint == parquet.fingerprint
+    def test_stores_are_written_as_npy(self, finalized):
+        store, _ = finalized
+        manifest = json.loads((store.root / STORE_MANIFEST).read_text())
+        assert manifest["format"] == "npy"
+        assert CampaignStore.open(store.root).fingerprint == store.fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.traces.cleaning import (
-    clean_for_main_analysis,
-    drop_tethering,
-    drop_update_window,
-)
-from repro.traces.records import IfaceKind, TrafficSample
+from repro.traces.cleaning import clean_for_main_analysis, drop_update_window
 from tests.helpers import add_daily_traffic, make_builder, slot
-
-
-def test_drop_tethering():
-    samples = [
-        TrafficSample(0, 0, IfaceKind.WIFI, 1.0, 0.0, tethering=True),
-        TrafficSample(0, 1, IfaceKind.WIFI, 2.0, 0.0, tethering=False),
-    ]
-    kept = drop_tethering(samples)
-    assert len(kept) == 1 and kept[0].t == 1
 
 
 def test_drop_update_window_removes_two_days():

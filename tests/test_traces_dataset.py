@@ -10,8 +10,6 @@ from repro.traces.records import (
     DeviceInfo,
     DeviceOS,
     IfaceKind,
-    TrafficSample,
-    WifiObservation,
     WifiStateCode,
 )
 from tests.helpers import add_ap, add_daily_traffic, make_builder, slot
@@ -30,18 +28,6 @@ class TestBuilder:
         add_ap(builder, 1, "net")
         with pytest.raises(SchemaError):
             add_ap(builder, 1, "net2")
-
-    def test_tethering_dropped_at_ingest(self):
-        builder = make_builder()
-        builder.add_traffic(
-            TrafficSample(0, 0, IfaceKind.WIFI, 100.0, 10.0, tethering=True)
-        )
-        builder.add_traffic(
-            TrafficSample(0, 1, IfaceKind.WIFI, 200.0, 20.0, tethering=False)
-        )
-        dataset = builder.build()
-        assert len(dataset.traffic) == 1
-        assert dataset.traffic.rx[0] == 200.0
 
     def test_rows_sorted_by_device_then_time(self):
         builder = make_builder(n_devices=2)

@@ -1,23 +1,31 @@
-"""Unit tests for the record schema."""
+"""Unit tests for the record schema and its invariants on dataset rows."""
 
 import pytest
 
 from repro.errors import SchemaError
 from repro.net.cellular import CellularTechnology
 from repro.traces.records import (
-    AppTrafficRecord,
     DeviceInfo,
     DeviceOS,
-    GeoSample,
     IfaceKind,
     NetLocation,
-    ScanSummary,
-    TrafficSample,
-    UpdateEvent,
-    WifiObservation,
     WifiStateCode,
     netloc_for,
 )
+from repro.traces.validate import validate_dataset
+from tests.helpers import make_builder
+
+
+def _validated(**tables):
+    """Build a one-device, one-day dataset from ``tables`` and validate it."""
+    builder = make_builder(n_devices=1, n_days=1)
+    for name, rows in tables.items():
+        columns = {key: [row[key] for row in rows] for key in rows[0]}
+        n = len(rows)
+        getattr(builder, f"extend_{name}")(device=[0] * n, **columns)
+    dataset = builder.build()
+    validate_dataset(dataset)
+    return dataset
 
 
 class TestIfaceKind:
@@ -37,38 +45,50 @@ class TestRecordValidation:
             DeviceInfo(-1, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
 
     def test_traffic_sample_rejects_negative_bytes(self):
-        with pytest.raises(SchemaError):
-            TrafficSample(0, 0, IfaceKind.WIFI, -1.0, 0.0)
+        with pytest.raises(SchemaError, match="traffic.rx"):
+            _validated(traffic=[dict(t=0, iface=2, rx=-1.0, tx=0.0)])
 
     def test_wifi_observation_associated_needs_ap(self):
-        with pytest.raises(SchemaError):
-            WifiObservation(0, 0, WifiStateCode.ASSOCIATED, ap_id=-1)
+        with pytest.raises(SchemaError, match="ap_id"):
+            _validated(wifi=[dict(t=0, state=int(WifiStateCode.ASSOCIATED),
+                                  ap_id=-1, rssi=-50.0)])
         # Non-associated states do not need an AP.
-        WifiObservation(0, 0, WifiStateCode.OFF)
-        WifiObservation(0, 0, WifiStateCode.AVAILABLE)
+        _validated(wifi=[
+            dict(t=0, state=int(WifiStateCode.OFF), ap_id=-1, rssi=0.0),
+            dict(t=1, state=int(WifiStateCode.AVAILABLE), ap_id=-1, rssi=0.0),
+        ])
 
     def test_scan_summary_strong_bounded_by_all(self):
-        with pytest.raises(SchemaError):
-            ScanSummary(0, 0, n24_all=3, n24_strong=4, n5_all=0, n5_strong=0)
-        with pytest.raises(SchemaError):
-            ScanSummary(0, 0, n24_all=-1, n24_strong=0, n5_all=0, n5_strong=0)
-        ScanSummary(0, 0, 5, 2, 3, 1)
+        def scan(n24_all, n24_strong, n5_all, n5_strong):
+            return dict(t=0, n24_all=n24_all, n24_strong=n24_strong,
+                        n5_all=n5_all, n5_strong=n5_strong)
+
+        with pytest.raises(SchemaError, match="strong count exceeds"):
+            _validated(scans=[scan(3, 4, 0, 0)])
+        with pytest.raises(SchemaError, match="negative"):
+            _validated(scans=[scan(-1, 0, 0, 0)])
+        _validated(scans=[scan(5, 2, 3, 1)])
 
     def test_app_record_wifi_needs_ap(self):
-        with pytest.raises(SchemaError):
-            AppTrafficRecord(0, 0, 2, iface_cellular=False, ap_id=-1,
-                             cell_col=0, cell_row=0, rx_bytes=1.0, tx_bytes=0.0)
-        AppTrafficRecord(0, 0, 2, iface_cellular=True, ap_id=-1,
-                         cell_col=0, cell_row=0, rx_bytes=1.0, tx_bytes=0.0)
+        def app(cellular):
+            return dict(day=0, category=2, cellular=cellular, ap_id=-1,
+                        col=0, row=0, rx=1.0, tx=0.0)
+
+        with pytest.raises(SchemaError, match="ap_id"):
+            _validated(apps=[app(cellular=0)])
+        _validated(apps=[app(cellular=1)])
 
     def test_app_record_rejects_negative(self):
-        with pytest.raises(SchemaError):
-            AppTrafficRecord(0, 0, 2, True, -1, 0, 0, -5.0, 0.0)
+        with pytest.raises(SchemaError, match="apps.rx"):
+            _validated(apps=[dict(day=0, category=2, cellular=1, ap_id=-1,
+                                  col=0, row=0, rx=-5.0, tx=0.0)])
 
     def test_geo_and_update(self):
-        GeoSample(0, 0, -3, 7)
-        event = UpdateEvent(0, 100, 565e6)
-        assert event.version == "ios-8.2"
+        # Grid cells may be negative (west/south of the grid origin).
+        ds = _validated(geo=[dict(t=0, col=-3, row=7)],
+                        updates=[dict(t=100, bytes=565e6)])
+        assert (ds.geo.col[0], ds.geo.row[0]) == (-3, 7)
+        assert ds.updates.bytes.tolist() == [565e6]
 
 
 class TestNetLocation:
@@ -93,27 +113,22 @@ class TestNetLocation:
 
 class TestPacketCounters:
     def test_estimation_defaults(self):
-        from repro.traces.records import TrafficSample, estimate_packets
-        sample = TrafficSample(0, 0, IfaceKind.WIFI, 12_000.0, 800.0)
-        assert sample.rx_pkts == estimate_packets(12_000.0)
-        assert sample.rx_pkts == 10
-        assert sample.tx_pkts >= 1
+        ds = _validated(traffic=[dict(t=0, iface=2, rx=12_000.0, tx=800.0)])
+        assert ds.traffic.rx_pkts[0] == 10
+        assert ds.traffic.tx_pkts[0] >= 1
 
     def test_explicit_counts_respected(self):
-        from repro.traces.records import TrafficSample
-        sample = TrafficSample(0, 0, IfaceKind.WIFI, 1000.0, 0.0,
-                               rx_pkts=7, tx_pkts=0)
-        assert sample.rx_pkts == 7
-        assert sample.tx_pkts == 0
+        ds = _validated(traffic=[dict(t=0, iface=2, rx=1000.0, tx=0.0,
+                                      rx_pkts=7, tx_pkts=0)])
+        assert ds.traffic.rx_pkts[0] == 7
+        assert ds.traffic.tx_pkts[0] == 0
 
     def test_estimate_packets_floor(self):
-        from repro.traces.records import estimate_packets
-        assert estimate_packets(0.0) == 0
-        assert estimate_packets(1.0) == 1
-        assert estimate_packets(2400.0) == 2
+        ds = _validated(traffic=[dict(t=t, iface=2, rx=rx, tx=0.0)
+                                 for t, rx in enumerate([0.0, 1.0, 2400.0])])
+        assert ds.traffic.rx_pkts.tolist() == [0, 1, 2]
 
     def test_builder_fills_packets(self):
-        from tests.helpers import make_builder
         builder = make_builder(n_devices=1, n_days=1)
         builder.extend_traffic(device=[0], t=[0], iface=[2],
                                rx=[120_000.0], tx=[4000.0])

@@ -311,39 +311,3 @@ class TestSegmentHygiene:
         time.sleep(max(0.0, started + hang_s + 2.0 - time.monotonic()))
         sweep_orphans(run_token())
         assert segment_names(run_token()) == []
-
-
-# ---------------------------------------------------------------------------
-# The removed legacy kernel flag
-# ---------------------------------------------------------------------------
-
-class TestLegacyKernelRemoved:
-    def test_cli_rejects_legacy_with_migration_message(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["simulate", "--kernel", "legacy",
-                     "--out", str(tmp_path / "data")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--kernel legacy was removed" in err
-        assert "batch" in err
-
-    def test_fidelity_rejects_legacy_too(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["fidelity", "--kernel", "legacy",
-                     "--out", str(tmp_path / "f.json")])
-        assert code == 2
-        assert "removed" in capsys.readouterr().err
-
-    def test_study_config_rejects_legacy(self):
-        from repro.errors import ConfigurationError
-        from repro.simulation.study import StudyConfig
-
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            StudyConfig(kernel="legacy")
-
-    def test_device_simulator_has_no_collect(self):
-        from repro.simulation.device import DeviceSimulator
-
-        assert not hasattr(DeviceSimulator, "collect")
