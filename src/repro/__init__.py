@@ -55,15 +55,14 @@ from repro.traces.validate import validate_dataset
 from repro.whatif import Scenario, WhatIfResult, compare as whatif_compare
 from repro.analysis.context import AnalysisContext, CacheStats
 from repro.obs import (
+    EventKind,
+    FlightRecorder,
     MetricsRegistry,
-    NoopTracer,
     RunManifest,
     Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    telemetry_enabled,
-    use_tracer,
+    get_recorder,
+    set_recorder,
+    use_recorder,
 )
 from repro.reporting.experiments import (
     AnalysisCache,
@@ -109,15 +108,14 @@ __all__ = [
     "validate_dataset",
     "AnalysisContext",
     "CacheStats",
+    "EventKind",
+    "FlightRecorder",
     "MetricsRegistry",
-    "NoopTracer",
     "RunManifest",
     "Span",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "telemetry_enabled",
-    "use_tracer",
+    "get_recorder",
+    "set_recorder",
+    "use_recorder",
     "AnalysisCache",
     "EXPERIMENTS",
     "Experiment",

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.obs.span import get_tracer
+from repro.obs.recorder import get_recorder
 from repro.traces.cleaning import clean_for_main_analysis
 from repro.traces.dataset import CampaignDataset
 from repro.traces.query import SlotIndex, association_index, geo_cell_index
@@ -337,8 +337,8 @@ class AnalysisContext:
             return state.artifacts[key]
         # A memo miss is a run stage: spanned under artifact.<family> so a
         # --telemetry manifest shows compute time per artifact next to the
-        # engine stages (no-op tracer by default — see repro.obs.span).
-        with get_tracer().span(f"artifact.{key[0]}"):
+        # engine stages (no-op recorder by default — see repro.obs.recorder).
+        with get_recorder().span(f"artifact.{key[0]}"):
             start = time.perf_counter()
             value = compute()
             elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ median/mean growth table with annual growth rates (Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -80,13 +80,18 @@ def daily_volume_distributions(data: DatasetOrContext) -> DailyVolumeDistributio
 
 @dataclass(frozen=True)
 class VolumeGrowthTable:
-    """Table 3: median/mean daily download (MB/day) by year, plus AGR."""
+    """Table 3: median/mean daily download (MB/day) by year, plus AGR.
+
+    An AGR is ``None`` where a year's statistic is zero: the log-space
+    growth fit is undefined there (small panels can have a 0.0 MB median
+    WiFi download).
+    """
 
     years: Sequence[int]
     median: Dict[str, Dict[int, float]]
     mean: Dict[str, Dict[int, float]]
-    agr_median: Dict[str, float]
-    agr_mean: Dict[str, float]
+    agr_median: Dict[str, Optional[float]]
+    agr_mean: Dict[str, Optional[float]]
 
     def row(self, statistic: str, kind: str) -> Dict[int, float]:
         table = self.median if statistic == "median" else self.mean
@@ -108,14 +113,16 @@ def volume_growth_table(datasets: Sequence[DatasetOrContext]) -> VolumeGrowthTab
             values = ctx.daily_matrix(kind, "rx").ravel()[valid] / 1e6
             median[kind][year] = float(np.median(values))
             mean[kind][year] = float(values.mean())
+
+    def agr(values: Sequence[float]) -> Optional[float]:
+        if min(values) <= 0:
+            return None
+        return annual_growth_rate(years, values)
+
     agr_median = {
-        kind: annual_growth_rate(years, [median[kind][y] for y in years])
-        for kind in median
+        kind: agr([median[kind][y] for y in years]) for kind in median
     }
-    agr_mean = {
-        kind: annual_growth_rate(years, [mean[kind][y] for y in years])
-        for kind in mean
-    }
+    agr_mean = {kind: agr([mean[kind][y] for y in years]) for kind in mean}
     return VolumeGrowthTable(
         years=years, median=median, mean=mean,
         agr_median=agr_median, agr_mean=agr_mean,

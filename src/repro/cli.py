@@ -24,21 +24,25 @@ accounting, and the ``--chaos-*`` flags drive the deterministic fault
 harness (a chaos kill exits with code 3; stale checkpoint directories are
 refused with code 2).
 
-``simulate``, ``analyze``, ``bench`` and ``fidelity`` accept
-``--telemetry`` (or ``$REPRO_TELEMETRY=1``): the run executes under a real
-tracer and emits a machine-readable
-:class:`~repro.obs.manifest.RunManifest` JSON — config hash, seed, shard
-layout, per-stage wall/CPU seconds, cache hit rates and fault-loss
-accounting — and ``--trace-out`` additionally exports the span tree as
-Chrome-trace JSON. Telemetry never changes results: outputs are
-bit-identical with it on or off.
+``simulate``, ``analyze``, ``bench`` and ``fidelity`` record the run
+through one :class:`~repro.obs.recorder.FlightRecorder` whose events —
+spans included — go to up to three sinks:
 
-The same four commands also take the live-observability flags:
-``--events PATH`` flight-records the run (append-only, crash-durable
-``events.jsonl``; ``repro events PATH`` tails/summarizes/postmortems it),
-``--progress`` prints live shard/device progress with an ETA to stderr,
-and ``--prom PATH`` mirrors periodic resource samples (RSS, CPU, /dev/shm
-and store disk usage, steal/retry counters) to a Prometheus textfile.
+- memory, for ``--telemetry``, ``--manifest``, ``--trace-out`` and
+  ``--report``: the events fold into a machine-readable
+  :class:`~repro.obs.manifest.RunManifest` JSON (config hash, seed, shard
+  layout, per-stage wall/CPU seconds, cache hit rates, fault-loss
+  accounting), and ``--trace-out`` exports the span tree as Chrome-trace
+  JSON;
+- the file ``--events PATH`` (append-only and crash-durable; ``repro
+  events PATH`` tails, summarizes or postmortems it);
+- a listener, for ``--progress`` (live shard/device progress with an ETA
+  on stderr).
+
+``--prom PATH`` mirrors periodic resource samples (RSS, CPU, /dev/shm and
+store disk usage, steal/retry counters) to a Prometheus textfile.
+Telemetry never changes results: outputs are bit-identical with it on or
+off.
 ``repro clean`` reclaims what killed runs leave behind: /dev/shm
 transport segments, orphan store partitions, and stale telemetry files.
 """
@@ -61,12 +65,12 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.manifest import build_manifest, config_hash_of
 from repro.obs.recorder import (
     EVENTS_ENV_VAR,
+    EventKind,
     FlightRecorder,
     get_recorder,
     set_recorder,
 )
 from repro.obs.resources import ResourceSampler
-from repro.obs.span import Tracer, get_tracer, set_tracer, telemetry_enabled
 from repro.reporting.collection import (
     execution_losses_table,
     render_collection_report,
@@ -96,12 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser.add_argument(
             "--telemetry", action="store_true",
             help="trace the run (spans, counters) and write a JSON run "
-                 "manifest; $REPRO_TELEMETRY=1 does the same. Outputs are "
-                 "bit-identical with telemetry on or off")
+                 "manifest. Outputs are bit-identical with telemetry on "
+                 "or off")
         command_parser.add_argument(
             "--manifest", type=Path, default=None, metavar="PATH",
             help="run-manifest output path (default: run_manifest.json "
-                 "next to the command's other outputs)")
+                 "next to the command's other outputs); implies "
+                 "--telemetry")
         command_parser.add_argument(
             "--trace-out", type=Path, default=None, metavar="PATH",
             help="also export the span tree as Chrome-trace JSON "
@@ -437,34 +442,6 @@ def _resolve_experiments(names: List[str]) -> List[str]:
     return names
 
 
-def _start_telemetry(args: argparse.Namespace) -> Optional[Tracer]:
-    """Install a real tracer when ``--telemetry``/``$REPRO_TELEMETRY`` asks.
-
-    Returns the tracer (or None); the caller must reset via
-    :func:`repro.obs.span.set_tracer` (``_finish_telemetry`` does both the
-    reset and the manifest write).
-    """
-    wants = (getattr(args, "telemetry", False) or telemetry_enabled()
-             or getattr(args, "trace_out", None) is not None
-             or getattr(args, "report", None) is not None)
-    if wants:
-        tracer = Tracer(f"repro.{args.command}")
-        set_tracer(tracer)
-        return tracer
-    return None
-
-
-def _write_trace(tracer: Optional[Tracer], args: argparse.Namespace) -> None:
-    """Export the span tree as Chrome-trace JSON when ``--trace-out`` asks."""
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is None or tracer is None:
-        return
-    from repro.obs.span import write_chrome_trace
-
-    write_chrome_trace(tracer.export(), trace_out)
-    print(f"wrote Chrome trace {trace_out}")
-
-
 def _write_manifest(manifest, args: argparse.Namespace,
                     default_dir: Path) -> None:
     path = args.manifest or (default_dir / "run_manifest.json")
@@ -472,34 +449,19 @@ def _write_manifest(manifest, args: argparse.Namespace,
     print(f"wrote run manifest {path}")
 
 
-def _write_failure_manifest(command: str, tracer: Optional[Tracer],
-                            args: argparse.Namespace, default_dir: Path,
-                            exc: BaseException) -> None:
-    """Account for a failed run: manifest with status/partial timings.
-
-    A run that dies with telemetry on still leaves a ``run_manifest.json``
-    — ``status: "failed"``, the exception on one line, and whatever stage
-    timings the tracer collected before the failure. Best-effort: the
-    original exception is never masked by manifest trouble.
-    """
-    if tracer is None:
-        return
-    try:
-        manifest = build_manifest(
-            command, tracer,
-            seed=getattr(args, "seed", 0),
-            scale=getattr(args, "scale", 0.0),
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        _write_manifest(manifest, args, default_dir)
-    except Exception:
-        pass
+def _manifest_dir(args: argparse.Namespace) -> Path:
+    """Where a command's run manifest goes when ``--manifest`` is unset."""
+    out = getattr(args, "out", None)
+    if args.command == "simulate":
+        return out
+    if args.command == "analyze":
+        return out if out is not None else Path(".")
+    return out.parent
 
 
 def _progress_listener(event: dict) -> None:
     """Render ``progress`` events to stderr for ``--progress``."""
-    if event.get("kind") != "progress":
+    if event.get("kind") != EventKind.PROGRESS:
         return
     eta = event.get("eta_s")
     eta_text = f", eta {float(eta):.0f}s" if eta is not None else ""
@@ -512,22 +474,54 @@ def _progress_listener(event: dict) -> None:
 
 
 class _Recording:
-    """One command's live-observability plumbing (recorder + sampler)."""
+    """One command's recorder, its root span and its resource sampler."""
 
-    def __init__(self, recorder: FlightRecorder,
+    def __init__(self, args: argparse.Namespace, recorder: FlightRecorder,
                  sampler: Optional[ResourceSampler],
                  env_was_set: bool, env_before: Optional[str]) -> None:
+        self.args = args
         self.recorder = recorder
         self.sampler = sampler
         self._env_was_set = env_was_set
         self._env_before = env_before
+        self._root = recorder.span(f"repro.{args.command}").__enter__()
 
-    def finish(self, status: str, exit_code: int) -> None:
-        """Final sample, ``run_end``, close, and global/env reset."""
+    def finish(self, status: str, exit_code: int,
+               error: Optional[BaseException]) -> None:
+        """Close the root span, write what the flags ask for, ``run_end``,
+        close, and reset the global recorder and environment.
+
+        A run that dies with telemetry on still leaves a
+        ``run_manifest.json`` — ``status: "failed"``, the exception on one
+        line, and whatever stage timings were recorded before the failure.
+        Best-effort: the original exception is never masked by manifest
+        trouble.
+        """
+        args, recorder = self.args, self.recorder
+        self._root.__exit__(type(error) if error else None, error, None)
         if self.sampler is not None:
             self.sampler.stop()
-        self.recorder.emit("run_end", status=status, exit_code=exit_code)
-        self.recorder.close()
+        if error is not None and recorder.events is not None:
+            try:
+                manifest = build_manifest(
+                    args.command, recorder,
+                    seed=getattr(args, "seed", 0),
+                    scale=getattr(args, "scale", 0.0),
+                    status="failed",
+                    error=f"{type(error).__name__}: {error}",
+                )
+                _write_manifest(manifest, args, _manifest_dir(args))
+            except Exception:
+                pass
+        trace_out = getattr(args, "trace_out", None)
+        if trace_out is not None:
+            from repro.obs.span import write_chrome_trace
+
+            (root,) = recorder.spans()
+            write_chrome_trace(root.as_dict(), trace_out)
+            print(f"wrote Chrome trace {trace_out}")
+        recorder.emit(EventKind.RUN_END, status=status, exit_code=exit_code)
+        recorder.close()
         set_recorder(None)
         if self._env_was_set:
             if self._env_before is None:
@@ -537,20 +531,26 @@ class _Recording:
 
 
 def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
-    """Install the flight recorder when ``--events``/``--progress``/
-    ``--prom`` ask; returns None (and costs nothing) otherwise.
+    """Install the command's flight recorder; None (and no cost) when no
+    telemetry flag asks for one.
 
-    Exporting ``$REPRO_EVENTS`` lets spawned pool workers resolve the same
-    event file through :func:`repro.obs.recorder.get_recorder` — every
-    event is one O_APPEND write, so sharing the file is safe.
+    ``--telemetry``, ``--manifest``, ``--trace-out`` and ``--report``
+    keep the events in memory, ``--events`` adds the file and
+    ``--progress`` the listener. Exporting ``$REPRO_EVENTS`` lets spawned
+    pool workers resolve the same event file through
+    :func:`repro.obs.recorder.get_recorder` — every event is one O_APPEND
+    write, so sharing the file is safe.
     """
+    keep = (getattr(args, "telemetry", False)
+            or any(getattr(args, flag, None) is not None
+                   for flag in ("manifest", "trace_out", "report")))
     events = getattr(args, "events", None)
     progress = getattr(args, "progress", False)
     prom = getattr(args, "prom", None)
-    if events is None and not progress and prom is None:
+    if not keep and events is None and not progress and prom is None:
         return None
     recorder = FlightRecorder(
-        events, listener=_progress_listener if progress else None,
+        events, listener=_progress_listener if progress else None, keep=keep,
     )
     set_recorder(recorder)
     env_before = os.environ.get(EVENTS_ENV_VAR)
@@ -558,7 +558,7 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
     if env_was_set:
         os.environ[EVENTS_ENV_VAR] = str(events)
     recorder.emit(
-        "run_start", command=args.command, argv=list(sys.argv[1:]),
+        EventKind.RUN_START, command=args.command, argv=list(sys.argv[1:]),
         config_hash=config_hash_of(
             (args.command, getattr(args, "scale", None),
              getattr(args, "seed", None), getattr(args, "jobs", None))
@@ -579,7 +579,7 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
             disk_paths=disk_paths, prom_path=prom,
         )
         sampler.start()
-    return _Recording(recorder, sampler, env_was_set, env_before)
+    return _Recording(args, recorder, sampler, env_was_set, env_before)
 
 
 def _study_shards(study: Study) -> List[dict]:
@@ -686,115 +686,95 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         store_dir = args.store_dir if args.store_dir is not None else args.out
     elif args.store_dir is not None:
         raise ConfigurationError("--store-dir requires --store disk")
-    tracer = _start_telemetry(args)
-    try:
-        study = run_study(scale=args.scale, seed=args.seed, faults=faults,
-                          n_jobs=n_jobs, resilience=resilience,
-                          store_dir=store_dir)
-        args.out.mkdir(parents=True, exist_ok=True)
-        if study.execution is not None:
-            print(f"executor: {study.execution.describe()}")
-        for year in study.years:
-            if store_dir is not None:
-                # The finalized store directory IS the saved campaign —
-                # load_dataset() reads it memory-mapped; nothing to copy.
-                path = Path(store_dir) / f"campaign{year}"
-            else:
-                path = args.out / f"campaign{year}"
-                with get_tracer().span("save_dataset", year=year):
-                    save_dataset(study.dataset(year), path)
-            info = study.campaigns[year].execution
-            shards = f", {info.n_shards} shards" if info is not None else ""
-            print(f"saved {path} "
-                  f"({study.dataset(year).n_devices} devices{shards})")
-            report = study.campaigns[year].collection
-            if report is not None and faults is not None:
-                print(f"\ncampaign {year} collection:")
-                print(render_collection_report(report))
-                print()
-        losses = [study.campaigns[y].losses for y in study.years
-                  if study.campaigns[y].losses is not None]
-        if losses:
+    recorder = get_recorder()
+    study = run_study(scale=args.scale, seed=args.seed, faults=faults,
+                      n_jobs=n_jobs, resilience=resilience,
+                      store_dir=store_dir)
+    args.out.mkdir(parents=True, exist_ok=True)
+    if study.execution is not None:
+        print(f"executor: {study.execution.describe()}")
+    for year in study.years:
+        if store_dir is not None:
+            # The finalized store directory IS the saved campaign —
+            # load_dataset() reads it memory-mapped; nothing to copy.
+            path = Path(store_dir) / f"campaign{year}"
+        else:
+            path = args.out / f"campaign{year}"
+            with recorder.span("save_dataset", year=year):
+                save_dataset(study.dataset(year), path)
+        info = study.campaigns[year].execution
+        shards = f", {info.n_shards} shards" if info is not None else ""
+        print(f"saved {path} "
+              f"({study.dataset(year).n_devices} devices{shards})")
+        report = study.campaigns[year].collection
+        if report is not None and faults is not None:
+            print(f"\ncampaign {year} collection:")
+            print(render_collection_report(report))
             print()
-            print(execution_losses_table(losses).render())
-        if study.resilience is not None:
-            print(study.resilience.describe())
-        if tracer is not None:
-            manifest = build_manifest(
-                "simulate", tracer,
-                config_hash=config_hash_of(
-                    *(study.campaigns[y].config for y in study.years)
-                ),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                execution=study.execution, shards=_study_shards(study),
-                collection_reports={
-                    y: study.campaigns[y].collection for y in study.years
-                },
-                resilience=study.resilience,
-                losses=losses,
-            )
-            _write_manifest(manifest, args, args.out)
-        _write_trace(tracer, args)
-        return 0
-    except Exception as exc:
-        _write_failure_manifest("simulate", tracer, args, args.out, exc)
-        raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
+    losses = [study.campaigns[y].losses for y in study.years
+              if study.campaigns[y].losses is not None]
+    if losses:
+        print()
+        print(execution_losses_table(losses).render())
+    if study.resilience is not None:
+        print(study.resilience.describe())
+    if recorder.events is not None:
+        manifest = build_manifest(
+            "simulate", recorder,
+            config_hash=config_hash_of(
+                *(study.campaigns[y].config for y in study.years)
+            ),
+            seed=args.seed, scale=args.scale, years=list(study.years),
+            execution=study.execution, shards=_study_shards(study),
+            collection_reports={
+                y: study.campaigns[y].collection for y in study.years
+            },
+            resilience=study.resilience,
+            losses=losses,
+        )
+        _write_manifest(manifest, args, args.out)
+    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     names = _resolve_experiments(args.experiments)
-    tracer = _start_telemetry(args)
-    try:
-        if args.data is not None:
-            study = _load_study_from(args.data)
-            skipped = [n for n in names if n in _SURVEY_EXPERIMENTS]
-            if skipped:
-                print(f"note: skipping survey experiments on saved data: "
-                      f"{skipped}")
-                names = [n for n in names if n not in _SURVEY_EXPERIMENTS]
-        else:
-            study = run_study(scale=args.scale, seed=args.seed)
-        cache = AnalysisContext(study)
+    recorder = get_recorder()
+    if args.data is not None:
+        study = _load_study_from(args.data)
+        skipped = [n for n in names if n in _SURVEY_EXPERIMENTS]
+        if skipped:
+            print(f"note: skipping survey experiments on saved data: "
+                  f"{skipped}")
+            names = [n for n in names if n not in _SURVEY_EXPERIMENTS]
+    else:
+        study = run_study(scale=args.scale, seed=args.seed)
+    cache = AnalysisContext(study)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        with recorder.span("experiment", experiment=name):
+            result = run_experiment(name, cache)
+        text = result.render() if hasattr(result, "render") else str(result)
+        print(text)
+        print()
         if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            with get_tracer().span("experiment", experiment=name):
-                result = run_experiment(name, cache)
-            text = result.render() if hasattr(result, "render") else str(result)
-            print(text)
-            print()
-            if args.out is not None:
-                (args.out / f"{name}.txt").write_text(text + "\n")
-        if args.cache_stats:
-            print(cache.stats.render())
-        if tracer is not None:
-            manifest = build_manifest(
-                "analyze", tracer,
-                config_hash=(config_hash_of(str(args.data))
-                             if args.data is not None
-                             else config_hash_of(study.config)),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                execution=study.execution,
-                shards=_study_shards(study) if study.execution else None,
-                cache_stats=cache.stats,
-                extra_counters={"experiments_run": len(names)},
-            )
-            _write_manifest(manifest, args,
-                            args.out if args.out is not None else Path("."))
-        _write_trace(tracer, args)
-        return 0
-    except Exception as exc:
-        _write_failure_manifest(
-            "analyze", tracer, args,
-            args.out if args.out is not None else Path("."), exc,
+            (args.out / f"{name}.txt").write_text(text + "\n")
+    if args.cache_stats:
+        print(cache.stats.render())
+    if recorder.events is not None:
+        manifest = build_manifest(
+            "analyze", recorder,
+            config_hash=(config_hash_of(str(args.data))
+                         if args.data is not None
+                         else config_hash_of(study.config)),
+            seed=args.seed, scale=args.scale, years=list(study.years),
+            execution=study.execution,
+            shards=_study_shards(study) if study.execution else None,
+            cache_stats=cache.stats,
+            extra_counters={"experiments_run": len(names)},
         )
-        raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
+        _write_manifest(manifest, args, _manifest_dir(args))
+    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -825,35 +805,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check_only is not None:
         report = bench_harness.load_report(args.check_only)
     else:
-        tracer = _start_telemetry(args)
-        try:
-            report = bench_harness.run_suite(
-                scale=args.scale, seed=args.seed, repeat=args.repeat,
-                warmup=args.warmup, only=args.benchmarks or None,
-                progress=lambda message: print(f"  {message}", flush=True),
+        report = bench_harness.run_suite(
+            scale=args.scale, seed=args.seed, repeat=args.repeat,
+            warmup=args.warmup, only=args.benchmarks or None,
+            progress=lambda message: print(f"  {message}", flush=True),
+        )
+        bench_harness.write_report(report, args.out)
+        print(bench_harness.render_results(report))
+        print(f"wrote {args.out}")
+        recorder = get_recorder()
+        if recorder.events is not None:
+            manifest = build_manifest(
+                "bench", recorder,
+                config_hash=config_hash_of(
+                    ("bench", args.scale, args.seed, args.repeat,
+                     args.warmup)
+                ),
+                seed=args.seed, scale=args.scale,
+                extra_counters={"benchmarks_run": report["n_benchmarks"]},
             )
-            bench_harness.write_report(report, args.out)
-            print(bench_harness.render_results(report))
-            print(f"wrote {args.out}")
-            if tracer is not None:
-                manifest = build_manifest(
-                    "bench", tracer,
-                    config_hash=config_hash_of(
-                        ("bench", args.scale, args.seed, args.repeat,
-                         args.warmup)
-                    ),
-                    seed=args.seed, scale=args.scale,
-                    extra_counters={"benchmarks_run": report["n_benchmarks"]},
-                )
-                _write_manifest(manifest, args, args.out.parent)
-            _write_trace(tracer, args)
-        except Exception as exc:
-            _write_failure_manifest("bench", tracer, args,
-                                    args.out.parent, exc)
-            raise
-        finally:
-            if tracer is not None:
-                set_tracer(None)
+            _write_manifest(manifest, args, _manifest_dir(args))
 
     failures = []
     for baseline_path in args.check or ():
@@ -867,7 +838,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check:
         gate = "fail" if failures else "pass"
         baseline_names = [p.name for p in args.check]
-        get_recorder().emit("verdict", source="bench", gate=gate,
+        get_recorder().emit(EventKind.VERDICT, source="bench", gate=gate,
                             n_failures=len(failures),
                             baselines=baseline_names)
         # History records one row per fresh benchmark run; re-gating a
@@ -905,113 +876,103 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     # Lazy: the scorer reaches up into the analysis layer.
     from repro.obs import fidelity as fidelity_mod
 
-    tracer = _start_telemetry(args)
-    try:
-        if args.data is not None:
-            study = _load_study_from(args.data)
-        else:
-            n_jobs = resolve_jobs(args.jobs, default=1)
-            study = run_study(scale=args.scale, seed=args.seed,
-                              n_jobs=n_jobs)
-        cache = AnalysisContext(study)
-        report = fidelity_mod.score_fidelity(
-            cache, checks=args.checks or None,
-            scale=args.scale, seed=args.seed,
+    if args.data is not None:
+        study = _load_study_from(args.data)
+    else:
+        n_jobs = resolve_jobs(args.jobs, default=1)
+        study = run_study(scale=args.scale, seed=args.seed, n_jobs=n_jobs)
+    cache = AnalysisContext(study)
+    report = fidelity_mod.score_fidelity(
+        cache, checks=args.checks or None,
+        scale=args.scale, seed=args.seed,
+    )
+    print(report.render())
+    report.write(args.out)
+    print(f"wrote {args.out}")
+
+    if args.write_doc is not None:
+        from repro.obs.docgen import rewrite_experiments_doc
+
+        changed = rewrite_experiments_doc(args.write_doc, report)
+        print(f"{'rewrote' if changed else 'unchanged:'} "
+              f"{args.write_doc}")
+
+    manifest = None
+    recorder = get_recorder()
+    if recorder.events is not None:
+        manifest = build_manifest(
+            "fidelity", recorder,
+            config_hash=(config_hash_of(str(args.data))
+                         if args.data is not None
+                         else config_hash_of(study.config)),
+            seed=args.seed, scale=args.scale, years=list(study.years),
+            execution=study.execution,
+            shards=_study_shards(study) if study.execution else None,
+            cache_stats=cache.stats,
+            extra_counters={
+                "fidelity_checks": len(report.records),
+                "fidelity_pass": report.n_pass,
+                "fidelity_warn": report.n_warn,
+                "fidelity_fail": report.n_fail,
+                "fidelity_skip": report.n_skip,
+            },
         )
-        print(report.render())
-        report.write(args.out)
-        print(f"wrote {args.out}")
+        _write_manifest(manifest, args, _manifest_dir(args))
 
-        if args.write_doc is not None:
-            from repro.obs.docgen import rewrite_experiments_doc
+    history_path = (args.history
+                    or args.out.parent / "FIDELITY_history.jsonl")
+    failures = []
+    if args.check is not None:
+        from repro.obs.history import (
+            append_history,
+            drift_warnings,
+            fidelity_record,
+            load_history,
+        )
 
-            changed = rewrite_experiments_doc(args.write_doc, report)
-            print(f"{'rewrote' if changed else 'unchanged:'} "
-                  f"{args.write_doc}")
+        baseline = fidelity_mod.load_fidelity_report(args.check)
+        failures = fidelity_mod.fidelity_regressions(
+            report, baseline, baseline_name=args.check.name,
+        )
+        gate = "fail" if failures else "pass"
+        recorder.emit(EventKind.VERDICT, source="fidelity", gate=gate,
+                      n_failures=len(failures),
+                      baselines=[args.check.name])
+        append_history(history_path,
+                       fidelity_record(report.to_dict(), gate=gate))
+        # Advisory only — the absolute baseline gate decides the code.
+        for warning in drift_warnings(load_history(history_path)):
+            print(f"warning: {warning}", file=sys.stderr)
 
-        manifest = None
-        if tracer is not None:
-            manifest = build_manifest(
-                "fidelity", tracer,
-                config_hash=(config_hash_of(str(args.data))
-                             if args.data is not None
-                             else config_hash_of(study.config)),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                execution=study.execution,
-                shards=_study_shards(study) if study.execution else None,
-                cache_stats=cache.stats,
-                extra_counters={
-                    "fidelity_checks": len(report.records),
-                    "fidelity_pass": report.n_pass,
-                    "fidelity_warn": report.n_warn,
-                    "fidelity_fail": report.n_fail,
-                    "fidelity_skip": report.n_skip,
-                },
+    if args.report is not None:
+        from repro.obs.bench import load_report as load_bench_report
+        from repro.obs.history import load_history as load_history_file
+        from repro.obs.report import write_run_report
+
+        bench = (load_bench_report(args.bench)
+                 if args.bench is not None else None)
+        history = {"fidelity": load_history_file(history_path)}
+        if args.bench is not None:
+            history["bench"] = load_history_file(
+                args.bench.parent / "BENCH_history.jsonl"
             )
-            _write_manifest(manifest, args, args.out.parent)
+        write_run_report(
+            args.report, manifest, fidelity=report, bench=bench,
+            title=f"repro fidelity (scale {args.scale:g}, "
+                  f"seed {args.seed})",
+            history=history,
+        )
+        print(f"wrote run report {args.report}")
 
-        history_path = (args.history
-                        or args.out.parent / "FIDELITY_history.jsonl")
-        failures = []
-        if args.check is not None:
-            from repro.obs.history import (
-                append_history,
-                drift_warnings,
-                fidelity_record,
-                load_history,
-            )
-
-            baseline = fidelity_mod.load_fidelity_report(args.check)
-            failures = fidelity_mod.fidelity_regressions(
-                report, baseline, baseline_name=args.check.name,
-            )
-            gate = "fail" if failures else "pass"
-            get_recorder().emit("verdict", source="fidelity", gate=gate,
-                                n_failures=len(failures),
-                                baselines=[args.check.name])
-            append_history(history_path,
-                           fidelity_record(report.to_dict(), gate=gate))
-            # Advisory only — the absolute baseline gate decides the code.
-            for warning in drift_warnings(load_history(history_path)):
-                print(f"warning: {warning}", file=sys.stderr)
-
-        if args.report is not None:
-            from repro.obs.bench import load_report as load_bench_report
-            from repro.obs.history import load_history as load_history_file
-            from repro.obs.report import write_run_report
-
-            bench = (load_bench_report(args.bench)
-                     if args.bench is not None else None)
-            history = {"fidelity": load_history_file(history_path)}
-            if args.bench is not None:
-                history["bench"] = load_history_file(
-                    args.bench.parent / "BENCH_history.jsonl"
-                )
-            write_run_report(
-                args.report, manifest, fidelity=report, bench=bench,
-                title=f"repro fidelity (scale {args.scale:g}, "
-                      f"seed {args.seed})",
-                history=history,
-            )
-            print(f"wrote run report {args.report}")
-        _write_trace(tracer, args)
-
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        if args.check is not None:
-            print(f"fidelity check passed against {args.check.name} "
-                  f"({report.n_pass} pass, {report.n_warn} warn, "
-                  f"{report.n_fail} fail, {report.n_skip} skip)")
-        return 0
-    except Exception as exc:
-        _write_failure_manifest("fidelity", tracer, args,
-                                args.out.parent, exc)
-        raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
+    if failures:
+        for failure in failures:
+            print(f"REGRESSION: {failure}", file=sys.stderr)
+        return 1
+    if args.check is not None:
+        print(f"fidelity check passed against {args.check.name} "
+              f"({report.n_pass} pass, {report.n_warn} warn, "
+              f"{report.n_fail} fail, {report.n_skip} skip)")
+    return 0
 
 
 def cmd_events(args: argparse.Namespace) -> int:
@@ -1140,7 +1101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "validate": cmd_validate,
     }
     recording = _start_recording(args)
-    status, code = "failed", 1
+    status, code, error = "failed", 1, None
     try:
         code = handlers[args.command](args)
         status = "ok" if code == 0 else "failed"
@@ -1149,19 +1110,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The chaos harness killed the run mid-campaign on purpose;
         # a distinct exit code lets the CI smoke job (and the resume
         # tests) tell "interrupted as planned" from a real error.
-        status, code = "interrupted", 3
+        status, code, error = "interrupted", 3, exc
         print(f"interrupted: {exc}", file=sys.stderr)
         return 3
     except ReproError as exc:
-        status, code = "failed", 2
+        status, code, error = "failed", 2, exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        error = exc
+        raise
     finally:
         # A SIGKILL (--chaos-kill-hard) never reaches here — by design:
         # the postmortem then reads "interrupted" from the missing
-        # run_end, exactly what the black box is for.
+        # run_end and the still-open spans, exactly what the black box
+        # is for.
         if recording is not None:
-            recording.finish(status, code)
+            recording.finish(status, code, error)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,8 +25,7 @@ from repro.collection.faults import (
 )
 from repro.collection.server import CollectionServer
 from repro.collection.uploader import Uploader
-from repro.obs.recorder import get_recorder
-from repro.obs.span import get_tracer
+from repro.obs.recorder import EventKind, get_recorder
 from repro.traces.records import DeviceInfo
 
 #: Distinct stream key so fault randomness never aliases simulation draws.
@@ -99,21 +98,15 @@ class CollectionPump:
             cached=uploader.cached_batches,
         )
         self._stats.append(stats)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # One bundle of counters per device on the current span; with
-            # the default no-op tracer this branch costs a single check.
-            tracer.count("pump.batches_uploaded", stats.uploaded)
-            tracer.count("pump.batches_delivered", stats.delivered)
-            tracer.count("pump.batches_dropped", stats.dropped)
-            tracer.count("pump.batches_churned", stats.churned)
-            tracer.count("pump.duplicates_sent", stats.duplicates)
-            tracer.count("pump.upload_failures", transport.failures)
+        recorder = get_recorder()
+        # Batch counts live in CollectionReport; failed upload attempts
+        # (retried until delivered or dropped) are recorded nowhere else.
+        recorder.count("pump.upload_failures", transport.failures)
         if stats.dropped or stats.churned:
             # Flight-record only actual losses (never the happy path — a
             # per-device event on clean runs would swamp the log).
-            get_recorder().emit(
-                "fault_loss", device=info.device_id,
+            recorder.emit(
+                EventKind.FAULT_LOSS, device=info.device_id,
                 dropped=stats.dropped, churned=stats.churned,
                 churn_slot=stats.churn_slot,
             )
@@ -149,14 +142,6 @@ class CollectionPump:
             cached=0,
         )
         self._stats.append(stats)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("pump.batches_uploaded", stats.uploaded)
-            tracer.count("pump.batches_delivered", stats.delivered)
-            tracer.count("pump.batches_dropped", 0)
-            tracer.count("pump.batches_churned", 0)
-            tracer.count("pump.duplicates_sent", 0)
-            tracer.count("pump.upload_failures", 0)
         return stats
 
     def report(self) -> CollectionReport:

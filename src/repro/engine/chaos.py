@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import EventKind, get_recorder
 
 __all__ = [
     "ChaosCrash",
@@ -166,7 +166,7 @@ class ChaosInjector:
         key = unit_key_of(work)
         attempt = self._next_attempt(key)
         if plan.selects("crash", key) and attempt <= plan.crash_attempts:
-            get_recorder().emit("chaos", fault="crash", shard=key,
+            get_recorder().emit(EventKind.CHAOS, fault="crash", shard=key,
                                 attempt=attempt, hard=plan.hard)
             if plan.hard:
                 os._exit(3)
@@ -176,7 +176,7 @@ class ChaosInjector:
         if plan.selects("hang", key) and attempt <= plan.hang_attempts:
             # Sleep, then finish normally: the parent's deadline fires and
             # retries while this straggler's late result is ignored.
-            get_recorder().emit("chaos", fault="hang", shard=key,
+            get_recorder().emit(EventKind.CHAOS, fault="hang", shard=key,
                                 attempt=attempt, hang_s=plan.hang_s)
             time.sleep(plan.hang_s)
         return self.fn(work)
@@ -212,7 +212,7 @@ class ChaosMonkey:
             # already durable when the signal lands, so even the hard
             # kill leaves the chaos event in the black box.
             get_recorder().emit(
-                "chaos", fault="kill", shard=self.completed,
+                EventKind.CHAOS, fault="kill", shard=self.completed,
                 hard=self.plan.kill_hard,
             )
             if self.plan.kill_hard:

@@ -57,7 +57,9 @@ be routed through the parallel path without touching call sites.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -79,7 +81,7 @@ from repro.engine.resilience import (
     describe_exception,
 )
 from repro.errors import ConfigurationError
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import EventKind, get_recorder
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -163,6 +165,21 @@ _POOL_STATS = {"created": 0, "reused": 0, "discarded": 0}
 _OWNER_PID = os.getpid()
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` is gone.
+
+    A SIGKILLed parent runs no cleanup, so nothing else would ever stop
+    its idle workers; a daemon thread polls for the reparenting instead.
+    """
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 def _acquire_pool(n_jobs: int) -> ProcessPoolExecutor:
     """A warm pool for ``n_jobs`` workers, or a fresh one."""
     parked = _WARM_POOLS.get(n_jobs)
@@ -170,7 +187,9 @@ def _acquire_pool(n_jobs: int) -> ProcessPoolExecutor:
         _POOL_STATS["reused"] += 1
         return parked.pop()
     _POOL_STATS["created"] += 1
-    return ProcessPoolExecutor(max_workers=n_jobs)
+    return ProcessPoolExecutor(max_workers=n_jobs,
+                               initializer=_exit_with_parent,
+                               initargs=(os.getpid(),))
 
 
 def _park_pool(n_jobs: int, pool: ProcessPoolExecutor) -> None:
@@ -270,7 +289,7 @@ class _ResilienceMixin:
         self.failures.append(failure)
         _LIFETIME["retries"] += 1
         get_recorder().emit(
-            "shard_retry", unit=log.unit_index, attempt=log.attempts,
+            EventKind.SHARD_RETRY, unit=log.unit_index, attempt=log.attempts,
             failure=kind, error=failure.error,
             elapsed_s=round(elapsed_s, 3),
         )
@@ -280,7 +299,7 @@ class _ResilienceMixin:
         log.outcome = OUTCOME_DROPPED
         self.dropped += 1
         _LIFETIME["dropped"] += 1
-        get_recorder().emit("shard_dropped", unit=log.unit_index,
+        get_recorder().emit(EventKind.SHARD_DROPPED, unit=log.unit_index,
                             attempts=log.attempts)
 
 
@@ -451,8 +470,8 @@ class ParallelExecutor(_ResilienceMixin):
             self.steals += 1
             _LIFETIME["steals"] += 1
             stolen = queues[victim].pop()
-            get_recorder().emit("shard_stolen", unit=stolen, slot=slot,
-                                victim=victim)
+            get_recorder().emit(EventKind.SHARD_STOLEN, unit=stolen,
+                                slot=slot, victim=victim)
             return stolen
 
         def submit(slot: int, index: int) -> bool:
@@ -591,8 +610,13 @@ class ParallelExecutor(_ResilienceMixin):
             return
         self.fallbacks += 1
         _LIFETIME["fallbacks"] += 1
+        unit = units[index]
+        if getattr(unit, "shm_token", None) is not None:
+            # The parent never packs into shared memory: a /dev/shm too
+            # full for the worker would be too full here as well.
+            unit = dataclasses.replace(unit, shm_token=None)
         try:
-            value = fn(units[index])
+            value = fn(unit)
         except Exception as exc:
             self._record_failure(log, classify_exception(exc), exc, 0.0,
                                  charge_attempt=False)

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import EventKind, get_recorder
 
 __all__ = [
     "FAILURE_CRASH",
@@ -343,7 +343,7 @@ class CheckpointStore:
             output = pickle.loads(payload)
         except Exception:
             self.corrupt += 1
-            get_recorder().emit("checkpoint_loaded", corrupt=True,
+            get_recorder().emit(EventKind.CHECKPOINT_LOADED, corrupt=True,
                                 shard=shard_index, seed=seed)
             try:
                 path.unlink()

@@ -287,7 +287,15 @@ class ShardPayload:
 
 
 def _create_segment(token: str, size: int) -> shared_memory.SharedMemory:
-    """A fresh named segment; steps over (unlikely) name collisions."""
+    """A fresh named segment with its pages reserved; steps over
+    (unlikely) name collisions.
+
+    ``ftruncate`` alone only sizes a tmpfs file: on a full ``/dev/shm``
+    the first write into the mapping then dies with SIGBUS. Reserving
+    the pages up front turns that into an :class:`EngineError` the
+    resilience layer can handle. A free-space check before creating the
+    segment would race between workers.
+    """
     for _ in range(8):
         name = _next_name(token)
         try:
@@ -295,6 +303,16 @@ def _create_segment(token: str, size: int) -> shared_memory.SharedMemory:
                                              size=size)
         except FileExistsError:  # pragma: no cover - 48-bit token clash
             continue
+        try:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(shm._fd, 0, size)
+        except OSError as exc:
+            shm.close()
+            shm.unlink()
+            raise EngineError(
+                f"cannot reserve {size} bytes of shared memory for "
+                f"{name!r}: {exc}"
+            ) from None
         return shm
     raise EngineError(  # pragma: no cover - would need 8 clashes
         f"cannot allocate a shared-memory segment under {token!r}"

@@ -1,25 +1,28 @@
 """Run-telemetry and fidelity-observability subsystem.
 
-Stdlib-light modules the rest of the system threads through:
+A run has one telemetry stream: the flight recorder's event list. Spans,
+stage timings, the Chrome trace, live progress and the kill -9
+postmortem are folds over it. Stdlib-light modules the rest of the system
+threads through:
 
-- :mod:`repro.obs.span` — ``Span``/``Tracer`` with monotonic wall/CPU
-  timings, counters and nesting; a shared no-op tracer keeps the
-  instrumented hot paths zero-overhead unless telemetry is enabled.
-  Chrome-trace export (:func:`~repro.obs.span.to_chrome_trace`) makes the
-  tree loadable in ``chrome://tracing`` / Perfetto.
+- :mod:`repro.obs.recorder` — the :class:`~repro.obs.recorder.FlightRecorder`
+  (``EventKind``-typed events to memory, an ``O_APPEND`` ``events.jsonl``
+  and/or a listener; ``span()`` emits ``span_start``/``span_end``), the
+  shared no-op default that keeps instrumented hot paths zero-overhead,
+  the truncation-tolerant parser and the
+  :func:`~repro.obs.recorder.reconstruct` postmortem.
+- :mod:`repro.obs.span` — the :class:`~repro.obs.span.Span` tree folded
+  from span events, its per-stage rollup and Chrome-trace export
+  (loadable in ``chrome://tracing`` / Perfetto).
 - :mod:`repro.obs.metrics` — ``MetricsRegistry`` folding the analysis
-  cache stats, collection loss accounting and executor shard timings into
-  one counters/stages schema.
+  cache stats, collection loss accounting and engine reports into one
+  counter schema.
 - :mod:`repro.obs.manifest` — ``RunManifest``, the machine-readable JSON
   account of one run (config hash, seed, shard layout, per-stage seconds,
   cache hit rates, fault losses).
 - :mod:`repro.obs.reference` — the paper-reference registry: one
   ``PaperRef`` per checkable claim, each with a tolerance/shape
   ``Predicate`` producing a normalized divergence and verdict.
-- :mod:`repro.obs.recorder` — the crash-durable flight recorder
-  (append-only ``events.jsonl``; O_APPEND write per event) plus the
-  truncation-tolerant parser and :func:`~repro.obs.recorder.reconstruct`
-  postmortem. Stdlib-only, so every layer can emit events.
 - :mod:`repro.obs.resources` — the daemon-thread resource sampler
   (RSS/CPU//dev/shm/store-disk plus executor lifetime counters) with a
   Prometheus-textfile exporter.
@@ -42,8 +45,8 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
-    EVENT_KINDS,
     EVENTS_ENV_VAR,
+    EventKind,
     FlightRecorder,
     NoopRecorder,
     Postmortem,
@@ -66,28 +69,18 @@ from repro.obs.reference import (
     verdict_rank,
 )
 from repro.obs.span import (
-    TELEMETRY_ENV_VAR,
-    NoopTracer,
     Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
+    fold_spans,
+    rollup,
     spans_from_chrome_trace,
-    telemetry_enabled,
     to_chrome_trace,
-    use_tracer,
     write_chrome_trace,
 )
 
 __all__ = [
     "Span",
-    "Tracer",
-    "NoopTracer",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "telemetry_enabled",
-    "TELEMETRY_ENV_VAR",
+    "fold_spans",
+    "rollup",
     "MetricsRegistry",
     "RunManifest",
     "build_manifest",
@@ -105,7 +98,7 @@ __all__ = [
     "VERDICT_WARN",
     "VERDICT_FAIL",
     "VERDICT_SKIP",
-    "EVENT_KINDS",
+    "EventKind",
     "EVENTS_ENV_VAR",
     "FlightRecorder",
     "NoopRecorder",

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.span import get_tracer
+from repro.obs.recorder import get_recorder
 
 __all__ = [
     "BenchCase",
@@ -128,7 +128,7 @@ class BenchEnv:
         if self._study is None:
             from repro.simulation.study import run_study
 
-            with get_tracer().span("bench.setup_study", scale=self.scale):
+            with get_recorder().span("bench.setup_study", scale=self.scale):
                 self._study = run_study(scale=self.scale, seed=self.seed)
         return self._study
 
@@ -471,14 +471,14 @@ def run_suite(
                 f"(or groups {sorted({c.group for c in cases})})"
             )
         cases = [c for c in cases if c.name in wanted or c.group in wanted]
-    tracer = get_tracer()
+    recorder = get_recorder()
     env = BenchEnv(scale=scale, seed=seed)
     results: List[Dict[str, object]] = []
     suite_start = time.perf_counter()
     for case in cases:
         if progress is not None:
             progress(f"bench {case.name} ({case.group})")
-        with tracer.span(f"bench.{case.name}", group=case.group):
+        with recorder.span(f"bench.{case.name}", group=case.group):
             row: Dict[str, object] = {"name": case.name, "group": case.group}
             row.update(case.runner(env, repeat, warmup))
             results.append(row)

@@ -41,7 +41,7 @@ from repro.obs.reference import (
     reference_experiment_ids,
     verdict_rank,
 )
-from repro.obs.span import get_tracer
+from repro.obs.recorder import get_recorder
 
 __all__ = [
     "FidelityRecord",
@@ -292,8 +292,12 @@ def _t3_means(ctx):
 @_extractor("t3_agr_ordering")
 def _t3_agr(ctx):
     growth = _growth(ctx)
-    return [growth.agr_median["wifi"], growth.agr_median["all"],
-            growth.agr_median["cell"]]
+    rates = [growth.agr_median[kind] for kind in ("wifi", "all", "cell")]
+    if None in rates:
+        # A zero median makes the AGR undefined. NaN would read as "no
+        # ordering violation" and pass silently, so skip instead.
+        raise _SkipCheck("median AGR undefined: a year's median is 0 MB")
+    return rates
 
 
 @_extractor("t4_public_ap_growth")
@@ -794,7 +798,7 @@ def _score_one(ref: PaperRef, ctx) -> FidelityRecord:
     skip_on = ((_SkipCheck, AnalysisError, Exception)
                if _context_is_partial(ctx) else (_SkipCheck, AnalysisError))
     try:
-        with get_tracer().span("fidelity.check", check=ref.check_id):
+        with get_recorder().span("fidelity.check", check=ref.check_id):
             measured = extractor(ctx)
     except skip_on as exc:
         return FidelityRecord(
@@ -834,8 +838,7 @@ def score_fidelity(
     check_ids = resolve_check_ids(checks)
     report = FidelityReport(scale=scale, seed=seed,
                             years=[int(y) for y in context.years])
-    tracer = get_tracer()
-    with tracer.span("fidelity.score", n_checks=len(check_ids)):
+    with get_recorder().span("fidelity.score", n_checks=len(check_ids)):
         for check_id in check_ids:
             report.records.append(_score_one(REFERENCES[check_id], context))
     return report

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
+from repro.obs.span import Span, rollup
 
 __all__ = ["RunManifest", "build_manifest", "config_hash_of",
            "MANIFEST_SCHEMA_VERSION"]
@@ -72,11 +72,13 @@ class RunManifest:
     n_jobs: int = 1
     #: Per-year shard layout: ``[{"year", "n_shards", "n_devices"}, ...]``.
     shards: List[Dict[str, int]] = field(default_factory=list)
-    #: Per-stage timing rollup keyed by span name.
+    #: Per-stage timing rollup keyed by span name (a fold over the
+    #: recorder's span events; empty when telemetry was off).
     stages: Dict[str, Dict[str, Union[int, float]]] = field(default_factory=dict)
     #: Namespaced counters (cache hit rates, fault-loss accounting, ...).
     counters: Dict[str, Union[int, float]] = field(default_factory=dict)
-    #: Full exported span tree (empty when telemetry was off).
+    #: The span tree folded from the recorder's events (empty when
+    #: telemetry was off).
     spans: dict = field(default_factory=dict)
     #: Per-shard attempt/outcome history from the resilience layer
     #: (``[{"year", "shard", "attempts", "outcome", "failures"}, ...]``;
@@ -124,7 +126,7 @@ class RunManifest:
 
 def build_manifest(
     command: str,
-    tracer: Optional[Tracer] = None,
+    recorder=None,
     *,
     config_hash: str = "",
     seed: int = 0,
@@ -140,19 +142,32 @@ def build_manifest(
     status: str = "ok",
     error: str = "",
 ) -> RunManifest:
-    """Assemble a manifest from a run's telemetry and accounting objects.
+    """Assemble a manifest from a run's event log and accounting objects.
 
-    Every argument is optional so each CLI entry point contributes what it
-    actually has: ``simulate`` has collection reports but no cache stats,
-    ``analyze`` the reverse, ``bench`` both. ``resilience`` takes a
-    ``ResilienceReport``; ``losses`` a list of per-year
-    ``ExecutionLosses``.
+    ``recorder`` is the run's :class:`~repro.obs.recorder.FlightRecorder`;
+    its in-memory events fold into ``spans``, ``stages`` and the
+    ``span.*`` counters. Every other argument is optional so each CLI
+    entry point contributes what it actually has: ``simulate`` has
+    collection reports but no cache stats, ``analyze`` the reverse,
+    ``bench`` both. ``resilience`` takes a ``ResilienceReport``;
+    ``losses`` a list of per-year ``ExecutionLosses``.
     """
     registry = MetricsRegistry()
     spans: dict = {}
-    if tracer is not None and tracer.enabled:
-        spans = tracer.export()
-        registry.ingest_span_tree(spans)
+    stages: Dict[str, dict] = {}
+    roots = recorder.spans() if recorder is not None else []
+    if roots:
+        if len(roots) == 1:
+            tree = roots[0]
+        else:  # several top-level spans: hang them under one root
+            tree = Span(command)
+            tree.children = roots
+            tree.wall_s = sum(root.wall_s for root in roots)
+            tree.cpu_s = sum(root.cpu_s for root in roots)
+        spans = tree.as_dict()
+        stages, span_counters = rollup(tree)
+        for name, value in span_counters.items():
+            registry.count(name, value)
     if cache_stats is not None:
         registry.ingest_cache_stats(cache_stats)
     for year, report in (collection_reports or {}).items():
@@ -167,7 +182,6 @@ def build_manifest(
             registry.ingest_losses(loss)
     for name, value in (extra_counters or {}).items():
         registry.set(name, value)
-    metrics = registry.as_dict()
     return RunManifest(
         command=command,
         config_hash=config_hash,
@@ -177,8 +191,12 @@ def build_manifest(
         executor=getattr(execution, "executor", "serial"),
         n_jobs=getattr(execution, "n_jobs", 1),
         shards=list(shards or []),
-        stages=metrics["stages"],
-        counters=metrics["counters"],
+        stages={
+            name: {k: round(v, 6) if isinstance(v, float) else v
+                   for k, v in stages[name].items()}
+            for name in sorted(stages)
+        },
+        counters=registry.counters,
         spans=spans,
         shard_attempts=list(resilience.shard_attempts)
         if resilience is not None else [],

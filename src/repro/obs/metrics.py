@@ -1,15 +1,14 @@
-"""One schema over every run counter the system produces.
+"""One counter schema over every run accounting object.
 
-Before this module, run accounting was scattered: the analysis memo kept
-:class:`~repro.analysis.context.CacheStats`, the collection pipeline kept
-:class:`~repro.collection.faults.CollectionReport` loss/outage counters, and
-the execution engine kept shard timings inside span exports. A
-:class:`MetricsRegistry` ingests all three into two flat, JSON-ready maps:
-
-- ``counters`` — namespaced monotonic counts
-  (``cache.clean.hits``, ``collection.2015.delivered``, ``engine.shards``);
-- ``stages`` — per-stage timing rollups aggregated by span name
-  (``{"wall_s", "cpu_s", "count"}`` per stage).
+Run accounting lives in several places: the analysis memo keeps
+:class:`~repro.analysis.context.CacheStats`, the collection pipeline keeps
+:class:`~repro.collection.faults.CollectionReport` loss/outage counters,
+and the engine keeps :class:`~repro.engine.executor.ExecutionInfo`,
+resilience and loss reports. A :class:`MetricsRegistry` ingests them into
+one flat, JSON-ready map of namespaced counters
+(``cache.clean.hits``, ``collection.2015.delivered``, ``engine.shards``).
+Per-stage timings are not kept here: they are a fold over the flight
+recorder's span events (:func:`repro.obs.span.rollup`).
 
 Ingestors are duck-typed (they read attributes, not types) so this module
 imports nothing from the engine, collection, or analysis layers and can sit
@@ -18,7 +17,7 @@ below all of them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Dict, Optional, Union
 
 Number = Union[int, float]
 
@@ -26,11 +25,10 @@ __all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Accumulates counters and per-stage timings for one run."""
+    """Accumulates namespaced counters for one run."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Number] = {}
-        self._stages: Dict[str, Dict[str, Number]] = {}
 
     # -- primitives --------------------------------------------------------
 
@@ -40,21 +38,10 @@ class MetricsRegistry:
     def set(self, name: str, value: Number) -> None:
         self._counters[name] = value
 
-    def observe(self, stage: str, wall_s: float, cpu_s: float = 0.0) -> None:
-        entry = self._stages.setdefault(
-            stage, {"wall_s": 0.0, "cpu_s": 0.0, "count": 0}
-        )
-        entry["wall_s"] += wall_s
-        entry["cpu_s"] += cpu_s
-        entry["count"] += 1
-
     @property
     def counters(self) -> Dict[str, Number]:
-        return dict(self._counters)
-
-    @property
-    def stages(self) -> Dict[str, Dict[str, Number]]:
-        return {k: dict(v) for k, v in self._stages.items()}
+        """Every counter, in sorted key order."""
+        return {k: self._counters[k] for k in sorted(self._counters)}
 
     # -- ingestors ---------------------------------------------------------
 
@@ -62,15 +49,13 @@ class MetricsRegistry:
         """Fold a ``CacheStats``-shaped object into ``counters``.
 
         Expects ``per_artifact()`` yielding objects with ``artifact``,
-        ``hits``, ``misses``, ``compute_seconds`` and ``cached_bytes``.
+        ``hits``, ``misses`` and ``cached_bytes``.
         """
         for entry in stats.per_artifact():
             base = f"{prefix}.{entry.artifact}"
             self.count(f"{base}.hits", entry.hits)
             self.count(f"{base}.misses", entry.misses)
             self.count(f"{base}.cached_bytes", entry.cached_bytes)
-            self.observe(f"artifact.{entry.artifact}",
-                         entry.compute_seconds, entry.compute_seconds)
         self.set(f"{prefix}.hit_rate", round(_hit_rate(stats), 6))
 
     def ingest_collection_report(
@@ -128,54 +113,6 @@ class MetricsRegistry:
         self.count(f"{base}.devices_dropped", losses.dropped_devices)
         self.set(f"{base}.device_completeness",
                  round(losses.device_completeness, 6))
-
-    def ingest_span_tree(self, exported: Optional[Mapping]) -> None:
-        """Aggregate an exported span tree into per-stage timings.
-
-        Stages sharing a span name accumulate (``simulate_shard`` over 8
-        shards becomes one stage with ``count == 8``); span counters are
-        summed into ``counters`` under ``span.<name>.<counter>``.
-        """
-        if not exported:
-            return
-        self.observe(str(exported["name"]),
-                     float(exported.get("wall_s", 0.0)),
-                     float(exported.get("cpu_s", 0.0)))
-        for key, value in exported.get("counters", {}).items():
-            self.count(f"span.{exported['name']}.{key}", value)
-        for child in exported.get("children", ()):
-            self.ingest_span_tree(child)
-
-    # -- output ------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """JSON-ready ``{"counters": ..., "stages": ...}`` (sorted keys)."""
-        return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "stages": {
-                k: {f: round(v, 6) if isinstance(v, float) else v
-                    for f, v in self._stages[k].items()}
-                for k in sorted(self._stages)
-            },
-        }
-
-    def render(self) -> str:
-        """Aligned plain-text report: stages first, then counters."""
-        lines = ["run metrics", "-" * 11]
-        if self._stages:
-            width = max(len(k) for k in self._stages)
-            lines.append(f"{'stage'.ljust(width)}  count  wall_s    cpu_s")
-            for name in sorted(self._stages):
-                entry = self._stages[name]
-                lines.append(
-                    f"{name.ljust(width)}  {entry['count']:5d}  "
-                    f"{entry['wall_s']:8.3f}  {entry['cpu_s']:7.3f}"
-                )
-        if self._counters:
-            width = max(len(k) for k in self._counters)
-            for name in sorted(self._counters):
-                lines.append(f"{name.ljust(width)}  {self._counters[name]}")
-        return "\n".join(lines)
 
 
 def _hit_rate(stats) -> float:

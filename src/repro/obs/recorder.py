@@ -1,25 +1,30 @@
-"""Flight recorder: a crash-durable, append-only ``events.jsonl`` stream.
+"""Flight recorder: the run's one telemetry stream.
 
-While spans and manifests (PR 4) only materialize on clean exit, the
-:class:`FlightRecorder` narrates a run *while it happens*: one JSON object
-per line, written through an ``O_APPEND`` file descriptor with a single
-``os.write`` per event. POSIX appends of one small write are atomic, so
-pool workers and the parent can share the file without interleaving, and a
-``kill -9`` at any instant leaves every fully-written event parseable —
-at worst the final line is truncated, and :func:`parse_events` tolerates
-exactly that.
+Every observation a run makes is an event on one list: command start and
+end, span open and close, shard scheduling, checkpoints, spills, losses,
+chaos faults, progress, resource samples and gate verdicts. The span
+tree, the manifest's ``stages``, the Chrome trace, ``--progress`` and the
+``repro events --postmortem`` report are all folds over that list.
 
-Like the tracer in :mod:`repro.obs.span`, recording is **zero-overhead by
-default**: the process-global recorder is a shared :class:`NoopRecorder`
-whose ``emit()`` is a constant ``return None``; a real recorder is
-installed by the CLI for ``--events``/``--progress`` (or inherited by pool
-workers through ``$REPRO_EVENTS``). Nothing here touches RNG state —
-recorded and unrecorded runs are bit-identical
+A :class:`FlightRecorder` routes each event to any of three sinks:
+
+- an in-memory list (``keep=True``) that :meth:`FlightRecorder.spans`
+  folds into the span tree for the run manifest and the Chrome trace;
+- an ``O_APPEND`` file, one JSON object per line, written with a single
+  ``os.write`` per event. POSIX appends of one small write are atomic, so
+  pool workers and the parent share the file without interleaving, and a
+  ``kill -9`` at any instant leaves every fully-written event parseable —
+  at worst the final line is truncated, and :func:`parse_events`
+  tolerates exactly that;
+- a listener callback (``--progress``).
+
+Recording is **zero-overhead by default**: the process-global recorder is
+a shared :class:`NoopRecorder` whose ``emit()`` and ``count()`` return at
+once and whose ``span()`` returns one shared no-op context manager. The
+CLI installs a real recorder per command; spawned pool workers resolve
+the parent's event file through ``$REPRO_EVENTS``. Nothing here touches
+RNG state — recorded and unrecorded runs are bit-identical
 (``tests/test_telemetry_identity.py``).
-
-:func:`reconstruct` rebuilds a :class:`Postmortem` (phase, completed vs
-in-flight shards, losses, last resource sample) from a possibly-truncated
-event log; the ``repro events`` subcommand fronts it.
 
 Stdlib-only so every layer (engine, collection, traces, CLI) can import it
 without cycles.
@@ -31,11 +36,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.obs.span import Span, fold_spans
+
 __all__ = [
-    "EVENT_KINDS",
+    "EventKind",
     "EVENTS_ENV_VAR",
     "FlightRecorder",
     "NoopRecorder",
@@ -56,47 +64,72 @@ __all__ = [
 #: every event is one O_APPEND write).
 EVENTS_ENV_VAR = "REPRO_EVENTS"
 
-#: Every event kind the recorder may emit, with a one-line meaning. The
-#: schema lint test cross-checks each ``emit("<kind>", ...)`` call in the
-#: source tree against this table, and each kind against the event-schema
-#: table in ARCHITECTURE.md — an undocumented kind fails CI.
-EVENT_KINDS: Dict[str, str] = {
-    "run_start": "command began: argv, config hash, seed, scale, pid",
-    "run_end": "command finished: status (ok/failed/interrupted), exit code",
-    "phase_start": "a named pipeline phase opened (plan/execute/merge/...)",
-    "phase_end": "a named pipeline phase closed, with wall seconds",
-    "shard_queued": "a shard was scheduled for execution (year, shard, unit)",
-    "shard_completed": "a shard's output was accepted by the parent",
-    "shard_retry": "a shard attempt failed and will be retried or settled",
-    "shard_stolen": "an idle worker slot stole a queued shard",
-    "shard_dropped": "a shard exhausted retries and was dropped (partial)",
-    "checkpoint_saved": "a completed shard was spilled to the checkpoint dir",
-    "checkpoint_loaded": "a shard checkpoint was read on resume "
-                         "(corrupt=True when it failed validation)",
-    "spill": "a shard's columns were spilled to a store partition",
-    "store_finalized": "a campaign store finalized its manifest on disk",
-    "fault_loss": "the collection pipeline lost data for a device",
-    "chaos": "the chaos harness injected a fault (crash/hang/kill)",
-    "progress": "campaign progress: shards and devices done, rate, ETA",
-    "resource_sample": "periodic RSS/CPU/shm/disk sample from the sampler",
-    "verdict": "a gate verdict (bench --check / fidelity --check)",
-}
+
+class EventKind(str, Enum):
+    """Every kind of event the recorder writes.
+
+    The values are the ``kind`` strings in ``events.jsonl``; each one is
+    documented in the ARCHITECTURE.md event-schema table. Call sites name
+    a member, so an undeclared kind fails where it is written.
+    """
+
+    #: command began: argv, config hash, seed, scale, pid
+    RUN_START = "run_start"
+    #: command finished: status (ok/failed/interrupted), exit code
+    RUN_END = "run_end"
+    #: a span opened: name, attrs
+    SPAN_START = "span_start"
+    #: a span closed: name, wall_s, cpu_s, ok, counters
+    SPAN_END = "span_end"
+    #: a shard was scheduled for execution (year, shard, unit)
+    SHARD_QUEUED = "shard_queued"
+    #: a shard's output was accepted by the parent
+    SHARD_COMPLETED = "shard_completed"
+    #: a shard attempt failed and will be retried or settled
+    SHARD_RETRY = "shard_retry"
+    #: an idle worker slot stole a queued shard
+    SHARD_STOLEN = "shard_stolen"
+    #: a shard exhausted retries and was dropped (partial)
+    SHARD_DROPPED = "shard_dropped"
+    #: a completed shard was spilled to the checkpoint dir
+    CHECKPOINT_SAVED = "checkpoint_saved"
+    #: a shard checkpoint was read on resume (corrupt=True when invalid)
+    CHECKPOINT_LOADED = "checkpoint_loaded"
+    #: a shard's columns were spilled to a store partition
+    SPILL = "spill"
+    #: a campaign store finalized its manifest on disk
+    STORE_FINALIZED = "store_finalized"
+    #: the collection pipeline lost data for a device
+    FAULT_LOSS = "fault_loss"
+    #: the chaos harness injected a fault (crash/hang/kill)
+    CHAOS = "chaos"
+    #: campaign progress: shards and devices done, rate, ETA
+    PROGRESS = "progress"
+    #: periodic RSS/CPU/shm/disk sample from the sampler
+    RESOURCE_SAMPLE = "resource_sample"
+    #: a gate verdict (bench --check / fidelity --check)
+    VERDICT = "verdict"
 
 
 class FlightRecorder:
-    """Append-only JSONL event stream with flush-per-event durability.
+    """One event stream with up to three sinks: memory, file, listener.
 
-    ``path=None`` runs listener-only (``--progress`` without ``--events``).
-    ``listener`` — if given — sees every event dict after it is written;
+    ``keep`` holds every event in :attr:`events` (the span tree and the
+    manifest fold it); ``path`` appends each event to an ``O_APPEND``
+    file; ``listener`` sees every event dict after it is recorded —
     listener errors are swallowed so display code can never kill a run.
     """
 
     enabled = True
 
     def __init__(self, path: Optional[Union[str, os.PathLike]] = None,
-                 listener: Optional[Callable[[dict], None]] = None) -> None:
+                 listener: Optional[Callable[[dict], None]] = None,
+                 keep: bool = False) -> None:
         self.path: Optional[Path] = Path(path) if path is not None else None
         self.listener = listener
+        #: The in-memory event log (None unless ``keep``).
+        self.events: Optional[List[dict]] = [] if keep else None
+        self._open: List[_SpanHandle] = []
         self._fd: Optional[int] = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -106,27 +139,50 @@ class FlightRecorder:
                 0o644,
             )
 
-    def emit(self, kind: str, **fields: object) -> None:
+    def emit(self, kind: EventKind, **fields: object) -> None:
         """Record one event; a single O_APPEND write makes it durable."""
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}; add it to "
-                             f"repro.obs.recorder.EVENT_KINDS")
         event = {"ts": round(time.time(), 3), "pid": os.getpid(),
-                 "kind": kind}
+                 "kind": EventKind(kind).value}
         event.update(fields)
         if self._fd is not None:
             line = json.dumps(event, separators=(",", ":"),
                               default=str) + "\n"
             os.write(self._fd, line.encode("utf-8"))
+        if self.events is not None:
+            self.events.append(event)
         if self.listener is not None:
             try:
                 self.listener(event)
             except Exception:
                 pass
 
-    def phase(self, name: str, **fields: object) -> "_PhaseHandle":
-        """``with`` context emitting phase_start/phase_end around a block."""
-        return _PhaseHandle(self, name, fields)
+    def span(self, name: str, **attrs: object) -> "_SpanHandle":
+        """``with`` context emitting ``span_start``/``span_end``."""
+        return _SpanHandle(self, name, attrs)
+
+    def count(self, name: str, n: Union[int, float] = 1) -> None:
+        """Add ``n`` to a counter of the innermost open span."""
+        if self._open:
+            counters = self._open[-1].counters
+            counters[name] = counters.get(name, 0) + n
+
+    def adopt(self, events: Optional[List[dict]]) -> None:
+        """Append events another recorder already wrote to its file (a
+        shard's shipped log) to the in-memory log only, so each appears
+        once in the file and once in the fold."""
+        if self.events is not None and events:
+            self.events.extend(events)
+
+    def spans(self) -> List[Span]:
+        """The span forest folded from the in-memory log; spans still
+        open are stamped with their time and counters so far."""
+        roots, still_open = fold_spans(self.events or ())
+        now, cpu = time.perf_counter(), time.process_time()
+        for node, handle in zip(still_open, self._open):
+            node.wall_s = now - handle.t0
+            node.cpu_s = cpu - handle.c0
+            node.counters = dict(handle.counters)
+        return roots
 
     def close(self) -> None:
         if self._fd is not None:
@@ -140,43 +196,52 @@ class FlightRecorder:
             pass
 
 
-class _PhaseHandle:
-    """Times one phase; emits paired phase_start/phase_end events."""
+class _SpanHandle:
+    """Times one span on a recorder's open-span stack."""
 
-    __slots__ = ("_recorder", "_name", "_fields", "_t0")
+    __slots__ = ("_recorder", "name", "attrs", "counters", "t0", "c0")
 
     def __init__(self, recorder: FlightRecorder, name: str,
-                 fields: dict) -> None:
+                 attrs: dict) -> None:
         self._recorder = recorder
-        self._name = name
-        self._fields = fields
+        self.name = name
+        self.attrs = attrs
+        self.counters: Dict[str, Union[int, float]] = {}
 
-    def __enter__(self) -> "_PhaseHandle":
-        self._t0 = time.perf_counter()
-        self._recorder.emit("phase_start", phase=self._name, **self._fields)
+    def __enter__(self) -> "_SpanHandle":
+        fields: dict = {"name": self.name}
+        if self.attrs:
+            fields["attrs"] = self.attrs
+        self._recorder.emit(EventKind.SPAN_START, **fields)
+        self._recorder._open.append(self)
+        self.c0 = time.process_time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, *exc_info) -> None:
-        wall_s = round(time.perf_counter() - self._t0, 6)
-        self._recorder.emit(
-            "phase_end", phase=self._name, wall_s=wall_s,
-            ok=exc_type is None, **self._fields,
-        )
+        wall_s = time.perf_counter() - self.t0
+        cpu_s = time.process_time() - self.c0
+        self._recorder._open.pop()
+        fields: dict = {"name": self.name, "wall_s": wall_s,
+                        "cpu_s": cpu_s, "ok": exc_type is None}
+        if self.counters:
+            fields["counters"] = self.counters
+        self._recorder.emit(EventKind.SPAN_END, **fields)
 
 
-class _NoopPhase:
-    """Reusable do-nothing phase context manager."""
+class _NoopSpan:
+    """Reusable do-nothing span context manager."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NoopPhase":
+    def __enter__(self) -> "_NoopSpan":
         return self
 
     def __exit__(self, *exc_info) -> None:
         return None
 
 
-_NOOP_PHASE = _NoopPhase()
+_NOOP_SPAN = _NoopSpan()
 
 
 class NoopRecorder:
@@ -184,12 +249,19 @@ class NoopRecorder:
 
     enabled = False
     path = None
+    events = None
 
-    def emit(self, kind: str, **fields: object) -> None:
+    def emit(self, kind: EventKind, **fields: object) -> None:
         return None
 
-    def phase(self, name: str, **fields: object) -> _NoopPhase:
-        return _NOOP_PHASE
+    def span(self, name: str, **attrs: object) -> _NoopSpan:
+        return _NOOP_SPAN
+
+    def count(self, name: str, n: Union[int, float] = 1) -> None:
+        return None
+
+    def adopt(self, events: Optional[List[dict]]) -> None:
+        return None
 
     def close(self) -> None:
         return None
@@ -229,7 +301,7 @@ def set_recorder(
 
 
 class use_recorder:
-    """Temporarily install a recorder (tests and workers use this)."""
+    """Temporarily install a recorder (tests and shards use this)."""
 
     def __init__(self,
                  recorder: Union[FlightRecorder, NoopRecorder]) -> None:
@@ -313,9 +385,11 @@ class Postmortem:
     exit_code: Optional[int] = None
     n_events: int = 0
     duration_s: float = 0.0
-    open_phases: List[str] = field(default_factory=list)
-    last_phase: Optional[str] = None    # innermost phase still open
-    phases_seen: List[str] = field(default_factory=list)
+    #: Spans of the run's own process still open, outermost first.
+    open_stages: List[str] = field(default_factory=list)
+    last_stage: Optional[str] = None    # innermost span still open
+    #: Closed spans rolled up by name: ``{"wall_s", "count"}`` each.
+    stages: Dict[str, dict] = field(default_factory=dict)
     queued: List[List[int]] = field(default_factory=list)    # [year, shard]
     completed: List[List[int]] = field(default_factory=list)
     outstanding: List[List[int]] = field(default_factory=list)
@@ -349,11 +423,15 @@ class Postmortem:
             )
         if self.exit_code is not None:
             lines.append(f"  exit code: {self.exit_code}")
-        if self.last_phase is not None:
-            lines.append(f"  died in phase: {self.last_phase} "
-                         f"(open: {' > '.join(self.open_phases)})")
-        elif self.phases_seen:
-            lines.append(f"  phases: {' -> '.join(self.phases_seen)}")
+        if self.last_stage is not None:
+            lines.append(f"  died in stage: {self.last_stage} "
+                         f"(open: {' > '.join(self.open_stages)})")
+        if self.stages:
+            lines.append("  closed stages:")
+            width = max(len(name) for name in self.stages)
+            for name, entry in self.stages.items():
+                lines.append(f"    {name.ljust(width)}  x{entry['count']:<4d}"
+                             f" {entry['wall_s']:9.3f}s")
         lines.append(
             f"  shards: {len(self.completed)}/{len(self.queued)} completed"
             + (f", {len(self.outstanding)} in flight" if self.outstanding
@@ -422,7 +500,9 @@ def reconstruct(events: List[dict]) -> Postmortem:
         post.duration_s = max(stamps) - min(stamps)
     queued: List[tuple] = []
     completed: List[tuple] = []
-    phase_stack: List[str] = []
+    # Open span names per process: pool workers append to the same file,
+    # so their spans interleave with the parent's.
+    open_by_pid: Dict[object, List[str]] = {}
     for event in events:
         kind = event.get("kind")
         if kind == "run_start":
@@ -431,15 +511,17 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.status = str(event.get("status", "ok"))
             code = event.get("exit_code")
             post.exit_code = int(code) if code is not None else None
-        elif kind == "phase_start":
-            name = str(event.get("phase", "?"))
-            phase_stack.append(name)
-            if name not in post.phases_seen:
-                post.phases_seen.append(name)
-        elif kind == "phase_end":
-            name = str(event.get("phase", "?"))
-            if name in phase_stack:
-                del phase_stack[phase_stack.index(name):]
+        elif kind == "span_start":
+            open_by_pid.setdefault(event.get("pid"), []).append(
+                str(event.get("name", "?")))
+        elif kind == "span_end":
+            name = str(event.get("name", "?"))
+            stack = open_by_pid.get(event.get("pid"), [])
+            if name in stack:
+                del stack[len(stack) - 1 - stack[::-1].index(name):]
+            entry = post.stages.setdefault(name, {"wall_s": 0.0, "count": 0})
+            entry["wall_s"] += float(event.get("wall_s", 0.0))
+            entry["count"] += 1
         elif kind == "shard_queued":
             queued.append((event.get("year"), event.get("shard")))
         elif kind == "shard_completed":
@@ -476,8 +558,11 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.last_sample = event
         elif kind == "verdict":
             post.verdicts.append(event)
-    post.open_phases = phase_stack
-    post.last_phase = phase_stack[-1] if phase_stack else None
+    # The run's own process is the one that wrote run_start (or, in a
+    # log without it, the first event).
+    main = (post.run or (events[0] if events else {})).get("pid")
+    post.open_stages = open_by_pid.get(main, [])
+    post.last_stage = post.open_stages[-1] if post.open_stages else None
     post.queued = [list(pair) for pair in queued]
     post.completed = [list(pair) for pair in completed]
     done = set(completed)
@@ -498,10 +583,11 @@ def summarize_events(events: List[dict]) -> str:
         lines.append(f"  command: {post.run.get('command', '?')} "
                      f"seed={post.run.get('seed')} "
                      f"scale={post.run.get('scale')}")
-    for kind in EVENT_KINDS:
+    known = [kind.value for kind in EventKind]
+    for kind in known:
         if kind in counts:
             lines.append(f"  {kind:18s} {counts[kind]}")
     for kind, count in sorted(counts.items()):
-        if kind not in EVENT_KINDS:  # forward-compat: foreign kinds
+        if kind not in known:  # forward-compat: foreign kinds
             lines.append(f"  {kind:18s} {count} (undocumented)")
     return "\n".join(lines)

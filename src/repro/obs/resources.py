@@ -25,6 +25,8 @@ import threading
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
+from repro.obs.recorder import EventKind
+
 __all__ = [
     "ResourceSampler",
     "rss_bytes",
@@ -179,7 +181,7 @@ class ResourceSampler:
         """Take, emit, and (optionally) export one sample."""
         try:
             sample = _sample(self.shm_token, self.disk_paths)
-            self.recorder.emit("resource_sample", **sample)
+            self.recorder.emit(EventKind.RESOURCE_SAMPLE, **sample)
             if self.prom_path is not None:
                 self._write_prom(sample)
             self.n_samples += 1

@@ -1,79 +1,54 @@
-"""Span-based run telemetry: monotonic timings, counters, nesting.
+"""The span tree, folded from the flight recorder's event log.
 
-A :class:`Tracer` records a tree of :class:`Span`\\ s — one per stage of the
-run path (``plan_campaign`` → ``simulate_shard`` → ``merge_campaign`` →
-analysis artifacts) — each with monotonic wall seconds
-(:func:`time.perf_counter`), process CPU seconds (:func:`time.process_time`)
-and free-form integer counters. Spans nest lexically through the
-``with tracer.span(...)`` context manager; worker processes run their own
-local tracer and the parent grafts the exported subtree back with
-:meth:`Tracer.attach`, so per-shard timings survive the process boundary.
+Spans are not a channel of their own: ``FlightRecorder.span(name)``
+emits a ``span_start`` event on enter and a ``span_end`` event (wall and
+CPU seconds, ``ok``, the span's counters) on exit — see
+:mod:`repro.obs.recorder`. Everything span-shaped is a fold over that one
+list:
 
-Telemetry is **zero-overhead by default**: the process-global tracer is a
-shared :class:`NoopTracer` whose ``span()`` returns one reusable no-op
-context manager — a hot path instrumented with ``get_tracer().span(...)``
-pays an attribute lookup and two trivial calls unless a real tracer was
-installed via :func:`set_tracer` / :func:`use_tracer` (the CLI does this for
-``--telemetry`` or ``$REPRO_TELEMETRY``). Nothing here touches RNG state:
-telemetry-on and telemetry-off runs are bit-identical (pinned by
-``tests/test_telemetry_identity.py``).
+- :func:`fold_spans` rebuilds the tree of :class:`Span` nodes;
+- :func:`rollup` aggregates a tree into the manifest's per-stage timings
+  and ``span.<name>.<counter>`` counters;
+- :func:`to_chrome_trace` / :func:`spans_from_chrome_trace` convert a tree
+  to and from Chrome-trace JSON (``chrome://tracing`` / Perfetto).
 
-This module is stdlib-only so every layer (engine, collection, analysis,
-CLI) can import it without cycles.
+Wall time is monotonic (:func:`time.perf_counter`), CPU time is process
+CPU (:func:`time.process_time`); both cover a span's whole subtree.
+
+This module is stdlib-only so every layer can import it without cycles.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import time
-from typing import Dict, Iterator, List, Optional, Union
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
-    "Tracer",
-    "NoopTracer",
-    "TELEMETRY_ENV_VAR",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "telemetry_enabled",
+    "fold_spans",
+    "rollup",
     "to_chrome_trace",
     "spans_from_chrome_trace",
     "write_chrome_trace",
 ]
 
-#: Setting this to a truthy value (``1``, ``true``, ``on``, ``yes``) enables
-#: telemetry process-wide, including in pool workers that inherit the
-#: environment.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
-
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-
-
-def telemetry_enabled() -> bool:
-    """True when ``$REPRO_TELEMETRY`` requests telemetry."""
-    return os.environ.get(TELEMETRY_ENV_VAR, "").strip().lower() in _TRUTHY
+Number = Union[int, float]
 
 
 class Span:
-    """One timed stage: name, attributes, counters, children.
-
-    ``wall_s`` is monotonic wall time, ``cpu_s`` process CPU time; both
-    cover the span's whole subtree (children are not subtracted).
-    """
+    """One timed stage: name, attributes, counters, children."""
 
     __slots__ = ("name", "attrs", "counters", "children", "wall_s", "cpu_s")
 
     def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None):
         self.name = name
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
-        self.counters: Dict[str, Union[int, float]] = {}
+        self.counters: Dict[str, Number] = {}
         self.children: List[Span] = []
         self.wall_s: float = 0.0
         self.cpu_s: float = 0.0
-
-    def count(self, name: str, n: Union[int, float] = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
@@ -107,133 +82,50 @@ class Span:
                 f"children={len(self.children)})")
 
 
-class _ActiveSpan:
-    """Context manager that times one span on a tracer's stack."""
+def fold_spans(events: Iterable[dict]) -> Tuple[List[Span], List[Span]]:
+    """Rebuild the span forest from ``span_start``/``span_end`` events.
 
-    __slots__ = ("_tracer", "_span", "_t0", "_c0")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._stack.append(self._span)
-        self._c0 = time.process_time()
-        self._t0 = time.perf_counter()
-        return self._span
-
-    def __exit__(self, *exc_info) -> None:
-        self._span.wall_s += time.perf_counter() - self._t0
-        self._span.cpu_s += time.process_time() - self._c0
-        popped = self._tracer._stack.pop()
-        if popped is not self._span:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"span stack corrupted: closed {self._span.name!r}, "
-                f"top was {popped.name!r}"
-            )
-
-
-class Tracer:
-    """Records a span tree for one run.
-
-    The root span is open for the tracer's lifetime; :meth:`export`
-    stamps its duration so far and returns the tree as nested dicts.
+    Returns ``(roots, still_open)``: the top-level spans in order, and the
+    spans that never closed, outermost first (their timings stay zero).
+    The events must nest — one recorder's log does, including the blocks
+    of shard events it adopted, because each block closes before the
+    next event of the parent is appended.
     """
-
-    enabled = True
-
-    def __init__(self, name: str = "run",
-                 attrs: Optional[Dict[str, object]] = None) -> None:
-        self.root = Span(name, attrs)
-        self._stack: List[Span] = [self.root]
-        self._c0 = time.process_time()
-        self._t0 = time.perf_counter()
-
-    @property
-    def current(self) -> Span:
-        return self._stack[-1]
-
-    def span(self, name: str, **attrs: object) -> _ActiveSpan:
-        """Open a child span of the current span (use as ``with``)."""
-        span = Span(name, attrs or None)
-        self.current.children.append(span)
-        return _ActiveSpan(self, span)
-
-    def count(self, name: str, n: Union[int, float] = 1) -> None:
-        """Increment a counter on the current span."""
-        self.current.count(name, n)
-
-    def attach(self, exported: Optional[dict]) -> None:
-        """Graft a worker's exported span tree under the current span."""
-        if exported:
-            self.current.children.append(Span.from_dict(exported))
-
-    def export(self) -> dict:
-        """The span tree so far, with the root duration stamped."""
-        self.root.wall_s = time.perf_counter() - self._t0
-        self.root.cpu_s = time.process_time() - self._c0
-        return self.root.as_dict()
-
-    def to_chrome_trace(self) -> dict:
-        """The span tree so far as a Chrome-trace JSON object."""
-        return to_chrome_trace(self.export())
+    roots: List[Span] = []
+    stack: List[Span] = []
+    for event in events:
+        kind = event.get("kind")
+        if kind == "span_start":
+            span = Span(str(event.get("name", "?")), event.get("attrs"))
+            (stack[-1].children if stack else roots).append(span)
+            stack.append(span)
+        elif kind == "span_end" and stack:
+            span = stack.pop()
+            span.wall_s = float(event.get("wall_s", 0.0))
+            span.cpu_s = float(event.get("cpu_s", 0.0))
+            span.counters = dict(event.get("counters") or {})
+    return roots, stack
 
 
-class _NoopHandle:
-    """Reusable do-nothing span context manager."""
+def rollup(root: Span) -> Tuple[Dict[str, dict], Dict[str, Number]]:
+    """Per-stage timings and span counters over a tree.
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def count(self, name: str, n: Union[int, float] = 1) -> None:
-        return None
-
-
-_NOOP_HANDLE = _NoopHandle()
-
-
-class NoopTracer:
-    """The default tracer: every operation is a near-free no-op."""
-
-    enabled = False
-
-    def span(self, name: str, **attrs: object) -> _NoopHandle:
-        return _NOOP_HANDLE
-
-    def count(self, name: str, n: Union[int, float] = 1) -> None:
-        return None
-
-    def attach(self, exported: Optional[dict]) -> None:
-        return None
-
-    def export(self) -> dict:
-        return {}
-
-
-#: The shared no-op tracer; also the reset target for :func:`set_tracer`.
-NOOP_TRACER = NoopTracer()
-
-_TRACER: Union[Tracer, NoopTracer] = NOOP_TRACER
-
-
-def get_tracer() -> Union[Tracer, NoopTracer]:
-    """The process-global tracer (a shared no-op unless one was set)."""
-    return _TRACER
-
-
-def set_tracer(
-    tracer: Optional[Union[Tracer, NoopTracer]]
-) -> Union[Tracer, NoopTracer]:
-    """Install ``tracer`` globally (``None`` resets); returns the previous."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer if tracer is not None else NOOP_TRACER
-    return previous
+    Spans sharing a name accumulate into one stage (``simulate_shard``
+    over 8 shards becomes one stage with ``count == 8``); span counters
+    are summed under ``span.<name>.<counter>``.
+    """
+    stages: Dict[str, dict] = {}
+    counters: Dict[str, Number] = {}
+    for span in root.walk():
+        entry = stages.setdefault(
+            span.name, {"wall_s": 0.0, "cpu_s": 0.0, "count": 0})
+        entry["wall_s"] += span.wall_s
+        entry["cpu_s"] += span.cpu_s
+        entry["count"] += 1
+        for key, value in span.counters.items():
+            name = f"span.{span.name}.{key}"
+            counters[name] = counters.get(name, 0) + value
+    return stages, counters
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +138,14 @@ _US = 1_000_000
 
 
 def to_chrome_trace(exported: dict, process_name: str = "repro") -> dict:
-    """A span tree (from :meth:`Tracer.export`) as Chrome-trace JSON.
+    """A span tree (:meth:`Span.as_dict` form) as Chrome-trace JSON.
 
     Spans record *durations*, not start offsets, so starts are laid out
     synthetically: each child begins where its previous sibling's wall
     time ended. That is exact for the serial stages and a faithful
-    at-least-this-dense packing for spans grafted from parallel workers.
-    Events are complete ("X") events in preorder; ``args`` carries the
-    attrs, counters, CPU seconds and stack depth so
+    at-least-this-dense packing for spans shipped back from parallel
+    workers. Events are complete ("X") events in preorder; ``args``
+    carries the attrs, counters, CPU seconds and stack depth so
     :func:`spans_from_chrome_trace` can rebuild the exact tree.
     """
     events: List[dict] = [{
@@ -325,24 +217,6 @@ def spans_from_chrome_trace(trace: dict) -> Optional[Span]:
 
 def write_chrome_trace(exported: dict, path: "os.PathLike | str") -> None:
     """Write a span tree as a ``chrome://tracing``-loadable JSON file."""
-    import json
-    from pathlib import Path
-
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(to_chrome_trace(exported), indent=2) + "\n")
-
-
-class use_tracer:
-    """Temporarily install a tracer (shard workers use this)."""
-
-    def __init__(self, tracer: Union[Tracer, NoopTracer]) -> None:
-        self._tracer = tracer
-        self._previous: Optional[Union[Tracer, NoopTracer]] = None
-
-    def __enter__(self) -> Union[Tracer, NoopTracer]:
-        self._previous = set_tracer(self._tracer)
-        return self._tracer
-
-    def __exit__(self, *exc_info) -> None:
-        set_tracer(self._previous)

@@ -21,7 +21,7 @@ from repro.errors import AnalysisError
 from repro.population.survey import LOCATIONS, REASONS, tabulate_survey
 from repro.reporting.context import national_traffic_growth
 from repro.reporting.figures import Figure
-from repro.reporting.tables import Table
+from repro.reporting.tables import Table, format_rate
 
 #: Deprecated alias, kept for one release. The memoized per-study cache that
 #: used to live here is now the first-class
@@ -113,7 +113,7 @@ def table3(cache: AnalysisContext) -> Table:
         for kind in ("all", "cell", "wifi"):
             table.add_row(
                 stat, kind, *[values[kind][y] for y in cache.years],
-                f"{100 * agr[kind]:.0f}%",
+                format_rate(agr[kind]),
             )
     return table
 

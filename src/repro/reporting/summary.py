@@ -14,6 +14,7 @@ from typing import List, Optional
 import repro.analysis as A
 from repro.errors import AnalysisError
 from repro.analysis.context import AnalysisContext
+from repro.reporting.tables import format_rate
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,13 @@ def study_summary(cache: AnalysisContext) -> List[Finding]:
         growth.median["wifi"][first] < growth.median["cell"][first]
         and growth.median["wifi"][last] > growth.median["cell"][last],
     )
+    agr_wifi, agr_cell = growth.agr_median["wifi"], growth.agr_median["cell"]
+    defined = agr_wifi is not None and agr_cell is not None
     add(
         "§3.2", "WiFi has the highest AGR",
         "134%/yr median WiFi vs 35% cellular",
-        f"{growth.agr_median['wifi']:.0%} vs {growth.agr_median['cell']:.0%}",
-        growth.agr_median["wifi"] > growth.agr_median["cell"],
+        f"{format_rate(agr_wifi)} vs {format_rate(agr_cell)}",
+        agr_wifi > agr_cell if defined else None,
     )
 
     heat = {y: A.wifi_cell_heatmap(cache.campaign(y)) for y in (first, last)}

@@ -222,7 +222,7 @@ def span_timeline_svg(
 ) -> str:
     """Render an exported span tree as a flame-graph-style timeline.
 
-    ``exported`` is :meth:`~repro.obs.span.Tracer.export` output (nested
+    ``exported`` is :meth:`~repro.obs.span.Span.as_dict` output (nested
     name/wall_s/children dicts). Spans record durations rather than start
     offsets, so children are packed left-to-right within their parent —
     the same synthetic layout the Chrome-trace export uses. Bar width is

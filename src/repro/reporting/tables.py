@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
 
@@ -38,6 +38,11 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
+
+
+def format_rate(rate: Optional[float]) -> str:
+    """A growth rate as a whole percentage; ``n/a`` when undefined."""
+    return "n/a" if rate is None else f"{100 * rate:.0f}%"
 
 
 def _fmt(value: object) -> str:

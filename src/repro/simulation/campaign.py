@@ -62,8 +62,12 @@ from repro.engine.resilience import (
 from repro.engine.transport import ShardPayload, run_token, sweep_orphans
 from repro.errors import ConfigurationError, EngineError
 from repro.net.accesspoint import AccessPoint
-from repro.obs.recorder import get_recorder
-from repro.obs.span import Tracer, get_tracer, use_tracer
+from repro.obs.recorder import (
+    EventKind,
+    FlightRecorder,
+    get_recorder,
+    use_recorder,
+)
 from repro.network_env.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.population.profiles import UserProfile
 from repro.population.recruitment import RecruitmentConfig, recruit
@@ -148,9 +152,9 @@ class ShardWork:
     config: CampaignConfig
     shard_index: int
     device_ids: tuple
-    #: When True the worker runs under a local tracer and ships its span
-    #: tree back on the :class:`ShardOutput` (set at plan time from the
-    #: parent's tracer; never affects simulation results).
+    #: When True the shard records its events in memory and ships them
+    #: back on the :class:`ShardOutput` (set at plan time when the
+    #: parent's recorder keeps events; never affects simulation results).
     telemetry: bool = False
     #: Run token for shared-memory transport: when set (parallel
     #: execution), the worker packs its chunks into a
@@ -218,7 +222,7 @@ def _world_for(config: CampaignConfig) -> _World:
     key = repr(config)
     world = _WORLD_CACHE.get(key)
     if world is None:
-        with get_tracer().span("build_world", year=config.year):
+        with get_recorder().span("build_world", year=config.year):
             world = _build_world(config)
         _WORLD_CACHE[key] = world
         while len(_WORLD_CACHE) > _WORLD_CACHE_MAX:
@@ -230,9 +234,8 @@ def _world_for(config: CampaignConfig) -> _World:
 
 def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
     """Build the world and partition the panel into shard work units."""
-    tracer = get_tracer()
-    with tracer.span("plan_campaign", year=config.year), \
-            get_recorder().phase("plan", year=config.year):
+    recorder = get_recorder()
+    with recorder.span("plan_campaign", year=config.year):
         world = _world_for(config)
         shard_plan = plan_units(
             [info.device_id for info in world.infos], max(1, n_jobs)
@@ -241,12 +244,12 @@ def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
             ShardWork(
                 config=config, shard_index=shard.index,
                 device_ids=shard.device_ids,
-                telemetry=tracer.enabled,
+                telemetry=recorder.events is not None,
             )
             for shard in shard_plan.shards
         ]
-        tracer.count("shards", shard_plan.n_shards)
-        tracer.count("devices", shard_plan.n_devices)
+        recorder.count("shards", shard_plan.n_shards)
+        recorder.count("devices", shard_plan.n_devices)
     return CampaignPlan(
         config=config, world=world, shard_plan=shard_plan, work=work
     )
@@ -258,23 +261,26 @@ def simulate_shard(work: ShardWork) -> ShardOutput:
     Module-level so process-pool workers can import it; reuses the parent's
     cached world when forked, rebuilds it deterministically otherwise.
 
-    When the plan carries telemetry, the shard runs under its own local
-    :class:`~repro.obs.span.Tracer` — regardless of whether it executes in
-    a pool worker or inline in the parent — and ships the exported span
-    tree back on ``ShardOutput.spans`` for the merge layer to graft into
-    the parent's trace. Telemetry never touches RNG streams, so traced and
-    untraced shards are bit-identical.
+    When the plan carries telemetry, the shard runs under its own
+    recorder — whether it executes in a pool worker or inline in the
+    parent — that keeps its events in memory and still appends each one
+    to the run's event file, so an event written before a worker dies is
+    not lost. The events ride back on ``ShardOutput.events`` for the
+    merge layer to adopt into the parent's log. Telemetry never touches
+    RNG streams, so traced and untraced shards are bit-identical.
     """
+    attrs = {"year": work.config.year, "shard": work.shard_index,
+             "pid": os.getpid()}
     if not work.telemetry:
-        return _simulate_shard_impl(work)
-    tracer = Tracer(
-        "simulate_shard",
-        {"year": work.config.year, "shard": work.shard_index,
-         "pid": os.getpid()},
-    )
-    with use_tracer(tracer):
-        output = _simulate_shard_impl(work)
-    output.spans = tracer.export()
+        with get_recorder().span("simulate_shard", **attrs):
+            return _simulate_shard_impl(work)
+    recorder = FlightRecorder(get_recorder().path, keep=True)
+    try:
+        with use_recorder(recorder), recorder.span("simulate_shard", **attrs):
+            output = _simulate_shard_impl(work)
+    finally:
+        recorder.close()
+    output.events = recorder.events
     return output
 
 
@@ -294,7 +300,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
         year=config.year,
     )
 
-    tracer = get_tracer()
+    recorder = get_recorder()
     stats = []
     for device_id in work.device_ids:
         if world.profiles[device_id].user_id != device_id:
@@ -302,7 +308,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
                 f"panel is not dense: profile "
                 f"{world.profiles[device_id].user_id} at position {device_id}"
             )
-    with tracer.span("simulate_devices", n_devices=len(work.device_ids)):
+    with recorder.span("simulate_devices", n_devices=len(work.device_ids)):
         # Columnar kernel: per-device streams key only on the device
         # id, so any shard layout produces bit-identical output.
         for result in simulate_devices(
@@ -313,14 +319,14 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
             stats.append(pump.transmit_bulk(
                 world.infos[result.device_id], result.tables
             ))
-            tracer.count("devices")
+            recorder.count("devices")
 
-    with tracer.span("flush_buffers"):
+    with recorder.span("flush_buffers"):
         server.flush_buffers()
     chunks = server.builder.export_chunks()
     payload: Optional[ShardPayload] = None
     if work.shm_token is not None:
-        with tracer.span("pack_payload", shard=work.shard_index):
+        with recorder.span("pack_payload", shard=work.shard_index):
             payload = ShardPayload.pack(chunks, work.shm_token)
         chunks = None
     return ShardOutput(
@@ -384,7 +390,6 @@ def execute_plans(
         [None] * plan.shard_plan.n_shards for plan in plans
     ]
     keys = [config_key(plan.config) for plan in plans]
-    tracer = get_tracer()
     recorder = get_recorder()
 
     def _store_for(pi: int) -> Optional[CampaignStore]:
@@ -393,7 +398,7 @@ def execute_plans(
     if store is not None:
         store.initialize(identity_of(plans), resume=res.resume)
         if res.resume:
-            with tracer.span("load_checkpoints"):
+            with recorder.span("load_checkpoints"):
                 for pi, plan in enumerate(plans):
                     for shard in plan.shard_plan.shards:
                         loaded = store.load(
@@ -404,15 +409,13 @@ def execute_plans(
                             # The checkpoint references a store partition
                             # that vanished or changed since it was saved;
                             # treat it as a miss and re-simulate.
-                            tracer.count("checkpoint_stale_partitions")
+                            recorder.count("checkpoint_stale_partitions")
                             loaded = None
                         if loaded is not None:
                             outputs[pi][shard.index] = loaded
-                            recorder.emit("checkpoint_loaded",
+                            recorder.emit(EventKind.CHECKPOINT_LOADED,
                                           year=plan.config.year,
                                           shard=shard.index)
-            tracer.count("checkpoint_hits", store.hits)
-            tracer.count("checkpoint_corrupt", store.corrupt)
 
     # Pool workers ship their chunks through shared-memory segments named
     # under this run's token; serial (in-process) execution keeps them
@@ -443,7 +446,7 @@ def execute_plans(
     t0 = time.monotonic()
     if recorder.enabled:
         for unit, (pi, work) in enumerate(pending):
-            recorder.emit("shard_queued", year=work.config.year,
+            recorder.emit(EventKind.SHARD_QUEUED, year=work.config.year,
                           shard=work.shard_index, unit=unit,
                           devices=len(work.device_ids))
 
@@ -456,7 +459,6 @@ def execute_plans(
             # cannot leak it.
             output.payload.attach()
             output.payload.unlink()
-            tracer.count("transport_bytes", output.payload.n_bytes)
         plan_store = _store_for(pi)
         if plan_store is not None:
             # Out-of-core: the shard's columns land in a store partition
@@ -468,15 +470,15 @@ def execute_plans(
         outputs[pi][work.shard_index] = output
         if store is not None:
             # Checkpoints must be self-contained: shared-memory views are
-            # materialised and spans dropped (wall-clock telemetry from
-            # THIS run must not be replayed into a resumed run's trace).
+            # materialised and shipped events dropped (wall-clock telemetry
+            # from THIS run must not be replayed into a resumed run's log).
             store.save(keys[pi], plans[pi].config.seed,
                        work.shard_index, output.for_checkpoint())
-            recorder.emit("checkpoint_saved", year=work.config.year,
+            recorder.emit(EventKind.CHECKPOINT_SAVED, year=work.config.year,
                           shard=work.shard_index)
         if recorder.enabled:
             recorder.emit(
-                "shard_completed", year=work.config.year,
+                EventKind.SHARD_COMPLETED, year=work.config.year,
                 shard=work.shard_index, unit=local_index,
                 devices=len(work.device_ids),
             )
@@ -487,7 +489,7 @@ def execute_plans(
                     if elapsed > 0 else 0.0)
             remaining = devices_total - progress["devices_done"]
             recorder.emit(
-                "progress", done=progress["done"], total=len(pending),
+                EventKind.PROGRESS, done=progress["done"], total=len(pending),
                 devices_done=progress["devices_done"],
                 devices_total=devices_total, rate=round(rate, 2),
                 eta_s=(round(remaining / rate, 1) if rate > 0 else None),
@@ -501,9 +503,7 @@ def execute_plans(
         name: getattr(executor, name, 0)
         for name in ("retries", "fallbacks", "dropped")
     }
-    with recorder.phase("execute", shards=len(pending),
-                        executor=getattr(executor, "name", "?")):
-        executor.run(fn, [work for _, work in pending], on_result=_accept)
+    executor.run(fn, [work for _, work in pending], on_result=_accept)
 
     report = _resilience_report(
         executor, history_before, counts_before, pending, store, res
@@ -575,13 +575,13 @@ def merge_campaign(
     """
     config = plan.config
     world = plan.world
-    tracer = get_tracer()
-    # Graft worker span trees under the *current* span (the campaign/study
-    # stage that ran the shards), not under merge_campaign — shard wall
-    # time is execution time, not merge time.
+    recorder = get_recorder()
+    # Adopt shipped shard events under the *current* span (the
+    # campaign/study stage that ran the shards), not under merge_campaign
+    # — shard wall time is execution time, not merge time.
     for out in outputs:
         if out is not None:
-            tracer.attach(out.spans)
+            recorder.adopt(out.events)
     dropped = missing_shards(outputs, plan.shard_plan)
     losses: Optional[ExecutionLosses] = None
     if dropped:
@@ -604,10 +604,9 @@ def merge_campaign(
                     plan.shard_plan.shards[i].n_devices for i in dropped
                 ),
             )
-    with tracer.span("merge_campaign", year=config.year,
-                     n_shards=plan.shard_plan.n_shards,
-                     store=store is not None), \
-            get_recorder().phase("merge", year=config.year):
+    with recorder.span("merge_campaign", year=config.year,
+                       n_shards=plan.shard_plan.n_shards,
+                       store=store is not None):
         if store is None:
             builder = DatasetBuilder(config.year, config.axis)
             for info in world.infos:
@@ -618,14 +617,6 @@ def merge_campaign(
         report = merge_reports(outputs, plan.shard_plan,
                                config.axis.n_slots,
                                allow_missing=allow_partial)
-        totals = report.totals()
-        tracer.count("batches_delivered", totals["delivered"])
-        tracer.count("batches_dropped", totals["dropped"])
-        tracer.count("batches_churned", totals["churned"])
-        tracer.count("duplicates_dropped", report.duplicates_dropped)
-        if losses is not None:
-            tracer.count("shards_dropped", len(losses.dropped_shards))
-            tracer.count("devices_dropped", losses.dropped_devices)
 
         if store is None:
             _register_observed_aps(builder, world.deployment)
@@ -710,8 +701,8 @@ def run_campaign(
     run out-of-core: shards spill to store partitions on accept and the
     result's dataset reads the finalized store memory-mapped.
     """
-    tracer = get_tracer()
-    with tracer.span("run_campaign", year=config.year):
+    recorder = get_recorder()
+    with recorder.span("run_campaign", year=config.year):
         n_jobs = resolve_jobs(n_jobs)
         plan = plan_campaign(config, n_jobs)
         own_executor = executor is None
@@ -721,20 +712,17 @@ def run_campaign(
                 policy=resilience.policy if resilience else None,
                 allow_partial=resilience.partial if resilience else False,
             )
-        fallbacks_before = executor.fallbacks
         steals_before = getattr(executor, "steals", 0)
         checkpointed = resilience is not None and resilience.store is not None
         merged = False
         try:
             try:
-                with tracer.span("execute_shards", executor=executor.name,
-                                 n_jobs=executor.n_jobs):
+                with recorder.span("execute_shards", executor=executor.name,
+                                   n_jobs=executor.n_jobs):
                     outputs, report = execute_plans(
                         [plan], executor, resilience=resilience,
                         stores=[store] if store is not None else None,
                     )
-                    tracer.count("shard_fallbacks",
-                                 executor.fallbacks - fallbacks_before)
             finally:
                 if own_executor:
                     executor.close()

@@ -30,7 +30,6 @@ from repro.engine.transport import run_token, sweep_orphans
 from repro.errors import ConfigurationError
 from repro.network_env.deployment import DeploymentConfig
 from repro.obs.recorder import get_recorder
-from repro.obs.span import get_tracer
 from repro.network_env.home_wifi import HomeWifiConfig
 from repro.network_env.public_wifi import PublicWifiConfig
 from repro.population.recruitment import RecruitmentConfig
@@ -191,8 +190,8 @@ class Study:
         process never holds a whole campaign's rows. Bit-identical to the
         in-memory path at any ``n_jobs``.
         """
-        tracer = get_tracer()
-        with tracer.span("study.run", scale=self.config.scale,
+        recorder = get_recorder()
+        with recorder.span("study.run", scale=self.config.scale,
                          seed=self.config.seed,
                          years=list(self.config.years)):
             n_jobs = resolve_jobs(n_jobs)
@@ -223,22 +222,19 @@ class Study:
                     policy=resilience.policy if resilience else None,
                     allow_partial=resilience.partial if resilience else False,
                 )
-            fallbacks_before = executor.fallbacks
             steals_before = getattr(executor, "steals", 0)
             checkpointed = resilience is not None and \
                 resilience.store is not None
             merged = False
             try:
                 try:
-                    with tracer.span("execute_shards",
-                                     executor=executor.name,
-                                     n_jobs=executor.n_jobs):
+                    with recorder.span("execute_shards",
+                                       executor=executor.name,
+                                       n_jobs=executor.n_jobs):
                         outputs, report = execute_plans(
                             plans, executor, resilience=resilience,
                             stores=stores,
                         )
-                        tracer.count("shard_fallbacks",
-                                     executor.fallbacks - fallbacks_before)
                 finally:
                     if own_executor:
                         executor.close()
@@ -268,8 +264,7 @@ class Study:
                         keep_partitions=checkpointed,
                     )
                     self.campaigns[year] = result
-                    with tracer.span("survey", year=year), \
-                            get_recorder().phase("survey", year=year):
+                    with recorder.span("survey", year=year):
                         survey_rng = np.random.default_rng(
                             (self.config.seed, year, 99)
                         )

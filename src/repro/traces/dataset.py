@@ -364,9 +364,11 @@ class DatasetBuilder:
     def _concat(self, name: str, chunks: List[Dict[str, np.ndarray]]) -> _Table:
         if not chunks:
             return _Table({col: np.array([], dtype=dt) for col, dt in _EMPTY_DTYPES[name]})
+        # Column order may differ between chunks (a shared-memory payload
+        # lists its columns sorted); the column set may not.
         names = list(chunks[0])
         for chunk in chunks:
-            if list(chunk) != names:
+            if chunk.keys() != chunks[0].keys():
                 raise SchemaError(f"inconsistent columns in table {name!r}")
         columns = {
             col: np.concatenate([chunk[col] for chunk in chunks]) for col in names

@@ -57,8 +57,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
-from repro.obs.recorder import get_recorder
-from repro.obs.span import get_tracer
+from repro.obs.recorder import EventKind, get_recorder
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import CampaignDataset, GroundTruth, _EMPTY_DTYPES, _Table
 from repro.traces.io import (
@@ -267,11 +266,11 @@ class CampaignStore:
         if final_dir.exists():
             shutil.rmtree(final_dir)
         tmp_dir.rename(final_dir)
-        tracer = get_tracer()
-        tracer.count("store_partitions")
-        tracer.count("store_spill_bytes", n_bytes)
-        get_recorder().emit("spill", year=self.year, partition=name,
-                            bytes=n_bytes)
+        recorder = get_recorder()
+        recorder.count("store_partitions")
+        recorder.count("store_spill_bytes", n_bytes)
+        recorder.emit(EventKind.SPILL, year=self.year, partition=name,
+                      bytes=n_bytes)
         return PartitionRef(
             root=str(self.root), name=name, n_rows=dict(n_rows),
             n_bytes=n_bytes, observed_ap_ids=tuple(sorted(observed)),
@@ -323,12 +322,13 @@ class CampaignStore:
         columns and applies it block-wise to every column, hashing the
         sorted bytes into the content fingerprint as they are written.
         """
-        with get_tracer().span("store_finalize", year=self.year,
-                               n_partitions=len(partitions)):
+        recorder = get_recorder()
+        with recorder.span("store_finalize", year=self.year,
+                           n_partitions=len(partitions)):
             manifest = self._finalize(devices, ap_directory, ground_truth,
                                       partitions)
-        get_recorder().emit("store_finalized", year=self.year,
-                            n_partitions=len(partitions))
+        recorder.emit(EventKind.STORE_FINALIZED, year=self.year,
+                      n_partitions=len(partitions))
         return manifest
 
     def _finalize(self, devices, ap_directory, ground_truth, partitions):

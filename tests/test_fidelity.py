@@ -382,3 +382,26 @@ def test_committed_doc_matches_registry():
     for ref in REFERENCES.values():
         # Table cells escape pipes, so compare the escaped form.
         assert ref.quantity.replace("|", "\\|") in text, ref.check_id
+
+
+def test_undefined_agr_renders_and_skips():
+    """Seed 55 at scale 0.06 has a 0.0 MB median WiFi download in 2013,
+    so the median AGR is undefined: Table 3 and the §3.2 summary claim
+    still render (``n/a``) and the AGR-ordering check skips instead of
+    passing on NaN."""
+    from repro.analysis.context import AnalysisContext
+    from repro.reporting.experiments import run_experiment
+    from repro.reporting.summary import study_summary
+    from repro.simulation.study import run_study
+
+    ctx = AnalysisContext(run_study(scale=0.06, seed=55, n_jobs=1))
+    table3 = run_experiment("table3", ctx).render()
+    (wifi_median,) = [line for line in table3.splitlines()
+                      if line.split()[:2] == ["median", "wifi"]]
+    assert wifi_median.split()[-1] == "n/a"
+    (claim,) = [f for f in study_summary(ctx)
+                if f.claim == "WiFi has the highest AGR"]
+    assert claim.measured.startswith("n/a") and claim.status == "info"
+    (record,) = score_fidelity(ctx, checks=["t3_agr_ordering"]).records
+    assert record.verdict == VERDICT_SKIP
+    assert "undefined" in record.note

@@ -87,5 +87,5 @@ def test_kernel_guard_regex_catches_violations():
     ):
         assert FORBIDDEN_KERNEL_IMPORTS.search(bad), bad
     assert not FORBIDDEN_KERNEL_IMPORTS.search(
-        "from repro.obs.span import get_tracer"
+        "from repro.obs.recorder import get_recorder"
     )

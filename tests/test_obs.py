@@ -1,6 +1,7 @@
 """Unit tests for the run-telemetry subsystem (``repro.obs``).
 
-Covers the span/tracer core, the metrics registry's duck-typed ingestors,
+Covers recorder spans and the folds over them (span tree, stage rollup,
+Chrome trace), the metrics registry's duck-typed ingestors,
 run-manifest round-trips, the unified bench harness (discovery, the
 ``best_of`` timing primitive, suite runs) and the CI regression gate.
 """
@@ -13,33 +14,36 @@ import pytest
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.manifest import RunManifest, build_manifest, config_hash_of
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import (
+    EVENTS_ENV_VAR,
+    NOOP_RECORDER,
+    FlightRecorder,
+    NoopRecorder,
+    get_recorder,
+    set_recorder,
+    use_recorder,
+)
 from repro.obs.span import (
-    NOOP_TRACER,
-    NoopTracer,
     Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
+    fold_spans,
+    rollup,
     spans_from_chrome_trace,
-    telemetry_enabled,
     to_chrome_trace,
-    use_tracer,
     write_chrome_trace,
 )
 
 
 # ---------------------------------------------------------------------------
-# Span / Tracer core
+# Recorder spans: the span tree folded from span events
 # ---------------------------------------------------------------------------
 
 def test_span_nesting_and_counters():
-    tracer = Tracer("root")
-    with tracer.span("outer", year=2015):
-        tracer.count("ticks", 3)
-        with tracer.span("inner"):
-            tracer.count("ticks", 2)
-    tree = tracer.export()
-    outer = tree["children"][0]
+    recorder = FlightRecorder(keep=True)
+    with recorder.span("outer", year=2015):
+        recorder.count("ticks", 3)
+        with recorder.span("inner"):
+            recorder.count("ticks", 2)
+    (outer,) = [span.as_dict() for span in recorder.spans()]
     assert outer["name"] == "outer"
     assert outer["attrs"] == {"year": 2015}
     assert outer["counters"] == {"ticks": 3}
@@ -47,87 +51,111 @@ def test_span_nesting_and_counters():
     (inner,) = outer["children"]
     assert inner["name"] == "inner"
     assert inner["counters"] == {"ticks": 2}
+    # The tree is a fold over the event list, nothing else.
+    kinds = [(e["kind"], e["name"]) for e in recorder.events]
+    assert kinds == [("span_start", "outer"), ("span_start", "inner"),
+                     ("span_end", "inner"), ("span_end", "outer")]
 
 
 def test_span_dict_round_trip():
-    tracer = Tracer("root", {"pid": 1})
-    with tracer.span("a", k="v"):
-        tracer.count("n", 7)
-    exported = tracer.export()
+    recorder = FlightRecorder(keep=True)
+    with recorder.span("root", pid=1):
+        with recorder.span("a", k="v"):
+            recorder.count("n", 7)
+    (root,) = recorder.spans()
+    exported = root.as_dict()
     rebuilt = Span.from_dict(exported).as_dict()
     assert rebuilt == exported
-    # Export must be plain-JSON serialisable (crosses process boundaries).
-    assert json.loads(json.dumps(exported)) == exported
+    # Events must be plain-JSON serialisable (they cross process
+    # boundaries and land in events.jsonl); the fold of the JSON round
+    # trip is the same tree.
+    events = json.loads(json.dumps(recorder.events))
+    (again,), _ = fold_spans(events)
+    assert again.as_dict() == exported
 
 
-def test_tracer_attach_grafts_subtree():
-    parent = Tracer("parent")
-    worker = Tracer("worker", {"shard": 3})
-    with worker.span("work"):
-        worker.count("items", 5)
-    with parent.span("merge"):
-        parent.attach(worker.export())
-    tree = parent.export()
-    merge = tree["children"][0]
-    grafted = merge["children"][0]
-    assert grafted["name"] == "worker"
-    assert grafted["attrs"] == {"shard": 3}
-    assert grafted["children"][0]["counters"] == {"items": 5}
+def test_adopted_events_graft_under_current_span():
+    worker = FlightRecorder(keep=True)
+    with worker.span("worker", shard=3):
+        with worker.span("work"):
+            worker.count("items", 5)
+    parent = FlightRecorder(keep=True)
+    with parent.span("parent"):
+        with parent.span("merge"):
+            parent.adopt(worker.events)
+    (tree,) = parent.spans()
+    merge = tree.children[0]
+    grafted = merge.children[0]
+    assert grafted.name == "worker"
+    assert grafted.attrs == {"shard": 3}
+    assert grafted.children[0].counters == {"items": 5}
+    # Adopted events reach the in-memory log only: no listener call.
+    seen = []
+    listening = FlightRecorder(listener=seen.append, keep=True)
+    listening.adopt(worker.events)
+    assert seen == [] and len(listening.events) == len(worker.events)
 
 
-def test_default_tracer_is_noop_singleton():
-    assert get_tracer() is NOOP_TRACER
-    assert isinstance(get_tracer(), NoopTracer)
-    assert not get_tracer().enabled
-    # The no-op handle is one shared object: entering a span allocates
-    # nothing, which is what keeps telemetry-off runs overhead-free.
-    assert get_tracer().span("a") is get_tracer().span("b", k=1)
-    with get_tracer().span("works-as-context-manager"):
-        get_tracer().count("ignored", 1)
-
-
-def test_set_tracer_returns_previous_and_resets():
-    tracer = Tracer("t")
-    assert set_tracer(tracer) is NOOP_TRACER
+def test_default_recorder_span_is_noop_singleton():
+    set_recorder(None)
     try:
-        assert get_tracer() is tracer
+        assert get_recorder() is NOOP_RECORDER
+        assert isinstance(get_recorder(), NoopRecorder)
+        assert not get_recorder().enabled
+        # The no-op handle is one shared object: entering a span
+        # allocates nothing, which is what keeps telemetry-off runs
+        # overhead-free.
+        assert get_recorder().span("a") is get_recorder().span("b", k=1)
+        with get_recorder().span("works-as-context-manager"):
+            get_recorder().count("ignored", 1)
     finally:
-        assert set_tracer(None) is tracer
-    assert get_tracer() is NOOP_TRACER
+        set_recorder(None)
 
 
-def test_use_tracer_restores_on_exit():
-    tracer = Tracer("scoped")
-    with use_tracer(tracer):
-        assert get_tracer() is tracer
+# The process-global span sink is the recorder; these two keep the
+# install/restore contract the global tracer used to have.
+
+def test_set_tracer_returns_previous_and_resets(monkeypatch):
+    monkeypatch.delenv(EVENTS_ENV_VAR, raising=False)
+    set_recorder(None)
+    recorder = FlightRecorder(keep=True)
+    assert set_recorder(recorder) is None  # unresolved before
+    try:
+        assert get_recorder() is recorder
+        with get_recorder().span("installed"):
+            pass
+        assert [s.name for s in recorder.spans()] == ["installed"]
+    finally:
+        assert set_recorder(None) is recorder
+    assert get_recorder() is NOOP_RECORDER
+    set_recorder(None)
+
+
+def test_use_tracer_restores_on_exit(monkeypatch):
+    monkeypatch.delenv(EVENTS_ENV_VAR, raising=False)
+    set_recorder(None)
+    recorder = FlightRecorder(keep=True)
+    with use_recorder(recorder):
+        assert get_recorder() is recorder
         with pytest.raises(RuntimeError):
-            with use_tracer(Tracer("inner")):
+            with use_recorder(FlightRecorder(keep=True)):
                 raise RuntimeError("boom")
-        assert get_tracer() is tracer
-    assert get_tracer() is NOOP_TRACER
+        assert get_recorder() is recorder
+    assert get_recorder() is NOOP_RECORDER
+    set_recorder(None)
 
 
-def test_telemetry_enabled_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    assert not telemetry_enabled()
-    for truthy in ("1", "true", "ON", "yes"):
-        monkeypatch.setenv("REPRO_TELEMETRY", truthy)
-        assert telemetry_enabled()
-    monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    assert not telemetry_enabled()
-
-
-def test_noop_tracer_per_op_cost_is_negligible():
+def test_noop_span_per_op_cost_is_negligible():
     """The telemetry-off span path must stay within noise of a bare call.
 
     Budget: < 5µs per span enter/exit (a small campaign opens a few
     thousand spans, so this bounds total overhead well under 1%).
     """
-    tracer = get_tracer()
+    recorder = NOOP_RECORDER
     n = 50_000
     start = time.perf_counter()
     for _ in range(n):
-        with tracer.span("x", a=1):
+        with recorder.span("x", a=1):
             pass
     per_op = (time.perf_counter() - start) / n
     assert per_op < 5e-6, f"no-op span cost {per_op * 1e6:.2f}µs"
@@ -138,20 +166,18 @@ def test_noop_tracer_per_op_cost_is_negligible():
 # ---------------------------------------------------------------------------
 
 def test_chrome_trace_round_trip(tmp_path):
-    tracer = Tracer("run", {"seed": 7})
-    with tracer.span("outer", year=2015):
-        tracer.count("items", 3)
-        with tracer.span("fast"):
-            pass
-        with tracer.span("slow"):
-            tracer.count("bytes", 12)
-    exported = tracer.export()
+    recorder = FlightRecorder(keep=True)
+    with recorder.span("run", seed=7):
+        with recorder.span("outer", year=2015):
+            recorder.count("items", 3)
+            with recorder.span("fast"):
+                pass
+            with recorder.span("slow"):
+                recorder.count("bytes", 12)
+    (root,) = recorder.spans()
+    exported = root.as_dict()
 
     trace = to_chrome_trace(exported)
-    # The tracer method re-exports (the root's wall time is re-stamped),
-    # so compare shape rather than timings.
-    assert ([e["name"] for e in tracer.to_chrome_trace()["traceEvents"]]
-            == [e["name"] for e in trace["traceEvents"]])
     meta, *events = trace["traceEvents"]
     assert meta["ph"] == "M" and meta["args"]["name"] == "repro"
     assert all(e["ph"] == "X" and e["dur"] >= 1 for e in events)
@@ -173,7 +199,7 @@ def test_chrome_trace_round_trip(tmp_path):
 
 def test_chrome_trace_rejects_malformed():
     assert spans_from_chrome_trace({"traceEvents": []}) is None
-    xs = [e for e in Tracer("a").to_chrome_trace()["traceEvents"]
+    xs = [e for e in to_chrome_trace(Span("a").as_dict())["traceEvents"]
           if e["ph"] == "X"]
     with pytest.raises(ValueError, match="more than one root"):
         spans_from_chrome_trace({"traceEvents": xs + xs})
@@ -184,23 +210,23 @@ def test_chrome_trace_rejects_malformed():
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Stage rollup and the metrics registry
 # ---------------------------------------------------------------------------
 
-def test_metrics_registry_ingests_span_tree():
-    tracer = Tracer("run")
-    with tracer.span("simulate"):
-        tracer.count("devices", 4)
-        with tracer.span("flush"):
-            pass
-    registry = MetricsRegistry()
-    registry.ingest_span_tree(tracer.export())
-    out = registry.as_dict()
-    assert out["counters"]["span.simulate.devices"] == 4
-    assert "simulate" in out["stages"]
-    assert "flush" in out["stages"]
-    assert out["stages"]["simulate"]["count"] == 1
-    assert isinstance(registry.render(), str) and registry.render()
+def test_span_rollup_feeds_stages_and_counters():
+    recorder = FlightRecorder(keep=True)
+    with recorder.span("run"):
+        for _ in range(2):
+            with recorder.span("simulate"):
+                recorder.count("devices", 4)
+                with recorder.span("flush"):
+                    pass
+    (root,) = recorder.spans()
+    stages, counters = rollup(root)
+    assert counters == {"span.simulate.devices": 8}
+    assert set(stages) == {"run", "simulate", "flush"}
+    assert stages["simulate"]["count"] == 2
+    assert stages["run"]["wall_s"] >= stages["simulate"]["wall_s"]
 
 
 def test_metrics_registry_ingests_collection_report():
@@ -215,7 +241,7 @@ def test_metrics_registry_ingests_collection_report():
     )
     registry = MetricsRegistry()
     registry.ingest_collection_report(report, 2015)
-    counters = registry.as_dict()["counters"]
+    counters = registry.counters
     assert counters["collection.2015.delivered"] == 9
     assert counters["collection.2015.dropped"] == 1
     assert 0.0 < counters["collection.2015.completeness"] <= 1.0
@@ -232,16 +258,17 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_manifest_round_trip(tmp_path):
-    tracer = Tracer("repro.simulate")
-    with tracer.span("study.run", scale=0.01):
-        tracer.count("devices", 12)
-    manifest = build_manifest(
-        "simulate", tracer,
-        config_hash=config_hash_of("cfg"),
-        seed=11, scale=0.01, years=[2013],
-        shards=[{"year": 2013, "n_shards": 2, "n_devices": 12}],
-        extra_counters={"custom": 1},
-    )
+    recorder = FlightRecorder(keep=True)
+    with recorder.span("repro.simulate"):
+        with recorder.span("study.run", scale=0.01):
+            recorder.count("devices", 12)
+        manifest = build_manifest(
+            "simulate", recorder,
+            config_hash=config_hash_of("cfg"),
+            seed=11, scale=0.01, years=[2013],
+            shards=[{"year": 2013, "n_shards": 2, "n_devices": 12}],
+            extra_counters={"custom": 1},
+        )
     path = tmp_path / "run_manifest.json"
     manifest.write(path)
     loaded = RunManifest.read(path)
@@ -251,6 +278,9 @@ def test_manifest_round_trip(tmp_path):
     assert loaded.counters["custom"] == 1
     assert loaded.counters["span.study.run.devices"] == 12
     assert loaded.stage_wall_s("study.run") >= 0.0
+    # The root was still open when the manifest was built: it is
+    # stamped with its time so far.
+    assert loaded.stage_wall_s("repro.simulate") > 0.0
     assert loaded.spans["name"] == "repro.simulate"
     # The manifest file itself must be valid, plain JSON.
     assert json.loads(path.read_text())["schema_version"] == 1

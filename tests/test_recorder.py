@@ -2,16 +2,17 @@
 
 The crash-durability contract is tested for real: a subprocess campaign is
 SIGKILLed mid-execute by the chaos harness and ``repro events --postmortem``
-must reconstruct the phase it died in, the completed-shard set, and the
-last resource sample from the truncated log. A Hypothesis property pins the
-weaker invariant underneath: *any* byte prefix of an event log parses to a
-prefix of its events.
+must reconstruct the stage it died in, the stages that closed before the
+kill, the completed-shard set, and the last resource sample from the
+truncated log. A Hypothesis property pins the weaker invariant underneath:
+*any* byte prefix of an event log parses to a prefix of its events.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,9 @@ from repro.obs.history import (
     sparkline_svg,
 )
 from repro.obs.recorder import (
-    EVENT_KINDS,
     EVENTS_ENV_VAR,
+    NOOP_RECORDER,
+    EventKind,
     FlightRecorder,
     NoopRecorder,
     get_recorder,
@@ -58,8 +60,8 @@ REPO = Path(__file__).resolve().parent.parent
 def test_recorder_appends_one_json_line_per_event(tmp_path):
     log = tmp_path / "events.jsonl"
     recorder = FlightRecorder(log)
-    recorder.emit("run_start", command="test", seed=7)
-    recorder.emit("shard_queued", year=2013, shard=0)
+    recorder.emit(EventKind.RUN_START, command="test", seed=7)
+    recorder.emit(EventKind.SHARD_QUEUED, year=2013, shard=0)
     recorder.close()
     lines = log.read_text().splitlines()
     assert len(lines) == 2
@@ -72,9 +74,15 @@ def test_recorder_appends_one_json_line_per_event(tmp_path):
 
 def test_recorder_rejects_unknown_kind(tmp_path):
     recorder = FlightRecorder(tmp_path / "events.jsonl")
-    with pytest.raises(ValueError, match="unknown event kind"):
+    with pytest.raises(AttributeError):
+        recorder.emit(EventKind.MADE_UP_KIND)
+    with pytest.raises(ValueError, match="not a valid EventKind"):
         recorder.emit("made_up_kind")
+    # A declared kind's plain string still works: old logs' kinds parse.
+    recorder.emit("spill", year=2013)
     recorder.close()
+    assert [e["kind"] for e in load_events(tmp_path / "events.jsonl")] \
+        == ["spill"]
 
 
 def test_recorder_listener_only_and_swallows_listener_errors():
@@ -85,27 +93,34 @@ def test_recorder_listener_only_and_swallows_listener_errors():
         raise RuntimeError("display code must never kill the run")
 
     recorder = FlightRecorder(None, listener=listener)
-    assert recorder.path is None
-    recorder.emit("progress", done=1, total=2)
-    recorder.emit("progress", done=2, total=2)
+    assert recorder.path is None and recorder.events is None
+    recorder.emit(EventKind.PROGRESS, done=1, total=2)
+    recorder.emit(EventKind.PROGRESS, done=2, total=2)
     recorder.close()
     assert seen == ["progress", "progress"]
 
 
-def test_phase_context_emits_paired_events(tmp_path):
+def test_span_context_emits_paired_events(tmp_path):
     log = tmp_path / "events.jsonl"
-    recorder = FlightRecorder(log)
-    with recorder.phase("execute", shards=4):
-        pass
+    recorder = FlightRecorder(log, keep=True)
+    with recorder.span("execute_shards", shards=4):
+        recorder.count("devices", 3)
     with pytest.raises(RuntimeError):
-        with recorder.phase("merge"):
+        with recorder.span("merge_campaign"):
             raise RuntimeError("boom")
     recorder.close()
     events = load_events(log)
-    kinds = [(e["kind"], e["phase"]) for e in events]
-    assert kinds == [("phase_start", "execute"), ("phase_end", "execute"),
-                     ("phase_start", "merge"), ("phase_end", "merge")]
+    # The file and the in-memory log hold the same events.
+    assert events == recorder.events
+    kinds = [(e["kind"], e["name"]) for e in events]
+    assert kinds == [("span_start", "execute_shards"),
+                     ("span_end", "execute_shards"),
+                     ("span_start", "merge_campaign"),
+                     ("span_end", "merge_campaign")]
+    assert events[0]["attrs"] == {"shards": 4}
     assert events[1]["ok"] is True and events[1]["wall_s"] >= 0.0
+    assert events[1]["cpu_s"] >= 0.0
+    assert events[1]["counters"] == {"devices": 3}
     assert events[3]["ok"] is False
 
 
@@ -116,8 +131,8 @@ def test_noop_recorder_is_default_and_free(tmp_path):
         recorder = get_recorder()
         assert isinstance(recorder, NoopRecorder)
         assert not recorder.enabled
-        assert recorder.emit("run_start") is None
-        with recorder.phase("anything"):
+        assert recorder.emit(EventKind.RUN_START) is None
+        with recorder.span("anything"):
             pass
     finally:
         set_recorder(None)
@@ -130,7 +145,7 @@ def test_get_recorder_resolves_env_like_a_spawned_worker(tmp_path):
     try:
         recorder = get_recorder()
         assert isinstance(recorder, FlightRecorder)
-        recorder.emit("spill", year=2013, partition="y2013-s0")
+        recorder.emit(EventKind.SPILL, year=2013, partition="y2013-s0")
         recorder.close()
     finally:
         os.environ.pop(EVENTS_ENV_VAR, None)
@@ -145,9 +160,17 @@ def test_use_recorder_restores_previous():
     try:
         with use_recorder(FlightRecorder(None)) as inner:
             assert get_recorder() is inner
+            with pytest.raises(RuntimeError):
+                with use_recorder(FlightRecorder(None)):
+                    raise RuntimeError("boom")
+            assert get_recorder() is inner
         assert get_recorder() is outer
     finally:
-        set_recorder(None)
+        assert set_recorder(None) is outer  # returns the one it replaced
+    # Reset means unresolved: the next lookup re-checks the environment.
+    os.environ.pop(EVENTS_ENV_VAR, None)
+    assert get_recorder() is NOOP_RECORDER
+    set_recorder(None)
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +231,11 @@ def _event(kind, **fields):
 def test_reconstruct_interrupted_run():
     events = [
         _event("run_start", command="simulate", seed=7, scale=0.01),
-        _event("phase_start", phase="plan"),
-        _event("phase_end", phase="plan", wall_s=0.1, ok=True),
-        _event("phase_start", phase="execute"),
+        _event("span_start", name="plan_campaign"),
+        _event("span_end", name="plan_campaign", wall_s=0.1, ok=True),
+        _event("span_start", name="execute_shards"),
+        # A pool worker's spans interleave in the same file.
+        {**_event("span_start", name="simulate_shard"), "pid": 2},
         _event("shard_queued", year=2013, shard=0),
         _event("shard_queued", year=2013, shard=1),
         _event("shard_completed", year=2013, shard=0),
@@ -221,8 +246,9 @@ def test_reconstruct_interrupted_run():
     ]
     post = reconstruct(events)
     assert post.status == "interrupted"  # no run_end made it to disk
-    assert post.last_phase == "execute"
-    assert post.phases_seen == ["plan", "execute"]
+    assert post.last_stage == "execute_shards"
+    assert post.open_stages == ["execute_shards"]
+    assert post.stages == {"plan_campaign": {"wall_s": 0.1, "count": 1}}
     assert post.completed == [[2013, 0]]
     assert post.outstanding == [[2013, 1]]
     assert post.checkpoints_saved == 1
@@ -230,7 +256,8 @@ def test_reconstruct_interrupted_run():
     assert post.last_sample["rss_bytes"] == 1024
     assert post.chaos[0]["fault"] == "kill"
     text = post.render()
-    assert "died in phase: execute" in text
+    assert "died in stage: execute_shards" in text
+    assert "plan_campaign" in text
     assert "1/2 completed" in text
 
 
@@ -511,11 +538,33 @@ def test_clean_cli_dry_run_then_sweep(tmp_path, capsys):
 # The black box proves itself: kill -9 mid-campaign, then postmortem
 # ----------------------------------------------------------------------
 
-def test_hard_kill_leaves_reconstructable_black_box(tmp_path):
-    log = tmp_path / "events.jsonl"
+def _subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
+    return env
+
+
+def _pids_mentioning(text):
+    """Live processes whose command line contains ``text``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.fixture(scope="module")
+def hard_killed_run(tmp_path_factory):
+    """One ``--events`` campaign SIGKILLed mid-execute: (dir, log, code)."""
+    tmp_path = tmp_path_factory.mktemp("hard_kill")
+    log = tmp_path / "events.jsonl"
     # No pipes on the victim: orphaned pool workers inherit them and
     # would keep capture_output waiting long after the SIGKILL lands.
     result = subprocess.run(
@@ -526,17 +575,22 @@ def test_hard_kill_leaves_reconstructable_black_box(tmp_path):
          "--chaos-kill-after", "1", "--chaos-kill-hard",
          "--events", str(log)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        timeout=480, env=env, cwd=str(tmp_path),
+        timeout=480, env=_subprocess_env(), cwd=str(tmp_path),
     )
+    return tmp_path, log, result.returncode
+
+
+def test_hard_kill_leaves_reconstructable_black_box(hard_killed_run):
+    tmp_path, log, returncode = hard_killed_run
     # SIGKILL, not a clean chaos exit: the process had no chance to flush.
-    assert result.returncode == -9
+    assert returncode == -9
 
     events = load_events(log)
     post = reconstruct(events)
     assert post.status == "interrupted"  # no run_end was written
     assert post.run is not None and post.run["command"] == "simulate"
     # Died inside execute with work still in flight.
-    assert "execute" in post.open_phases
+    assert "execute_shards" in post.open_stages
     assert len(post.completed) >= 1
     assert post.outstanding
     # The completed shard checkpointed before the kill...
@@ -550,20 +604,44 @@ def test_hard_kill_leaves_reconstructable_black_box(tmp_path):
     # The CLI postmortem agrees.
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "events", str(log), "--postmortem"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_subprocess_env(),
         cwd=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "postmortem: interrupted" in proc.stdout
-    assert "died in phase: execute" in proc.stdout
+    assert "died in stage: execute_shards" in proc.stdout
+
+    # The killed parent's pool workers notice and exit: nothing started
+    # for this run outlives it by more than a few seconds.
+    deadline = time.monotonic() + 10.0
+    while _pids_mentioning(str(tmp_path)) and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert _pids_mentioning(str(tmp_path)) == []
+
+
+def test_hard_kill_postmortem_lists_closed_and_open_stages(hard_killed_run):
+    _, log, returncode = hard_killed_run
+    assert returncode == -9
+    post = reconstruct(load_events(log))
+    # The stage the parent died in, with the stages enclosing it.
+    assert post.open_stages == ["repro.simulate", "study.run",
+                                "execute_shards"]
+    assert post.last_stage == "execute_shards"
+    # Every stage that closed before the kill, with its wall seconds:
+    # the three years' plans, and the shard a worker finished.
+    plan = post.stages["plan_campaign"]
+    assert plan["count"] == 3 and plan["wall_s"] > 0.0
+    shard = post.stages["simulate_shard"]
+    assert shard["count"] >= 1 and shard["wall_s"] > 0.0
+    assert "merge_campaign" not in post.stages
+    text = post.render()
+    assert "closed stages:" in text and "plan_campaign" in text
 
 
 def test_hard_kill_run_resumes_bit_identically(tmp_path):
     # The postmortem's sibling guarantee: --resume completes the killed
     # run and matches an uninterrupted reference exactly.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
-        "PYTHONPATH", "")
+    env = _subprocess_env()
     base = ["--scale", "0.004", "--seed", "11", "--jobs", "2"]
     killed = subprocess.run(
         [sys.executable, "-m", "repro", "simulate", *base,
@@ -606,22 +684,15 @@ def test_hard_kill_run_resumes_bit_identically(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_every_emitted_kind_is_declared_and_documented():
-    import re
-
-    src = REPO / "src"
-    emitted = set()
-    for path in src.rglob("*.py"):
-        for kind in re.findall(r'\.emit\(\s*\n?\s*"([a-z_]+)"',
-                               path.read_text()):
-            emitted.add(kind)
-    assert emitted, "schema lint found no emit() calls — pattern rot?"
-    undeclared = emitted - set(EVENT_KINDS)
-    assert not undeclared, (
-        f"emit() calls with kinds missing from EVENT_KINDS: {undeclared}"
-    )
+    # Call sites name EventKind members, so an undeclared kind fails
+    # where it is written (see test_recorder_rejects_unknown_kind); what
+    # is left to check is that every declared kind is documented.
     doc = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-    undocumented = [k for k in EVENT_KINDS if f"`{k}`" not in doc]
+    undocumented = [k.value for k in EventKind if f"`{k.value}`" not in doc]
     assert not undocumented, (
         f"event kinds missing from the ARCHITECTURE.md schema table: "
         f"{undocumented}"
     )
+    # String values are the on-disk format: they must never change.
+    assert EventKind("span_end") is EventKind.SPAN_END
+    assert json.dumps({"kind": EventKind.SPILL}) == '{"kind": "spill"}'

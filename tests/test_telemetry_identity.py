@@ -1,17 +1,24 @@
 """Telemetry must never change results.
 
-The observability layer's core contract: a run with tracing, flight
+The observability layer's core contract: a run with span recording, flight
 recording, or resource sampling on is bit-for-bit identical to the same
 run with them off, for any worker count. Telemetry reads outcomes — it
 must not touch RNG streams, device ordering, or the collection path.
 """
 
+import os
+
 import pytest
 
 from repro.collection.faults import FaultPlan
-from repro.obs.recorder import FlightRecorder, load_events, use_recorder
+from repro.engine.executor import shutdown_warm_pools
+from repro.obs.recorder import (
+    NOOP_RECORDER,
+    FlightRecorder,
+    load_events,
+    use_recorder,
+)
 from repro.obs.resources import ResourceSampler
-from repro.obs.span import Tracer, use_tracer
 from repro.simulation.campaign import run_campaign
 from repro.simulation.study import StudyConfig, Study
 
@@ -20,17 +27,17 @@ from .test_engine import _small_config, assert_datasets_identical
 
 @pytest.fixture
 def traced():
-    """A real tracer installed for the duration of one test."""
-    tracer = Tracer("test")
-    with use_tracer(tracer):
-        yield tracer
+    """A recorder keeping its events in memory, installed for one test."""
+    recorder = FlightRecorder(keep=True)
+    with use_recorder(recorder):
+        yield recorder
 
 
 def test_campaign_identical_with_telemetry_on(traced):
     config = _small_config()
-    baseline = run_campaign(config)  # runs under the real tracer too, but
-    # the reference below is produced with the default no-op tracer:
-    with use_tracer(None):
+    baseline = run_campaign(config)  # runs under the real recorder too,
+    # but the reference below is produced with the default no-op one:
+    with use_recorder(NOOP_RECORDER):
         untraced = run_campaign(config)
     assert_datasets_identical(untraced.dataset, baseline.dataset)
 
@@ -40,8 +47,8 @@ def test_campaign_identical_across_workers_with_telemetry(traced):
     serial = run_campaign(config, n_jobs=1)
     sharded = run_campaign(config, n_jobs=2)
     assert_datasets_identical(serial.dataset, sharded.dataset)
-    # Worker spans came back from both runs and were grafted into ours.
-    names = [span["name"] for span in traced.export()["children"]]
+    # Worker events came back from both runs and were adopted into ours.
+    names = [span.name for span in traced.spans()]
     assert names.count("run_campaign") == 2
 
 
@@ -50,7 +57,7 @@ def test_faulty_campaign_identical_with_telemetry(traced):
         upload_failure_p=0.1, dropout_p=0.1, duplicate_p=0.05
     ))
     traced_run = run_campaign(config, n_jobs=2)
-    with use_tracer(None):
+    with use_recorder(NOOP_RECORDER):
         untraced = run_campaign(config, n_jobs=2)
     assert_datasets_identical(untraced.dataset, traced_run.dataset)
     assert untraced.collection.totals() == traced_run.collection.totals()
@@ -60,9 +67,9 @@ def test_study_run_records_span_tree(traced):
     study = Study(StudyConfig(scale=0.004, seed=11, years=(2013,))).run(
         n_jobs=2
     )
-    tree = traced.export()
     (study_span,) = [
-        span for span in tree["children"] if span["name"] == "study.run"
+        span.as_dict() for span in traced.spans()
+        if span.name == "study.run"
     ]
     names = {name for name, _ in _walk(study_span)}
     # The pipeline's load-bearing stages all appear in the trace.
@@ -94,7 +101,33 @@ def test_campaign_identical_with_flight_recorder(tmp_path):
     assert_datasets_identical(unrecorded.dataset, recorded.dataset)
     kinds = {e["kind"] for e in load_events(tmp_path / "events.jsonl")}
     assert {"shard_queued", "shard_completed", "progress",
-            "phase_start", "phase_end"} <= kinds
+            "span_start", "span_end"} <= kinds
+
+
+def test_worker_span_appears_once_with_file_and_memory(tmp_path):
+    # Fresh workers fork under this recorder, as the CLI's workers do.
+    shutdown_warm_pools()
+    log = tmp_path / "events.jsonl"
+    recorder = FlightRecorder(log, keep=True)
+    with use_recorder(recorder):
+        result = run_campaign(_small_config(), n_jobs=2)
+    recorder.close()
+    n_shards = result.execution.n_shards
+    assert n_shards >= 2
+
+    def shard_starts(events):
+        return sorted(e["attrs"]["shard"] for e in events
+                      if e["kind"] == "span_start"
+                      and e["name"] == "simulate_shard")
+
+    # Once in the in-memory log the parent folds (shipped back and
+    # adopted), once in the file (written by the worker itself).
+    assert shard_starts(recorder.events) == list(range(n_shards))
+    assert shard_starts(load_events(log)) == list(range(n_shards))
+    (run,) = recorder.spans()
+    shards = [s for s in run.walk() if s.name == "simulate_shard"]
+    assert len(shards) == n_shards
+    assert all(s.attrs["pid"] != os.getpid() for s in shards)
 
 
 def test_campaign_identical_with_recorder_and_sampler_across_jobs(tmp_path):

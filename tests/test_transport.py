@@ -12,6 +12,8 @@ Three layers of the columnar end-to-end path are pinned here:
 """
 
 import dataclasses
+import errno
+import os
 import pickle
 import time
 
@@ -41,8 +43,13 @@ from repro.engine.transport import (
     sweep_orphans,
 )
 from repro.errors import EngineError
-from repro.simulation.campaign import run_campaign
-from repro.simulation.study import default_campaign_config
+from repro.simulation.campaign import (
+    merge_campaign,
+    plan_campaign,
+    run_campaign,
+    simulate_shard,
+)
+from repro.simulation.study import default_campaign_config, run_study
 
 from tests.test_engine import assert_datasets_identical
 
@@ -286,6 +293,49 @@ class TestSegmentHygiene:
         with pytest.raises(ChaosKill):
             run_campaign(_small_config(2014), n_jobs=2, resilience=res)
         assert segment_names(run_token()) == []
+
+    def test_full_shm_falls_back_to_the_parent(self, monkeypatch):
+        """A /dev/shm too full for a segment fails its reservation with an
+        EngineError instead of SIGBUS; the exhausted shard then runs in
+        the parent without shared memory, and the study is unchanged."""
+        def enospc(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        # Workers forked from here on inherit the patch.
+        shutdown_warm_pools()
+        monkeypatch.setattr(os, "posix_fallocate", enospc, raising=False)
+        try:
+            with pytest.raises(EngineError, match="cannot reserve"):
+                ShardPayload.pack(_chunks(), run_token())
+            starved = run_study(scale=0.004, seed=11, n_jobs=2)
+        finally:
+            shutdown_warm_pools()
+        assert segment_names(run_token()) == []
+        assert starved.execution.transport_bytes == 0
+        serial = run_study(scale=0.004, seed=11, n_jobs=1)
+        for year in serial.years:
+            assert_datasets_identical(serial.dataset(year),
+                                      starved.dataset(year))
+
+    def test_inline_and_payload_shards_merge_together(self):
+        """A shard re-run in the parent (inline chunks) merges with shards
+        that came through shared memory, whose columns are listed in
+        another order."""
+        config = _small_config(2014)
+        plan = plan_campaign(config, n_jobs=2)
+        token = run_token()
+        outputs = [
+            simulate_shard(dataclasses.replace(
+                work, shm_token=token if work.shard_index % 2 else None))
+            for work in plan.work
+        ]
+        try:
+            assert {o.payload is None for o in outputs} == {True, False}
+            mixed = merge_campaign(plan, outputs)
+        finally:
+            sweep_orphans(token)
+        reference = run_campaign(config, n_jobs=1)
+        assert_datasets_identical(reference.dataset, mixed.dataset)
 
     def test_timed_out_straggler_is_janitored(self, tmp_path):
         """A hung worker that packs after the run's sweep is still reaped.
