@@ -20,9 +20,9 @@ the AP directory); ground truth never enters.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 import numpy as np
 
@@ -38,7 +38,12 @@ from repro.constants import (
 from repro.errors import AnalysisError
 from repro.net.identifiers import is_fon_public_essid, is_public_essid
 from repro.traces.dataset import CampaignDataset
-from repro.traces.query import device_day_of, hour_of_day
+from repro.traces.query import (
+    device_day_of,
+    group_starts,
+    hour_of_day,
+    packed_keys,
+)
 from repro.traces.records import WifiStateCode
 
 #: Minimum associated night slots for a home-AP call (1 hour of evidence).
@@ -51,6 +56,11 @@ MOBILE_CELL_THRESHOLD = 3
 #: inside the weekday 11:00-17:00 window.
 OFFICE_WINDOW_FRACTION = 0.5
 
+#: The paper's WiFi buckets; :meth:`APClassification.class_codes` returns
+#: indexes into this tuple (mobile APs fall into "other").
+WIFI_CLASSES = ("home", "public", "office", "other")
+HOME, PUBLIC, OFFICE, OTHER = range(len(WIFI_CLASSES))
+
 
 @dataclass
 class APClassification:
@@ -60,9 +70,6 @@ class APClassification:
     home_ap_of_device: Dict[int, int] = field(default_factory=dict)
     #: Devices that had at least one WiFi association.
     wifi_devices: Set[int] = field(default_factory=set)
-
-    def aps_of_class(self, name: str) -> Set[int]:
-        return {ap for ap, cls in self.ap_class.items() if cls == name}
 
     def counts(self) -> Dict[str, int]:
         """Table 4 rows: home/public/other (office broken out) and total.
@@ -89,6 +96,16 @@ class APClassification:
         """Class for an AP, collapsing mobile into 'other' (paper buckets)."""
         cls = self.ap_class.get(ap_id, "other")
         return "other" if cls == "mobile" else cls
+
+    def class_codes(self, ap_ids: np.ndarray) -> np.ndarray:
+        """:meth:`wifi_class_of` for many APs: indexes into WIFI_CLASSES."""
+        known = np.array(sorted(self.ap_class), dtype=np.int64)
+        codes = np.array(
+            [WIFI_CLASSES.index(self.wifi_class_of(a)) for a in known.tolist()]
+            + [OTHER], dtype=np.int8,
+        )
+        pos = np.searchsorted(known, ap_ids)
+        return codes[np.where(np.r_[known, -1][pos] == ap_ids, pos, len(known))]
 
 
 def classify_aps(data: DatasetOrContext) -> APClassification:
@@ -120,18 +137,12 @@ def classify_aps(data: DatasetOrContext) -> APClassification:
     )
     unique_aps, inverse = np.unique(ap_id, return_inverse=True)
     totals = np.bincount(inverse, minlength=len(unique_aps))
-    window_counts = np.bincount(
-        inverse, weights=in_window.astype(np.float64), minlength=len(unique_aps)
-    )
-    total_per_ap: Dict[int, int] = {
-        int(a): int(n) for a, n in zip(unique_aps, totals)
-    }
-    office_window_per_ap: Dict[int, int] = defaultdict(int)
-    office_window_per_ap.update(
-        {int(a): int(n) for a, n in zip(unique_aps, window_counts)}
+    window_counts = np.bincount(inverse[in_window], minlength=len(unique_aps))
+    office = (window_counts / totals >= OFFICE_WINDOW_FRACTION) & (
+        totals >= MIN_NIGHT_SLOTS
     )
 
-    for a in total_per_ap:
+    for a, is_office in zip(unique_aps.tolist(), office.tolist()):
         essid = dataset.ap_directory[a].essid
         if a in home_aps:
             result.ap_class[a] = "home"
@@ -141,10 +152,7 @@ def classify_aps(data: DatasetOrContext) -> APClassification:
             is_fon_public_essid(essid) and a not in fon_home_aps
         ):
             result.ap_class[a] = "public"
-        elif (
-            office_window_per_ap[a] / total_per_ap[a] >= OFFICE_WINDOW_FRACTION
-            and total_per_ap[a] >= MIN_NIGHT_SLOTS
-        ):
+        elif is_office:
             result.ap_class[a] = "office"
         else:
             result.ap_class[a] = "other"
@@ -164,32 +172,48 @@ def classify_aps(data: DatasetOrContext) -> APClassification:
 def _infer_home_aps(
     device: np.ndarray, day: np.ndarray, hour: np.ndarray, ap_id: np.ndarray
 ) -> Dict[int, int]:
-    """Per-device home AP from nightly top-pair voting (vectorized)."""
+    """Per-device home AP from nightly top-pair voting.
+
+    Each (device, night) with enough slots votes for its dominant AP when
+    that AP holds at least 70% of the slots. Tie-breaks: among APs with
+    equal slots in one night the smallest AP id wins; among APs with equal
+    votes the one voted for first (earliest night) wins.
+    """
     night = (hour >= HOME_NIGHT_START_HOUR) | (hour < HOME_NIGHT_END_HOUR)
     if not night.any():
         return {}
     d = device[night]
     dy = day[night]
     a = ap_id[night]
-    # Group rows by (device, day, ap) and count slots per group.
-    triples = np.stack([d, dy, a], axis=1)
-    groups, counts = np.unique(triples, axis=0, return_counts=True)
-    # Per (device, day): total night slots and the dominant AP.
-    night_totals: Dict[Tuple[int, int], int] = defaultdict(int)
-    best: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for (dev, day_idx, ap), count in zip(groups, counts):
-        key = (int(dev), int(day_idx))
-        night_totals[key] += int(count)
-        if key not in best or count > best[key][0]:
-            best[key] = (int(count), int(ap))
-    votes: Dict[int, Counter] = defaultdict(Counter)
-    for key, total in night_totals.items():
-        if total < MIN_NIGHT_SLOTS:
-            continue
-        top_count, top_ap = best[key]
-        if top_count / total >= HOME_NIGHT_FRACTION:
-            votes[key[0]][top_ap] += 1
-    return {d: int(counter.most_common(1)[0][0]) for d, counter in votes.items()}
+    # Slots per (device, day, ap) group, in sorted (device, day, ap) order.
+    _, first, counts = np.unique(
+        packed_keys(d, dy, a), return_index=True, return_counts=True
+    )
+    g_dev, g_ap = d[first], a[first]
+    night_key = packed_keys(g_dev, dy[first])
+    # Per (device, day): total night slots and the dominant AP. The stable
+    # sort on descending count keeps ascending AP order among equal counts.
+    totals = np.add.reduceat(counts, group_starts(night_key))
+    order = np.lexsort((-counts, night_key))
+    top = order[group_starts(night_key[order])]
+    votes = top[
+        (totals >= MIN_NIGHT_SLOTS)
+        & (counts[top] / totals >= HOME_NIGHT_FRACTION)
+    ]
+    if votes.size == 0:
+        return {}
+    # Votes per (device, ap); the first-cast vote breaks ties.
+    _, first_vote, n_votes = np.unique(
+        packed_keys(g_dev[votes], g_ap[votes]),
+        return_index=True, return_counts=True,
+    )
+    vote_dev = g_dev[votes][first_vote]
+    order = np.lexsort((first_vote, -n_votes, vote_dev))
+    winner = order[group_starts(vote_dev[order])]
+    return {
+        int(dv): int(ap) for dv, ap in
+        zip(vote_dev[winner], g_ap[votes][first_vote][winner])
+    }
 
 
 def _fon_reclassification(
@@ -207,12 +231,12 @@ def _fon_reclassification(
     fon_mask = np.isin(ap_id, list(fon_aps))
     if not fon_mask.any():
         return set()
-    pairs = np.stack([device[fon_mask], ap_id[fon_mask]], axis=1)
-    groups, counts = np.unique(pairs, axis=0, return_counts=True)
-    return {
-        int(ap) for (_d, ap), slots in zip(groups, counts)
-        if slots >= threshold_slots
-    }
+    fon_ap = ap_id[fon_mask]
+    _, first, slots = np.unique(
+        packed_keys(device[fon_mask], fon_ap),
+        return_index=True, return_counts=True,
+    )
+    return {int(ap) for ap in fon_ap[first[slots >= threshold_slots]]}
 
 
 def _infer_mobile_aps(
@@ -230,18 +254,17 @@ def _infer_mobile_aps(
     idx = np.flatnonzero(found)
     if idx.size == 0:
         return set()
-    quads = np.stack(
-        [
-            device[idx], ap_id[idx],
-            index.gather(geo.col, pos[idx]).astype(np.int64),
-            index.gather(geo.row, pos[idx]).astype(np.int64),
-        ],
-        axis=1,
+    dev, ap = device[idx], ap_id[idx]
+    _, distinct = np.unique(
+        packed_keys(dev, ap, index.gather(geo.col, pos[idx]),
+                    index.gather(geo.row, pos[idx])),
+        return_index=True,
     )
-    distinct = np.unique(quads, axis=0)
     # Count distinct cells per (device, ap) pair.
-    pairs, cell_counts = np.unique(distinct[:, :2], axis=0, return_counts=True)
+    _, first, n_cells = np.unique(
+        packed_keys(dev[distinct], ap[distinct]),
+        return_index=True, return_counts=True,
+    )
     return {
-        int(ap) for (_d, ap), n_cells in zip(pairs, cell_counts)
-        if n_cells >= MOBILE_CELL_THRESHOLD
+        int(a) for a in ap[distinct][first[n_cells >= MOBILE_CELL_THRESHOLD]]
     }

@@ -12,14 +12,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.constants import STRONG_RSSI_DBM
 from repro.errors import AnalysisError
 from repro.geo.coords import cell_center
 from repro.geo.grid import DensityGrid
 from repro.radio.bands import Band
-from repro.traces.dataset import CampaignDataset
+from repro.traces.query import packed_keys
 from repro.traces.records import WifiStateCode
 
 
@@ -58,23 +58,15 @@ def association_density_maps(
     ap_id = wifi.ap_id[assoc].astype(np.int64)
 
     cols, rows, found = _lookup_cells(ctx, device, t)
-    grids = {name: DensityGrid() for name in ("home", "public", "office", "other")}
-    seen = set()
-    for i in np.flatnonzero(found):
-        a = int(ap_id[i])
-        cell = (int(cols[i]), int(rows[i]))
-        key = (a, cell)
-        if key in seen:
-            continue
-        seen.add(key)
-        cls = classification.wifi_class_of(a)
-        if cls == "office":
-            grid = grids["office"]
-        elif cls in grids:
-            grid = grids[cls]
-        else:
-            grid = grids["other"]
-        grid.add(cell_center(cell), a)
+    grids = {name: DensityGrid() for name in WIFI_CLASSES}
+    ap_id, cols, rows = ap_id[found], cols[found], rows[found]
+    # Each (ap, cell) pair once, in order of first sighting.
+    _, first = np.unique(packed_keys(ap_id, cols, rows), return_index=True)
+    first.sort()
+    codes = classification.class_codes(ap_id[first])
+    for a, col, row, code in zip(ap_id[first].tolist(), cols[first].tolist(),
+                                 rows[first].tolist(), codes.tolist()):
+        grids[WIFI_CLASSES[code]].add(cell_center((col, row)), a)
     return DensityMaps(year=dataset.year, grids=grids)
 
 
@@ -108,16 +100,26 @@ def detected_coverage(data: DatasetOrContext) -> DetectedCoverage:
         "5_all": DensityGrid(), "5_strong": DensityGrid(),
     }
     directory = dataset.ap_directory
-    for i in np.flatnonzero(found):
-        ap_id = int(sightings.ap_id[i])
-        entry = directory.get(ap_id)
+    ap_id = sightings.ap_id.astype(np.int64)
+    strong = sightings.rssi >= STRONG_RSSI_DBM
+    # Each (ap, cell, strong) sighting once, in order of first sighting.
+    _, first = np.unique(
+        packed_keys(ap_id[found], cols[found], rows[found], strong[found]),
+        return_index=True,
+    )
+    rows_seen = np.flatnonzero(found)[np.sort(first)]
+    for a, col, row, is_strong in zip(
+        ap_id[rows_seen].tolist(), cols[rows_seen].tolist(),
+        rows[rows_seen].tolist(), strong[rows_seen].tolist(),
+    ):
+        entry = directory.get(a)
         if entry is None:
             continue
-        center = cell_center((int(cols[i]), int(rows[i])))
+        center = cell_center((col, row))
         band_key = "24" if entry.band is Band.GHZ_2_4 else "5"
-        grids[f"{band_key}_all"].add(center, ap_id)
-        if sightings.rssi[i] >= STRONG_RSSI_DBM:
-            grids[f"{band_key}_strong"].add(center, ap_id)
+        grids[f"{band_key}_all"].add(center, a)
+        if is_strong:
+            grids[f"{band_key}_strong"].add(center, a)
     return DetectedCoverage(year=dataset.year, grids=grids)
 
 

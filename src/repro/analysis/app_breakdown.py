@@ -10,20 +10,19 @@ class.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import HOME, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.analysis.users import UserDayClasses
 from repro.apps.categories import CATEGORIES, category_name
 from repro.constants import HOME_NIGHT_END_HOUR, HOME_NIGHT_START_HOUR
 from repro.errors import AnalysisError
 from repro.traces.dataset import CampaignDataset
-from repro.traces.query import hour_of_day
+from repro.traces.query import group_starts, hour_of_day, packed_keys
 
 CONTEXTS = ("cell_home", "cell_other", "wifi_home", "wifi_public")
 
@@ -64,16 +63,35 @@ class AppBreakdown:
 
 
 def infer_home_cells(dataset: CampaignDataset) -> Dict[int, Tuple[int, int]]:
-    """Modal night-time 5 km cell per device (the 'cellular home' anchor)."""
+    """Modal night-time 5 km cell per device (the 'cellular home' anchor).
+
+    Tie-break: among cells with equal night counts, the one seen first (in
+    ``(device, t)`` row order) wins.
+    """
+    devices, cols, rows = _home_cell_arrays(dataset)
+    return {
+        d: (c, r)
+        for d, c, r in zip(devices.tolist(), cols.tolist(), rows.tolist())
+    }
+
+
+def _home_cell_arrays(
+    dataset: CampaignDataset,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`infer_home_cells` as (device, col, row) arrays by device."""
     geo = dataset.geo
-    if len(geo) == 0:
-        return {}
     hour = hour_of_day(geo.t)
     night = (hour >= HOME_NIGHT_START_HOUR) | (hour < HOME_NIGHT_END_HOUR)
-    counts: Dict[int, Counter] = defaultdict(Counter)
-    for d, c, r in zip(geo.device[night], geo.col[night], geo.row[night]):
-        counts[int(d)][(int(c), int(r))] += 1
-    return {d: counter.most_common(1)[0][0] for d, counter in counts.items()}
+    device, col, row = geo.device[night], geo.col[night], geo.row[night]
+    if device.size == 0:
+        return device, col, row
+    _, first, counts = np.unique(
+        packed_keys(device, col, row), return_index=True, return_counts=True
+    )
+    # Per device: the most counted cell, then the earliest first sighting.
+    order = np.lexsort((first, -counts, device[first]))
+    modal = first[order][group_starts(device[first][order])]
+    return device[modal], col[modal], row[modal]
 
 
 def app_breakdown(
@@ -86,7 +104,8 @@ def app_breakdown(
 
     ``subset`` may be ``"all"`` (default), ``"light"`` or ``"heavy"``, in
     which case ``classes`` must cover the dataset (§3.6 also reports the
-    light-user view).
+    light-user view). Study-wide calls should use the memoized
+    :meth:`AnalysisContext.app_breakdown`.
     """
     ctx = AnalysisContext.of(data)
     dataset = ctx.dataset()
@@ -95,58 +114,46 @@ def app_breakdown(
     apps = dataset.apps
     if len(apps) == 0:
         raise AnalysisError("dataset has no app-traffic records (Android only)")
-    home_cells = infer_home_cells(dataset)
 
     if subset != "all":
         if classes is None:
             raise AnalysisError("subset breakdown requires UserDayClasses")
         mask_matrix = classes.light if subset == "light" else classes.heavy
-        row_mask = mask_matrix[apps.device, apps.day]
+        rows = np.flatnonzero(mask_matrix[apps.device, apps.day])
     else:
-        row_mask = np.ones(len(apps), dtype=bool)
+        rows = np.arange(len(apps))
 
-    rx_totals: Dict[str, np.ndarray] = {
-        ctx: np.zeros(len(CATEGORIES)) for ctx in CONTEXTS
-    }
-    tx_totals: Dict[str, np.ndarray] = {
-        ctx: np.zeros(len(CATEGORIES)) for ctx in CONTEXTS
-    }
-    for i in np.flatnonzero(row_mask):
-        device = int(apps.device[i])
-        category = int(apps.category[i])
-        if apps.cellular[i]:
-            home = home_cells.get(device)
-            cell = (int(apps.col[i]), int(apps.row[i]))
-            ctx = "cell_home" if home is not None and cell == home else "cell_other"
-        else:
-            cls = classification.wifi_class_of(int(apps.ap_id[i]))
-            if cls == "home":
-                ctx = "wifi_home"
-            elif cls == "public":
-                ctx = "wifi_public"
-            else:
-                # Offices/open venues are grouped with public for Tables 6-7
-                # ("WiFi public" = WiFi away from home in the paper's cuts).
-                ctx = "wifi_public"
-        rx_totals[ctx][category] += float(apps.rx[i])
-        tx_totals[ctx][category] += float(apps.tx[i])
+    # Cellular rows are home when they sit in the device's modal night cell.
+    home = _home_cell_arrays(dataset)
+    keys = packed_keys(*(
+        np.r_[getattr(apps, name)[rows], column]
+        for name, column in zip(("device", "col", "row"), home)
+    ))
+    at_home = np.isin(keys[:len(rows)], keys[len(rows):])
+    # Context codes index CONTEXTS. Offices/open venues are grouped with
+    # public for Tables 6-7 ("WiFi public" = WiFi away from home in the
+    # paper's cuts).
+    wifi_away = classification.class_codes(apps.ap_id[rows]) != HOME
+    context = np.where(apps.cellular[rows] != 0, ~at_home, 2 + wifi_away)
+    # bincount adds in row order: each total keeps the rows' order.
+    n_cat = len(CATEGORIES)
+    cell = context * n_cat + apps.category[rows]
 
-    def normalize(totals: Dict[str, np.ndarray]) -> Dict[str, Dict[int, float]]:
-        out: Dict[str, Dict[int, float]] = {}
-        for ctx, vec in totals.items():
+    def normalize(values: np.ndarray) -> Dict[str, Dict[int, float]]:
+        totals = np.bincount(
+            cell, weights=values[rows], minlength=len(CONTEXTS) * n_cat
+        ).reshape(len(CONTEXTS), n_cat)
+        shares: Dict[str, Dict[int, float]] = {}
+        for name, vec in zip(CONTEXTS, totals):
             total = vec.sum()
-            if total <= 0:
-                out[ctx] = {}
-                continue
-            out[ctx] = {
+            shares[name] = {
                 code: float(vec[code] / total)
-                for code in range(len(CATEGORIES))
-                if vec[code] > 0
-            }
-        return out
+                for code in np.flatnonzero(vec > 0).tolist()
+            } if total > 0 else {}
+        return shares
 
     return AppBreakdown(
         year=dataset.year,
-        shares_rx=normalize(rx_totals),
-        shares_tx=normalize(tx_totals),
+        shares_rx=normalize(apps.rx),
+        shares_tx=normalize(apps.tx),
     )

@@ -9,20 +9,24 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import (
+    HOME,
+    PUBLIC,
+    WIFI_CLASSES,
+    APClassification,
+)
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.analysis.users import UserDayClasses
 from repro.constants import SAMPLES_PER_HOUR
 from repro.errors import AnalysisError
 from repro.stats.distributions import Ecdf, ccdf
 from repro.traces.dataset import CampaignDataset
-from repro.traces.query import device_day_of
+from repro.traces.query import device_day_of, packed_keys
 from repro.traces.records import WifiStateCode
 
 
@@ -51,19 +55,26 @@ class HpoBreakdown:
         return self.combos.get((home, public, other), 0.0)
 
 
-def _device_day_aps(
-    dataset: CampaignDataset,
-) -> Dict[Tuple[int, int], set]:
-    """(device, day) -> set of associated ap_ids."""
+def _device_day_aps(dataset: CampaignDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique associated (device, day, ap) triples, sorted.
+
+    Returns each triple's flat device-day cell (``device * n_days + day``)
+    and its AP id; every count per device-day is a ``bincount`` over the
+    cells.
+    """
     wifi = dataset.wifi
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
-    out: Dict[Tuple[int, int], set] = defaultdict(set)
-    device = wifi.device[assoc]
-    day = device_day_of(wifi.t[assoc])
+    cell = (
+        wifi.device[assoc].astype(np.int64) * dataset.n_days
+        + device_day_of(wifi.t[assoc].astype(np.int64))
+    )
     ap = wifi.ap_id[assoc]
-    for d, dy, a in zip(device, day, ap):
-        out[(int(d), int(dy))].add(int(a))
-    return out
+    _, first = np.unique(packed_keys(cell, ap), return_index=True)
+    return cell[first], ap[first].astype(np.int64)
+
+
+def _percentages(counts: Dict, total: int) -> Dict:
+    return {k: 100.0 * v / total for k, v in counts.items()}
 
 
 def aps_per_day(
@@ -75,23 +86,20 @@ def aps_per_day(
     dataset = ctx.dataset()
     if classes is None:
         classes = ctx.user_classes()
-    per_day = _device_day_aps(dataset)
-    if not per_day:
+    cell, _ = _device_day_aps(dataset)
+    if cell.size == 0:
         raise AnalysisError("no associations in dataset")
+    n_aps = np.bincount(
+        cell, minlength=dataset.n_devices * dataset.n_days
+    ).reshape(dataset.n_devices, dataset.n_days)
     subsets = {"all": classes.valid, "heavy": classes.heavy, "light": classes.light}
     breakdown: Dict[str, Dict[int, float]] = {}
     for name, mask in subsets.items():
-        counts: Dict[int, int] = defaultdict(int)
-        total = 0
-        for (device, day), aps in per_day.items():
-            if not mask[device, day]:
-                continue
-            total += 1
-            counts[min(len(aps), 4)] += 1
-        if total == 0:
-            breakdown[name] = {}
-            continue
-        breakdown[name] = {n: 100.0 * c / total for n, c in sorted(counts.items())}
+        capped = np.minimum(n_aps[mask & (n_aps > 0)], 4)
+        counts = np.bincount(capped, minlength=5).tolist()
+        breakdown[name] = _percentages(
+            {n: counts[n] for n in range(1, 5) if counts[n]}, capped.size
+        )
     return ApsPerDay(year=dataset.year, breakdown=breakdown)
 
 
@@ -104,31 +112,33 @@ def hpo_breakdown(
     dataset = ctx.dataset()
     if classification is None:
         classification = ctx.classification()
-    per_day = _device_day_aps(dataset)
-    if not per_day:
+    cell, ap = _device_day_aps(dataset)
+    if cell.size == 0:
         raise AnalysisError("no associations in dataset")
-    combos: Dict[Tuple[int, int, int], int] = defaultdict(int)
-    four_plus = 0
-    total = 0
-    for (_device, _day), aps in per_day.items():
-        total += 1
-        if len(aps) >= 4:
-            four_plus += 1
-            continue
-        n_home = n_public = n_other = 0
-        for a in aps:
-            cls = classification.wifi_class_of(a)
-            if cls == "home":
-                n_home += 1
-            elif cls == "public":
-                n_public += 1
-            else:
-                n_other += 1
-        combos[(n_home, n_public, n_other)] += 1
+    code = classification.class_codes(ap)
+    size = dataset.n_devices * dataset.n_days
+    n_all = np.bincount(cell, minlength=size)
+    n_home = np.bincount(cell[code == HOME], minlength=size)
+    n_public = np.bincount(cell[code == PUBLIC], minlength=size)
+    days = np.flatnonzero(n_all)
+    few = days[n_all[days] < 4]
+    combo = np.stack(
+        [n_home[few], n_public[few], n_all[few] - n_home[few] - n_public[few]],
+        axis=1,
+    )
+    # Combos keep the order of the first device-day showing them.
+    _, first, counts = np.unique(
+        packed_keys(*combo.T), return_index=True, return_counts=True
+    )
+    combos = {
+        tuple(combo[i].tolist()): int(n)
+        for i, n in sorted(zip(first.tolist(), counts))
+    }
+    total = days.size
     return HpoBreakdown(
         year=dataset.year,
-        combos={k: 100.0 * v / total for k, v in combos.items()},
-        four_plus_pct=100.0 * four_plus / total,
+        combos=_percentages(combos, total),
+        four_plus_pct=100.0 * (total - few.size) / total,
     )
 
 
@@ -160,34 +170,22 @@ def association_durations(
     order = np.lexsort((t, device))
     device, t, ap = device[order], t[order], ap[order]
 
-    durations: Dict[str, List[float]] = defaultdict(list)
-
-    def flush(current_ap: int, run_slots: int) -> None:
-        cls = classification.wifi_class_of(int(current_ap))
-        key = cls if cls in ("home", "public", "office") else "other"
-        durations[key].append(run_slots / SAMPLES_PER_HOUR)
-
-    run_ap = -1
-    run_len = 0
-    prev_dev = -1
-    prev_t = -10
-    for d, tt, a in zip(device, t, ap):
-        contiguous = d == prev_dev and tt == prev_t + 1 and a == run_ap
-        if contiguous:
-            run_len += 1
-        else:
-            if run_len > 0:
-                flush(run_ap, run_len)
-            run_ap = int(a)
-            run_len = 1
-        prev_dev, prev_t = d, tt
-    if run_len > 0:
-        flush(run_ap, run_len)
+    # A run breaks where the device changes, a slot is skipped or the AP
+    # changes.
+    starts = np.flatnonzero(np.r_[
+        True,
+        (device[1:] != device[:-1]) | (t[1:] != t[:-1] + 1) | (ap[1:] != ap[:-1]),
+    ])
+    hours = np.diff(np.r_[starts, len(t)]) / SAMPLES_PER_HOUR
+    code = classification.class_codes(ap[starts])
+    # Classes keep the order of their first run.
+    _, first = np.unique(code, return_index=True)
+    durations = {WIFI_CLASSES[code[i]]: hours[code == code[i]]
+                 for i in np.sort(first)}
 
     ccdfs = {}
     p90 = {}
-    for cls, values in durations.items():
-        arr = np.asarray(values)
+    for cls, arr in durations.items():
         ccdfs[cls] = ccdf(arr)
         p90[cls] = float(np.percentile(arr, 90))
     return AssociationDurations(year=dataset.year, ccdf_by_class=ccdfs, p90_hours=p90)

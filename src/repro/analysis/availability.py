@@ -21,6 +21,7 @@ from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.stats.distributions import Ecdf, ccdf
 from repro.traces.dataset import CampaignDataset
+from repro.traces.query import SlotIndex
 from repro.traces.records import IfaceKind, WifiStateCode
 
 
@@ -45,27 +46,17 @@ class PublicAvailability:
         dist = self.ccdf(key)
         if at_least <= 0:
             return 1.0
-        return dist.at(at_least - 1) if False else float(
-            (dist.values >= at_least).sum() / dist.n
-        )
+        return float((dist.values >= at_least).sum() / dist.n)
 
 
 def _available_scan_mask(dataset: CampaignDataset) -> np.ndarray:
     """Mask over scan rows taken while the device was WiFi-available."""
     wifi = dataset.wifi
     available = wifi.state == int(WifiStateCode.AVAILABLE)
-    n_slots = dataset.n_slots
-    avail_keys = np.sort(
-        wifi.device[available].astype(np.int64) * n_slots
-        + wifi.t[available].astype(np.int64)
+    index = SlotIndex.build(
+        wifi.device[available], wifi.t[available], dataset.n_slots
     )
-    scans = dataset.scans
-    scan_keys = scans.device.astype(np.int64) * n_slots + scans.t.astype(np.int64)
-    pos = np.searchsorted(avail_keys, scan_keys)
-    pos = np.clip(pos, 0, max(len(avail_keys) - 1, 0))
-    if len(avail_keys) == 0:
-        return np.zeros(len(scan_keys), dtype=bool)
-    return avail_keys[pos] == scan_keys
+    return index.lookup(dataset.scans.device, dataset.scans.t)[1]
 
 
 def public_availability(data: DatasetOrContext) -> PublicAvailability:
@@ -110,31 +101,23 @@ def offload_estimate(data: DatasetOrContext) -> OffloadEstimate:
     mask = _available_scan_mask(dataset)
     if not mask.any():
         raise AnalysisError("no scans in WiFi-available state")
-    strong = (scans.n24_strong + scans.n5_strong) >= 1
-    n_slots = dataset.n_slots
-    device = scans.device.astype(np.int64)
-
-    available_devices = np.unique(device[mask])
-    opportunity_devices = np.unique(device[mask & strong])
-    offload_keys = np.sort(
-        device[mask & strong] * n_slots + scans.t[mask & strong].astype(np.int64)
+    strong = mask & ((scans.n24_strong + scans.n5_strong) >= 1)
+    available_devices = np.unique(scans.device[mask])
+    opportunity_devices = np.unique(scans.device[strong])
+    offload_slots = SlotIndex.build(
+        scans.device[strong], scans.t[strong], dataset.n_slots
     )
 
     traffic = dataset.traffic
-    cellular = traffic.iface != int(IfaceKind.WIFI)
-    in_devices = np.isin(traffic.device, available_devices)
-    cell_rows = cellular & in_devices
-    total_cell = float(traffic.rx[cell_rows].sum())
-    t_keys = (
-        traffic.device[cell_rows].astype(np.int64) * n_slots
-        + traffic.t[cell_rows].astype(np.int64)
+    cell_rows = (traffic.iface != int(IfaceKind.WIFI)) & np.isin(
+        traffic.device, available_devices
     )
-    pos = np.searchsorted(offload_keys, t_keys)
-    pos = np.clip(pos, 0, max(len(offload_keys) - 1, 0))
-    offloadable_rows = (
-        offload_keys[pos] == t_keys if len(offload_keys) else np.zeros_like(t_keys, bool)
+    rx = traffic.rx[cell_rows]
+    total_cell = float(rx.sum())
+    _, offloadable_rows = offload_slots.lookup(
+        traffic.device[cell_rows], traffic.t[cell_rows]
     )
-    offloadable = float(traffic.rx[cell_rows][offloadable_rows].sum())
+    offloadable = float(rx[offloadable_rows].sum())
 
     return OffloadEstimate(
         year=dataset.year,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field, fields as _dataclass_fields, is_dataclass
+from dataclasses import dataclass, fields as _dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -160,24 +160,42 @@ def _fmt_bytes(n: int) -> str:
     return f"{n}B"
 
 
+_COLLECTIONS = (list, set, frozenset, dict)
+
+
 def _cached_nbytes(value: object) -> int:
-    """Approximate retained size of a cached artifact (arrays dominate)."""
+    """Approximate retained size of a cached artifact (arrays dominate).
+
+    Arrays are sized exactly. Collections are taken as homogeneous: one
+    whose first element is a flat record of scalars is sized as that
+    element times its length, without visiting the rest.
+    """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, SlotIndex):
         return int(value.keys.nbytes) + int(value.order.nbytes)
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return sum(_cached_nbytes(v) for v in value)
-    if isinstance(value, dict):
-        return sum(_cached_nbytes(k) + _cached_nbytes(v) for k, v in value.items())
-    if is_dataclass(value) and not isinstance(value, type):
-        return sum(
-            _cached_nbytes(getattr(value, f.name, None))
-            for f in _dataclass_fields(value)
-        )
     if isinstance(value, (bool, int, float, str, bytes)):
         return sys.getsizeof(value)
-    return 0
+    if isinstance(value, _COLLECTIONS):
+        items = value.items() if isinstance(value, dict) else value
+        if value and _is_flat(first := next(iter(items))):
+            return len(value) * _cached_nbytes(first)
+        return sum(_cached_nbytes(v) for v in items)
+    return sum(_cached_nbytes(v) for v in _fields(value))
+
+
+def _fields(value: object) -> tuple:
+    """The members of a tuple or dataclass record (empty otherwise)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return tuple(getattr(value, f.name, None) for f in _dataclass_fields(value))
+    return value if isinstance(value, tuple) else ()
+
+
+def _is_flat(value: object) -> bool:
+    """A scalar (or enum, None, ...), or a record of flat members."""
+    if isinstance(value, (np.ndarray, SlotIndex) + _COLLECTIONS):
+        return False
+    return all(_is_flat(v) for v in _fields(value))
 
 
 # ----------------------------------------------------------------------
@@ -431,4 +449,14 @@ class AnalysisContext:
         return self._artifact(
             year, ("classification",),
             lambda: classify_aps(self.campaign(year)),
+        )
+
+    def app_breakdown(self, year: Optional[int] = None):
+        """Memoized Tables 6-7 category shares (RX and TX)."""
+        from repro.analysis.app_breakdown import app_breakdown
+
+        year = self._resolve_year(year)
+        return self._artifact(
+            year, ("app_breakdown",),
+            lambda: app_breakdown(self.campaign(year)),
         )

@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.stats.timeseries import HourlySeries
-from repro.traces.query import hour_of
+from repro.traces.query import distinct_devices_per_hour, hour_of
 from repro.traces.records import WifiStateCode
 
 
@@ -65,7 +65,7 @@ def interface_state_ratios(data: DatasetOrContext) -> InterfaceStateRatios:
         "wifi_available": int(WifiStateCode.AVAILABLE),
     }
     for key, code in state_keys.items():
-        counts = _distinct_device_hours(
+        counts = distinct_devices_per_hour(
             wifi.device, hour, is_android & (wifi.state == code), n_hours
         )
         ratio = counts / n_android if n_android else np.full(n_hours, np.nan)
@@ -73,7 +73,7 @@ def interface_state_ratios(data: DatasetOrContext) -> InterfaceStateRatios:
         android_means[key] = float(np.nanmean(ratio))
 
     ios_assoc = (~is_android) & (wifi.state == int(WifiStateCode.ASSOCIATED))
-    ios_counts = _distinct_device_hours(wifi.device, hour, ios_assoc, n_hours)
+    ios_counts = distinct_devices_per_hour(wifi.device, hour, ios_assoc, n_hours)
     ios_ratio = ios_counts / n_ios if n_ios else np.full(n_hours, np.nan)
     ios_series = HourlySeries(ios_ratio, start_weekday)
 
@@ -97,15 +97,3 @@ def ios_android_gap(ratios: InterfaceStateRatios) -> float:
         raise AnalysisError("android wifi-user ratio is zero")
     return (ratios.ios_user_mean - android_user) / android_user
 
-
-def _distinct_device_hours(
-    device: np.ndarray, hour: np.ndarray, mask: np.ndarray, n_hours: int
-) -> np.ndarray:
-    """Distinct devices per hour among rows selected by ``mask``."""
-    out = np.zeros(n_hours)
-    if not mask.any():
-        return out
-    pair = device[mask].astype(np.int64) * n_hours + hour[mask].astype(np.int64)
-    uniq = np.unique(pair)
-    np.add.at(out, (uniq % n_hours).astype(np.int64), 1.0)
-    return out

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.ap_density import _lookup_cells
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
@@ -63,27 +63,23 @@ def channel_interference(
     ap_id = wifi.ap_id[assoc].astype(np.int64)
     cols, rows, found = _lookup_cells(ctx, device, t)
 
-    # AP -> the cell it was (first) observed in.
-    ap_cell: Dict[int, Tuple[int, int]] = {}
-    for i in np.flatnonzero(found):
-        ap_cell.setdefault(int(ap_id[i]), (int(cols[i]), int(rows[i])))
+    # Each AP in the cell it was first observed in, in order of first sighting.
+    ap_id, cols, rows = ap_id[found], cols[found], rows[found]
+    _, first = np.unique(ap_id, return_index=True)
+    first.sort()
+    codes = classification.class_codes(ap_id[first])
 
     channels_by_class_cell: Dict[str, Dict[Tuple[int, int], List[int]]] = {
         cls: defaultdict(list) for cls in classes
     }
-    seen: Set[int] = set()
     trio_counts = {cls: [0, 0] for cls in classes}  # [on trio, total]
-    for ap, cell in ap_cell.items():
-        if ap in seen:
-            continue
-        seen.add(ap)
+    for ap, col, row, code in zip(ap_id[first].tolist(), cols[first].tolist(),
+                                  rows[first].tolist(), codes.tolist()):
         entry = dataset.ap_directory[ap]
-        if entry.band is not Band.GHZ_2_4:
+        cls = WIFI_CLASSES[code]
+        if entry.band is not Band.GHZ_2_4 or cls not in channels_by_class_cell:
             continue
-        cls = classification.wifi_class_of(ap)
-        if cls not in channels_by_class_cell:
-            continue
-        channels_by_class_cell[cls][cell].append(entry.channel)
+        channels_by_class_cell[cls][(col, row)].append(entry.channel)
         trio_counts[cls][1] += 1
         if entry.channel in (1, 6, 11):
             trio_counts[cls][0] += 1

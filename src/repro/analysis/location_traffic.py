@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.stats.timeseries import HourlySeries, bytes_to_mbps
@@ -55,10 +55,7 @@ def location_traffic(
     traffic = dataset.traffic
     wifi_rows = traffic.iface == int(IfaceKind.WIFI)
     pos, found = index.lookup(traffic.device[wifi_rows], traffic.t[wifi_rows])
-    ap_of_row = obs_ap[pos]
-    classes = np.array(
-        [classification.wifi_class_of(int(a)) for a in ap_of_row], dtype=object
-    )
+    codes = classification.class_codes(obs_ap[pos])
     rx = traffic.rx[wifi_rows]
     tx = traffic.tx[wifi_rows]
     hour = hour_of(traffic.t[wifi_rows])
@@ -67,11 +64,12 @@ def location_traffic(
     start_weekday = dataset.axis.start.weekday()
     series: Dict[str, HourlySeries] = {}
     totals: Dict[str, float] = {}
-    for cls in ("home", "public", "office", "other"):
-        mask = found & (classes == cls)
+    for code, cls in enumerate(WIFI_CLASSES):
+        mask = found & (codes == code)
         for direction, values in (("rx", rx), ("tx", tx)):
-            hourly = np.zeros(n_hours)
-            np.add.at(hourly, hour[mask], values[mask])
+            hourly = np.bincount(
+                hour[mask], weights=values[mask], minlength=n_hours
+            )
             series[f"{cls}_{direction}"] = HourlySeries(
                 bytes_to_mbps(hourly), start_weekday
             )

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.association import _device_day_aps
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.analysis.users import UserDayClasses
 from repro.errors import AnalysisError
-from repro.traces.query import device_day_of, distinct_cells_per_device_day
-from repro.traces.records import WifiStateCode
+from repro.traces.query import distinct_cells_per_device_day
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,8 @@ def mobility_stats(
     if not valid.any():
         raise AnalysisError("no valid device-days")
 
-    aps = np.zeros_like(cells)
-    wifi = dataset.wifi
-    assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
-    if assoc.any():
-        day = device_day_of(wifi.t[assoc].astype(np.int64))
-        triples = np.stack(
-            [wifi.device[assoc].astype(np.int64), day,
-             wifi.ap_id[assoc].astype(np.int64)],
-            axis=1,
-        )
-        distinct = np.unique(triples, axis=0)
-        np.add.at(aps, (distinct[:, 0], distinct[:, 1]), 1)
+    cell, _ = _device_day_aps(dataset)
+    aps = np.bincount(cell, minlength=cells.size).reshape(cells.shape)
 
     log_volume = np.log10(np.maximum(volumes[valid], 1.0))
     corr_cells = _safe_corr(cells[valid].astype(float), log_volume)

@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.analysis.users import UserDayClasses
-from repro.errors import AnalysisError
 from repro.stats.timeseries import HourlySeries
-from repro.traces.query import device_day_of, hour_of
+from repro.traces.query import device_day_of, distinct_devices_per_hour, hour_of
 from repro.traces.records import IfaceKind, WifiStateCode
 
 
@@ -83,25 +82,22 @@ def wifi_ratios(
     user_ratio = {}
     for name, mask in subsets.items():
         in_subset = mask[traffic.device, t_day]
-        wifi_sum = np.zeros(n_hours)
-        total_sum = np.zeros(n_hours)
-        sel = in_subset
-        np.add.at(total_sum, t_hour[sel], rx[sel])
+        total_sum = np.bincount(
+            t_hour[in_subset], weights=rx[in_subset], minlength=n_hours
+        )
         sel_w = in_subset & is_wifi
-        np.add.at(wifi_sum, t_hour[sel_w], rx[sel_w])
+        wifi_sum = np.bincount(
+            t_hour[sel_w], weights=rx[sel_w], minlength=n_hours
+        )
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = wifi_sum / total_sum
         ratio[total_sum == 0] = np.nan
         traffic_ratio[name] = _ratio_series(ratio, start_weekday)
 
         # User ratio: distinct associated devices per hour / subset size.
-        a_in = mask[a_dev, a_day]
-        pair = (
-            a_dev[a_in].astype(np.int64) * n_hours + a_hour[a_in].astype(np.int64)
+        assoc_count = distinct_devices_per_hour(
+            a_dev, a_hour, mask[a_dev, a_day], n_hours
         )
-        uniq = np.unique(pair)
-        assoc_count = np.zeros(n_hours)
-        np.add.at(assoc_count, (uniq % n_hours).astype(np.int64), 1.0)
         denominator = mask.sum(axis=0).astype(float)  # devices per day
         denom_hourly = np.repeat(denominator, 24)
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -12,13 +12,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.constants import STRONG_RSSI_DBM
 from repro.errors import AnalysisError
 from repro.radio.bands import Band
 from repro.stats.distributions import pdf_histogram
-from repro.traces.dataset import CampaignDataset
 from repro.traces.records import WifiStateCode
 
 
@@ -66,22 +65,19 @@ def rssi_distributions(
     unique_aps = ap_sorted[starts]
     max_rssi = np.maximum.reduceat(rssi_sorted, starts)
 
-    samples: Dict[str, list] = {cls: [] for cls in classes}
-    for a, r in zip(unique_aps, max_rssi):
-        entry = dataset.ap_directory[int(a)]
-        if entry.band is not Band.GHZ_2_4:
-            continue
-        cls = classification.wifi_class_of(int(a))
-        if cls in samples:
-            samples[cls].append(float(r))
+    on_24 = np.array([
+        dataset.ap_directory[a].band is Band.GHZ_2_4
+        for a in unique_aps.tolist()
+    ], dtype=bool)
+    codes = classification.class_codes(unique_aps)
 
     arrays = {}
     mean = {}
     weak = {}
-    for cls, values in samples.items():
-        if not values:
+    for cls in classes:
+        arr = max_rssi[on_24 & (codes == WIFI_CLASSES.index(cls))]
+        if not arr.size:
             continue
-        arr = np.asarray(values)
         arrays[cls] = arr
         mean[cls] = float(arr.mean())
         weak[cls] = float((arr < weak_threshold).mean())

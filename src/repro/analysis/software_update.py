@@ -14,10 +14,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
-from repro.traces.query import device_day_of
+from repro.traces.query import device_day_of, group_starts
 from repro.traces.records import DeviceOS
 
 
@@ -73,36 +73,27 @@ def update_timing(
         d for d in ios_devices if d not in classification.home_ap_of_device
     }
 
-    update_day_of: Dict[int, int] = {}
-    update_slot_of: Dict[int, int] = {}
-    for device, t in zip(updates.device, updates.t):
-        day = int(device_day_of(int(t)))
-        if int(device) not in update_day_of or day < update_day_of[int(device)]:
-            update_day_of[int(device)] = day
-            update_slot_of[int(device)] = int(t)
+    # Per device (ascending), its first update: the earliest day, then the
+    # earliest row of that day.
+    device = updates.device.astype(np.int64)
+    day = device_day_of(updates.t.astype(np.int64))
+    order = np.lexsort((day, device))
+    first = order[group_starts(device[order])]
+    devices, days, slots = device[first], day[first], updates.t[first]
 
-    release_day = min(update_day_of.values())
-    all_days = np.array(
-        [d - release_day for dev, d in update_day_of.items() if dev in ios_devices]
-    )
-    no_home_days = np.array(
-        [d - release_day for dev, d in update_day_of.items() if dev in no_home_ios]
-    )
+    release_day = int(days.min())
+    is_ios = np.isin(devices, list(ios_devices))
+    is_no_home = np.isin(devices, list(no_home_ios))
+    all_days = days[is_ios] - release_day
+    no_home_days = days[is_no_home] - release_day
 
     network_used: Dict[str, int] = {}
     index, aps_sorted = ctx.association_index()
-    lookup_devices = sorted(d for d in no_home_ios if d in update_slot_of)
-    if lookup_devices:
-        devs = np.array(lookup_devices, dtype=np.int64)
-        slots = np.array(
-            [update_slot_of[d] for d in lookup_devices], dtype=np.int64
-        )
-        pos, found = index.lookup(devs, slots)
-        for i in range(len(lookup_devices)):
-            if found[i]:
-                cls = classification.wifi_class_of(int(aps_sorted[pos[i]]))
-            else:
-                cls = "unknown"
+    if is_no_home.any():
+        pos, found = index.lookup(devices[is_no_home], slots[is_no_home])
+        codes = classification.class_codes(aps_sorted[pos])
+        for hit, code in zip(found.tolist(), codes.tolist()):
+            cls = WIFI_CLASSES[code] if hit else "unknown"
             network_used[cls] = network_used.get(cls, 0) + 1
 
     return UpdateTiming(

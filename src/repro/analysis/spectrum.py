@@ -9,23 +9,27 @@ channels start Ch1-heavy in 2013 and disperse by 2015.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.constants import NUM_24GHZ_CHANNELS
 from repro.errors import AnalysisError
 from repro.radio.bands import Band
 from repro.traces.dataset import CampaignDataset
-from repro.traces.records import WifiStateCode
+from repro.traces.records import ApDirectoryEntry, WifiStateCode
 
 
-def _associated_aps(dataset: CampaignDataset) -> Set[int]:
+def _associated_aps(
+    dataset: CampaignDataset, classification: APClassification
+) -> Tuple[List[ApDirectoryEntry], np.ndarray]:
+    """Directory entries and WIFI_CLASSES codes of associated unique APs."""
     wifi = dataset.wifi
-    assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
-    return {int(a) for a in np.unique(wifi.ap_id[assoc])}
+    aps = np.unique(wifi.ap_id[wifi.state == int(WifiStateCode.ASSOCIATED)])
+    entries = [dataset.ap_directory[a] for a in aps.tolist()]
+    return entries, classification.class_codes(aps)
 
 
 @dataclass(frozen=True)
@@ -52,23 +56,18 @@ def band_fractions(
     dataset = ctx.dataset()
     if classification is None:
         classification = ctx.classification()
-    aps = _associated_aps(dataset)
-    if not aps:
+    entries, codes = _associated_aps(dataset, classification)
+    if not entries:
         raise AnalysisError("no associated APs")
-    totals: Dict[str, int] = {"home": 0, "office": 0, "public": 0, "other": 0}
-    five: Dict[str, int] = dict(totals)
-    for ap_id in aps:
-        entry = dataset.ap_directory[ap_id]
-        cls = classification.ap_class.get(ap_id, "other")
-        if cls == "mobile":
-            cls = "other"
-        totals[cls] += 1
-        if entry.band is Band.GHZ_5:
-            five[cls] += 1
-    fractions = {
-        cls: (five[cls] / totals[cls]) if totals[cls] else float("nan")
-        for cls in totals
-    }
+    is_5 = np.array([e.band is Band.GHZ_5 for e in entries], dtype=bool)
+    n_all = np.bincount(codes, minlength=len(WIFI_CLASSES)).tolist()
+    n_5 = np.bincount(codes[is_5], minlength=len(WIFI_CLASSES)).tolist()
+    totals: Dict[str, int] = {}
+    fractions: Dict[str, float] = {}
+    for cls in ("home", "office", "public", "other"):
+        code = WIFI_CLASSES.index(cls)
+        totals[cls] = n_all[code]
+        fractions[cls] = n_5[code] / n_all[code] if n_all[code] else float("nan")
     return BandFractions(year=dataset.year, fraction_5ghz=fractions, counts=totals)
 
 
@@ -108,15 +107,18 @@ def channel_distributions(
     dataset = ctx.dataset()
     if classification is None:
         classification = ctx.classification()
-    aps = _associated_aps(dataset)
-    counts = {cls: np.zeros(NUM_24GHZ_CHANNELS) for cls in classes}
-    for ap_id in aps:
-        entry = dataset.ap_directory[ap_id]
-        if entry.band is not Band.GHZ_2_4:
-            continue
-        cls = classification.wifi_class_of(ap_id)
-        if cls in counts:
-            counts[cls][entry.channel - 1] += 1
+    entries, codes = _associated_aps(dataset, classification)
+    # Channel index per AP; -1 marks APs off the 2.4 GHz band.
+    channel = np.array([
+        e.channel - 1 if e.band is Band.GHZ_2_4 else -1 for e in entries
+    ], dtype=np.int64)
+    counts = {
+        cls: np.bincount(
+            channel[(codes == WIFI_CLASSES.index(cls)) & (channel >= 0)],
+            minlength=NUM_24GHZ_CHANNELS,
+        ).astype(np.float64)
+        for cls in classes
+    }
     pdf = {}
     for cls, vec in counts.items():
         total = vec.sum()

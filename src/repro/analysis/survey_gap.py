@@ -11,11 +11,11 @@ observed associating there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.ap_classification import APClassification
+from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.population.survey import SurveyResponse
@@ -59,20 +59,13 @@ def survey_gap(
 
     wifi = dataset.wifi
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
-    devices_by_class: Dict[str, Set[int]] = {loc: set() for loc in LOCATION_CLASSES}
     device = wifi.device[assoc]
-    ap_id = wifi.ap_id[assoc]
-    pairs = np.unique(np.stack([device, ap_id], axis=1), axis=0)
-    for dev, ap in pairs:
-        cls = classification.wifi_class_of(int(ap))
-        for loc, classes in LOCATION_CLASSES.items():
-            if cls in classes:
-                devices_by_class[loc].add(int(dev))
-
+    codes = classification.class_codes(wifi.ap_id[assoc])
     n = dataset.n_devices
-    measured = {
-        loc: 100.0 * len(devs) / n for loc, devs in devices_by_class.items()
-    }
+    measured = {}
+    for loc, classes in LOCATION_CLASSES.items():
+        wanted = np.isin(codes, [WIFI_CLASSES.index(c) for c in classes])
+        measured[loc] = 100.0 * np.unique(device[wanted]).size / n
     claimed = {}
     for loc in LOCATION_CLASSES:
         yes = sum(1 for r in responses if r.connected.get(loc) == "yes")

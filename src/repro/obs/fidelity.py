@@ -341,22 +341,16 @@ def _t5_multi(ctx):
 
 @_extractor("t6_browser_video_lead")
 def _t6_categories(ctx):
-    import repro.analysis as A
-
     _, _, last = _years(ctx)
-    top = [name for name, _ in
-           A.app_breakdown(ctx.campaign(last)).top("wifi_home", n=3)]
+    top = [name for name, _ in ctx.app_breakdown(last).top("wifi_home", n=3)]
     return 1.0 if {"browser", "video"} <= set(top) else 0.0
 
 
 @_extractor("t7_productivity_tx")
 def _t7_productivity(ctx):
-    import repro.analysis as A
-
     _, _, last = _years(ctx)
     top = [name for name, _ in
-           A.app_breakdown(ctx.campaign(last)).top("wifi_home", n=5,
-                                                   direction="tx")]
+           ctx.app_breakdown(last).top("wifi_home", n=5, direction="tx")]
     productivity = {"productivity", "tools", "communication", "mail",
                     "business", "office"}
     return 1.0 if productivity & set(top) else 0.0

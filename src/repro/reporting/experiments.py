@@ -154,7 +154,7 @@ def table5(cache: AnalysisContext) -> Table:
 def _app_table(cache: AnalysisContext, direction: str, title: str) -> Table:
     table = Table(title, ["year", "context", "rank", "category", "%"])
     for year in cache.years:
-        breakdown = A.app_breakdown(cache.campaign(year))
+        breakdown = cache.app_breakdown(year)
         for context in CONTEXTS:
             for rank, (name, pct) in enumerate(
                 breakdown.top(context, n=5, direction=direction), start=1

@@ -162,20 +162,20 @@ class CampaignDataset:
         """
         mask = self._iface_mask(kind)
         values = self._direction_column(direction)[mask]
-        dev = self.traffic.device[mask]
+        dev = self.traffic.device[mask].astype(np.int64)
         day = self.traffic.t[mask] // SAMPLES_PER_DAY
-        out = np.zeros((self.n_devices, self.n_days))
-        np.add.at(out, (dev, day), values)
-        return out
+        # bincount adds in row order: each sum keeps the rows' order.
+        return np.bincount(
+            dev * self.n_days + day, weights=values,
+            minlength=self.n_devices * self.n_days,
+        ).reshape(self.n_devices, self.n_days)
 
     def hourly_series(self, kind: str = "all", direction: str = "rx") -> np.ndarray:
         """Total bytes per hour of the campaign (length ``n_days * 24``)."""
         mask = self._iface_mask(kind)
         values = self._direction_column(direction)[mask]
         hour = self.traffic.t[mask] // SAMPLES_PER_HOUR
-        out = np.zeros(self.n_days * 24)
-        np.add.at(out, hour, values)
-        return out
+        return np.bincount(hour, weights=values, minlength=self.n_days * 24)
 
     def _iface_mask(self, kind: str) -> np.ndarray:
         iface = self.traffic.iface

@@ -24,6 +24,34 @@ def composite_keys(device: np.ndarray, t: np.ndarray, n_slots: int) -> np.ndarra
     return device.astype(np.int64) * n_slots + t.astype(np.int64)
 
 
+def packed_keys(*columns: np.ndarray) -> np.ndarray:
+    """One int64 key per row that sorts like the rows of ``columns``.
+
+    Each integer column becomes one mixed-radix digit (offset to start at
+    0), so ``np.unique`` over the keys groups and orders rows exactly as
+    ``np.unique(np.stack(columns, axis=1), axis=0)`` would, without the
+    structured row sort.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    if key.size == 0:
+        return key
+    capacity = 1
+    for column in columns:
+        column = np.asarray(column, dtype=np.int64)
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        capacity *= span
+        if capacity >= 1 << 63:
+            raise AnalysisError("packed key does not fit in int64")
+        key = key * span + (column - low)
+    return key
+
+
+def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal (sorted) keys."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
 @dataclass(frozen=True)
 class SlotIndex:
     """A sorted (device, t) index over one table, for O(log n) lookups."""
@@ -88,6 +116,15 @@ def hour_of_day(t: np.ndarray) -> np.ndarray:
     return (t % SAMPLES_PER_DAY) // SAMPLES_PER_HOUR
 
 
+def distinct_devices_per_hour(
+    device: np.ndarray, hour: np.ndarray, mask: np.ndarray, n_hours: int
+) -> np.ndarray:
+    """Distinct devices per campaign hour among rows selected by ``mask``."""
+    seen = np.zeros((int(device.max(initial=-1)) + 1, n_hours), dtype=bool)
+    seen[device[mask], hour[mask]] = True
+    return seen.sum(axis=0).astype(np.float64)
+
+
 def distinct_cells_per_device_day(dataset: CampaignDataset) -> np.ndarray:
     """(n_devices, n_days) count of distinct 5 km cells visited."""
     geo = dataset.geo
@@ -95,12 +132,10 @@ def distinct_cells_per_device_day(dataset: CampaignDataset) -> np.ndarray:
         raise AnalysisError("dataset has no geolocation records")
     day = device_day_of(geo.t.astype(np.int64))
     # Pack (device, day, col, row) and count unique cells per (device, day).
-    quads = np.stack(
-        [geo.device.astype(np.int64), day,
-         geo.col.astype(np.int64), geo.row.astype(np.int64)],
-        axis=1,
+    _, first = np.unique(
+        packed_keys(geo.device, day, geo.col, geo.row), return_index=True
     )
-    distinct = np.unique(quads, axis=0)
-    out = np.zeros((dataset.n_devices, dataset.n_days), dtype=np.int64)
-    np.add.at(out, (distinct[:, 0], distinct[:, 1]), 1)
-    return out
+    flat = geo.device[first].astype(np.int64) * dataset.n_days + day[first]
+    return np.bincount(
+        flat, minlength=dataset.n_devices * dataset.n_days
+    ).reshape(dataset.n_devices, dataset.n_days)

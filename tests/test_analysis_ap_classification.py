@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import ap_classification
 from repro.analysis.ap_classification import classify_aps
 from repro.net.accesspoint import APType
 from tests.helpers import (
@@ -122,6 +123,49 @@ def test_mixed_night_needs_70_percent():
         add_association_span(builder, 0, 1, slot(day, 0), slot(day, 2))
     result = classify_aps(builder.build())
     assert result.home_ap_of_device == {}
+
+
+def test_equal_night_slots_smallest_ap_wins(monkeypatch):
+    # At 70% a tied night never votes; at 50% two APs holding half the
+    # night each both qualify, and the smaller AP id takes the vote.
+    monkeypatch.setattr(ap_classification, "HOME_NIGHT_FRACTION", 0.5)
+    builder = make_builder(n_devices=1, n_days=1)
+    add_ap(builder, 3, "router-b")
+    add_ap(builder, 7, "router-a")
+    add_association_span(builder, 0, 7, slot(0, 0), slot(0, 3))
+    add_association_span(builder, 0, 3, slot(0, 3), slot(0, 6))
+    result = classify_aps(builder.build())
+    assert result.home_ap_of_device == {0: 3}
+
+
+def test_equal_home_votes_first_voted_wins():
+    # One night each on two APs: a 1-1 vote, won by the earlier night's AP
+    # even though its id is larger.
+    builder = make_builder(n_devices=1, n_days=2)
+    add_ap(builder, 3, "router-b")
+    add_ap(builder, 9, "router-a")
+    add_association_span(builder, 0, 9, slot(0, 0), slot(0, 6))
+    add_association_span(builder, 0, 3, slot(1, 0), slot(1, 6))
+    result = classify_aps(builder.build())
+    assert result.home_ap_of_device == {0: 9}
+
+
+def test_class_codes_match_wifi_class_of():
+    builder = make_builder(n_devices=1, n_days=5)
+    add_ap(builder, 0, "my-router")
+    add_ap(builder, 1, "0000docomo")
+    add_ap(builder, 2, "WM-00042")
+    nightly_home_association(builder, 0, 0, n_days=5)
+    add_association_span(builder, 0, 1, slot(1, 12), slot(1, 13))
+    for day, cell in enumerate(((0, 0), (3, 0), (0, 4))):
+        add_association_span(builder, 0, 2, slot(day, 9), slot(day, 11))
+        add_geo_span(builder, 0, cell, slot(day, 9), slot(day, 11))
+    result = classify_aps(builder.build())
+    ap_ids = np.array([0, 1, 2, -1, 99])
+    names = [ap_classification.WIFI_CLASSES[c]
+             for c in result.class_codes(ap_ids)]
+    assert names == [result.wifi_class_of(int(a)) for a in ap_ids]
+    assert names == ["home", "public", "other", "other", "other"]
 
 
 def test_counts_table4_buckets():

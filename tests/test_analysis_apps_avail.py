@@ -106,6 +106,13 @@ class TestHomeCellInference:
         homes = infer_home_cells(builder.build())
         assert homes[0] == (5, 5)
 
+    def test_equal_night_counts_first_seen_wins(self):
+        builder = make_builder(n_devices=1, n_days=1)
+        # 18 night slots in each cell; (9, 9) is seen first.
+        add_geo_span(builder, 0, (9, 9), slot(0, 0), slot(0, 3))
+        add_geo_span(builder, 0, (5, 5), slot(0, 3), slot(0, 6))
+        assert infer_home_cells(builder.build()) == {0: (9, 9)}
+
     def test_empty_geo(self):
         assert infer_home_cells(make_builder().build()) == {}
 

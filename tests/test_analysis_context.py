@@ -119,6 +119,16 @@ class TestCacheStats:
         assert ctx.stats.artifact("daily_matrix").misses == 1
         assert ctx.stats.artifact("daily_matrix").hits == 1
 
+    def test_app_breakdown_is_memoized(self, dataset2015):
+        from repro.analysis import app_breakdown
+
+        ctx = AnalysisContext.of(dataset2015)
+        first = ctx.app_breakdown()
+        assert ctx.app_breakdown() is first
+        stats = ctx.stats.artifact("app_breakdown")
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert first == app_breakdown(dataset2015)
+
     def test_render_lists_artifacts(self, dataset2015):
         ctx = AnalysisContext.of(dataset2015)
         ctx.daily_matrix()

@@ -52,6 +52,50 @@ def test_guard_sees_the_allowed_calls_in_context():
     assert GUARDED_CALLS.search(text)
 
 
+SRC_DIR = ANALYSIS_DIR.parent
+
+#: Study-wide app breakdowns (Tables 6-7 and their fidelity checks) come
+#: from the memo, ``ctx.app_breakdown(year)``; calling the analysis
+#: function bare or through a module alias recomputes it per caller.
+DIRECT_APP_BREAKDOWN = re.compile(
+    r"(?:^|[^\w.]|\b(?:A|analysis)\.)app_breakdown\("
+)
+
+
+def _app_breakdown_violations():
+    paths = sorted((SRC_DIR / "reporting").glob("*.py"))
+    paths.append(SRC_DIR / "obs" / "fidelity.py")
+    found = []
+    for path in paths:
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            stripped = line.strip()
+            if stripped.startswith(("def ", "#", '"', "'")):
+                continue
+            if DIRECT_APP_BREAKDOWN.search(line):
+                found.append(f"{path.name}:{lineno}: {stripped}")
+    return found
+
+
+def test_reporting_gets_app_breakdown_from_the_context():
+    violations = _app_breakdown_violations()
+    assert not violations, (
+        "direct app_breakdown calls in reporting/fidelity (use the memoized "
+        "ctx.app_breakdown(year)):\n" + "\n".join(violations)
+    )
+
+
+def test_app_breakdown_guard_regex():
+    for bad in (
+        "breakdown = A.app_breakdown(cache.campaign(year))",
+        "top = app_breakdown(ctx)",
+        "analysis.app_breakdown(ctx.campaign(last))",
+    ):
+        assert DIRECT_APP_BREAKDOWN.search(bad), bad
+    for good in ("breakdown = cache.app_breakdown(year)",
+                 "ctx.app_breakdown(last).top('wifi_home')"):
+        assert not DIRECT_APP_BREAKDOWN.search(good), good
+
+
 KERNEL_PATH = (
     Path(__file__).resolve().parents[1]
     / "src" / "repro" / "simulation" / "kernel.py"
