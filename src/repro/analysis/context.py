@@ -354,7 +354,7 @@ class AnalysisContext:
             self._stats.record_hit(key[0])
             return state.artifacts[key]
         # A memo miss is a run stage: spanned under artifact.<family> so a
-        # --telemetry manifest shows compute time per artifact next to the
+        # run manifest shows compute time per artifact next to the
         # engine stages (no-op recorder by default — see repro.obs.recorder).
         with get_recorder().span(f"artifact.{key[0]}"):
             start = time.perf_counter()

@@ -7,8 +7,8 @@ Subcommands::
     python -m repro analyze  --data data/ table4            # on saved data
     python -m repro bench    --scale 0.02                   # benchmark suite
     python -m repro fidelity --check FIDELITY_baseline.json # paper drift gate
-    python -m repro fidelity --report run_report.html       # HTML run report
     python -m repro events run/events.jsonl --postmortem    # read black box
+    python -m repro events run/events.jsonl --report r.html # HTML run report
     python -m repro clean data/ --dry-run                   # reclaim leftovers
     python -m repro list                                    # experiments
     python -m repro validate data/campaign2015              # check a dataset
@@ -24,25 +24,26 @@ accounting, and the ``--chaos-*`` flags drive the deterministic fault
 harness (a chaos kill exits with code 3; stale checkpoint directories are
 refused with code 2).
 
-``simulate``, ``analyze``, ``bench`` and ``fidelity`` record the run
-through one :class:`~repro.obs.recorder.FlightRecorder` whose events —
-spans included — go to up to three sinks:
+``simulate``, ``analyze``, ``bench`` and ``fidelity`` take two telemetry
+switches. ``--events PATH`` flight-records the run through one
+:class:`~repro.obs.recorder.FlightRecorder`: every event — spans, shard
+scheduling, checkpoints, resource samples every second, the command's
+accounting — is appended to PATH, crash-durably, and pool workers append
+to the same file. ``--progress`` prints live shard/device progress with
+an ETA on stderr. Telemetry never changes results: outputs are
+bit-identical with it on or off.
 
-- memory, for ``--telemetry``, ``--manifest``, ``--trace-out`` and
-  ``--report``: the events fold into a machine-readable
-  :class:`~repro.obs.manifest.RunManifest` JSON (config hash, seed, shard
-  layout, per-stage wall/CPU seconds, cache hit rates, fault-loss
-  accounting), and ``--trace-out`` exports the span tree as Chrome-trace
-  JSON;
-- the file ``--events PATH`` (append-only and crash-durable; ``repro
-  events PATH`` tails, summarizes or postmortems it);
-- a listener, for ``--progress`` (live shard/device progress with an ETA
-  on stderr).
+Every other artifact is a fold of the events file, made after the run the
+same way for finished and killed runs::
 
-``--prom PATH`` mirrors periodic resource samples (RSS, CPU, /dev/shm and
-store disk usage, steal/retry counters) to a Prometheus textfile.
-Telemetry never changes results: outputs are bit-identical with it on or
-off.
+    python -m repro events run/events.jsonl --manifest run_manifest.json \
+        --trace trace.json --report run_report.html
+
+``--manifest`` writes the :class:`~repro.obs.manifest.RunManifest` JSON
+(config hash, seed, shard layout, per-stage wall/CPU seconds, cache hit
+rates, fault-loss accounting), ``--trace`` the span tree as Chrome-trace
+JSON and ``--report`` the self-contained HTML run report (with the
+fidelity scoreboard when the run was ``fidelity``).
 ``repro clean`` reclaims what killed runs leave behind: /dev/shm
 transport segments, orphan store partitions, and stale telemetry files.
 """
@@ -62,7 +63,12 @@ from repro.collection.faults import FaultPlan, OutageWindow
 from repro.engine.chaos import ChaosKill
 from repro.engine.executor import resolve_jobs
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.manifest import build_manifest, config_hash_of
+from repro.obs.manifest import (
+    build_manifest,
+    config_hash_of,
+    environment,
+    run_summary,
+)
 from repro.obs.recorder import (
     EVENTS_ENV_VAR,
     EventKind,
@@ -81,7 +87,13 @@ from repro.reporting.experiments import (
     list_experiments,
     run_experiment,
 )
-from repro.simulation.study import Study, StudyConfig, run_study
+from repro.simulation.study import (
+    YEARS,
+    Study,
+    StudyConfig,
+    default_campaign_config,
+    run_study,
+)
 from repro.traces.io import load_dataset, save_dataset
 from repro.traces.validate import validate_dataset
 
@@ -98,39 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_telemetry_flags(command_parser: argparse.ArgumentParser) -> None:
         command_parser.add_argument(
-            "--telemetry", action="store_true",
-            help="trace the run (spans, counters) and write a JSON run "
-                 "manifest. Outputs are bit-identical with telemetry on "
-                 "or off")
-        command_parser.add_argument(
-            "--manifest", type=Path, default=None, metavar="PATH",
-            help="run-manifest output path (default: run_manifest.json "
-                 "next to the command's other outputs); implies "
-                 "--telemetry")
-        command_parser.add_argument(
-            "--trace-out", type=Path, default=None, metavar="PATH",
-            help="also export the span tree as Chrome-trace JSON "
-                 "(open in chrome://tracing or Perfetto); implies "
-                 "--telemetry")
-        command_parser.add_argument(
             "--events", type=Path, default=None, metavar="PATH",
             help="flight-record the run: append one JSON event per line "
-                 "(crash-durable; a kill -9 leaves a parseable log that "
-                 "`repro events PATH --postmortem` reconstructs). Pool "
-                 "workers append to the same file")
+                 "(crash-durable; pool workers append to the same file). "
+                 "`repro events PATH` folds it into the run manifest, "
+                 "Chrome trace, HTML report or a postmortem afterwards")
         command_parser.add_argument(
             "--progress", action="store_true",
             help="print live shard/device progress with rate and ETA to "
                  "stderr (works with or without --events)")
-        command_parser.add_argument(
-            "--prom", type=Path, default=None, metavar="PATH",
-            help="mirror the latest resource sample (RSS, CPU, /dev/shm, "
-                 "store disk, steal/retry counters) to a Prometheus "
-                 "textfile at PATH (atomic rewrite per sample)")
-        command_parser.add_argument(
-            "--sample-interval", type=float, default=1.0, metavar="SECONDS",
-            help="resource-sampler period for --events/--prom "
-                 "(default 1.0)")
 
     simulate = sub.add_parser("simulate", help="run the study and save datasets")
     simulate.add_argument("--scale", type=float, default=0.1,
@@ -187,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument("--partial-results", action="store_true",
                             help="drop shards that exhaust every retry "
                                  "instead of aborting; losses are reported "
-                                 "explicitly and recorded in the manifest")
+                                 "explicitly and recorded in the events")
     resilience.add_argument("--max-attempts", type=int, default=None,
                             metavar="N",
                             help="pool attempts per shard before the serial "
@@ -300,14 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fidelity = sub.add_parser(
         "fidelity",
-        help="score paper fidelity and render the run report",
+        help="score paper fidelity against the paper-reference registry",
         description="Run the registered experiments through the analysis "
                     "context, compare each extracted quantity against the "
                     "paper-reference registry (tolerance and shape "
                     "predicates) and emit a FidelityReport JSON, an "
                     "optional regression verdict against a committed "
-                    "baseline, a self-contained HTML run report, and the "
-                    "regenerated EXPERIMENTS.md tables.",
+                    "baseline, and the regenerated EXPERIMENTS.md tables. "
+                    "`repro events PATH --report` folds the report into "
+                    "the HTML run report of an --events run.",
     )
     fidelity.add_argument("checks", nargs="*", metavar="CHECK",
                           help="experiment ids or check ids to score "
@@ -331,15 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="committed FIDELITY_baseline.json to gate "
                                "against: exit 1 when any check's verdict "
                                "regressed (pass->warn, anything->fail)")
-    fidelity.add_argument("--report", type=Path, default=None,
-                          metavar="HTML",
-                          help="write the self-contained HTML run report "
-                               "here (manifest + metrics + span timeline + "
-                               "fidelity scoreboard); implies --telemetry")
-    fidelity.add_argument("--bench", type=Path, default=None,
-                          metavar="BENCH_JSON",
-                          help="BENCH_all.json to fold into the HTML "
-                               "report's bench section")
     fidelity.add_argument("--write-doc", type=Path, nargs="?",
                           const=Path("EXPERIMENTS.md"), default=None,
                           metavar="DOC",
@@ -349,33 +329,47 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("--history", type=Path, default=None,
                           metavar="PATH",
                           help="run-history JSONL that --check appends a "
-                               "keyed record to; --report folds its trend "
-                               "sparklines into the HTML (default: "
-                               "FIDELITY_history.jsonl next to --out)")
+                               "keyed record to; `repro events --report` "
+                               "folds its trend sparklines into the HTML "
+                               "(default: FIDELITY_history.jsonl next to "
+                               "--out)")
     add_telemetry_flags(fidelity)
 
     events = sub.add_parser(
         "events",
-        help="inspect a flight-recorder events.jsonl",
+        help="inspect a flight-recorder events.jsonl and fold it into "
+             "the run's artifacts",
         description="Read an events.jsonl written by --events (tolerant of "
                     "the truncation a kill -9 leaves) and tail it, "
                     "summarize per-kind counts, or reconstruct a "
                     "postmortem: which phase the run died in, completed vs "
                     "in-flight shards, retries/steals/drops, checkpoint "
-                    "and spill activity, and the last resource sample.",
+                    "and spill activity, and the last resource sample. "
+                    "--manifest, --trace and --report fold the last run in "
+                    "the file into its artifacts; a killed run folds to "
+                    "status 'interrupted'.",
     )
     events.add_argument("path", type=Path,
                         help="events.jsonl written by --events")
     events_mode = events.add_mutually_exclusive_group()
+    # Without a mode flag, the command prints per-kind event counts.
     events_mode.add_argument("--tail", type=int, default=None, metavar="N",
                              help="print the last N events, one line each")
-    events_mode.add_argument("--summary", action="store_true",
-                             help="per-kind event counts (the default)")
     events_mode.add_argument("--postmortem", action="store_true",
                              help="reconstruct what happened to the run "
                                   "from the (possibly truncated) log")
     events.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
+    events.add_argument("--manifest", type=Path, default=None, metavar="OUT",
+                        help="write the run manifest JSON (config hash, "
+                             "shard layout, per-stage seconds, counters)")
+    events.add_argument("--trace", type=Path, default=None, metavar="OUT",
+                        help="write the span tree as Chrome-trace JSON "
+                             "(chrome://tracing or Perfetto)")
+    events.add_argument("--report", type=Path, default=None, metavar="OUT",
+                        help="write the self-contained HTML run report "
+                             "(manifest, metrics, span timeline, and the "
+                             "fidelity scoreboard of a fidelity run)")
 
     clean = sub.add_parser(
         "clean",
@@ -383,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sweep what a killed or crashed run leaves behind: "
                     "/dev/shm shard-transport segments, orphan store "
                     "spill partitions under the given directories, and "
-                    "stale telemetry files (events*.jsonl, *.prom) older "
-                    "than --max-age-h. Run-history JSONL files are never "
+                    "stale events files (events*.jsonl) older than "
+                    "--max-age-h. Run-history JSONL files are never "
                     "touched.",
     )
     clean.add_argument("paths", nargs="*", type=Path,
@@ -442,23 +436,6 @@ def _resolve_experiments(names: List[str]) -> List[str]:
     return names
 
 
-def _write_manifest(manifest, args: argparse.Namespace,
-                    default_dir: Path) -> None:
-    path = args.manifest or (default_dir / "run_manifest.json")
-    manifest.write(path)
-    print(f"wrote run manifest {path}")
-
-
-def _manifest_dir(args: argparse.Namespace) -> Path:
-    """Where a command's run manifest goes when ``--manifest`` is unset."""
-    out = getattr(args, "out", None)
-    if args.command == "simulate":
-        return out
-    if args.command == "analyze":
-        return out if out is not None else Path(".")
-    return out.parent
-
-
 def _progress_listener(event: dict) -> None:
     """Render ``progress`` events to stderr for ``--progress``."""
     if event.get("kind") != EventKind.PROGRESS:
@@ -476,110 +453,94 @@ def _progress_listener(event: dict) -> None:
 class _Recording:
     """One command's recorder, its root span and its resource sampler."""
 
-    def __init__(self, args: argparse.Namespace, recorder: FlightRecorder,
+    def __init__(self, command: str, recorder: FlightRecorder,
                  sampler: Optional[ResourceSampler],
-                 env_was_set: bool, env_before: Optional[str]) -> None:
-        self.args = args
+                 env_before: Optional[str]) -> None:
         self.recorder = recorder
         self.sampler = sampler
-        self._env_was_set = env_was_set
         self._env_before = env_before
-        self._root = recorder.span(f"repro.{args.command}").__enter__()
+        self._root = recorder.span(f"repro.{command}").__enter__()
 
     def finish(self, status: str, exit_code: int,
                error: Optional[BaseException]) -> None:
-        """Close the root span, write what the flags ask for, ``run_end``,
-        close, and reset the global recorder and environment.
-
-        A run that dies with telemetry on still leaves a
-        ``run_manifest.json`` — ``status: "failed"``, the exception on one
-        line, and whatever stage timings were recorded before the failure.
-        Best-effort: the original exception is never masked by manifest
-        trouble.
-        """
-        args, recorder = self.args, self.recorder
+        """Close the root span, emit ``run_end``, close, and reset the
+        global recorder and environment."""
+        recorder = self.recorder
         self._root.__exit__(type(error) if error else None, error, None)
         if self.sampler is not None:
             self.sampler.stop()
-        if error is not None and recorder.events is not None:
-            try:
-                manifest = build_manifest(
-                    args.command, recorder,
-                    seed=getattr(args, "seed", 0),
-                    scale=getattr(args, "scale", 0.0),
-                    status="failed",
-                    error=f"{type(error).__name__}: {error}",
-                )
-                _write_manifest(manifest, args, _manifest_dir(args))
-            except Exception:
-                pass
-        trace_out = getattr(args, "trace_out", None)
-        if trace_out is not None:
-            from repro.obs.span import write_chrome_trace
-
-            (root,) = recorder.spans()
-            write_chrome_trace(root.as_dict(), trace_out)
-            print(f"wrote Chrome trace {trace_out}")
-        recorder.emit(EventKind.RUN_END, status=status, exit_code=exit_code)
+        fields: dict = {"status": status, "exit_code": exit_code}
+        if error is not None:
+            fields["error"] = f"{type(error).__name__}: {error}"
+        recorder.emit(EventKind.RUN_END, **fields)
         recorder.close()
         set_recorder(None)
-        if self._env_was_set:
+        if self.sampler is not None:  # --events exported the file
             if self._env_before is None:
                 os.environ.pop(EVENTS_ENV_VAR, None)
             else:
                 os.environ[EVENTS_ENV_VAR] = self._env_before
 
 
-def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
-    """Install the command's flight recorder; None (and no cost) when no
-    telemetry flag asks for one.
+def _config_hash(args: argparse.Namespace) -> str:
+    """The run's config hash: of the campaign configs ``simulate`` runs,
+    of the study config (or data directory) an analysis reads, or of the
+    bench settings."""
+    if args.command == "simulate":
+        faults = _fault_plan_from_args(args)
+        return config_hash_of(*(
+            default_campaign_config(year, scale=args.scale, seed=args.seed,
+                                    faults=faults)
+            for year in YEARS
+        ))
+    if args.command == "bench":
+        return config_hash_of(("bench", args.scale, args.seed, args.repeat,
+                               args.warmup))
+    if args.data is not None:
+        return config_hash_of(str(args.data))
+    return config_hash_of(StudyConfig(scale=args.scale, seed=args.seed))
 
-    ``--telemetry``, ``--manifest``, ``--trace-out`` and ``--report``
-    keep the events in memory, ``--events`` adds the file and
-    ``--progress`` the listener. Exporting ``$REPRO_EVENTS`` lets spawned
-    pool workers resolve the same event file through
+
+def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
+    """Install the command's flight recorder; None (and no cost) when
+    neither ``--events`` nor ``--progress`` asks for one.
+
+    ``--events`` writes the file and samples resources every second,
+    ``--progress`` adds the listener. Exporting ``$REPRO_EVENTS`` lets
+    spawned pool workers resolve the same event file through
     :func:`repro.obs.recorder.get_recorder` — every event is one O_APPEND
     write, so sharing the file is safe.
     """
-    keep = (getattr(args, "telemetry", False)
-            or any(getattr(args, flag, None) is not None
-                   for flag in ("manifest", "trace_out", "report")))
     events = getattr(args, "events", None)
     progress = getattr(args, "progress", False)
-    prom = getattr(args, "prom", None)
-    if not keep and events is None and not progress and prom is None:
+    if events is None and not progress:
         return None
+    try:
+        config_hash = _config_hash(args)
+    except ReproError:
+        config_hash = ""  # the command itself fails on the bad config
     recorder = FlightRecorder(
-        events, listener=_progress_listener if progress else None, keep=keep,
+        events, listener=_progress_listener if progress else None,
     )
     set_recorder(recorder)
     env_before = os.environ.get(EVENTS_ENV_VAR)
-    env_was_set = events is not None
-    if env_was_set:
-        os.environ[EVENTS_ENV_VAR] = str(events)
     recorder.emit(
         EventKind.RUN_START, command=args.command, argv=list(sys.argv[1:]),
-        config_hash=config_hash_of(
-            (args.command, getattr(args, "scale", None),
-             getattr(args, "seed", None), getattr(args, "jobs", None))
-        ),
-        seed=getattr(args, "seed", None),
-        scale=getattr(args, "scale", None),
+        config_hash=config_hash, seed=args.seed, scale=args.scale,
+        environment=environment(),
     )
     sampler = None
-    if events is not None or prom is not None:
+    if events is not None:
+        os.environ[EVENTS_ENV_VAR] = str(events)
         disk_paths = [
             p for p in (getattr(args, "out", None),
                         getattr(args, "store_dir", None),
                         getattr(args, "checkpoint_dir", None))
             if isinstance(p, Path)
         ]
-        sampler = ResourceSampler(
-            recorder, interval_s=getattr(args, "sample_interval", 1.0),
-            disk_paths=disk_paths, prom_path=prom,
-        )
+        sampler = ResourceSampler(recorder, disk_paths=disk_paths)
         sampler.start()
-    return _Recording(args, recorder, sampler, env_was_set, env_before)
+    return _Recording(args.command, recorder, sampler, env_before)
 
 
 def _study_shards(study: Study) -> List[dict]:
@@ -718,21 +679,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(execution_losses_table(losses).render())
     if study.resilience is not None:
         print(study.resilience.describe())
-    if recorder.events is not None:
-        manifest = build_manifest(
-            "simulate", recorder,
-            config_hash=config_hash_of(
-                *(study.campaigns[y].config for y in study.years)
-            ),
-            seed=args.seed, scale=args.scale, years=list(study.years),
-            execution=study.execution, shards=_study_shards(study),
-            collection_reports={
-                y: study.campaigns[y].collection for y in study.years
-            },
-            resilience=study.resilience,
-            losses=losses,
-        )
-        _write_manifest(manifest, args, args.out)
+    recorder.emit(EventKind.RUN_SUMMARY, **run_summary(
+        years=list(study.years), execution=study.execution,
+        shards=_study_shards(study),
+        collection_reports={
+            y: study.campaigns[y].collection for y in study.years
+        },
+        resilience=study.resilience, losses=losses,
+    ))
     return 0
 
 
@@ -761,19 +715,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             (args.out / f"{name}.txt").write_text(text + "\n")
     if args.cache_stats:
         print(cache.stats.render())
-    if recorder.events is not None:
-        manifest = build_manifest(
-            "analyze", recorder,
-            config_hash=(config_hash_of(str(args.data))
-                         if args.data is not None
-                         else config_hash_of(study.config)),
-            seed=args.seed, scale=args.scale, years=list(study.years),
-            execution=study.execution,
-            shards=_study_shards(study) if study.execution else None,
-            cache_stats=cache.stats,
-            extra_counters={"experiments_run": len(names)},
-        )
-        _write_manifest(manifest, args, _manifest_dir(args))
+    recorder.emit(EventKind.RUN_SUMMARY, **run_summary(
+        years=list(study.years), execution=study.execution,
+        shards=_study_shards(study) if study.execution else None,
+        cache_stats=cache.stats,
+        extra_counters={"experiments_run": len(names)},
+    ))
     return 0
 
 
@@ -813,18 +760,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bench_harness.write_report(report, args.out)
         print(bench_harness.render_results(report))
         print(f"wrote {args.out}")
-        recorder = get_recorder()
-        if recorder.events is not None:
-            manifest = build_manifest(
-                "bench", recorder,
-                config_hash=config_hash_of(
-                    ("bench", args.scale, args.seed, args.repeat,
-                     args.warmup)
-                ),
-                seed=args.seed, scale=args.scale,
-                extra_counters={"benchmarks_run": report["n_benchmarks"]},
-            )
-            _write_manifest(manifest, args, _manifest_dir(args))
+        get_recorder().emit(EventKind.RUN_SUMMARY, **run_summary(
+            extra_counters={"benchmarks_run": report["n_benchmarks"]},
+        ))
 
     failures = []
     for baseline_path in args.check or ():
@@ -897,28 +835,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         print(f"{'rewrote' if changed else 'unchanged:'} "
               f"{args.write_doc}")
 
-    manifest = None
     recorder = get_recorder()
-    if recorder.events is not None:
-        manifest = build_manifest(
-            "fidelity", recorder,
-            config_hash=(config_hash_of(str(args.data))
-                         if args.data is not None
-                         else config_hash_of(study.config)),
-            seed=args.seed, scale=args.scale, years=list(study.years),
-            execution=study.execution,
-            shards=_study_shards(study) if study.execution else None,
-            cache_stats=cache.stats,
-            extra_counters={
-                "fidelity_checks": len(report.records),
-                "fidelity_pass": report.n_pass,
-                "fidelity_warn": report.n_warn,
-                "fidelity_fail": report.n_fail,
-                "fidelity_skip": report.n_skip,
-            },
-        )
-        _write_manifest(manifest, args, _manifest_dir(args))
-
     history_path = (args.history
                     or args.out.parent / "FIDELITY_history.jsonl")
     failures = []
@@ -944,25 +861,20 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         for warning in drift_warnings(load_history(history_path)):
             print(f"warning: {warning}", file=sys.stderr)
 
-    if args.report is not None:
-        from repro.obs.bench import load_report as load_bench_report
-        from repro.obs.history import load_history as load_history_file
-        from repro.obs.report import write_run_report
-
-        bench = (load_bench_report(args.bench)
-                 if args.bench is not None else None)
-        history = {"fidelity": load_history_file(history_path)}
-        if args.bench is not None:
-            history["bench"] = load_history_file(
-                args.bench.parent / "BENCH_history.jsonl"
-            )
-        write_run_report(
-            args.report, manifest, fidelity=report, bench=bench,
-            title=f"repro fidelity (scale {args.scale:g}, "
-                  f"seed {args.seed})",
-            history=history,
-        )
-        print(f"wrote run report {args.report}")
+    recorder.emit(EventKind.RUN_SUMMARY, **run_summary(
+        years=list(study.years), execution=study.execution,
+        shards=_study_shards(study) if study.execution else None,
+        cache_stats=cache.stats,
+        extra_counters={
+            "fidelity_checks": len(report.records),
+            "fidelity_pass": report.n_pass,
+            "fidelity_warn": report.n_warn,
+            "fidelity_fail": report.n_fail,
+            "fidelity_skip": report.n_skip,
+        },
+        artifacts={"fidelity_report": str(args.out.resolve()),
+                   "fidelity_history": str(history_path.resolve())},
+    ))
 
     if failures:
         for failure in failures:
@@ -986,6 +898,23 @@ def cmd_events(args: argparse.Namespace) -> int:
     if not args.path.exists():
         raise ReproError(f"no event log at {args.path}")
     events = load_events(args.path)
+    if args.manifest or args.trace or args.report:
+        manifest = build_manifest(events)
+        if args.manifest is not None:
+            manifest.write(args.manifest)
+            print(f"wrote run manifest {args.manifest}")
+        if args.trace is not None:
+            from repro.obs.span import write_chrome_trace
+
+            write_chrome_trace(manifest.spans, args.trace)
+            print(f"wrote Chrome trace {args.trace}")
+        if args.report is not None:
+            from repro.obs.report import write_run_report
+
+            write_run_report(args.report, manifest)
+            print(f"wrote run report {args.report}")
+        if args.tail is None and not args.postmortem and not args.json:
+            return 0
     if args.tail is not None:
         selected = events[-args.tail:] if args.tail > 0 else []
         for event in selected:
@@ -1043,13 +972,9 @@ def cmd_clean(args: argparse.Namespace) -> int:
         for name in partitions:
             print(f"{verb} orphan partition {name} under {root}")
         reclaimed += len(partitions)
-        # Only canonical telemetry spellings: history JSONL never matches.
-        stale = [
-            found
-            for pattern in ("events*.jsonl", "*.prom")
-            for found in root.rglob(pattern)
-            if found.is_file()
-        ]
+        # Only the canonical events spelling: history JSONL never matches.
+        stale = [found for found in root.rglob("events*.jsonl")
+                 if found.is_file()]
         for found in sorted(stale):
             try:
                 if found.stat().st_mtime >= cutoff:

@@ -157,8 +157,10 @@ def make_executor(
 # Warm pool cache
 # ---------------------------------------------------------------------------
 
-#: Parked healthy pools by worker count, oldest first.
-_WARM_POOLS: Dict[int, List[ProcessPoolExecutor]] = {}
+#: Parked healthy pools by (worker count, events file), oldest first.
+#: Workers fork under the recorder installed at the time and keep it, so
+#: a pool is reused only by a run that records to the same events file.
+_WARM_POOLS: Dict[tuple, List[ProcessPoolExecutor]] = {}
 #: Keep at most this many idle pools parked across all worker counts.
 _WARM_POOL_CAP = 4
 _POOL_STATS = {"created": 0, "reused": 0, "discarded": 0}
@@ -182,7 +184,7 @@ def _exit_with_parent(parent: int) -> None:
 
 def _acquire_pool(n_jobs: int) -> ProcessPoolExecutor:
     """A warm pool for ``n_jobs`` workers, or a fresh one."""
-    parked = _WARM_POOLS.get(n_jobs)
+    parked = _WARM_POOLS.get((n_jobs, get_recorder().path))
     if parked:
         _POOL_STATS["reused"] += 1
         return parked.pop()
@@ -194,11 +196,11 @@ def _acquire_pool(n_jobs: int) -> ProcessPoolExecutor:
 
 def _park_pool(n_jobs: int, pool: ProcessPoolExecutor) -> None:
     """Return a healthy, drained pool to the cache for the next run."""
-    _WARM_POOLS.setdefault(n_jobs, []).append(pool)
+    _WARM_POOLS.setdefault((n_jobs, get_recorder().path), []).append(pool)
     while sum(len(v) for v in _WARM_POOLS.values()) > _WARM_POOL_CAP:
-        for jobs in sorted(_WARM_POOLS):
-            if _WARM_POOLS[jobs]:
-                eldest = _WARM_POOLS[jobs].pop(0)
+        for parked in _WARM_POOLS.values():
+            if parked:
+                eldest = parked.pop(0)
                 eldest.shutdown(wait=False, cancel_futures=True)
                 _POOL_STATS["discarded"] += 1
                 break

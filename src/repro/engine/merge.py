@@ -61,10 +61,6 @@ class ShardOutput:
     stats: List[DeviceCollectionStats] = field(default_factory=list)
     batches_received: int = 0
     duplicates_dropped: int = 0
-    #: The shard's flight-recorder events (None when the run kept no
-    #: events in memory); the merge layer adopts them into the parent's
-    #: log. Carries no simulation state.
-    events: Optional[List[dict]] = None
     #: Shared-memory transport handle (parallel execution only).
     payload: Optional[ShardPayload] = None
     #: On-disk store partition holding this shard's columns
@@ -100,8 +96,8 @@ class ShardOutput:
         Returns a slim partition-backed copy: the chunk data now lives in
         ``store/parts/<name>/`` and the shared-memory segment (if any) is
         unmapped, so accepting a shard costs O(manifest) parent memory
-        instead of O(rows). Collection stats and events stay inline —
-        they are small and the merge layer consumes them directly.
+        instead of O(rows). Collection stats stay inline — they are small
+        and the merge layer consumes them directly.
         """
         ref = store.write_partition(name, self.chunk_map())
         moved = self.transport_bytes
@@ -115,18 +111,16 @@ class ShardOutput:
 
         Shared-memory views must be materialised into ordinary arrays —
         the segment is unlinked the moment the shard is accepted, and a
-        pickled view would drag the whole mapped buffer along. Shipped
-        events belong to the run that recorded them and are never
-        replayed from a checkpoint, so they are dropped too.
+        pickled view would drag the whole mapped buffer along.
         Partition-backed outputs checkpoint as just the
         :class:`~repro.traces.store.PartitionRef` — the checkpoint
         references the store partition instead of re-pickling the rows,
         and resume validates the partition's digest before trusting it.
         """
         if self.payload is None:
-            return replace(self, events=None) if self.events else self
+            return self
         return replace(self, chunks=self.payload.materialize(),
-                       payload=None, events=None)
+                       payload=None)
 
 
 def ordered_outputs(

@@ -1,31 +1,32 @@
 """Run-telemetry and fidelity-observability subsystem.
 
 A run has one telemetry stream: the flight recorder's event list. Spans,
-stage timings, the Chrome trace, live progress and the kill -9
-postmortem are folds over it. Stdlib-light modules the rest of the system
-threads through:
+stage timings, the run manifest, the Chrome trace, the HTML run report,
+live progress and the kill -9 postmortem are folds over it. Stdlib-light
+modules the rest of the system threads through:
 
 - :mod:`repro.obs.recorder` — the :class:`~repro.obs.recorder.FlightRecorder`
-  (``EventKind``-typed events to memory, an ``O_APPEND`` ``events.jsonl``
-  and/or a listener; ``span()`` emits ``span_start``/``span_end``), the
+  (``EventKind``-typed events to an ``O_APPEND`` ``events.jsonl`` and/or a
+  listener; ``span()`` emits ``span_start``/``span_end``), the
   shared no-op default that keeps instrumented hot paths zero-overhead,
   the truncation-tolerant parser and the
   :func:`~repro.obs.recorder.reconstruct` postmortem.
 - :mod:`repro.obs.span` — the :class:`~repro.obs.span.Span` tree folded
-  from span events, its per-stage rollup and Chrome-trace export
+  from span events (one stack per process), its per-stage rollup and
+  Chrome-trace export
   (loadable in ``chrome://tracing`` / Perfetto).
 - :mod:`repro.obs.metrics` — ``MetricsRegistry`` folding the analysis
   cache stats, collection loss accounting and engine reports into one
   counter schema.
 - :mod:`repro.obs.manifest` — ``RunManifest``, the machine-readable JSON
   account of one run (config hash, seed, shard layout, per-stage seconds,
-  cache hit rates, fault losses).
+  cache hit rates, fault losses), folded from the events file by
+  ``build_manifest``.
 - :mod:`repro.obs.reference` — the paper-reference registry: one
   ``PaperRef`` per checkable claim, each with a tolerance/shape
   ``Predicate`` producing a normalized divergence and verdict.
 - :mod:`repro.obs.resources` — the daemon-thread resource sampler
-  (RSS/CPU//dev/shm/store-disk plus executor lifetime counters) with a
-  Prometheus-textfile exporter.
+  (RSS/CPU//dev/shm/store-disk plus executor lifetime counters).
 - :mod:`repro.obs.history` — append-only run-history JSONL for
   ``bench``/``fidelity`` gate results, with rolling-window drift
   warnings and sparkline rendering.

@@ -456,7 +456,7 @@ def run_suite(
     """Run (a filtered subset of) the suite and return the report dict.
 
     ``only`` filters by case name or group name. Each case runs under a
-    ``bench.<name>`` span, so a ``--telemetry`` run's manifest carries
+    ``bench.<name>`` span, so an ``--events`` run's manifest carries
     per-benchmark span timings next to the engine/analysis stages.
     """
     cases = discover_cases()

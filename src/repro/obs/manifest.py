@@ -1,12 +1,17 @@
-"""The machine-readable run manifest.
+"""The machine-readable run manifest, a fold of the events file.
 
 A :class:`RunManifest` is the single artifact that accounts for one run the
 way the paper accounts for a campaign: what was configured (config hash,
 seed, scale, years), how it executed (executor, shard layout, per-stage
 wall/CPU seconds), what the caches did (per-artifact hit rates), and what
-the collection pipeline lost (fault-loss accounting). CI uploads it next to
-``BENCH_all.json`` so a PR's performance and completeness story is one
-download away.
+the collection pipeline lost (fault-loss accounting).
+
+The run writes none of it directly. ``run_start`` carries the identity,
+the command's ``run_summary`` event (:func:`run_summary`) carries what
+its accounting objects know, ``run_end`` the status, and the span events
+everything else; :func:`build_manifest` folds them after the fact
+(``repro events PATH --manifest OUT``), the same way for finished and
+killed runs.
 
 Manifests round-trip losslessly through JSON: ``read(write(m)) == m`` is
 pinned by ``tests/test_obs.py``. All keys are strings and all values are
@@ -23,13 +28,13 @@ import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Span, rollup
+from repro.obs.span import Span, fold_spans, rollup
 
 __all__ = ["RunManifest", "build_manifest", "config_hash_of",
-           "MANIFEST_SCHEMA_VERSION"]
+           "environment", "run_summary", "MANIFEST_SCHEMA_VERSION"]
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -43,7 +48,8 @@ def config_hash_of(*configs: object) -> str:
     return digest.hexdigest()[:16]
 
 
-def _environment() -> Dict[str, object]:
+def environment() -> Dict[str, object]:
+    """The host a run executes on (recorded on ``run_start``)."""
     try:
         import numpy
         numpy_version = numpy.__version__
@@ -86,12 +92,16 @@ class RunManifest:
     shard_attempts: List[dict] = field(default_factory=list)
     #: Per-year partial-results loss accounting (empty = complete run).
     losses: List[dict] = field(default_factory=list)
-    #: ``"ok"`` on clean exit; ``"failed"`` when the CLI wrote the
-    #: manifest from a failure path (partial timings, see ``error``).
+    #: ``"ok"`` on clean exit; ``"failed"`` or ``"interrupted"`` from the
+    #: run's ``run_end``; ``"interrupted"`` when the log has no
+    #: ``run_end`` (a killed run: partial timings).
     status: str = "ok"
     #: Single-line description of the exception that ended a failed run.
     error: str = ""
-    environment: Dict[str, object] = field(default_factory=_environment)
+    #: Files the run wrote that later folds read, by role (``fidelity``
+    #: names its report JSON and history for the HTML run report).
+    artifacts: Dict[str, str] = field(default_factory=dict)
+    environment: Dict[str, object] = field(default_factory=environment)
     schema_version: int = MANIFEST_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -124,13 +134,8 @@ class RunManifest:
         return float(self.stages.get(stage, {}).get("wall_s", 0.0))
 
 
-def build_manifest(
-    command: str,
-    recorder=None,
+def run_summary(
     *,
-    config_hash: str = "",
-    seed: int = 0,
-    scale: float = 0.0,
     years: Optional[List[int]] = None,
     execution=None,
     shards: Optional[List[Dict[str, int]]] = None,
@@ -139,35 +144,17 @@ def build_manifest(
     resilience=None,
     losses: Optional[List[object]] = None,
     extra_counters: Optional[Dict[str, Union[int, float]]] = None,
-    status: str = "ok",
-    error: str = "",
-) -> RunManifest:
-    """Assemble a manifest from a run's event log and accounting objects.
+    artifacts: Optional[Dict[str, str]] = None,
+) -> dict:
+    """The fields of a command's ``run_summary`` event.
 
-    ``recorder`` is the run's :class:`~repro.obs.recorder.FlightRecorder`;
-    its in-memory events fold into ``spans``, ``stages`` and the
-    ``span.*`` counters. Every other argument is optional so each CLI
-    entry point contributes what it actually has: ``simulate`` has
-    collection reports but no cache stats, ``analyze`` the reverse,
-    ``bench`` both. ``resilience`` takes a ``ResilienceReport``;
+    Folds the run's accounting objects into JSON-ready manifest fields.
+    Every argument is optional so each command contributes what it
+    actually has: ``simulate`` has collection reports but no cache stats,
+    ``analyze`` the reverse. ``resilience`` takes a ``ResilienceReport``;
     ``losses`` a list of per-year ``ExecutionLosses``.
     """
     registry = MetricsRegistry()
-    spans: dict = {}
-    stages: Dict[str, dict] = {}
-    roots = recorder.spans() if recorder is not None else []
-    if roots:
-        if len(roots) == 1:
-            tree = roots[0]
-        else:  # several top-level spans: hang them under one root
-            tree = Span(command)
-            tree.children = roots
-            tree.wall_s = sum(root.wall_s for root in roots)
-            tree.cpu_s = sum(root.cpu_s for root in roots)
-        spans = tree.as_dict()
-        stages, span_counters = rollup(tree)
-        for name, value in span_counters.items():
-            registry.count(name, value)
     if cache_stats is not None:
         registry.ingest_cache_stats(cache_stats)
     for year, report in (collection_reports or {}).items():
@@ -177,30 +164,82 @@ def build_manifest(
         registry.ingest_execution(execution)
     if resilience is not None:
         registry.ingest_resilience(resilience)
-    for loss in losses or []:
-        if loss is not None:
-            registry.ingest_losses(loss)
+    losses = [loss for loss in losses or [] if loss is not None]
+    for loss in losses:
+        registry.ingest_losses(loss)
     for name, value in (extra_counters or {}).items():
         registry.set(name, value)
+    return {
+        "years": list(years or []),
+        "executor": getattr(execution, "executor", "serial"),
+        "n_jobs": getattr(execution, "n_jobs", 1),
+        "shards": list(shards or []),
+        "counters": registry.counters,
+        "shard_attempts": list(resilience.shard_attempts)
+        if resilience is not None else [],
+        "losses": [loss.to_dict() for loss in losses],
+        "artifacts": dict(artifacts or {}),
+    }
+
+
+def build_manifest(events: Sequence[dict]) -> RunManifest:
+    """Fold an event list (``load_events(path)``) into the run's manifest.
+
+    Only the last run in the list is folded: a file several runs appended
+    to is cut at its last ``run_start``. The span events fold into
+    ``spans``, ``stages`` and the ``span.*`` counters; the last
+    ``run_summary`` supplies the accounting fields and ``run_end`` the
+    status. A log without ``run_end`` is a killed run: its status is
+    ``"interrupted"`` and its open spans are timed up to the last event.
+    """
+    events = list(events)
+    starts = [i for i, e in enumerate(events) if e.get("kind") == "run_start"]
+    if starts:
+        events = events[starts[-1]:]
+    run = events[0] if starts else {}
+    summary: dict = {}
+    end: Optional[dict] = None
+    for event in events:
+        if event.get("kind") == "run_summary":
+            summary = event
+        elif event.get("kind") == "run_end":
+            end = event
+    command = str(run.get("command", "?"))
+    spans: dict = {}
+    stages: Dict[str, dict] = {}
+    counters: Dict[str, Union[int, float]] = {}
+    roots, _ = fold_spans(events)
+    if roots:
+        if len(roots) == 1:
+            tree = roots[0]
+        else:  # several top-level spans: hang them under one root
+            tree = Span(command)
+            tree.children = roots
+            tree.wall_s = sum(root.wall_s for root in roots)
+            tree.cpu_s = sum(root.cpu_s for root in roots)
+        spans = tree.as_dict()
+        stages, counters = rollup(tree)
+    counters.update(summary.get("counters") or {})
     return RunManifest(
         command=command,
-        config_hash=config_hash,
-        seed=seed,
-        scale=scale,
-        years=list(years or []),
-        executor=getattr(execution, "executor", "serial"),
-        n_jobs=getattr(execution, "n_jobs", 1),
-        shards=list(shards or []),
+        config_hash=str(run.get("config_hash") or ""),
+        seed=run.get("seed") or 0,
+        scale=run.get("scale") or 0.0,
+        years=list(summary.get("years", [])),
+        executor=summary.get("executor", "serial"),
+        n_jobs=summary.get("n_jobs", 1),
+        shards=list(summary.get("shards", [])),
         stages={
             name: {k: round(v, 6) if isinstance(v, float) else v
                    for k, v in stages[name].items()}
             for name in sorted(stages)
         },
-        counters=registry.counters,
+        counters={name: counters[name] for name in sorted(counters)},
         spans=spans,
-        shard_attempts=list(resilience.shard_attempts)
-        if resilience is not None else [],
-        losses=[loss.to_dict() for loss in losses or [] if loss is not None],
-        status=status,
-        error=error,
+        shard_attempts=list(summary.get("shard_attempts", [])),
+        losses=list(summary.get("losses", [])),
+        status=str(end.get("status", "ok")) if end else "interrupted",
+        error=str(end.get("error") or "") if end else "",
+        artifacts=dict(summary.get("artifacts") or {}),
+        environment=dict(run.get("environment") or {}),
     )

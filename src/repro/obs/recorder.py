@@ -3,13 +3,13 @@
 Every observation a run makes is an event on one list: command start and
 end, span open and close, shard scheduling, checkpoints, spills, losses,
 chaos faults, progress, resource samples and gate verdicts. The span
-tree, the manifest's ``stages``, the Chrome trace, ``--progress`` and the
-``repro events --postmortem`` report are all folds over that list.
+tree, the run manifest, the Chrome trace, the HTML run report,
+``--progress`` and the ``repro events --postmortem`` report are all folds
+over that list, and every one of them except ``--progress`` is computed
+after the fact from the events file.
 
-A :class:`FlightRecorder` routes each event to any of three sinks:
+A :class:`FlightRecorder` routes each event to two sinks:
 
-- an in-memory list (``keep=True``) that :meth:`FlightRecorder.spans`
-  folds into the span tree for the run manifest and the Chrome trace;
 - an ``O_APPEND`` file, one JSON object per line, written with a single
   ``os.write`` per event. POSIX appends of one small write are atomic, so
   pool workers and the parent share the file without interleaving, and a
@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
-
-from repro.obs.span import Span, fold_spans
 
 __all__ = [
     "EventKind",
@@ -73,9 +71,12 @@ class EventKind(str, Enum):
     a member, so an undeclared kind fails where it is written.
     """
 
-    #: command began: argv, config hash, seed, scale, pid
+    #: command began: argv, config hash, seed, scale, environment, pid
     RUN_START = "run_start"
-    #: command finished: status (ok/failed/interrupted), exit code
+    #: the command's accounting, emitted just before run_end: years,
+    #: executor, n_jobs, shard layout, counters, shard attempts, losses
+    RUN_SUMMARY = "run_summary"
+    #: command finished: status (ok/failed/interrupted), exit code, error
     RUN_END = "run_end"
     #: a span opened: name, attrs
     SPAN_START = "span_start"
@@ -112,23 +113,19 @@ class EventKind(str, Enum):
 
 
 class FlightRecorder:
-    """One event stream with up to three sinks: memory, file, listener.
+    """One event stream with two optional sinks: a file and a listener.
 
-    ``keep`` holds every event in :attr:`events` (the span tree and the
-    manifest fold it); ``path`` appends each event to an ``O_APPEND``
-    file; ``listener`` sees every event dict after it is recorded —
-    listener errors are swallowed so display code can never kill a run.
+    ``path`` appends each event to an ``O_APPEND`` file; ``listener`` sees
+    every event dict after it is written — listener errors are swallowed
+    so display code can never kill a run.
     """
 
     enabled = True
 
     def __init__(self, path: Optional[Union[str, os.PathLike]] = None,
-                 listener: Optional[Callable[[dict], None]] = None,
-                 keep: bool = False) -> None:
+                 listener: Optional[Callable[[dict], None]] = None) -> None:
         self.path: Optional[Path] = Path(path) if path is not None else None
         self.listener = listener
-        #: The in-memory event log (None unless ``keep``).
-        self.events: Optional[List[dict]] = [] if keep else None
         self._open: List[_SpanHandle] = []
         self._fd: Optional[int] = None
         if self.path is not None:
@@ -148,8 +145,6 @@ class FlightRecorder:
             line = json.dumps(event, separators=(",", ":"),
                               default=str) + "\n"
             os.write(self._fd, line.encode("utf-8"))
-        if self.events is not None:
-            self.events.append(event)
         if self.listener is not None:
             try:
                 self.listener(event)
@@ -165,24 +160,6 @@ class FlightRecorder:
         if self._open:
             counters = self._open[-1].counters
             counters[name] = counters.get(name, 0) + n
-
-    def adopt(self, events: Optional[List[dict]]) -> None:
-        """Append events another recorder already wrote to its file (a
-        shard's shipped log) to the in-memory log only, so each appears
-        once in the file and once in the fold."""
-        if self.events is not None and events:
-            self.events.extend(events)
-
-    def spans(self) -> List[Span]:
-        """The span forest folded from the in-memory log; spans still
-        open are stamped with their time and counters so far."""
-        roots, still_open = fold_spans(self.events or ())
-        now, cpu = time.perf_counter(), time.process_time()
-        for node, handle in zip(still_open, self._open):
-            node.wall_s = now - handle.t0
-            node.cpu_s = cpu - handle.c0
-            node.counters = dict(handle.counters)
-        return roots
 
     def close(self) -> None:
         if self._fd is not None:
@@ -249,7 +226,6 @@ class NoopRecorder:
 
     enabled = False
     path = None
-    events = None
 
     def emit(self, kind: EventKind, **fields: object) -> None:
         return None
@@ -258,9 +234,6 @@ class NoopRecorder:
         return _NOOP_SPAN
 
     def count(self, name: str, n: Union[int, float] = 1) -> None:
-        return None
-
-    def adopt(self, events: Optional[List[dict]]) -> None:
         return None
 
     def close(self) -> None:

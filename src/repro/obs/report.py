@@ -1,12 +1,13 @@
 """The self-contained HTML run report.
 
 :func:`render_run_report` folds one run's artifacts — the
-:class:`~repro.obs.manifest.RunManifest`, its counters and per-stage
-timings, the span-tree timeline (rendered inline by
-:func:`repro.reporting.svg.span_timeline_svg`), bench results from a
-``BENCH_all.json`` report, and the fidelity scoreboard — into a single
-HTML page with zero external assets: every style and SVG is inline, so
-the file can be uploaded as a CI artifact and opened anywhere.
+:class:`~repro.obs.manifest.RunManifest` folded from its events file, its
+counters and per-stage timings, the span-tree timeline (rendered inline
+by :func:`repro.reporting.svg.span_timeline_svg`), and for a ``fidelity``
+run the scoreboard and history trends — into a single HTML page with
+zero external assets: every style and SVG is inline, so the file can be
+uploaded as a CI artifact and opened anywhere. ``repro events PATH
+--report OUT`` writes it after the run.
 
 Like :mod:`repro.obs.bench`, this module reaches up into the reporting
 layer and is therefore deliberately **not** imported by
@@ -19,7 +20,6 @@ import html
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.fidelity import FidelityReport
 from repro.obs.manifest import RunManifest
 
 __all__ = ["render_run_report", "write_run_report"]
@@ -107,8 +107,8 @@ def _metrics_section(manifest: RunManifest) -> str:
 
 def _timeline_section(manifest: RunManifest) -> str:
     if not manifest.spans:
-        return ("<h2>Timeline</h2><p class='muted'>No span tree recorded "
-                "(run with --telemetry).</p>")
+        return ("<h2>Timeline</h2><p class='muted'>No span tree "
+                "recorded.</p>")
     from repro.reporting.svg import span_timeline_svg
 
     svg = span_timeline_svg(
@@ -117,35 +117,9 @@ def _timeline_section(manifest: RunManifest) -> str:
     return f"<h2>Timeline</h2>{svg}"
 
 
-def _bench_section(bench: Optional[dict]) -> str:
-    if not bench:
+def _fidelity_section(data: Optional[dict]) -> str:
+    if data is None:
         return ""
-    results = bench.get("results", [])
-    rows = "".join(
-        "<tr><td>{0}</td><td>{1}</td><td class='num'>{2:.4f}</td>"
-        "<td class='num'>{3:.4f}</td></tr>".format(
-            _esc(r.get("name", "?")),
-            _esc(r.get("group", "-")),
-            float(r.get("mean_s", r.get("wall_s", 0.0))),
-            float(r.get("wall_s", 0.0)),
-        )
-        for r in results
-    )
-    head = (
-        f"<p class='muted'>{len(results)} benchmarks at scale "
-        f"{bench.get('scale', '?')}, seed {bench.get('seed', '?')}.</p>"
-    )
-    return (
-        "<h2>Bench</h2>" + head +
-        "<table><tr><th>benchmark</th><th>group</th><th>mean s</th>"
-        f"<th>wall s</th></tr>{rows}</table>"
-    )
-
-
-def _fidelity_section(fidelity: Optional[Union[FidelityReport, dict]]) -> str:
-    if fidelity is None:
-        return ""
-    data = fidelity.to_dict() if isinstance(fidelity, FidelityReport) else fidelity
     pills = "".join(
         f"<span class='pill verdict-{kind}'>{data.get('n_' + kind, 0)} "
         f"{kind}</span>"
@@ -231,19 +205,20 @@ def _history_section(history: Optional[dict]) -> str:
 
 def render_run_report(
     manifest: RunManifest,
-    fidelity: Optional[Union[FidelityReport, dict]] = None,
-    bench: Optional[dict] = None,
+    fidelity: Optional[dict] = None,
     title: str = "repro run report",
     history: Optional[dict] = None,
 ) -> str:
-    """One self-contained HTML page for a run (no external assets)."""
+    """One self-contained HTML page for a run (no external assets).
+
+    ``fidelity`` is a FidelityReport in its JSON form.
+    """
     body = "".join([
         f"<h1>{_esc(title)}</h1>",
         _manifest_section(manifest),
         _fidelity_section(fidelity),
         _timeline_section(manifest),
         _metrics_section(manifest),
-        _bench_section(bench),
         _history_section(history),
     ])
     return (
@@ -255,16 +230,27 @@ def render_run_report(
     )
 
 
-def write_run_report(
-    path: Union[str, Path],
-    manifest: RunManifest,
-    fidelity: Optional[Union[FidelityReport, dict]] = None,
-    bench: Optional[dict] = None,
-    title: str = "repro run report",
-    history: Optional[dict] = None,
-) -> Path:
+def write_run_report(path: Union[str, Path], manifest: RunManifest) -> Path:
+    """Write the run report for a manifest folded from an events file.
+
+    The fidelity report JSON and history that a ``fidelity`` run names in
+    ``manifest.artifacts`` are folded in when they can still be read.
+    """
+    from repro.obs.history import load_history
+
+    fidelity = history = None
+    report_path = manifest.artifacts.get("fidelity_report")
+    if report_path and Path(report_path).is_file():
+        from repro.obs.fidelity import load_fidelity_report
+
+        fidelity = load_fidelity_report(report_path)
+    history_path = manifest.artifacts.get("fidelity_history")
+    if history_path:
+        history = {"fidelity": load_history(history_path)}
+    title = (f"repro {manifest.command} (scale {manifest.scale:g}, "
+             f"seed {manifest.seed})")
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_run_report(manifest, fidelity, bench, title=title,
+    out.write_text(render_run_report(manifest, fidelity, title=title,
                                      history=history))
     return out

@@ -7,9 +7,7 @@ RSS of live child processes (pool workers), process CPU seconds
 (:func:`os.times`, children included), live ``/dev/shm`` segment bytes
 from :func:`repro.engine.transport.segment_bytes`, disk usage of watched
 store/checkpoint directories, and the engine's lifetime warm-pool and
-steal counters. An optional Prometheus textfile is rewritten atomically
-on every sample so a node-exporter textfile collector (or a plain
-``cat``) can scrape the latest values.
+steal counters.
 
 Everything degrades gracefully off Linux: missing ``/proc`` entries read
 as zero, never as an error, and the sampling loop swallows all exceptions
@@ -32,7 +30,6 @@ __all__ = [
     "rss_bytes",
     "children_rss_bytes",
     "disk_usage_bytes",
-    "render_prometheus",
 ]
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
@@ -116,85 +113,36 @@ def _sample(shm_token: Optional[str],
     return sample
 
 
-#: Prometheus gauge names and the sample fields they read.
-_PROM_GAUGES = (
-    ("repro_rss_bytes", "rss_bytes",
-     "Parent process resident set size in bytes"),
-    ("repro_children_rss_bytes", "children_rss_bytes",
-     "Summed worker-process resident set size in bytes"),
-    ("repro_cpu_seconds_total", "cpu_s",
-     "Parent process CPU seconds (user+system)"),
-    ("repro_children_cpu_seconds_total", "children_cpu_s",
-     "Reaped children CPU seconds (user+system)"),
-    ("repro_shm_bytes", "shm_bytes",
-     "Live /dev/shm shard-transport segment bytes"),
-    ("repro_store_disk_bytes", "disk_bytes",
-     "Disk usage of watched store/checkpoint directories"),
-    ("repro_steals_total", "steals",
-     "Work units stolen by idle executor slots (process lifetime)"),
-    ("repro_retries_total", "retries",
-     "Failed shard attempts observed (process lifetime)"),
-    ("repro_pool_reused_total", "pool_reused",
-     "Warm process pools reused (process lifetime)"),
-    ("repro_pool_created_total", "pool_created",
-     "Process pools created (process lifetime)"),
-)
-
-
-def render_prometheus(sample: dict) -> str:
-    """A resource sample in Prometheus text exposition format."""
-    lines: List[str] = []
-    for metric, field, help_text in _PROM_GAUGES:
-        if field not in sample:
-            continue
-        kind = "counter" if metric.endswith("_total") else "gauge"
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} {kind}")
-        lines.append(f"{metric} {sample[field]}")
-    return "\n".join(lines) + "\n"
-
-
 class ResourceSampler:
     """Daemon-thread sampler emitting ``resource_sample`` events.
 
     One sample is taken immediately on :meth:`start` (so even sub-interval
     runs record at least one) and then every ``interval_s`` until
     :meth:`stop`, which takes a final sample so the log ends with the
-    run's peak state. ``prom_path`` additionally mirrors the latest sample
-    to a Prometheus textfile (atomic tmp+rename per write).
+    run's peak state.
     """
 
     def __init__(self, recorder, interval_s: float = 1.0,
                  shm_token: Optional[str] = None,
-                 disk_paths: Iterable[Union[str, os.PathLike]] = (),
-                 prom_path: Optional[Union[str, os.PathLike]] = None) -> None:
+                 disk_paths: Iterable[Union[str, os.PathLike]] = ()) -> None:
         self.recorder = recorder
         self.interval_s = max(0.05, float(interval_s))
         self.shm_token = shm_token
         self.disk_paths = [Path(p) for p in disk_paths]
-        self.prom_path = Path(prom_path) if prom_path is not None else None
         self.n_samples = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def sample_once(self) -> Optional[dict]:
-        """Take, emit, and (optionally) export one sample."""
+        """Take and emit one sample."""
         try:
             sample = _sample(self.shm_token, self.disk_paths)
             self.recorder.emit(EventKind.RESOURCE_SAMPLE, **sample)
-            if self.prom_path is not None:
-                self._write_prom(sample)
             self.n_samples += 1
             return sample
         except Exception:
             # Telemetry must never take down the run it observes.
             return None
-
-    def _write_prom(self, sample: dict) -> None:
-        tmp = self.prom_path.with_name(self.prom_path.name + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(render_prometheus(sample))
-        os.replace(tmp, self.prom_path)
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):

@@ -86,25 +86,44 @@ def fold_spans(events: Iterable[dict]) -> Tuple[List[Span], List[Span]]:
     """Rebuild the span forest from ``span_start``/``span_end`` events.
 
     Returns ``(roots, still_open)``: the top-level spans in order, and the
-    spans that never closed, outermost first (their timings stay zero).
-    The events must nest — one recorder's log does, including the blocks
-    of shard events it adopted, because each block closes before the
-    next event of the parent is appended.
+    spans that never closed. Each process (``pid``) keeps its own stack,
+    because pool workers append to the same file and their events
+    interleave with the parent's. The parent is the process of the first
+    event; a worker's top-level span hangs under the parent span that was
+    open at its ``span_start``. A span still open at the end of the list
+    gets wall time = ts of the last event - ts of its ``span_start`` (CPU
+    time and counters are only known at ``span_end`` and stay empty).
     """
     roots: List[Span] = []
-    stack: List[Span] = []
+    stacks: Dict[object, List[Tuple[Span, float]]] = {}
+    main: object = None
+    last_ts = 0.0
     for event in events:
+        ts = event.get("ts")
+        if isinstance(ts, (int, float)):
+            last_ts = max(last_ts, float(ts))
+        pid = event.get("pid")
+        if main is None:
+            main = pid
         kind = event.get("kind")
         if kind == "span_start":
+            stack = stacks.setdefault(pid, [])
+            parent = stack or stacks.get(main)
             span = Span(str(event.get("name", "?")), event.get("attrs"))
-            (stack[-1].children if stack else roots).append(span)
-            stack.append(span)
-        elif kind == "span_end" and stack:
-            span = stack.pop()
+            (parent[-1][0].children if parent else roots).append(span)
+            stack.append((span, float(ts) if isinstance(ts, (int, float))
+                          else last_ts))
+        elif kind == "span_end" and stacks.get(pid):
+            span, _ = stacks[pid].pop()
             span.wall_s = float(event.get("wall_s", 0.0))
             span.cpu_s = float(event.get("cpu_s", 0.0))
             span.counters = dict(event.get("counters") or {})
-    return roots, stack
+    still_open = []
+    for stack in stacks.values():
+        for span, started in stack:
+            span.wall_s = max(0.0, last_ts - started)
+            still_open.append(span)
+    return roots, still_open
 
 
 def rollup(root: Span) -> Tuple[Dict[str, dict], Dict[str, Number]]:
@@ -143,8 +162,7 @@ def to_chrome_trace(exported: dict, process_name: str = "repro") -> dict:
     Spans record *durations*, not start offsets, so starts are laid out
     synthetically: each child begins where its previous sibling's wall
     time ended. That is exact for the serial stages and a faithful
-    at-least-this-dense packing for spans shipped back from parallel
-    workers. Events are complete ("X") events in preorder; ``args``
+    at-least-this-dense packing for the spans of parallel workers. Events are complete ("X") events in preorder; ``args``
     carries the attrs, counters, CPU seconds and stack depth so
     :func:`spans_from_chrome_trace` can rebuild the exact tree.
     """

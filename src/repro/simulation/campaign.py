@@ -62,12 +62,7 @@ from repro.engine.resilience import (
 from repro.engine.transport import ShardPayload, run_token, sweep_orphans
 from repro.errors import ConfigurationError, EngineError
 from repro.net.accesspoint import AccessPoint
-from repro.obs.recorder import (
-    EventKind,
-    FlightRecorder,
-    get_recorder,
-    use_recorder,
-)
+from repro.obs.recorder import EventKind, get_recorder
 from repro.network_env.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.population.profiles import UserProfile
 from repro.population.recruitment import RecruitmentConfig, recruit
@@ -152,10 +147,6 @@ class ShardWork:
     config: CampaignConfig
     shard_index: int
     device_ids: tuple
-    #: When True the shard records its events in memory and ships them
-    #: back on the :class:`ShardOutput` (set at plan time when the
-    #: parent's recorder keeps events; never affects simulation results).
-    telemetry: bool = False
     #: Run token for shared-memory transport: when set (parallel
     #: execution), the worker packs its chunks into a
     #: :class:`~repro.engine.transport.ShardPayload` segment named under
@@ -244,7 +235,6 @@ def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
             ShardWork(
                 config=config, shard_index=shard.index,
                 device_ids=shard.device_ids,
-                telemetry=recorder.events is not None,
             )
             for shard in shard_plan.shards
         ]
@@ -261,27 +251,14 @@ def simulate_shard(work: ShardWork) -> ShardOutput:
     Module-level so process-pool workers can import it; reuses the parent's
     cached world when forked, rebuilds it deterministically otherwise.
 
-    When the plan carries telemetry, the shard runs under its own
-    recorder — whether it executes in a pool worker or inline in the
-    parent — that keeps its events in memory and still appends each one
-    to the run's event file, so an event written before a worker dies is
-    not lost. The events ride back on ``ShardOutput.events`` for the
-    merge layer to adopt into the parent's log. Telemetry never touches
-    RNG streams, so traced and untraced shards are bit-identical.
+    Its spans go to the process's recorder: in a pool worker that is the
+    recorder the worker forked under (or ``$REPRO_EVENTS``), which appends
+    to the run's events file. Telemetry never touches RNG streams, so
+    traced and untraced shards are bit-identical.
     """
-    attrs = {"year": work.config.year, "shard": work.shard_index,
-             "pid": os.getpid()}
-    if not work.telemetry:
-        with get_recorder().span("simulate_shard", **attrs):
-            return _simulate_shard_impl(work)
-    recorder = FlightRecorder(get_recorder().path, keep=True)
-    try:
-        with use_recorder(recorder), recorder.span("simulate_shard", **attrs):
-            output = _simulate_shard_impl(work)
-    finally:
-        recorder.close()
-    output.events = recorder.events
-    return output
+    with get_recorder().span("simulate_shard", year=work.config.year,
+                             shard=work.shard_index, pid=os.getpid()):
+        return _simulate_shard_impl(work)
 
 
 def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
@@ -470,8 +447,7 @@ def execute_plans(
         outputs[pi][work.shard_index] = output
         if store is not None:
             # Checkpoints must be self-contained: shared-memory views are
-            # materialised and shipped events dropped (wall-clock telemetry
-            # from THIS run must not be replayed into a resumed run's log).
+            # materialised.
             store.save(keys[pi], plans[pi].config.seed,
                        work.shard_index, output.for_checkpoint())
             recorder.emit(EventKind.CHECKPOINT_SAVED, year=work.config.year,
@@ -576,12 +552,6 @@ def merge_campaign(
     config = plan.config
     world = plan.world
     recorder = get_recorder()
-    # Adopt shipped shard events under the *current* span (the
-    # campaign/study stage that ran the shards), not under merge_campaign
-    # — shard wall time is execution time, not merge time.
-    for out in outputs:
-        if out is not None:
-            recorder.adopt(out.events)
     dropped = missing_shards(outputs, plan.shard_plan)
     losses: Optional[ExecutionLosses] = None
     if dropped:

@@ -48,10 +48,12 @@ def test_bench_unknown_name(capsys):
 
 def test_bench_run_writes_report_and_manifest(tmp_path, capsys):
     out = tmp_path / "BENCH_all.json"
+    events = tmp_path / "events.jsonl"
     manifest = tmp_path / "run_manifest.json"
     assert main(["bench", "table1", "--scale", "0.02", "--seed", "3",
-                 "--repeat", "1", "--warmup", "0", "--telemetry",
-                 "--out", str(out), "--manifest", str(manifest)]) == 0
+                 "--repeat", "1", "--warmup", "0", "--events", str(events),
+                 "--out", str(out)]) == 0
+    assert main(["events", str(events), "--manifest", str(manifest)]) == 0
     import json
 
     report = json.loads(out.read_text())
@@ -102,15 +104,19 @@ def test_simulate_telemetry_writes_manifest_and_identical_data(
 ):
     plain_dir = tmp_path / "plain"
     traced_dir = tmp_path / "traced"
+    events = tmp_path / "events.jsonl"
     args = ["simulate", "--scale", "0.02", "--seed", "3"]
     assert main(args + ["--out", str(plain_dir)]) == 0
     assert not (plain_dir / "run_manifest.json").exists()
-    assert main(args + ["--out", str(traced_dir), "--telemetry"]) == 0
+    assert main(args + ["--out", str(traced_dir),
+                        "--events", str(events)]) == 0
+    assert main(["events", str(events),
+                 "--manifest", str(tmp_path / "run_manifest.json")]) == 0
     capsys.readouterr()
 
     from repro.obs.manifest import RunManifest
 
-    run = RunManifest.read(traced_dir / "run_manifest.json")
+    run = RunManifest.read(tmp_path / "run_manifest.json")
     assert run.command == "simulate"
     assert run.seed == 3 and run.scale == 0.02
     assert run.years == [2013, 2014, 2015]
@@ -199,13 +205,15 @@ def test_bench_check_unknown_kind_is_config_error(tmp_path, capsys):
 
 def test_fidelity_full_run_gates_doc_report_and_trace(tmp_path, capsys):
     """One fidelity run: gate vs the committed baseline, rewrite a copy of
-    EXPERIMENTS.md, render the HTML run report and export a Chrome trace."""
+    EXPERIMENTS.md, then fold its events file into the HTML run report, the
+    manifest and a Chrome trace."""
     import json
     import shutil
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "fidelity_report.json"
+    events = tmp_path / "events.jsonl"
     html = tmp_path / "run_report.html"
     trace = tmp_path / "trace.json"
     doc = tmp_path / "EXPERIMENTS.md"
@@ -214,10 +222,13 @@ def test_fidelity_full_run_gates_doc_report_and_trace(tmp_path, capsys):
     assert main(["fidelity", "--scale", "0.02", "--seed", "7",
                  "--out", str(out),
                  "--check", str(root / "FIDELITY_baseline.json"),
-                 "--report", str(html), "--trace-out", str(trace),
+                 "--events", str(events),
                  "--write-doc", str(doc)]) == 0
     text = capsys.readouterr().out
     assert "fidelity check passed against FIDELITY_baseline.json" in text
+    assert main(["events", str(events), "--report", str(html),
+                 "--trace", str(trace),
+                 "--manifest", str(tmp_path / "run_manifest.json")]) == 0
 
     from repro.obs.reference import REFERENCES
 
@@ -231,10 +242,9 @@ def test_fidelity_full_run_gates_doc_report_and_trace(tmp_path, capsys):
 
     page = html.read_text()
     for needle in ("<svg", "Fidelity scoreboard", "Run manifest",
-                   "Timeline", "Metrics"):
+                   "Timeline", "Metrics", "Run history"):
         assert needle in page, needle
 
-    # --report implies telemetry: the manifest lands next to --out.
     from repro.obs.manifest import RunManifest
 
     run = RunManifest.read(tmp_path / "run_manifest.json")

@@ -12,14 +12,21 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.manifest import RunManifest, build_manifest, config_hash_of
+from repro.obs.manifest import (
+    RunManifest,
+    build_manifest,
+    config_hash_of,
+    run_summary,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
     EVENTS_ENV_VAR,
     NOOP_RECORDER,
+    EventKind,
     FlightRecorder,
     NoopRecorder,
     get_recorder,
+    load_events,
     set_recorder,
     use_recorder,
 )
@@ -37,13 +44,30 @@ from repro.obs.span import (
 # Recorder spans: the span tree folded from span events
 # ---------------------------------------------------------------------------
 
-def test_span_nesting_and_counters():
-    recorder = FlightRecorder(keep=True)
+@pytest.fixture
+def recorder(tmp_path):
+    """A recorder writing ``events.jsonl``; ``fold(recorder)`` reads the
+    file back and folds its span forest."""
+    recorder = FlightRecorder(tmp_path / "events.jsonl")
+    yield recorder
+    recorder.close()
+
+
+def _events(recorder):
+    return load_events(recorder.path)
+
+
+def fold(recorder):
+    roots, _ = fold_spans(_events(recorder))
+    return roots
+
+
+def test_span_nesting_and_counters(recorder):
     with recorder.span("outer", year=2015):
         recorder.count("ticks", 3)
         with recorder.span("inner"):
             recorder.count("ticks", 2)
-    (outer,) = [span.as_dict() for span in recorder.spans()]
+    (outer,) = [span.as_dict() for span in fold(recorder)]
     assert outer["name"] == "outer"
     assert outer["attrs"] == {"year": 2015}
     assert outer["counters"] == {"ticks": 3}
@@ -52,48 +76,59 @@ def test_span_nesting_and_counters():
     assert inner["name"] == "inner"
     assert inner["counters"] == {"ticks": 2}
     # The tree is a fold over the event list, nothing else.
-    kinds = [(e["kind"], e["name"]) for e in recorder.events]
+    kinds = [(e["kind"], e["name"]) for e in _events(recorder)]
     assert kinds == [("span_start", "outer"), ("span_start", "inner"),
                      ("span_end", "inner"), ("span_end", "outer")]
 
 
-def test_span_dict_round_trip():
-    recorder = FlightRecorder(keep=True)
+def test_span_dict_round_trip(recorder):
     with recorder.span("root", pid=1):
         with recorder.span("a", k="v"):
             recorder.count("n", 7)
-    (root,) = recorder.spans()
+    (root,) = fold(recorder)
     exported = root.as_dict()
     rebuilt = Span.from_dict(exported).as_dict()
     assert rebuilt == exported
     # Events must be plain-JSON serialisable (they cross process
     # boundaries and land in events.jsonl); the fold of the JSON round
     # trip is the same tree.
-    events = json.loads(json.dumps(recorder.events))
+    events = json.loads(json.dumps(_events(recorder)))
     (again,), _ = fold_spans(events)
     assert again.as_dict() == exported
 
 
-def test_adopted_events_graft_under_current_span():
-    worker = FlightRecorder(keep=True)
-    with worker.span("worker", shard=3):
-        with worker.span("work"):
-            worker.count("items", 5)
-    parent = FlightRecorder(keep=True)
-    with parent.span("parent"):
-        with parent.span("merge"):
-            parent.adopt(worker.events)
-    (tree,) = parent.spans()
-    merge = tree.children[0]
-    grafted = merge.children[0]
-    assert grafted.name == "worker"
-    assert grafted.attrs == {"shard": 3}
-    assert grafted.children[0].counters == {"items": 5}
-    # Adopted events reach the in-memory log only: no listener call.
-    seen = []
-    listening = FlightRecorder(listener=seen.append, keep=True)
-    listening.adopt(worker.events)
-    assert seen == [] and len(listening.events) == len(worker.events)
+def _span_event(kind, name, pid, ts, **fields):
+    return {"ts": ts, "pid": pid, "kind": kind, "name": name, **fields}
+
+
+def test_fold_keeps_one_stack_per_pid():
+    # Two workers append to the parent's file while its execute span is
+    # open; their events interleave, but each nests on its own stack and
+    # hangs under the parent span open at its span_start.
+    events = [
+        _span_event("span_start", "run", 1, 0.0),
+        _span_event("span_start", "execute", 1, 0.1),
+        _span_event("span_start", "shard", 2, 0.2, attrs={"shard": 0}),
+        _span_event("span_start", "shard", 3, 0.2, attrs={"shard": 1}),
+        _span_event("span_start", "work", 2, 0.3),
+        _span_event("span_start", "work", 3, 0.3),
+        _span_event("span_end", "work", 3, 0.4, wall_s=0.1),
+        _span_event("span_end", "work", 2, 0.5, wall_s=0.2),
+        _span_event("span_end", "shard", 2, 0.6, wall_s=0.4),
+        _span_event("span_end", "shard", 3, 0.6, wall_s=0.4),
+        _span_event("span_end", "execute", 1, 0.7, wall_s=0.6),
+        _span_event("span_start", "merge", 1, 0.8),
+    ]
+    (run,), still_open = fold_spans(events)
+    execute, merge = run.children
+    assert [s.attrs["shard"] for s in execute.children] == [0, 1]
+    assert all([c.name for c in s.children] == ["work"]
+               for s in execute.children)
+    assert [c.wall_s for s in execute.children for c in s.children] \
+        == [0.2, 0.1]
+    # Spans that never closed are timed up to the last event.
+    assert still_open == [run, merge]
+    assert run.wall_s == pytest.approx(0.8) and merge.wall_s == 0.0
 
 
 def test_default_recorder_span_is_noop_singleton():
@@ -115,16 +150,15 @@ def test_default_recorder_span_is_noop_singleton():
 # The process-global span sink is the recorder; these two keep the
 # install/restore contract the global tracer used to have.
 
-def test_set_tracer_returns_previous_and_resets(monkeypatch):
+def test_set_tracer_returns_previous_and_resets(monkeypatch, recorder):
     monkeypatch.delenv(EVENTS_ENV_VAR, raising=False)
     set_recorder(None)
-    recorder = FlightRecorder(keep=True)
     assert set_recorder(recorder) is None  # unresolved before
     try:
         assert get_recorder() is recorder
         with get_recorder().span("installed"):
             pass
-        assert [s.name for s in recorder.spans()] == ["installed"]
+        assert [s.name for s in fold(recorder)] == ["installed"]
     finally:
         assert set_recorder(None) is recorder
     assert get_recorder() is NOOP_RECORDER
@@ -134,11 +168,11 @@ def test_set_tracer_returns_previous_and_resets(monkeypatch):
 def test_use_tracer_restores_on_exit(monkeypatch):
     monkeypatch.delenv(EVENTS_ENV_VAR, raising=False)
     set_recorder(None)
-    recorder = FlightRecorder(keep=True)
+    recorder = FlightRecorder()
     with use_recorder(recorder):
         assert get_recorder() is recorder
         with pytest.raises(RuntimeError):
-            with use_recorder(FlightRecorder(keep=True)):
+            with use_recorder(FlightRecorder()):
                 raise RuntimeError("boom")
         assert get_recorder() is recorder
     assert get_recorder() is NOOP_RECORDER
@@ -165,8 +199,7 @@ def test_noop_span_per_op_cost_is_negligible():
 # Chrome-trace export
 # ---------------------------------------------------------------------------
 
-def test_chrome_trace_round_trip(tmp_path):
-    recorder = FlightRecorder(keep=True)
+def test_chrome_trace_round_trip(tmp_path, recorder):
     with recorder.span("run", seed=7):
         with recorder.span("outer", year=2015):
             recorder.count("items", 3)
@@ -174,7 +207,7 @@ def test_chrome_trace_round_trip(tmp_path):
                 pass
             with recorder.span("slow"):
                 recorder.count("bytes", 12)
-    (root,) = recorder.spans()
+    (root,) = fold(recorder)
     exported = root.as_dict()
 
     trace = to_chrome_trace(exported)
@@ -213,15 +246,14 @@ def test_chrome_trace_rejects_malformed():
 # Stage rollup and the metrics registry
 # ---------------------------------------------------------------------------
 
-def test_span_rollup_feeds_stages_and_counters():
-    recorder = FlightRecorder(keep=True)
+def test_span_rollup_feeds_stages_and_counters(recorder):
     with recorder.span("run"):
         for _ in range(2):
             with recorder.span("simulate"):
                 recorder.count("devices", 4)
                 with recorder.span("flush"):
                     pass
-    (root,) = recorder.spans()
+    (root,) = fold(recorder)
     stages, counters = rollup(root)
     assert counters == {"span.simulate.devices": 8}
     assert set(stages) == {"run", "simulate", "flush"}
@@ -257,24 +289,29 @@ def test_config_hash_stable_and_sensitive():
     assert len(config_hash_of("x")) == 16
 
 
-def test_manifest_round_trip(tmp_path):
-    recorder = FlightRecorder(keep=True)
+def test_manifest_round_trip(tmp_path, recorder):
+    recorder.emit(EventKind.RUN_START, command="simulate",
+                  config_hash=config_hash_of("cfg"), seed=11, scale=0.01)
     with recorder.span("repro.simulate"):
         with recorder.span("study.run", scale=0.01):
             recorder.count("devices", 12)
-        manifest = build_manifest(
-            "simulate", recorder,
-            config_hash=config_hash_of("cfg"),
-            seed=11, scale=0.01, years=[2013],
+        time.sleep(0.01)
+        recorder.emit(EventKind.RUN_SUMMARY, **run_summary(
+            years=[2013],
             shards=[{"year": 2013, "n_shards": 2, "n_devices": 12}],
             extra_counters={"custom": 1},
-        )
+        ))
+        # A fold of the file while the root is still open: the run is
+        # interrupted as far as the log knows.
+        manifest = build_manifest(_events(recorder))
     path = tmp_path / "run_manifest.json"
     manifest.write(path)
     loaded = RunManifest.read(path)
     assert loaded == manifest
     assert loaded.command == "simulate"
     assert loaded.seed == 11
+    assert loaded.config_hash == config_hash_of("cfg")
+    assert loaded.years == [2013] and loaded.shards[0]["n_shards"] == 2
     assert loaded.counters["custom"] == 1
     assert loaded.counters["span.study.run.devices"] == 12
     assert loaded.stage_wall_s("study.run") >= 0.0
@@ -282,8 +319,28 @@ def test_manifest_round_trip(tmp_path):
     # stamped with its time so far.
     assert loaded.stage_wall_s("repro.simulate") > 0.0
     assert loaded.spans["name"] == "repro.simulate"
+    assert loaded.status == "interrupted"
     # The manifest file itself must be valid, plain JSON.
     assert json.loads(path.read_text())["schema_version"] == 1
+
+    recorder.emit(EventKind.RUN_END, status="ok", exit_code=0)
+    finished = build_manifest(_events(recorder))
+    assert finished.status == "ok"
+    assert finished.stage_wall_s("repro.simulate") > 0.0
+
+
+def test_manifest_folds_the_last_run_in_the_file(recorder):
+    for seed in (1, 2):
+        recorder.emit(EventKind.RUN_START, command="analyze", seed=seed)
+        with recorder.span("repro.analyze"):
+            pass
+        recorder.emit(EventKind.RUN_END, status="failed", exit_code=2,
+                      error="ReproError: boom")
+    manifest = build_manifest(_events(recorder))
+    assert manifest.seed == 2
+    assert manifest.stages["repro.analyze"]["count"] == 1
+    assert manifest.status == "failed"
+    assert manifest.error == "ReproError: boom"
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,7 @@ from repro.obs.recorder import (
     summarize_events,
     use_recorder,
 )
-from repro.obs.resources import (
-    ResourceSampler,
-    render_prometheus,
-    rss_bytes,
-)
+from repro.obs.resources import ResourceSampler, rss_bytes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -93,7 +89,7 @@ def test_recorder_listener_only_and_swallows_listener_errors():
         raise RuntimeError("display code must never kill the run")
 
     recorder = FlightRecorder(None, listener=listener)
-    assert recorder.path is None and recorder.events is None
+    assert recorder.path is None
     recorder.emit(EventKind.PROGRESS, done=1, total=2)
     recorder.emit(EventKind.PROGRESS, done=2, total=2)
     recorder.close()
@@ -102,7 +98,7 @@ def test_recorder_listener_only_and_swallows_listener_errors():
 
 def test_span_context_emits_paired_events(tmp_path):
     log = tmp_path / "events.jsonl"
-    recorder = FlightRecorder(log, keep=True)
+    recorder = FlightRecorder(log)
     with recorder.span("execute_shards", shards=4):
         recorder.count("devices", 3)
     with pytest.raises(RuntimeError):
@@ -110,8 +106,6 @@ def test_span_context_emits_paired_events(tmp_path):
             raise RuntimeError("boom")
     recorder.close()
     events = load_events(log)
-    # The file and the in-memory log hold the same events.
-    assert events == recorder.events
     kinds = [(e["kind"], e["name"]) for e in events]
     assert kinds == [("span_start", "execute_shards"),
                      ("span_end", "execute_shards"),
@@ -294,10 +288,9 @@ def test_reconstruct_clean_run_and_summary():
 def test_rss_and_sample_shapes(tmp_path):
     assert rss_bytes() > 0
     log = tmp_path / "events.jsonl"
-    prom = tmp_path / "repro.prom"
     recorder = FlightRecorder(log)
     sampler = ResourceSampler(recorder, interval_s=10.0,
-                              disk_paths=[tmp_path], prom_path=prom)
+                              disk_paths=[tmp_path])
     sample = sampler.sample_once()
     recorder.close()
     assert sample["rss_bytes"] > 0
@@ -306,9 +299,6 @@ def test_rss_and_sample_shapes(tmp_path):
             "pool_created"} <= set(sample)
     (event,) = load_events(log)
     assert event["kind"] == "resource_sample"
-    text = prom.read_text()
-    assert "repro_rss_bytes" in text and "# TYPE repro_rss_bytes gauge" in text
-    assert "repro_steals_total" in text
 
 
 def test_sampler_thread_start_stop(tmp_path):
@@ -320,12 +310,6 @@ def test_sampler_thread_start_stop(tmp_path):
     # At least the immediate start sample and the final stop sample.
     assert sampler.n_samples >= 2
     assert all(e["kind"] == "resource_sample" for e in load_events(log))
-
-
-def test_render_prometheus_skips_missing_fields():
-    text = render_prometheus({"rss_bytes": 42})
-    assert "repro_rss_bytes 42" in text
-    assert "repro_shm_bytes" not in text
 
 
 # ----------------------------------------------------------------------
@@ -636,6 +620,109 @@ def test_hard_kill_postmortem_lists_closed_and_open_stages(hard_killed_run):
     assert "merge_campaign" not in post.stages
     text = post.render()
     assert "closed stages:" in text and "plan_campaign" in text
+
+
+def test_hard_kill_folds_to_interrupted_manifest_and_trace(
+    hard_killed_run, capsys
+):
+    # The artifacts of a killed run are folds of its events file, made
+    # afterwards exactly as for a finished one.
+    tmp_path, log, returncode = hard_killed_run
+    assert returncode == -9
+    manifest_path = tmp_path / "fold" / "run_manifest.json"
+    trace_path = tmp_path / "fold" / "trace.json"
+    report_path = tmp_path / "fold" / "run_report.html"
+    assert main(["events", str(log), "--manifest", str(manifest_path),
+                 "--trace", str(trace_path),
+                 "--report", str(report_path)]) == 0
+    capsys.readouterr()
+
+    from repro.obs.manifest import RunManifest
+    from repro.obs.span import spans_from_chrome_trace
+
+    manifest = RunManifest.read(manifest_path)
+    assert manifest.status == "interrupted"
+    assert manifest.command == "simulate"
+    assert manifest.seed == 11 and manifest.scale == 0.004
+    # plan_campaign closed three times; execute_shards never closed and
+    # is timed up to the last event the black box holds.
+    assert manifest.stages["plan_campaign"]["count"] == 3
+    assert manifest.stage_wall_s("plan_campaign") > 0.0
+    assert "merge_campaign" not in manifest.stages
+    (study,) = [c for c in manifest.spans["children"]
+                if c["name"] == "study.run"]
+    (execute,) = [c for c in study["children"]
+                  if c["name"] == "execute_shards"]
+    assert execute["cpu_s"] == 0.0  # known only at a span_end
+    assert execute["wall_s"] > 0.0
+    assert all(c["name"] == "simulate_shard"
+               for c in execute.get("children", ()))
+
+    rebuilt = spans_from_chrome_trace(json.loads(trace_path.read_text()))
+    assert rebuilt.as_dict() == manifest.spans
+    page = report_path.read_text()
+    assert "Run manifest" in page and "Timeline" in page
+
+
+@pytest.fixture(scope="module")
+def simulated_with_events(tmp_path_factory):
+    """The same small study at --jobs 1 and --jobs 2, each with --events:
+    ``{jobs: (events, folded manifest)}``."""
+    from repro.obs.manifest import build_manifest
+
+    tmp_path = tmp_path_factory.mktemp("jobs_events")
+    runs = {}
+    for jobs in (1, 2):
+        log = tmp_path / f"events_j{jobs}.jsonl"
+        assert main(["simulate", "--scale", "0.004", "--seed", "11",
+                     "--jobs", str(jobs), "--out", str(tmp_path / str(jobs)),
+                     "--events", str(log)]) == 0
+        events = load_events(log)
+        runs[jobs] = (events, build_manifest(events))
+    return runs
+
+
+def test_run_start_config_hash_is_independent_of_jobs(simulated_with_events):
+    hashes = set()
+    for events, manifest in simulated_with_events.values():
+        (start,) = [e for e in events if e["kind"] == "run_start"]
+        assert start["config_hash"] == manifest.config_hash
+        assert start["seed"] == 11 and start["scale"] == 0.004
+        hashes.add(start["config_hash"])
+    assert len(hashes) == 1
+
+
+def test_jobs_events_file_folds_every_shard_under_execute_shards(
+    simulated_with_events,
+):
+    _, manifest = simulated_with_events[2]
+    assert manifest.status == "ok" and manifest.n_jobs == 2
+    n_shards = sum(layout["n_shards"] for layout in manifest.shards)
+
+    def walk(node, parent=None):
+        yield node, parent
+        for child in node.get("children", ()):
+            yield from walk(child, node)
+
+    shards = [(node, parent) for node, parent in walk(manifest.spans)
+              if node["name"] == "simulate_shard"]
+    assert len(shards) == n_shards >= 2
+    assert {parent["name"] for _, parent in shards} == {"execute_shards"}
+    assert {(s["attrs"]["year"], s["attrs"]["shard"]) for s, _ in shards} \
+        == {(layout["year"], i) for layout in manifest.shards
+            for i in range(layout["n_shards"])}
+    assert all(s["attrs"]["pid"] != os.getpid() for s, _ in shards)
+    for shard, _ in shards:
+        assert [c["name"] for c in shard["children"]] == [
+            "simulate_devices", "flush_buffers", "pack_payload"]
+    # The serial run's manifest accounts for the same study.
+    _, serial = simulated_with_events[1]
+    assert serial.config_hash == manifest.config_hash
+    assert serial.counters["engine.shards"] == 3
+    assert {k: v for k, v in serial.counters.items()
+            if k.startswith("collection.")} == {
+        k: v for k, v in manifest.counters.items()
+        if k.startswith("collection.")}
 
 
 def test_hard_kill_run_resumes_bit_identically(tmp_path):

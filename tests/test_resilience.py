@@ -35,7 +35,7 @@ from repro.engine.resilience import (
     classify_exception,
 )
 from repro.errors import ConfigurationError, EngineError
-from repro.obs.manifest import RunManifest, build_manifest
+from repro.obs.manifest import RunManifest, build_manifest, run_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.campaign import (
     merge_campaign,
@@ -586,8 +586,12 @@ class TestObservability:
     def test_manifest_carries_shard_attempts_and_round_trips(self, tmp_path):
         losses = ExecutionLosses(year=2014, n_shards=4, dropped_shards=(1,),
                                  n_devices=16, dropped_devices=4)
-        manifest = build_manifest("simulate", resilience=self._report(),
-                                  losses=[losses])
+        manifest = build_manifest([
+            {"kind": "run_start", "command": "simulate", "seed": 7},
+            {"kind": "run_summary", **run_summary(
+                resilience=self._report(), losses=[losses])},
+            {"kind": "run_end", "status": "ok", "exit_code": 0},
+        ])
         assert manifest.shard_attempts[0]["outcome"] == "retried"
         assert manifest.losses[0]["dropped_shards"] == [1]
         assert manifest.counters["engine.retries"] == 1
@@ -637,9 +641,10 @@ class TestCli:
         assert "interrupted" in capsys.readouterr().err
 
         rc = main(common + ["--out", str(out), "--checkpoint-dir", str(ck),
-                            "--resume", "--telemetry",
-                            "--manifest", str(tmp_path / "m.json")])
+                            "--resume", "--events", str(tmp_path / "e.jsonl")])
         assert rc == 0
+        assert main(["events", str(tmp_path / "e.jsonl"),
+                     "--manifest", str(tmp_path / "m.json")]) == 0
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["counters"]["checkpoint.hits"] >= 2
         for year in (2013, 2014, 2015):

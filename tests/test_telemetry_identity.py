@@ -11,7 +11,6 @@ import os
 import pytest
 
 from repro.collection.faults import FaultPlan
-from repro.engine.executor import shutdown_warm_pools
 from repro.obs.recorder import (
     NOOP_RECORDER,
     FlightRecorder,
@@ -19,6 +18,7 @@ from repro.obs.recorder import (
     use_recorder,
 )
 from repro.obs.resources import ResourceSampler
+from repro.obs.span import fold_spans
 from repro.simulation.campaign import run_campaign
 from repro.simulation.study import StudyConfig, Study
 
@@ -26,11 +26,18 @@ from .test_engine import _small_config, assert_datasets_identical
 
 
 @pytest.fixture
-def traced():
-    """A recorder keeping its events in memory, installed for one test."""
-    recorder = FlightRecorder(keep=True)
+def traced(tmp_path):
+    """A recorder writing an events file, installed for one test."""
+    recorder = FlightRecorder(tmp_path / "events.jsonl")
     with use_recorder(recorder):
         yield recorder
+    recorder.close()
+
+
+def fold(recorder):
+    """The span forest folded from a recorder's events file."""
+    roots, _ = fold_spans(load_events(recorder.path))
+    return roots
 
 
 def test_campaign_identical_with_telemetry_on(traced):
@@ -47,8 +54,8 @@ def test_campaign_identical_across_workers_with_telemetry(traced):
     serial = run_campaign(config, n_jobs=1)
     sharded = run_campaign(config, n_jobs=2)
     assert_datasets_identical(serial.dataset, sharded.dataset)
-    # Worker events came back from both runs and were adopted into ours.
-    names = [span.name for span in traced.spans()]
+    # Both runs, their workers' spans included, are in the one file.
+    names = [span.name for span in fold(traced)]
     assert names.count("run_campaign") == 2
 
 
@@ -68,7 +75,7 @@ def test_study_run_records_span_tree(traced):
         n_jobs=2
     )
     (study_span,) = [
-        span.as_dict() for span in traced.spans()
+        span.as_dict() for span in fold(traced)
         if span.name == "study.run"
     ]
     names = {name for name, _ in _walk(study_span)}
@@ -105,10 +112,12 @@ def test_campaign_identical_with_flight_recorder(tmp_path):
 
 
 def test_worker_span_appears_once_with_file_and_memory(tmp_path):
-    # Fresh workers fork under this recorder, as the CLI's workers do.
-    shutdown_warm_pools()
+    # Park a warm pool whose workers forked with no recorder: a recorded
+    # run must not reuse it, or its workers' spans would miss the file.
+    with use_recorder(NOOP_RECORDER):
+        run_campaign(_small_config(), n_jobs=2)
     log = tmp_path / "events.jsonl"
-    recorder = FlightRecorder(log, keep=True)
+    recorder = FlightRecorder(log)
     with use_recorder(recorder):
         result = run_campaign(_small_config(), n_jobs=2)
     recorder.close()
@@ -120,14 +129,15 @@ def test_worker_span_appears_once_with_file_and_memory(tmp_path):
                       if e["kind"] == "span_start"
                       and e["name"] == "simulate_shard")
 
-    # Once in the in-memory log the parent folds (shipped back and
-    # adopted), once in the file (written by the worker itself).
-    assert shard_starts(recorder.events) == list(range(n_shards))
+    # Once in the file (written by the worker itself) and once in the
+    # fold of it, under the stage that ran the shards.
     assert shard_starts(load_events(log)) == list(range(n_shards))
-    (run,) = recorder.spans()
+    (run,) = fold(recorder)
     shards = [s for s in run.walk() if s.name == "simulate_shard"]
     assert len(shards) == n_shards
     assert all(s.attrs["pid"] != os.getpid() for s in shards)
+    (execute,) = [s for s in run.children if s.name == "execute_shards"]
+    assert execute.children == shards
 
 
 def test_campaign_identical_with_recorder_and_sampler_across_jobs(tmp_path):
