@@ -31,7 +31,6 @@ from repro.engine import (
     ExecutionInfo,
     ParallelExecutor,
     SerialExecutor,
-    ShardPlanner,
     make_executor,
     resolve_jobs,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ExecutionInfo",
     "ParallelExecutor",
     "SerialExecutor",
-    "ShardPlanner",
     "make_executor",
     "resolve_jobs",
     "Study",

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the truncation a kill -9 leaves) and tail it, "
                     "summarize per-kind counts, or reconstruct a "
                     "postmortem: which phase the run died in, completed vs "
-                    "in-flight shards, retries/steals/drops, checkpoint "
+                    "in-flight shards, retries/drops, checkpoint "
                     "and spill activity, and the last resource sample. "
                     "--manifest, --trace and --report fold the last run in "
                     "the file into its artifacts; a killed run folds to "

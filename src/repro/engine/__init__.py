@@ -3,11 +3,12 @@
 Campaign execution is split into three orthogonal pieces:
 
 - :mod:`repro.engine.planner` — deterministic partition of the device panel
-  into shards (shard membership can never change results, because every
-  device keeps its own ``(seed, year, user_id)`` RNG stream);
+  into one contiguous shard per worker (shard membership can never change
+  results, because every device keeps its own ``(seed, year, user_id)``
+  RNG stream);
 - :mod:`repro.engine.executor` — pluggable execution of shard work units,
-  serially or over a warm (reused across runs) process pool with
-  work-stealing scheduling, timeouts, and serial fallback;
+  serially or as an ordered process-pool map with deadlines, retries and
+  serial fallback;
 - :mod:`repro.engine.transport` — zero-copy shard-result transport over
   POSIX shared memory, with run-scoped segment names and an orphan
   janitor so failures never leak ``/dev/shm`` segments;
@@ -42,7 +43,6 @@ from repro.engine.executor import (
     make_executor,
     resolve_jobs,
     shutdown_warm_pools,
-    warm_pool_stats,
 )
 from repro.engine.merge import (
     ShardOutput,
@@ -51,14 +51,7 @@ from repro.engine.merge import (
     missing_shards,
     ordered_outputs,
 )
-from repro.engine.planner import (
-    MIN_UNIT_DEVICES,
-    UNIT_OVERSPLIT,
-    Shard,
-    ShardPlan,
-    ShardPlanner,
-    plan_units,
-)
+from repro.engine.planner import Shard, ShardPlan, plan_units
 from repro.engine.transport import (
     ShardPayload,
     run_token,
@@ -85,7 +78,6 @@ __all__ = [
     "make_executor",
     "resolve_jobs",
     "shutdown_warm_pools",
-    "warm_pool_stats",
     "ShardOutput",
     "merge_chunks",
     "merge_reports",
@@ -93,10 +85,7 @@ __all__ = [
     "ordered_outputs",
     "Shard",
     "ShardPlan",
-    "ShardPlanner",
     "plan_units",
-    "UNIT_OVERSPLIT",
-    "MIN_UNIT_DEVICES",
     "ShardPayload",
     "run_token",
     "segment_names",

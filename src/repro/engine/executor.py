@@ -7,29 +7,17 @@ the merge layer, so the executor is free to schedule however it likes.
 Two implementations:
 
 - :class:`SerialExecutor` runs units inline in the calling process.
-- :class:`ParallelExecutor` fans units out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a work-stealing
-  scheduler and a warm-pool cache.
+- :class:`ParallelExecutor` maps units over a
+  :class:`concurrent.futures.ProcessPoolExecutor` in FIFO order.
 
-**Warm pools.** Spinning up a process pool costs fork + interpreter
-warm-up per worker, and a cold worker rebuilds its world cache on the
-first shard it touches. ``ParallelExecutor`` therefore draws its pool
-from a module-level cache keyed by worker count: :meth:`close` parks a
-healthy pool for the next executor (the next campaign, the next study,
-the next bench repetition) instead of tearing it down. Workers survive
-across runs, and with them the per-process world cache — keyed by config
-repr, so reuse is exact, never approximate. Pools that saw a hung or
-crashed worker are genuinely discarded and never parked. Call
-:func:`shutdown_warm_pools` (or let the ``atexit`` hook) to reap them.
-
-**Work stealing.** Units start on per-worker-slot deques under the same
-static contiguous assignment the planner used to bake in, but any slot
-that drains its own deque steals the hindmost unit from the richest
-sibling. Uneven units — a fat shard, a retried straggler — no longer
-serialize the tail; the steal count is surfaced as :attr:`steals` and
-lands in run manifests and metrics. Scheduling never affects results:
-unit → RNG stream binding is fixed by the planner, results are keyed by
-unit index, and the merge layer reassembles canonical order.
+**Scheduling.** Units wait in one FIFO queue and at most ``n_jobs`` of
+them are in flight, so every submitted future has an idle worker and
+``future.running()`` means a worker has started it. The pool is forked
+lazily on the first submission, after planning, so workers inherit the
+parent's world cache; :meth:`ParallelExecutor.close` shuts it down and
+reaps the workers. Scheduling never affects results: unit → RNG stream
+binding is fixed by the planner, results are keyed by unit index, and
+the merge layer reassembles canonical order.
 
 Both executors classify every failed attempt into a structured
 :class:`~repro.engine.resilience.ShardFailure` (``crash`` vs ``timeout``
@@ -103,8 +91,6 @@ class ExecutionInfo:
     executor: str
     n_jobs: int
     n_shards: int
-    #: Work units an idle slot took from a sibling's deque.
-    steals: int = 0
     #: Bytes of shard output moved through shared-memory segments.
     transport_bytes: int = 0
 
@@ -153,17 +139,6 @@ def make_executor(
     )
 
 
-# ---------------------------------------------------------------------------
-# Warm pool cache
-# ---------------------------------------------------------------------------
-
-#: Parked healthy pools by (worker count, events file), oldest first.
-#: Workers fork under the recorder installed at the time and keep it, so
-#: a pool is reused only by a run that records to the same events file.
-_WARM_POOLS: Dict[tuple, List[ProcessPoolExecutor]] = {}
-#: Keep at most this many idle pools parked across all worker counts.
-_WARM_POOL_CAP = 4
-_POOL_STATS = {"created": 0, "reused": 0, "discarded": 0}
 _OWNER_PID = os.getpid()
 
 
@@ -182,60 +157,20 @@ def _exit_with_parent(parent: int) -> None:
                      daemon=True).start()
 
 
-def _acquire_pool(n_jobs: int) -> ProcessPoolExecutor:
-    """A warm pool for ``n_jobs`` workers, or a fresh one."""
-    parked = _WARM_POOLS.get((n_jobs, get_recorder().path))
-    if parked:
-        _POOL_STATS["reused"] += 1
-        return parked.pop()
-    _POOL_STATS["created"] += 1
-    return ProcessPoolExecutor(max_workers=n_jobs,
-                               initializer=_exit_with_parent,
-                               initargs=(os.getpid(),))
-
-
-def _park_pool(n_jobs: int, pool: ProcessPoolExecutor) -> None:
-    """Return a healthy, drained pool to the cache for the next run."""
-    _WARM_POOLS.setdefault((n_jobs, get_recorder().path), []).append(pool)
-    while sum(len(v) for v in _WARM_POOLS.values()) > _WARM_POOL_CAP:
-        for parked in _WARM_POOLS.values():
-            if parked:
-                eldest = parked.pop(0)
-                eldest.shutdown(wait=False, cancel_futures=True)
-                _POOL_STATS["discarded"] += 1
-                break
-
-
-def warm_pool_stats() -> Dict[str, int]:
-    """Lifetime pool churn plus currently-parked count (for tests)."""
-    stats = dict(_POOL_STATS)
-    stats["parked"] = sum(len(v) for v in _WARM_POOLS.values())
-    return stats
-
-
-#: Process-lifetime scheduling counters, across every executor instance —
+#: Process-lifetime recovery counters, across every executor instance —
 #: the resource sampler reads these (an ExecutionInfo only exists once a
 #: run finishes, too late for live telemetry).
-_LIFETIME = {"steals": 0, "retries": 0, "fallbacks": 0, "dropped": 0}
+_LIFETIME = {"retries": 0, "fallbacks": 0, "dropped": 0}
 
 
 def lifetime_stats() -> Dict[str, int]:
-    """Lifetime steal/retry/drop counters plus warm-pool churn."""
-    stats = dict(_LIFETIME)
-    for key, value in warm_pool_stats().items():
-        stats[f"pool_{key}"] = value
-    return stats
+    """Lifetime retry/fallback/drop counters."""
+    return dict(_LIFETIME)
 
 
 def shutdown_warm_pools(wait_for_workers: bool = True) -> int:
-    """Tear down every parked pool; returns how many were shut down."""
-    n = 0
-    for pools in _WARM_POOLS.values():
-        for pool in pools:
-            pool.shutdown(wait=wait_for_workers, cancel_futures=True)
-            n += 1
-        pools.clear()
-    return n
+    """No pools are parked any more; kept for perfbench (ROADMAP item 5)."""
+    return 0
 
 
 def _atexit_cleanup() -> None:  # pragma: no cover - interpreter teardown
@@ -243,7 +178,6 @@ def _atexit_cleanup() -> None:  # pragma: no cover - interpreter teardown
     # (a worker sweeping the shared run token would unlink live segments).
     if os.getpid() != _OWNER_PID:
         return
-    shutdown_warm_pools()
     from repro.engine.transport import run_token, sweep_orphans
 
     sweep_orphans(run_token())
@@ -265,8 +199,6 @@ class _ResilienceMixin:
         self.retries = 0
         #: Units dropped after exhausting every recovery (partial mode).
         self.dropped = 0
-        #: Units an idle slot stole from a sibling's deque (lifetime).
-        self.steals = 0
         #: Every classified failed attempt, in observation order.
         self.failures: List[ShardFailure] = []
         #: Per-unit attempt logs, appended in unit order per run() call.
@@ -366,16 +298,17 @@ class SerialExecutor(_ResilienceMixin):
 
 
 class ParallelExecutor(_ResilienceMixin):
-    """Work-stealing process-pool executor with deadlines and retry.
+    """Ordered process-pool map with deadlines, retry and fallback.
 
-    The pool comes from the warm cache on the first :meth:`run` and is
-    parked back by :meth:`close` (use the executor as a context manager),
-    so consecutive runs — a study's years, repeated campaigns — share
-    workers and their per-process world caches. A pool poisoned by a hung
-    or crashed worker is replaced transparently and never parked.
+    The pool is forked on the first :meth:`run` and shut down by
+    :meth:`close` (use the executor as a context manager); consecutive
+    runs on one executor share it. A pool poisoned by a hung or crashed
+    worker is discarded and replaced transparently.
     """
 
     name = "parallel"
+    #: Read by perfbench/traced.py; goes with ``repro bench`` (ROADMAP item 5).
+    steals = 0
 
     def __init__(
         self,
@@ -414,19 +347,17 @@ class ParallelExecutor(_ResilienceMixin):
         if not units:
             return []
         try:
-            return self._run_stealing(fn, units, on_result)
+            return self._run_pool(fn, units, on_result)
         except BaseException:
             # An escaping exception (a ChaosKill from on_result, a strict-
             # mode failure) must not leave workers running: drain the pool
-            # hard so no straggler packs a segment after our sweep, and
-            # never park a pool in an unknown state.
+            # hard so no straggler packs a segment after our sweep.
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
-                _POOL_STATS["discarded"] += 1
             raise
 
-    def _run_stealing(
+    def _run_pool(
         self,
         fn: Callable[[T], R],
         units: Sequence[T],
@@ -437,80 +368,36 @@ class ParallelExecutor(_ResilienceMixin):
         logs = [ShardAttemptLog(unit_index=i) for i in range(n)]
         self.history.extend(logs)
         exhausted: List[int] = []  # units needing the serial last resort
-
-        # Static contiguous initial assignment (what the old scheduler
-        # baked in), as per-slot deques so idle slots can steal.
-        n_slots = self.n_jobs
-        queues: List[Deque[int]] = [deque() for _ in range(n_slots)]
-        home = [0] * n
-        base, extra = divmod(n, n_slots)
-        lo = 0
-        for slot in range(n_slots):
-            hi = lo + base + (1 if slot < extra else 0)
-            for index in range(lo, hi):
-                queues[slot].append(index)
-                home[index] = slot
-            lo = hi
-
+        queue: Deque[int] = deque(range(n))
         in_flight: Dict[Future, int] = {}
-        slot_of: Dict[Future, int] = {}
-        busy = [False] * n_slots
         started: Dict[Future, float] = {}
         retry_at: Dict[int, float] = {}
         deadline = self._deadline_s
 
-        def next_unit(slot: int) -> Optional[int]:
-            """Own deque front, else steal the richest sibling's back."""
-            if queues[slot]:
-                return queues[slot].popleft()
-            victim = max(
-                range(n_slots),
-                key=lambda s: (len(queues[s]), -s),
-            )
-            if not queues[victim]:
-                return None
-            self.steals += 1
-            _LIFETIME["steals"] += 1
-            stolen = queues[victim].pop()
-            get_recorder().emit(EventKind.SHARD_STOLEN, unit=stolen,
-                                slot=slot, victim=victim)
-            return stolen
-
-        def submit(slot: int, index: int) -> bool:
-            try:
-                if self._pool is None:
-                    self._pool = _acquire_pool(self.n_jobs)
-                future = self._pool.submit(fn, units[index])
-            except Exception as exc:
-                # The pool could not be built or fed (fork failure,
-                # unpicklable work): not retryable in-pool.
-                self._record_failure(logs[index], FAILURE_SUBMIT, exc, 0.0)
-                self._discard_pool()
-                exhausted.append(index)
-                return False
-            in_flight[future] = index
-            slot_of[future] = slot
-            busy[slot] = True
-            return True
-
-        def release_slot(future: Future) -> None:
-            slot = slot_of.pop(future, None)
-            if slot is not None:
-                busy[slot] = False
-
-        while in_flight or retry_at or any(queues):
-            now = time.monotonic()
-            # Backoff expiry requeues a unit at the front of its home
-            # slot: retries keep locality and run before new work.
-            for index in [i for i, at in retry_at.items() if at <= now]:
+        while queue or in_flight or retry_at:
+            # Backoff-expired retries run before new work.
+            due = sorted(i for i, at in retry_at.items()
+                         if at <= time.monotonic())
+            for index in due:
                 del retry_at[index]
-                queues[home[index]].appendleft(index)
-            for slot in range(n_slots):
-                while not busy[slot]:
-                    index = next_unit(slot)
-                    if index is None:
-                        break
-                    submit(slot, index)
+            queue.extendleft(reversed(due))
+            while queue and len(in_flight) < self.n_jobs:
+                index = queue.popleft()
+                try:
+                    if self._pool is None:
+                        self._pool = ProcessPoolExecutor(
+                            max_workers=self.n_jobs,
+                            initializer=_exit_with_parent,
+                            initargs=(os.getpid(),),
+                        )
+                    in_flight[self._pool.submit(fn, units[index])] = index
+                except Exception as exc:
+                    # The pool could not be built or fed (fork failure,
+                    # unpicklable work): not retryable in-pool.
+                    self._record_failure(logs[index], FAILURE_SUBMIT, exc,
+                                         0.0)
+                    self._discard_pool()
+                    exhausted.append(index)
             if not in_flight:
                 if retry_at:
                     time.sleep(
@@ -526,7 +413,6 @@ class ParallelExecutor(_ResilienceMixin):
             pool_broken = False
             for future in finished:
                 index = in_flight.pop(future)
-                release_slot(future)
                 start = started.pop(future, None)
                 elapsed = (now - start) if start is not None else 0.0
                 try:
@@ -550,37 +436,33 @@ class ParallelExecutor(_ResilienceMixin):
                 # (concurrent.futures fails them all), so just drop it.
                 self._discard_pool()
             if deadline is not None and in_flight:
-                expired: List[Future] = []
-                for future, index in in_flight.items():
+                # Deadlines run from the observed start, not submission.
+                for future in in_flight:
                     if future not in started and future.running():
                         started[future] = now
-                    begun = started.get(future)
-                    if begun is not None and now - begun > deadline:
-                        expired.append(future)
+                expired = [f for f, begun in started.items()
+                           if now - begun > deadline]
+                for future in expired:
+                    index = in_flight.pop(future)
+                    begun = started.pop(future)
+                    future.cancel()
+                    self._settle_failure(
+                        index, logs, retry_at, exhausted, FAILURE_TIMEOUT,
+                        TimeoutError(
+                            f"shard exceeded its {deadline:g}s deadline"
+                        ),
+                        now - begun,
+                    )
                 if expired:
-                    for future in expired:
-                        index = in_flight.pop(future)
-                        release_slot(future)
-                        begun = started.pop(future)
-                        future.cancel()
-                        self._settle_failure(
-                            index, logs, retry_at, exhausted,
-                            FAILURE_TIMEOUT,
-                            TimeoutError(
-                                f"shard exceeded its {deadline:g}s deadline"
-                            ),
-                            now - begun,
-                        )
                     # A hung worker cannot be killed through the pool API;
                     # abandon the whole pool and requeue the unexpired
-                    # in-flight units on a fresh one, free of charge.
+                    # in-flight units at the front, free of charge.
                     self._discard_pool()
-                    for future in list(in_flight):
-                        index = in_flight.pop(future)
-                        release_slot(future)
-                        started.pop(future, None)
+                    for future in in_flight:
                         future.cancel()
-                        queues[home[index]].appendleft(index)
+                    queue.extendleft(sorted(in_flight.values(), reverse=True))
+                    in_flight.clear()
+                    started.clear()
 
         for index in sorted(exhausted):
             self._serial_last_resort(fn, units, index, logs[index],
@@ -633,16 +515,15 @@ class ParallelExecutor(_ResilienceMixin):
             on_result(index, value)
 
     def _discard_pool(self) -> None:
-        """Abandon a poisoned pool: broken pools are never parked."""
+        """Abandon a poisoned pool without waiting on its workers."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            _POOL_STATS["discarded"] += 1
 
     def close(self) -> None:
-        """Park the (healthy, drained) pool for the next executor."""
+        """Shut the pool down and reap its workers."""
         if self._pool is not None:
-            _park_pool(self.n_jobs, self._pool)
+            self._pool.shutdown(wait=True)
             self._pool = None
 
     def __enter__(self) -> "ParallelExecutor":
@@ -663,7 +544,6 @@ try:  # pragma: no cover - typing nicety only
         fallbacks: int
         retries: int
         dropped: int
-        steals: int
         failures: List[ShardFailure]
         history: List[ShardAttemptLog]
 

@@ -1,21 +1,14 @@
 """Deterministic shard planning.
 
-A :class:`ShardPlanner` partitions a campaign's device panel into
-contiguous, balanced shards. Shard membership is a pure function of the
-device-id list and the requested shard count — never of worker count,
-scheduling, or timing — so moving a campaign between executors (or between
-serial and parallel runs) cannot change which RNG stream any device uses or
-the canonical order the merge layer reassembles results in.
+:func:`plan_units` partitions a campaign's device panel into contiguous,
+balanced shards, one per worker. Shard membership is a pure function of
+the device-id list and the worker count — never of scheduling or timing —
+so moving a campaign between executors cannot change which RNG stream any
+device uses or the canonical order the merge layer reassembles results in.
 
 Every device keeps its existing per-user stream seeded by
 ``(seed, year, user_id)``; the planner only decides *where* a device is
 simulated, not *how*.
-
-For parallel runs, :func:`plan_units` oversplits the panel into more
-units than workers (work-stealing food): the executor's scheduler can
-then rebalance an uneven tail instead of waiting on the one fat shard.
-Unit membership is still a pure function of panel + worker count, so
-checkpoint identity and bit-for-bit equivalence are untouched.
 """
 
 from __future__ import annotations
@@ -24,14 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
-
-#: Target work units per worker when oversplitting for work stealing.
-UNIT_OVERSPLIT = 4
-
-#: Never split below this many devices per unit: tiny units pay more in
-#: per-unit overhead (IPC, collection setup) than stealing can recover,
-#: and small panels should keep exactly one unit per worker.
-MIN_UNIT_DEVICES = 16
 
 
 @dataclass(frozen=True)
@@ -66,61 +51,26 @@ class ShardPlan:
         return tuple(d for shard in self.shards for d in shard.device_ids)
 
 
-class ShardPlanner:
-    """Plans contiguous, balanced shards over a device panel.
-
-    ``max_shard_devices`` optionally caps shard size, producing more shards
-    than requested when the panel is large — finer units queue better on a
-    busy pool and bound per-worker memory.
-    """
-
-    def __init__(self, max_shard_devices: int = 0) -> None:
-        if max_shard_devices < 0:
-            raise ConfigurationError(
-                f"max_shard_devices must be >= 0: {max_shard_devices}"
-            )
-        self.max_shard_devices = max_shard_devices
-
-    def plan(self, device_ids: Sequence[int], n_shards: int) -> ShardPlan:
-        """Partition ``device_ids`` into at most ``n_shards`` shards."""
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1: {n_shards}")
-        ids = tuple(int(d) for d in device_ids)
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise ConfigurationError(
-                "device_ids must be strictly increasing (canonical order)"
-            )
-        n = len(ids)
-        if n == 0:
-            return ShardPlan(n_devices=0, shards=())
-        k = min(n_shards, n)
-        if self.max_shard_devices:
-            k = max(k, -(-n // self.max_shard_devices))  # ceil division
-            k = min(k, n)
-        # Balanced contiguous split: the first n % k shards get one extra.
-        base, extra = divmod(n, k)
-        shards = []
-        lo = 0
-        for index in range(k):
-            hi = lo + base + (1 if index < extra else 0)
-            shards.append(Shard(index=index, device_ids=ids[lo:hi]))
-            lo = hi
-        return ShardPlan(n_devices=n, shards=tuple(shards))
-
-
 def plan_units(device_ids: Sequence[int], n_jobs: int) -> ShardPlan:
-    """The work-unit partition for an ``n_jobs``-worker run.
+    """Partition ``device_ids`` into ``min(n_jobs, n)`` balanced shards.
 
-    Serial runs get one unit. Parallel runs oversplit up to
-    :data:`UNIT_OVERSPLIT` units per worker, floored at
-    :data:`MIN_UNIT_DEVICES` devices per unit — a small panel therefore
-    keeps exactly one unit per worker (no behaviour change vs. the old
-    one-shard-per-worker plan), while a large one hands the scheduler
-    enough units to steal across. Deterministic in (panel, n_jobs) only.
+    Serial runs (``n_jobs <= 1``) get one shard; the first ``n % k``
+    shards of a ``k``-way split get one extra device.
     """
-    if n_jobs <= 1:
-        return ShardPlanner().plan(device_ids, 1)
-    n = len(device_ids)
-    target = min(n_jobs * UNIT_OVERSPLIT,
-                 max(n_jobs, n // MIN_UNIT_DEVICES))
-    return ShardPlanner().plan(device_ids, max(1, target))
+    ids = tuple(int(d) for d in device_ids)
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        raise ConfigurationError(
+            "device_ids must be strictly increasing (canonical order)"
+        )
+    n = len(ids)
+    if n == 0:
+        return ShardPlan(n_devices=0, shards=())
+    k = min(max(1, n_jobs), n)
+    base, extra = divmod(n, k)
+    shards = []
+    lo = 0
+    for index in range(k):
+        hi = lo + base + (1 if index < extra else 0)
+        shards.append(Shard(index=index, device_ids=ids[lo:hi]))
+        lo = hi
+    return ShardPlan(n_devices=n, shards=tuple(shards))

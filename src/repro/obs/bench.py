@@ -1,7 +1,7 @@
 """The unified benchmark harness behind ``repro bench``.
 
 One harness drives every benchmark the repo has: the ~30 registered
-figure/table experiments, the execution-engine serial/sharded campaign
+figure/table experiments, the execution-engine serial/sharded study
 timings, the analysis-context cold/warm sweeps, and the faulty collection
 pipeline. Each case is timed with the same warmup/repeat protocol
 (:func:`best_of`) and the consolidated report lands in one
@@ -50,7 +50,8 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 1
 
 #: Engine benchmarks pin this seed so results line up with the committed
-#: ``BENCH_engine.json`` trajectory (which uses seed 3, year 2015).
+#: ``BENCH_engine.json`` trajectory (seed 3); the collection and store
+#: cases time this one campaign year.
 ENGINE_BENCH_YEAR = 2015
 ENGINE_BENCH_SEED = 3
 
@@ -170,45 +171,42 @@ def _experiment_case(experiment_id: str, title: str) -> BenchCase:
     return BenchCase(experiment_id, "experiment", title, runner)
 
 
-def _campaign_case(name: str, n_jobs: int) -> BenchCase:
+def _study_case(name: str, n_jobs: int) -> BenchCase:
     def runner(env: BenchEnv, repeat: int, warmup: int) -> Dict[str, object]:
-        from repro.simulation.campaign import clear_world_cache, run_campaign
-        from repro.simulation.study import default_campaign_config
-
-        config = default_campaign_config(
-            ENGINE_BENCH_YEAR, scale=env.scale, seed=ENGINE_BENCH_SEED
-        )
+        from repro.simulation.campaign import clear_world_cache
+        from repro.simulation.study import run_study
 
         def timed():
-            return run_campaign(config, n_jobs=n_jobs)
+            # Keep only what the row needs, so repetitions never hold
+            # more than one study in memory.
+            study = run_study(scale=env.scale, seed=ENGINE_BENCH_SEED,
+                              n_jobs=n_jobs)
+            devices = sum(c.dataset.n_devices
+                          for c in study.campaigns.values())
+            return devices, study.execution
 
         timing = best_of(timed, repeat=repeat, warmup=warmup,
                          setup=clear_world_cache)
-        devices = timing.best_result.dataset.n_devices
-        row = {
+        devices, info = timing.best_result
+        # Transport accounting: total shared-memory payload bytes and the
+        # per-shard average (zero on serial runs, which never pack a
+        # segment) — auditable from the committed BENCH_all.json.
+        return {
             "wall_s": round(timing.best_s, 6),
             "mean_s": round(timing.mean_s, 6),
             "n_jobs": n_jobs,
             "devices": devices,
             "devices_per_s": round(devices / timing.best_s, 2),
-        }
-        info = timing.best_result.execution
-        if info is not None:
-            # Transport accounting: total shared-memory payload bytes and
-            # the per-shard average (zero on serial runs, which never pack
-            # a segment), plus work-stealing activity — auditable from the
-            # committed BENCH_all.json.
-            row["n_shards"] = info.n_shards
-            row["steals"] = getattr(info, "steals", 0)
-            row["transport_bytes"] = getattr(info, "transport_bytes", 0)
-            row["payload_bytes_per_shard"] = (
-                round(row["transport_bytes"] / info.n_shards)
+            "n_shards": info.n_shards,
+            "transport_bytes": info.transport_bytes,
+            "payload_bytes_per_shard": (
+                round(info.transport_bytes / info.n_shards)
                 if info.n_shards else 0
-            )
-        return row
+            ),
+        }
 
-    title = ("simulate one campaign, serial executor" if n_jobs == 1 else
-             f"simulate one campaign, {n_jobs}-worker process pool")
+    title = ("simulate the three-year study, serial executor" if n_jobs == 1
+             else f"simulate the three-year study, {n_jobs}-worker pool")
     return BenchCase(name, "engine", title, runner)
 
 
@@ -323,8 +321,8 @@ def discover_cases() -> List[BenchCase]:
         _experiment_case(e.experiment_id, f"{e.paper_item}: {e.title}")
         for e in list_experiments()
     ]
-    cases.append(_campaign_case("campaign_serial", 1))
-    cases.append(_campaign_case("campaign_sharded", 2))
+    cases.append(_study_case("study_serial", 1))
+    cases.append(_study_case("study_sharded", 2))
     cases.append(_sweep_case("context_cold_sweep", shared=False))
     cases.append(_sweep_case("context_warm_sweep", shared=True))
     cases.append(_collection_case())
@@ -592,10 +590,10 @@ def check_regression(
                 f"(baseline {base_speedup:.2f}x, now {speedup:.2f}x)"
             )
     elif kind == "engine_serial_vs_parallel":
-        serial = _result(current, "campaign_serial")
+        serial = _result(current, "study_serial")
         if serial is None or not serial.get("devices"):
             return [f"{baseline_name}: current report lacks the "
-                    f"campaign_serial benchmark"]
+                    f"study_serial benchmark"]
         cost = serial["wall_s"] / serial["devices"]
         cells = baseline.get("scales", [])
         if not cells:
@@ -610,7 +608,7 @@ def check_regression(
             base_cost = base["wall_s"] / base["devices"]
             if cost > factor * base_cost:
                 failures.append(
-                    f"{baseline_name}: serial campaign cost regressed "
+                    f"{baseline_name}: serial study cost regressed "
                     f"{cost / base_cost:.2f}x "
                     f"({1000 * base_cost:.1f}ms -> {1000 * cost:.1f}ms "
                     f"per device)"
@@ -619,7 +617,7 @@ def check_regression(
         # baseline host and the current host actually had cores to spread
         # over — a single-core "speedup" is pool overhead, so the check is
         # skipped (never failed) rather than gating on a bogus ratio.
-        sharded = _result(current, "campaign_sharded")
+        sharded = _result(current, "study_sharded")
         base_speedup = cell.get("speedup")
         if (
             sharded is not None
@@ -653,7 +651,7 @@ def check_regression(
             if speedup < float(floor):
                 # The floor was committed on whatever host wrote the
                 # baseline; surface both cpu_counts (and the sharded
-                # run's scheduling/transport counters) so a cross-host
+                # run's shard and transport counters) so a cross-host
                 # failure is diagnosable from the message alone.
                 failures.append(
                     f"{baseline_name}: parallel speedup {speedup:.2f}x at "
@@ -661,7 +659,7 @@ def check_regression(
                     f"{float(floor):.2f}x floor "
                     f"(cpu_count: baseline={baseline.get('cpu_count')}, "
                     f"current={current.get('cpu_count')}; "
-                    f"steals={sharded.get('steals')}, "
+                    f"n_shards={sharded.get('n_shards')}, "
                     f"transport_bytes={sharded.get('transport_bytes')})"
                 )
     elif kind == "store":

@@ -95,12 +95,12 @@ def bench_record(report: dict, gate: str = "",
         name: float(row["wall_s"]) for name, row in rows.items()
         if isinstance(row.get("wall_s"), (int, float))
     }
-    serial = rows.get("campaign_serial")
+    serial = rows.get("study_serial")
     if serial and serial.get("devices") and serial.get("wall_s"):
         metrics["derived_serial_ms_per_device"] = round(
             1000.0 * serial["wall_s"] / serial["devices"], 4
         )
-    sharded = rows.get("campaign_sharded")
+    sharded = rows.get("study_sharded")
     if (serial and sharded and serial.get("wall_s")
             and sharded.get("wall_s")):
         metrics["derived_parallel_speedup"] = round(

@@ -86,7 +86,6 @@ class MetricsRegistry:
         self.count(f"{prefix}.shards", info.n_shards)
         self.set(f"{prefix}.executor_parallel",
                  int(getattr(info, "executor", "serial") != "serial"))
-        self.count(f"{prefix}.steals", getattr(info, "steals", 0))
         self.count(f"{prefix}.transport_bytes",
                    getattr(info, "transport_bytes", 0))
 

@@ -88,8 +88,6 @@ class EventKind(str, Enum):
     SHARD_COMPLETED = "shard_completed"
     #: a shard attempt failed and will be retried or settled
     SHARD_RETRY = "shard_retry"
-    #: an idle worker slot stole a queued shard
-    SHARD_STOLEN = "shard_stolen"
     #: a shard exhausted retries and was dropped (partial)
     SHARD_DROPPED = "shard_dropped"
     #: a completed shard was spilled to the checkpoint dir
@@ -368,7 +366,6 @@ class Postmortem:
     outstanding: List[List[int]] = field(default_factory=list)
     retries: int = 0
     failures_by_kind: Dict[str, int] = field(default_factory=dict)
-    steals: int = 0
     dropped: List[List[int]] = field(default_factory=list)
     checkpoints_saved: int = 0
     checkpoints_loaded: int = 0
@@ -420,8 +417,6 @@ class Postmortem:
             kinds = ", ".join(f"{kind}={count}" for kind, count
                               in sorted(self.failures_by_kind.items()))
             lines.append(f"  retries: {self.retries} ({kinds})")
-        if self.steals:
-            lines.append(f"  steals: {self.steals}")
         if self.dropped:
             lines.append(f"  dropped shards: {self.dropped}")
         if (self.checkpoints_saved or self.checkpoints_loaded
@@ -505,8 +500,6 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.failures_by_kind[fail_kind] = (
                 post.failures_by_kind.get(fail_kind, 0) + 1
             )
-        elif kind == "shard_stolen":
-            post.steals += 1
         elif kind == "shard_dropped":
             post.dropped.append(
                 [event.get("year"), event.get("shard")]

@@ -1,4 +1,4 @@
-"""Periodic resource telemetry: RSS, CPU, shm, disk, pool counters.
+"""Periodic resource telemetry: RSS, CPU, shm, disk, retry counters.
 
 A :class:`ResourceSampler` is a daemon thread that emits one
 ``resource_sample`` event per interval through the flight recorder
@@ -6,8 +6,8 @@ A :class:`ResourceSampler` is a daemon thread that emits one
 RSS of live child processes (pool workers), process CPU seconds
 (:func:`os.times`, children included), live ``/dev/shm`` segment bytes
 from :func:`repro.engine.transport.segment_bytes`, disk usage of watched
-store/checkpoint directories, and the engine's lifetime warm-pool and
-steal counters.
+store/checkpoint directories, and the engine's lifetime retry, fallback
+and drop counters.
 
 Everything degrades gracefully off Linux: missing ``/proc`` entries read
 as zero, never as an error, and the sampling loop swallows all exceptions

@@ -229,7 +229,7 @@ def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
     with recorder.span("plan_campaign", year=config.year):
         world = _world_for(config)
         shard_plan = plan_units(
-            [info.device_id for info in world.infos], max(1, n_jobs)
+            [info.device_id for info in world.infos], n_jobs
         )
         work = [
             ShardWork(
@@ -653,6 +653,89 @@ def _merge_into_store(
     return store.load_dataset()
 
 
+def run_plans(
+    plans: Sequence[CampaignPlan],
+    n_jobs: int,
+    executor: Optional[Executor] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    stores: Optional[Sequence[Optional[CampaignStore]]] = None,
+) -> "tuple[List[CampaignResult], Optional[ResilienceReport], ExecutionInfo]":
+    """Execute ``plans`` on one executor and merge each plan canonically.
+
+    The run lifecycle behind :func:`run_campaign` and ``Study.run``: an
+    executor is built (and closed) here unless one is supplied, every
+    shard runs under the ``execute_shards`` span, orphaned shared-memory
+    segments are swept once the executor has drained, each plan is merged
+    (into its store, when ``stores`` names one), and a run that dies
+    before every merge finished has its spill partitions reclaimed unless
+    checkpoints reference them for resume.
+
+    Returns the merged results in plan order, the resilience report and
+    the whole run's :class:`ExecutionInfo`.
+    """
+    recorder = get_recorder()
+    stores = list(stores) if stores is not None else [None] * len(plans)
+    allow_partial = resilience.partial if resilience else False
+    checkpointed = resilience is not None and resilience.store is not None
+    own_executor = executor is None
+    if executor is None:
+        executor = make_executor(
+            n_jobs,
+            policy=resilience.policy if resilience else None,
+            allow_partial=allow_partial,
+        )
+    merged = False
+    try:
+        try:
+            with recorder.span("execute_shards", executor=executor.name,
+                               n_jobs=executor.n_jobs):
+                outputs, report = execute_plans(
+                    plans, executor, resilience=resilience, stores=stores,
+                )
+        finally:
+            if own_executor:
+                executor.close()
+            # The executor has drained, so any segment still named under
+            # this run's token is an orphan — a chaos-killed loop or a
+            # timed-out straggler on a discarded pool — and is reclaimed.
+            sweep_orphans(run_token())
+        results = [
+            merge_campaign(
+                plan, plan_outputs,
+                execution=_execution_info(executor, [plan_outputs]),
+                allow_partial=allow_partial, store=store,
+                keep_partitions=checkpointed,
+            )
+            for plan, plan_outputs, store in zip(plans, outputs, stores)
+        ]
+        merged = True
+    finally:
+        # Partition janitor, mirroring the shared-memory sweep: a run
+        # that died before finalize leaves spill partitions behind;
+        # reclaim them unless checkpoints reference them for resume.
+        if not merged and not checkpointed:
+            for store in stores:
+                if store is not None:
+                    store.sweep_partitions()
+    return results, report, _execution_info(executor, outputs)
+
+
+def _execution_info(
+    executor: Executor,
+    outputs: Sequence[Sequence[Optional[ShardOutput]]],
+) -> ExecutionInfo:
+    """How ``outputs`` (one shard-output list per plan) were executed."""
+    return ExecutionInfo(
+        executor=executor.name,
+        n_jobs=executor.n_jobs,
+        n_shards=sum(len(outs) for outs in outputs),
+        transport_bytes=sum(
+            out.transport_bytes for outs in outputs
+            for out in outs if out is not None
+        ),
+    )
+
+
 def run_campaign(
     config: CampaignConfig,
     n_jobs: Optional[int] = None,
@@ -671,58 +754,12 @@ def run_campaign(
     run out-of-core: shards spill to store partitions on accept and the
     result's dataset reads the finalized store memory-mapped.
     """
-    recorder = get_recorder()
-    with recorder.span("run_campaign", year=config.year):
+    with get_recorder().span("run_campaign", year=config.year):
         n_jobs = resolve_jobs(n_jobs)
-        plan = plan_campaign(config, n_jobs)
-        own_executor = executor is None
-        if executor is None:
-            executor = make_executor(
-                n_jobs,
-                policy=resilience.policy if resilience else None,
-                allow_partial=resilience.partial if resilience else False,
-            )
-        steals_before = getattr(executor, "steals", 0)
-        checkpointed = resilience is not None and resilience.store is not None
-        merged = False
-        try:
-            try:
-                with recorder.span("execute_shards", executor=executor.name,
-                                   n_jobs=executor.n_jobs):
-                    outputs, report = execute_plans(
-                        [plan], executor, resilience=resilience,
-                        stores=[store] if store is not None else None,
-                    )
-            finally:
-                if own_executor:
-                    executor.close()
-                # The executor has drained (close waits for healthy
-                # futures), so any segment still named under this run's
-                # token is an orphan — a chaos-killed loop or a timed-out
-                # straggler on a discarded pool — and is reclaimed here.
-                sweep_orphans(run_token())
-            execution = ExecutionInfo(
-                executor=executor.name,
-                n_jobs=executor.n_jobs,
-                n_shards=plan.shard_plan.n_shards,
-                steals=getattr(executor, "steals", 0) - steals_before,
-                transport_bytes=sum(
-                    out.transport_bytes for out in outputs[0]
-                    if out is not None
-                ),
-            )
-            result = merge_campaign(
-                plan, outputs[0], execution=execution,
-                allow_partial=resilience.partial if resilience else False,
-                store=store, keep_partitions=checkpointed,
-            )
-            merged = True
-        finally:
-            # Partition janitor, mirroring the shared-memory sweep: a run
-            # that died before finalize leaves spill partitions behind;
-            # reclaim them unless checkpoints reference them for resume.
-            if store is not None and not merged and not checkpointed:
-                store.sweep_partitions()
+        (result,), report, _ = run_plans(
+            [plan_campaign(config, n_jobs)], n_jobs, executor=executor,
+            resilience=resilience, stores=[store],
+        )
         result.resilience = report
         return result
 

@@ -20,13 +20,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.collection.faults import FaultPlan
-from repro.engine.executor import (
-    ExecutionInfo,
-    Executor,
-    make_executor,
-    resolve_jobs,
-)
-from repro.engine.transport import run_token, sweep_orphans
+from repro.engine.executor import ExecutionInfo, Executor, resolve_jobs
 from repro.errors import ConfigurationError
 from repro.network_env.deployment import DeploymentConfig
 from repro.obs.recorder import get_recorder
@@ -38,9 +32,8 @@ from repro.engine.resilience import ResilienceConfig, ResilienceReport
 from repro.simulation.campaign import (
     CampaignConfig,
     CampaignResult,
-    execute_plans,
-    merge_campaign,
     plan_campaign,
+    run_plans,
 )
 from repro.simulation.params import default_params
 from repro.traces.store import CampaignStore
@@ -214,83 +207,19 @@ class Study:
                     )
                     for plan in plans
                 ]
-            n_units = sum(len(plan.work) for plan in plans)
-            own_executor = executor is None
-            if executor is None:
-                executor = make_executor(
-                    n_jobs,
-                    policy=resilience.policy if resilience else None,
-                    allow_partial=resilience.partial if resilience else False,
-                )
-            steals_before = getattr(executor, "steals", 0)
-            checkpointed = resilience is not None and \
-                resilience.store is not None
-            merged = False
-            try:
-                try:
-                    with recorder.span("execute_shards",
-                                       executor=executor.name,
-                                       n_jobs=executor.n_jobs):
-                        outputs, report = execute_plans(
-                            plans, executor, resilience=resilience,
-                            stores=stores,
-                        )
-                finally:
-                    if own_executor:
-                        executor.close()
-                    # Post-drain janitor: anything still named under this
-                    # run's token was never accepted (chaos kill, timed-out
-                    # straggler) and must not outlive the run.
-                    sweep_orphans(run_token())
-                self.resilience = report
-                allow_partial = resilience.partial if resilience else False
-                for yi, (year, plan, plan_outputs) in enumerate(zip(
-                    self.config.years, plans, outputs
-                )):
-                    result = merge_campaign(
-                        plan,
-                        plan_outputs,
-                        execution=ExecutionInfo(
-                            executor=executor.name,
-                            n_jobs=executor.n_jobs,
-                            n_shards=plan.shard_plan.n_shards,
-                            transport_bytes=sum(
-                                out.transport_bytes for out in plan_outputs
-                                if out is not None
-                            ),
-                        ),
-                        allow_partial=allow_partial,
-                        store=stores[yi] if stores is not None else None,
-                        keep_partitions=checkpointed,
-                    )
-                    self.campaigns[year] = result
-                    with recorder.span("survey", year=year):
-                        survey_rng = np.random.default_rng(
-                            (self.config.seed, year, 99)
-                        )
-                        self.surveys[year] = run_survey(
-                            result.profiles, year, survey_rng
-                        )
-                merged = True
-            finally:
-                # Partition janitor (disk twin of the shared-memory
-                # sweep): a run that died before every year finalized
-                # leaves spill partitions behind; reclaim them unless
-                # checkpoints reference them for resume.
-                if stores is not None and not merged and not checkpointed:
-                    for st in stores:
-                        st.sweep_partitions()
-            self.execution = ExecutionInfo(
-                executor=executor.name,
-                n_jobs=executor.n_jobs,
-                n_shards=n_units,
-                steals=getattr(executor, "steals", 0) - steals_before,
-                transport_bytes=sum(
-                    out.transport_bytes
-                    for plan_outputs in outputs
-                    for out in plan_outputs if out is not None
-                ),
+            results, self.resilience, self.execution = run_plans(
+                plans, n_jobs, executor=executor, resilience=resilience,
+                stores=stores,
             )
+            for year, result in zip(self.config.years, results):
+                self.campaigns[year] = result
+                with recorder.span("survey", year=year):
+                    survey_rng = np.random.default_rng(
+                        (self.config.seed, year, 99)
+                    )
+                    self.surveys[year] = run_survey(
+                        result.profiles, year, survey_rng
+                    )
         return self
 
     def dataset(self, year: int):

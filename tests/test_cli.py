@@ -34,7 +34,7 @@ def test_missing_command_returns_usage_error(capsys):
 def test_bench_list_exits_zero(capsys):
     assert main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in ("table1", "fig19", "campaign_serial", "campaign_sharded",
+    for name in ("table1", "fig19", "study_serial", "study_sharded",
                  "context_cold_sweep", "context_warm_sweep",
                  "collection_faulty_campaign"):
         assert name in out

