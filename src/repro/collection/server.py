@@ -20,13 +20,8 @@ from repro.collection.agent import ColumnarRecords, upload_slots
 from repro.collection.uploader import UploadBatch
 from repro.errors import CollectionError
 from repro.timeutil import TimeAxis
-from repro.traces.dataset import DatasetBuilder
+from repro.traces.dataset import _EMPTY_DTYPES, DatasetBuilder
 from repro.traces.records import ApDirectoryEntry, DeviceInfo
-
-_TABLES = (
-    "traffic", "wifi", "geo", "scans", "sightings", "apps", "updates",
-    "battery",
-)
 
 
 class CollectionServer:
@@ -37,7 +32,9 @@ class CollectionServer:
         self._registered: Set[int] = set()
         self._seen: Set[Tuple[int, int]] = set()
         # Buffered columnar ranges: table -> [ [columns, lo, hi], ... ].
-        self._buffers: Dict[str, List[list]] = {name: [] for name in _TABLES}
+        self._buffers: Dict[str, List[list]] = {
+            name: [] for name in _EMPTY_DTYPES
+        }
         self.batches_received = 0
         self.duplicates_dropped = 0
         self.received_by_device: Dict[int, int] = {}
@@ -80,10 +77,11 @@ class CollectionServer:
         Equivalent to replaying every per-slot upload through
         :meth:`receive` over a fault-free transport: same registration and
         window checks, same counters (one batch per slot holding data), and
-        a bit-identical built dataset — ``build`` sorts stably by
-        (device, t), so per-slot and whole-device appends interleave rows
-        within one (device, slot) in the same original order.  Returns the
-        number of upload batches accounted.
+        a bit-identical built dataset — both append the kernel's rows in
+        their canonical (device, t) order, and ``build``'s stable fallback
+        sort keeps rows within one (device, slot) in their original order
+        for any other append order.  Returns the number of upload batches
+        accounted.
         """
         if device_id not in self._registered:
             raise CollectionError(
@@ -123,17 +121,16 @@ class CollectionServer:
             if not buf:
                 continue
             extend = getattr(self.builder, f"extend_{table}")
-            names = list(buf[0][0])
-            if len(buf) == 1:
-                cols, lo, hi = buf[0]
-                extend(**{name: cols[name][lo:hi] for name in names})
-            else:
-                extend(**{
-                    name: np.concatenate(
-                        [cols[name][lo:hi] for cols, lo, hi in buf]
-                    )
-                    for name in names
-                })
+            # Concatenate straight into the schema dtypes, so the
+            # builder's casts are no-ops and it owns the result.
+            dtypes = dict(_EMPTY_DTYPES[table])
+            extend(**{
+                name: np.concatenate(
+                    [cols[name][lo:hi] for cols, lo, hi in buf],
+                    dtype=dtypes[name], casting="unsafe",
+                )
+                for name in buf[0][0]
+            })
             buf.clear()
 
     def build_dataset(self):

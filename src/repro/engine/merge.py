@@ -93,18 +93,20 @@ class ShardOutput:
     def spill(self, store: "CampaignStore", name: str) -> "ShardOutput":
         """Land this shard's columns in a store partition, release RAM.
 
-        Returns a slim partition-backed copy: the chunk data now lives in
-        ``store/parts/<name>/`` and the shared-memory segment (if any) is
-        unmapped, so accepting a shard costs O(manifest) parent memory
-        instead of O(rows). Collection stats stay inline — they are small
-        and the merge layer consumes them directly.
+        Turns this output into a slim partition-backed one, in place and
+        returned: the chunk data now lives in ``store/parts/<name>/`` and
+        the shared-memory segment (if any) is unmapped. In place, because
+        the executor keeps every result it hands out; a copy would leave
+        the rows alive there. So accepting a shard costs O(manifest)
+        parent memory instead of O(rows). Collection stats stay inline —
+        they are small and the merge layer consumes them directly.
         """
         ref = store.write_partition(name, self.chunk_map())
-        moved = self.transport_bytes
+        self.spilled_transport_bytes = self.transport_bytes
         if self.payload is not None:
             self.payload.release()
-        return replace(self, chunks=None, payload=None, partition=ref,
-                       spilled_transport_bytes=moved)
+        self.chunks, self.payload, self.partition = None, None, ref
+        return self
 
     def for_checkpoint(self) -> "ShardOutput":
         """A self-contained copy that pickles safely to a spill file.

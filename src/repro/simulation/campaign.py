@@ -543,8 +543,8 @@ def merge_campaign(
     in :attr:`CampaignResult.losses`. At least one shard must survive.
 
     With a ``store``, the merge is out-of-core: shard partitions are
-    streaming-merged into the store's canonical column files (same stable
-    sort as ``DatasetBuilder.build``, bit-identical at any ``n_jobs``) and
+    streaming-merged into the store's canonical column files (same row
+    order as ``DatasetBuilder.build``, bit-identical at any ``n_jobs``) and
     the returned dataset reads them memory-mapped. Spill partitions are
     reclaimed after a successful finalize unless ``keep_partitions``
     (set when checkpoints reference them for resume).
@@ -619,9 +619,9 @@ def _merge_into_store(
     Surviving shards' partitions (written on accept, or here for inline
     outputs such as serial runs and non-store checkpoint reloads) are
     handed to :meth:`CampaignStore.finalize` in canonical shard order —
-    the exact order ``merge_chunks`` appends, followed by the same stable
-    sort — so the finalized store is bit-identical to the in-memory
-    dataset. The AP directory is built from the partition manifests'
+    the exact order ``merge_chunks`` appends, with the same fallback
+    sort for out-of-order input — so the finalized store is bit-identical
+    to the in-memory dataset. The AP directory is built from the partition manifests'
     observed ids, mirroring :func:`_register_observed_aps`.
     """
     config = plan.config

@@ -40,6 +40,11 @@ jobs=1 == jobs=k guarantee rests on it):
 
 ``tests/test_kernel_equivalence.py`` pins the determinism and
 shard-layout independence of these streams.
+
+Every table leaves the kernel sorted by ``t`` (``apps`` by ``day``), WiFi
+traffic before cellular at equal ``t``: the order a stable ``(device, t)``
+sort would give, so the merges skip the sort
+(``tests/test_canonical_order.py``).
 """
 
 from __future__ import annotations
@@ -610,22 +615,19 @@ def _roll_update(profile, grid, update_model, on_wifi, rx_wifi, tables, rng):
 
 def _emit_traffic(user_id, cell_iface, rx_wifi, tx_wifi, rx_cell, tx_cell,
                   tables) -> None:
-    wifi_slots = np.flatnonzero((rx_wifi + tx_wifi) >= 100.0)
-    cell_slots = np.flatnonzero((rx_cell + tx_cell) >= 100.0)
-    n = len(wifi_slots) + len(cell_slots)
-    if not n:
+    # Interleave (WiFi, cellular) per slot, then keep the active ones:
+    # rows come out in slot order with WiFi first at equal t.
+    active = np.stack([(rx_wifi + tx_wifi) >= 100.0,
+                       (rx_cell + tx_cell) >= 100.0], axis=1).ravel()
+    rows = np.flatnonzero(active)
+    if not len(rows):
         return
-    # WiFi rows before cellular rows: equal-t rows keep the legacy order
-    # after the builder's stable (device, t) sort.
     tables["traffic"] = dict(
-        device=np.full(n, user_id),
-        t=np.concatenate([wifi_slots, cell_slots]),
-        iface=np.concatenate([
-            np.full(len(wifi_slots), int(IfaceKind.WIFI)),
-            np.full(len(cell_slots), cell_iface),
-        ]),
-        rx=np.concatenate([rx_wifi[wifi_slots], rx_cell[cell_slots]]),
-        tx=np.concatenate([tx_wifi[wifi_slots], tx_cell[cell_slots]]),
+        device=np.full(len(rows), user_id),
+        t=rows >> 1,
+        iface=np.where(rows & 1, cell_iface, int(IfaceKind.WIFI)),
+        rx=np.stack([rx_wifi, rx_cell], axis=1).ravel()[rows],
+        tx=np.stack([tx_wifi, tx_cell], axis=1).ravel()[rows],
     )
 
 
@@ -737,11 +739,14 @@ def _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
         rng.normal(0.0, params.distance_sigma, n_rows)
     )
     sight_rssi = _PUBLIC_RSSI_MODEL.sample_many(distances, rng)
+    # Rows were drawn grouped by (day, state); emit them in slot order,
+    # keeping the draw order within a slot.
+    back = np.argsort(sight_t, kind="stable")
     tables["sightings"] = dict(
         device=np.full(n_rows, user_id),
-        t=sight_t,
-        ap_id=sight_ap,
-        rssi=sight_rssi,
+        t=sight_t[back],
+        ap_id=sight_ap[back],
+        rssi=sight_rssi[back],
     )
 
 

@@ -37,6 +37,8 @@ class _Table:
     columns: Dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.columns, dict):
+            return  # a store's lazily mapped columns, checked as mapped
         lengths = {name: len(col) for name, col in self.columns.items()}
         if len(set(lengths.values())) > 1:
             raise SchemaError(f"ragged table columns: {lengths}")
@@ -202,8 +204,10 @@ class CampaignDataset:
 class DatasetBuilder:
     """Accumulates records and freezes them into a :class:`CampaignDataset`.
 
-    Records arrive as column chunks (:meth:`extend_traffic` etc.), in any
-    order; ``build`` sorts each table by (device, t).
+    Records arrive as column chunks (:meth:`extend_traffic` etc.). The
+    simulation kernel emits them already in canonical (device, t) order,
+    which ``build`` checks in one pass and keeps; chunks appended out of
+    order are sorted stably by (device, t) instead.
     """
 
     def __init__(self, year: int, axis: TimeAxis) -> None:
@@ -213,10 +217,7 @@ class DatasetBuilder:
         self.ap_directory: Dict[int, ApDirectoryEntry] = {}
         self.ground_truth: Optional[GroundTruth] = None
         self._chunks: Dict[str, List[Dict[str, np.ndarray]]] = {
-            name: [] for name in (
-                "traffic", "wifi", "geo", "scans", "sightings", "apps",
-                "updates", "battery",
-            )
+            name: [] for name in _EMPTY_DTYPES
         }
 
     # -- registry -------------------------------------------------------
@@ -318,6 +319,8 @@ class DatasetBuilder:
         copied — callers may pass read-only views over attached
         shared-memory transport segments and the builder holds those
         views until :meth:`build` concatenates them into owned arrays.
+        Shards merged in canonical order keep canonical row order, so
+        ``build`` needs no sort.
         """
         for table, chunk_list in chunks.items():
             if table not in self._chunks:
@@ -370,11 +373,22 @@ class DatasetBuilder:
         for chunk in chunks:
             if chunk.keys() != chunks[0].keys():
                 raise SchemaError(f"inconsistent columns in table {name!r}")
-        columns = {
-            col: np.concatenate([chunk[col] for chunk in chunks]) for col in names
-        }
+        if len(chunks) == 1 and all(
+            col.flags.owndata and col.flags.writeable
+            for col in chunks[0].values()
+        ):
+            # One chunk that owns its memory: adopt it. Views over shared
+            # memory and memmaps are copied out below.
+            columns = dict(chunks[0])
+        else:
+            columns = {
+                col: np.concatenate([chunk[col] for chunk in chunks])
+                for col in names
+            }
         table = _Table(columns)
         sort_key = "t" if "t" in columns else "day"
+        if _in_canonical_order(table.device, table.columns[sort_key]):
+            return table
         order = np.lexsort((table.columns[sort_key], table.columns["device"]))
         return table.select(order)
 
@@ -411,6 +425,16 @@ _EMPTY_DTYPES = {
     "battery": [("device", np.int32), ("t", np.int32), ("level", np.float32),
                 ("charging", np.int8)],
 }
+
+
+def _in_canonical_order(device: np.ndarray, key: np.ndarray) -> bool:
+    """True when the rows already stand in stable ``lexsort((key, device))``
+    order, i.e. ``(device, key)`` never decreases: one O(n) pass."""
+    device, key = np.asarray(device), np.asarray(key)
+    d0, d1 = device[:-1], device[1:]
+    return bool(np.all(d1 >= d0)) and bool(
+        np.all((d1 != d0) | (key[1:] >= key[:-1]))
+    )
 
 
 def _i8(x) -> np.ndarray:

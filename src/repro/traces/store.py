@@ -30,9 +30,9 @@ opening a store whose manifest names any other format is an error.
 
 Determinism: the streaming merge (:meth:`CampaignStore.finalize`)
 reproduces ``DatasetBuilder.build`` exactly — partitions are concatenated
-in canonical shard order and each table is permuted by the same stable
-``np.lexsort((t, device))`` — so a store-backed dataset is bit-for-bit
-identical to the in-memory path at any ``n_jobs`` (pinned by
+in canonical shard order and, only if out of order, permuted by the same
+stable ``np.lexsort((t, device))`` — so a store-backed dataset is
+bit-for-bit identical to the in-memory path at any ``n_jobs`` (pinned by
 ``tests/test_store.py``). Peak memory of the merge is bounded by the sort
 keys plus the permutation (~16 bytes/row) and one copy block, never by
 the full table.
@@ -52,14 +52,19 @@ import shutil
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.obs.recorder import EventKind, get_recorder
 from repro.timeutil import TimeAxis
-from repro.traces.dataset import CampaignDataset, GroundTruth, _EMPTY_DTYPES, _Table
+from repro.traces.dataset import (
+    CampaignDataset, GroundTruth, _EMPTY_DTYPES, _in_canonical_order, _Table,
+)
 from repro.traces.io import (
     _ap_from_json,
     _ap_to_json,
@@ -127,10 +132,11 @@ class PartitionRef:
         """The partition's tables as one builder-compatible chunk each.
 
         Within a shard the builder concatenates chunks in append order
-        before sorting, so the concatenated per-column arrays stored here
-        are interchangeable with the original chunk list — merging them
-        produces a bit-identical dataset. Used when a checkpointed,
-        partition-backed shard is resumed into a run without a store.
+        (sorting only out-of-order input), so the concatenated per-column
+        arrays stored here are interchangeable with the original chunk
+        list — merging them produces a bit-identical dataset. Used when a
+        checkpointed, partition-backed shard is resumed into a run without
+        a store.
         """
         if not self.is_valid():
             raise DatasetError(
@@ -316,11 +322,13 @@ class CampaignStore:
         """Streaming-merge ``partitions`` (in canonical shard order) into
         the finalized canonical column files, then write the manifests.
 
-        Stage 1 copies each partition's columns into append-order staging
-        files (mmap to mmap, never a whole table in RAM). Stage 2 computes
-        the stable ``lexsort((t, device))`` permutation from the two key
-        columns and applies it block-wise to every column, hashing the
-        sorted bytes into the content fingerprint as they are written.
+        Partitions already in canonical ``(device, t)`` order, each
+        starting at or after the previous one's last row (what the kernel
+        and the planner produce), stream straight into the column files.
+        Otherwise they are copied into append-order staging files (mmap to
+        mmap) and the stable ``lexsort((t, device))`` permutation is
+        applied block-wise. The written bytes are hashed into the content
+        fingerprint as they are written.
         """
         recorder = get_recorder()
         with recorder.span("store_finalize", year=self.year,
@@ -374,91 +382,55 @@ class CampaignStore:
     def _merge_table(self, table: str, partitions: Sequence[PartitionRef],
                      n_devices: int) -> dict:
         column_specs = _EMPTY_DTYPES[table]
-        total = sum(ref.n_rows.get(table, 0) for ref in partitions)
-        if total == 0:
-            columns_meta = {}
-            for column, dtype in column_specs:
-                arr = np.array([], dtype=dtype)
-                self._write_column(table, column, arr, staged=None)
-                columns_meta[column] = {
-                    "dtype": np.dtype(dtype).str,
-                    "sha256": hashlib.sha256(b"").hexdigest(),
-                }
-            return {"n_rows": 0, "columns": columns_meta}
-
-        # Stage 1: append-order staging memmaps, one per column.
-        staged: Dict[str, np.memmap] = {}
-        stage_paths: Dict[str, Path] = {}
-        for column, dtype in column_specs:
-            path = self.tables_dir / f".stage-{table}__{column}.npy"
-            stage_paths[column] = path
-            staged[column] = np.lib.format.open_memmap(
-                path, mode="w+", dtype=np.dtype(dtype), shape=(total,)
-            )
-        offset = 0
-        for ref in partitions:
-            rows = ref.n_rows.get(table, 0)
-            if rows == 0:
-                continue
-            for column, _ in column_specs:
-                src = np.load(ref.path / f"{table}__{column}.npy",
-                              mmap_mode="r")
-                if len(src) != rows:
-                    raise DatasetError(
-                        f"partition {ref.name} table {table!r}: column "
-                        f"{column!r} has {len(src)} rows, manifest says "
-                        f"{rows}"
-                    )
-                staged[column][offset:offset + rows] = src
-                del src
-            offset += rows
+        parts = [ref for ref in partitions if ref.n_rows.get(table, 0)]
+        total = sum(ref.n_rows[table] for ref in parts)
+        sort_key = "t" if "t" in dict(column_specs) else "day"
+        keys = [(_part_column(ref, table, "device"),
+                 _part_column(ref, table, sort_key)) for ref in parts]
 
         # Range validation, mirroring DatasetBuilder._validate_ranges.
-        device_col = staged["device"]
-        sort_key = "t" if "t" in staged else "day"
-        key_col = staged[sort_key]
         limit = self.axis.n_slots if sort_key == "t" else self.axis.n_days
-        if int(device_col.min()) < 0 or int(device_col.max()) >= n_devices:
+        if keys and (min(int(d.min()) for d, _ in keys) < 0
+                     or max(int(d.max()) for d, _ in keys) >= n_devices):
             raise DatasetError(f"table {table!r} references unknown device")
-        if int(key_col.min()) < 0 or int(key_col.max()) >= limit:
+        if keys and (min(int(k.min()) for _, k in keys) < 0
+                     or max(int(k.max()) for _, k in keys) >= limit):
             raise DatasetError(f"table {table!r} has out-of-range {sort_key}")
 
-        # Stage 2: the builder's exact stable sort, applied block-wise.
-        order = np.lexsort((np.asarray(key_col), np.asarray(device_col)))
+        in_order = all(_in_canonical_order(d, k) for d, k in keys) and all(
+            (int(d0[-1]), int(k0[-1])) <= (int(d1[0]), int(k1[0]))
+            for (d0, k0), (d1, k1) in zip(keys, keys[1:])
+        )
+        del keys
+
+        def appended(column: str) -> Iterator[np.ndarray]:
+            return _blocks(_part_column(ref, table, column) for ref in parts)
+
+        stage: Dict[str, Path] = {}
+        if not in_order:
+            # Stage the partitions in append order, then apply the
+            # builder's exact stable sort block-wise.
+            for column, dtype in column_specs:
+                path = self.tables_dir / f".stage-{table}__{column}.npy"
+                _write_npy(path, dtype, total, appended(column))
+                stage[column] = path
+            staged = {c: np.load(p, mmap_mode="r") for c, p in stage.items()}
+            order = np.lexsort((np.asarray(staged[sort_key]),
+                                np.asarray(staged["device"])))
         columns_meta = {}
         for column, dtype in column_specs:
-            digest = self._write_column(table, column, staged[column],
-                                        staged=order)
+            blocks = (appended(column) if in_order else
+                      (staged[column][rows] for rows in _blocks([order])))
+            path = self.tables_dir / f"{table}__{column}.npy"
             columns_meta[column] = {
-                "dtype": np.dtype(dtype).str, "sha256": digest,
+                "dtype": np.dtype(dtype).str,
+                "sha256": _write_npy(path, dtype, total, blocks),
             }
-        for column, _ in column_specs:
-            # Release the staging mmap before unlinking its file.
-            staged.pop(column)
-            stage_paths[column].unlink()
+        if stage:
+            del staged  # release the staging maps before unlinking them
+            for path in stage.values():
+                path.unlink()
         return {"n_rows": int(total), "columns": columns_meta}
-
-    def _write_column(self, table: str, column: str, source,
-                      staged: Optional[np.ndarray]) -> str:
-        """Write one finalized column and return the content digest of
-        its sorted bytes."""
-        path = self.tables_dir / f"{table}__{column}.npy"
-        if staged is None:  # empty table
-            np.save(path, np.asarray(source))
-            return hashlib.sha256(b"").hexdigest()
-        total = len(source)
-        out = np.lib.format.open_memmap(
-            path, mode="w+", dtype=source.dtype, shape=(total,)
-        )
-        hasher = hashlib.sha256()
-        for lo in range(0, total, MERGE_BLOCK_ROWS):
-            hi = min(lo + MERGE_BLOCK_ROWS, total)
-            block = source[staged[lo:hi]]
-            out[lo:hi] = block
-            hasher.update(np.ascontiguousarray(block).tobytes())
-        out.flush()
-        del out
-        return hasher.hexdigest()
 
     # -- read path ---------------------------------------------------------
 
@@ -472,17 +444,20 @@ class CampaignStore:
                 f"store {self.root} has no column {table}.{column}"
             )
         path = self.tables_dir / f"{table}__{column}.npy"
-        if table_meta["n_rows"] == 0:
-            return np.load(path)
-        return np.load(path, mmap_mode="r")
+        rows = table_meta["n_rows"]
+        values = np.load(path, mmap_mode="r" if rows else None)
+        if len(values) != rows:
+            raise DatasetError(f"store column {table}.{column} has "
+                               f"{len(values)} rows, manifest says {rows}")
+        return values
 
     def table(self, name: str,
               columns: Optional[Sequence[str]] = None) -> _Table:
-        """A table with only ``columns`` mapped (projection pushdown)."""
+        """A table over ``columns``, each mapped on first access
+        (projection pushdown)."""
         wanted = ([c for c, _ in _EMPTY_DTYPES[name]]
                   if columns is None else list(columns))
-        return _Table({column: self.column(name, column)
-                       for column in wanted})
+        return _Table(_MappedColumns(self, name, wanted))
 
     def select(
         self,
@@ -518,8 +493,9 @@ class CampaignStore:
     def load_dataset(self) -> CampaignDataset:
         """The finalized campaign as a dataset over memory-mapped columns.
 
-        Bit-identical to the in-memory build; column arrays are lazily
-        paged from disk, so analyses touch only the bytes they use.
+        Bit-identical to the in-memory build; each column file is mapped
+        on first access and paged lazily, so analyses touch only the
+        columns and bytes they use.
         """
         meta_path = self.root / "meta.json"
         if not meta_path.exists():
@@ -538,6 +514,66 @@ class CampaignStore:
             ground_truth=_truth_from_json(meta.get("ground_truth")),
             **tables,
         )
+
+
+class _MappedColumns(Mapping):
+    """A store table's columns, each memory-mapped on first access, so a
+    store-backed dataset adds to the address space only the columns
+    something reads."""
+
+    def __init__(self, store: CampaignStore, table: str,
+                 names: Sequence[str]) -> None:
+        self._store = store
+        self._table = table
+        self._mapped: Dict[str, Optional[np.ndarray]] = dict.fromkeys(names)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if self._mapped[name] is None:
+            self._mapped[name] = self._store.column(self._table, name)
+        return self._mapped[name]
+
+    def __iter__(self):
+        return iter(self._mapped)
+
+    def __len__(self) -> int:
+        return len(self._mapped)
+
+
+def _blocks(arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The arrays' rows in order, ``MERGE_BLOCK_ROWS`` at a time."""
+    for arr in arrays:
+        for lo in range(0, len(arr), MERGE_BLOCK_ROWS):
+            yield arr[lo:lo + MERGE_BLOCK_ROWS]
+
+
+def _write_npy(path: Path, dtype, total: int,
+               blocks: Iterable[np.ndarray]) -> str:
+    """Write ``total`` rows from ``blocks`` as one ``.npy`` column and
+    return the sha256 of the written bytes."""
+    out = np.lib.format.open_memmap(path, mode="w+", dtype=np.dtype(dtype),
+                                    shape=(total,))
+    hasher = hashlib.sha256()
+    lo = 0
+    for block in blocks:
+        block = np.ascontiguousarray(block, dtype=dtype)
+        out[lo:lo + len(block)] = block
+        hasher.update(block)
+        lo += len(block)
+    out.flush()
+    del out
+    return hasher.hexdigest()
+
+
+def _part_column(ref: PartitionRef, table: str, column: str) -> np.ndarray:
+    """One partition column, memory-mapped, checked against its manifest."""
+    src = np.load(ref.path / f"{table}__{column}.npy", mmap_mode="r")
+    rows = ref.n_rows[table]
+    if len(src) != rows:
+        raise DatasetError(
+            f"partition {ref.name} table {table!r}: column {column!r} has "
+            f"{len(src)} rows, manifest says {rows}"
+        )
+    return src
 
 
 def is_store_dir(path: Union[str, Path]) -> bool:

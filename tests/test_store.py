@@ -27,7 +27,7 @@ from repro.engine import (
     RetryPolicy,
 )
 from repro.errors import ConfigurationError, DatasetError
-from repro.simulation.campaign import run_campaign
+from repro.simulation.campaign import plan_campaign, run_campaign, simulate_shard
 from repro.simulation.study import default_campaign_config
 from repro.traces.dataset import DatasetBuilder
 from repro.traces.io import load_dataset
@@ -339,6 +339,49 @@ class TestPartitionJanitor:
         assert not (tmp_path / "campaign2013" / "parts").exists()
         assert not (tmp_path / "campaign2015" / "parts").exists()
         assert sweep_orphan_partitions(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# Address space: spilled rows are released, columns map on first read
+# ---------------------------------------------------------------------------
+
+class TestDiskPathFootprint:
+    def test_spill_releases_the_rows_in_place(self, tmp_path):
+        """The executor keeps every result it returns: the spilled output
+        itself, not a copy, must drop its rows."""
+        config = _small_config(2013)
+        output = simulate_shard(plan_campaign(config, 1).work[0])
+        assert output.chunks is not None
+        spilled = output.spill(_store_for(config, tmp_path), "shard-0000")
+        assert spilled is output
+        assert output.chunks is None and output.partition.is_valid()
+
+    def test_store_dataset_maps_only_the_columns_read(self, tmp_path):
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("needs procfs")
+        config = _small_config(2013)
+        store = _store_for(config, tmp_path)
+        dataset = run_campaign(config, store=store).dataset
+
+        def mapped():
+            return {Path(line.split()[-1]).name
+                    for line in maps.read_text().splitlines()
+                    if str(store.tables_dir) in line}
+
+        assert mapped() == set()
+        assert len(dataset.wifi.rssi) > 0
+        assert mapped() == {"wifi__rssi.npy"}
+
+    def test_column_length_is_checked_against_the_manifest(self, tmp_path):
+        config = _small_config(2013)
+        store = _store_for(config, tmp_path)
+        run_campaign(config, store=store)
+        np.save(store.tables_dir / "wifi__rssi.npy",
+                np.zeros(3, dtype=np.float32))
+        dataset = CampaignStore.open(store.root).load_dataset()
+        with pytest.raises(DatasetError, match="manifest says"):
+            dataset.wifi.rssi
 
 
 # ---------------------------------------------------------------------------
