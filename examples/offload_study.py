@@ -58,7 +58,7 @@ def main() -> None:
          "users all", "users light", "users heavy"],
     )
     for year in context.years:
-        ratios = analysis.wifi_ratios(context.campaign(year))
+        ratios = context.wifi_ratios(year)
         ratios_table.add_row(
             year,
             *[f"{ratios.traffic(s).mean:.2f}" for s in ("all", "light", "heavy")],
@@ -67,7 +67,7 @@ def main() -> None:
     print(ratios_table.render())
     print()
 
-    ratios15 = analysis.wifi_ratios(context.campaign(2015))
+    ratios15 = context.wifi_ratios(2015)
     print("2015 WiFi-traffic ratio weekly shape:",
           peak_and_trough(ratios15.traffic("all").folded_week()))
     print("2015 WiFi-user ratio weekly shape:   ",

@@ -1,12 +1,13 @@
 """The memoized derived-artifact layer every figure/table sits on.
 
 ~19 figures and 9 tables all derive from the same handful of per-campaign
-intermediates: the cleaned dataset, (device, day) traffic matrices, hourly
-series, the sorted (device, t) join indexes from :mod:`repro.traces.query`,
-per-day user classes and the AP classification. :class:`AnalysisContext`
-computes each of those exactly once per campaign and hands out the cached
-value everywhere else, with per-artifact instrumentation (hits, misses,
-compute seconds, cached bytes) exposed as a :class:`CacheStats` report.
+intermediates: the cleaned dataset, the traffic folds (handed out per kind
+as (device, day) matrices and hourly series), the (device, t) join indexes
+of :mod:`repro.traces.query`, user classes, the AP classification, the app
+breakdown and the WiFi ratios. :class:`AnalysisContext` computes each once
+per campaign and hands out the cached value everywhere else, with
+per-artifact instrumentation (hits, misses, self compute seconds, cached
+bytes counted once) exposed as a :class:`CacheStats` report.
 
 Every analysis entry point accepts either a plain
 :class:`~repro.traces.dataset.CampaignDataset` or an ``AnalysisContext``
@@ -37,7 +38,7 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.obs.recorder import get_recorder
 from repro.traces.cleaning import clean_for_main_analysis
-from repro.traces.dataset import CampaignDataset
+from repro.traces.dataset import CampaignDataset, pick_kind
 from repro.traces.query import SlotIndex, association_index, geo_cell_index
 
 __all__ = ["AnalysisContext", "ArtifactStats", "CacheStats", "DatasetOrContext"]
@@ -347,8 +348,11 @@ class AnalysisContext:
         return self._stats
 
     def _artifact(
-        self, year: Optional[int], key: tuple, compute: Callable[[], object]
+        self, year: Optional[int], key: tuple, compute: Callable[[], object],
+        view: bool = False,
     ) -> object:
+        """``compute()`` once per key; a ``view`` is part of another cached
+        artifact, so its bytes are not counted again."""
         state = self._state(year)
         if key in state.artifacts:
             self._stats.record_hit(key[0])
@@ -356,12 +360,17 @@ class AnalysisContext:
         # A memo miss is a run stage: spanned under artifact.<family> so a
         # run manifest shows compute time per artifact next to the
         # engine stages (no-op recorder by default — see repro.obs.recorder).
+        # Its self time leaves out the artifacts computed inside it, which
+        # record their own, so no second is counted twice.
+        recorded = self._stats.compute_seconds
         with get_recorder().span(f"artifact.{key[0]}"):
             start = time.perf_counter()
             value = compute()
             elapsed = time.perf_counter() - start
+        nested = self._stats.compute_seconds - recorded
         state.artifacts[key] = value
-        self._stats.record_miss(key[0], elapsed, _cached_nbytes(value))
+        self._stats.record_miss(key[0], elapsed - nested,
+                                0 if view else _cached_nbytes(value))
         return value
 
     # -- artifacts ---------------------------------------------------------
@@ -388,27 +397,39 @@ class AnalysisContext:
             return state.raw
         return self.clean(year)
 
+    def traffic_fold(
+        self, by: str = "day", direction: str = "rx",
+        year: Optional[int] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Memoized read-only byte totals of every interface kind, by
+        (device, day) or by hour (see :meth:`CampaignDataset.traffic_fold`)."""
+        def compute() -> Dict[str, np.ndarray]:
+            fold = self.dataset(year).traffic_fold(by, direction)
+            for totals in fold.values():
+                totals.setflags(write=False)
+            return fold
+        return self._artifact(year, ("traffic_fold", by, direction), compute)
+
     def daily_matrix(
         self, kind: str = "all", direction: str = "rx",
         year: Optional[int] = None,
     ) -> np.ndarray:
         """Memoized read-only (n_devices, n_days) byte matrix."""
-        def compute() -> np.ndarray:
-            matrix = self.dataset(year).daily_matrix(kind, direction)
-            matrix.setflags(write=False)
-            return matrix
-        return self._artifact(year, ("daily_matrix", kind, direction), compute)
+        return self._fold_kind("daily_matrix", "day", kind, direction, year)
 
     def hourly_series(
         self, kind: str = "all", direction: str = "rx",
         year: Optional[int] = None,
     ) -> np.ndarray:
         """Memoized read-only per-campaign-hour byte totals."""
+        return self._fold_kind("hourly_series", "hour", kind, direction, year)
+
+    def _fold_kind(self, family: str, by: str, kind: str, direction: str,
+                   year: Optional[int]) -> np.ndarray:
         def compute() -> np.ndarray:
-            series = self.dataset(year).hourly_series(kind, direction)
-            series.setflags(write=False)
-            return series
-        return self._artifact(year, ("hourly_series", kind, direction), compute)
+            return pick_kind(self.traffic_fold(by, direction, year), kind)
+        return self._artifact(year, (family, kind, direction), compute,
+                              view=True)
 
     def geo_index(self, year: Optional[int] = None) -> SlotIndex:
         """Memoized sorted (device, t) index over the geolocation table."""
@@ -449,6 +470,16 @@ class AnalysisContext:
         return self._artifact(
             year, ("classification",),
             lambda: classify_aps(self.campaign(year)),
+        )
+
+    def wifi_ratios(self, year: Optional[int] = None):
+        """Memoized Figures 6-8 WiFi-traffic and WiFi-user ratios."""
+        from repro.analysis.ratios import wifi_ratios
+
+        year = self._resolve_year(year)
+        return self._artifact(
+            year, ("wifi_ratios",),
+            lambda: wifi_ratios(self.campaign(year)),
         )
 
     def app_breakdown(self, year: Optional[int] = None):

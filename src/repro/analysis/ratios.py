@@ -12,12 +12,11 @@ on days it belongs to it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.analysis.context import AnalysisContext, DatasetOrContext
-from repro.analysis.users import UserDayClasses
 from repro.stats.timeseries import HourlySeries
 from repro.traces.query import device_day_of, distinct_devices_per_hour, hour_of
 from repro.traces.records import IfaceKind, WifiStateCode
@@ -49,21 +48,25 @@ class WifiRatios:
         return self.user_ratio[subset]
 
 
-def wifi_ratios(
-    data: DatasetOrContext,
-    classes: Optional[UserDayClasses] = None,
-) -> WifiRatios:
-    """Compute WiFi-traffic and WiFi-user ratios for all/light/heavy."""
+def wifi_ratios(data: DatasetOrContext) -> WifiRatios:
+    """Compute WiFi-traffic and WiFi-user ratios for all/light/heavy.
+
+    Uncached: a context memoizes this per campaign as ``ctx.wifi_ratios()``.
+    """
     ctx = AnalysisContext.of(data)
     dataset = ctx.dataset()
-    if classes is None:
-        classes = ctx.user_classes()
+    classes = ctx.user_classes()
     start_weekday = dataset.axis.start.weekday()
     n_hours = dataset.n_days * 24
+    subsets = {"all": classes.valid, "light": classes.light,
+               "heavy": classes.heavy}
+    # Bit k of a (device, day) marks subset k; each row gathers it once.
+    day_bits = sum(mask.astype(np.uint8) << bit
+                   for bit, mask in enumerate(subsets.values()))
 
     traffic = dataset.traffic
     t_hour = hour_of(traffic.t)
-    t_day = device_day_of(traffic.t)
+    t_bits = day_bits[traffic.device, device_day_of(traffic.t)]
     is_wifi = traffic.iface == int(IfaceKind.WIFI)
     rx = traffic.rx
 
@@ -71,17 +74,12 @@ def wifi_ratios(
     assoc = wifi_tab.state == int(WifiStateCode.ASSOCIATED)
     a_dev = wifi_tab.device[assoc]
     a_hour = hour_of(wifi_tab.t[assoc])
-    a_day = device_day_of(wifi_tab.t[assoc])
+    a_bits = day_bits[a_dev, device_day_of(wifi_tab.t[assoc])]
 
-    subsets = {
-        "all": classes.valid,
-        "light": classes.light,
-        "heavy": classes.heavy,
-    }
     traffic_ratio = {}
     user_ratio = {}
-    for name, mask in subsets.items():
-        in_subset = mask[traffic.device, t_day]
+    for bit, (name, mask) in enumerate(subsets.items()):
+        in_subset = (t_bits & (1 << bit)) != 0
         total_sum = np.bincount(
             t_hour[in_subset], weights=rx[in_subset], minlength=n_hours
         )
@@ -96,7 +94,7 @@ def wifi_ratios(
 
         # User ratio: distinct associated devices per hour / subset size.
         assoc_count = distinct_devices_per_hour(
-            a_dev, a_hour, mask[a_dev, a_day], n_hours
+            a_dev, a_hour, (a_bits & (1 << bit)) != 0, n_hours
         )
         denominator = mask.sum(axis=0).astype(float)  # devices per day
         denom_hourly = np.repeat(denominator, 24)

@@ -477,38 +477,27 @@ def _f5_wifi_intensive(ctx):
 
 @_extractor("f6_traffic_ratio")
 def _f6_traffic(ctx):
-    import repro.analysis as A
-
     _, first, last = _years(ctx)
-    return [A.wifi_ratios(ctx.campaign(y)).traffic("all").mean
-            for y in (first, last)]
+    return [ctx.wifi_ratios(y).traffic("all").mean for y in (first, last)]
 
 
 @_extractor("f6_user_ratio")
 def _f6_users(ctx):
-    import repro.analysis as A
-
     _, first, last = _years(ctx)
-    return [A.wifi_ratios(ctx.campaign(y)).users("all").mean
-            for y in (first, last)]
+    return [ctx.wifi_ratios(y).users("all").mean for y in (first, last)]
 
 
 @_extractor("f7_heavy_gt_light")
 def _f7_heavy(ctx):
-    import repro.analysis as A
-
     _, _, last = _years(ctx)
-    ratios = A.wifi_ratios(ctx.campaign(last))
+    ratios = ctx.wifi_ratios(last)
     return (ratios.traffic("heavy").mean, ratios.traffic("light").mean)
 
 
 @_extractor("f8_heavy_user_ratio_grows")
 def _f8_heavy_users(ctx):
-    import repro.analysis as A
-
     _, first, last = _years(ctx)
-    return [A.wifi_ratios(ctx.campaign(y)).users("heavy").mean
-            for y in (first, last)]
+    return [ctx.wifi_ratios(y).users("heavy").mean for y in (first, last)]
 
 
 @_extractor("f9_wifi_off_declines")

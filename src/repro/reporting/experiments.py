@@ -283,7 +283,7 @@ def fig06(cache: AnalysisContext) -> Figure:
     figure = Figure("Figure 6", "WiFi-traffic ratio (a) and WiFi-user ratio (b)")
     hours = np.arange(168)
     for year in (min(cache.years), max(cache.years)):
-        ratios = A.wifi_ratios(cache.campaign(year))
+        ratios = cache.wifi_ratios(year)
         figure.add(f"traffic-ratio {year}", hours, ratios.traffic("all").folded_week())
         figure.add(f"user-ratio {year}", hours, ratios.users("all").folded_week())
     return figure
@@ -293,7 +293,7 @@ def _subset_ratio_figure(cache: AnalysisContext, which: str, caption: str) -> Fi
     figure = Figure(caption.split(":")[0], caption)
     hours = np.arange(168)
     for year in (min(cache.years), max(cache.years)):
-        ratios = A.wifi_ratios(cache.campaign(year))
+        ratios = cache.wifi_ratios(year)
         for subset in ("heavy", "light"):
             series = (
                 ratios.traffic(subset) if which == "traffic" else ratios.users(subset)

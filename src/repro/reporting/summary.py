@@ -102,7 +102,7 @@ def study_summary(cache: AnalysisContext) -> List[Finding]:
         heat[last].wifi_intensive_fraction < 0.2,
     )
 
-    ratios = {y: A.wifi_ratios(cache.campaign(y)) for y in (first, last)}
+    ratios = {y: cache.wifi_ratios(y) for y in (first, last)}
     add(
         "§3.3.2", "Mean WiFi-traffic ratio grows", "0.58 -> 0.71",
         f"{ratios[first].traffic('all').mean:.2f} -> "

@@ -12,7 +12,7 @@ exists so tests can score the inference algorithms against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -162,43 +162,51 @@ class CampaignDataset:
         ``kind`` selects interfaces: ``"all"``, ``"cell"``, ``"wifi"``,
         ``"3g"``, ``"lte"``. ``direction`` is ``"rx"`` or ``"tx"``.
         """
-        mask = self._iface_mask(kind)
-        values = self._direction_column(direction)[mask]
-        dev = self.traffic.device[mask].astype(np.int64)
-        day = self.traffic.t[mask] // SAMPLES_PER_DAY
-        # bincount adds in row order: each sum keeps the rows' order.
-        return np.bincount(
-            dev * self.n_days + day, weights=values,
-            minlength=self.n_devices * self.n_days,
-        ).reshape(self.n_devices, self.n_days)
+        return pick_kind(self.traffic_fold("day", direction), kind)
 
     def hourly_series(self, kind: str = "all", direction: str = "rx") -> np.ndarray:
         """Total bytes per hour of the campaign (length ``n_days * 24``)."""
-        mask = self._iface_mask(kind)
-        values = self._direction_column(direction)[mask]
-        hour = self.traffic.t[mask] // SAMPLES_PER_HOUR
-        return np.bincount(hour, weights=values, minlength=self.n_days * 24)
+        return pick_kind(self.traffic_fold("hour", direction), kind)
 
-    def _iface_mask(self, kind: str) -> np.ndarray:
-        iface = self.traffic.iface
-        if kind == "all":
-            return np.ones(len(iface), dtype=bool)
-        if kind == "cell":
-            return iface != int(IfaceKind.WIFI)
-        if kind == "wifi":
-            return iface == int(IfaceKind.WIFI)
-        if kind == "3g":
-            return iface == int(IfaceKind.CELL_3G)
-        if kind == "lte":
-            return iface == int(IfaceKind.CELL_LTE)
-        raise DatasetError(f"unknown interface kind: {kind!r}")
+    def traffic_fold(
+        self, by: str = "day", direction: str = "rx"
+    ) -> Dict[str, np.ndarray]:
+        """Byte totals of every interface kind, per (device, day) or per hour.
 
-    def _direction_column(self, direction: str) -> np.ndarray:
-        if direction == "rx":
-            return self.traffic.rx
-        if direction == "tx":
-            return self.traffic.tx
-        raise DatasetError(f"unknown direction: {direction!r}")
+        ``by="day"`` gives (n_devices, n_days) arrays, ``by="hour"`` arrays
+        of length ``n_days * 24``. Three row-order ``bincount`` passes key
+        the rows by group, by (group, cellular?) and by (group, interface
+        code), so each bin sums exactly its own rows in row order, as a
+        masked ``bincount`` of one kind would; no kind sums subtotals.
+        """
+        if direction not in ("rx", "tx"):
+            raise DatasetError(f"unknown direction: {direction!r}")
+        traffic = self.traffic
+        values = traffic.columns[direction]
+        if by == "day":
+            key = traffic.device.astype(np.int64) * self.n_days
+            key += traffic.t // SAMPLES_PER_DAY
+            shape: Tuple[int, ...] = (self.n_devices, self.n_days)
+        elif by == "hour":
+            key = (traffic.t // SAMPLES_PER_HOUR).astype(np.int64)
+            shape = (self.n_days * 24,)
+        else:
+            raise DatasetError(f"unknown fold grouping: {by!r}")
+        iface, n = traffic.iface, int(np.prod(shape))
+        if iface.size and not 0 <= iface.min() <= iface.max() < len(IfaceKind):
+            raise DatasetError("traffic has interface codes outside IfaceKind")
+
+        def bins(keys: np.ndarray, per_group: int) -> np.ndarray:
+            return np.bincount(keys, weights=values, minlength=n * per_group
+                               ).reshape(n, per_group).T
+
+        wifi, cell = bins(key * 2 + (iface != int(IfaceKind.WIFI)), 2)
+        by_code = bins(key * len(IfaceKind) + iface, len(IfaceKind))
+        kinds = {"all": bins(key, 1)[0], "wifi": wifi, "cell": cell,
+                 "3g": by_code[IfaceKind.CELL_3G],
+                 "lte": by_code[IfaceKind.CELL_LTE]}
+        return {kind: np.ascontiguousarray(sums).reshape(shape)
+                for kind, sums in kinds.items()}
 
 
 class DatasetBuilder:
@@ -290,14 +298,6 @@ class DatasetBuilder:
     def table_names(self) -> Tuple[str, ...]:
         """Names of every table this builder accumulates."""
         return tuple(self._chunks)
-
-    def iter_chunks(self, table: str) -> Iterator[Mapping[str, np.ndarray]]:
-        """Yield ``table``'s accumulated column chunks in append order."""
-        try:
-            chunks = self._chunks[table]
-        except KeyError:
-            raise SchemaError(f"unknown table {table!r}") from None
-        yield from chunks
 
     def export_chunks(self) -> Dict[str, List[Dict[str, np.ndarray]]]:
         """Snapshot every table's chunks (picklable; arrays not copied)."""
@@ -404,6 +404,14 @@ class DatasetBuilder:
             limit = n_slots if key == "t" else self.axis.n_days
             if table.columns[key].min() < 0 or table.columns[key].max() >= limit:
                 raise SchemaError(f"table {name!r} has out-of-range {key}")
+
+
+def pick_kind(fold: Mapping[str, np.ndarray], kind: str) -> np.ndarray:
+    """One interface kind of a :meth:`CampaignDataset.traffic_fold`."""
+    try:
+        return fold[kind]
+    except KeyError:
+        raise DatasetError(f"unknown interface kind: {kind!r}") from None
 
 
 _EMPTY_DTYPES = {

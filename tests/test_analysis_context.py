@@ -8,6 +8,8 @@ and the read-only guarantee on cached arrays.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,12 @@ class TestCacheStats:
         stats = ctx.stats.artifact("daily_matrix")
         assert (stats.hits, stats.misses) == (0, 1)
         assert stats.compute_seconds >= 0.0
-        assert stats.cached_bytes == first.nbytes
+        # The matrix is one kind of the day fold, whose bytes count once,
+        # under traffic_fold: all five kinds.
+        assert stats.cached_bytes == 0
+        fold = ctx.stats.artifact("traffic_fold")
+        assert (fold.hits, fold.misses) == (0, 1)
+        assert 5 * first.nbytes <= fold.cached_bytes < 6 * first.nbytes
 
         second = ctx.daily_matrix("all", "rx")
         assert second is first
@@ -107,7 +114,8 @@ class TestCacheStats:
         ctx.daily_matrix("cell", "rx")
         stats = ctx.stats.artifact("daily_matrix")
         assert stats.misses == 3
-        assert stats.cached_bytes > 0
+        assert ctx.stats.artifact("traffic_fold").misses == 1
+        assert ctx.stats.cached_bytes > 0
 
     def test_nested_artifacts_share_the_memo(self, dataset2015):
         # user_classes reads the daily matrix through the same context, so
@@ -146,7 +154,34 @@ class TestCacheStats:
         payload = ctx.stats.as_dict()
         assert payload["daily_matrix"]["hits"] == 1
         assert payload["daily_matrix"]["misses"] == 1
-        assert payload["daily_matrix"]["cached_bytes"] > 0
+        assert payload["traffic_fold"]["cached_bytes"] > 0
+
+    def test_nested_compute_time_counts_once(self, study):
+        # classification nests clean and geo_index; each family records
+        # its self time, so the total cannot exceed the wall time.
+        ctx = AnalysisContext(study)
+        start = time.perf_counter()
+        ctx.classification(2015)
+        wall = time.perf_counter() - start
+        assert ctx.stats.artifact("clean").misses == 1
+        assert ctx.stats.artifact("geo_index").misses == 1
+        assert 0 < ctx.stats.compute_seconds <= wall
+
+    def test_wifi_ratios_is_memoized(self, dataset2015):
+        from repro.analysis import wifi_ratios
+
+        ctx = AnalysisContext.of(dataset2015)
+        first = ctx.wifi_ratios()
+        assert ctx.wifi_ratios() is first
+        stats = ctx.stats.artifact("wifi_ratios")
+        assert (stats.hits, stats.misses) == (1, 1)
+        fresh = wifi_ratios(dataset2015)
+        for subset in ("all", "light", "heavy"):
+            for got, want in ((first.traffic(subset), fresh.traffic(subset)),
+                              (first.users(subset), fresh.users(subset))):
+                assert np.array_equal(got.hourly.values, want.hourly.values,
+                                      equal_nan=True)
+                assert np.array_equal(got.mean, want.mean, equal_nan=True)
 
     def test_empty_stats(self):
         stats = CacheStats()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.interface_state import interface_state_ratios, ios_android_gap
 from repro.analysis.ratios import wifi_ratios
-from repro.analysis.users import classify_user_days
 from repro.traces.records import DeviceOS, IfaceKind, WifiStateCode
 from tests.helpers import (
     add_association_span,
@@ -55,8 +54,7 @@ class TestWifiTrafficRatio:
         assert hourly[10] == pytest.approx(0.0)
 
     def test_subset_ratios_follow_classification(self, dataset2015):
-        classes = classify_user_days(dataset2015)
-        ratios = wifi_ratios(dataset2015, classes)
+        ratios = wifi_ratios(dataset2015)
         # Heavy hitters offload more than light users (Figure 7).
         assert ratios.traffic("heavy").mean > ratios.traffic("light").mean
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -173,6 +175,25 @@ def test_analyze_on_missing_data_dir(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _option_actions(parser: argparse.ArgumentParser) -> int:
+    """Options of ``parser`` and its subcommands, ``--help`` excluded."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_option_actions(sub)
+                         for sub in set(action.choices.values()))
+        elif action.option_strings and not isinstance(
+                action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_cli_option_count_only_falls():
+    # Counted on the built parser, so options registered through helpers
+    # or multi-line calls count too. Lower the pin when options go.
+    assert _option_actions(build_parser()) <= 69
 
 
 def test_analyze_all_runs_everything(tmp_path, capsys):

@@ -54,15 +54,16 @@ def test_guard_sees_the_allowed_calls_in_context():
 
 SRC_DIR = ANALYSIS_DIR.parent
 
-#: Study-wide app breakdowns (Tables 6-7 and their fidelity checks) come
-#: from the memo, ``ctx.app_breakdown(year)``; calling the analysis
-#: function bare or through a module alias recomputes it per caller.
-DIRECT_APP_BREAKDOWN = re.compile(
-    r"(?:^|[^\w.]|\b(?:A|analysis)\.)app_breakdown\("
+#: Study-wide app breakdowns (Tables 6-7) and WiFi ratios (Figures 6-8)
+#: and their fidelity checks come from the memo, ``ctx.app_breakdown(year)``
+#: and ``ctx.wifi_ratios(year)``; calling the analysis function bare or
+#: through a module alias recomputes it per caller.
+DIRECT_MEMO_CALLS = re.compile(
+    r"(?:^|[^\w.]|\b(?:A|analysis)\.)(?:app_breakdown|wifi_ratios)\("
 )
 
 
-def _app_breakdown_violations():
+def _memo_call_violations():
     paths = sorted((SRC_DIR / "reporting").glob("*.py"))
     paths.append(SRC_DIR / "obs" / "fidelity.py")
     found = []
@@ -71,16 +72,17 @@ def _app_breakdown_violations():
             stripped = line.strip()
             if stripped.startswith(("def ", "#", '"', "'")):
                 continue
-            if DIRECT_APP_BREAKDOWN.search(line):
+            if DIRECT_MEMO_CALLS.search(line):
                 found.append(f"{path.name}:{lineno}: {stripped}")
     return found
 
 
 def test_reporting_gets_app_breakdown_from_the_context():
-    violations = _app_breakdown_violations()
+    violations = _memo_call_violations()
     assert not violations, (
-        "direct app_breakdown calls in reporting/fidelity (use the memoized "
-        "ctx.app_breakdown(year)):\n" + "\n".join(violations)
+        "direct app_breakdown/wifi_ratios calls in reporting/fidelity (use "
+        "the memoized ctx.app_breakdown(year) / ctx.wifi_ratios(year)):\n"
+        + "\n".join(violations)
     )
 
 
@@ -89,11 +91,13 @@ def test_app_breakdown_guard_regex():
         "breakdown = A.app_breakdown(cache.campaign(year))",
         "top = app_breakdown(ctx)",
         "analysis.app_breakdown(ctx.campaign(last))",
+        "ratios = A.wifi_ratios(cache.campaign(year))",
     ):
-        assert DIRECT_APP_BREAKDOWN.search(bad), bad
+        assert DIRECT_MEMO_CALLS.search(bad), bad
     for good in ("breakdown = cache.app_breakdown(year)",
-                 "ctx.app_breakdown(last).top('wifi_home')"):
-        assert not DIRECT_APP_BREAKDOWN.search(good), good
+                 "ctx.app_breakdown(last).top('wifi_home')",
+                 "ratios = cache.wifi_ratios(year)"):
+        assert not DIRECT_MEMO_CALLS.search(good), good
 
 
 KERNEL_PATH = (

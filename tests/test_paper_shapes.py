@@ -69,8 +69,8 @@ class TestUserDiversity:
 
     def test_ratio_means_grow(self, cache):
         """§3.3.2: mean WiFi-traffic ratio 0.58->0.71; user ratio 0.32->0.48."""
-        r13 = A.wifi_ratios(cache.clean(2013), cache.user_classes(2013))
-        r15 = A.wifi_ratios(cache.clean(2015), cache.user_classes(2015))
+        r13 = cache.wifi_ratios(2013)
+        r15 = cache.wifi_ratios(2015)
         assert r15.traffic("all").mean > r13.traffic("all").mean
         assert r15.users("all").mean > r13.users("all").mean
         assert 0.45 < r13.traffic("all").mean < 0.75
@@ -79,7 +79,7 @@ class TestUserDiversity:
     def test_heavy_hitters_offload_more(self, cache):
         """Figures 7-8: heavy hitters lead light users in both ratios."""
         for year in (2013, 2015):
-            ratios = A.wifi_ratios(cache.clean(year), cache.user_classes(year))
+            ratios = cache.wifi_ratios(year)
             assert ratios.traffic("heavy").mean > ratios.traffic("light").mean
             assert ratios.users("heavy").mean > ratios.users("light").mean
 
