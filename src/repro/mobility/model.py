@@ -127,6 +127,6 @@ def _interpolate(a: Coordinate, b: Coordinate, frac: float) -> Coordinate:
 def _jitter(anchor: Coordinate, km: float) -> Coordinate:
     """Deterministic small offset (used where exactness is irrelevant)."""
     return Coordinate(
-        float(np.clip(anchor.lat + km / 222.0, -89.0, 89.0)),
-        float(np.clip(anchor.lon + km / 182.0, -179.0, 179.0)),
+        float(min(max(anchor.lat + km / 222.0, -89.0), 89.0)),
+        float(min(max(anchor.lon + km / 182.0, -179.0), 179.0)),
     )

@@ -41,6 +41,10 @@ def _slot(hour: float) -> int:
     return slot if slot < SAMPLES_PER_DAY else SAMPLES_PER_DAY
 
 
+#: An all-home day, copied per call (cheaper than ``np.full``).
+_HOME_DAY = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+
+
 def _fill(schedule: np.ndarray, start_h: float, end_h: float, state: LocationState) -> None:
     schedule[_slot(start_h):_slot(end_h)] = int(state)
 
@@ -64,9 +68,9 @@ class ScheduleGenerator:
         self.works_from_home = (
             self.occupation is Occupation.SELF_OWNED and rng.random() < 0.5
         )
-        self.leave_hour = float(np.clip(rng.normal(7.8, 0.6), 5.5, 10.5))
-        self.commute_minutes = float(np.clip(rng.normal(55.0, 20.0), 15.0, 120.0))
-        self.return_leave_hour = float(np.clip(rng.normal(18.3, 1.1), 16.0, 22.0))
+        self.leave_hour = float(min(max(rng.normal(7.8, 0.6), 5.5), 10.5))
+        self.commute_minutes = float(min(max(rng.normal(55.0, 20.0), 15.0), 120.0))
+        self.return_leave_hour = float(min(max(rng.normal(18.3, 1.1), 16.0), 22.0))
         self.lunch_out_p = float(rng.beta(2.5, 2.0))
         self.evening_venue_p = float(rng.beta(2.0, 4.0))
         self.weekend_outing_p = float(rng.beta(2.5, 2.5))
@@ -95,7 +99,7 @@ class ScheduleGenerator:
     # ------------------------------------------------------------------
 
     def _commuter_day(self, rng: np.random.Generator) -> DaySchedule:
-        schedule = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+        schedule = _HOME_DAY.copy()
         leave = self.leave_hour + rng.normal(0.0, 0.2)
         commute_h = self.commute_minutes / 60.0
         arrive = leave + commute_h
@@ -114,7 +118,7 @@ class ScheduleGenerator:
         return schedule
 
     def _weekend_day(self, rng: np.random.Generator) -> DaySchedule:
-        schedule = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+        schedule = _HOME_DAY.copy()
         if rng.random() < self.weekend_outing_p:
             start = rng.uniform(10.0, 15.0)
             length = rng.uniform(2.0, 6.0)
@@ -129,7 +133,7 @@ class ScheduleGenerator:
         return schedule
 
     def _home_based_day(self, weekend: bool, rng: np.random.Generator) -> DaySchedule:
-        schedule = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+        schedule = _HOME_DAY.copy()
         if rng.random() < self.errand_p:
             start = rng.uniform(9.5, 16.0)
             length = rng.uniform(0.5, 2.5)
@@ -141,7 +145,7 @@ class ScheduleGenerator:
         return schedule
 
     def _shift_day(self, weekend: bool, rng: np.random.Generator) -> DaySchedule:
-        schedule = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+        schedule = _HOME_DAY.copy()
         works_today = rng.random() < (0.5 if weekend else 0.7)
         if works_today:
             start = rng.uniform(8.0, 14.0)
@@ -156,7 +160,7 @@ class ScheduleGenerator:
         return schedule
 
     def _local_work_day(self, weekend: bool, rng: np.random.Generator) -> DaySchedule:
-        schedule = np.full(SAMPLES_PER_DAY, int(LocationState.HOME), dtype=np.int8)
+        schedule = _HOME_DAY.copy()
         if not weekend or rng.random() < 0.5:
             start = 9.0 + rng.normal(0.0, 0.7)
             end = 18.0 + rng.normal(0.0, 1.0)

@@ -49,11 +49,10 @@ def is_valid_bssid(bssid: str) -> bool:
 
 def random_bssid(rng: np.random.Generator) -> Bssid:
     """Generate a random locally-administered unicast BSSID."""
-    octets = rng.integers(0, 256, size=6, dtype=np.int64)
+    octets = rng.integers(0, 256, size=6, dtype=np.int64).tolist()
     # Locally administered (bit 1 set), unicast (bit 0 clear).
-    first = (int(octets[0]) | 0x02) & 0xFE
-    parts = [first] + [int(o) for o in octets[1:]]
-    return ":".join(f"{o:02x}" for o in parts)
+    octets[0] = (octets[0] | 0x02) & 0xFE
+    return bytes(octets).hex(":")
 
 
 def normalize_essid(essid: str) -> str:

@@ -29,6 +29,7 @@ from repro.network_env.public_wifi import (
     open_venue_essid,
     provider_essid_for,
 )
+from repro.obs.recorder import StageClock, get_recorder
 from repro.population.demographics import Occupation
 from repro.population.profiles import UserProfile, WifiPolicy
 from repro.radio.bands import Band
@@ -93,10 +94,6 @@ class Deployment:
     def ap(self, ap_id: int) -> AccessPoint:
         return self.aps[ap_id]
 
-    def venue_aps_near(self, coord: Coordinate) -> List[int]:
-        """Venue (public + open) AP ids in the 5 km cell of ``coord``."""
-        return self.venue_aps_by_cell.get(cell_index(coord), [])
-
     def public_density(self, coord: Coordinate) -> Tuple[int, int]:
         """(2.4 GHz, 5 GHz) public AP counts in the cell of ``coord``."""
         return self.public_counts_by_cell.get(cell_index(coord), (0, 0))
@@ -110,6 +107,7 @@ def build_deployment(
     """Create the AP universe and wire profiles to their home/office APs."""
     deployment = Deployment(config=config)
     next_id = 0
+    clock = StageClock()
 
     for profile in profiles:
         if profile.has_home_ap:
@@ -127,10 +125,14 @@ def build_deployment(
             deployment.aps[next_id] = ap
             profile.mobile_ap_id = next_id
             next_id += 1
-
+    clock.lap("private_aps")
     next_id = _build_public_universe(deployment, next_id, config, rng)
+    clock.lap("public_aps")
     next_id = _build_open_universe(deployment, next_id, config, rng)
+    clock.lap("open_aps")
     _assign_familiar_open_aps(deployment, profiles, rng)
+    clock.lap("familiar_aps")
+    clock.report(get_recorder())
     return deployment
 
 
@@ -146,7 +148,7 @@ def _build_office_ap(
     if band is Band.GHZ_2_4:
         channel = ChannelPlanner(mode="planned").assign(rng)
     else:
-        channel = int(rng.choice(CHANNELS_5GHZ))
+        channel = CHANNELS_5GHZ[int(rng.integers(0, len(CHANNELS_5GHZ)))]
     assert profile.office is not None
     return AccessPoint(
         ap_id=ap_id,
@@ -192,15 +194,15 @@ def _scatter_around(
     return Coordinate(lat, lon)
 
 
-#: Normalized once: ``rng.choice`` draws identically, but the per-call
-#: array build and renormalization were a measurable share of world-build
-#: time at bench scales.
+#: ``rng.choice(n, p=_ANCHOR_P)``'s CDF, built once: searchsorted of one
+#: ``rng.random()`` is the same pick from the same stream.
 _ANCHOR_WEIGHTS = np.array([w for _, w, _ in _PUBLIC_ANCHORS])
 _ANCHOR_P = _ANCHOR_WEIGHTS / _ANCHOR_WEIGHTS.sum()
+_ANCHOR_CDF = _ANCHOR_P.cumsum() / _ANCHOR_P.cumsum()[-1]
 
 
 def _pick_public_location(rng: np.random.Generator) -> Coordinate:
-    idx = int(rng.choice(len(_PUBLIC_ANCHORS), p=_ANCHOR_P))
+    idx = int(_ANCHOR_CDF.searchsorted(rng.random(), side="right"))
     name, _, sigma = _PUBLIC_ANCHORS[idx]
     return _scatter_around(PLACES[name], sigma, rng)
 
@@ -215,7 +217,8 @@ def _build_public_universe(
         essid, carrier = provider_essid_for(rng)
         band = Band.GHZ_5 if rng.random() < config.public.fraction_5ghz else Band.GHZ_2_4
         channel = (
-            planner.assign(rng) if band is Band.GHZ_2_4 else int(rng.choice(CHANNELS_5GHZ))
+            planner.assign(rng) if band is Band.GHZ_2_4
+            else CHANNELS_5GHZ[int(rng.integers(0, len(CHANNELS_5GHZ)))]
         )
         base_bssid = random_bssid(rng)
         essids = [essid]

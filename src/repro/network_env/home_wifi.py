@@ -63,7 +63,7 @@ def build_home_ap(
         planner = ChannelPlanner(mode="auto", default_share=config.default_channel_share)
         channel = planner.assign(rng)
     else:
-        channel = int(rng.choice(CHANNELS_5GHZ))
+        channel = CHANNELS_5GHZ[int(rng.integers(0, len(CHANNELS_5GHZ)))]
     if rng.random() < config.fon_share:
         essid = "FON_FREE_INTERNET"
     else:

@@ -60,19 +60,22 @@ class PublicWifiConfig:
             raise ConfigurationError("shared_infra_fraction must be in [0, 1]")
 
 
-#: Normalized once so each draw skips the array build (draws unchanged).
+#: ``rng.choice(n, p=_PROVIDER_P)``'s CDF, built once: searchsorted of one
+#: ``rng.random()`` is the same pick from the same stream.
 _PROVIDER_WEIGHTS = np.array([w for _, w, _ in PROVIDER_ESSIDS])
 _PROVIDER_P = _PROVIDER_WEIGHTS / _PROVIDER_WEIGHTS.sum()
+_PROVIDER_CDF = _PROVIDER_P.cumsum() / _PROVIDER_P.cumsum()[-1]
+_VENUE_KINDS = ("cafe", "hotel", "shop", "restaurant")
 
 
 def provider_essid_for(rng: np.random.Generator) -> Tuple[str, Optional[str]]:
     """Sample a provider ESSID; returns (essid, carrier restriction)."""
-    idx = int(rng.choice(len(PROVIDER_ESSIDS), p=_PROVIDER_P))
+    idx = int(_PROVIDER_CDF.searchsorted(rng.random(), side="right"))
     essid, _, carrier = PROVIDER_ESSIDS[idx]
     return essid, carrier
 
 
 def open_venue_essid(rng: np.random.Generator) -> str:
     """An open shop/hotel network name (not in the public-provider list)."""
-    kind = rng.choice(["cafe", "hotel", "shop", "restaurant"])
+    kind = _VENUE_KINDS[int(rng.integers(0, len(_VENUE_KINDS)))]
     return f"{kind}-guest-{int(rng.integers(0, 10000)):04d}"

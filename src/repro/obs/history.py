@@ -180,12 +180,15 @@ def drift_warnings(records: List[dict], window: int = DRIFT_WINDOW,
     gates without affecting the exit code. Verdict metrics (fidelity
     counts) warn on any worsening; timing metrics warn beyond
     ``tolerance`` relative drift in the bad direction (slower, or a
-    smaller speedup).
+    smaller speedup). The window holds only earlier records of the
+    latest record's ``scale`` and ``seed``: other runs are not its trend.
     """
     if len(records) < 2:
         return []
     latest = records[-1]
-    previous = records[-(window + 1):-1]
+    run = (latest.get("scale"), latest.get("seed"))
+    previous = [record for record in records[:-1]
+                if (record.get("scale"), record.get("seed")) == run][-window:]
     warnings: List[str] = []
     for metric, value in sorted(latest.get("metrics", {}).items()):
         if not isinstance(value, (int, float)):

@@ -47,6 +47,7 @@ __all__ = [
     "NoopRecorder",
     "NOOP_RECORDER",
     "Postmortem",
+    "StageClock",
     "format_event",
     "get_recorder",
     "set_recorder",
@@ -269,6 +270,28 @@ def set_recorder(
     previous = _RECORDER
     _RECORDER = recorder
     return previous
+
+
+class StageClock:
+    """Wall seconds per stage: ``lap(stage)`` charges the time since the
+    last lap (or ``restart``) to ``stage``; ``report`` adds each total to
+    the innermost open span as a ``stage.<name>_s`` counter."""
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+        self.restart()
+
+    def restart(self) -> None:
+        self._t = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._t
+        self._t = now
+
+    def report(self, recorder: Union[FlightRecorder, NoopRecorder]) -> None:
+        for stage, seconds in self.seconds.items():
+            recorder.count(f"stage.{stage}_s", seconds)
 
 
 class use_recorder:

@@ -150,8 +150,8 @@ def _scatter(anchor: Coordinate, scatter_km: float, rng: np.random.Generator) ->
     """Gaussian scatter around an anchor, in degrees (approx for Tokyo lat)."""
     dlat = rng.normal(0.0, scatter_km / 111.0)
     dlon = rng.normal(0.0, scatter_km / 91.0)
-    lat = float(np.clip(anchor.lat + dlat, -89.0, 89.0))
-    lon = float(np.clip(anchor.lon + dlon, -179.0, 179.0))
+    lat = float(min(max(anchor.lat + dlat, -89.0), 89.0))
+    lon = float(min(max(anchor.lon + dlon, -179.0), 179.0))
     return Coordinate(lat, lon)
 
 

@@ -93,11 +93,13 @@ class ChannelPlanner:
             return 1
         if self.mode == "default":
             return 1
+        # ``rng.choice`` over the trio would build an array per call; an
+        # index draw takes the same single ``integers(0, 3)`` from the stream.
         if self.mode == "planned":
-            return int(rng.choice(NON_OVERLAPPING_24GHZ))
+            return NON_OVERLAPPING_24GHZ[int(rng.integers(0, 3))]
         # auto: mostly the trio, sometimes any channel (neighbour avoidance).
         if rng.random() < 0.6:
-            return int(rng.choice(NON_OVERLAPPING_24GHZ))
+            return NON_OVERLAPPING_24GHZ[int(rng.integers(0, 3))]
         return int(rng.integers(1, NUM_24GHZ_CHANNELS + 1))
 
     def assign_many(self, n: int, rng: np.random.Generator) -> List[int]:

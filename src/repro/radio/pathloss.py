@@ -79,7 +79,7 @@ class RssiModel:
     def mean_rssi(self, distance_m: float) -> float:
         """Deterministic RSSI (no shadowing) at ``distance_m``."""
         rssi = self.tx_power_dbm - self.path_loss.loss_db(distance_m)
-        return float(np.clip(rssi, self.floor_dbm, self.ceiling_dbm))
+        return float(min(max(rssi, self.floor_dbm), self.ceiling_dbm))
 
     def sample(self, distance_m: float, rng: np.random.Generator) -> float:
         """One shadowed RSSI observation at ``distance_m``."""
@@ -88,7 +88,7 @@ class RssiModel:
             - self.path_loss.loss_db(distance_m)
             + rng.normal(0.0, self.shadowing_sigma_db)
         )
-        return float(np.clip(rssi, self.floor_dbm, self.ceiling_dbm))
+        return float(min(max(rssi, self.floor_dbm), self.ceiling_dbm))
 
     def sample_many(
         self, distances_m: np.ndarray, rng: np.random.Generator

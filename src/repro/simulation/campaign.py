@@ -62,7 +62,7 @@ from repro.engine.resilience import (
 from repro.engine.transport import ShardPayload, run_token, sweep_orphans
 from repro.errors import ConfigurationError, EngineError
 from repro.net.accesspoint import AccessPoint
-from repro.obs.recorder import EventKind, get_recorder
+from repro.obs.recorder import EventKind, StageClock, get_recorder
 from repro.network_env.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.population.profiles import UserProfile
 from repro.population.recruitment import RecruitmentConfig, recruit
@@ -186,7 +186,10 @@ def _build_world(config: CampaignConfig) -> _World:
         appetite_sigma=config.appetite_sigma,
         wifi_uplift=config.params.wifi_uplift,
     )
+    clock = StageClock()
     profiles = recruit(config.recruitment, demand, root_rng)
+    clock.lap("recruit")
+    clock.report(get_recorder())
     deployment = build_deployment(profiles, config.deployment, root_rng)
     infos = [
         DeviceInfo(

@@ -41,16 +41,31 @@ jobs=1 == jobs=k guarantee rests on it):
 ``tests/test_kernel_equivalence.py`` pins the determinism and
 shard-layout independence of these streams.
 
+Batched draws and array rewrites keep every stream and sum order;
+``tests/test_kernel_golden.py`` holds committed per-table digests and a
+pin per rewrite: sighting picks are one ``rng.random`` for all groups
+(``test_one_random_draw_is_the_per_group_draws``), soft-cap day sums one
+reshape (``test_reshape_day_sums_are_the_per_day_sums``), app groups
+array assembly (``test_apps_assembly_is_the_per_day_loop``) and the
+battery walk an accumulate fast path
+(``test_accumulate_battery_walk_is_the_per_slot_walk``).
+
+Each call adds its seconds per stage to the open span as ``stage.<name>_s``
+counters: ``schedule``, ``associate``, ``traffic``, ``emit``, ``scans``,
+``apps`` and ``battery`` (docs/ARCHITECTURE.md, "Simulation kernel").
+
 Every table leaves the kernel sorted by ``t`` (``apps`` by ``day``), WiFi
 traffic before cellular at equal ``t``: the order a stable ``(device, t)``
 sort would give, so the merges skip the sort
-(``tests/test_canonical_order.py``).
+(``tests/test_canonical_order.py``). Every column leaves in its dataset
+schema dtype (``traces.dataset._EMPTY_DTYPES``), so the buffered tables
+are as narrow as the dataset and the shard flush casts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +79,7 @@ from repro.net.accesspoint import APType
 from repro.net.cellular import CellularNetwork
 from repro.network_env.deployment import Deployment
 from repro.network_env.public_wifi import PROVIDER_ESSIDS
+from repro.obs.recorder import StageClock, get_recorder
 from repro.population.profiles import UserProfile, WifiPolicy
 from repro.radio.pathloss import PathLossModel, RssiModel
 from repro.simulation.cap import SoftCapTracker, throttled_slot_limits
@@ -163,7 +179,11 @@ class _CampaignGrid:
         #: Charging-window / force-plug hour flags (one day, slot-of-day).
         self.charge_window_hours = (hours >= 21) | (hours < 7)
         self.plug_hours = (hours >= 22) | (hours < 7)
-        self.battery_report = np.arange(0, n_slots, 3)
+        #: Slots of day where the window closes (07:00) and reopens (21:00).
+        idle = np.flatnonzero(~self.charge_window_hours)
+        self.window_closes, self.window_opens = int(idle[0]), int(idle[-1]) + 1
+        self.battery_report = np.arange(0, n_slots, 3, dtype=np.int32)
+        self.battery_report.setflags(write=False)  # every device's ``t``
         self.day_bounds = [
             (d * SAMPLES_PER_DAY, (d + 1) * SAMPLES_PER_DAY)
             for d in range(n_days)
@@ -181,15 +201,14 @@ class _VenueApIndex:
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
         self._usable: Dict[tuple, list] = {}
-        self._candidates: Dict[tuple, Optional[np.ndarray]] = {}
+        self._candidates: Dict[tuple, np.ndarray] = {}
 
-    def candidate_array(self, cell: tuple) -> Optional[np.ndarray]:
-        """All venue APs in a cell as an id array (None when empty)."""
-        arr = self._candidates.get(cell, False)
-        if arr is False:
-            raw = self.deployment.venue_aps_by_cell.get(cell)
-            arr = np.asarray(raw, dtype=np.int64) if raw else None
-            self._candidates[cell] = arr
+    def candidate_array(self, cell: tuple) -> np.ndarray:
+        """All venue APs in a cell as an id array (empty when none)."""
+        arr = self._candidates.get(cell)
+        if arr is None:
+            arr = self._candidates[cell] = np.asarray(
+                self.deployment.venue_aps_by_cell.get(cell, ()), np.int64)
         return arr
 
     def usable(self, cell: tuple, carrier: str, public: bool) -> list:
@@ -254,17 +273,14 @@ def _day_segments(mask: np.ndarray, grid: _CampaignGrid) -> List[Tuple[int, int]
 # Per-device pass
 # ----------------------------------------------------------------------
 
-class _DevicePass:
+class _DevicePass(NamedTuple):
     """Everything about one device except the (block-level) battery walk."""
 
-    __slots__ = ("profile", "tables", "drain", "at_home", "battery0")
-
-    def __init__(self, profile, tables, drain, at_home, battery0):
-        self.profile = profile
-        self.tables = tables
-        self.drain = drain
-        self.at_home = at_home
-        self.battery0 = battery0
+    profile: UserProfile
+    tables: Dict[str, Dict[str, np.ndarray]]
+    drain: np.ndarray
+    at_home: np.ndarray
+    battery0: float
 
 
 def _simulate_device(
@@ -276,6 +292,7 @@ def _simulate_device(
     update_model: Optional[UpdateModel],
     venue_index: _VenueApIndex,
     rng: np.random.Generator,
+    clock: StageClock,
 ) -> _DevicePass:
     n_days, n_slots = grid.n_days, grid.n_slots
     android = profile.os is DeviceOS.ANDROID
@@ -299,49 +316,39 @@ def _simulate_device(
         is_commuter=profile.is_commuter,
     )
     states = np.empty(n_slots, dtype=np.int64)
-    for day, (lo, hi) in enumerate(grid.day_bounds):
-        states[lo:hi] = generator.day(int(grid.weekday[day]), rng)
+    for weekday, (lo, hi) in zip(grid.weekday.tolist(), grid.day_bounds):
+        states[lo:hi] = generator.day(weekday, rng)
 
     # -- 3. activity ----------------------------------------------------
     noise = rng.gamma(3.0, 1.0 / 3.0, size=n_slots)
     activity = grid.activity_base * _STATE_MULT[states] * noise
 
     # -- 4. anchors -----------------------------------------------------
+    # Cell per (day, state): HOME/WORK/OUT anchors are campaign-constant,
+    # a commuter's venue is one of two points and its commute point moves
+    # daily along the home-office line.
     home = profile.home
     office = profile.office
+    cell_col = np.empty((n_days, _N_STATES), dtype=np.int64)
+    cell_row = np.empty((n_days, _N_STATES), dtype=np.int64)
     if office is not None:
         fracs = rng.uniform(0.3, 0.9, n_days)
         near_office = rng.random(n_days) < 0.7
-        venue_far = _jitter(home, 3.0)
-        venue_near = _jitter(office, 1.0)
-        venue_points = [venue_near if near else venue_far
-                        for near in near_office]
-        commute_points = [
-            Coordinate(home.lat + (office.lat - home.lat) * f,
-                       home.lon + (office.lon - home.lon) * f)
-            for f in fracs.tolist()
-        ]
+        cell_col[:, _VENUE], cell_row[:, _VENUE] = np.where(
+            near_office[:, None], cell_index(_jitter(office, 1.0)),
+            cell_index(_jitter(home, 3.0))).T
+        cell_col[:, _COMMUTE], cell_row[:, _COMMUTE] = np.array([
+            cell_index(Coordinate(home.lat + (office.lat - home.lat) * f,
+                                  home.lon + (office.lon - home.lon) * f))
+            for f in fracs.tolist()]).T
     else:
-        venue_points = [_jitter(home, 4.0)] * n_days
-        commute_points = [_jitter(home, 3.0)] * n_days
-
-    # Cell per (day, state): HOME/WORK/OUT anchors are campaign-constant.
+        cell_col[:, _VENUE], cell_row[:, _VENUE] = cell_index(_jitter(home, 4.0))
+        cell_col[:, _COMMUTE], cell_row[:, _COMMUTE] = cell_index(
+            _jitter(home, 3.0))
     work_loc = office if office is not None else home
-    out_loc = _jitter(home, 2.0)
-    home_cell = cell_index(home)
-    work_cell = cell_index(work_loc)
-    out_cell = cell_index(out_loc)
-    cell_col = np.empty((n_days, _N_STATES), dtype=np.int64)
-    cell_row = np.empty((n_days, _N_STATES), dtype=np.int64)
-    cell_col[:, _HOME], cell_row[:, _HOME] = home_cell
-    cell_col[:, _WORK], cell_row[:, _WORK] = work_cell
-    cell_col[:, _OUT], cell_row[:, _OUT] = out_cell
-    venue_cells = [cell_index(p) for p in venue_points]
-    commute_cells = [cell_index(p) for p in commute_points]
-    cell_col[:, _VENUE] = [c[0] for c in venue_cells]
-    cell_row[:, _VENUE] = [c[1] for c in venue_cells]
-    cell_col[:, _COMMUTE] = [c[0] for c in commute_cells]
-    cell_row[:, _COMMUTE] = [c[1] for c in commute_cells]
+    cell_col[:, _HOME], cell_row[:, _HOME] = cell_index(home)
+    cell_col[:, _WORK], cell_row[:, _WORK] = cell_index(work_loc)
+    cell_col[:, _OUT], cell_row[:, _OUT] = cell_index(_jitter(home, 2.0))
 
     # -- 5. interface policy --------------------------------------------
     rest_factor = 1.15 if android else 0.55
@@ -361,6 +368,7 @@ def _simulate_device(
             if profile.office_has_ap:
                 wifi_on |= states == _WORK
         wifi_on &= ~np.repeat(rest_day, SAMPLES_PER_DAY)
+    clock.lap("schedule")
 
     # -- 6. associations ------------------------------------------------
     assoc = np.full(n_slots, -1, dtype=np.int64)
@@ -369,14 +377,14 @@ def _simulate_device(
         _associate(
             profile, grid, deployment, params, venue_index,
             states, wifi_on, assoc, rssi,
-            home_rssi_base, office_rssi_base,
-            venue_points, commute_points, rng,
+            home_rssi_base, office_rssi_base, cell_col, cell_row, rng,
         )
     if sleep_disconnects:
         # The interface drops overnight but the last observed RSSI is not
         # cleared (legacy quirk, kept: Android rows retain stale RSSI).
         assoc = np.where(grid.asleep, -1, assoc)
     on_wifi = assoc >= 0
+    clock.lap("associate")
 
     # -- 7. traffic -----------------------------------------------------
     day_factor = np.exp(rng.normal(0.0, params.day_sigma, n_days))
@@ -416,12 +424,22 @@ def _simulate_device(
         tx_wifi[binge_slots] += burst * 0.08
 
     # -- soft cap (sequential by day, exact tracker semantics) ----------
+    # Days before the first throttled one are clamped to the capacity
+    # alone: one clamp and one reshape-sum, then the per-day path.
     cap = SoftCapTracker(params.cap_policy)
+    clamped = np.minimum(rx_cell, cell_capacity)
+    day_sums = clamped.reshape(n_days, SAMPLES_PER_DAY).sum(axis=1).tolist()
+    free = 0
+    while free < n_days and not cap.throttled_today():
+        cap.record_day(day_sums[free])
+        free += 1
+    clamped[free * SAMPLES_PER_DAY:] = rx_cell[free * SAMPLES_PER_DAY:]
+    rx_cell = clamped
     throttled_limits = np.minimum(
         throttled_slot_limits(params.cap_policy), cell_capacity
     )
     response = params.cap_demand_response
-    for lo, hi in grid.day_bounds:
+    for lo, hi in grid.day_bounds[free:]:
         day_rx = rx_cell[lo:hi]
         if cap.throttled_today():
             day_rx *= response
@@ -436,6 +454,7 @@ def _simulate_device(
     if update_model is not None and profile.os is DeviceOS.IOS:
         _roll_update(profile, grid, update_model, on_wifi, rx_wifi,
                      tables, rng)
+    clock.lap("traffic")
 
     # -- emissions ------------------------------------------------------
     user_id = profile.user_id
@@ -443,23 +462,25 @@ def _simulate_device(
                   tables)
     _emit_wifi(user_id, android, wifi_on, assoc, rssi, tables)
 
-    day_of = grid.day_index
-    geo_col = cell_col[day_of, states]
-    geo_row = cell_row[day_of, states]
+    day_state = grid.day_index * _N_STATES + states
     tables["geo"] = dict(
-        device=np.full(n_slots, user_id), t=np.arange(n_slots),
-        col=geo_col, row=geo_row,
+        device=np.full(n_slots, user_id, dtype=np.int32),
+        t=np.arange(n_slots, dtype=np.int32),
+        col=cell_col.astype(np.int16).ravel()[day_state],
+        row=cell_row.astype(np.int16).ravel()[day_state],
     )
+    clock.lap("emit")
 
     if android:
         density24, density5 = _scan_densities(
-            profile, grid, deployment, params, states, cell_col, cell_row
-        )
-        _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
+            deployment, params, day_state, cell_col, cell_row)
+        _emit_scans(user_id, params, venue_index, day_state, wifi_on,
                     cell_col, cell_row, density24, density5, tables, rng)
+        clock.lap("scans")
         _emit_apps(profile, grid, demand, params, states, assoc,
                    cell_col, cell_row, rx_wifi, tx_wifi, rx_cell, tx_cell,
                    tables, rng)
+        clock.lap("apps")
 
     # -- battery inputs (walked at block level; consumes no RNG) --------
     means = activity.reshape(n_days, SAMPLES_PER_DAY).mean(axis=1)
@@ -467,6 +488,7 @@ def _simulate_device(
     drain = 0.05 + 0.28 * norm
     drain += np.where(wifi_on, np.where(on_wifi, 0.03, 0.05), 0.0)
     at_home = states == _HOME
+    clock.lap("battery")
 
     return _DevicePass(profile, tables, drain, at_home, battery0)
 
@@ -474,8 +496,7 @@ def _simulate_device(
 def _associate(
     profile, grid, deployment, params, venue_index,
     states, wifi_on, assoc, rssi,
-    home_rssi_base, office_rssi_base,
-    venue_points, commute_points, rng,
+    home_rssi_base, office_rssi_base, cell_col, cell_row, rng,
 ) -> None:
     """Fill ``assoc``/``rssi`` in place (home, office, venue, commute,
     pocket router — same precedence as the legacy path)."""
@@ -515,15 +536,14 @@ def _associate(
         if not wifi_on[start:end].any():
             continue
         day = start // SAMPLES_PER_DAY
+        cell = (int(cell_col[day, _VENUE]), int(cell_row[day, _VENUE]))
         ap_id = None
         if profile.public_enrolled:
-            n24, n5 = deployment.public_density(venue_points[day])
+            n24, n5 = deployment.public_counts_by_cell.get(cell, (0, 0))
             density = (n24 + n5) * params.scan_scale
             p = params.venue_assoc_p * (1.0 - np.exp(-density / 40.0))
             if rng.random() < p:
-                ap_id = _pick_venue_ap(
-                    venue_index, venue_points[day], carrier, True, rng
-                )
+                ap_id = _pick_venue_ap(venue_index, cell, carrier, True, rng)
         if ap_id is None and always_on:
             if rng.random() < params.open_assoc_p:
                 familiar = deployment.familiar_open_aps.get(profile.user_id)
@@ -531,7 +551,7 @@ def _associate(
                     ap_id = int(rng.choice(familiar))
                 else:
                     ap_id = _pick_venue_ap(
-                        venue_index, venue_points[day], carrier, False, rng
+                        venue_index, cell, carrier, False, rng
                     )
         if ap_id is None:
             continue
@@ -550,7 +570,9 @@ def _associate(
                 continue
             day = start // SAMPLES_PER_DAY
             ap_id = _pick_venue_ap(
-                venue_index, commute_points[day], carrier, True, rng
+                venue_index,
+                (int(cell_col[day, _COMMUTE]), int(cell_row[day, _COMMUTE])),
+                carrier, True, rng,
             )
             if ap_id is None:
                 continue
@@ -574,8 +596,8 @@ def _associate(
             rssi[idx] = base + rng.normal(0.0, sigma, len(idx))
 
 
-def _pick_venue_ap(venue_index, coord, carrier, public, rng) -> Optional[int]:
-    usable = venue_index.usable(cell_index(coord), carrier, public)
+def _pick_venue_ap(venue_index, cell, carrier, public, rng) -> Optional[int]:
+    usable = venue_index.usable(cell, carrier, public)
     if not usable:
         return None
     return int(usable[int(rng.integers(0, len(usable)))])
@@ -606,9 +628,9 @@ def _roll_update(profile, grid, update_model, on_wifi, rx_wifi, tables, rng):
         for s in spread:
             rx_wifi[lo + s] += policy.size_bytes / len(spread)
         tables["updates"] = dict(
-            device=np.full(1, profile.user_id),
-            t=np.array([lo + spread[0]], dtype=np.int64),
-            bytes=np.array([policy.size_bytes]),
+            device=np.full(1, profile.user_id, dtype=np.int32),
+            t=np.array([lo + spread[0]], dtype=np.int32),
+            bytes=np.array([policy.size_bytes], dtype=np.float64),
         )
         break  # one update per campaign; later rolls would all be no-ops
 
@@ -617,67 +639,56 @@ def _emit_traffic(user_id, cell_iface, rx_wifi, tx_wifi, rx_cell, tx_cell,
                   tables) -> None:
     # Interleave (WiFi, cellular) per slot, then keep the active ones:
     # rows come out in slot order with WiFi first at equal t.
-    active = np.stack([(rx_wifi + tx_wifi) >= 100.0,
-                       (rx_cell + tx_cell) >= 100.0], axis=1).ravel()
-    rows = np.flatnonzero(active)
+    rx = np.empty((len(rx_wifi), 2))
+    tx = np.empty((len(rx_wifi), 2))
+    rx[:, 0], rx[:, 1], tx[:, 0], tx[:, 1] = rx_wifi, rx_cell, tx_wifi, tx_cell
+    rx, tx = rx.ravel(), tx.ravel()
+    rows = np.flatnonzero(rx + tx >= 100.0)
     if not len(rows):
         return
     tables["traffic"] = dict(
-        device=np.full(len(rows), user_id),
-        t=rows >> 1,
-        iface=np.where(rows & 1, cell_iface, int(IfaceKind.WIFI)),
-        rx=np.stack([rx_wifi, rx_cell], axis=1).ravel()[rows],
-        tx=np.stack([tx_wifi, tx_cell], axis=1).ravel()[rows],
+        device=np.full(len(rows), user_id, dtype=np.int32),
+        t=(rows >> 1).astype(np.int32),
+        iface=np.where(rows & 1, np.int8(cell_iface), np.int8(IfaceKind.WIFI)),
+        rx=rx[rows], tx=tx[rows],
     )
 
 
 def _emit_wifi(user_id, android, wifi_on, assoc, rssi, tables) -> None:
-    associated = assoc >= 0
-    if not android:
-        slots = np.flatnonzero(associated)
-        if not len(slots):
-            return
-        tables["wifi"] = dict(
-            device=np.full(len(slots), user_id), t=slots,
-            state=np.full(len(slots), int(WifiStateCode.ASSOCIATED)),
-            ap_id=assoc[slots], rssi=rssi[slots],
-        )
+    # Android logs the interface every slot, iOS only while associated.
+    slots = np.arange(len(assoc)) if android else np.flatnonzero(assoc >= 0)
+    if not len(slots):
         return
-    n_slots = len(assoc)
     state = np.where(
-        associated, int(WifiStateCode.ASSOCIATED),
-        np.where(wifi_on, int(WifiStateCode.AVAILABLE),
-                 int(WifiStateCode.OFF)),
+        assoc[slots] >= 0, np.int8(WifiStateCode.ASSOCIATED),
+        np.where(wifi_on[slots], np.int8(WifiStateCode.AVAILABLE),
+                 np.int8(WifiStateCode.OFF)),
     )
     tables["wifi"] = dict(
-        device=np.full(n_slots, user_id), t=np.arange(n_slots),
-        state=state, ap_id=assoc, rssi=rssi,
+        device=np.full(len(slots), user_id, dtype=np.int32),
+        t=slots.astype(np.int32), state=state,
+        ap_id=assoc[slots].astype(np.int32),
+        rssi=rssi[slots].astype(np.float32),
     )
 
 
-def _scan_densities(profile, grid, deployment, params, states,
-                    cell_col, cell_row):
+def _scan_densities(deployment, params, day_state, cell_col, cell_row):
     """Audible public-AP densities per slot, from the day's cells."""
     frac = np.array([
         params.audible_frac_home, params.audible_frac_commute,
         params.audible_frac_work, params.audible_frac_venue,
         params.audible_frac_commute,
     ])
-    counts = deployment.public_counts_by_cell
-    d24 = np.empty((grid.n_days, _N_STATES))
-    d5 = np.empty((grid.n_days, _N_STATES))
-    for day in range(grid.n_days):
-        for code in _STATE_CODES:
-            n24, n5 = counts.get(
-                (int(cell_col[day, code]), int(cell_row[day, code])), (0, 0)
-            )
-            d24[day, code] = n24 * params.scan_scale * frac[code]
-            d5[day, code] = n5 * params.scan_scale * frac[code]
-    day_of = grid.day_index
-    return d24[day_of, states], d5[day_of, states]
+    counts = deployment.public_counts_by_cell.get
+    n = np.array([
+        counts(cell, (0, 0))
+        for cell in zip(cell_col.ravel().tolist(), cell_row.ravel().tolist())
+    ]).reshape(-1, _N_STATES, 2) * params.scan_scale
+    return ((n[..., 0] * frac).ravel()[day_state],
+            (n[..., 1] * frac).ravel()[day_state])
 
 
-def _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
+def _emit_scans(user_id, params, venue_index, day_state, wifi_on,
                 cell_col, cell_row, density24, density5, tables, rng) -> None:
     on_slots = np.flatnonzero(wifi_on)
     if not len(on_slots):
@@ -687,9 +698,11 @@ def _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
     n24_strong = rng.binomial(n24_all, params.scan_strong_p)
     n5_strong = rng.binomial(n5_all, params.scan_strong_p)
     tables["scans"] = dict(
-        device=np.full(len(on_slots), user_id), t=on_slots,
-        n24_all=n24_all, n24_strong=n24_strong,
-        n5_all=n5_all, n5_strong=n5_strong,
+        device=np.full(len(on_slots), user_id, dtype=np.int32),
+        t=on_slots.astype(np.int32),
+        n24_all=n24_all.astype(np.int16),
+        n24_strong=n24_strong.astype(np.int16),
+        n5_all=n5_all.astype(np.int16), n5_strong=n5_strong.astype(np.int16),
     )
 
     # Hourly detailed sightings: one poisson across every scan slot, then
@@ -706,34 +719,31 @@ def _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
         return
     slots = hourly[alive]
     wanted = n_raw[alive]
-    pair = grid.day_index[slots] * _N_STATES + states[slots]
-    # Group sighting slots by (day, state): one candidate set per group,
-    # one random matrix whose row-wise argsort yields an independent
-    # uniform permutation per slot (no per-slot python).
+    pair = day_state[slots]
+    # Group sighting slots by (day, state), one candidate set per group; a
+    # slot's argsorted row of uniforms permutes its group's candidates. All
+    # rows are one ``rng.random`` (the stream of one ``(rows, m)`` draw per
+    # group) in one matrix, padded past each row's ``m`` with 2.0.
     order = np.argsort(pair, kind="stable")
     slots, wanted, pair = slots[order], wanted[order], pair[order]
-    uniq, starts = np.unique(pair, return_index=True)
-    bounds = np.append(starts, len(pair))
-    t_chunks: List[np.ndarray] = []
-    ap_chunks: List[np.ndarray] = []
-    for g, key in enumerate(uniq.tolist()):
-        day, code = divmod(key, _N_STATES)
-        cand = venue_index.candidate_array(
-            (int(cell_col[day, code]), int(cell_row[day, code]))
-        )
-        if cand is None:
-            continue
-        lo, hi = bounds[g], bounds[g + 1]
-        m = len(cand)
-        ks = np.minimum(wanted[lo:hi], min(m, 15))
-        perms = np.argsort(rng.random((hi - lo, m)), axis=1)
-        keep = np.arange(m) < ks[:, None]
-        ap_chunks.append(cand[perms[keep]])
-        t_chunks.append(np.repeat(slots[lo:hi], ks))
-    if not t_chunks:
+    uniq, group = np.unique(pair, return_inverse=True)
+    cands = [venue_index.candidate_array(cell) for cell in zip(
+        cell_col.ravel()[uniq].tolist(), cell_row.ravel()[uniq].tolist())]
+    m = np.array([len(c) for c in cands])
+    live = m[group] > 0
+    if not live.any():
         return
-    sight_ap = np.concatenate(ap_chunks)
-    sight_t = np.concatenate(t_chunks)
+    slots, wanted, group = slots[live], wanted[live], group[live]
+    m_row = m[group]
+    width = np.arange(m_row.max())
+    uniforms = np.full((len(slots), len(width)), 2.0)
+    uniforms[width < m_row[:, None]] = rng.random(int(m_row.sum()))
+    perms = np.argsort(uniforms, axis=1)
+    ks = np.minimum(wanted, np.minimum(m_row, 15))
+    offsets = np.cumsum(m) - m
+    sight_ap = np.concatenate(cands)[
+        np.repeat(offsets[group], ks) + perms[width < ks[:, None]]]
+    sight_t = np.repeat(slots, ks)
     n_rows = len(sight_ap)
     distances = params.public_distance_m * np.exp(
         rng.normal(0.0, params.distance_sigma, n_rows)
@@ -743,10 +753,10 @@ def _emit_scans(user_id, grid, params, venue_index, states, wifi_on,
     # keeping the draw order within a slot.
     back = np.argsort(sight_t, kind="stable")
     tables["sightings"] = dict(
-        device=np.full(n_rows, user_id),
-        t=sight_t[back],
-        ap_id=sight_ap[back],
-        rssi=sight_rssi[back],
+        device=np.full(n_rows, user_id, dtype=np.int32),
+        t=sight_t[back].astype(np.int32),
+        ap_id=sight_ap[back].astype(np.int32),
+        rssi=sight_rssi[back].astype(np.float32),
     )
 
 
@@ -770,63 +780,49 @@ def _emit_apps(profile, grid, demand, params, states, assoc,
         .reshape(n_days, _N_STATES)
     tx_by = np.bincount(key, weights=tx_cell, minlength=minlength) \
         .reshape(n_days, _N_STATES)
-    present = np.bincount(key, minlength=minlength).reshape(n_days, _N_STATES)
 
-    # Per-(day, ap) WiFi sums, with the first slot each pair appears in.
-    assoc_mask = assoc >= 0
-    ap_rows_by_day: Dict[int, list] = {}
-    if assoc_mask.any():
-        idx = np.flatnonzero(assoc_mask)
-        pair = day_of[idx].astype(np.int64) * (assoc.max() + 1) + assoc[idx]
-        uniq, first, inverse = np.unique(
-            pair, return_index=True, return_inverse=True
-        )
-        rxw = np.bincount(inverse, weights=rx_wifi[idx])
-        txw = np.bincount(inverse, weights=tx_wifi[idx])
-        first_slot = idx[first]
-        for g in range(len(uniq)):
-            slot = int(first_slot[g])
-            day = int(day_of[slot])
-            ap_rows_by_day.setdefault(day, []).append(
-                (int(assoc[slot]), float(rxw[g]), float(txw[g]),
-                 int(states[slot]))
-            )
+    # Cellular groups: (day, state) sums of at least one byte, merged per
+    # (day, cell) under the group's first state code. A row-order bincount
+    # adds each group's sums in state-code order, as the legacy sweep did.
+    ok = rx_by + tx_by >= 1.0
+    lead = ((cell_col[:, :, None] == cell_col[:, None, :])
+            & (cell_row[:, :, None] == cell_row[:, None, :])
+            & ok[:, None, :]).argmax(axis=2)
+    lead += np.arange(0, minlength, _N_STATES)[:, None]
+    heads = np.flatnonzero(ok.ravel() & (lead.ravel() == np.arange(minlength)))
+    c_rx = np.bincount(lead[ok], weights=rx_by[ok], minlength=minlength)[heads]
+    c_tx = np.bincount(lead[ok], weights=tx_by[ok], minlength=minlength)[heads]
+    n_cell = len(heads)
 
-    # Assemble groups in day order: cellular cell-groups first (state-code
-    # sweep, volumes below 1 byte dropped per state), then WiFi ap-groups
-    # in ascending ap id — the legacy per-day emission order.
-    groups = []  # (day, cellular, ap_id, cell, rx_sum, tx_sum)
-    for day in range(n_days):
-        cell_groups: Dict[tuple, list] = {}
-        for code in _STATE_CODES:
-            if not present[day, code]:
-                continue
-            rx_sum = float(rx_by[day, code])
-            tx_sum = float(tx_by[day, code])
-            if rx_sum + tx_sum < 1.0:
-                continue
-            cell = (int(cell_col[day, code]), int(cell_row[day, code]))
-            acc = cell_groups.setdefault(cell, [0.0, 0.0])
-            acc[0] += rx_sum
-            acc[1] += tx_sum
-        for cell, (rx_sum, tx_sum) in cell_groups.items():
-            groups.append((day, True, -1, cell, rx_sum, tx_sum))
-        for ap_id, rx_sum, tx_sum, code in ap_rows_by_day.get(day, ()):
-            if rx_sum + tx_sum < 1.0:
-                continue
-            cell = (int(cell_col[day, code]), int(cell_row[day, code]))
-            groups.append((day, False, ap_id, cell, rx_sum, tx_sum))
-    if not groups:
+    # WiFi groups: per-(day, ap) sums of at least one byte, in ascending
+    # ap id, in the cell of the state each pair first appears in.
+    idx = np.flatnonzero(assoc >= 0)
+    _, w_first, w_inverse = np.unique(
+        day_of[idx] * (assoc.max() + 1) + assoc[idx],
+        return_index=True, return_inverse=True)
+    w_rx = np.bincount(w_inverse, weights=rx_wifi[idx])
+    w_tx = np.bincount(w_inverse, weights=tx_wifi[idx])
+    w_ok = w_rx + w_tx >= 1.0
+    w_slot = idx[w_first[w_ok]]
+
+    # Per day, the cellular groups before the WiFi groups (legacy order);
+    # ``at`` is each group's (day, state) key.
+    at = np.concatenate([heads, key[w_slot]])
+    is_wifi = np.arange(len(at)) >= n_cell
+    order = np.argsort(at // _N_STATES * 2 + is_wifi, kind="stable")
+    n_groups = len(order)
+    if not n_groups:
         return
+    at, cellular = at[order], ~is_wifi[order]
+    days, cols, rows = at // _N_STATES, cell_col.ravel()[at], cell_row.ravel()[at]
+    aps = np.concatenate([np.full(n_cell, -1), assoc[w_slot]])[order]
+    rx_sums = np.concatenate([c_rx, w_rx[w_ok]])[order]
+    tx_sums = np.concatenate([c_tx, w_tx[w_ok]])[order]
 
-    n_groups = len(groups)
     n_cats = len(_RX_TX)
     shares_cell = profile.mix.context_shares(False)
     shares_wifi = profile.mix.context_shares(True)
-    cellular = np.array([g[1] for g in groups])
     shares = np.where(cellular[:, None], shares_cell, shares_wifi)
-    rx_sums = np.array([g[4] for g in groups])
-    tx_sums = np.array([g[5] for g in groups])
 
     noisy = shares * rng.gamma(2.0, 0.5, size=(n_groups, n_cats))
     totals = noisy.sum(axis=1)
@@ -847,35 +843,26 @@ def _emit_apps(profile, grid, demand, params, states, assoc,
     # drop sub-byte rows.
     mass = cat_rx + cat_tx
     order = np.argsort(-mass, axis=1, kind="stable")
-    sorted_mass = np.take_along_axis(mass, order, axis=1)
+    sorted_mass = mass[np.arange(n_groups)[:, None], order]
     csum = np.cumsum(sorted_mass, axis=1)
     total_mass = mass.sum(axis=1)
     before = csum - sorted_mass
     keep = (before < 0.995 * total_mass[:, None]) \
         & (total_mass[:, None] > 0) & (sorted_mass >= 1.0)
-    counts = keep.sum(axis=1)
-    if not counts.any():
+    group = np.nonzero(keep)[0]
+    if not len(group):
         return
-
-    cat_codes = np.broadcast_to(np.arange(n_cats), (n_groups, n_cats))
-    sorted_codes = np.take_along_axis(cat_codes, order, axis=1)
-    sorted_rx = np.take_along_axis(cat_rx, order, axis=1)
-    sorted_tx = np.take_along_axis(cat_tx, order, axis=1)
-
-    days = np.array([g[0] for g in groups])
-    aps = np.array([g[2] for g in groups])
-    cols = np.array([g[3][0] for g in groups])
-    rows = np.array([g[3][1] for g in groups])
+    category = order[keep]
     tables["apps"] = dict(
-        device=np.full(int(counts.sum()), profile.user_id),
-        day=np.repeat(days, counts),
-        category=sorted_codes[keep],
-        cellular=np.repeat(cellular.astype(np.int64), counts),
-        ap_id=np.repeat(aps, counts),
-        col=np.repeat(cols, counts),
-        row=np.repeat(rows, counts),
-        rx=sorted_rx[keep],
-        tx=sorted_tx[keep],
+        device=np.full(len(group), profile.user_id, dtype=np.int32),
+        day=days[group].astype(np.int16),
+        category=category.astype(np.int8),
+        cellular=cellular[group].astype(np.int8),
+        ap_id=aps[group].astype(np.int32),
+        col=cols[group].astype(np.int16),
+        row=rows[group].astype(np.int16),
+        rx=cat_rx[group, category],
+        tx=cat_tx[group, category],
     )
 
 
@@ -883,32 +870,47 @@ def _emit_apps(profile, grid, demand, params, states, assoc,
 # Block-level battery walk
 # ----------------------------------------------------------------------
 
-def _walk_battery(passes: Sequence[_DevicePass], grid: _CampaignGrid) -> None:
+def _battery_walk(drain: np.ndarray, at_home: np.ndarray, level: np.ndarray,
+                  grid: _CampaignGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Run the sequential charge/drain recurrence for a block of devices.
 
-    The per-slot update is the exact legacy rule, but applied to the whole
-    block at once: the 4000+-iteration python loop is paid once per block
-    instead of once per device. The walk consumes no RNG (neither does the
-    legacy one), so it can run after every other draw.
+    ``drain`` and ``at_home`` are (slot, device) arrays and ``level`` the
+    starting levels; returns the levels and charging flags at the report
+    slots, as (report slot, device) arrays.
+
+    The per-slot update is the exact legacy rule, applied to the whole
+    block at once; it consumes no RNG. Outside the charge window, once no
+    device is plugged, the stretch to 21:00 is one accumulate and one clamp,
+    bit for bit (docs/ARCHITECTURE.md, "Battery fast path").
     """
-    n_dev = len(passes)
+    n_dev = len(level)
     n_slots = grid.n_slots
-    drain = np.stack([p.drain for p in passes], axis=1)       # (S, B)
-    at_home = np.stack([p.at_home for p in passes], axis=1)   # (S, B)
-    level = np.array([p.battery0 for p in passes])
     plugged = np.zeros(n_dev, dtype=bool)
-    report = grid.battery_report
-    levels = np.empty((len(report), n_dev))
-    charging = np.empty((len(report), n_dev), dtype=np.int8)
-    cw_hours = grid.charge_window_hours
-    plug_hours = grid.plug_hours
-    for i in range(n_slots):
+    levels = np.empty((len(grid.battery_report), n_dev))
+    charging = np.zeros((len(grid.battery_report), n_dev), dtype=np.int8)
+    cw_hours = grid.charge_window_hours.tolist()
+    plug_hours = grid.plug_hours.tolist()
+    i = 0
+    while i < n_slots:
         hour_slot = i % SAMPLES_PER_DAY
+        if (grid.window_closes <= hour_slot < grid.window_opens
+                and not plugged.any()):
+            end = i - hour_slot + grid.window_opens
+            walk = np.subtract.accumulate(
+                np.concatenate([level[None], drain[i:end]]), axis=0)[1:]
+            np.maximum(walk, 0.0, out=walk)
+            first = -(-i // 3)  # first reported slot at or after i
+            levels[first:-(-end // 3)] = walk[3 * first - i::3]
+            level = walk[-1]
+            i = end
+            continue
         if hour_slot == 0:
             plugged[:] = False  # legacy walk starts each day unplugged
         home_now = at_home[i]
-        if cw_hours[hour_slot]:
-            plugged |= home_now & ((level < 40.0) | plug_hours[hour_slot])
+        if plug_hours[hour_slot]:
+            plugged |= home_now
+        elif cw_hours[hour_slot]:
+            plugged |= home_now & (level < 40.0)
         plugged &= (level < 100.0) & home_now
         level = np.where(
             plugged,
@@ -919,12 +921,8 @@ def _walk_battery(passes: Sequence[_DevicePass], grid: _CampaignGrid) -> None:
             r = i // 3
             levels[r] = level
             charging[r] = plugged
-    t = report
-    for d, dev in enumerate(passes):
-        dev.tables["battery"] = dict(
-            device=np.full(len(t), dev.profile.user_id), t=t.copy(),
-            level=levels[:, d], charging=charging[:, d],
-        )
+        i += 1
+    return levels, charging
 
 
 # ----------------------------------------------------------------------
@@ -956,19 +954,30 @@ def simulate_devices(
         device_ids = range(len(profiles))
 
     ids = list(device_ids)
+    clock = StageClock()
     for lo in range(0, len(ids), _BLOCK_SIZE):
         block = ids[lo:lo + _BLOCK_SIZE]
+        clock.restart()
         passes = [
             _simulate_device(
                 profiles[device_id], grid, deployment, demand, params,
                 update_model, venue_index,
-                device_stream(seed, year, device_id),
+                device_stream(seed, year, device_id), clock,
             )
             for device_id in block
         ]
-        _walk_battery(passes, grid)
-        for device_pass in passes:
-            yield DeviceResult(
-                device_id=device_pass.profile.user_id,
-                tables=device_pass.tables,
+        levels, charging = _battery_walk(
+            np.stack([p.drain for p in passes], axis=1),
+            np.stack([p.at_home for p in passes], axis=1),
+            np.array([p.battery0 for p in passes]), grid,
+        )
+        levels = levels.astype(np.float32)
+        clock.lap("battery")
+        for d, (profile, tables, *_) in enumerate(passes):
+            tables["battery"] = dict(
+                device=np.full(len(levels), profile.user_id, dtype=np.int32),
+                t=grid.battery_report, level=levels[:, d],
+                charging=charging[:, d],
             )
+            yield DeviceResult(device_id=profile.user_id, tables=tables)
+    clock.report(get_recorder())

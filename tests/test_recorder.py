@@ -378,6 +378,16 @@ def test_drift_warns_on_rolling_regression():
     assert drift_warnings(_bench_history([9.0])) == []
 
 
+def test_drift_window_holds_only_the_latest_scale_and_seed():
+    earlier = {"kind": "fidelity", "scale": 0.03, "seed": 5,
+               "metrics": {"n_pass": 47, "n_fail": 2}}
+    latest = {"kind": "fidelity", "scale": 0.02, "seed": 7,
+              "metrics": {"n_pass": 46, "n_fail": 4}}
+    assert drift_warnings([earlier, latest]) == []
+    same_run = dict(earlier, scale=0.02, seed=7)
+    assert len(drift_warnings([same_run, latest])) == 2
+
+
 def test_drift_direction_flips_for_speedups_and_counts():
     # Bigger is better for speedups: a drop warns, a rise does not.
     slower = _bench_history([4.0] * 5 + [2.0], metric="derived_parallel_speedup")

@@ -19,7 +19,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.resources import ResourceSampler
 from repro.obs.span import fold_spans
-from repro.simulation.campaign import run_campaign
+from repro.simulation.campaign import clear_world_cache, run_campaign
 from repro.simulation.study import StudyConfig, Study
 
 from .test_engine import _small_config, assert_datasets_identical
@@ -57,6 +57,33 @@ def test_campaign_identical_across_workers_with_telemetry(traced):
     # Both runs, their workers' spans included, are in the one file.
     names = [span.name for span in fold(traced)]
     assert names.count("run_campaign") == 2
+
+
+KERNEL_STAGES = {"schedule", "associate", "traffic", "emit", "scans",
+                 "apps", "battery"}
+WORLD_STAGES = {"recruit", "private_aps", "public_aps", "open_aps",
+                "familiar_aps"}
+
+
+def test_stage_counters_fold_onto_their_spans(traced):
+    # A cold world cache, so this run builds (and times) the world too.
+    clear_world_cache()
+    config = _small_config()
+    recorded = run_campaign(config, n_jobs=2)
+    with use_recorder(NOOP_RECORDER):
+        untraced = run_campaign(config, n_jobs=1)
+    assert_datasets_identical(untraced.dataset, recorded.dataset)
+    spans = [span for root in fold(traced) for span in root.walk()]
+    for name, stages in (("simulate_devices", KERNEL_STAGES),
+                         ("build_world", WORLD_STAGES)):
+        found = [span for span in spans if span.name == name]
+        assert found, name
+        counters = {key for span in found for key in span.counters
+                    if key.startswith("stage.")}
+        assert counters == {f"stage.{stage}_s" for stage in stages}, name
+        assert all(value >= 0.0 for span in found
+                   for key, value in span.counters.items()
+                   if key.startswith("stage."))
 
 
 def test_faulty_campaign_identical_with_telemetry(traced):
