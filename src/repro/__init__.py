@@ -64,7 +64,6 @@ from repro.obs import (
     use_recorder,
 )
 from repro.reporting.experiments import (
-    AnalysisCache,
     EXPERIMENTS,
     Experiment,
     list_experiments,
@@ -114,7 +113,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "use_recorder",
-    "AnalysisCache",
     "EXPERIMENTS",
     "Experiment",
     "list_experiments",

@@ -226,7 +226,7 @@ class AnalysisContext:
     Construct from a :class:`~repro.simulation.study.Study` (or any object
     with ``campaigns`` and ``dataset(year)``) for the multi-campaign
     reporting path — per-campaign artifacts are then derived from the
-    *cleaned* dataset, like the old ``AnalysisCache``. Construct via
+    *cleaned* dataset. Construct via
     :meth:`of` from a single :class:`CampaignDataset` for the analysis
     path — the dataset is analyzed verbatim (no implicit cleaning), which
     keeps ``fn(dataset)`` and ``fn(AnalysisContext.of(dataset))``

@@ -393,14 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    report = sub.add_parser(
-        "report", help="paper-vs-measured markdown summary of a fresh study"
-    )
-    report.add_argument("--scale", type=float, default=0.1)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument("--out", type=Path, default=None,
-                        help="write the markdown report here")
-
     validate = sub.add_parser("validate", help="validate a saved dataset")
     validate.add_argument("path", type=Path)
 
@@ -724,21 +716,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.reporting.summary import render_markdown, study_summary
-
-    study = run_study(scale=args.scale, seed=args.seed)
-    findings = study_summary(AnalysisContext(study))
-    text = render_markdown(
-        findings,
-        title=f"Study summary (scale {args.scale}, seed {args.seed})",
-    )
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported lazily: the bench harness pulls in the simulation layer,
     # which `repro list`/`repro validate` should not pay for.
@@ -1022,7 +999,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "events": cmd_events,
         "clean": cmd_clean,
         "list": cmd_list,
-        "report": cmd_report,
         "validate": cmd_validate,
     }
     recording = _start_recording(args)

@@ -208,15 +208,29 @@ def _extractor(check_id: str):
     return decorator
 
 
-def _years(ctx):
+def _last(ctx):
+    return max(ctx.years)
+
+
+def _compared_years(ctx, every_campaign: bool = False):
+    """The years a cross-campaign check compares; skips when too few."""
     years = ctx.years
-    return years, min(years), max(years)
+    if len(years) < 2:
+        raise _SkipCheck("needs at least two campaign years")
+    if every_campaign and len(years) < 3:
+        raise _SkipCheck("needs all three campaign years")
+    return years
+
+
+def _first_last(ctx):
+    years = _compared_years(ctx)
+    return years[0], years[-1]
 
 
 def _growth(ctx):
     import repro.analysis as A
 
-    years, _, _ = _years(ctx)
+    years = _compared_years(ctx)
     return A.volume_growth_table([ctx.campaign(y) for y in years])
 
 
@@ -238,7 +252,7 @@ def _surveys(ctx):
 def _t1_panel(ctx):
     import repro.analysis as A
 
-    years, _, _ = _years(ctx)
+    years = _compared_years(ctx)
     return [A.campaign_overview(ctx.raw(y)).n_total for y in years]
 
 
@@ -246,7 +260,7 @@ def _t1_panel(ctx):
 def _t1_lte(ctx):
     import repro.analysis as A
 
-    years, _, _ = _years(ctx)
+    years = _compared_years(ctx, every_campaign=True)
     return [A.campaign_overview(ctx.raw(y)).lte_share for y in years]
 
 
@@ -267,15 +281,15 @@ def _t2_occupation(ctx):
 
 @_extractor("t3_median_all")
 def _t3_median_all(ctx):
+    years = _compared_years(ctx, every_campaign=True)
     growth = _growth(ctx)
-    years, _, _ = _years(ctx)
     return [growth.median["all"][y] for y in years]
 
 
 @_extractor("t3_wifi_overtakes_cell")
 def _t3_crossover(ctx):
     growth = _growth(ctx)
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return (
         (growth.median["wifi"][first], growth.median["wifi"][last]),
         (growth.median["cell"][first], growth.median["cell"][last]),
@@ -285,7 +299,7 @@ def _t3_crossover(ctx):
 @_extractor("t3_mean_wifi_gt_cell")
 def _t3_means(ctx):
     growth = _growth(ctx)
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return (growth.mean["wifi"][last], growth.mean["cell"][last])
 
 
@@ -302,30 +316,38 @@ def _t3_agr(ctx):
 
 @_extractor("t4_public_ap_growth")
 def _t4_public(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     counts = {y: ctx.classification(y).counts() for y in (first, last)}
     return counts[last]["public"] / max(counts[first]["public"], 1)
 
 
 @_extractor("t4_home_flat")
 def _t4_home(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     counts = {y: ctx.classification(y).counts() for y in (first, last)}
     return counts[last]["home"] / max(counts[first]["home"], 1)
 
 
 @_extractor("t4_office_flat")
 def _t4_office(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     counts = {y: ctx.classification(y).counts() for y in (first, last)}
     return counts[last]["office"] / max(counts[first]["office"], 1)
+
+
+@_extractor("t4_home_ap_users")
+def _t4_home_ap_users(ctx):
+    years = _compared_years(ctx, every_campaign=True)
+    return [ctx.classification(y).fraction_devices_with_home_ap(
+                ctx.clean(y).n_devices)
+            for y in years]
 
 
 @_extractor("t5_home_only_declines")
 def _t5_home_only(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.hpo_breakdown(ctx.campaign(y)).pct(1, 0, 0)
             for y in (first, last)]
 
@@ -334,21 +356,21 @@ def _t5_home_only(ctx):
 def _t5_multi(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.hpo_breakdown(ctx.campaign(y)).pct(1, 0, 1)
             for y in (first, last)]
 
 
 @_extractor("t6_browser_video_lead")
 def _t6_categories(ctx):
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     top = [name for name, _ in ctx.app_breakdown(last).top("wifi_home", n=3)]
     return 1.0 if {"browser", "video"} <= set(top) else 0.0
 
 
 @_extractor("t7_productivity_tx")
 def _t7_productivity(ctx):
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     top = [name for name, _ in
            ctx.app_breakdown(last).top("wifi_home", n=5, direction="tx")]
     productivity = {"productivity", "tools", "communication", "mail",
@@ -358,18 +380,20 @@ def _t7_productivity(ctx):
 
 @_extractor("t8_home_yes_grows")
 def _t8_home_yes(ctx):
+    years = _compared_years(ctx, every_campaign=True)
     tabs = _surveys(ctx)
     if tabs is None:
         raise _SkipCheck("no survey responses on this context")
-    return [tabs[y].connected_pct["home"]["yes"] for y in ctx.years]
+    return [tabs[y].connected_pct["home"]["yes"] for y in years]
 
 
 @_extractor("t8_public_optimism")
 def _t8_public_yes(ctx):
+    years = _compared_years(ctx)
     tabs = _surveys(ctx)
     if tabs is None:
         raise _SkipCheck("no survey responses on this context")
-    return [tabs[y].connected_pct["public"]["yes"] for y in ctx.years]
+    return [tabs[y].connected_pct["public"]["yes"] for y in years]
 
 
 @_extractor("t9_no_aps_leads_office")
@@ -379,7 +403,7 @@ def _t9_office(ctx):
     tabs = _surveys(ctx)
     if tabs is None:
         raise _SkipCheck("no survey responses on this context")
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     office = tabs[last].reason_pct["office"]
     leader = office["No available APs"]
     others = [office[r] for r in REASONS
@@ -392,7 +416,7 @@ def _t9_security(ctx):
     tabs = _surveys(ctx)
     if tabs is None:
         raise _SkipCheck("no survey responses on this context")
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return (tabs[last].reason_pct["public"]["Security issue"],
             tabs[last].reason_pct["home"]["Security issue"])
 
@@ -410,7 +434,7 @@ def _f1_share(ctx):
 def _f2_wifi_share(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.aggregate_traffic(ctx.campaign(y)).wifi_share
             for y in (first, last)]
 
@@ -419,15 +443,24 @@ def _f2_wifi_share(ctx):
 def _f2_peaks(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     peaks = set(int(h) for h in A.diurnal_peaks(ctx.campaign(last), "wifi"))
     evening = {20, 21, 22, 23, 0, 1}
     return 1.0 if peaks & evening else 0.0
 
 
+@_extractor("f2_weekend_wifi_gt_cell")
+def _f2_weekend(ctx):
+    import repro.analysis as A
+
+    view = ctx.campaign(_last(ctx))
+    return (A.weekend_weekday_ratio(view, "wifi"),
+            A.weekend_weekday_ratio(view, "cell"))
+
+
 @_extractor("f3_rx_tx_ratio")
 def _f3_ratio(ctx):
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     rx = float(ctx.daily_matrix("all", "rx", year=last).sum())
     tx = float(ctx.daily_matrix("all", "tx", year=last).sum())
     if tx <= 0:
@@ -438,15 +471,14 @@ def _f3_ratio(ctx):
 @_extractor("f3_volumes_grow")
 def _f3_grow(ctx):
     growth = _growth(ctx)
-    years, _, _ = _years(ctx)
-    return [growth.mean["all"][y] for y in years]
+    return [growth.mean["all"][y] for y in _compared_years(ctx)]
 
 
 @_extractor("f4_zero_wifi")
 def _f4_zero_wifi(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.daily_volume_distributions(ctx.campaign(last)).zero_fraction("wifi")
 
 
@@ -454,7 +486,7 @@ def _f4_zero_wifi(ctx):
 def _f4_zero_cell(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.daily_volume_distributions(ctx.campaign(last)).zero_fraction("cell")
 
 
@@ -462,7 +494,7 @@ def _f4_zero_cell(ctx):
 def _f5_cell_intensive(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.wifi_cell_heatmap(ctx.campaign(y)).cellular_intensive_fraction
             for y in (first, last)]
 
@@ -471,32 +503,32 @@ def _f5_cell_intensive(ctx):
 def _f5_wifi_intensive(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.wifi_cell_heatmap(ctx.campaign(last)).wifi_intensive_fraction
 
 
 @_extractor("f6_traffic_ratio")
 def _f6_traffic(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [ctx.wifi_ratios(y).traffic("all").mean for y in (first, last)]
 
 
 @_extractor("f6_user_ratio")
 def _f6_users(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [ctx.wifi_ratios(y).users("all").mean for y in (first, last)]
 
 
 @_extractor("f7_heavy_gt_light")
 def _f7_heavy(ctx):
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     ratios = ctx.wifi_ratios(last)
     return (ratios.traffic("heavy").mean, ratios.traffic("light").mean)
 
 
 @_extractor("f8_heavy_user_ratio_grows")
 def _f8_heavy_users(ctx):
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [ctx.wifi_ratios(y).users("heavy").mean for y in (first, last)]
 
 
@@ -504,7 +536,7 @@ def _f8_heavy_users(ctx):
 def _f9_wifi_off(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.interface_state_ratios(ctx.campaign(y)).android_means["wifi_off"]
             for y in (first, last)]
 
@@ -513,7 +545,7 @@ def _f9_wifi_off(ctx):
 def _f9_ios(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.ios_android_gap(A.interface_state_ratios(ctx.campaign(last)))
 
 
@@ -521,7 +553,7 @@ def _f9_ios(ctx):
 def _f10_coverage(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [
         A.association_density_maps(ctx.campaign(y)).grid("public")
         .n_cells_with_at_least(1)
@@ -533,7 +565,7 @@ def _f10_coverage(ctx):
 def _f11_home_share(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.location_traffic(ctx.campaign(last)).volume_share["home"]
 
 
@@ -541,7 +573,7 @@ def _f11_home_share(ctx):
 def _f12_single_ap(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.aps_per_day(ctx.campaign(y)).pct("all", 1)
             for y in (first, last)]
 
@@ -550,7 +582,7 @@ def _f12_single_ap(ctx):
 def _f13_durations(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     p90 = A.association_durations(ctx.campaign(last)).p90_hours
     missing = [cls for cls in ("home", "office", "public") if cls not in p90]
     if missing:
@@ -562,7 +594,7 @@ def _f13_durations(ctx):
 def _f14_public_band(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.band_fractions(ctx.campaign(last)).fraction("public")
 
 
@@ -570,7 +602,7 @@ def _f14_public_band(ctx):
 def _f14_band_gap(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     bands = A.band_fractions(ctx.campaign(last))
     return (bands.fraction("public"), bands.fraction("home"))
 
@@ -579,15 +611,23 @@ def _f14_band_gap(ctx):
 def _f15_home_rssi(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.rssi_distributions(ctx.campaign(last)).mean["home"]
+
+
+@_extractor("f15_public_rssi_mean")
+def _f15_public_rssi(ctx):
+    import repro.analysis as A
+
+    last = _last(ctx)
+    return A.rssi_distributions(ctx.campaign(last)).mean["public"]
 
 
 @_extractor("f15_public_weaker")
 def _f15_weak(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     dist = A.rssi_distributions(ctx.campaign(last))
     return (dist.weak_fraction["public"], dist.weak_fraction["home"])
 
@@ -596,7 +636,7 @@ def _f15_weak(ctx):
 def _f16_trio(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.channel_distributions(ctx.campaign(last)).trio_share("public")
 
 
@@ -604,7 +644,7 @@ def _f16_trio(ctx):
 def _f16_ch1(ctx):
     import repro.analysis as A
 
-    _, first, last = _years(ctx)
+    first, last = _first_last(ctx)
     return [A.channel_distributions(ctx.campaign(y)).channel_share("home", 1)
             for y in (first, last)]
 
@@ -613,7 +653,7 @@ def _f16_ch1(ctx):
 def _f17_sparse(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     availability = A.public_availability(ctx.campaign(last))
     return 1.0 - availability.fraction_seeing("24_all", 10)
 
@@ -622,7 +662,7 @@ def _f17_sparse(ctx):
 def _f17_strong(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     availability = A.public_availability(ctx.campaign(last))
     return (availability.fraction_seeing("24_all", 3),
             availability.fraction_seeing("24_strong", 3))
@@ -632,7 +672,7 @@ def _f17_strong(ctx):
 def _f18_adoption(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     timing = A.update_timing(ctx.raw(last), ctx.classification(last))
     return timing.updated_fraction
 
@@ -641,7 +681,7 @@ def _f18_adoption(ctx):
 def _f18_no_home(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     timing = A.update_timing(ctx.raw(last), ctx.classification(last))
     return (timing.updated_fraction, timing.updated_fraction_no_home)
 
@@ -650,7 +690,7 @@ def _f18_no_home(ctx):
 def _f19_gap(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _compared_years(ctx)[-1]
     if (last - 1) not in ctx.years:
         raise _SkipCheck(f"no campaign for {last - 1}")
     return [A.cap_effect(ctx.campaign(last - 1)).median_gap(),
@@ -661,7 +701,7 @@ def _f19_gap(ctx):
 def _f19_below_half(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     effect = A.cap_effect(ctx.campaign(last))
     return (effect.capped_below_half, effect.others_below_half)
 
@@ -672,7 +712,7 @@ def _f19_below_half(ctx):
 def _s35_opportunity(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.offload_estimate(ctx.campaign(last)).devices_with_opportunity
 
 
@@ -680,7 +720,7 @@ def _s35_opportunity(ctx):
 def _s35_offloadable(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.offload_estimate(ctx.campaign(last)).offloadable_fraction
 
 
@@ -688,7 +728,7 @@ def _s35_offloadable(ctx):
 def _s41_ratio(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.offload_impact(ctx.campaign(last)).wifi_to_cell_ratio
 
 
@@ -696,7 +736,7 @@ def _s41_ratio(ctx):
 def _s41_home(ctx):
     import repro.analysis as A
 
-    _, _, last = _years(ctx)
+    last = _last(ctx)
     return A.offload_impact(ctx.campaign(last)).smartphone_share_of_home_broadband
 
 

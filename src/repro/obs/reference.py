@@ -25,7 +25,8 @@ one semantics everywhere:
 
 A fourth verdict, ``skip``, is produced by the scorer (not by predicates)
 when a quantity cannot be extracted at the current scale — e.g. too few
-potentially-capped device-days for Figure 19 on a tiny panel.
+potentially-capped device-days for Figure 19 on a tiny panel — or when
+the context holds too few campaign years for a check that compares them.
 """
 
 from __future__ import annotations
@@ -355,6 +356,10 @@ _ref("t4_office_flat", "table4",
      "Office APs stable (last/first)",
      "166 -> 166 (~1.0x)",
      Range(lo=0.6, hi=2.0), paper_value=1.0, scale_free=False)
+_ref("t4_home_ap_users", "table4",
+     "Users with an inferred home AP",
+     "66% -> 73% -> 79%",
+     RelTol(tol=0.15), paper_value=(0.66, 0.73, 0.79))
 _ref("t5_home_only_declines", "table5",
      "Home-only (100) share of device-days declines",
      "54.7% -> 46.4%",
@@ -406,6 +411,10 @@ _ref("f2_evening_wifi_peak", "fig02",
      "WiFi peaks in the evening (21:00-01:00)",
      "evening WiFi peak, commute cellular peaks",
      Holds())
+_ref("f2_weekend_wifi_gt_cell", "fig02",
+     "Weekend/weekday volume ratio: WiFi exceeds cellular (2015)",
+     "weekends: cellular down, WiFi up",
+     Greater())
 _ref("f3_rx_tx_ratio", "fig03",
      "Total RX / TX ratio (2015)",
      "RX ~ 5x TX",
@@ -482,6 +491,10 @@ _ref("f15_home_rssi_bell", "fig15",
      "Home max-RSSI mean (dBm, 2015)",
      "~-54 dBm",
      Range(lo=-60.0, hi=-47.0), paper_value=-54.0)
+_ref("f15_public_rssi_mean", "fig15",
+     "Public max-RSSI mean (dBm, 2015)",
+     "~-60 dBm",
+     Range(lo=-66.0, hi=-53.0), paper_value=-60.0)
 _ref("f15_public_weaker", "fig15",
      "Public weak-signal fraction exceeds home (2015)",
      "12% vs 3% below -70 dBm",

@@ -9,11 +9,9 @@ from repro.reporting.collection import (
     completeness_cdf_table,
     render_collection_report,
 )
-from repro.reporting.summary import Finding, study_summary, render_markdown
 from repro.reporting.experiments import (
     Experiment,
     EXPERIMENTS,
-    AnalysisCache,
     AnalysisContext,
     run_experiment,
     list_experiments,
@@ -34,11 +32,7 @@ __all__ = [
     "render_collection_report",
     "Experiment",
     "EXPERIMENTS",
-    "AnalysisCache",
     "AnalysisContext",
     "run_experiment",
     "list_experiments",
-    "Finding",
-    "study_summary",
-    "render_markdown",
 ]

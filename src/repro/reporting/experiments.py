@@ -23,11 +23,6 @@ from repro.reporting.context import national_traffic_growth
 from repro.reporting.figures import Figure
 from repro.reporting.tables import Table, format_rate
 
-#: Deprecated alias, kept for one release. The memoized per-study cache that
-#: used to live here is now the first-class
-#: :class:`repro.analysis.context.AnalysisContext`.
-AnalysisCache = AnalysisContext
-
 
 @dataclass(frozen=True)
 class Experiment:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import AnalysisCache, AnalysisContext
+from repro import AnalysisContext
 from repro.analysis.context import CacheStats, _cached_nbytes
 from repro.errors import AnalysisError
 from repro.reporting.experiments import list_experiments, run_experiment
@@ -246,9 +246,6 @@ class TestContextConstruction:
     def test_empty_mapping_rejected(self):
         with pytest.raises(AnalysisError):
             AnalysisContext({})
-
-    def test_deprecated_alias(self):
-        assert AnalysisCache is AnalysisContext
 
 
 def test_cached_nbytes_counts_arrays_and_containers():

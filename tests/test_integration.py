@@ -5,7 +5,6 @@ import pytest
 
 import repro
 from repro import (
-    AnalysisCache,
     clean_for_main_analysis,
     load_dataset,
     run_experiment,

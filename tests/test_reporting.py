@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError, ReproError
 from repro.reporting.context import (
     cellular_share_of_broadband,
@@ -10,7 +11,6 @@ from repro.reporting.context import (
 )
 from repro.reporting.experiments import (
     EXPERIMENTS,
-    AnalysisCache,
     list_experiments,
     run_experiment,
 )
@@ -108,7 +108,7 @@ class TestExperimentRegistry:
     def test_cache_requires_run_study(self):
         from repro.simulation.study import Study
         with pytest.raises(AnalysisError):
-            AnalysisCache(Study())
+            AnalysisContext(Study())
 
     def test_cache_memoizes(self, cache):
         assert cache.classification(2015) is cache.classification(2015)
