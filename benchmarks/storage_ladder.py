@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 import repro  # noqa: F401  (resolves PYTHONPATH for the children)
-from repro.traces.io import load_dataset
+from repro import load_dataset
 
 DEFAULT_SCALE = 0.3
 DEFAULT_SEED = 3

@@ -48,7 +48,7 @@ from repro.collection.faults import (
     OutageWindow,
 )
 from repro.traces.dataset import CampaignDataset, DatasetBuilder
-from repro.traces.io import save_dataset, load_dataset
+from repro.traces.store import save_dataset, load_dataset
 from repro.traces.cleaning import clean_for_main_analysis
 from repro.traces.validate import validate_dataset
 from repro.whatif import Scenario, WhatIfResult, compare as whatif_compare

@@ -30,7 +30,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, fields as _dataclass_fields, is_dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -42,13 +41,6 @@ from repro.traces.dataset import CampaignDataset, pick_kind
 from repro.traces.query import SlotIndex, association_index, geo_cell_index
 
 __all__ = ["AnalysisContext", "ArtifactStats", "CacheStats", "DatasetOrContext"]
-
-#: Process-wide contexts over on-disk campaign stores, keyed by resolved
-#: store path. Each entry remembers the store *fingerprint* it was built
-#: from: reopening an unchanged store shares the memoized artifacts, while
-#: a rewritten store (new fingerprint) transparently gets a fresh context —
-#: cached artifacts can never outlive the bytes they were derived from.
-_STORE_CONTEXTS: Dict[str, Tuple[str, "AnalysisContext"]] = {}
 
 
 # ----------------------------------------------------------------------
@@ -277,29 +269,6 @@ class AnalysisContext:
             f"expected a CampaignDataset or AnalysisContext, "
             f"got {type(data).__name__}"
         )
-
-    @classmethod
-    def for_store(cls, path: "str | Path") -> "AnalysisContext":
-        """A context over a finalized on-disk campaign store.
-
-        The dataset's columns stay memory-mapped — artifacts are computed
-        from pages faulted in on demand, so analyzing a store never loads
-        whole tables. Contexts are cached per store path and keyed by the
-        store's content fingerprint: while the store is unchanged, every
-        caller shares one memo; once it is rewritten (the fingerprint
-        moves), a fresh context is built and the stale one dropped.
-        """
-        from repro.traces.store import CampaignStore
-
-        resolved = str(Path(path).resolve())
-        store = CampaignStore.open(resolved)
-        fingerprint = store.fingerprint
-        cached = _STORE_CONTEXTS.get(resolved)
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        context = cls(store.load_dataset())
-        _STORE_CONTEXTS[resolved] = (fingerprint, context)
-        return context
 
     # -- campaign selection ------------------------------------------------
 

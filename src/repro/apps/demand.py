@@ -16,7 +16,6 @@ The demand model answers three questions for the simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -123,47 +122,6 @@ class DemandModel:
         concentration = self._year_weights * 30.0 + 1e-3
         weights = rng.dirichlet(concentration)
         return CategoryMix(weights)
-
-    def split_day(
-        self,
-        mix: CategoryMix,
-        rx_bytes: float,
-        tx_bytes: float,
-        on_wifi: bool,
-        rng: np.random.Generator,
-    ) -> List[Tuple[int, float, float]]:
-        """Split a day's (rx, tx) volume in one context across categories.
-
-        Returns ``[(category_code, rx, tx), ...]`` for categories with
-        non-trivial volume. The split is exact: returned rx values sum to
-        ``rx_bytes`` and tx values to ``tx_bytes`` (within float rounding).
-        """
-        if rx_bytes < 0 or tx_bytes < 0:
-            raise ConfigurationError("volumes must be non-negative")
-        if rx_bytes == 0 and tx_bytes == 0:
-            return []
-        shares = mix.context_shares(on_wifi)
-        # Day-to-day jitter so a user's top category varies across days.
-        noisy = shares * rng.gamma(2.0, 0.5, size=shares.shape)
-        total = noisy.sum()
-        if total <= 0:
-            noisy = shares
-            total = noisy.sum()
-        rx_shares = noisy / total
-        # TX share per category follows its rx share scaled by 1/rx_tx_ratio.
-        tx_weights = rx_shares / _RX_TX
-        tx_total = tx_weights.sum()
-        tx_shares = tx_weights / tx_total if tx_total > 0 else rx_shares
-        out = []
-        for code in np.flatnonzero((rx_shares > 0) | (tx_shares > 0)):
-            out.append(
-                (
-                    int(code),
-                    float(rx_bytes * rx_shares[code]),
-                    float(tx_bytes * tx_shares[code]),
-                )
-            )
-        return out
 
     def tx_fraction(self, mix: CategoryMix, on_wifi: bool) -> float:
         """Expected TX bytes per RX byte in a context, from the mix."""

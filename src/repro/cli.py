@@ -94,7 +94,7 @@ from repro.simulation.study import (
     default_campaign_config,
     run_study,
 )
-from repro.traces.io import load_dataset, save_dataset
+from repro.traces.store import load_dataset, save_dataset
 from repro.traces.validate import validate_dataset
 
 
@@ -133,16 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "for any value)")
     simulate.add_argument("--store", choices=["memory", "disk"],
                           default="memory",
-                          help="campaign storage: 'memory' merges in RAM "
-                               "and saves npz datasets (default); 'disk' "
-                               "spills shards to out-of-core columnar "
-                               "stores and streams the merge, so a "
-                               "campaign never has to fit in RAM. Results "
-                               "are bit-identical either way")
-    simulate.add_argument("--store-dir", type=Path, default=None,
-                          metavar="DIR",
-                          help="root directory for --store disk campaign "
-                               "stores (default: --out)")
+                          help="how shards are merged: 'memory' merges in "
+                               "RAM (default); 'disk' spills each shard "
+                               "under --out as it arrives and streams the "
+                               "merge, so a campaign never has to fit in "
+                               "RAM. Either way each campaign is saved as "
+                               "--out/campaign<year>, bit-identical")
     faults = simulate.add_argument_group(
         "fault injection", "route campaigns through a lossy collection "
         "pipeline and report completeness")
@@ -526,7 +522,6 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
         os.environ[EVENTS_ENV_VAR] = str(events)
         disk_paths = [
             p for p in (getattr(args, "out", None),
-                        getattr(args, "store_dir", None),
                         getattr(args, "checkpoint_dir", None))
             if isinstance(p, Path)
         ]
@@ -634,11 +629,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     faults = _fault_plan_from_args(args)
     resilience = _resilience_from_args(args)
     n_jobs = resolve_jobs(args.jobs, default=0)  # default: auto (CPU count)
-    store_dir = None
-    if args.store == "disk":
-        store_dir = args.store_dir if args.store_dir is not None else args.out
-    elif args.store_dir is not None:
-        raise ConfigurationError("--store-dir requires --store disk")
+    store_dir = args.out if args.store == "disk" else None
     recorder = get_recorder()
     study = run_study(scale=args.scale, seed=args.seed, faults=faults,
                       n_jobs=n_jobs, resilience=resilience,
@@ -647,12 +638,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if study.execution is not None:
         print(f"executor: {study.execution.describe()}")
     for year in study.years:
-        if store_dir is not None:
-            # The finalized store directory IS the saved campaign —
-            # load_dataset() reads it memory-mapped; nothing to copy.
-            path = Path(store_dir) / f"campaign{year}"
-        else:
-            path = args.out / f"campaign{year}"
+        path = args.out / f"campaign{year}"
+        if store_dir is None:  # --store disk finalized it while merging
             with recorder.span("save_dataset", year=year):
                 save_dataset(study.dataset(year), path)
         info = study.campaigns[year].execution
@@ -793,13 +780,14 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
     if args.data is not None:
         study = _load_study_from(args.data)
+        label = dict(data=str(args.data))
     else:
         n_jobs = resolve_jobs(args.jobs, default=1)
         study = run_study(scale=args.scale, seed=args.seed, n_jobs=n_jobs)
+        label = dict(scale=args.scale, seed=args.seed)
     cache = AnalysisContext(study)
     report = fidelity_mod.score_fidelity(
-        cache, checks=args.checks or None,
-        scale=args.scale, seed=args.seed,
+        cache, checks=args.checks or None, **label,
     )
     print(report.render())
     report.write(args.out)

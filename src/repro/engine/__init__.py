@@ -46,7 +46,6 @@ from repro.engine.executor import (
 )
 from repro.engine.merge import (
     ShardOutput,
-    merge_chunks,
     merge_reports,
     missing_shards,
     ordered_outputs,
@@ -79,7 +78,6 @@ __all__ = [
     "resolve_jobs",
     "shutdown_warm_pools",
     "ShardOutput",
-    "merge_chunks",
     "merge_reports",
     "missing_shards",
     "ordered_outputs",

@@ -126,17 +126,14 @@ def resolve_jobs(n_jobs: Optional[int] = None, default: int = 1) -> int:
 
 def make_executor(
     n_jobs: int,
-    shard_timeout_s: Optional[float] = None,
     policy: Optional[RetryPolicy] = None,
     allow_partial: bool = False,
 ) -> "Executor":
     """The executor for ``n_jobs`` workers (1 disables the pool)."""
     if n_jobs <= 1:
         return SerialExecutor(policy=policy, allow_partial=allow_partial)
-    return ParallelExecutor(
-        n_jobs, shard_timeout_s=shard_timeout_s, policy=policy,
-        allow_partial=allow_partial,
-    )
+    return ParallelExecutor(n_jobs, policy=policy,
+                            allow_partial=allow_partial)
 
 
 _OWNER_PID = os.getpid()
@@ -313,7 +310,6 @@ class ParallelExecutor(_ResilienceMixin):
     def __init__(
         self,
         n_jobs: int,
-        shard_timeout_s: Optional[float] = None,
         policy: Optional[RetryPolicy] = None,
         allow_partial: bool = False,
     ) -> None:
@@ -321,22 +317,11 @@ class ParallelExecutor(_ResilienceMixin):
             raise ConfigurationError(
                 f"ParallelExecutor needs n_jobs >= 2: {n_jobs}"
             )
-        if shard_timeout_s is not None and shard_timeout_s <= 0:
-            raise ConfigurationError(
-                f"shard_timeout_s must be positive: {shard_timeout_s}"
-            )
         self.n_jobs = n_jobs
-        self.shard_timeout_s = shard_timeout_s
         self.policy = policy
         self.allow_partial = allow_partial
         self._init_accounting()
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def _deadline_s(self) -> Optional[float]:
-        if self.policy is not None and self.policy.shard_timeout_s is not None:
-            return self.policy.shard_timeout_s
-        return self.shard_timeout_s
 
     def run(
         self,
@@ -372,7 +357,8 @@ class ParallelExecutor(_ResilienceMixin):
         in_flight: Dict[Future, int] = {}
         started: Dict[Future, float] = {}
         retry_at: Dict[int, float] = {}
-        deadline = self._deadline_s
+        deadline = (self.policy.shard_timeout_s
+                    if self.policy is not None else None)
 
         while queue or in_flight or retry_at:
             # Backoff-expired retries run before new work.

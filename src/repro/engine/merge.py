@@ -23,21 +23,16 @@ still validated hard: no duplicates, no coverage mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.collection.faults import CollectionReport, DeviceCollectionStats
 from repro.engine.planner import ShardPlan
 from repro.engine.transport import ShardPayload
 from repro.errors import EngineError
-from repro.traces.dataset import DatasetBuilder
+from repro.traces.dataset import ChunkMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.store import CampaignStore, PartitionRef
-
-#: table -> list of column chunks, as exported by DatasetBuilder.
-ChunkMap = Dict[str, List[Dict[str, np.ndarray]]]
 
 
 @dataclass
@@ -177,23 +172,6 @@ def missing_shards(
     return tuple(
         shard.index for shard in plan.shards if shard.index not in covered
     )
-
-
-def merge_chunks(
-    builder: DatasetBuilder,
-    outputs: Sequence[Optional[ShardOutput]],
-    plan: ShardPlan,
-    allow_missing: bool = False,
-) -> None:
-    """Append every shard's column chunks to ``builder`` canonically.
-
-    Shared-memory shards contribute zero-copy views straight off their
-    segment buffers; the builder holds those views until ``build()``
-    concatenates them, so no intermediate row objects or array copies
-    exist between worker and frozen dataset.
-    """
-    for out in ordered_outputs(outputs, plan, allow_missing=allow_missing):
-        builder.merge_chunks(out.chunk_map())
 
 
 def merge_reports(

@@ -48,11 +48,12 @@ from __future__ import annotations
 import os
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import EngineError
+from repro.traces.dataset import ChunkMap
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -121,11 +122,6 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
 # Manifest rows are plain tuples so a payload pickles small and fast:
 # (table, chunk index, column, dtype str, shape, byte offset).
 _ManifestRow = Tuple[str, int, str, str, Tuple[int, ...], int]
-
-#: The interchange structure this module transports (see
-#: :meth:`repro.traces.dataset.DatasetBuilder.export_chunks`).
-ChunkMap = Dict[str, List[Dict[str, np.ndarray]]]
-
 
 class ShardPayload:
     """Picklable handle to one shard's ``ChunkMap`` in shared memory.

@@ -73,10 +73,11 @@ def fidelity_tables(report: FidelityReport) -> Dict[str, str]:
                 f"{rec.experiment_id!r}"
             )
     tables: Dict[str, str] = {}
-    scale_header = f"Measured (scale {report.scale:g})"
+    source = (f"scale {report.scale:g}" if report.data is None
+              else f"data {report.data}")
     for key, records in by_key.items():
         lines = [
-            f"| Item | Quantity | Paper | {scale_header} | Verdict |",
+            f"| Item | Quantity | Paper | Measured ({source}) | Verdict |",
             "|---|---|---|---|---|",
         ]
         records.sort(key=lambda r: (r.experiment_id, r.check_id))

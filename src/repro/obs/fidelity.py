@@ -85,13 +85,18 @@ class FidelityRecord:
 
 @dataclass
 class FidelityReport:
-    """All scored checks of one run, JSON-deterministic."""
+    """All scored checks of one run, JSON-deterministic.
 
-    scale: float
-    seed: int
+    A run over saved campaigns names their directory in ``data`` and
+    leaves ``scale`` and ``seed`` unset: the data does not record them.
+    """
+
+    scale: Optional[float]
+    seed: Optional[int]
     years: List[int]
     records: List[FidelityRecord] = field(default_factory=list)
     schema_version: int = FIDELITY_SCHEMA_VERSION
+    data: Optional[str] = None
 
     def count(self, verdict: str) -> int:
         return sum(1 for r in self.records if r.verdict == verdict)
@@ -123,6 +128,7 @@ class FidelityReport:
             "schema_version": self.schema_version,
             "scale": self.scale,
             "seed": self.seed,
+            "data": self.data,
             "years": list(self.years),
             "n_checks": len(self.records),
             "n_pass": self.n_pass,
@@ -138,9 +144,11 @@ class FidelityReport:
     @classmethod
     def from_dict(cls, data: dict) -> "FidelityReport":
         record_fields = set(FidelityRecord.__dataclass_fields__)
+        scale, seed = data.get("scale"), data.get("seed")
         return cls(
-            scale=float(data.get("scale", 0.0)),
-            seed=int(data.get("seed", 0)),
+            scale=None if scale is None else float(scale),
+            seed=None if seed is None else int(seed),
+            data=data.get("data"),
             years=[int(y) for y in data.get("years", ())],
             records=[
                 FidelityRecord(**{k: v for k, v in rec.items()
@@ -176,10 +184,12 @@ class FidelityReport:
         lines.append("  ".join("-" * w for w in widths))
         for row in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        scored = (f"data {self.data}" if self.data is not None
+                  else f"scale {self.scale}, seed {self.seed}")
         lines.append(
             f"{len(self.records)} checks: {self.n_pass} pass, "
             f"{self.n_warn} warn, {self.n_fail} fail, {self.n_skip} skip "
-            f"(scale {self.scale}, seed {self.seed})"
+            f"({scored})"
         )
         return "\n".join(lines)
 
@@ -849,17 +859,20 @@ def _score_one(ref: PaperRef, ctx) -> FidelityRecord:
 def score_fidelity(
     context,
     checks: Optional[Sequence[str]] = None,
-    scale: float = 0.0,
-    seed: int = 0,
+    scale: Optional[float] = None,
+    seed: Optional[int] = None,
+    data: Optional[str] = None,
 ) -> FidelityReport:
     """Score (a subset of) the registry against one analysis context.
 
     ``context`` is an :class:`~repro.analysis.context.AnalysisContext`
     (study-backed for the survey checks; dataset-backed contexts skip
     them). ``checks`` accepts experiment ids, check ids or ``all``.
+    ``scale`` and ``seed`` label a simulated study, ``data`` the
+    directory of saved campaigns.
     """
     check_ids = resolve_check_ids(checks)
-    report = FidelityReport(scale=scale, seed=seed,
+    report = FidelityReport(scale=scale, seed=seed, data=data,
                             years=[int(y) for y in context.years])
     with get_recorder().span("fidelity.score", n_checks=len(check_ids)):
         for check_id in check_ids:

@@ -138,6 +138,7 @@ def fidelity_record(report: dict, gate: str = "") -> dict:
         "kind": "fidelity",
         "scale": report.get("scale"),
         "seed": report.get("seed"),
+        "data": report.get("data"),
         "gate": gate,
         "metrics": {
             "n_pass": counts.get("pass", 0),
@@ -181,14 +182,16 @@ def drift_warnings(records: List[dict], window: int = DRIFT_WINDOW,
     counts) warn on any worsening; timing metrics warn beyond
     ``tolerance`` relative drift in the bad direction (slower, or a
     smaller speedup). The window holds only earlier records of the
-    latest record's ``scale`` and ``seed``: other runs are not its trend.
+    latest record's ``scale``, ``seed`` and ``data``: other runs are not
+    its trend.
     """
     if len(records) < 2:
         return []
     latest = records[-1]
-    run = (latest.get("scale"), latest.get("seed"))
+    keys = ("scale", "seed", "data")
+    run = [latest.get(key) for key in keys]
     previous = [record for record in records[:-1]
-                if (record.get("scale"), record.get("seed")) == run][-window:]
+                if [record.get(key) for key in keys] == run][-window:]
     warnings: List[str] = []
     for metric, value in sorted(latest.get("metrics", {}).items()):
         if not isinstance(value, (int, float)):

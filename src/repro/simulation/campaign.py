@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.engine.executor import (
 )
 from repro.engine.merge import (
     ShardOutput,
-    merge_chunks,
     merge_reports,
     missing_shards,
     ordered_outputs,
@@ -69,7 +68,9 @@ from repro.population.recruitment import RecruitmentConfig, recruit
 from repro.simulation.kernel import simulate_devices
 from repro.simulation.params import SimParams
 from repro.timeutil import TimeAxis
-from repro.traces.dataset import CampaignDataset, DatasetBuilder, GroundTruth
+from repro.traces.dataset import (
+    CampaignDataset, DatasetBuilder, GroundTruth, observed_ap_ids,
+)
 from repro.traces.records import ApDirectoryEntry, DeviceInfo
 from repro.traces.store import CampaignStore
 
@@ -545,7 +546,8 @@ def merge_campaign(
     users whose data never arrived — and the loss is accounted explicitly
     in :attr:`CampaignResult.losses`. At least one shard must survive.
 
-    With a ``store``, the merge is out-of-core: shard partitions are
+    With a ``store``, the merge is out-of-core: the shards' chunks (spill
+    partitions, mapped one column at a time, or inline ones) are
     streaming-merged into the store's canonical column files (same row
     order as ``DatasetBuilder.build``, bit-identical at any ``n_jobs``) and
     the returned dataset reads them memory-mapped. Spill partitions are
@@ -580,80 +582,35 @@ def merge_campaign(
     with recorder.span("merge_campaign", year=config.year,
                        n_shards=plan.shard_plan.n_shards,
                        store=store is not None):
+        present = ordered_outputs(outputs, plan.shard_plan,
+                                  allow_missing=allow_partial)
+        chunk_maps = [out.chunk_map() for out in present]
+        report = merge_reports(outputs, plan.shard_plan,
+                               config.axis.n_slots,
+                               allow_missing=allow_partial)
+        ap_directory = _ap_directory(observed_ap_ids(chunk_maps),
+                                     world.deployment)
+        truth = _ground_truth(world.profiles, world.deployment)
         if store is None:
             builder = DatasetBuilder(config.year, config.axis)
             for info in world.infos:
                 builder.add_device(info)
-            merge_chunks(builder, outputs, plan.shard_plan,
-                         allow_missing=allow_partial)
-
-        report = merge_reports(outputs, plan.shard_plan,
-                               config.axis.n_slots,
-                               allow_missing=allow_partial)
-
-        if store is None:
-            _register_observed_aps(builder, world.deployment)
-            builder.ground_truth = _ground_truth(
-                world.profiles, world.deployment
-            )
+            for chunk_map in chunk_maps:
+                builder.merge_chunks(chunk_map)
+            builder.ap_directory = ap_directory
+            builder.ground_truth = truth
             dataset = builder.build()
         else:
-            dataset = _merge_into_store(
-                plan, outputs, store,
-                allow_partial=allow_partial,
-                keep_partitions=keep_partitions,
-            )
+            store.finalize(world.infos, ap_directory, truth, chunk_maps)
+            spilled = [out.partition.name for out in present
+                       if out.partition is not None]
+            store.sweep_partitions(keep=spilled if keep_partitions else ())
+            dataset = store.load_dataset()
     return CampaignResult(
         config=config, dataset=dataset, profiles=world.profiles,
         deployment=world.deployment, collection=report, execution=execution,
         losses=losses,
     )
-
-
-def _merge_into_store(
-    plan: CampaignPlan,
-    outputs: Sequence[Optional[ShardOutput]],
-    store: CampaignStore,
-    allow_partial: bool = False,
-    keep_partitions: bool = False,
-) -> CampaignDataset:
-    """Streaming out-of-core twin of the builder merge.
-
-    Surviving shards' partitions (written on accept, or here for inline
-    outputs such as serial runs and non-store checkpoint reloads) are
-    handed to :meth:`CampaignStore.finalize` in canonical shard order —
-    the exact order ``merge_chunks`` appends, with the same fallback
-    sort for out-of-order input — so the finalized store is bit-identical
-    to the in-memory dataset. The AP directory is built from the partition manifests'
-    observed ids, mirroring :func:`_register_observed_aps`.
-    """
-    config = plan.config
-    world = plan.world
-    partitions = []
-    for out in ordered_outputs(outputs, plan.shard_plan,
-                               allow_missing=allow_partial):
-        if out.partition is None:
-            out = out.spill(store, f"shard-{out.shard_index:04d}")
-        partitions.append(out.partition)
-    observed: set = set()
-    for ref in partitions:
-        observed.update(ref.observed_ap_ids)
-    ap_directory = {}
-    for ap_id in sorted(observed):
-        ap: AccessPoint = world.deployment.ap(ap_id)
-        ap_directory[ap_id] = ApDirectoryEntry(
-            ap_id=ap.ap_id, bssid=ap.bssid, essid=ap.essid,
-            band=ap.band, channel=ap.channel,
-        )
-    store.finalize(
-        world.infos, ap_directory,
-        _ground_truth(world.profiles, world.deployment),
-        partitions,
-    )
-    store.sweep_partitions(
-        keep=[ref.name for ref in partitions] if keep_partitions else ()
-    )
-    return store.load_dataset()
 
 
 def run_plans(
@@ -767,19 +724,18 @@ def run_campaign(
         return result
 
 
-def _register_observed_aps(builder: DatasetBuilder, deployment: Deployment) -> None:
-    """Put only APs the panel actually observed into the directory."""
-    for ap_id in sorted(builder.observed_ap_ids()):
+def _ap_directory(
+    ap_ids: Iterable[int], deployment: Deployment,
+) -> Dict[int, ApDirectoryEntry]:
+    """Directory entries for the APs the panel actually observed."""
+    directory = {}
+    for ap_id in sorted(ap_ids):
         ap: AccessPoint = deployment.ap(ap_id)
-        builder.add_ap(
-            ApDirectoryEntry(
-                ap_id=ap.ap_id,
-                bssid=ap.bssid,
-                essid=ap.essid,
-                band=ap.band,
-                channel=ap.channel,
-            )
+        directory[ap_id] = ApDirectoryEntry(
+            ap_id=ap.ap_id, bssid=ap.bssid, essid=ap.essid,
+            band=ap.band, channel=ap.channel,
         )
+    return directory
 
 
 def _ground_truth(profiles: List[UserProfile], deployment: Deployment) -> GroundTruth:

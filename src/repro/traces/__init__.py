@@ -13,7 +13,7 @@ from repro.traces.records import (
     ApDirectoryEntry,
 )
 from repro.traces.dataset import CampaignDataset, DatasetBuilder, GroundTruth
-from repro.traces.io import save_dataset, load_dataset
+from repro.traces.store import save_dataset, load_dataset
 from repro.traces.cleaning import (
     drop_update_window,
     CleaningReport,

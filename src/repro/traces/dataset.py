@@ -30,6 +30,11 @@ from repro.traces.records import (
 )
 
 
+#: table -> list of column chunks, as exported by
+#: :meth:`DatasetBuilder.export_chunks` and consumed by the merge layers.
+ChunkMap = Dict[str, List[Mapping[str, np.ndarray]]]
+
+
 @dataclass
 class _Table:
     """A named bundle of equal-length numpy columns."""
@@ -328,18 +333,6 @@ class DatasetBuilder:
             for chunk in chunk_list:
                 self._extend(table, **chunk)
 
-    def observed_ap_ids(self) -> Set[int]:
-        """AP ids observed in any accumulated chunk (negative = no AP)."""
-        observed: Set[int] = set()
-        for chunks in self._chunks.values():
-            for chunk in chunks:
-                ap_ids = chunk.get("ap_id")
-                if ap_ids is None:
-                    continue
-                unique = np.unique(np.asarray(ap_ids))
-                observed.update(int(a) for a in unique if a >= 0)
-        return observed
-
     # -- freeze -----------------------------------------------------------
 
     def build(self) -> CampaignDataset:
@@ -433,6 +426,18 @@ _EMPTY_DTYPES = {
     "battery": [("device", np.int32), ("t", np.int32), ("level", np.float32),
                 ("charging", np.int8)],
 }
+
+
+def observed_ap_ids(chunk_maps: Sequence[ChunkMap]) -> Set[int]:
+    """AP ids observed in any chunk of ``chunk_maps`` (negative = no AP)."""
+    observed: Set[int] = set()
+    for chunk_map in chunk_maps:
+        for chunks in chunk_map.values():
+            for chunk in chunks:
+                if "ap_id" in chunk:
+                    unique = np.unique(np.asarray(chunk["ap_id"]))
+                    observed.update(int(a) for a in unique if a >= 0)
+    return observed
 
 
 def _in_canonical_order(device: np.ndarray, key: np.ndarray) -> bool:

@@ -1,13 +1,13 @@
-"""Out-of-core columnar campaign storage.
+"""Saved campaigns: the one on-disk campaign layout.
 
 A :class:`CampaignStore` is the disk twin of the in-memory
 :class:`~repro.traces.dataset.CampaignDataset`: one directory per campaign
 holding every table as canonical-order column files that analyses read
-**memory-mapped**, so a campaign never has to fit in RAM. It is the seam
-between the engine (which spills each completed shard's columnar chunks
-into a *partition* as it arrives, instead of accumulating them in the
-parent) and the analysis layer (which maps the finalized columns and pays
-only for the pages it touches).
+**memory-mapped**, so a campaign never has to fit in RAM. Every saved
+campaign has this layout. :func:`save_dataset` writes a built dataset
+through :meth:`CampaignStore.finalize`, the same writer the engine streams
+spilled shards into (``--store disk``), and :func:`load_dataset` opens
+either one.
 
 Layout::
 
@@ -22,26 +22,23 @@ Layout::
             ...
 
 Every (table, column) is one ``.npy`` file, loaded with
-``np.load(..., mmap_mode="r")`` — no dependency beyond numpy. Column
-projection pushdown is structural — a reader opens only the column files
-it asks for — and predicate pushdown reads just the predicate columns
-before gathering the projection. The manifest records ``"format": "npy"``;
-opening a store whose manifest names any other format is an error.
+``np.load(..., mmap_mode="r")`` — no dependency beyond numpy — so loaded
+columns are read-only. A reader maps only the column files it touches.
+The manifest records ``"format": "npy"``; opening a store whose manifest
+names any other format is an error.
 
 Determinism: the streaming merge (:meth:`CampaignStore.finalize`)
-reproduces ``DatasetBuilder.build`` exactly — partitions are concatenated
-in canonical shard order and, only if out of order, permuted by the same
-stable ``np.lexsort((t, device))`` — so a store-backed dataset is
-bit-for-bit identical to the in-memory path at any ``n_jobs`` (pinned by
-``tests/test_store.py``). Peak memory of the merge is bounded by the sort
-keys plus the permutation (~16 bytes/row) and one copy block, never by
-the full table.
+reproduces ``DatasetBuilder.build`` exactly — chunks are concatenated in
+the order given (canonical shard order) and, only if out of order,
+permuted by the same stable ``np.lexsort((t, device))`` — so a
+store-backed dataset is bit-for-bit identical to the in-memory path at
+any ``n_jobs`` (pinned by ``tests/test_store.py``). Peak memory of the
+merge is bounded by the sort keys plus the permutation (~16 bytes/row)
+and one copy block, never by the full table.
 
 The **fingerprint** is a SHA-256 over the schema and the content digest of
-every finalized column; :meth:`AnalysisContext.for_store
-<repro.analysis.context.AnalysisContext.for_store>` keys its memo on it,
-so rewriting a store invalidates cached artifacts while reopening an
-unchanged one reuses them.
+every finalized column: two saved campaigns with the same fingerprint hold
+the same bits.
 """
 
 from __future__ import annotations
@@ -51,37 +48,33 @@ import json
 import shutil
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Union,
 )
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
+from repro.net.accesspoint import APType
+from repro.net.cellular import CellularTechnology
 from repro.obs.recorder import EventKind, get_recorder
+from repro.radio.bands import Band
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import (
-    CampaignDataset, GroundTruth, _EMPTY_DTYPES, _in_canonical_order, _Table,
+    CampaignDataset, ChunkMap, GroundTruth, _EMPTY_DTYPES,
+    _in_canonical_order, _Table,
 )
-from repro.traces.io import (
-    _ap_from_json,
-    _ap_to_json,
-    _device_from_json,
-    _device_to_json,
-    _truth_from_json,
-    _truth_to_json,
-)
-from repro.traces.records import ApDirectoryEntry, DeviceInfo
+from repro.traces.records import ApDirectoryEntry, DeviceInfo, DeviceOS
 
 __all__ = [
     "CampaignStore",
     "PartitionRef",
     "STORE_MANIFEST",
-    "is_store_dir",
-    "open_store",
-    "store_fingerprint",
+    "load_dataset",
+    "save_dataset",
     "sweep_orphan_partitions",
 ]
 
@@ -102,17 +95,15 @@ class PartitionRef:
     """Small picklable handle to one spilled shard partition.
 
     Carries everything the merge and checkpoint layers need without
-    touching the data again: per-table row counts, the AP ids the shard
-    observed, and a digest of the partition manifest so a checkpoint that
-    references a partition can detect a stale or vanished spill and fall
-    back to re-simulation.
+    touching the data again: per-table row counts and a digest of the
+    partition manifest, so a checkpoint that references a partition can
+    detect a stale or vanished spill and fall back to re-simulation.
     """
 
     root: str
     name: str
     n_rows: Mapping[str, int]
     n_bytes: int
-    observed_ap_ids: Tuple[int, ...]
     digest: str
 
     @property
@@ -128,34 +119,37 @@ class PartitionRef:
             return False
         return hashlib.sha256(blob).hexdigest() == self.digest
 
-    def chunk_map(self) -> Dict[str, List[Dict[str, np.ndarray]]]:
+    def chunk_map(self) -> ChunkMap:
         """The partition's tables as one builder-compatible chunk each.
 
         Within a shard the builder concatenates chunks in append order
         (sorting only out-of-order input), so the concatenated per-column
         arrays stored here are interchangeable with the original chunk
-        list — merging them produces a bit-identical dataset. Used when a
-        checkpointed, partition-backed shard is resumed into a run without
-        a store.
+        list — merging them produces a bit-identical dataset. Each column
+        is memory-mapped afresh on every access and checked against the
+        manifest's row count; the chunk holds no map, so a streaming
+        merge keeps one column of one partition mapped at a time.
         """
         if not self.is_valid():
             raise DatasetError(
                 f"store partition {self.path} is missing or stale; "
                 f"re-run without --resume to re-simulate the shard"
             )
-        chunks: Dict[str, List[Dict[str, np.ndarray]]] = {}
-        for table, rows in self.n_rows.items():
-            if rows == 0:
-                chunks[table] = []
-                continue
-            columns = {
-                column: np.load(
-                    self.path / f"{table}__{column}.npy", mmap_mode="r"
-                )
-                for column, _ in _EMPTY_DTYPES[table]
-            }
-            chunks[table] = [columns]
-        return chunks
+        return {
+            table: [_MappedColumns(table, partial(self._column, table),
+                                   hold=False)] if rows else []
+            for table, rows in self.n_rows.items()
+        }
+
+    def _column(self, table: str, column: str) -> np.ndarray:
+        values = np.load(self.path / f"{table}__{column}.npy", mmap_mode="r")
+        rows = self.n_rows[table]
+        if len(values) != rows:
+            raise DatasetError(
+                f"partition {self.name} table {table!r}: column {column!r} "
+                f"has {len(values)} rows, manifest says {rows}"
+            )
+        return values
 
 
 class CampaignStore:
@@ -177,6 +171,11 @@ class CampaignStore:
         root = Path(root)
         manifest_path = root / STORE_MANIFEST
         if not manifest_path.exists():
+            if (root / "tables.npz").exists():
+                raise DatasetError(
+                    f"{root} holds a campaign in the retired tables.npz "
+                    f"layout; re-run `repro simulate` to save it again"
+                )
             raise DatasetError(f"no campaign store at {root}")
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("store_version") != _STORE_VERSION:
@@ -240,7 +239,6 @@ class CampaignStore:
         tmp_dir.mkdir(parents=True)
         n_rows: Dict[str, int] = {}
         n_bytes = 0
-        observed: Set[int] = set()
         for table in _TABLE_NAMES:
             chunk_list = list(chunks.get(table, ()))
             if not chunk_list:
@@ -256,16 +254,12 @@ class CampaignStore:
                 np.save(tmp_dir / f"{table}__{column}.npy", arr)
                 rows = len(arr)
                 n_bytes += arr.nbytes
-                if column == "ap_id":
-                    unique = np.unique(arr)
-                    observed.update(int(a) for a in unique if a >= 0)
             n_rows[table] = rows
         manifest = {
             "name": name,
             "year": self.year,
             "n_rows": n_rows,
             "n_bytes": n_bytes,
-            "observed_ap_ids": sorted(observed),
         }
         blob = (json.dumps(manifest, sort_keys=True) + "\n").encode()
         (tmp_dir / _PART_MANIFEST).write_bytes(blob)
@@ -279,8 +273,7 @@ class CampaignStore:
                       bytes=n_bytes)
         return PartitionRef(
             root=str(self.root), name=name, n_rows=dict(n_rows),
-            n_bytes=n_bytes, observed_ap_ids=tuple(sorted(observed)),
-            digest=hashlib.sha256(blob).hexdigest(),
+            n_bytes=n_bytes, digest=hashlib.sha256(blob).hexdigest(),
         )
 
     def partition_names(self) -> List[str]:
@@ -317,33 +310,41 @@ class CampaignStore:
         devices: Sequence[DeviceInfo],
         ap_directory: Mapping[int, ApDirectoryEntry],
         ground_truth: Optional[GroundTruth],
-        partitions: Sequence[PartitionRef],
+        chunk_maps: Sequence[ChunkMap],
     ) -> dict:
-        """Streaming-merge ``partitions`` (in canonical shard order) into
+        """Streaming-merge ``chunk_maps`` (in canonical shard order) into
         the finalized canonical column files, then write the manifests.
 
-        Partitions already in canonical ``(device, t)`` order, each
-        starting at or after the previous one's last row (what the kernel
-        and the planner produce), stream straight into the column files.
-        Otherwise they are copied into append-order staging files (mmap to
-        mmap) and the stable ``lexsort((t, device))`` permutation is
-        applied block-wise. The written bytes are hashed into the content
-        fingerprint as they are written.
+        A chunk map is a partition's :meth:`PartitionRef.chunk_map`, a
+        shard's inline chunks or a built dataset's own columns. Chunks
+        already in canonical ``(device, t)`` order, each starting at or
+        after the previous one's last row (what the kernel and the planner
+        produce), stream straight into the column files. Otherwise they
+        are copied into append-order staging files (mmap to mmap) and the
+        stable ``lexsort((t, device))`` permutation is applied block-wise.
+        The written bytes are hashed into the content fingerprint as they
+        are written. A store finalized before is replaced: its manifest
+        goes first, so a merge that dies midway leaves no store that
+        opens.
         """
         recorder = get_recorder()
         with recorder.span("store_finalize", year=self.year,
-                           n_partitions=len(partitions)):
+                           n_partitions=len(chunk_maps)):
             manifest = self._finalize(devices, ap_directory, ground_truth,
-                                      partitions)
+                                      chunk_maps)
         recorder.emit(EventKind.STORE_FINALIZED, year=self.year,
-                      n_partitions=len(partitions))
+                      n_partitions=len(chunk_maps))
         return manifest
 
-    def _finalize(self, devices, ap_directory, ground_truth, partitions):
-        self.tables_dir.mkdir(parents=True, exist_ok=True)
+    def _finalize(self, devices, ap_directory, ground_truth, chunk_maps):
+        (self.root / STORE_MANIFEST).unlink(missing_ok=True)
+        # Unlinking keeps any mapped column readable: a dataset loaded from
+        # this very store can be saved back over it.
+        shutil.rmtree(self.tables_dir, ignore_errors=True)
+        self.tables_dir.mkdir(parents=True)
         tables_meta: Dict[str, dict] = {}
         for table in _TABLE_NAMES:
-            tables_meta[table] = self._merge_table(table, partitions,
+            tables_meta[table] = self._merge_table(table, chunk_maps,
                                                    len(devices))
         fingerprint = hashlib.sha256()
         for table in _TABLE_NAMES:
@@ -359,7 +360,7 @@ class CampaignStore:
             "year": self.year,
             "start": self.axis.start.isoformat(),
             "n_days": self.axis.n_days,
-            "n_partitions": len(partitions),
+            "n_partitions": len(chunk_maps),
             "tables": tables_meta,
             "fingerprint": fingerprint.hexdigest(),
         }
@@ -379,14 +380,18 @@ class CampaignStore:
         self._manifest = manifest
         return manifest
 
-    def _merge_table(self, table: str, partitions: Sequence[PartitionRef],
+    def _merge_table(self, table: str, chunk_maps: Sequence[ChunkMap],
                      n_devices: int) -> dict:
         column_specs = _EMPTY_DTYPES[table]
-        parts = [ref for ref in partitions if ref.n_rows.get(table, 0)]
-        total = sum(ref.n_rows[table] for ref in parts)
         sort_key = "t" if "t" in dict(column_specs) else "day"
-        keys = [(_part_column(ref, table, "device"),
-                 _part_column(ref, table, sort_key)) for ref in parts]
+        chunks, keys = [], []
+        for chunk_map in chunk_maps:
+            for chunk in chunk_map.get(table, ()):
+                device = chunk["device"]
+                if len(device):
+                    chunks.append(chunk)
+                    keys.append((device, chunk[sort_key]))
+        total = sum(len(device) for device, _ in keys)
 
         # Range validation, mirroring DatasetBuilder._validate_ranges.
         limit = self.axis.n_slots if sort_key == "t" else self.axis.n_days
@@ -404,7 +409,7 @@ class CampaignStore:
         del keys
 
         def appended(column: str) -> Iterator[np.ndarray]:
-            return _blocks(_part_column(ref, table, column) for ref in parts)
+            return _blocks(chunk[column] for chunk in chunks)
 
         stage: Dict[str, Path] = {}
         if not in_order:
@@ -445,50 +450,16 @@ class CampaignStore:
             )
         path = self.tables_dir / f"{table}__{column}.npy"
         rows = table_meta["n_rows"]
-        values = np.load(path, mmap_mode="r" if rows else None)
+        try:
+            values = np.load(path, mmap_mode="r" if rows else None)
+        except OSError as exc:
+            raise DatasetError(
+                f"store column {table}.{column} cannot be read: {exc}"
+            ) from None
         if len(values) != rows:
             raise DatasetError(f"store column {table}.{column} has "
                                f"{len(values)} rows, manifest says {rows}")
         return values
-
-    def table(self, name: str,
-              columns: Optional[Sequence[str]] = None) -> _Table:
-        """A table over ``columns``, each mapped on first access
-        (projection pushdown)."""
-        wanted = ([c for c, _ in _EMPTY_DTYPES[name]]
-                  if columns is None else list(columns))
-        return _Table(_MappedColumns(self, name, wanted))
-
-    def select(
-        self,
-        table: str,
-        columns: Optional[Sequence[str]] = None,
-        where: Optional[Mapping[str, object]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Projected, filtered rows with predicate pushdown.
-
-        ``where`` maps column names to either a scalar (equality) or a
-        ``(lo, hi)`` half-open range. Only predicate columns are read to
-        build the row mask; projected columns are then gathered through
-        it — the rest of the table's bytes never leave disk.
-        """
-        mask: Optional[np.ndarray] = None
-        for column, predicate in (where or {}).items():
-            values = self.column(table, column)
-            if isinstance(predicate, tuple):
-                lo, hi = predicate
-                hit = (values >= lo) & (values < hi)
-            else:
-                hit = values == predicate
-            mask = hit if mask is None else (mask & hit)
-        wanted = ([c for c, _ in _EMPTY_DTYPES[table]]
-                  if columns is None else list(columns))
-        out = {}
-        for column in wanted:
-            values = self.column(table, column)
-            out[column] = np.asarray(values if mask is None
-                                     else values[mask])
-        return out
 
     def load_dataset(self) -> CampaignDataset:
         """The finalized campaign as a dataset over memory-mapped columns.
@@ -503,7 +474,8 @@ class CampaignStore:
                 f"campaign store {self.root} has not been finalized"
             )
         meta = json.loads(meta_path.read_text())
-        tables = {name: self.table(name) for name in _TABLE_NAMES}
+        tables = {name: _Table(_MappedColumns(name, partial(self.column, name)))
+                  for name in _TABLE_NAMES}
         return CampaignDataset(
             year=meta["year"],
             axis=TimeAxis(date.fromisoformat(meta["start"]), meta["n_days"]),
@@ -517,20 +489,28 @@ class CampaignStore:
 
 
 class _MappedColumns(Mapping):
-    """A store table's columns, each memory-mapped on first access, so a
-    store-backed dataset adds to the address space only the columns
-    something reads."""
+    """One table's columns, each memory-mapped by ``load`` on first access.
 
-    def __init__(self, store: CampaignStore, table: str,
-                 names: Sequence[str]) -> None:
-        self._store = store
-        self._table = table
-        self._mapped: Dict[str, Optional[np.ndarray]] = dict.fromkeys(names)
+    A store-backed dataset holds each map once made (``hold``), so it adds
+    to the address space only the columns something reads; a partition's
+    chunk maps afresh on every access and holds nothing.
+    """
+
+    def __init__(self, table: str, load: Callable[[str], np.ndarray],
+                 hold: bool = True) -> None:
+        self._load = load
+        self._hold = hold
+        self._mapped: Dict[str, Optional[np.ndarray]] = dict.fromkeys(
+            column for column, _ in _EMPTY_DTYPES[table]
+        )
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if self._mapped[name] is None:
-            self._mapped[name] = self._store.column(self._table, name)
-        return self._mapped[name]
+        values = self._mapped[name]
+        if values is None:
+            values = self._load(name)
+            if self._hold:
+                self._mapped[name] = values
+        return values
 
     def __iter__(self):
         return iter(self._mapped)
@@ -564,31 +544,23 @@ def _write_npy(path: Path, dtype, total: int,
     return hasher.hexdigest()
 
 
-def _part_column(ref: PartitionRef, table: str, column: str) -> np.ndarray:
-    """One partition column, memory-mapped, checked against its manifest."""
-    src = np.load(ref.path / f"{table}__{column}.npy", mmap_mode="r")
-    rows = ref.n_rows[table]
-    if len(src) != rows:
-        raise DatasetError(
-            f"partition {ref.name} table {table!r}: column {column!r} has "
-            f"{len(src)} rows, manifest says {rows}"
-        )
-    return src
+def save_dataset(dataset: CampaignDataset, path: Union[str, Path]) -> Path:
+    """Write ``dataset`` to directory ``path`` (created if needed) as a
+    finalized campaign store, replacing any campaign saved there."""
+    store = CampaignStore(path, dataset.year, dataset.axis)
+    # dict() maps every column now: a dataset loaded from ``path`` keeps
+    # reading its own bytes while finalize replaces the files.
+    columns = {table: [dict(getattr(dataset, table).columns)]
+               for table in _TABLE_NAMES}
+    store.finalize(dataset.devices, dataset.ap_directory,
+                   dataset.ground_truth, [columns])
+    return store.root
 
 
-def is_store_dir(path: Union[str, Path]) -> bool:
-    """True when ``path`` holds a finalized campaign store."""
-    return (Path(path) / STORE_MANIFEST).exists()
-
-
-def open_store(path: Union[str, Path]) -> CampaignStore:
-    """Open a finalized store for reading (alias of ``CampaignStore.open``)."""
-    return CampaignStore.open(path)
-
-
-def store_fingerprint(path: Union[str, Path]) -> str:
-    """The content fingerprint of a finalized store directory."""
-    return CampaignStore.open(path).fingerprint
+def load_dataset(path: Union[str, Path]) -> CampaignDataset:
+    """Read a campaign saved by :func:`save_dataset` or a ``--store disk``
+    run, its columns memory-mapped read-only."""
+    return CampaignStore.open(path).load_dataset()
 
 
 def sweep_orphan_partitions(root: Union[str, Path]) -> List[str]:
@@ -597,7 +569,7 @@ def sweep_orphan_partitions(root: Union[str, Path]) -> List[str]:
     The disk analogue of ``repro.engine.transport.sweep_orphans``: a run
     killed between spill and finalize leaves ``parts/`` behind; this
     removes every partition under ``root`` (a single campaign store or a
-    ``--store-dir`` holding several) and returns the removed names.
+    ``--out`` directory holding several) and returns the removed names.
     """
     root = Path(root)
     removed: List[str] = []
@@ -624,3 +596,73 @@ def _orphan_parts_dirs(root: Path) -> List[Path]:
         p for p in root.glob("campaign*") if p.is_dir()
     )
     return [c / "parts" for c in candidates if (c / "parts").is_dir()]
+
+
+# -- meta.json codecs ------------------------------------------------------
+
+def _device_to_json(d: DeviceInfo) -> dict:
+    return {
+        "device_id": d.device_id,
+        "os": d.os.value,
+        "carrier": d.carrier,
+        "technology": d.technology.value,
+        "recruited": d.recruited,
+        "occupation": d.occupation,
+    }
+
+
+def _device_from_json(d: dict) -> DeviceInfo:
+    return DeviceInfo(
+        device_id=d["device_id"],
+        os=DeviceOS(d["os"]),
+        carrier=d["carrier"],
+        technology=CellularTechnology(d["technology"]),
+        recruited=d["recruited"],
+        occupation=d["occupation"],
+    )
+
+
+def _ap_to_json(e: ApDirectoryEntry) -> dict:
+    return {
+        "ap_id": e.ap_id,
+        "bssid": e.bssid,
+        "essid": e.essid,
+        "band": e.band.value,
+        "channel": e.channel,
+    }
+
+
+def _ap_from_json(e: dict) -> ApDirectoryEntry:
+    return ApDirectoryEntry(
+        ap_id=e["ap_id"],
+        bssid=e["bssid"],
+        essid=e["essid"],
+        band=Band(e["band"]),
+        channel=e["channel"],
+    )
+
+
+def _truth_to_json(truth: "GroundTruth | None") -> "dict | None":
+    if truth is None:
+        return None
+    return {
+        "ap_types": {str(k): v.value for k, v in truth.ap_types.items()},
+        "home_ap_of_user": {str(k): v for k, v in truth.home_ap_of_user.items()},
+        "office_ap_of_user": {str(k): v for k, v in truth.office_ap_of_user.items()},
+        "wifi_policy_of_user": {
+            str(k): v for k, v in truth.wifi_policy_of_user.items()
+        },
+    }
+
+
+def _truth_from_json(blob: "dict | None") -> "GroundTruth | None":
+    if blob is None:
+        return None
+    return GroundTruth(
+        ap_types={int(k): APType(v) for k, v in blob["ap_types"].items()},
+        home_ap_of_user={int(k): v for k, v in blob["home_ap_of_user"].items()},
+        office_ap_of_user={int(k): v for k, v in blob["office_ap_of_user"].items()},
+        wifi_policy_of_user={
+            int(k): v for k, v in blob["wifi_policy_of_user"].items()
+        },
+    )

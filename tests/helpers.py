@@ -17,7 +17,7 @@ from repro.radio.bands import Band
 from repro.simulation.campaign import plan_campaign
 from repro.simulation.kernel import simulate_devices
 from repro.timeutil import TimeAxis
-from repro.traces.dataset import CampaignDataset, DatasetBuilder
+from repro.traces.dataset import CampaignDataset, DatasetBuilder, observed_ap_ids
 from repro.traces.records import (
     ApDirectoryEntry,
     DeviceInfo,
@@ -188,7 +188,7 @@ def kernel_reference(config) -> CampaignDataset:
     ):
         for name, columns in result.tables.items():
             getattr(builder, f"extend_{name}")(**columns)
-    for ap_id in sorted(builder.observed_ap_ids()):
+    for ap_id in sorted(observed_ap_ids([builder.export_chunks()])):
         ap = world.deployment.ap(ap_id)
         add_ap(builder, ap_id, ap.essid, ap.band, ap.channel, ap.bssid)
     return builder.build()

@@ -99,32 +99,6 @@ class TestDemandModel:
         draws = np.array([model.sample_appetite_bytes(rng) for _ in range(4000)])
         assert draws.mean() > np.median(draws) * 1.2
 
-    def test_split_day_exact(self, rng):
-        model = DemandModel(1, appetite_median_mb=50.0)
-        mix = model.sample_mix(rng)
-        splits = model.split_day(mix, 100e6, 20e6, on_wifi=True, rng=rng)
-        assert sum(s[1] for s in splits) == pytest.approx(100e6, rel=1e-9)
-        assert sum(s[2] for s in splits) == pytest.approx(20e6, rel=1e-9)
-
-    def test_split_day_cellular_has_no_productivity(self, rng):
-        model = DemandModel(1, appetite_median_mb=50.0)
-        mix = model.sample_mix(rng)
-        prod = category_code("productivity")
-        for _ in range(20):
-            splits = model.split_day(mix, 10e6, 1e6, on_wifi=False, rng=rng)
-            assert all(code != prod for code, _, _ in splits)
-
-    def test_split_day_zero_volume(self, rng):
-        model = DemandModel(0, appetite_median_mb=50.0)
-        mix = model.sample_mix(rng)
-        assert model.split_day(mix, 0.0, 0.0, True, rng) == []
-
-    def test_split_day_negative_rejected(self, rng):
-        model = DemandModel(0, appetite_median_mb=50.0)
-        mix = model.sample_mix(rng)
-        with pytest.raises(ConfigurationError):
-            model.split_day(mix, -1.0, 0.0, True, rng)
-
     def test_tx_fraction_reasonable(self, rng):
         model = DemandModel(0, appetite_median_mb=50.0)
         mix = model.sample_mix(rng)

@@ -186,6 +186,7 @@ def test_out_of_order_partitions_are_sorted(tmp_path):
             store.write_partition("shard-0001", {"battery": [early]})]
     builder.extend_battery(**late)
     builder.extend_battery(**early)
-    store.finalize(builder.devices, builder.ap_directory, None, refs)
+    store.finalize(builder.devices, builder.ap_directory, None,
+                   [ref.chunk_map() for ref in refs])
     assert not list(store.tables_dir.glob(".stage-*"))
     assert_datasets_identical(builder.build(), store.load_dataset())

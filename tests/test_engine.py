@@ -16,6 +16,7 @@ import pytest
 from repro.collection.faults import FaultPlan, OutageWindow
 from repro.engine import (
     ParallelExecutor,
+    RetryPolicy,
     SerialExecutor,
     make_executor,
     plan_units,
@@ -135,7 +136,8 @@ class TestExecutors:
             assert executor.fallbacks == 3
 
     def test_shard_timeout_falls_back_to_serial(self):
-        with ParallelExecutor(2, shard_timeout_s=0.25) as executor:
+        policy = RetryPolicy(max_attempts=1, shard_timeout_s=0.25)
+        with ParallelExecutor(2, policy=policy) as executor:
             assert executor.run(_slow_in_worker, [7]) == [7]
             assert executor.fallbacks == 1
 
@@ -154,8 +156,6 @@ class TestExecutors:
     def test_parallel_validates_args(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(1)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(2, shard_timeout_s=0.0)
 
 
 class TestResolveJobs:

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, DatasetError, SchemaError, UploadError
-from repro.traces.io import load_dataset, save_dataset
+from repro.traces.store import load_dataset, save_dataset
 from tests.helpers import add_ap, add_daily_traffic, make_builder
 
 
 class TestCorruptedPersistence:
     def test_missing_tables_file(self, tmp_path, study):
         root = save_dataset(study.dataset(2013), tmp_path / "ds")
-        (root / "tables.npz").unlink()
-        with pytest.raises(Exception):
-            load_dataset(root)
+        (root / "tables" / "traffic__rx.npy").unlink()
+        loaded = load_dataset(root)
+        with pytest.raises(DatasetError, match="traffic.rx cannot be read"):
+            loaded.traffic.rx
 
     def test_truncated_meta(self, tmp_path, study):
         root = save_dataset(study.dataset(2013), tmp_path / "ds")
@@ -26,9 +27,15 @@ class TestCorruptedPersistence:
         from repro.traces.validate import validate_dataset
         root = save_dataset(study.dataset(2013), tmp_path / "ds")
         loaded = load_dataset(root)
-        loaded.traffic.columns["device"][:] = 10_000  # unknown devices
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.traffic.device[:] = 0
+        del loaded
+        # Tamper with the column file itself: unknown devices.
+        path = root / "tables" / "traffic__device.npy"
+        tampered = np.full_like(np.load(path), 10_000)
+        np.save(path, tampered)
         with pytest.raises(SchemaError):
-            validate_dataset(loaded)
+            validate_dataset(load_dataset(root))
 
 
 class TestDegenerateDatasets:

@@ -401,13 +401,19 @@ def test_rewrite_requires_markers(tmp_path, scored):
 
 
 def test_committed_doc_matches_registry():
-    """Every registered check appears in the committed EXPERIMENTS.md."""
+    """Every registered check has its row in the committed EXPERIMENTS.md:
+    one table row carrying both its quantity and its paper value."""
     text = open("EXPERIMENTS.md").read()
     for key in ("tables", "figures", "sections"):
         assert f"<!-- BEGIN FIDELITY:{key} -->" in text
+    rows = [line for line in text.splitlines() if line.startswith("| ")]
+
+    def cell(value):
+        return "| " + value.replace("|", "\\|") + " |"  # escaped pipes
+
     for ref in REFERENCES.values():
-        # Table cells escape pipes, so compare the escaped form.
-        assert ref.quantity.replace("|", "\\|") in text, ref.check_id
+        assert any(cell(ref.quantity) in row and cell(ref.paper) in row
+                   for row in rows), ref.check_id
 
 
 def test_undefined_agr_renders_and_skips():
@@ -486,8 +492,8 @@ def test_two_year_context_skips_per_campaign_values():
 
 def test_cli_fidelity_on_one_saved_campaign(one_year_study, tmp_path,
                                              capsys):
+    from repro import save_dataset
     from repro.cli import main
-    from repro.traces.io import save_dataset
 
     save_dataset(one_year_study.dataset(2015), tmp_path / "campaign2015")
     out = tmp_path / "report.json"
@@ -495,6 +501,13 @@ def test_cli_fidelity_on_one_saved_campaign(one_year_study, tmp_path,
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["years"] == [2015]
+    # The campaign was simulated at seed 3: the report must not borrow
+    # the --scale/--seed defaults; it names the data it scored.
+    assert report["scale"] is None and report["seed"] is None
+    assert report["data"] == str(tmp_path)
+    scoreboard = capsys.readouterr().out
+    assert f"(data {tmp_path})" in scoreboard
+    assert "seed 7" not in scoreboard and "scale 0.02" not in scoreboard
     skipped = {r["check_id"] for r in report["records"]
                if r["verdict"] == VERDICT_SKIP}
     assert _YEAR_COMPARISONS <= skipped

@@ -16,21 +16,6 @@ seeds = st.integers(0, 2**31 - 1)
 
 
 class TestDemandProperties:
-    @given(seeds, st.floats(5.0, 500.0))
-    @settings(max_examples=40)
-    def test_split_conserves_volume(self, seed, rx_mb):
-        rng = np.random.default_rng(seed)
-        model = DemandModel(1, appetite_median_mb=50.0)
-        mix = model.sample_mix(rng)
-        rx, tx = rx_mb * 1e6, rx_mb * 2e5
-        for on_wifi in (True, False):
-            splits = model.split_day(mix, rx, tx, on_wifi, rng)
-            assert sum(s[1] for s in splits) == np.float64(rx).item() or (
-                abs(sum(s[1] for s in splits) - rx) < 1e-3 * rx
-            )
-            assert abs(sum(s[2] for s in splits) - tx) < 1e-3 * tx
-            assert all(s[1] >= 0 and s[2] >= 0 for s in splits)
-
     @given(seeds)
     @settings(max_examples=40)
     def test_mix_shares_are_distributions(self, seed):

@@ -764,7 +764,7 @@ def test_hard_kill_run_resumes_bit_identically(tmp_path):
     )
     assert reference.returncode == 0, reference.stderr
 
-    from repro.traces.io import load_dataset
+    from repro import load_dataset
 
     from .test_engine import assert_datasets_identical
 

@@ -626,7 +626,7 @@ class TestObservability:
 class TestCli:
     def test_kill_resume_flow(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.traces.io import load_dataset
+        from repro import load_dataset
 
         base = tmp_path / "base"
         out = tmp_path / "out"

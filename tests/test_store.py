@@ -1,11 +1,10 @@
-"""Out-of-core store tests: round-trip identity, pushdown, cache, janitor.
+"""Out-of-core store tests: round-trip identity, read path, janitor.
 
 The acceptance bar for the storage layer: a campaign run through the
 disk-backed :class:`CampaignStore` — spilled shard by shard, streaming-
 merged, read back memory-mapped — is bit-for-bit identical to the
-in-memory build at any worker count, survives chaos kills without
-leaking partitions, and invalidates analysis caches exactly when the
-store's content fingerprint changes.
+in-memory build at any worker count and survives chaos kills without
+leaking partitions.
 """
 
 import dataclasses
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.context import AnalysisContext
 from repro.engine import (
     ChaosKill,
     ChaosPlan,
@@ -30,13 +28,11 @@ from repro.errors import ConfigurationError, DatasetError
 from repro.simulation.campaign import plan_campaign, run_campaign, simulate_shard
 from repro.simulation.study import default_campaign_config
 from repro.traces.dataset import DatasetBuilder
-from repro.traces.io import load_dataset
 from repro.traces.store import (
     STORE_MANIFEST,
     CampaignStore,
-    is_store_dir,
-    open_store,
-    store_fingerprint,
+    load_dataset,
+    save_dataset,
     sweep_orphan_partitions,
 )
 from tests.test_columnar_ingest_property import (
@@ -88,7 +84,8 @@ class TestRoundTripProperty:
             refs = [store.write_partition("shard-0000", first),
                     store.write_partition("shard-0001", second)]
             store.finalize(builder.devices, builder.ap_directory,
-                           builder.ground_truth, refs)
+                           builder.ground_truth,
+                           [ref.chunk_map() for ref in refs])
             assert_datasets_identical(expected, store.load_dataset())
             # Reopening from the manifest alone sees the same bits.
             reopened = CampaignStore.open(store.root)
@@ -114,14 +111,15 @@ class TestEngineStoreIdentity:
         assert not store.parts_dir.exists()
 
     def test_store_dir_is_a_loadable_campaign(self, tmp_path):
-        """``io.load_dataset`` auto-detects a store root."""
+        """A ``--store disk`` campaign is a saved dataset: ``save_dataset``
+        of the in-memory run writes the same files, fingerprint and all."""
         config = _small_config(2013)
-        store = _store_for(config, tmp_path)
+        store = _store_for(config, tmp_path / "disk")
         result = run_campaign(config, store=store)
-        assert is_store_dir(store.root)
         assert_datasets_identical(result.dataset, load_dataset(store.root))
-        assert open_store(store.root).fingerprint == \
-            store_fingerprint(store.root)
+        saved = save_dataset(run_campaign(config).dataset,
+                             tmp_path / "mem" / "campaign2013")
+        assert CampaignStore.open(saved).fingerprint == store.fingerprint
 
     def test_fingerprint_tracks_content(self, tmp_path):
         config = _small_config(2013)
@@ -129,9 +127,8 @@ class TestEngineStoreIdentity:
         run_campaign(config, store=_store_for(config, tmp_path / "b"))
         reseeded = dataclasses.replace(config, seed=config.seed + 1)
         run_campaign(reseeded, store=_store_for(reseeded, tmp_path / "c"))
-        a = store_fingerprint(tmp_path / "a" / "campaign2013")
-        b = store_fingerprint(tmp_path / "b" / "campaign2013")
-        c = store_fingerprint(tmp_path / "c" / "campaign2013")
+        a, b, c = (CampaignStore.open(tmp_path / run / "campaign2013")
+                   .fingerprint for run in "abc")
         assert a == b  # determinism: same config, same bytes
         assert a != c  # sensitivity: different data, different print
 
@@ -157,7 +154,7 @@ class TestEngineStoreIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Read path: projection + predicate pushdown over memory-mapped columns
+# Read path: projection pushdown over memory-mapped columns
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -172,29 +169,6 @@ class TestReadPushdown:
     def test_columns_are_memory_mapped(self, finalized):
         store, _ = finalized
         assert isinstance(store.column("traffic", "rx"), np.memmap)
-
-    def test_projection_reads_only_requested_columns(self, finalized):
-        store, dataset = finalized
-        table = store.table("traffic", columns=["device", "rx"])
-        assert set(table.columns) == {"device", "rx"}
-        np.testing.assert_array_equal(table.device, dataset.traffic.device)
-        np.testing.assert_array_equal(table.rx, dataset.traffic.rx)
-
-    def test_equality_predicate(self, finalized):
-        store, dataset = finalized
-        rows = store.select("traffic", columns=["rx"], where={"device": 0})
-        mask = dataset.traffic.device == 0
-        np.testing.assert_array_equal(rows["rx"], dataset.traffic.rx[mask])
-
-    def test_range_predicate_composes(self, finalized):
-        store, dataset = finalized
-        rows = store.select("traffic", columns=["device", "t"],
-                            where={"t": (0, 144), "iface": 0})
-        mask = ((dataset.traffic.t >= 0) & (dataset.traffic.t < 144)
-                & (dataset.traffic.iface == 0))
-        np.testing.assert_array_equal(rows["device"],
-                                      dataset.traffic.device[mask])
-        np.testing.assert_array_equal(rows["t"], dataset.traffic.t[mask])
 
     def test_unknown_column_is_a_dataset_error(self, finalized):
         store, _ = finalized
@@ -232,26 +206,6 @@ class TestFormats:
         manifest = json.loads((store.root / STORE_MANIFEST).read_text())
         assert manifest["format"] == "npy"
         assert CampaignStore.open(store.root).fingerprint == store.fingerprint
-
-
-# ---------------------------------------------------------------------------
-# AnalysisContext.for_store: memo keyed on the content fingerprint
-# ---------------------------------------------------------------------------
-
-class TestStoreContextCache:
-    def test_memo_hits_until_fingerprint_changes(self, tmp_path):
-        config = _small_config(2013)
-        store = _store_for(config, tmp_path)
-        run_campaign(config, store=store)
-        first = AnalysisContext.for_store(store.root)
-        assert AnalysisContext.for_store(store.root) is first
-        # Rewrite the same directory with different data: the fingerprint
-        # moves, so the memoized context must be dropped.
-        reseeded = dataclasses.replace(config, seed=config.seed + 1)
-        run_campaign(reseeded, store=_store_for(reseeded, tmp_path))
-        fresh = AnalysisContext.for_store(store.root)
-        assert fresh is not first
-        assert AnalysisContext.for_store(store.root) is fresh
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +337,3 @@ class TestDiskPathFootprint:
         with pytest.raises(DatasetError, match="manifest says"):
             dataset.wifi.rssi
 
-
-# ---------------------------------------------------------------------------
-# CLI surface
-# ---------------------------------------------------------------------------
-
-class TestStoreCli:
-    def test_store_dir_without_disk_is_a_config_error(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["simulate", "--scale", "0.004", "--out", str(tmp_path),
-                     "--store-dir", str(tmp_path / "s")])
-        assert code == 2
-        assert "--store disk" in capsys.readouterr().err

@@ -1,4 +1,6 @@
-"""Round-trip tests for dataset persistence."""
+"""Round-trip tests for dataset persistence (the campaign-store layout)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from repro.errors import DatasetError
 from repro.net.accesspoint import APType
 from repro.traces.dataset import GroundTruth
-from repro.traces.io import load_dataset, save_dataset
+from repro.traces.store import (
+    STORE_MANIFEST, CampaignStore, load_dataset, save_dataset,
+)
 from tests.helpers import add_ap, add_association_span, add_daily_traffic, make_builder
 
 
@@ -63,18 +67,44 @@ def test_load_missing_path(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
+def test_saved_dataset_is_a_finalized_store(tmp_path, small_dataset):
+    root = save_dataset(small_dataset, tmp_path / "ds")
+    store = CampaignStore.open(root)
+    assert store.year == small_dataset.year
+    assert not (root / "parts").exists()
+    assert not (root / "tables.npz").exists()
+    # Loaded columns are read-only memory maps.
+    rx = load_dataset(root).traffic.rx
+    assert isinstance(rx, np.memmap) and not rx.flags.writeable
+
+
 def test_load_bad_version(tmp_path, small_dataset):
     root = save_dataset(small_dataset, tmp_path / "ds")
-    meta = (root / "meta.json").read_text().replace(
-        '"format_version": 1', '"format_version": 99'
-    )
-    (root / "meta.json").write_text(meta)
-    with pytest.raises(DatasetError, match="format version"):
+    manifest = json.loads((root / STORE_MANIFEST).read_text())
+    manifest["store_version"] = 99
+    (root / STORE_MANIFEST).write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match="store version: 99"):
+        load_dataset(root)
+
+
+def test_legacy_npz_layout_is_refused(tmp_path):
+    root = tmp_path / "campaign2013"
+    root.mkdir()
+    (root / "meta.json").write_text(json.dumps({"format_version": 1}))
+    np.savez_compressed(root / "tables.npz", traffic__rx=np.zeros(1))
+    with pytest.raises(DatasetError, match="re-run `repro simulate`"):
         load_dataset(root)
 
 
 def test_save_overwrites_cleanly(tmp_path, small_dataset):
-    save_dataset(small_dataset, tmp_path / "ds")
-    save_dataset(small_dataset, tmp_path / "ds")
-    loaded = load_dataset(tmp_path / "ds")
+    root = save_dataset(small_dataset, tmp_path / "ds")
+    first = CampaignStore.open(root).fingerprint
+    save_dataset(small_dataset, root)
+    loaded = load_dataset(root)
     assert loaded.n_devices == 2
+    assert CampaignStore.open(root).fingerprint == first
+    # Saving a loaded campaign back over its own files keeps its bytes.
+    save_dataset(loaded, root)
+    assert CampaignStore.open(root).fingerprint == first
+    np.testing.assert_array_equal(load_dataset(root).traffic.rx,
+                                  small_dataset.traffic.rx)
