@@ -16,13 +16,13 @@ Subcommands::
 ``analyze`` accepts experiment ids (``table1``..``table9``, ``fig01``..
 ``fig19``, ``sec35``, ``sec41``) or ``all``.
 
-``simulate`` self-heals on demand: ``--checkpoint-dir``/``--resume`` spill
-and reuse completed shards (interrupted runs resume bit-identically),
+``simulate`` self-heals on demand: ``--resume`` needs ``--store disk``;
+a killed disk run resumes from its partitions, bit-identically (those of
+another config, seed or shard layout are refused with code 2),
 ``--max-attempts``/``--shard-timeout``/``--retry-backoff-s`` bound
 retries, ``--partial-results`` degrades gracefully with explicit loss
 accounting, and the ``--chaos-*`` flags drive the deterministic fault
-harness (a chaos kill exits with code 3; stale checkpoint directories are
-refused with code 2).
+harness (a chaos kill exits with code 3).
 
 ``simulate``, ``analyze``, ``bench`` and ``fidelity`` take two telemetry
 switches. ``--events PATH`` flight-records the run through one
@@ -45,7 +45,8 @@ rates, fault-loss accounting), ``--trace`` the span tree as Chrome-trace
 JSON and ``--report`` the self-contained HTML run report (with the
 fidelity scoreboard when the run was ``fidelity``).
 ``repro clean`` reclaims what killed runs leave behind: /dev/shm
-transport segments, orphan store partitions, and stale telemetry files.
+transport segments, the spill partitions a killed disk run keeps for
+``--resume``, and stale telemetry files.
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "RAM (default); 'disk' spills each shard "
                                "under --out as it arrives and streams the "
                                "merge, so a campaign never has to fit in "
-                               "RAM. Either way each campaign is saved as "
+                               "RAM, and a killed disk run resumes from "
+                               "its spilled shards with --resume. Either "
+                               "way each campaign is saved as "
                                "--out/campaign<year>, bit-identical")
     faults = simulate.add_argument_group(
         "fault injection", "route campaigns through a lossy collection "
@@ -156,18 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--cache-batches", type=int, default=None,
                         help="on-device cache bound in batches")
     resilience = simulate.add_argument_group(
-        "resilience", "self-healing execution: shard checkpoint/resume, "
+        "resilience", "self-healing execution: shard resume, "
         "bounded retries with deterministic backoff, graceful degradation. "
         "Recovered or resumed runs are bit-identical to uninterrupted ones")
-    resilience.add_argument("--checkpoint-dir", type=Path, default=None,
-                            metavar="DIR",
-                            help="spill each completed shard here; an "
-                                 "interrupted run can pick up with --resume")
     resilience.add_argument("--resume", action="store_true",
-                            help="reuse completed shards from "
-                                 "--checkpoint-dir (refused, exit 2, when "
-                                 "the directory was written by a different "
-                                 "config, seed, or shard layout)")
+                            help="needs --store disk: reuse the verified "
+                                 "shard partitions a killed disk run left "
+                                 "under --out; damaged ones are simulated "
+                                 "again (refused, exit 2, when they were "
+                                 "written by a different config, seed, or "
+                                 "shard layout)")
     resilience.add_argument("--partial-results", action="store_true",
                             help="drop shards that exhaust every retry "
                                  "instead of aborting; losses are reported "
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--chaos-kill-after", type=int, default=None,
                        metavar="N",
                        help="kill the campaign (exit 3) after N completed "
-                            "shards — pair with --checkpoint-dir and a "
+                            "shards — pair with --store disk and a "
                             "--resume rerun")
     chaos.add_argument("--chaos-kill-hard", action="store_true",
                        help="upgrade --chaos-kill-after from a clean "
@@ -371,14 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
         "clean",
         help="reclaim leftovers from killed runs",
         description="Sweep what a killed or crashed run leaves behind: "
-                    "/dev/shm shard-transport segments, orphan store "
-                    "spill partitions under the given directories, and "
+                    "/dev/shm shard-transport segments, the store spill "
+                    "partitions a killed --store disk run keeps for "
+                    "--resume under the given directories, and "
                     "stale events files (events*.jsonl) older than "
                     "--max-age-h. Run-history JSONL files are never "
                     "touched.",
     )
     clean.add_argument("paths", nargs="*", type=Path,
-                       help="store/checkpoint directories to sweep "
+                       help="--out or campaign store directories to sweep "
                             "(default: the current directory)")
     clean.add_argument("--dry-run", action="store_true",
                        help="report what would be removed without removing")
@@ -512,20 +514,21 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
     )
     set_recorder(recorder)
     env_before = os.environ.get(EVENTS_ENV_VAR)
+    # Saved campaigns do not record the seed and scale that made them:
+    # label such a run with its data path, not the option defaults.
+    data = getattr(args, "data", None)
+    label = (dict(seed=None, scale=None, data=str(data)) if data is not None
+             else dict(seed=args.seed, scale=args.scale))
     recorder.emit(
         EventKind.RUN_START, command=args.command, argv=list(sys.argv[1:]),
-        config_hash=config_hash, seed=args.seed, scale=args.scale,
-        environment=environment(),
+        config_hash=config_hash, environment=environment(), **label,
     )
     sampler = None
     if events is not None:
         os.environ[EVENTS_ENV_VAR] = str(events)
-        disk_paths = [
-            p for p in (getattr(args, "out", None),
-                        getattr(args, "checkpoint_dir", None))
-            if isinstance(p, Path)
-        ]
-        sampler = ResourceSampler(recorder, disk_paths=disk_paths)
+        out = getattr(args, "out", None)
+        sampler = ResourceSampler(
+            recorder, disk_paths=[out] if isinstance(out, Path) else [])
         sampler.start()
     return _Recording(args.command, recorder, sampler, env_before)
 
@@ -577,11 +580,7 @@ def _resilience_from_args(
 ) -> Optional["ResilienceConfig"]:
     """Build a ResilienceConfig from CLI flags; None when none were given."""
     from repro.engine.chaos import ChaosPlan
-    from repro.engine.resilience import (
-        CheckpointStore,
-        ResilienceConfig,
-        RetryPolicy,
-    )
+    from repro.engine.resilience import ResilienceConfig, RetryPolicy
 
     chaos_flags = (args.chaos_crash_rate, args.chaos_crash_attempts,
                    args.chaos_hang_rate, args.chaos_hang_s,
@@ -610,17 +609,12 @@ def _resilience_from_args(
             seed=args.seed,
             shard_timeout_s=args.shard_timeout,
         )
-    store = (CheckpointStore(args.checkpoint_dir)
-             if args.checkpoint_dir is not None else None)
-    if (store is None and policy is None and chaos is None
-            and not args.partial_results):
-        if args.resume:
-            raise ConfigurationError(
-                "--resume needs a checkpoint store (--checkpoint-dir)"
-            )
+    # --resume without --store disk is refused by the runner (exit 2).
+    if (policy is None and chaos is None and not args.partial_results
+            and not args.resume):
         return None
     return ResilienceConfig(
-        store=store, resume=args.resume, policy=policy,
+        resume=args.resume, policy=policy,
         partial=args.partial_results, chaos=chaos,
     )
 
@@ -915,10 +909,7 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 def cmd_clean(args: argparse.Namespace) -> int:
     from repro.engine import transport
-    from repro.traces.store import (
-        list_orphan_partitions,
-        sweep_orphan_partitions,
-    )
+    from repro.traces.store import sweep_orphan_partitions
 
     verb = "would remove" if args.dry_run else "removed"
     reclaimed = 0
@@ -932,8 +923,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
     for root in (args.paths or [Path(".")]):
         if not root.exists():
             continue
-        partitions = (list_orphan_partitions(root) if args.dry_run
-                      else sweep_orphan_partitions(root))
+        partitions = sweep_orphan_partitions(root, dry_run=args.dry_run)
         for name in partitions:
             print(f"{verb} orphan partition {name} under {root}")
         reclaimed += len(partitions)

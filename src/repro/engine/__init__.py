@@ -14,12 +14,13 @@ Campaign execution is split into three orthogonal pieces:
   janitor so failures never leak ``/dev/shm`` segments;
 - :mod:`repro.engine.merge` — canonical-order reassembly of shard-local
   dataset chunks and collection accounting;
-- :mod:`repro.engine.resilience` — self-healing execution: shard
-  checkpoint/resume, bounded retries with deterministic backoff,
-  deadline-based timeouts, and explicit partial-results loss accounting;
+- :mod:`repro.engine.resilience` — self-healing execution: resume from
+  verified store spill partitions, bounded retries with deterministic
+  backoff, deadline-based timeouts, and explicit partial-results loss
+  accounting;
 - :mod:`repro.engine.chaos` — deterministic fault injection (worker
-  crashes, hangs, parent-side kills, checkpoint corruption) used to prove
-  the recovery paths preserve results.
+  crashes, hangs, parent-side kills, spill-partition corruption) used to
+  prove the recovery paths preserve results.
 
 The hard guarantee: for any valid configuration (including nonzero
 ``FaultPlan``\\ s), ``n_jobs=1`` and ``n_jobs=k`` produce bit-for-bit
@@ -58,7 +59,6 @@ from repro.engine.transport import (
     sweep_orphans,
 )
 from repro.engine.resilience import (
-    CheckpointStore,
     ExecutionLosses,
     ResilienceConfig,
     ResilienceReport,
@@ -88,7 +88,6 @@ __all__ = [
     "run_token",
     "segment_names",
     "sweep_orphans",
-    "CheckpointStore",
     "ExecutionLosses",
     "ResilienceConfig",
     "ResilienceReport",

@@ -14,9 +14,9 @@ with ``O_EXCL`` marker files under :attr:`ChaosPlan.state_dir` — the
 injection schedule is a pure function of ``(seed, unit key, attempt)``
 regardless of scheduling, worker count, or which process runs the retry.
 
-:func:`corrupt_checkpoints` deterministically damages checkpoint files
-(truncation or a flipped payload byte) to exercise the store's
-checksum-and-recompute path.
+:func:`corrupt_checkpoints` deterministically damages one column file of
+spilled store partitions (truncation or a flipped data byte) to exercise
+the resume path's re-hash-and-recompute check.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.recorder import EventKind, get_recorder
@@ -223,35 +225,44 @@ class ChaosMonkey:
             raise ChaosKill(
                 f"chaos kill: campaign interrupted after "
                 f"{self.completed} completed shards "
-                f"(checkpoints, if any, were retained)"
+                f"(a --store disk run keeps its spilled partitions; "
+                f"--resume reuses them)"
             )
 
 
 def corrupt_checkpoints(
-    checkpoint_dir: Union[str, Path],
+    root: Union[str, Path],
     rate: float = 1.0,
     seed: int = 0,
     mode: str = "truncate",
 ) -> List[Path]:
-    """Deterministically damage checkpoint files; returns those corrupted.
+    """Damage one column file of each selected spilled partition under
+    ``root`` (a campaign store or a directory of them); returns the files.
 
+    Partitions and columns are picked by a seeded hash of their path.
     ``mode`` is ``"truncate"`` (drop the second half of the file) or
-    ``"flip"`` (invert one payload byte) — both defeat the store's
-    checksum so the shard is re-simulated on resume.
+    ``"flip"`` (invert the middle byte of the column's data); either one
+    fails the column digest, so a resume re-simulates the shard.
     """
     if mode not in ("truncate", "flip"):
         raise ConfigurationError(f"unknown corruption mode: {mode!r}")
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"rate must be in [0, 1]: {rate}")
+    root = Path(root)
     corrupted: List[Path] = []
-    for path in sorted(Path(checkpoint_dir).glob("ckpt-*.bin")):
-        if _draw(seed, "corrupt", path.name) >= rate:
+    for part in sorted(root.glob("parts/shard-*")) + sorted(
+            root.glob("campaign*/parts/shard-*")):
+        key = part.relative_to(root).as_posix()
+        columns = sorted(part.glob("*.npy"))
+        if not columns or _draw(seed, "corrupt", key) >= rate:
             continue
+        path = columns[int(_draw(seed, "column", key) * len(columns))]
         data = path.read_bytes()
         if mode == "truncate":
             path.write_bytes(data[: len(data) // 2])
         else:
-            middle = len(data) // 2
+            start = np.load(path, mmap_mode="r").offset  # past the header
+            middle = start + (len(data) - start) // 2
             path.write_bytes(
                 data[:middle] + bytes([data[middle] ^ 0xFF])
                 + data[middle + 1:]

@@ -22,11 +22,11 @@ still validated hard: no duplicates, no coverage mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.collection.faults import CollectionReport, DeviceCollectionStats
-from repro.engine.planner import ShardPlan
+from repro.engine.planner import Shard, ShardPlan
 from repro.engine.transport import ShardPayload
 from repro.errors import EngineError
 from repro.traces.dataset import ChunkMap
@@ -40,12 +40,13 @@ class ShardOutput:
     """Everything one shard's worker sends back to the merge layer.
 
     The columnar tables travel one of three ways: ``chunks`` carries them
-    inline (serial execution, checkpoint reloads), ``payload`` references
+    inline (serial execution), ``payload`` references
     a shared-memory segment packed by a pool worker (see
     :mod:`repro.engine.transport`), and ``partition`` points at a store
-    spill partition on disk (``--store disk``; see
-    :meth:`spill` and :mod:`repro.traces.store`). :meth:`chunk_map` hides
-    the difference from the merge layer; exactly one of the three is set.
+    spill partition on disk (``--store disk``; see :meth:`spill`,
+    :meth:`from_partition` and :mod:`repro.traces.store`).
+    :meth:`chunk_map` hides the difference from the merge layer; exactly
+    one of the three is set.
     """
 
     shard_index: int
@@ -93,31 +94,37 @@ class ShardOutput:
         the shared-memory segment (if any) is unmapped. In place, because
         the executor keeps every result it hands out; a copy would leave
         the rows alive there. So accepting a shard costs O(manifest)
-        parent memory instead of O(rows). Collection stats stay inline —
-        they are small and the merge layer consumes them directly.
+        parent memory instead of O(rows). Collection stats stay inline
+        and also go into the partition manifest for :meth:`from_partition`.
         """
-        ref = store.write_partition(name, self.chunk_map())
+        ref = store.write_partition(name, self.chunk_map(), collection={
+            "stats": [astuple(stats) for stats in self.stats],
+            "batches_received": self.batches_received,
+            "duplicates_dropped": self.duplicates_dropped,
+        })
         self.spilled_transport_bytes = self.transport_bytes
         if self.payload is not None:
             self.payload.release()
         self.chunks, self.payload, self.partition = None, None, ref
         return self
 
-    def for_checkpoint(self) -> "ShardOutput":
-        """A self-contained copy that pickles safely to a spill file.
+    @classmethod
+    def from_partition(cls, shard: Shard,
+                       ref: "PartitionRef") -> "ShardOutput":
+        """The output of ``shard`` as a verified partition spilled it.
 
-        Shared-memory views must be materialised into ordinary arrays —
-        the segment is unlinked the moment the shard is accepted, and a
-        pickled view would drag the whole mapped buffer along.
-        Partition-backed outputs checkpoint as just the
-        :class:`~repro.traces.store.PartitionRef` — the checkpoint
-        references the store partition instead of re-pickling the rows,
-        and resume validates the partition's digest before trusting it.
+        A reused shard moved nothing through shared memory in this run,
+        so its :attr:`transport_bytes` is 0.
         """
-        if self.payload is None:
-            return self
-        return replace(self, chunks=self.payload.materialize(),
-                       payload=None)
+        collection = ref.collection
+        return cls(
+            shard_index=shard.index,
+            device_ids=tuple(shard.device_ids),
+            stats=[DeviceCollectionStats(*row) for row in collection["stats"]],
+            batches_received=collection["batches_received"],
+            duplicates_dropped=collection["duplicates_dropped"],
+            partition=ref,
+        )
 
 
 def ordered_outputs(

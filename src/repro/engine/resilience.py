@@ -1,4 +1,4 @@
-"""Self-healing campaign execution: checkpoints, retries, loss accounting.
+"""Self-healing campaign execution: resume, retries, loss accounting.
 
 This module is the engine-level analogue of the collection layer's
 ``FaultPlan`` philosophy: instead of one blanket "anything failed → run it
@@ -14,19 +14,17 @@ explicit recovery path:
   and *deterministic seeded jitter*, plus a deadline-based per-shard
   timeout measured from the moment a shard actually starts (never from its
   position in the submission queue).
-- :class:`CheckpointStore` — a spill directory of completed
-  :class:`~repro.engine.merge.ShardOutput`\\ s keyed by
-  ``(config hash, seed, shard index)``, checksummed and written atomically,
-  so an interrupted campaign resumes exactly where it left off —
-  bit-identical to an uninterrupted run. Stale directories (config hash or
-  seed mismatch) are refused on resume rather than merged.
+- :class:`ResilienceConfig` ``resume`` — reuse the verified spill
+  partitions of a killed ``--store disk`` run, bit-identical to an
+  uninterrupted run; partitions of another config, seed or shard layout
+  are refused (:meth:`~repro.traces.store.CampaignStore.bind`).
 - :class:`ExecutionLosses` — explicit accounting when ``--partial-results``
   drops shards that exhausted every retry, mirroring the collection
   layer's completeness reporting.
 
 Determinism note: nothing here touches RNG streams. Retries re-run the
-same pure ``simulate_shard`` work unit, checkpoints byte-preserve its
-output, and jitter draws come from a dedicated hash, so the engine's
+same pure ``simulate_shard`` work unit, spill partitions byte-preserve
+its output, and jitter draws come from a dedicated hash, so the engine's
 ``n_jobs=1 == n_jobs=k`` bit-identity guarantee survives every recovery
 path (pinned by ``tests/test_resilience.py``).
 """
@@ -34,15 +32,10 @@ path (pinned by ``tests/test_resilience.py``).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import EventKind, get_recorder
 
 __all__ = [
     "FAILURE_CRASH",
@@ -52,7 +45,6 @@ __all__ = [
     "ShardFailure",
     "ShardAttemptLog",
     "RetryPolicy",
-    "CheckpointStore",
     "ExecutionLosses",
     "ResilienceConfig",
     "ResilienceReport",
@@ -204,157 +196,6 @@ def config_key(config: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint store
-# ---------------------------------------------------------------------------
-
-_META_NAME = "checkpoint_meta.json"
-_MAGIC = b"RCKPT1\n"
-_FILE_GLOB = "ckpt-*.bin"
-
-
-class CheckpointStore:
-    """Spill directory of completed shard outputs, keyed and checksummed.
-
-    Each completed :class:`~repro.engine.merge.ShardOutput` is pickled,
-    prefixed with a JSON header carrying ``(config key, seed, shard
-    index)`` plus a SHA-256 of the payload, and written atomically
-    (temp file + ``os.replace``) so a kill mid-write never leaves a
-    half-checkpoint that parses. ``checkpoint_meta.json`` records the run
-    identity; :meth:`initialize` refuses to resume over a directory that
-    was written by a different configuration or seed, and silently purges
-    one when starting fresh.
-
-    A corrupted file (bad magic, header mismatch, checksum mismatch,
-    truncation) is never an error on load: the shard is counted in
-    :attr:`corrupt`, the file is deleted, and the shard is re-simulated —
-    graceful degradation, identical results.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.saved = 0
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-
-    # -- identity ----------------------------------------------------------
-
-    def initialize(self, identity: dict, resume: bool) -> None:
-        """Bind the directory to one run identity (or validate it).
-
-        ``identity`` must be a JSON-serialisable dict of everything that
-        determines checkpoint compatibility (config hashes, seed, shard
-        layout). On ``resume`` a mismatch raises
-        :class:`~repro.errors.ConfigurationError`; on a fresh run a stale
-        directory is purged and rebound.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        meta_path = self.root / _META_NAME
-        stored: Optional[dict] = None
-        if meta_path.exists():
-            try:
-                stored = json.loads(meta_path.read_text())
-            except ValueError:
-                stored = None
-        if stored == identity and stored is not None:
-            return
-        if resume:
-            if stored is None and not any(self.root.glob(_FILE_GLOB)):
-                # Cold resume over an empty directory is just a fresh run.
-                pass
-            elif stored is None:
-                raise ConfigurationError(
-                    f"--resume: {self.root} contains checkpoints but no "
-                    f"readable {_META_NAME}; refusing to merge shards of "
-                    f"unknown provenance"
-                )
-            else:
-                diffs = sorted(
-                    k for k in set(stored) | set(identity)
-                    if stored.get(k) != identity.get(k)
-                )
-                raise ConfigurationError(
-                    f"--resume: checkpoint directory {self.root} was "
-                    f"written by a different run (mismatched: "
-                    f"{', '.join(diffs) or 'identity'}); refusing to merge "
-                    f"stale shards — point --checkpoint-dir elsewhere or "
-                    f"drop --resume to start fresh"
-                )
-        self.purge()
-        meta_path.write_text(
-            json.dumps(identity, indent=2, sort_keys=True) + "\n"
-        )
-
-    def purge(self) -> int:
-        """Delete every checkpoint file (not the directory); returns count."""
-        n = 0
-        for path in self.root.glob(_FILE_GLOB):
-            path.unlink()
-            n += 1
-        return n
-
-    # -- shard files -------------------------------------------------------
-
-    def path_for(self, key: str, seed: int, shard_index: int) -> Path:
-        return self.root / f"ckpt-{key}-s{seed}-shard{shard_index:04d}.bin"
-
-    def save(self, key: str, seed: int, shard_index: int,
-             output: object) -> Path:
-        """Atomically persist one completed shard output."""
-        payload = pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL)
-        header = json.dumps(
-            {"key": key, "seed": seed, "shard": shard_index,
-             "sha256": hashlib.sha256(payload).hexdigest(),
-             "n_bytes": len(payload)},
-            sort_keys=True,
-        ).encode()
-        path = self.path_for(key, seed, shard_index)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(_MAGIC + header + b"\n" + payload)
-        os.replace(tmp, path)
-        self.saved += 1
-        return path
-
-    def load(self, key: str, seed: int, shard_index: int) -> Optional[object]:
-        """The checkpointed output, or None when absent or corrupted.
-
-        Corruption (chaos-injected or real) deletes the file and counts in
-        :attr:`corrupt` so the caller re-simulates the shard.
-        """
-        path = self.path_for(key, seed, shard_index)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            data = path.read_bytes()
-            if not data.startswith(_MAGIC):
-                raise ValueError("bad magic")
-            header_line, sep, payload = data[len(_MAGIC):].partition(b"\n")
-            if not sep:
-                raise ValueError("truncated header")
-            header = json.loads(header_line)
-            if (header["key"], header["seed"], header["shard"]) != \
-                    (key, seed, shard_index):
-                raise ValueError("header/key mismatch")
-            if header["n_bytes"] != len(payload):
-                raise ValueError("truncated payload")
-            if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-                raise ValueError("checksum mismatch")
-            output = pickle.loads(payload)
-        except Exception:
-            self.corrupt += 1
-            get_recorder().emit(EventKind.CHECKPOINT_LOADED, corrupt=True,
-                                shard=shard_index, seed=seed)
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing cleanup only
-                pass
-            return None
-        self.hits += 1
-        return output
-
-
-# ---------------------------------------------------------------------------
 # Loss accounting and run-level configuration
 # ---------------------------------------------------------------------------
 
@@ -402,22 +243,17 @@ class ExecutionLosses:
 class ResilienceConfig:
     """How a campaign (or study) should self-heal.
 
-    ``chaos`` optionally carries a
+    ``resume`` reuses the verified partitions of every campaign store, so
+    it needs a store for each campaign (``--store disk``). ``chaos``
+    optionally carries a
     :class:`~repro.engine.chaos.ChaosPlan`; it is typed loosely so this
     module stays importable below the chaos harness.
     """
 
-    store: Optional[CheckpointStore] = None
     resume: bool = False
     policy: Optional[RetryPolicy] = None
     partial: bool = False
     chaos: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.resume and self.store is None:
-            raise ConfigurationError(
-                "--resume needs a checkpoint store (--checkpoint-dir)"
-            )
 
 
 @dataclass
@@ -437,6 +273,8 @@ class ResilienceReport:
     fallbacks: int = 0
     dropped_shards: int = 0
     failures_by_kind: Dict[str, int] = field(default_factory=dict)
+    #: Spill partitions written, reused on resume and rejected on resume
+    #: (damaged, so deleted and simulated again).
     checkpoint_saved: int = 0
     checkpoint_hits: int = 0
     checkpoint_corrupt: int = 0

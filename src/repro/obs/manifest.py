@@ -71,8 +71,10 @@ class RunManifest:
     command: str
     #: Short sha256 over the canonical reprs of every campaign config.
     config_hash: str
-    seed: int
-    scale: float
+    #: Seed and scale of a simulated run; None when the run read saved
+    #: campaigns (``data``), which do not record them.
+    seed: Optional[int]
+    scale: Optional[float]
     years: List[int] = field(default_factory=list)
     executor: str = "serial"
     n_jobs: int = 1
@@ -102,6 +104,9 @@ class RunManifest:
     #: names its report JSON and history for the HTML run report).
     artifacts: Dict[str, str] = field(default_factory=dict)
     environment: Dict[str, object] = field(default_factory=environment)
+    #: The saved-campaign directory an ``analyze``/``fidelity --data`` run
+    #: read (None for a simulated run).
+    data: Optional[str] = None
     schema_version: int = MANIFEST_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -223,8 +228,8 @@ def build_manifest(events: Sequence[dict]) -> RunManifest:
     return RunManifest(
         command=command,
         config_hash=str(run.get("config_hash") or ""),
-        seed=run.get("seed") or 0,
-        scale=run.get("scale") or 0.0,
+        seed=run.get("seed"),
+        scale=run.get("scale"),
         years=list(summary.get("years", [])),
         executor=summary.get("executor", "serial"),
         n_jobs=summary.get("n_jobs", 1),
@@ -242,4 +247,5 @@ def build_manifest(events: Sequence[dict]) -> RunManifest:
         error=str(end.get("error") or "") if end else "",
         artifacts=dict(summary.get("artifacts") or {}),
         environment=dict(run.get("environment") or {}),
+        data=run.get("data"),
     )

@@ -91,11 +91,10 @@ class EventKind(str, Enum):
     SHARD_RETRY = "shard_retry"
     #: a shard exhausted retries and was dropped (partial)
     SHARD_DROPPED = "shard_dropped"
-    #: a completed shard was spilled to the checkpoint dir
-    CHECKPOINT_SAVED = "checkpoint_saved"
-    #: a shard checkpoint was read on resume (corrupt=True when invalid)
+    #: a spilled partition was reused on resume (corrupt=True when it
+    #: was rejected, deleted and simulated again)
     CHECKPOINT_LOADED = "checkpoint_loaded"
-    #: a shard's columns were spilled to a store partition
+    #: a shard's columns were spilled to a store partition (its save)
     SPILL = "spill"
     #: a campaign store finalized its manifest on disk
     STORE_FINALIZED = "store_finalized"
@@ -393,7 +392,6 @@ class Postmortem:
     checkpoints_saved: int = 0
     checkpoints_loaded: int = 0
     checkpoints_corrupt: int = 0
-    spills: int = 0
     losses: Dict[str, int] = field(default_factory=dict)
     chaos: List[dict] = field(default_factory=list)
     last_progress: Optional[dict] = None
@@ -410,10 +408,8 @@ class Postmortem:
                  f"({self.n_events} events, {self.duration_s:.1f}s)"]
         if self.run is not None:
             command = self.run.get("command", "?")
-            lines.append(
-                f"  run: {command} seed={self.run.get('seed')} "
-                f"scale={self.run.get('scale')} pid={self.run.get('pid')}"
-            )
+            lines.append(f"  run: {command} {run_label(self.run)} "
+                         f"pid={self.run.get('pid')}")
         if self.exit_code is not None:
             lines.append(f"  exit code: {self.exit_code}")
         if self.last_stage is not None:
@@ -449,8 +445,6 @@ class Postmortem:
             if self.checkpoints_corrupt:
                 line += f", {self.checkpoints_corrupt} corrupt"
             lines.append(line)
-        if self.spills:
-            lines.append(f"  store spills: {self.spills}")
         if self.losses:
             total = sum(self.losses.values())
             lines.append(f"  collection losses: {total} device(s) affected")
@@ -480,6 +474,14 @@ class Postmortem:
             lines.append(f"  verdict: {verdict.get('source', '?')} "
                          f"{verdict.get('gate', '?')}")
         return "\n".join(lines)
+
+
+def run_label(run: dict) -> str:
+    """``data=PATH`` for a run over saved campaigns, else its seed and
+    scale (``run`` is a ``run_start`` event)."""
+    if run.get("data") is not None:
+        return f"data={run['data']}"
+    return f"seed={run.get('seed')} scale={run.get('scale')}"
 
 
 def reconstruct(events: List[dict]) -> Postmortem:
@@ -527,15 +529,13 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.dropped.append(
                 [event.get("year"), event.get("shard")]
             )
-        elif kind == "checkpoint_saved":
+        elif kind == "spill":
             post.checkpoints_saved += 1
         elif kind == "checkpoint_loaded":
             if event.get("corrupt"):
                 post.checkpoints_corrupt += 1
             else:
                 post.checkpoints_loaded += 1
-        elif kind == "spill":
-            post.spills += 1
         elif kind == "fault_loss":
             device = str(event.get("device", "?"))
             post.losses[device] = post.losses.get(device, 0) + 1
@@ -570,8 +570,7 @@ def summarize_events(events: List[dict]) -> str:
              f"({post.status})"]
     if post.run is not None:
         lines.append(f"  command: {post.run.get('command', '?')} "
-                     f"seed={post.run.get('seed')} "
-                     f"scale={post.run.get('scale')}")
+                     f"{run_label(post.run)}")
     known = [kind.value for kind in EventKind]
     for kind in known:
         if kind in counts:

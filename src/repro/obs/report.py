@@ -64,8 +64,8 @@ def _manifest_section(manifest: RunManifest) -> str:
     return "<h2>Run manifest</h2>" + _kv_table([
         ("command", manifest.command),
         ("config hash", manifest.config_hash or "-"),
-        ("seed", manifest.seed),
-        ("scale", manifest.scale),
+        *((("data", manifest.data),) if manifest.data is not None
+          else (("seed", manifest.seed), ("scale", manifest.scale))),
         ("years", ", ".join(str(y) for y in manifest.years) or "-"),
         ("executor", f"{manifest.executor} (jobs={manifest.n_jobs})"),
         ("shards", shards),
@@ -143,9 +143,11 @@ def _fidelity_section(data: Optional[dict]) -> str:
         )
     return (
         "<h2>Fidelity scoreboard</h2>"
-        f"<p>{pills}<span class='muted'>scored at scale "
-        f"{data.get('scale', '?')}, seed {data.get('seed', '?')}"
-        "</span></p>"
+        f"<p>{pills}<span class='muted'>scored "
+        + (f"on data {_esc(data['data'])}" if data.get("data") is not None
+           else f"at scale {data.get('scale', '?')}, "
+                f"seed {data.get('seed', '?')}")
+        + "</span></p>"
         "<table><tr><th>check</th><th>paper item</th><th>paper</th>"
         "<th>measured</th><th>divergence</th><th>verdict</th></tr>"
         + "".join(rows) + "</table>"
@@ -247,7 +249,9 @@ def write_run_report(path: Union[str, Path], manifest: RunManifest) -> Path:
     history_path = manifest.artifacts.get("fidelity_history")
     if history_path:
         history = {"fidelity": load_history(history_path)}
-    title = (f"repro {manifest.command} (scale {manifest.scale:g}, "
+    title = (f"repro {manifest.command} (data {manifest.data})"
+             if manifest.data is not None else
+             f"repro {manifest.command} (scale {manifest.scale}, "
              f"seed {manifest.seed})")
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)

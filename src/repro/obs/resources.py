@@ -6,7 +6,7 @@ A :class:`ResourceSampler` is a daemon thread that emits one
 RSS of live child processes (pool workers), process CPU seconds
 (:func:`os.times`, children included), live ``/dev/shm`` segment bytes
 from :func:`repro.engine.transport.segment_bytes`, disk usage of watched
-store/checkpoint directories, and the engine's lifetime retry, fallback
+store directories, and the engine's lifetime retry, fallback
 and drop counters.
 
 Everything degrades gracefully off Linux: missing ``/proc`` entries read

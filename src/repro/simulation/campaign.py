@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -321,21 +322,14 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
     )
 
 
-def identity_of(plans: Sequence[CampaignPlan]) -> dict:
-    """The checkpoint-compatibility identity of a set of campaign plans.
-
-    Everything that determines whether a spilled shard may be merged into
-    this run: per-year config hashes (which fold in every simulation
-    parameter including the seed), the seeds themselves (explicit, for a
-    readable mismatch message), and the shard layout (resuming with a
-    different ``--jobs`` would repartition the panel).
-    """
+def identity_of(plan: CampaignPlan) -> dict:
+    """What decides whether a spilled shard of ``plan`` may be reused:
+    the config hash (every parameter, seed included), the seed (for a
+    readable mismatch) and the shard count (``--jobs`` repartitions)."""
     return {
-        "seeds": {str(p.config.year): p.config.seed for p in plans},
-        "config_keys": {str(p.config.year): config_key(p.config)
-                        for p in plans},
-        "n_shards": {str(p.config.year): p.shard_plan.n_shards
-                     for p in plans},
+        "config_key": config_key(plan.config),
+        "seed": plan.config.seed,
+        "n_shards": plan.shard_plan.n_shards,
     }
 
 
@@ -347,56 +341,57 @@ def execute_plans(
 ) -> "tuple[List[List[Optional[ShardOutput]]], Optional[ResilienceReport]]":
     """Run every plan's shards through ``executor``, self-healing as asked.
 
-    The workhorse behind :func:`run_campaign` and ``Study.run``: loads
-    already-checkpointed shards when resuming, fans the remaining work
-    units across the executor (chaos-wrapped when a plan is injected),
-    spills each completed shard to the checkpoint store as it arrives, and
-    aggregates the executor's attempt history into a
+    The workhorse behind :func:`run_campaign` and ``Study.run``: fans the
+    work units across the executor (chaos-wrapped when a plan is
+    injected) and aggregates the executor's attempt history into a
     :class:`~repro.engine.resilience.ResilienceReport`.
 
     ``stores`` (aligned with ``plans``) turns on out-of-core execution: a
-    plan with a :class:`~repro.traces.store.CampaignStore` spills each
-    accepted shard's columns into a store partition immediately, so the
-    parent never accumulates more than one shard's rows in memory, and
-    checkpoints for those shards reference the partition instead of
-    re-pickling the rows.
+    plan's :class:`~repro.traces.store.CampaignStore` is bound to its
+    identity before any shard runs, and each accepted shard spills into a
+    store partition at once, so the parent never holds more than one
+    shard's rows. With ``resilience.resume`` every verified partition is
+    reused instead of simulated again.
 
     Returns one output list per plan, indexed by shard (``None`` marks a
     shard dropped in partial mode), plus the report (None when no
     resilience was configured and nothing went wrong).
     """
     res = resilience
-    store = res.store if res is not None else None
+    resume = res is not None and res.resume
+    stores = list(stores) if stores is not None else [None] * len(plans)
+    if resume and any(store is None for store in stores):
+        raise ConfigurationError(
+            "--resume needs --store disk: a killed disk run resumes from "
+            "its spilled partitions"
+        )
     outputs: List[List[Optional[ShardOutput]]] = [
         [None] * plan.shard_plan.n_shards for plan in plans
     ]
-    keys = [config_key(plan.config) for plan in plans]
+    counts = {"saved": 0, "hits": 0, "corrupt": 0}
     recorder = get_recorder()
 
-    def _store_for(pi: int) -> Optional[CampaignStore]:
-        return stores[pi] if stores is not None else None
-
-    if store is not None:
-        store.initialize(identity_of(plans), resume=res.resume)
-        if res.resume:
-            with recorder.span("load_checkpoints"):
-                for pi, plan in enumerate(plans):
-                    for shard in plan.shard_plan.shards:
-                        loaded = store.load(
-                            keys[pi], plan.config.seed, shard.index
-                        )
-                        if loaded is not None and loaded.partition is not None \
-                                and not loaded.partition.is_valid():
-                            # The checkpoint references a store partition
-                            # that vanished or changed since it was saved;
-                            # treat it as a miss and re-simulate.
-                            recorder.count("checkpoint_stale_partitions")
-                            loaded = None
-                        if loaded is not None:
-                            outputs[pi][shard.index] = loaded
-                            recorder.emit(EventKind.CHECKPOINT_LOADED,
-                                          year=plan.config.year,
-                                          shard=shard.index)
+    with recorder.span("load_checkpoints") if resume else nullcontext():
+        for pi, (plan, store) in enumerate(zip(plans, stores)):
+            if store is None:
+                continue
+            year = plan.config.year
+            kept, rejected = store.bind(identity_of(plan), resume=resume)
+            counts["corrupt"] += len(rejected)
+            for name in rejected:
+                recorder.emit(EventKind.CHECKPOINT_LOADED, year=year,
+                              partition=name, corrupt=True)
+            shards = {f"shard-{shard.index:04d}": shard
+                      for shard in plan.shard_plan.shards}
+            for ref in kept:
+                shard = shards.get(ref.name)
+                if shard is None:
+                    continue
+                outputs[pi][shard.index] = ShardOutput.from_partition(
+                    shard, ref)
+                counts["hits"] += 1
+                recorder.emit(EventKind.CHECKPOINT_LOADED, year=year,
+                              shard=shard.index)
 
     # Pool workers ship their chunks through shared-memory segments named
     # under this run's token; serial (in-process) execution keeps them
@@ -440,22 +435,16 @@ def execute_plans(
             # cannot leak it.
             output.payload.attach()
             output.payload.unlink()
-        plan_store = _store_for(pi)
-        if plan_store is not None:
+        if stores[pi] is not None:
             # Out-of-core: the shard's columns land in a store partition
             # right away and the shared-memory segment is unmapped — the
-            # parent keeps only the slim PartitionRef per shard.
+            # parent keeps only the slim PartitionRef per shard, and the
+            # partition is what a resume reuses.
             output = output.spill(
-                plan_store, f"shard-{work.shard_index:04d}"
+                stores[pi], f"shard-{work.shard_index:04d}"
             )
+            counts["saved"] += 1
         outputs[pi][work.shard_index] = output
-        if store is not None:
-            # Checkpoints must be self-contained: shared-memory views are
-            # materialised.
-            store.save(keys[pi], plans[pi].config.seed,
-                       work.shard_index, output.for_checkpoint())
-            recorder.emit(EventKind.CHECKPOINT_SAVED, year=work.config.year,
-                          shard=work.shard_index)
         if recorder.enabled:
             recorder.emit(
                 EventKind.SHARD_COMPLETED, year=work.config.year,
@@ -486,7 +475,7 @@ def execute_plans(
     executor.run(fn, [work for _, work in pending], on_result=_accept)
 
     report = _resilience_report(
-        executor, history_before, counts_before, pending, store, res
+        executor, history_before, counts_before, pending, counts, res
     )
     return outputs, report
 
@@ -496,7 +485,7 @@ def _resilience_report(
     history_before: int,
     counts_before: dict,
     pending: Sequence["tuple[int, ShardWork]"],
-    store,
+    partitions: dict,
     res: Optional[ResilienceConfig],
 ) -> Optional[ResilienceReport]:
     history = list(getattr(executor, "history", ()))[history_before:]
@@ -511,9 +500,10 @@ def _resilience_report(
         for failure in log.failures:
             failures_by_kind[failure.kind] = \
                 failures_by_kind.get(failure.kind, 0) + 1
-    eventful = bool(failures_by_kind) or bool(
-        store and (store.hits or store.saved or store.corrupt)
-    )
+    # Spilling alone is not an event: a plain --store disk run reports
+    # nothing, exactly like the in-memory one.
+    eventful = bool(failures_by_kind or partitions["hits"]
+                    or partitions["corrupt"])
     if res is None and not eventful:
         return None
     return ResilienceReport(
@@ -524,9 +514,9 @@ def _resilience_report(
         dropped_shards=getattr(executor, "dropped", 0)
         - counts_before["dropped"],
         failures_by_kind=failures_by_kind,
-        checkpoint_saved=store.saved if store is not None else 0,
-        checkpoint_hits=store.hits if store is not None else 0,
-        checkpoint_corrupt=store.corrupt if store is not None else 0,
+        checkpoint_saved=partitions["saved"],
+        checkpoint_hits=partitions["hits"],
+        checkpoint_corrupt=partitions["corrupt"],
     )
 
 
@@ -536,7 +526,6 @@ def merge_campaign(
     execution: Optional[ExecutionInfo] = None,
     allow_partial: bool = False,
     store: Optional[CampaignStore] = None,
-    keep_partitions: bool = False,
 ) -> CampaignResult:
     """Reassemble shard outputs into a finished campaign, canonically.
 
@@ -551,8 +540,7 @@ def merge_campaign(
     streaming-merged into the store's canonical column files (same row
     order as ``DatasetBuilder.build``, bit-identical at any ``n_jobs``) and
     the returned dataset reads them memory-mapped. Spill partitions are
-    reclaimed after a successful finalize unless ``keep_partitions``
-    (set when checkpoints reference them for resume).
+    reclaimed after a successful finalize.
     """
     config = plan.config
     world = plan.world
@@ -602,9 +590,7 @@ def merge_campaign(
             dataset = builder.build()
         else:
             store.finalize(world.infos, ap_directory, truth, chunk_maps)
-            spilled = [out.partition.name for out in present
-                       if out.partition is not None]
-            store.sweep_partitions(keep=spilled if keep_partitions else ())
+            store.sweep_partitions()
             dataset = store.load_dataset()
     return CampaignResult(
         config=config, dataset=dataset, profiles=world.profiles,
@@ -625,10 +611,10 @@ def run_plans(
     The run lifecycle behind :func:`run_campaign` and ``Study.run``: an
     executor is built (and closed) here unless one is supplied, every
     shard runs under the ``execute_shards`` span, orphaned shared-memory
-    segments are swept once the executor has drained, each plan is merged
-    (into its store, when ``stores`` names one), and a run that dies
-    before every merge finished has its spill partitions reclaimed unless
-    checkpoints reference them for resume.
+    segments are swept once the executor has drained, and each plan is
+    merged (into its store, when ``stores`` names one). A run that dies
+    before its merge keeps its accepted spill partitions: ``--resume``
+    reuses them and ``repro clean`` reclaims them.
 
     Returns the merged results in plan order, the resilience report and
     the whole run's :class:`ExecutionInfo`.
@@ -636,7 +622,6 @@ def run_plans(
     recorder = get_recorder()
     stores = list(stores) if stores is not None else [None] * len(plans)
     allow_partial = resilience.partial if resilience else False
-    checkpointed = resilience is not None and resilience.store is not None
     own_executor = executor is None
     if executor is None:
         executor = make_executor(
@@ -644,39 +629,27 @@ def run_plans(
             policy=resilience.policy if resilience else None,
             allow_partial=allow_partial,
         )
-    merged = False
     try:
-        try:
-            with recorder.span("execute_shards", executor=executor.name,
-                               n_jobs=executor.n_jobs):
-                outputs, report = execute_plans(
-                    plans, executor, resilience=resilience, stores=stores,
-                )
-        finally:
-            if own_executor:
-                executor.close()
-            # The executor has drained, so any segment still named under
-            # this run's token is an orphan — a chaos-killed loop or a
-            # timed-out straggler on a discarded pool — and is reclaimed.
-            sweep_orphans(run_token())
-        results = [
-            merge_campaign(
-                plan, plan_outputs,
-                execution=_execution_info(executor, [plan_outputs]),
-                allow_partial=allow_partial, store=store,
-                keep_partitions=checkpointed,
+        with recorder.span("execute_shards", executor=executor.name,
+                           n_jobs=executor.n_jobs):
+            outputs, report = execute_plans(
+                plans, executor, resilience=resilience, stores=stores,
             )
-            for plan, plan_outputs, store in zip(plans, outputs, stores)
-        ]
-        merged = True
     finally:
-        # Partition janitor, mirroring the shared-memory sweep: a run
-        # that died before finalize leaves spill partitions behind;
-        # reclaim them unless checkpoints reference them for resume.
-        if not merged and not checkpointed:
-            for store in stores:
-                if store is not None:
-                    store.sweep_partitions()
+        if own_executor:
+            executor.close()
+        # The executor has drained, so any segment still named under
+        # this run's token is an orphan — a chaos-killed loop or a
+        # timed-out straggler on a discarded pool — and is reclaimed.
+        sweep_orphans(run_token())
+    results = [
+        merge_campaign(
+            plan, plan_outputs,
+            execution=_execution_info(executor, [plan_outputs]),
+            allow_partial=allow_partial, store=store,
+        )
+        for plan, plan_outputs, store in zip(plans, outputs, stores)
+    ]
     return results, report, _execution_info(executor, outputs)
 
 

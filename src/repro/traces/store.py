@@ -16,8 +16,8 @@ Layout::
         meta.json                 # devices, AP directory, ground truth
         tables/traffic__rx.npy    # canonical (device, t)-sorted columns
         tables/...
-        parts/shard-0007/         # spill partitions (removed on finalize
-            part_manifest.json    # unless checkpoints reference them)
+        parts/shard-0007/         # spill partitions (removed on finalize;
+            part_manifest.json    # a killed run keeps them for --resume)
             traffic__rx.npy
             ...
 
@@ -39,12 +39,19 @@ and one copy block, never by the full table.
 The **fingerprint** is a SHA-256 over the schema and the content digest of
 every finalized column: two saved campaigns with the same fingerprint hold
 the same bits.
+
+A spill partition is also the one durable form of a finished shard. Its
+``part_manifest.json`` records the run identity the store was bound to
+(:meth:`CampaignStore.bind`), a SHA-256 of every column, the shard's
+collection accounting and a digest of the manifest itself, so a resumed
+run reuses exactly the partitions that still hold what was written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 from dataclasses import dataclass
 from datetime import date
@@ -94,17 +101,17 @@ _TABLE_NAMES = tuple(_EMPTY_DTYPES)
 class PartitionRef:
     """Small picklable handle to one spilled shard partition.
 
-    Carries everything the merge and checkpoint layers need without
-    touching the data again: per-table row counts and a digest of the
-    partition manifest, so a checkpoint that references a partition can
-    detect a stale or vanished spill and fall back to re-simulation.
+    Carries everything the merge layer needs without touching the data
+    again: per-table row counts, the shard's collection accounting as it
+    was spilled and a digest of the partition manifest, so a partition
+    that vanished or changed since is refused rather than merged.
     """
 
     root: str
     name: str
     n_rows: Mapping[str, int]
-    n_bytes: int
     digest: str
+    collection: Mapping[str, object]
 
     @property
     def path(self) -> Path:
@@ -132,8 +139,7 @@ class PartitionRef:
         """
         if not self.is_valid():
             raise DatasetError(
-                f"store partition {self.path} is missing or stale; "
-                f"re-run without --resume to re-simulate the shard"
+                f"store partition {self.path} is missing or stale"
             )
         return {
             table: [_MappedColumns(table, partial(self._column, table),
@@ -160,6 +166,8 @@ class CampaignStore:
         self.root = Path(root)
         self.year = year
         self.axis = axis
+        #: The run identity spilled partitions record (see :meth:`bind`).
+        self.identity: Optional[dict] = None
         #: Set by :meth:`finalize` / :meth:`_read_manifest`.
         self._manifest: Optional[dict] = None
 
@@ -219,17 +227,87 @@ class CampaignStore:
 
     # -- shard spill (engine write path) -----------------------------------
 
+    def bind(self, identity: Mapping[str, object],
+             resume: bool) -> "tuple[List[PartitionRef], List[str]]":
+        """Bind this store to one run's identity before any shard spills.
+
+        Every partition written from now on records ``identity``. A fresh
+        run purges ``parts/``. A resume keeps each partition that
+        :meth:`_verified` accepts and deletes any other; it returns the
+        kept partitions and the names of the deleted ones.
+        """
+        self.identity = dict(identity)
+        if not resume:
+            self.sweep_partitions()
+            return [], []
+        kept: List[PartitionRef] = []
+        rejected: List[str] = []
+        for name in self.partition_names():
+            try:
+                kept.append(self._verified(name))
+            except (DatasetError, OSError, ValueError, KeyError, TypeError):
+                shutil.rmtree(self.parts_dir / name, ignore_errors=True)
+                rejected.append(name)
+        return kept, rejected
+
+    def _verified(self, name: str) -> PartitionRef:
+        """Partition ``name``, if its manifest matches its own digest and
+        its directory and every column re-hashes to its recorded digest.
+
+        A partition written under another run identity is refused with
+        :class:`~repro.errors.ConfigurationError` and left in place.
+        """
+        blob = (self.parts_dir / name / _PART_MANIFEST).read_bytes()
+        manifest = json.loads(blob)
+        body = {k: v for k, v in manifest.items() if k != "sha256"}
+        if manifest["sha256"] != _json_digest(body) or body["name"] != name:
+            raise DatasetError(f"partition {name}: manifest does not match")
+        written_by = body["identity"] or {}
+        if written_by != self.identity:
+            diffs = [key for key in sorted(self.identity)
+                     if written_by.get(key) != self.identity[key]]
+            raise ConfigurationError(
+                f"--resume: partition {self.parts_dir / name} was written "
+                f"by a different run (mismatched: {', '.join(diffs)}); "
+                f"refusing to merge it. Drop --resume to start fresh, or "
+                f"run `repro clean {self.root}` first"
+            )
+        for table, rows in body["n_rows"].items():
+            for column, dtype in _EMPTY_DTYPES[table] if rows else ():
+                key = f"{table}__{column}"
+                values = np.load(self.parts_dir / name / f"{key}.npy",
+                                 mmap_mode="r")
+                hasher = hashlib.sha256()
+                for block in _blocks([values]):
+                    hasher.update(block)
+                if (values.dtype != np.dtype(dtype) or len(values) != rows
+                        or hasher.hexdigest() != body["columns"][key]):
+                    raise DatasetError(f"partition {name}: column {key} "
+                                       f"does not match its manifest")
+        return self._ref(body, blob)
+
+    def _ref(self, body: dict, blob: bytes) -> PartitionRef:
+        return PartitionRef(
+            root=str(self.root), name=body["name"], n_rows=body["n_rows"],
+            digest=hashlib.sha256(blob).hexdigest(),
+            collection=body["collection"],
+        )
+
     def write_partition(
         self,
         name: str,
         chunks: Mapping[str, Sequence[Mapping[str, np.ndarray]]],
+        collection: Optional[Mapping[str, object]] = None,
     ) -> PartitionRef:
         """Land one shard's columnar chunks as a spill partition.
 
-        Chunks are concatenated per column in append order (exactly the
-        order ``DatasetBuilder.build`` would see), written atomically
-        (temp dir + rename), and summarized in a ``part_manifest.json``
-        whose digest rides on the returned :class:`PartitionRef`.
+        Chunks are written per column in append order (exactly the order
+        ``DatasetBuilder.build`` would see), atomically (temp dir +
+        rename), and summarized in a ``part_manifest.json`` holding the
+        bound run identity, each column's SHA-256, the shard's
+        ``collection`` accounting (JSON values) and a digest of the
+        manifest itself; the file's digest rides on the returned
+        :class:`PartitionRef`.
         """
         self.parts_dir.mkdir(parents=True, exist_ok=True)
         final_dir = self.parts_dir / name
@@ -238,30 +316,33 @@ class CampaignStore:
             shutil.rmtree(tmp_dir)
         tmp_dir.mkdir(parents=True)
         n_rows: Dict[str, int] = {}
+        digests: Dict[str, str] = {}
         n_bytes = 0
         for table in _TABLE_NAMES:
-            chunk_list = list(chunks.get(table, ()))
-            if not chunk_list:
-                n_rows[table] = 0
-                continue
-            names = [column for column, _ in _EMPTY_DTYPES[table]]
-            rows = 0
-            for column in names:
-                arr = (chunk_list[0][column] if len(chunk_list) == 1
-                       else np.concatenate(
-                           [chunk[column] for chunk in chunk_list]))
-                arr = np.ascontiguousarray(arr)
-                np.save(tmp_dir / f"{table}__{column}.npy", arr)
-                rows = len(arr)
-                n_bytes += arr.nbytes
+            chunk_list = [chunk for chunk in chunks.get(table, ())
+                          if len(chunk["device"])]
+            rows = sum(len(chunk["device"]) for chunk in chunk_list)
             n_rows[table] = rows
-        manifest = {
+            if not rows:
+                continue
+            for column, dtype in _EMPTY_DTYPES[table]:
+                key = f"{table}__{column}"
+                digests[key] = _write_npy(
+                    tmp_dir / f"{key}.npy", dtype, rows,
+                    _blocks(chunk[column] for chunk in chunk_list),
+                )
+                n_bytes += rows * np.dtype(dtype).itemsize
+        body = {
             "name": name,
             "year": self.year,
+            "identity": self.identity,
             "n_rows": n_rows,
             "n_bytes": n_bytes,
+            "columns": digests,
+            "collection": dict(collection or {}),
         }
-        blob = (json.dumps(manifest, sort_keys=True) + "\n").encode()
+        blob = (json.dumps({**body, "sha256": _json_digest(body)},
+                           sort_keys=True) + "\n").encode()
         (tmp_dir / _PART_MANIFEST).write_bytes(blob)
         if final_dir.exists():
             shutil.rmtree(final_dir)
@@ -271,10 +352,7 @@ class CampaignStore:
         recorder.count("store_spill_bytes", n_bytes)
         recorder.emit(EventKind.SPILL, year=self.year, partition=name,
                       bytes=n_bytes)
-        return PartitionRef(
-            root=str(self.root), name=name, n_rows=dict(n_rows),
-            n_bytes=n_bytes, digest=hashlib.sha256(blob).hexdigest(),
-        )
+        return self._ref(body, blob)
 
     def partition_names(self) -> List[str]:
         """Names of every on-disk spill partition (orphans included)."""
@@ -285,23 +363,10 @@ class CampaignStore:
             if entry.is_dir() and not entry.name.startswith(".")
         )
 
-    def sweep_partitions(self, keep: Iterable[str] = ()) -> List[str]:
-        """Remove spill partitions not in ``keep``; returns removed names.
-
-        The janitor twin of the engine's shared-memory ``sweep_orphans``:
-        a chaos-killed run leaves partitions behind, and the campaign
-        runner reclaims them in its ``finally`` unless a checkpoint store
-        still references them for resume.
-        """
-        keep_set = set(keep)
-        removed = []
-        for name in self.partition_names():
-            if name not in keep_set:
-                shutil.rmtree(self.parts_dir / name, ignore_errors=True)
-                removed.append(name)
-        if not keep_set and self.parts_dir.is_dir():
-            shutil.rmtree(self.parts_dir, ignore_errors=True)
-        return removed
+    def sweep_partitions(self) -> None:
+        """Remove every spill partition: after a finalize, and before a
+        fresh run spills (a killed run's stay for ``--resume``)."""
+        shutil.rmtree(self.parts_dir, ignore_errors=True)
 
     # -- streaming merge (finalize) ----------------------------------------
 
@@ -431,6 +496,10 @@ class CampaignStore:
                 "dtype": np.dtype(dtype).str,
                 "sha256": _write_npy(path, dtype, total, blocks),
             }
+            # On disk before the manifest that names it is written. A
+            # spill partition needs no sync: resume re-hashes it.
+            with open(path, "rb") as written:
+                os.fsync(written.fileno())
         if stage:
             del staged  # release the staging maps before unlinking them
             for path in stage.values():
@@ -529,19 +598,28 @@ def _blocks(arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 def _write_npy(path: Path, dtype, total: int,
                blocks: Iterable[np.ndarray]) -> str:
     """Write ``total`` rows from ``blocks`` as one ``.npy`` column and
-    return the sha256 of the written bytes."""
-    out = np.lib.format.open_memmap(path, mode="w+", dtype=np.dtype(dtype),
-                                    shape=(total,))
+    return the sha256 of the written bytes. Plain sequential writes: no
+    file mapping to fault in page by page, and no sync (finalize syncs
+    the columns it publishes)."""
+    dtype = np.dtype(dtype)
     hasher = hashlib.sha256()
-    lo = 0
-    for block in blocks:
-        block = np.ascontiguousarray(block, dtype=dtype)
-        out[lo:lo + len(block)] = block
-        hasher.update(block)
-        lo += len(block)
-    out.flush()
-    del out
+    with open(path, "wb") as out:
+        np.lib.format.write_array_header_1_0(out, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": (total,),
+        })
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=dtype)
+            out.write(block)
+            hasher.update(block)
     return hasher.hexdigest()
+
+
+def _json_digest(body: Mapping[str, object]) -> str:
+    """SHA-256 of ``body``'s canonical JSON."""
+    return hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def save_dataset(dataset: CampaignDataset, path: Union[str, Path]) -> Path:
@@ -563,32 +641,23 @@ def load_dataset(path: Union[str, Path]) -> CampaignDataset:
     return CampaignStore.open(path).load_dataset()
 
 
-def sweep_orphan_partitions(root: Union[str, Path]) -> List[str]:
+def sweep_orphan_partitions(root: Union[str, Path],
+                            dry_run: bool = False) -> List[str]:
     """Reclaim spill partitions under a store (or store-parent) directory.
 
-    The disk analogue of ``repro.engine.transport.sweep_orphans``: a run
-    killed between spill and finalize leaves ``parts/`` behind; this
-    removes every partition under ``root`` (a single campaign store or a
-    ``--out`` directory holding several) and returns the removed names.
+    The disk analogue of ``repro.engine.transport.sweep_orphans``: a
+    ``--store disk`` run that dies before its merge keeps its accepted
+    partitions so ``--resume`` can reuse them; this removes every
+    partition under ``root`` (a single campaign store or a ``--out``
+    directory holding several) and returns the removed names. With
+    ``dry_run`` (``repro clean --dry-run``) it only lists them.
     """
-    root = Path(root)
     removed: List[str] = []
-    for parts in _orphan_parts_dirs(root):
-        for entry in sorted(parts.iterdir()):
-            removed.append(entry.name)
-        shutil.rmtree(parts, ignore_errors=True)
-    return removed
-
-
-def list_orphan_partitions(root: Union[str, Path]) -> List[str]:
-    """What :func:`sweep_orphan_partitions` would remove, without removing.
-
-    Backs ``repro clean --dry-run``.
-    """
-    names: List[str] = []
     for parts in _orphan_parts_dirs(Path(root)):
-        names.extend(sorted(entry.name for entry in parts.iterdir()))
-    return names
+        removed.extend(sorted(entry.name for entry in parts.iterdir()))
+        if not dry_run:
+            shutil.rmtree(parts, ignore_errors=True)
+    return removed
 
 
 def _orphan_parts_dirs(root: Path) -> List[Path]:

@@ -195,7 +195,7 @@ def _option_actions(parser: argparse.ArgumentParser) -> int:
 def test_cli_option_count_only_falls():
     # Counted on the built parser, so options registered through helpers
     # or multi-line calls count too. Lower the pin when options go.
-    assert _option_actions(build_parser()) <= 65
+    assert _option_actions(build_parser()) <= 64
 
 
 def test_analyze_all_runs_everything(tmp_path, capsys):

@@ -511,3 +511,36 @@ def test_cli_fidelity_on_one_saved_campaign(one_year_study, tmp_path,
     skipped = {r["check_id"] for r in report["records"]
                if r["verdict"] == VERDICT_SKIP}
     assert _YEAR_COMPARISONS <= skipped
+
+
+@pytest.mark.parametrize("command", [["fidelity"], ["analyze", "table1"]])
+def test_data_run_telemetry_names_the_data(one_year_study, tmp_path,
+                                           command, capsys):
+    """A run over saved campaigns records null seed/scale and the data
+    path: the seed-3 campaign must not fold to the seed-7 defaults."""
+    from repro import save_dataset
+    from repro.cli import main
+
+    data = tmp_path / "data"
+    save_dataset(one_year_study.dataset(2015), data / "campaign2015")
+    events = tmp_path / "events.jsonl"
+    extra = (["--out", str(tmp_path / "report.json")]
+             if command == ["fidelity"] else [])
+    assert main(command + ["--data", str(data), "--events", str(events)]
+                + extra) == 0
+    assert main(["events", str(events), "--manifest", str(tmp_path / "m.json"),
+                 "--report", str(tmp_path / "r.html")]) == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["seed"] is None and manifest["scale"] is None
+    assert manifest["data"] == str(data)
+    html = (tmp_path / "r.html").read_text()
+    assert f"(data {data})" in html
+    assert "seed 7" not in html and "scale 0.02" not in html
+    if command == ["fidelity"]:
+        assert f"scored on data {data}" in html
+    capsys.readouterr()
+    assert main(["events", str(events), "--postmortem"]) == 0
+    run_line = [line for line in capsys.readouterr().out.splitlines()
+                if line.strip().startswith("run:")]
+    assert run_line and f"data={data}" in run_line[0]
+    assert "seed=7" not in run_line[0]

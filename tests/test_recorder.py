@@ -233,7 +233,7 @@ def test_reconstruct_interrupted_run():
         _event("shard_queued", year=2013, shard=0),
         _event("shard_queued", year=2013, shard=1),
         _event("shard_completed", year=2013, shard=0),
-        _event("checkpoint_saved", year=2013, shard=0),
+        _event("spill", year=2013, partition="shard-0000", bytes=64),
         _event("shard_retry", failure="crash", unit="2013:1"),
         _event("resource_sample", rss_bytes=1024, cpu_s=0.5),
         _event("chaos", fault="kill", shard=1, hard=True),
@@ -259,7 +259,8 @@ def test_reconstruct_distinguishes_corrupt_checkpoints():
     events = [
         _event("run_start", command="simulate", seed=7),
         _event("checkpoint_loaded", year=2013, shard=0),
-        _event("checkpoint_loaded", corrupt=True, shard=1, seed=7),
+        _event("checkpoint_loaded", corrupt=True, year=2013,
+               partition="shard-0001"),
         _event("run_end", status="ok", exit_code=0),
     ]
     post = reconstruct(events)
@@ -563,8 +564,7 @@ def hard_killed_run(tmp_path_factory):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "simulate",
          "--scale", "0.004", "--seed", "11", "--jobs", "2",
-         "--out", str(tmp_path / "data"),
-         "--checkpoint-dir", str(tmp_path / "ckpt"),
+         "--out", str(tmp_path / "data"), "--store", "disk",
          "--chaos-kill-after", "1", "--chaos-kill-hard",
          "--events", str(log)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -586,7 +586,7 @@ def test_hard_kill_leaves_reconstructable_black_box(hard_killed_run):
     assert "execute_shards" in post.open_stages
     assert len(post.completed) >= 1
     assert post.outstanding
-    # The completed shard checkpointed before the kill...
+    # The completed shard spilled its partition before the kill...
     assert post.checkpoints_saved >= 1
     # ...and the chaos event itself outlived its sender.
     assert any(e["kind"] == "chaos" and e.get("fault") == "kill"
@@ -741,8 +741,7 @@ def test_hard_kill_run_resumes_bit_identically(tmp_path):
     base = ["--scale", "0.004", "--seed", "11", "--jobs", "2"]
     killed = subprocess.run(
         [sys.executable, "-m", "repro", "simulate", *base,
-         "--out", str(tmp_path / "data"),
-         "--checkpoint-dir", str(tmp_path / "ckpt"),
+         "--out", str(tmp_path / "data"), "--store", "disk",
          "--chaos-kill-after", "1", "--chaos-kill-hard"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         timeout=480, env=env, cwd=str(tmp_path),
@@ -750,12 +749,13 @@ def test_hard_kill_run_resumes_bit_identically(tmp_path):
     assert killed.returncode == -9
     resumed = subprocess.run(
         [sys.executable, "-m", "repro", "simulate", *base,
-         "--out", str(tmp_path / "data"),
-         "--checkpoint-dir", str(tmp_path / "ckpt"), "--resume"],
+         "--out", str(tmp_path / "data"), "--store", "disk", "--resume"],
         capture_output=True, text=True, timeout=480, env=env,
         cwd=str(tmp_path),
     )
     assert resumed.returncode == 0, resumed.stderr
+    assert "checkpoints: 1 reused" in resumed.stdout
+    assert not list((tmp_path / "data").glob("campaign*/parts"))
     reference = subprocess.run(
         [sys.executable, "-m", "repro", "simulate", *base,
          "--out", str(tmp_path / "ref")],

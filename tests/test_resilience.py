@@ -1,4 +1,4 @@
-"""Self-healing execution tests: checkpoints, retries, chaos, degradation.
+"""Self-healing execution tests: resume, retries, chaos, degradation.
 
 The acceptance bar: the chaos harness can crash 30% of shards, hang one,
 and kill the campaign mid-run — and every recovered (or resumed) run is
@@ -8,10 +8,10 @@ bit-for-bit identical to an uninterrupted one at any worker count.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import (
-    CheckpointStore,
     ChaosCrash,
     ChaosKill,
     ChaosPlan,
@@ -38,17 +38,24 @@ from repro.errors import ConfigurationError, EngineError
 from repro.obs.manifest import RunManifest, build_manifest, run_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.campaign import (
+    identity_of,
     merge_campaign,
     plan_campaign,
     run_campaign,
 )
 from repro.simulation.study import default_campaign_config, run_study
+from repro.traces.store import CampaignStore
 from tests.test_engine import assert_datasets_identical
 
 
 def _small_config(year=2013, **kwargs):
     config = default_campaign_config(year, scale=0.004, seed=11, **kwargs)
     return dataclasses.replace(config, n_days=4)
+
+
+def _store_for(config, root):
+    return CampaignStore(root / f"campaign{config.year}", config.year,
+                         config.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -95,70 +102,89 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint store
+# Spill partitions as the durable shard format
 # ---------------------------------------------------------------------------
+
+_IDENTITY = {"config_key": "aa", "seed": 7, "n_shards": 2}
+_COLLECTION = {"stats": [[0, 4, None, 0, 4, 4, 0, 0, 0]],
+               "batches_received": 4, "duplicates_dropped": 0}
+
+
+def _traffic(n=40):
+    return {"traffic": [dict(
+        device=np.zeros(n, np.int32), t=np.arange(n, dtype=np.int32),
+        iface=np.zeros(n, np.int8), rx=np.linspace(0.0, 1.0, n),
+        tx=np.ones(n), rx_pkts=np.ones(n, np.int64),
+        tx_pkts=np.ones(n, np.int64),
+    )]}
+
+
+def _bound_store(root, identity=_IDENTITY, resume=False):
+    store = CampaignStore(root, 2013, _small_config().axis)
+    store.bind(identity, resume=resume)
+    return store
+
 
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.initialize({"k": "v"}, resume=False)
-        payload = {"rows": list(range(50)), "year": 2013}
-        store.save("abc", 7, 3, payload)
-        fresh = CheckpointStore(tmp_path)
-        assert fresh.load("abc", 7, 3) == payload
-        assert fresh.hits == 1
-        assert fresh.load("abc", 7, 4) is None
-        assert fresh.misses == 1
+        _bound_store(tmp_path).write_partition(
+            "shard-0001", _traffic(), collection=_COLLECTION)
+        kept, rejected = CampaignStore(
+            tmp_path, 2013, _small_config().axis
+        ).bind(_IDENTITY, resume=True)
+        assert rejected == []
+        (ref,) = kept
+        assert ref.name == "shard-0001"
+        assert ref.collection == _COLLECTION
+        (chunk,) = ref.chunk_map()["traffic"]
+        for column, values in _traffic()["traffic"][0].items():
+            assert np.array_equal(chunk[column], values)
 
     @pytest.mark.parametrize("mode", ["truncate", "flip"])
     def test_corruption_degrades_gracefully(self, tmp_path, mode):
-        store = CheckpointStore(tmp_path)
-        store.initialize({"k": "v"}, resume=False)
-        store.save("abc", 7, 0, {"x": 1})
+        store = _bound_store(tmp_path)
+        store.write_partition("shard-0000", _traffic(),
+                              collection=_COLLECTION)
         damaged = corrupt_checkpoints(tmp_path, mode=mode)
-        assert len(damaged) == 1
-        assert store.load("abc", 7, 0) is None
-        assert store.corrupt == 1
-        # The poisoned file was deleted, so a re-save round-trips again.
-        assert not store.path_for("abc", 7, 0).exists()
-        store.save("abc", 7, 0, {"x": 1})
-        assert store.load("abc", 7, 0) == {"x": 1}
+        assert len(damaged) == 1 and damaged[0].suffix == ".npy"
+        kept, rejected = store.bind(_IDENTITY, resume=True)
+        assert kept == [] and rejected == ["shard-0000"]
+        # The poisoned partition was deleted, so a re-spill round-trips.
+        assert store.partition_names() == []
+        store.write_partition("shard-0000", _traffic(),
+                              collection=_COLLECTION)
+        kept, rejected = store.bind(_IDENTITY, resume=True)
+        assert [ref.name for ref in kept] == ["shard-0000"]
 
     def test_wrong_key_in_header_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("abc", 7, 0, {"x": 1})
-        path = store.path_for("abc", 7, 0)
-        path.rename(store.path_for("abc", 7, 1))
-        assert store.load("abc", 7, 1) is None
-        assert store.corrupt == 1
+        store = _bound_store(tmp_path)
+        ref = store.write_partition("shard-0000", _traffic(),
+                                    collection=_COLLECTION)
+        ref.path.rename(store.parts_dir / "shard-0001")
+        assert store.bind(_IDENTITY, resume=True) == ([], ["shard-0001"])
 
     def test_resume_identity_mismatch_refused(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.initialize({"seed": 7, "config_keys": {"2013": "aa"}},
-                         resume=False)
-        store.save("aa", 7, 0, {"x": 1})
-        other = CheckpointStore(tmp_path)
+        _bound_store(tmp_path).write_partition(
+            "shard-0000", _traffic(), collection=_COLLECTION)
         with pytest.raises(ConfigurationError, match="different run"):
-            other.initialize({"seed": 8, "config_keys": {"2013": "bb"}},
-                             resume=True)
+            _bound_store(tmp_path, {**_IDENTITY, "seed": 8}, resume=True)
 
     def test_fresh_run_purges_stale_directory(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.initialize({"seed": 7}, resume=False)
-        store.save("aa", 7, 0, {"x": 1})
-        other = CheckpointStore(tmp_path)
-        other.initialize({"seed": 8}, resume=False)
-        assert other.load("aa", 7, 0) is None
+        _bound_store(tmp_path).write_partition(
+            "shard-0000", _traffic(), collection=_COLLECTION)
+        other = _bound_store(tmp_path, {**_IDENTITY, "seed": 8})
+        assert other.partition_names() == []
 
     def test_resume_over_empty_directory_is_fresh(self, tmp_path):
-        store = CheckpointStore(tmp_path / "new")
-        store.initialize({"seed": 7}, resume=True)  # must not raise
+        store = CampaignStore(tmp_path / "new", 2013, _small_config().axis)
+        assert store.bind(_IDENTITY, resume=True) == ([], [])
 
     def test_resume_without_meta_refused(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("aa", 7, 0, {"x": 1})  # files but no meta written
-        with pytest.raises(ConfigurationError, match="unknown provenance"):
-            CheckpointStore(tmp_path).initialize({"seed": 7}, resume=True)
+        # Written by a store no run was bound to: no identity recorded.
+        CampaignStore(tmp_path, 2013, _small_config().axis).write_partition(
+            "shard-0000", _traffic(), collection=_COLLECTION)
+        with pytest.raises(ConfigurationError, match="different run"):
+            _bound_store(tmp_path, resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +338,23 @@ class TestParallelExecutorResilience:
 
 
 # ---------------------------------------------------------------------------
-# Campaign-level checkpoint / resume bit-identity
+# Campaign-level resume bit-identity
 # ---------------------------------------------------------------------------
+
+def _killed(config, root, n_jobs, kill_after=1):
+    """Run ``config`` on a disk store under ``root`` and kill it after
+    ``kill_after`` accepted shards."""
+    with pytest.raises(ChaosKill):
+        run_campaign(config, n_jobs=n_jobs, store=_store_for(config, root),
+                     resilience=ResilienceConfig(
+                         chaos=ChaosPlan(kill_after_shards=kill_after)))
+
+
+def _resumed(config, root, n_jobs):
+    return run_campaign(config, n_jobs=n_jobs,
+                        store=_store_for(config, root),
+                        resilience=ResilienceConfig(resume=True))
+
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -321,75 +362,83 @@ class TestCheckpointResume:
         """The tentpole guarantee: kill after k shards, resume, same bits."""
         config = _small_config(2014)
         baseline = run_campaign(config, n_jobs=n_jobs)
-
-        kill_after = 1  # with 1-2 shards per run this interrupts mid-way
-        res = ResilienceConfig(
-            store=CheckpointStore(tmp_path),
-            chaos=ChaosPlan(kill_after_shards=kill_after),
-        )
-        interrupted = False
-        try:
-            run_campaign(config, n_jobs=n_jobs, resilience=res)
-        except ChaosKill:
-            interrupted = True
-        if n_jobs > 1:
-            assert interrupted
-
-        resumed = run_campaign(
-            config, n_jobs=n_jobs,
-            resilience=ResilienceConfig(store=CheckpointStore(tmp_path),
-                                        resume=True),
-        )
+        _killed(config, tmp_path, n_jobs)
+        resumed = _resumed(config, tmp_path, n_jobs)
         assert_datasets_identical(baseline.dataset, resumed.dataset)
-        assert resumed.resilience.checkpoint_hits >= kill_after
+        assert resumed.resilience.checkpoint_hits >= 1
+        assert resumed.resilience.checkpoint_corrupt == 0
         assert resumed.losses is None
-        if baseline.collection is not None:
-            assert resumed.collection.totals() == \
-                baseline.collection.totals()
+        assert resumed.collection == baseline.collection
+        assert not _store_for(config, tmp_path).parts_dir.exists()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["flip", "truncate"])
+    def test_damaged_column_is_simulated_again(self, tmp_path, mode,
+                                               n_jobs):
+        """A spilled column damaged after a kill is caught by its digest:
+        the partition is deleted and its shard simulated again, and the
+        resumed dataset still equals the uninterrupted one."""
+        config = _small_config(2014)
+        baseline = run_campaign(config, n_jobs=n_jobs)
+        _killed(config, tmp_path, n_jobs)
+        damaged = corrupt_checkpoints(tmp_path, mode=mode)
+        assert len(damaged) == 1
+        assert damaged[0].suffix == ".npy"  # a column, not the manifest
+        resumed = _resumed(config, tmp_path, n_jobs)
+        assert resumed.resilience.checkpoint_corrupt >= 1
+        assert resumed.resilience.checkpoint_hits == 0
+        assert_datasets_identical(baseline.dataset, resumed.dataset)
+        assert resumed.collection == baseline.collection
 
     def test_full_resume_skips_all_simulation(self, tmp_path):
         config = _small_config()
-        res = ResilienceConfig(store=CheckpointStore(tmp_path))
-        first = run_campaign(config, n_jobs=2, resilience=res)
-        resumed = run_campaign(
-            config, n_jobs=2,
-            resilience=ResilienceConfig(store=CheckpointStore(tmp_path),
-                                        resume=True),
-        )
-        n_shards = first.execution.n_shards
+        baseline = run_campaign(config, n_jobs=2)
+        n_shards = baseline.execution.n_shards
+        # Killed on the last accepted shard: every partition is on disk,
+        # nothing is merged.
+        _killed(config, tmp_path, 2, kill_after=n_shards)
+        resumed = _resumed(config, tmp_path, 2)
         assert resumed.resilience.checkpoint_hits == n_shards
         assert resumed.resilience.shard_attempts == []  # nothing executed
-        assert_datasets_identical(first.dataset, resumed.dataset)
-
-    def test_resume_with_different_shard_layout_refused(self, tmp_path):
-        config = _small_config()
-        run_campaign(config, n_jobs=2,
-                     resilience=ResilienceConfig(
-                         store=CheckpointStore(tmp_path)))
-        with pytest.raises(ConfigurationError, match="different run"):
-            run_campaign(config, n_jobs=1,
-                         resilience=ResilienceConfig(
-                             store=CheckpointStore(tmp_path), resume=True))
+        assert resumed.execution.transport_bytes == 0
+        assert_datasets_identical(baseline.dataset, resumed.dataset)
 
     def test_corrupted_checkpoints_recompute_identically(self, tmp_path):
         config = _small_config(2014)
         baseline = run_campaign(config, n_jobs=2)
-        run_campaign(config, n_jobs=2,
-                     resilience=ResilienceConfig(
-                         store=CheckpointStore(tmp_path)))
+        _killed(config, tmp_path, 2, kill_after=baseline.execution.n_shards)
         damaged = corrupt_checkpoints(tmp_path, rate=1.0, mode="flip")
-        assert damaged
-        resumed = run_campaign(
-            config, n_jobs=2,
-            resilience=ResilienceConfig(store=CheckpointStore(tmp_path),
-                                        resume=True),
-        )
+        assert len(damaged) == baseline.execution.n_shards
+        resumed = _resumed(config, tmp_path, 2)
         assert resumed.resilience.checkpoint_corrupt == len(damaged)
         assert_datasets_identical(baseline.dataset, resumed.dataset)
 
+    def test_resume_with_different_shard_layout_refused(self, tmp_path):
+        config = _small_config()
+        _killed(config, tmp_path, 2)
+        with pytest.raises(ConfigurationError, match="n_shards"):
+            _resumed(config, tmp_path, 1)
+
+    def test_resume_with_different_seed_refused(self, tmp_path):
+        config = _small_config()
+        _killed(config, tmp_path, 2)
+        reseeded = dataclasses.replace(config, seed=config.seed + 1)
+        with pytest.raises(ConfigurationError, match="different run"):
+            _resumed(reseeded, tmp_path, 2)
+
     def test_resume_without_store_rejected(self):
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            ResilienceConfig(resume=True)
+        with pytest.raises(ConfigurationError, match="--store disk"):
+            run_campaign(_small_config(), n_jobs=1,
+                         resilience=ResilienceConfig(resume=True))
+
+    def test_bound_identity_is_the_plan_identity(self, tmp_path):
+        config = _small_config()
+        _killed(config, tmp_path, 2)
+        store = _store_for(config, tmp_path)
+        (name,) = store.partition_names()
+        manifest = json.loads(
+            (store.parts_dir / name / "part_manifest.json").read_text())
+        assert manifest["identity"] == identity_of(plan_campaign(config, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +483,16 @@ class TestChaosAcceptance:
         kwargs = dict(scale=0.004, seed=11)
         baseline = run_study(n_jobs=2, **kwargs)
 
-        store_dir = tmp_path / "ck"
+        store_dir = tmp_path / "out"
         with pytest.raises(ChaosKill):
-            run_study(n_jobs=2,
+            run_study(n_jobs=2, store_dir=store_dir,
                       resilience=ResilienceConfig(
-                          store=CheckpointStore(store_dir),
                           chaos=ChaosPlan(kill_after_shards=2)),
                       **kwargs)
-        resumed = run_study(n_jobs=2,
-                            resilience=ResilienceConfig(
-                                store=CheckpointStore(store_dir),
-                                resume=True),
+        resumed = run_study(n_jobs=2, store_dir=store_dir,
+                            resilience=ResilienceConfig(resume=True),
                             **kwargs)
+        assert resumed.resilience.checkpoint_hits == 2
         for year in (2013, 2014, 2015):
             assert_datasets_identical(baseline.dataset(year),
                                       resumed.dataset(year))
@@ -630,17 +677,16 @@ class TestCli:
 
         base = tmp_path / "base"
         out = tmp_path / "out"
-        ck = tmp_path / "ck"
         common = ["simulate", "--scale", "0.004", "--seed", "11",
                   "--jobs", "2"]
         assert main(common + ["--out", str(base)]) == 0
 
-        rc = main(common + ["--out", str(out), "--checkpoint-dir", str(ck),
+        rc = main(common + ["--out", str(out), "--store", "disk",
                             "--chaos-kill-after", "2"])
         assert rc == 3
-        assert "interrupted" in capsys.readouterr().err
+        assert "keeps its spilled partitions" in capsys.readouterr().err
 
-        rc = main(common + ["--out", str(out), "--checkpoint-dir", str(ck),
+        rc = main(common + ["--out", str(out), "--store", "disk",
                             "--resume", "--events", str(tmp_path / "e.jsonl")])
         assert rc == 0
         assert main(["events", str(tmp_path / "e.jsonl"),
@@ -652,26 +698,25 @@ class TestCli:
                 load_dataset(base / f"campaign{year}"),
                 load_dataset(out / f"campaign{year}"),
             )
+            assert not (out / f"campaign{year}" / "parts").exists()
 
     def test_resume_mismatch_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
-        ck = tmp_path / "ck"
         common = ["simulate", "--scale", "0.004", "--jobs", "2",
-                  "--out", str(tmp_path / "out"),
-                  "--checkpoint-dir", str(ck)]
-        assert main(common + ["--seed", "11"]) == 0
+                  "--out", str(tmp_path / "out"), "--store", "disk"]
+        assert main(common + ["--seed", "11", "--chaos-kill-after", "1"]) == 3
         rc = main(common + ["--seed", "12", "--resume"])
         assert rc == 2
         assert "different run" in capsys.readouterr().err
 
-    def test_resume_without_checkpoint_dir_exits_2(self, tmp_path, capsys):
+    def test_resume_without_store_disk_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
         rc = main(["simulate", "--scale", "0.004",
                    "--out", str(tmp_path / "out"), "--resume"])
         assert rc == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert "--store disk" in capsys.readouterr().err
 
     def test_partial_results_reports_losses(self, tmp_path, capsys):
         from repro.cli import main

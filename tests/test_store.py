@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 from repro.engine import (
     ChaosKill,
     ChaosPlan,
-    CheckpointStore,
     ResilienceConfig,
     RetryPolicy,
 )
 from repro.errors import ConfigurationError, DatasetError
-from repro.simulation.campaign import plan_campaign, run_campaign, simulate_shard
+from repro.simulation.campaign import (
+    identity_of, plan_campaign, run_campaign, simulate_shard,
+)
 from repro.simulation.study import default_campaign_config
 from repro.traces.dataset import DatasetBuilder
 from repro.traces.store import (
@@ -209,62 +210,70 @@ class TestFormats:
 
 
 # ---------------------------------------------------------------------------
-# Janitor: chaos kills must not leak partitions; checkpoints keep theirs
+# Janitor: a killed run keeps exactly its accepted partitions for resume
 # ---------------------------------------------------------------------------
 
 class TestPartitionJanitor:
-    def test_chaos_kill_sweeps_unreferenced_partitions(self, tmp_path):
-        """The disk twin of the /dev/shm leak check."""
+    def test_chaos_kill_keeps_only_accepted_partitions(self, tmp_path):
+        """A killed disk run keeps exactly its accepted, verifiable
+        partitions for --resume, and `repro clean` reclaims them."""
         config = _small_config(2014)
         store = _store_for(config, tmp_path)
         res = ResilienceConfig(chaos=ChaosPlan(kill_after_shards=1))
         with pytest.raises(ChaosKill):
             run_campaign(config, n_jobs=2, resilience=res, store=store)
-        assert not store.parts_dir.exists()
+        names = store.partition_names()
+        assert len(names) == 1
         assert not (store.root / STORE_MANIFEST).exists()
+        # Rebinding for resume verifies every column of what was kept.
+        kept, rejected = _store_for(config, tmp_path).bind(
+            identity_of(plan_campaign(config, 2)), resume=True)
+        assert [ref.name for ref in kept] == names and rejected == []
+        assert sweep_orphan_partitions(tmp_path) == names
+        assert not store.parts_dir.exists()
 
     def test_checkpointed_kill_keeps_partitions_for_resume(self, tmp_path):
         config = _small_config(2014)
         baseline = run_campaign(config, n_jobs=2)
-        res = ResilienceConfig(
-            store=CheckpointStore(tmp_path / "ckpt"),
-            chaos=ChaosPlan(kill_after_shards=1),
-        )
-        store = _store_for(config, tmp_path / "data")
+        res = ResilienceConfig(chaos=ChaosPlan(kill_after_shards=1))
+        store = _store_for(config, tmp_path)
         with pytest.raises(ChaosKill):
             run_campaign(config, n_jobs=2, resilience=res, store=store)
-        assert store.partition_names()  # referenced by checkpoints: kept
+        assert store.partition_names()  # kept for resume
 
         resumed = run_campaign(
-            config, n_jobs=2,
-            resilience=ResilienceConfig(store=CheckpointStore(tmp_path / "ckpt"),
-                                        resume=True),
-            store=_store_for(config, tmp_path / "data"),
+            config, n_jobs=2, store=_store_for(config, tmp_path),
+            resilience=ResilienceConfig(resume=True),
         )
         assert_datasets_identical(baseline.dataset, resumed.dataset)
         assert resumed.resilience.checkpoint_hits >= 1
+        assert not store.parts_dir.exists()
 
     def test_stale_partition_falls_back_to_resimulation(self, tmp_path):
-        """A checkpoint whose partition was tampered with re-simulates."""
+        """A partition whose manifest was changed re-simulates: one edit
+        that keeps the JSON valid (only the manifest's own digest sees
+        it) and one truncation."""
         config = _small_config(2014)
         baseline = run_campaign(config, n_jobs=2)
-        res = ResilienceConfig(
-            store=CheckpointStore(tmp_path / "ckpt"),
-            chaos=ChaosPlan(kill_after_shards=1),
-        )
-        store = _store_for(config, tmp_path / "data")
+        n_shards = baseline.execution.n_shards
+        res = ResilienceConfig(chaos=ChaosPlan(kill_after_shards=n_shards))
+        store = _store_for(config, tmp_path)
         with pytest.raises(ChaosKill):
             run_campaign(config, n_jobs=2, resilience=res, store=store)
-        for name in store.partition_names():
-            manifest = store.parts_dir / name / "part_manifest.json"
-            manifest.write_bytes(manifest.read_bytes() + b" ")
+        edited, truncated = [store.parts_dir / name / "part_manifest.json"
+                             for name in store.partition_names()]
+        manifest = json.loads(edited.read_text())
+        manifest["collection"]["batches_received"] += 1
+        edited.write_text(json.dumps(manifest))
+        truncated.write_bytes(truncated.read_bytes()[:40])
         resumed = run_campaign(
-            config, n_jobs=2,
-            resilience=ResilienceConfig(store=CheckpointStore(tmp_path / "ckpt"),
-                                        resume=True),
-            store=_store_for(config, tmp_path / "data"),
+            config, n_jobs=2, store=_store_for(config, tmp_path),
+            resilience=ResilienceConfig(resume=True),
         )
+        assert resumed.resilience.checkpoint_corrupt == 2
+        assert resumed.resilience.checkpoint_hits == 0
         assert_datasets_identical(baseline.dataset, resumed.dataset)
+        assert resumed.collection == baseline.collection
 
     def test_partition_ref_detects_tamper(self, tmp_path):
         store = CampaignStore(tmp_path / "campaign", YEAR, _axis())

@@ -22,11 +22,7 @@ import pytest
 from repro.engine.chaos import ChaosKill, ChaosPlan
 from repro.engine.executor import ParallelExecutor
 from repro.engine.planner import plan_units
-from repro.engine.resilience import (
-    CheckpointStore,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.engine.transport import (
     ShardPayload,
     run_token,
@@ -41,6 +37,7 @@ from repro.simulation.campaign import (
     simulate_shard,
 )
 from repro.simulation.study import default_campaign_config, run_study
+from repro.traces.store import CampaignStore
 
 from tests.test_engine import assert_datasets_identical
 
@@ -247,13 +244,15 @@ class TestSegmentHygiene:
         assert segment_names(run_token()) == []
 
     def test_chaos_kill_leaves_no_segments(self, tmp_path):
-        res = ResilienceConfig(
-            store=CheckpointStore(tmp_path),
-            chaos=ChaosPlan(kill_after_shards=1),
-        )
+        config = _small_config(2014)
+        store = CampaignStore(tmp_path / "campaign2014", config.year,
+                              config.axis)
+        res = ResilienceConfig(chaos=ChaosPlan(kill_after_shards=1))
         with pytest.raises(ChaosKill):
-            run_campaign(_small_config(2014), n_jobs=2, resilience=res)
+            run_campaign(config, n_jobs=2, resilience=res, store=store)
         assert segment_names(run_token()) == []
+        # The accepted shard is on disk for --resume, not in /dev/shm.
+        assert len(store.partition_names()) == 1
 
     def test_full_shm_falls_back_to_the_parent(self, monkeypatch):
         """A /dev/shm too full for a segment fails its reservation with an
