@@ -24,7 +24,8 @@ def main() -> None:
     study = run_study(scale=scale, seed=31)
     context = AnalysisContext(study)
 
-    timing = analysis.update_timing(context.raw(2015), context.classification(2015))
+    timing = analysis.update_timing(context.raw_campaign(2015),
+                                     context.classification(2015))
     print("iOS 8.2 rollout (2015 campaign)")
     print(f"  release day: campaign day {timing.release_day}")
     print(f"  updated within the window: {timing.updated_fraction:.0%}"

@@ -8,7 +8,7 @@ of cellular volume (32% -> 80%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -51,25 +51,26 @@ def aggregate_traffic(data: DatasetOrContext) -> AggregateTraffic:
     ):
         hourly = ctx.hourly_series(kind, direction)
         series[key] = HourlySeries(bytes_to_mbps(hourly), start_weekday)
+    wifi_share, lte_share = traffic_shares(ctx)
+    return AggregateTraffic(
+        year=dataset.year,
+        series=series,
+        wifi_share=wifi_share,
+        lte_share_of_cellular=lte_share,
+    )
 
-    wifi_total = ctx.daily_matrix("wifi", "rx").sum() + (
-        ctx.daily_matrix("wifi", "tx").sum()
-    )
-    cell_total = ctx.daily_matrix("cell", "rx").sum() + (
-        ctx.daily_matrix("cell", "tx").sum()
-    )
-    lte_total = ctx.daily_matrix("lte", "rx").sum() + (
-        ctx.daily_matrix("lte", "tx").sum()
+
+def traffic_shares(ctx: AnalysisContext) -> Tuple[float, float]:
+    """(WiFi share of all bytes, LTE share of cellular), from the day folds."""
+    wifi_total, cell_total, lte_total = (
+        ctx.daily_matrix(kind, "rx").sum() + ctx.daily_matrix(kind, "tx").sum()
+        for kind in ("wifi", "cell", "lte")
     )
     total = wifi_total + cell_total
     if total <= 0:
         raise AnalysisError("campaign carries no traffic")
-    return AggregateTraffic(
-        year=dataset.year,
-        series=series,
-        wifi_share=float(wifi_total / total),
-        lte_share_of_cellular=float(lte_total / cell_total) if cell_total else 0.0,
-    )
+    return (float(wifi_total / total),
+            float(lte_total / cell_total) if cell_total else 0.0)
 
 
 def weekend_weekday_ratio(data: DatasetOrContext, kind: str) -> float:

@@ -49,7 +49,7 @@ class PublicAvailability:
         return float((dist.values >= at_least).sum() / dist.n)
 
 
-def _available_scan_mask(dataset: CampaignDataset) -> np.ndarray:
+def available_scan_mask(dataset: CampaignDataset) -> np.ndarray:
     """Mask over scan rows taken while the device was WiFi-available."""
     wifi = dataset.wifi
     available = wifi.state == int(WifiStateCode.AVAILABLE)
@@ -61,11 +61,12 @@ def _available_scan_mask(dataset: CampaignDataset) -> np.ndarray:
 
 def public_availability(data: DatasetOrContext) -> PublicAvailability:
     """Figure 17: detected public networks per available device-slot."""
-    dataset = AnalysisContext.of(data).dataset()
+    ctx = AnalysisContext.of(data)
+    dataset = ctx.dataset()
     scans = dataset.scans
     if len(scans) == 0:
         raise AnalysisError("dataset has no scan summaries")
-    mask = _available_scan_mask(dataset)
+    mask = ctx.available_scan_mask()
     if not mask.any():
         raise AnalysisError("no scans in WiFi-available state")
     ccdfs = {
@@ -94,11 +95,12 @@ class OffloadEstimate:
 
 def offload_estimate(data: DatasetOrContext) -> OffloadEstimate:
     """Estimate offloadable cellular volume for WiFi-available users."""
-    dataset = AnalysisContext.of(data).dataset()
+    ctx = AnalysisContext.of(data)
+    dataset = ctx.dataset()
     scans = dataset.scans
     if len(scans) == 0:
         raise AnalysisError("dataset has no scan summaries")
-    mask = _available_scan_mask(dataset)
+    mask = ctx.available_scan_mask()
     if not mask.any():
         raise AnalysisError("no scans in WiFi-available state")
     strong = mask & ((scans.n24_strong + scans.n5_strong) >= 1)

@@ -3,11 +3,11 @@
 ~19 figures and 9 tables all derive from the same handful of per-campaign
 intermediates: the cleaned dataset, the traffic folds (handed out per kind
 as (device, day) matrices and hourly series), the (device, t) join indexes
-of :mod:`repro.traces.query`, user classes, the AP classification, the app
-breakdown and the WiFi ratios. :class:`AnalysisContext` computes each once
-per campaign and hands out the cached value everywhere else, with
-per-artifact instrumentation (hits, misses, self compute seconds, cached
-bytes counted once) exposed as a :class:`CacheStats` report.
+of :mod:`repro.traces.query`, the WiFi-available scan mask, user classes,
+the AP classification, the app breakdown and the WiFi ratios, each computed
+once per campaign and handed out cached, with per-artifact instrumentation
+(hits, misses, self compute seconds, cached bytes counted once) exposed as
+a :class:`CacheStats` report.
 
 Every analysis entry point accepts either a plain
 :class:`~repro.traces.dataset.CampaignDataset` or an ``AnalysisContext``
@@ -166,7 +166,7 @@ def _cached_nbytes(value: object) -> int:
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, SlotIndex):
-        return int(value.keys.nbytes) + int(value.order.nbytes)
+        return int(value.keys.nbytes)
     if isinstance(value, (bool, int, float, str, bytes)):
         return sys.getsizeof(value)
     if isinstance(value, _COLLECTIONS):
@@ -198,7 +198,7 @@ def _is_flat(value: object) -> bool:
 class _CampaignState:
     """One campaign's source dataset plus its memoized artifacts."""
 
-    __slots__ = ("raw", "raw_is_analysis", "artifacts")
+    __slots__ = ("raw", "raw_is_analysis", "artifacts", "raw_state")
 
     def __init__(self, raw: CampaignDataset, raw_is_analysis: bool) -> None:
         self.raw = raw
@@ -207,6 +207,7 @@ class _CampaignState:
         #: still needs :func:`clean_for_main_analysis` (study campaigns).
         self.raw_is_analysis = raw_is_analysis
         self.artifacts: Dict[tuple, object] = {}
+        self.raw_state: Optional["_CampaignState"] = None  # raw_campaign's
 
 
 DatasetOrContext = Union[CampaignDataset, "AnalysisContext"]
@@ -218,7 +219,8 @@ class AnalysisContext:
     Construct from a :class:`~repro.simulation.study.Study` (or any object
     with ``campaigns`` and ``dataset(year)``) for the multi-campaign
     reporting path — per-campaign artifacts are then derived from the
-    *cleaned* dataset. Construct via
+    *cleaned* dataset, and :meth:`raw_campaign` analyzes one raw capture
+    through the same memo. Construct via
     :meth:`of` from a single :class:`CampaignDataset` for the analysis
     path — the dataset is analyzed verbatim (no implicit cleaning), which
     keeps ``fn(dataset)`` and ``fn(AnalysisContext.of(dataset))``
@@ -289,6 +291,18 @@ class AnalysisContext:
         view._stats = self._stats
         view._states = self._states
         view._focus = year
+        return view
+
+    def raw_campaign(self, year: int) -> "AnalysisContext":
+        """A :meth:`campaign` view of one raw capture: it reads the clean
+        campaign's memo entries when cleaning dropped nothing (``clean(year)
+        is raw(year)``) and memoizes its own artifacts otherwise."""
+        view = self.campaign(year)
+        state = self._states[view._focus]
+        if state.raw_state is None:
+            shared = state.raw_is_analysis or self.clean(year) is state.raw
+            state.raw_state = state if shared else _CampaignState(state.raw, True)
+        view._states = {view._focus: state.raw_state}
         return view
 
     def _resolve_year(self, year: Optional[int]) -> int:
@@ -401,25 +415,33 @@ class AnalysisContext:
                               view=True)
 
     def geo_index(self, year: Optional[int] = None) -> SlotIndex:
-        """Memoized sorted (device, t) index over the geolocation table."""
+        """Memoized (device, t) index over the geolocation table."""
         def compute() -> SlotIndex:
             index = geo_cell_index(self.dataset(year))
             index.keys.setflags(write=False)
-            index.order.setflags(write=False)
             return index
         return self._artifact(year, ("geo_index",), compute)
 
     def association_index(
         self, year: Optional[int] = None
     ) -> Tuple[SlotIndex, np.ndarray]:
-        """Memoized (index, sorted ap ids) over associated wifi rows."""
+        """Memoized (index, ap ids in index order) over associated wifi rows."""
         def compute() -> Tuple[SlotIndex, np.ndarray]:
-            index, ap_sorted = association_index(self.dataset(year))
+            index, ap_ids = association_index(self.dataset(year))
             index.keys.setflags(write=False)
-            index.order.setflags(write=False)
-            ap_sorted.setflags(write=False)
-            return index, ap_sorted
+            ap_ids.setflags(write=False)
+            return index, ap_ids
         return self._artifact(year, ("association_index",), compute)
+
+    def available_scan_mask(self, year: Optional[int] = None) -> np.ndarray:
+        """Memoized read-only mask of the scans taken while WiFi-available."""
+        from repro.analysis.availability import available_scan_mask
+
+        def compute() -> np.ndarray:
+            mask = available_scan_mask(self.dataset(year))
+            mask.setflags(write=False)
+            return mask
+        return self._artifact(year, ("available_scan_mask",), compute)
 
     def user_classes(self, year: Optional[int] = None):
         """Memoized §2 light/heavy per-(device, day) classification."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence
 
-from repro.analysis.aggregate import aggregate_traffic
+from repro.analysis.aggregate import traffic_shares
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.traces.dataset import CampaignDataset
@@ -38,7 +38,6 @@ def campaign_overview(data: DatasetOrContext) -> CampaignOverview:
     n_ios = len(dataset.devices) - n_android
     if not dataset.devices:
         raise AnalysisError("dataset has no devices")
-    agg = aggregate_traffic(ctx)
     start = dataset.axis.slot_datetime(0).date()
     end = dataset.axis.slot_datetime(dataset.n_slots - 1).date()
     return CampaignOverview(
@@ -48,7 +47,7 @@ def campaign_overview(data: DatasetOrContext) -> CampaignOverview:
         n_android=n_android,
         n_ios=n_ios,
         n_total=n_android + n_ios,
-        lte_share=agg.lte_share_of_cellular,
+        lte_share=traffic_shares(ctx)[1],
     )
 
 

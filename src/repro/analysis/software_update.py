@@ -88,10 +88,10 @@ def update_timing(
     no_home_days = days[is_no_home] - release_day
 
     network_used: Dict[str, int] = {}
-    index, aps_sorted = ctx.association_index()
+    index, ap_ids = ctx.association_index()
     if is_no_home.any():
         pos, found = index.lookup(devices[is_no_home], slots[is_no_home])
-        codes = classification.class_codes(aps_sorted[pos])
+        codes = classification.class_codes(ap_ids[pos])
         for hit, code in zip(found.tolist(), codes.tolist()):
             cls = WIFI_CLASSES[code] if hit else "unknown"
             network_used[cls] = network_used.get(cls, 0) + 1

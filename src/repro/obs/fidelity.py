@@ -263,7 +263,7 @@ def _t1_panel(ctx):
     import repro.analysis as A
 
     years = _compared_years(ctx)
-    return [A.campaign_overview(ctx.raw(y)).n_total for y in years]
+    return [A.campaign_overview(ctx.raw_campaign(y)).n_total for y in years]
 
 
 @_extractor("t1_lte_share")
@@ -271,7 +271,7 @@ def _t1_lte(ctx):
     import repro.analysis as A
 
     years = _compared_years(ctx, every_campaign=True)
-    return [A.campaign_overview(ctx.raw(y)).lte_share for y in years]
+    return [A.campaign_overview(ctx.raw_campaign(y)).lte_share for y in years]
 
 
 @_extractor("t2_occupation_mix")
@@ -683,7 +683,7 @@ def _f18_adoption(ctx):
     import repro.analysis as A
 
     last = _last(ctx)
-    timing = A.update_timing(ctx.raw(last), ctx.classification(last))
+    timing = A.update_timing(ctx.raw_campaign(last), ctx.classification(last))
     return timing.updated_fraction
 
 
@@ -692,7 +692,7 @@ def _f18_no_home(ctx):
     import repro.analysis as A
 
     last = _last(ctx)
-    timing = A.update_timing(ctx.raw(last), ctx.classification(last))
+    timing = A.update_timing(ctx.raw_campaign(last), ctx.classification(last))
     return (timing.updated_fraction, timing.updated_fraction_no_home)
 
 

@@ -71,7 +71,7 @@ def table1(cache: AnalysisContext) -> Table:
     table = Table("Table 1: Overview of datasets",
                   ["year", "duration", "#And", "#iOS", "#total", "%LTE"])
     for year in cache.years:
-        row = A.campaign_overview(cache.raw(year))
+        row = A.campaign_overview(cache.raw_campaign(year))
         table.add_row(
             row.year, f"{row.start}..{row.end}", row.n_android, row.n_ios,
             row.n_total, f"{100 * row.lte_share:.0f}%",
@@ -437,7 +437,7 @@ def fig17(cache: AnalysisContext) -> Figure:
 @_register("fig18", "Figure 18", "Software update timing")
 def fig18(cache: AnalysisContext) -> Figure:
     year = max(cache.years)
-    timing = A.update_timing(cache.raw(year), cache.classification(year))
+    timing = A.update_timing(cache.raw_campaign(year), cache.classification(year))
     figure = Figure("Figure 18", f"iOS update timing, {year}")
     days, frac = timing.cdf_curve()
     figure.add("CDF (all)", days, frac)

@@ -54,10 +54,14 @@ def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlotIndex:
-    """A sorted (device, t) index over one table, for O(log n) lookups."""
+    """A (device, t) index over a table in canonical (device, t) order.
 
-    keys: np.ndarray  # sorted composite keys
-    order: np.ndarray  # argsort of the source rows
+    Keys strictly increase, so a key's position is its source row: no sort,
+    and ``gather`` is plain indexing. Lookups binary-search (O(log n)), but
+    a dense index (consecutive keys, as for ``geo``) computes positions.
+    """
+
+    keys: np.ndarray  # strictly increasing composite keys
     n_slots: int
 
     @classmethod
@@ -65,23 +69,26 @@ class SlotIndex:
         cls, device: np.ndarray, t: np.ndarray, n_slots: int
     ) -> "SlotIndex":
         keys = composite_keys(device, t, n_slots)
-        order = np.argsort(keys)
-        return cls(keys=keys[order], order=order, n_slots=n_slots)
+        if not np.all(keys[1:] > keys[:-1]):
+            raise AnalysisError("slot index keys are not strictly increasing")
+        return cls(keys=keys, n_slots=n_slots)
 
     def lookup(
         self, device: np.ndarray, t: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Positions (into the *sorted* source) and a found mask."""
+        """Positions (into the source rows) and a found mask."""
         want = composite_keys(device, t, self.n_slots)
-        if len(self.keys) == 0:
+        keys = self.keys
+        if len(keys) == 0:
             return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), bool)
-        pos = np.searchsorted(self.keys, want)
-        pos = np.clip(pos, 0, len(self.keys) - 1)
-        return pos, self.keys[pos] == want
+        dense = keys[-1] - keys[0] == len(keys) - 1
+        pos = want - keys[0] if dense else np.searchsorted(keys, want)
+        pos = np.clip(pos, 0, len(keys) - 1)
+        return pos, keys[pos] == want
 
     def gather(self, column: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Values of a source-table ``column`` at sorted positions ``pos``."""
-        return column[self.order][pos]
+        """Values of a source-table ``column`` at positions ``pos``."""
+        return column[pos]
 
 
 def geo_cell_index(dataset: CampaignDataset) -> SlotIndex:
@@ -93,12 +100,11 @@ def geo_cell_index(dataset: CampaignDataset) -> SlotIndex:
 
 
 def association_index(dataset: CampaignDataset) -> Tuple[SlotIndex, np.ndarray]:
-    """Index over associated wifi rows plus their (sorted-order) ap ids."""
+    """Index over associated wifi rows plus their ap ids, in index order."""
     wifi = dataset.wifi
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
     index = SlotIndex.build(wifi.device[assoc], wifi.t[assoc], dataset.n_slots)
-    ap_sorted = wifi.ap_id[assoc][index.order].astype(np.int64)
-    return index, ap_sorted
+    return index, wifi.ap_id[assoc].astype(np.int64)
 
 
 def device_day_of(t: np.ndarray) -> np.ndarray:

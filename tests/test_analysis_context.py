@@ -19,6 +19,7 @@ from repro.errors import AnalysisError
 from repro.reporting.experiments import list_experiments, run_experiment
 from repro.reporting.figures import Figure
 from repro.reporting.tables import Table
+from repro.traces.dataset import CampaignDataset
 
 
 def _same_cell(a, b) -> bool:
@@ -246,6 +247,64 @@ class TestContextConstruction:
     def test_empty_mapping_rejected(self):
         with pytest.raises(AnalysisError):
             AnalysisContext({})
+
+    def test_raw_campaign_view_shares_memo(self, study):
+        context = AnalysisContext(study)
+        for year in context.years:
+            view = context.raw_campaign(year)
+            assert view.dataset() is context.raw(year)
+            assert view.stats is context.stats
+            assert view.years == (year,)
+            shared = context.clean(year) is context.raw(year)
+            same = view.daily_matrix() is context.daily_matrix(year=year)
+            assert same == shared, year
+            assert context.raw_campaign(year).daily_matrix() is view.daily_matrix()
+        # 2015 drops the update window; 2013 has no update events.
+        assert context.clean(2015) is not context.raw(2015)
+        assert context.clean(2013) is context.raw(2013)
+
+
+class TestFoldSharing:
+    """Raw campaigns fold through the shared memo, day folds only."""
+
+    @staticmethod
+    def _count_folds(monkeypatch):
+        calls = []
+        fold = CampaignDataset.traffic_fold
+
+        def counting(self, by="day", direction="rx"):
+            calls.append((id(self), by, direction))
+            return fold(self, by, direction)
+
+        monkeypatch.setattr(CampaignDataset, "traffic_fold", counting)
+        return calls
+
+    def test_table1_folds_each_dataset_once_and_by_day(self, study, monkeypatch):
+        calls = self._count_folds(monkeypatch)
+        context = AnalysisContext(study)
+        run_experiment("table1", context)
+        assert [c for c in calls if c[1] != "day"] == []
+        raw_ids = {id(context.raw(year)) for year in context.years}
+        assert {c[0] for c in calls} == raw_ids
+        # The clean campaign's own folds: a campaign whose cleaning dropped
+        # nothing was already folded by Table 1 and is not folded again.
+        for year in context.years:
+            for direction in ("rx", "tx"):
+                context.traffic_fold("day", direction, year)
+        assert len(calls) == len(set(calls))
+        assert len(calls) == 2 * (len(context.years) + 1)  # + clean 2015
+
+    def test_fidelity_folds_each_raw_campaign_at_most_once(
+        self, study, monkeypatch
+    ):
+        from repro.obs.fidelity import score_fidelity
+
+        calls = self._count_folds(monkeypatch)
+        score_fidelity(AnalysisContext(study))
+        raw_ids = {id(study.dataset(year)) for year in study.campaigns}
+        raw_calls = [c for c in calls if c[0] in raw_ids]
+        assert raw_calls
+        assert len(raw_calls) == len(set(raw_calls))
 
 
 def test_cached_nbytes_counts_arrays_and_containers():

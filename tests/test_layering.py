@@ -54,18 +54,22 @@ def test_guard_sees_the_allowed_calls_in_context():
 
 SRC_DIR = ANALYSIS_DIR.parent
 
-#: Study-wide app breakdowns (Tables 6-7) and WiFi ratios (Figures 6-8)
-#: and their fidelity checks come from the memo, ``ctx.app_breakdown(year)``
-#: and ``ctx.wifi_ratios(year)``; calling the analysis function bare or
+#: Study-wide app breakdowns (Tables 6-7), WiFi ratios (Figures 6-8) and
+#: the WiFi-available scan mask (Figure 17, §3.5) come from the memo,
+#: ``ctx.app_breakdown(year)``, ``ctx.wifi_ratios(year)`` and
+#: ``ctx.available_scan_mask(year)``; calling the analysis function bare or
 #: through a module alias recomputes it per caller.
 DIRECT_MEMO_CALLS = re.compile(
-    r"(?:^|[^\w.]|\b(?:A|analysis)\.)(?:app_breakdown|wifi_ratios)\("
+    r"(?:^|[^\w.]|\b(?:A|analysis)\.)"
+    r"(?:app_breakdown|wifi_ratios|available_scan_mask)\("
 )
 
 
 def _memo_call_violations():
     paths = sorted((SRC_DIR / "reporting").glob("*.py"))
     paths.append(SRC_DIR / "obs" / "fidelity.py")
+    paths += [p for p in sorted(ANALYSIS_DIR.glob("*.py"))
+              if p.name != "context.py"]
     found = []
     for path in paths:
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -80,8 +84,9 @@ def _memo_call_violations():
 def test_reporting_gets_app_breakdown_from_the_context():
     violations = _memo_call_violations()
     assert not violations, (
-        "direct app_breakdown/wifi_ratios calls in reporting/fidelity (use "
-        "the memoized ctx.app_breakdown(year) / ctx.wifi_ratios(year)):\n"
+        "direct app_breakdown/wifi_ratios/available_scan_mask calls outside "
+        "context.py (use the memoized ctx.app_breakdown(year) / "
+        "ctx.wifi_ratios(year) / ctx.available_scan_mask(year)):\n"
         + "\n".join(violations)
     )
 
@@ -92,11 +97,13 @@ def test_app_breakdown_guard_regex():
         "top = app_breakdown(ctx)",
         "analysis.app_breakdown(ctx.campaign(last))",
         "ratios = A.wifi_ratios(cache.campaign(year))",
+        "mask = available_scan_mask(dataset)",
     ):
         assert DIRECT_MEMO_CALLS.search(bad), bad
     for good in ("breakdown = cache.app_breakdown(year)",
                  "ctx.app_breakdown(last).top('wifi_home')",
-                 "ratios = cache.wifi_ratios(year)"):
+                 "ratios = cache.wifi_ratios(year)",
+                 "mask = ctx.available_scan_mask()"):
         assert not DIRECT_MEMO_CALLS.search(good), good
 
 

@@ -38,6 +38,63 @@ class TestSlotIndex:
         _pos, found = index.lookup(np.array([0]), np.array([0]))
         assert not found.any()
 
+    @staticmethod
+    def _reference(keys, want):
+        """The sorted-index lookup: argsort, binary search, clip."""
+        if len(keys) == 0:
+            return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), bool)
+        ordered = keys[np.argsort(keys)]
+        pos = np.clip(np.searchsorted(ordered, want), 0, len(keys) - 1)
+        return pos, ordered[pos] == want
+
+    @pytest.mark.parametrize("keys", [
+        np.arange(12),                      # dense from 0 (geo)
+        np.arange(7, 19),                   # dense, offset
+        np.array([3, 4, 9, 10, 11, 40]),    # sparse
+        np.array([25]),                     # single key
+        np.array([], dtype=np.int64),       # empty
+    ], ids=["dense", "dense-offset", "sparse", "single", "empty"])
+    def test_lookup_and_gather_match_the_sorted_reference(self, keys):
+        n_slots = 10
+        device, t = keys // n_slots, keys % n_slots
+        index = SlotIndex.build(device, t, n_slots)
+        # Needles below, inside and beyond the key range, hits and misses.
+        want = np.arange(-3, 60)
+        pos, found = index.lookup(want // n_slots, want % n_slots)
+        ref_pos, ref_found = self._reference(keys, want)
+        assert pos.dtype == ref_pos.dtype
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(found, ref_found)
+        assert np.array_equal(found, np.isin(want, keys))
+        if len(keys):
+            column = keys * 3 + 1
+            ref_values = column[np.argsort(keys)][ref_pos]
+            assert np.array_equal(index.gather(column, pos), ref_values)
+
+    @pytest.mark.parametrize("device, t", [
+        (np.array([0, 1, 0]), np.array([5, 5, 9])),   # unsorted
+        (np.array([0, 0, 1]), np.array([5, 5, 2])),   # duplicate key
+    ], ids=["unsorted", "duplicate"])
+    def test_build_rejects_rows_out_of_canonical_order(self, device, t):
+        with pytest.raises(AnalysisError, match="strictly increasing"):
+            SlotIndex.build(device, t, n_slots=100)
+
+    def test_build_never_sorts(self, monkeypatch):
+        from repro.traces import query as query_module
+
+        class NoArgsort:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def argsort(*args, **kwargs):
+                raise AssertionError("canonical keys were sorted")
+
+        monkeypatch.setattr(query_module, "np", NoArgsort())
+        index = SlotIndex.build(np.array([0, 0, 2]), np.array([1, 4, 0]), 10)
+        pos, found = index.lookup(np.array([0, 2]), np.array([4, 1]))
+        assert list(pos) == [1, 2] and list(found) == [True, False]
+
     def test_composite_keys_unique(self):
         keys = composite_keys(np.array([0, 1]), np.array([99, 0]), n_slots=100)
         assert keys[0] == 99 and keys[1] == 100
