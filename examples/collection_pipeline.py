@@ -1,114 +1,66 @@
 #!/usr/bin/env python3
-"""Drive the measurement-collection substrate directly (§2).
+"""Run a campaign through the fault-injected collection pipeline (§2).
 
-Shows the agent -> flaky uploader -> server path the real measurement
-software used: each device's records for a day, cut into one upload per
-10-minute slot; uploads that fail are cached on-device and retried, the
-server deduplicates retries and assembles a dataset. Ends by validating
-the dataset and printing its row counts.
+The measurement software uploads each 10-minute slot's records to a central
+server; an upload that fails is cached on the device and sent later. A
+``FaultPlan`` says what goes wrong: failed attempts (worse on 3G), server
+outages, participants who drop out, retransmitted duplicates and a bounded
+on-device cache. This example runs one small campaign three times and prints
+each run's ``CollectionReport``:
+
+1. without faults, as the reference;
+2. with a 35% upload-failure rate and duplicates: every failed batch is
+   retried until it arrives, so nothing is lost;
+3. with an outage, a small cache and churn: evicted batches, batches
+   stranded at the end and dropped-out participants are lost, which is the
+   recruited-vs-valid gap of Table 1.
 
 Usage::
 
     python examples/collection_pipeline.py
 """
 
-from datetime import date
+import dataclasses
 
-import numpy as np
-
-from repro.collection.agent import MeasurementAgent
-from repro.collection.server import CollectionServer
-from repro.collection.uploader import FlakyTransport, Uploader, drain_all
-from repro.geo.coords import Coordinate, cell_index
-from repro.net.cellular import CellularTechnology
-from repro.timeutil import TimeAxis
-from repro.traces.records import DeviceInfo, DeviceOS, IfaceKind, WifiStateCode
-from repro.traces.validate import validate_dataset
-
-TOKYO = Coordinate(35.681, 139.767)
-SUBURB = Coordinate(35.86, 139.64)
+from repro import (
+    FaultPlan,
+    OutageWindow,
+    default_campaign_config,
+    run_campaign,
+    validate_dataset,
+)
+from repro.reporting.collection import render_collection_report
 
 
-def day_tables(info: DeviceInfo, n_slots: int, rng: np.random.Generator):
-    """One device's day of records as column tables, as the simulator
-    emits them: home nights and evenings in the suburb, daytime in Tokyo."""
-    t = np.arange(n_slots)
-    hour = (t % 144) // 6
-    at_home = (hour < 8) | (hour >= 19)
-    home_cell, city_cell = cell_index(SUBURB), cell_index(TOKYO)
-    device = np.full(n_slots, info.device_id)
-    tables = {
-        "traffic": dict(
-            device=device, t=t,
-            iface=np.full(n_slots, int(IfaceKind.from_technology(info.technology))),
-            rx=rng.exponential(2e5, n_slots), tx=rng.exponential(4e4, n_slots),
-        ),
-        "geo": dict(
-            device=device, t=t,
-            col=np.where(at_home, home_cell[0], city_cell[0]),
-            row=np.where(at_home, home_cell[1], city_cell[1]),
-        ),
-    }
-    if info.os is DeviceOS.ANDROID:
-        # Android reports its WiFi state every slot and scans while out;
-        # iOS reports only associations, and this day has none.
-        tables["wifi"] = dict(
-            device=device, t=t,
-            state=np.where(at_home, int(WifiStateCode.OFF),
-                           int(WifiStateCode.AVAILABLE)),
-            ap_id=np.full(n_slots, -1), rssi=np.zeros(n_slots),
-        )
-        away = t[~at_home]
-        n24 = rng.poisson(3.0, len(away))
-        tables["scans"] = dict(
-            device=device[:len(away)], t=away,
-            n24_all=n24, n24_strong=np.minimum(n24, rng.poisson(1.0, len(away))),
-            n5_all=rng.poisson(1.0, len(away)), n5_strong=np.zeros(len(away), int),
-        )
-    return tables
+def campaign(faults):
+    """Two days of a small 2015 panel, collected under ``faults``."""
+    config = default_campaign_config(2015, scale=0.005, seed=5, faults=faults)
+    return run_campaign(dataclasses.replace(config, n_days=2), n_jobs=1)
 
 
 def main() -> None:
-    axis = TimeAxis(date(2015, 3, 2), n_days=1)
-    server = CollectionServer(2015, axis)
+    reference = campaign(None).dataset
+    rows = reference.n_rows_total
+    print(f"Reference: {reference.n_devices} devices, {rows} rows.\n")
 
-    devices = [
-        DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE),
-        DeviceInfo(1, DeviceOS.IOS, "softbank", CellularTechnology.LTE),
-        DeviceInfo(2, DeviceOS.ANDROID, "au", CellularTechnology.THREE_G),
-    ]
-    rng = np.random.default_rng(5)
-    uploads = []
-    uploaders = []
-    for info in devices:
-        server.register_device(info)
-        transport = FlakyTransport(
-            server.receive, failure_rate=0.35,
-            rng=np.random.default_rng(100 + info.device_id),
-        )
-        uploaders.append(Uploader(info.device_id, transport))
-        uploads.append(MeasurementAgent(info).package_uploads(
-            day_tables(info, axis.n_slots, rng), axis.n_slots
-        ))
+    print("Uploading with a 35% upload-failure rate and 5% duplicates...")
+    retried = campaign(FaultPlan(upload_failure_p=0.35, duplicate_p=0.05,
+                                 final_drain_rounds=50, seed=1))
+    print(render_collection_report(retried.collection))
+    lost = rows - retried.dataset.n_rows_total
+    print(f"Data loss after retries: {lost} samples (expected 0).\n")
 
-    print("Uploading one day at 10-minute ticks with a 35% upload-failure rate...")
-    # Every device records geo each slot, so all devices upload every tick.
-    for tick in zip(*uploads):
-        for uploader, (_, payload) in zip(uploaders, tick):
-            uploader.upload(payload)
-
-    caches = [uploader.cached_batches for uploader in uploaders]
-    print(f"End of day: cached batches awaiting retry per device: {caches}")
-    drain_all(uploaders)
-    print("Caches drained; assembling the dataset server-side...")
-
-    dataset = server.build_dataset()
-    summary = validate_dataset(dataset)
-    print(summary)
-    print(f"Server stats: {server.batches_received} batches received, "
-          f"{server.duplicates_dropped} duplicates dropped.")
-    lost = axis.n_slots * len(devices) - summary.rows["geo"]
-    print(f"Data loss after retries: {lost} samples (expected 0).")
+    print("Uploading through a 100-slot outage with a 24-batch cache "
+          "and 30% churn...")
+    harsh = campaign(FaultPlan(
+        upload_failure_p=0.1, upload_failure_p_3g_extra=0.1,
+        outages=(OutageWindow(100, 200),), max_cache_batches=24,
+        dropout_p=0.3, seed=1,
+    ))
+    print(render_collection_report(harsh.collection))
+    print(validate_dataset(harsh.dataset))
+    print(f"Rows lost to eviction, stranded caches and churn: "
+          f"{rows - harsh.dataset.n_rows_total} of {rows}.")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from repro.errors import (
     AnalysisError,
     CollectionError,
     EngineError,
-    UploadError,
 )
 from repro.engine import (
     ExecutionInfo,
@@ -80,7 +79,6 @@ __all__ = [
     "AnalysisError",
     "CollectionError",
     "EngineError",
-    "UploadError",
     "ExecutionInfo",
     "ParallelExecutor",
     "SerialExecutor",

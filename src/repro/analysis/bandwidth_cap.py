@@ -4,13 +4,16 @@ A device-day is *potentially capped* when the previous three days' cellular
 download exceeds the 1 GB threshold. Figure 19 plots, for capped and other
 device-days, the CDF of (today's cellular download) / (mean of the previous
 three days); throttling pushes the capped curve left. The gap between the
-two medians shrinks from 2014 to 2015 after the policy relaxation.
+two medians shrinks from 2014 to 2015 after the policy relaxation. A small
+panel may have no capped (or no other) device-days at all; the quantities
+of that side are then undefined (``None``), and Figure 19 draws that curve
+empty, which renders as ``(no data)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,15 +28,19 @@ class CapEffect:
     """Figure 19 curves and §3.8 statistics for one campaign."""
 
     year: int
-    capped_ratio_cdf: Ecdf
-    others_ratio_cdf: Ecdf
+    #: Ratio CDFs; None when there are no such device-days.
+    capped_ratio_cdf: Optional[Ecdf]
+    others_ratio_cdf: Optional[Ecdf]
     potentially_capped_fraction: float
     #: Fraction of capped / other device-days below half of the 3-day mean.
-    capped_below_half: float
-    others_below_half: float
+    capped_below_half: Optional[float]
+    others_below_half: Optional[float]
 
-    def median_gap(self) -> float:
-        """Difference of medians (others - capped) of the ratio CDFs."""
+    def median_gap(self) -> Optional[float]:
+        """Difference of medians (others - capped) of the ratio CDFs, or
+        None when either side has no device-days."""
+        if self.capped_ratio_cdf is None or self.others_ratio_cdf is None:
+            return None
         return self.others_ratio_cdf.median() - self.capped_ratio_cdf.median()
 
 
@@ -70,18 +77,27 @@ def cap_effect(
         capped_ratios.append(ratio[capped])
         other_ratios.append(ratio[evaluable & ~capped])
 
-    capped_all = np.concatenate(capped_ratios) if capped_ratios else np.array([])
-    others_all = np.concatenate(other_ratios) if other_ratios else np.array([])
-    if capped_all.size == 0 or others_all.size == 0:
-        raise AnalysisError("not enough capped/other device-days to compare")
+    capped_cdf, capped_below_half = _ratio_summary(capped_ratios)
+    others_cdf, others_below_half = _ratio_summary(other_ratios)
     return CapEffect(
         year=ctx.dataset().year,
-        capped_ratio_cdf=ecdf(capped_all),
-        others_ratio_cdf=ecdf(others_all),
+        capped_ratio_cdf=capped_cdf,
+        others_ratio_cdf=others_cdf,
         potentially_capped_fraction=n_capped_days / max(n_eval_days, 1),
-        capped_below_half=float((capped_all < 0.5).mean()),
-        others_below_half=float((others_all < 0.5).mean()),
+        capped_below_half=capped_below_half,
+        others_below_half=others_below_half,
     )
+
+
+def _ratio_summary(
+    ratios: List[np.ndarray],
+) -> Tuple[Optional[Ecdf], Optional[float]]:
+    """The ratio CDF and the fraction below one half; (None, None) when
+    there are no device-days."""
+    ratios = np.concatenate(ratios)
+    if ratios.size == 0:
+        return None, None
+    return ecdf(ratios), float((ratios < 0.5).mean())
 
 
 def capped_users_without_home_ap(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, fields as _dataclass_fields, is_dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,9 @@ class CacheStats:
 
     def __init__(self) -> None:
         self._by_artifact: Dict[str, ArtifactStats] = {}
+        #: ids of the buffers and records already sized, or owned by the
+        #: source datasets: each is counted at most once, the latter never.
+        self.held: Set[int] = set()
 
     def _entry(self, artifact: str) -> ArtifactStats:
         if artifact not in self._by_artifact:
@@ -156,25 +159,33 @@ def _fmt_bytes(n: int) -> str:
 _COLLECTIONS = (list, set, frozenset, dict)
 
 
-def _cached_nbytes(value: object) -> int:
-    """Approximate retained size of a cached artifact (arrays dominate).
+def _cached_nbytes(value: object, held: Set[int]) -> int:
+    """Approximate size ``value`` adds beyond what ``held`` already holds.
 
-    Arrays are sized exactly. Collections are taken as homogeneous: one
-    whose first element is a flat record of scalars is sized as that
-    element times its length, without visiting the rest.
+    Arrays dominate and are sized exactly, by the base array that owns
+    their buffer; a buffer, collection or record already in ``held`` adds
+    nothing, and every one sized joins it. Collections are taken as
+    homogeneous: one whose first element is a flat record of scalars is
+    sized as that element times its length, without visiting the rest.
     """
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, SlotIndex):
-        return int(value.keys.nbytes)
     if isinstance(value, (bool, int, float, str, bytes)):
         return sys.getsizeof(value)
+    if isinstance(value, SlotIndex):
+        value = value.keys
+    while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+        value = value.base
+    if not isinstance(value, tuple):  # dict items are fresh tuples
+        if id(value) in held:
+            return 0
+        held.add(id(value))
+    if isinstance(value, np.ndarray):
+        return int(value.nbytes)
     if isinstance(value, _COLLECTIONS):
         items = value.items() if isinstance(value, dict) else value
         if value and _is_flat(first := next(iter(items))):
-            return len(value) * _cached_nbytes(first)
-        return sum(_cached_nbytes(v) for v in items)
-    return sum(_cached_nbytes(v) for v in _fields(value))
+            return len(value) * _cached_nbytes(first, held)
+        return sum(_cached_nbytes(v, held) for v in items)
+    return sum(_cached_nbytes(v, held) for v in _fields(value))
 
 
 def _fields(value: object) -> tuple:
@@ -255,6 +266,10 @@ class AnalysisContext:
                 f"{type(source).__name__}; expected a Study, a "
                 f"CampaignDataset or a {{year: dataset}} mapping"
             )
+        for state in self._states.values():
+            # The source datasets are not cache: whatever an artifact
+            # shares with them is not counted.
+            _cached_nbytes(state.raw, self._stats.held)
 
     @classmethod
     def of(cls, data: DatasetOrContext) -> "AnalysisContext":
@@ -352,8 +367,9 @@ class AnalysisContext:
             elapsed = time.perf_counter() - start
         nested = self._stats.compute_seconds - recorded
         state.artifacts[key] = value
-        self._stats.record_miss(key[0], elapsed - nested,
-                                0 if view else _cached_nbytes(value))
+        self._stats.record_miss(
+            key[0], elapsed - nested,
+            0 if view else _cached_nbytes(value, self._stats.held))
         return value
 
     # -- artifacts ---------------------------------------------------------

@@ -1,37 +1,19 @@
-"""Measurement-collection substrate: agent, uploader, central server (§2),
-plus the fault-injected campaign pipeline that routes simulated devices
-through all three."""
+"""Measurement-collection substrate (§2): the upload replay with on-device
+caching and fault injection, the central server, and the campaign pump that
+routes simulated devices through both."""
 
-from repro.collection.agent import ColumnarRecords, MeasurementAgent
-from repro.collection.uploader import (
-    Uploader,
-    UploadBatch,
-    FlakyTransport,
-    Transport,
-    drain_all,
-)
+from repro.collection.uploader import replay_uploads
 from repro.collection.server import CollectionServer
 from repro.collection.faults import (
-    FaultPlan,
-    OutageWindow,
-    FaultedTransport,
-    DeviceCollectionStats,
-    CollectionReport,
+    CollectionReport, DeviceCollectionStats, FaultPlan, OutageWindow,
 )
 from repro.collection.pipeline import CollectionPump
 
 __all__ = [
-    "MeasurementAgent",
-    "ColumnarRecords",
-    "Uploader",
-    "UploadBatch",
-    "FlakyTransport",
-    "Transport",
-    "drain_all",
+    "replay_uploads",
     "CollectionServer",
     "FaultPlan",
     "OutageWindow",
-    "FaultedTransport",
     "DeviceCollectionStats",
     "CollectionReport",
     "CollectionPump",

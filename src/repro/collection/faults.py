@@ -4,9 +4,10 @@ Real crowd-sourced campaigns lose data: uploads fail in cellular coverage
 holes, the backend has outages, participants stop reporting mid-campaign
 (the recruited-vs-valid gap of Table 1), retransmissions deliver the same
 batch twice, and on-device caches are bounded. A :class:`FaultPlan`
-describes all of that declaratively; :class:`FaultedTransport` applies the
-time- and technology-dependent parts on the device's upload path; and the
-per-device accounting rolls up into a :class:`CollectionReport`.
+describes all of that declaratively;
+:func:`~repro.collection.uploader.replay_uploads` applies it to each
+device's upload batches; and the per-device accounting rolls up into a
+:class:`CollectionReport`.
 
 A plan with every knob at zero (:meth:`FaultPlan.zero`) is guaranteed to be
 lossless: routing a campaign through the collection pipeline with it yields
@@ -17,11 +18,11 @@ a dataset identical to appending the kernel's output straight into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, UploadError
+from repro.errors import ConfigurationError
 from repro.net.cellular import CellularTechnology
 
 
@@ -126,67 +127,6 @@ class FaultPlan:
             p += self.upload_failure_p_3g_extra
         return min(1.0, p)
 
-    def sample_dropout_slot(
-        self, rng: np.random.Generator, n_slots: int
-    ) -> Optional[int]:
-        """Draw the slot a device churns at, or None if it stays."""
-        if self.dropout_p <= 0.0 or rng.random() >= self.dropout_p:
-            return None
-        lo = min(int(n_slots * self.dropout_min_frac), max(n_slots - 1, 0))
-        return int(rng.integers(lo, n_slots))
-
-
-class FaultedTransport:
-    """Transport whose failures follow a :class:`FaultPlan`.
-
-    Time-aware (set :attr:`now` to the current slot before delivering) so
-    outage windows apply, and technology-aware so 3G devices fail more.
-    Duplicate deliveries happen *after* a success, modelling an ack lost on
-    the way back: the device retransmits a batch the server already has.
-    """
-
-    def __init__(
-        self,
-        deliver_fn: Callable[[object], None],
-        plan: FaultPlan,
-        technology: CellularTechnology,
-        rng: np.random.Generator,
-    ) -> None:
-        self._deliver = deliver_fn
-        self.plan = plan
-        self.rng = rng
-        self._failure_p = plan.failure_p(technology)
-        self._outages = plan.outages
-        self._duplicate_p = plan.duplicate_p
-        self._lossless = self._failure_p == 0.0 and not self._outages
-        #: Current campaign slot; the pump advances it each tick.
-        self.now = 0
-        self.attempts = 0
-        self.failures = 0
-        self.duplicates_sent = 0
-
-    def deliver(self, batch) -> None:
-        self.attempts += 1
-        if not self._lossless:
-            for window in self._outages:
-                if window.covers(self.now):
-                    self.failures += 1
-                    raise UploadError(
-                        f"outage at slot {self.now} for device {batch.device_id}"
-                    )
-            if self._failure_p and (
-                self._failure_p >= 1.0 or self.rng.random() < self._failure_p
-            ):
-                self.failures += 1
-                raise UploadError(
-                    f"coverage hole for device {batch.device_id} "
-                    f"seq {batch.sequence}"
-                )
-        self._deliver(batch)
-        if self._duplicate_p and self.rng.random() < self._duplicate_p:
-            self.duplicates_sent += 1
-            self._deliver(batch)
-
 
 @dataclass
 class DeviceCollectionStats:
@@ -197,13 +137,13 @@ class DeviceCollectionStats:
     """
 
     device_id: int
-    #: Upload batches the agent generated (one per reporting tick).
+    #: Upload batches the device generated (one per reporting tick).
     ticks: int
     #: Slot the device stopped reporting at, or None.
     churn_slot: Optional[int]
     #: Batches never uploaded because the device had churned.
     churned: int
-    #: Batches handed to the uploader.
+    #: Batches the device tried to upload.
     uploaded: int
     #: Batches the server received exactly once.
     delivered: int
@@ -236,33 +176,13 @@ class CollectionReport:
         """Devices that entered the campaign (Table 1 'recruited')."""
         return len(self.devices)
 
-    def stats(self, device_id: int) -> DeviceCollectionStats:
-        for stats in self.devices:
-            if stats.device_id == device_id:
-                return stats
-        raise KeyError(f"no collection stats for device {device_id}")
-
     def completeness(self) -> np.ndarray:
         """Per-device completeness fractions."""
         return np.array([s.completeness for s in self.devices])
 
-    def completeness_cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(sorted completeness values, cumulative device fraction)."""
-        values = np.sort(self.completeness())
-        if len(values) == 0:
-            return values, values
-        return values, np.arange(1, len(values) + 1) / len(values)
-
-    def valid_devices(self, min_completeness: float = 0.5) -> List[int]:
-        """Devices whose completeness clears the validity threshold."""
-        return [
-            s.device_id for s in self.devices
-            if s.completeness >= min_completeness
-        ]
-
     def n_valid(self, min_completeness: float = 0.5) -> int:
         """Table 1 'valid': devices that delivered enough to analyse."""
-        return len(self.valid_devices(min_completeness))
+        return sum(s.completeness >= min_completeness for s in self.devices)
 
     def totals(self) -> Dict[str, int]:
         """Campaign-level batch counters summed over devices."""

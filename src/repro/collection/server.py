@@ -1,122 +1,121 @@
 """Central collection server (§2).
 
-Receives upload batches, deduplicates retried deliveries by (device,
-sequence), and assembles everything into a
-:class:`~repro.traces.dataset.DatasetBuilder`.
-
-Payloads are :class:`~repro.collection.agent.ColumnarRecords` (range views
-into a device's column arrays). They are buffered and contiguous ranges
-merged, so per-tick ingest ends in the same bulk appends as
-:meth:`CollectionServer.receive_bulk`.
+Receives one device's delivered upload batches in a single call and
+assembles everything into a :class:`~repro.traces.dataset.DatasetBuilder`.
+A batch is everything a device recorded during one 10-minute slot; daily
+per-app counters ride the last slot of their day. Retransmitted batches are
+counted and dropped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Set
 
 import numpy as np
 
-from repro.collection.agent import ColumnarRecords, upload_slots
-from repro.collection.uploader import UploadBatch
+from repro.constants import SAMPLES_PER_DAY
 from repro.errors import CollectionError
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import _EMPTY_DTYPES, DatasetBuilder
-from repro.traces.records import ApDirectoryEntry, DeviceInfo
+from repro.traces.records import DeviceInfo
+
+
+def upload_slots(
+    device_id: int,
+    tables: Mapping[str, Mapping[str, np.ndarray]],
+    n_slots: int,
+) -> Dict[str, np.ndarray]:
+    """The upload slot of every row of each of one device's non-empty tables.
+
+    Per-slot rows upload in their own slot; daily rows ride the last slot
+    of their day. Raises :class:`CollectionError` when any row belongs to
+    another device or uploads outside the campaign window.
+    """
+    slots = {}
+    for name, cols in tables.items():
+        if len(cols["device"]) == 0:
+            continue
+        if np.any(np.asarray(cols["device"]) != device_id):
+            raise CollectionError(
+                f"table {name!r} holds rows for a foreign device"
+            )
+        if "t" in cols:
+            key = np.asarray(cols["t"], dtype=np.int64)
+        else:
+            key = (np.asarray(cols["day"], np.int64) + 1) * SAMPLES_PER_DAY - 1
+        if key.min() < 0 or key.max() >= n_slots:
+            raise CollectionError(
+                f"table {name!r} has records outside the campaign window"
+            )
+        slots[name] = key
+    return slots
+
+
+def occupied_slots(
+    slots: Mapping[str, np.ndarray], n_slots: int,
+) -> np.ndarray:
+    """The slots holding at least one row — one upload batch each — in
+    increasing order."""
+    occupied = np.zeros(n_slots, dtype=bool)
+    for key in slots.values():
+        occupied[key] = True
+    return np.flatnonzero(occupied)
 
 
 class CollectionServer:
-    """Assembles uploaded batches into a campaign dataset."""
+    """Assembles delivered upload batches into a campaign dataset."""
 
     def __init__(self, year: int, axis: TimeAxis) -> None:
         self.builder = DatasetBuilder(year, axis)
         self._registered: Set[int] = set()
-        self._seen: Set[Tuple[int, int]] = set()
-        # Buffered columnar ranges: table -> [ [columns, lo, hi], ... ].
-        self._buffers: Dict[str, List[list]] = {
+        # Buffered column chunks per table, appended on flush.
+        self._buffers: Dict[str, List[Mapping[str, np.ndarray]]] = {
             name: [] for name in _EMPTY_DTYPES
         }
         self.batches_received = 0
         self.duplicates_dropped = 0
-        self.received_by_device: Dict[int, int] = {}
 
     def register_device(self, info: DeviceInfo) -> None:
         """Enroll a device before it uploads."""
         self.builder.add_device(info)
         self._registered.add(info.device_id)
 
-    def register_ap(self, entry: ApDirectoryEntry) -> None:
-        """Record an AP's observable attributes in the directory."""
-        if entry.ap_id not in self.builder.ap_directory:
-            self.builder.add_ap(entry)
-
-    def receive(self, batch: UploadBatch) -> None:
-        """Ingest one batch (idempotent on retries)."""
-        if batch.device_id not in self._registered:
-            raise CollectionError(
-                f"upload from unregistered device {batch.device_id}"
-            )
-        key = (batch.device_id, batch.sequence)
-        if key in self._seen:
-            self.duplicates_dropped += 1
-            return
-        self._seen.add(key)
-        self.batches_received += 1
-        self.received_by_device[batch.device_id] = (
-            self.received_by_device.get(batch.device_id, 0) + 1
-        )
-        self._buffer_columns(batch.records)
-
     def receive_bulk(
         self,
         device_id: int,
         tables: Mapping[str, Mapping[str, np.ndarray]],
-        n_slots: int,
+        slots: Mapping[str, np.ndarray],
+        delivered: np.ndarray,
+        duplicates: int = 0,
     ) -> int:
-        """Ingest one device's whole campaign output in a single call.
+        """Ingest the rows of one device's delivered batches in one call.
 
-        Equivalent to replaying every per-slot upload through
-        :meth:`receive` over a fault-free transport: same registration and
-        window checks, same counters (one batch per slot holding data), and
-        a bit-identical built dataset — both append the kernel's rows in
-        their canonical (device, t) order, and ``build``'s stable fallback
-        sort keeps rows within one (device, slot) in their original order
-        for any other append order.  Returns the number of upload batches
-        accounted.
+        ``slots`` is :func:`upload_slots` of ``tables``, ``delivered`` the
+        slots whose batch arrived and ``duplicates`` the retransmissions to
+        drop. A table whose batches all arrived is buffered whole, without
+        a copy; otherwise only its delivered rows are, in their original
+        order. Returns the number of batches received.
         """
         if device_id not in self._registered:
             raise CollectionError(
                 f"upload from unregistered device {device_id}"
             )
-        # Check every table before buffering any, so a rejected upload
-        # leaves nothing behind.
-        slots = {
-            name: upload_slots(name, cols, device_id, n_slots)
-            for name, cols in tables.items() if len(cols["device"])
-        }
-        if not slots:
-            return 0
-        occupied = np.zeros(n_slots, dtype=bool)
+        arrived = np.zeros(self.builder.axis.n_slots, dtype=bool)
+        arrived[delivered] = True
         for name, key in slots.items():
-            occupied[key] = True
-            self._buffers[name].append([tables[name], 0, len(key)])
-        ticks = int(np.count_nonzero(occupied))
-        self.batches_received += ticks
-        self.received_by_device[device_id] = (
-            self.received_by_device.get(device_id, 0) + ticks
-        )
-        return ticks
-
-    def _buffer_columns(self, records: ColumnarRecords) -> None:
-        for table, (cols, lo, hi) in records.ranges.items():
-            buf = self._buffers[table]
-            if buf and buf[-1][0] is cols and buf[-1][2] == lo:
-                # Contiguous with the previous range over the same arrays.
-                buf[-1][2] = hi
-            else:
-                buf.append([cols, lo, hi])
+            cols = tables[name]
+            keep = arrived[key]
+            if not keep.all():
+                if not keep.any():
+                    continue
+                cols = {c: np.asarray(a)[keep] for c, a in cols.items()}
+            self._buffers[name].append(cols)
+        self.batches_received += len(delivered)
+        self.duplicates_dropped += duplicates
+        return len(delivered)
 
     def flush_buffers(self) -> None:
-        """Move buffered columnar payloads into the builder (idempotent)."""
+        """Move buffered columns into the builder (idempotent)."""
         for table, buf in self._buffers.items():
             if not buf:
                 continue
@@ -126,10 +125,10 @@ class CollectionServer:
             dtypes = dict(_EMPTY_DTYPES[table])
             extend(**{
                 name: np.concatenate(
-                    [cols[name][lo:hi] for cols, lo, hi in buf],
+                    [cols[name] for cols in buf],
                     dtype=dtypes[name], casting="unsafe",
                 )
-                for name in buf[0][0]
+                for name in buf[0]
             })
             buf.clear()
 

@@ -38,14 +38,3 @@ class EngineError(ReproError):
     device coverage mismatch) — an engine invariant violation, never a
     recoverable worker failure (those fall back to serial execution).
     """
-
-
-class UploadError(CollectionError):
-    """A batch upload to the collection server failed.
-
-    This is the *retryable* transport-level failure: the uploader catches it
-    and caches the batch for a later attempt. Misconfigured collection
-    components (for example an out-of-range failure rate) raise
-    :class:`ConfigurationError` instead — a config mistake is not an upload
-    failure and must not be swallowed by retry logic.
-    """

@@ -703,8 +703,11 @@ def _f19_gap(ctx):
     last = _compared_years(ctx)[-1]
     if (last - 1) not in ctx.years:
         raise _SkipCheck(f"no campaign for {last - 1}")
-    return [A.cap_effect(ctx.campaign(last - 1)).median_gap(),
-            A.cap_effect(ctx.campaign(last)).median_gap()]
+    gaps = [A.cap_effect(ctx.campaign(year)).median_gap()
+            for year in (last - 1, last)]
+    if None in gaps:
+        raise _SkipCheck("no capped or no other device-days in a year")
+    return gaps
 
 
 @_extractor("f19_capped_below_half")
@@ -713,6 +716,8 @@ def _f19_below_half(ctx):
 
     last = _last(ctx)
     effect = A.cap_effect(ctx.campaign(last))
+    if effect.median_gap() is None:
+        raise _SkipCheck(f"no capped or no other device-days in {last}")
     return (effect.capped_below_half, effect.others_below_half)
 
 

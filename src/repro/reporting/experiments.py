@@ -459,14 +459,14 @@ def fig19(cache: AnalysisContext) -> Figure:
         if year == min(cache.years):
             continue  # the paper shows 2014 and 2015
         effect = A.cap_effect(cache.campaign(year))
-        figure.add(
-            f"potentially capped {year}",
-            effect.capped_ratio_cdf.values, effect.capped_ratio_cdf.probs,
-        )
-        figure.add(
-            f"others {year}",
-            effect.others_ratio_cdf.values, effect.others_ratio_cdf.probs,
-        )
+        for label, cdf in ((f"potentially capped {year}",
+                            effect.capped_ratio_cdf),
+                           (f"others {year}", effect.others_ratio_cdf)):
+            # A side without device-days is an empty curve: "(no data)".
+            if cdf is None:
+                figure.add(label, [], [])
+            else:
+                figure.add(label, cdf.values, cdf.probs)
     return figure
 
 

@@ -8,6 +8,7 @@ and the read-only guarantee on cached arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -309,7 +310,54 @@ class TestFoldSharing:
 
 def test_cached_nbytes_counts_arrays_and_containers():
     arr = np.zeros(10, dtype=np.int64)
-    assert _cached_nbytes(arr) == 80
-    assert _cached_nbytes((arr, arr)) == 160
-    assert _cached_nbytes({"a": arr}) >= 80
-    assert _cached_nbytes(object()) == 0
+    assert _cached_nbytes(arr, set()) == 80
+    # One buffer, however many arrays view it.
+    assert _cached_nbytes((arr, arr), set()) == 80
+    assert _cached_nbytes((arr[2:], arr[::2]), set()) == 80
+    assert _cached_nbytes({"a": arr}, set()) >= 80
+    assert _cached_nbytes(object(), set()) == 0
+    held = set()
+    _cached_nbytes(arr, held)
+    assert _cached_nbytes([arr[:5]], held) == 0
+
+
+def _buffers(value, out: dict) -> None:
+    """Every buffer reachable from ``value``, keyed by the id of the
+    array that owns it."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        out[id(value)] = value.nbytes
+    elif isinstance(value, dict):
+        for item in value.values():
+            _buffers(item, out)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _buffers(item, out)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _buffers(getattr(value, field.name), out)
+
+
+def test_cached_bytes_match_a_buffer_identity_count(study):
+    """``CacheStats`` counts each buffer the memo holds once, and none
+    of the study's own: a cleaned campaign sharing every table with its
+    raw capture adds nothing."""
+    ctx = AnalysisContext(study)
+    artifacts = {"clean": [], "geo_index": [], "association_index": []}
+    for year in ctx.years:
+        artifacts["clean"].append(ctx.clean(year))
+        artifacts["geo_index"].append(ctx.geo_index(year))
+        artifacts["association_index"].append(ctx.association_index(year))
+    owned = {}
+    for year in ctx.years:
+        _buffers(study.dataset(year), owned)
+    for family, values in artifacts.items():
+        held = {}
+        _buffers(values, held)
+        direct = sum(n for key, n in held.items() if key not in owned)
+        counted = ctx.stats.artifact(family).cached_bytes
+        # Scalars (a dataset's year, column names) are sized too, at a
+        # few dozen bytes each.
+        assert direct <= counted <= direct + 1024 * len(values), family
+    assert any(ctx.clean(year) is study.dataset(year) for year in ctx.years)

@@ -99,16 +99,24 @@ class TestBatteryDrainAnalysis:
 
 class TestAgentBattery:
     def test_battery_passthrough(self):
-        from repro.collection.agent import MeasurementAgent
+        from datetime import date
+
+        from repro.collection.server import (
+            CollectionServer, occupied_slots, upload_slots,
+        )
         from repro.net.cellular import CellularTechnology
+        from repro.timeutil import TimeAxis
         from repro.traces.records import DeviceInfo, DeviceOS
-        agent = MeasurementAgent(
+        server = CollectionServer(2015, TimeAxis(date(2015, 3, 2), 1))
+        server.register_device(
             DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
         )
         battery = dict(device=np.array([0]), t=np.array([3]),
                        level=np.array([77.0]), charging=np.array([0]))
-        uploads = list(agent.package_uploads({"battery": battery}, 144))
-        assert [t for t, _ in uploads] == [3]
-        cols, lo, hi = uploads[0][1].ranges["battery"]
-        assert cols["level"][lo:hi].tolist() == [77.0]
-        assert cols["charging"][lo:hi].tolist() == [0]
+        slots = upload_slots(0, {"battery": battery}, 144)
+        assert slots["battery"].tolist() == [3]
+        server.receive_bulk(0, {"battery": battery}, slots,
+                            occupied_slots(slots, 144))
+        received = server.build_dataset().battery
+        assert received.level.tolist() == [77.0]
+        assert received.charging.tolist() == [0]

@@ -170,6 +170,14 @@ def test_analyze_simulates_when_no_data(capsys):
     assert "Figure 1" in out
 
 
+
+def test_analyze_all_on_a_panel_without_capped_days(capsys):
+    """Seed 1 at scale 0.02 has no potentially capped device-day in 2014:
+    every experiment still renders and the command exits 0."""
+    assert main(["analyze", "all", "--scale", "0.02", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 19" in out and "Section 4.1" in out
+
 def test_analyze_on_missing_data_dir(tmp_path, capsys):
     assert main(["analyze", "table1", "--data", str(tmp_path / "void")]) == 2
 

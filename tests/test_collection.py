@@ -1,20 +1,35 @@
-"""Unit and integration tests for the collection substrate."""
+"""Unit and integration tests for the collection substrate.
+
+The upload rules (§2: cache on failure, retry oldest first, bounded cache,
+outages, churn, duplicate retransmissions) run over batch numbers in
+:func:`replay_uploads`. Their tests script the uniforms the replay draws,
+so each rule is pinned by the exact batches it delivers, keeps or drops,
+and a property checks the block-drawn replay against a plain per-tick,
+per-attempt reference on random plans.
+"""
 
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.demand import DemandModel
-from repro.collection.agent import ColumnarRecords, MeasurementAgent
-from repro.collection.server import CollectionServer
-from repro.collection.uploader import (
-    FlakyTransport,
-    UploadBatch,
-    Uploader,
-    drain_all,
+from repro.collection.faults import (
+    DeviceCollectionStats,
+    FaultPlan,
+    OutageWindow,
 )
-from repro.errors import CollectionError, ConfigurationError, UploadError
+from repro.collection.pipeline import CollectionPump
+from repro.collection.server import (
+    CollectionServer,
+    occupied_slots,
+    upload_slots,
+)
+from repro.collection.uploader import replay_uploads
+from repro.constants import SAMPLES_PER_DAY
+from repro.errors import CollectionError, ConfigurationError
 from repro.net.cellular import CellularTechnology
 from repro.network_env.deployment import DeploymentConfig, build_deployment
 from repro.network_env.home_wifi import HomeWifiConfig
@@ -26,14 +41,18 @@ from repro.timeutil import TimeAxis
 from repro.traces.records import DeviceInfo, DeviceOS, WifiStateCode
 
 N_SLOTS = 144
+LTE = CellularTechnology.LTE
 
 
 def _device(device_id=0, os=DeviceOS.ANDROID):
-    return DeviceInfo(device_id, os, "docomo", CellularTechnology.LTE)
+    return DeviceInfo(device_id, os, "docomo", LTE)
 
 
-def _empty():
-    return ColumnarRecords({})
+def _server(*infos, n_days=1):
+    server = CollectionServer(2015, TimeAxis(date(2015, 3, 2), n_days))
+    for info in infos:
+        server.register_device(info)
+    return server
 
 
 def _slot_tables(device_id, t):
@@ -48,6 +67,41 @@ def _slot_tables(device_id, t):
         "geo": dict(device=np.array([device_id]), t=np.array([t]),
                     col=np.array([12]), row=np.array([-4])),
     }
+
+
+def _traffic(device_id, t):
+    t = np.asarray(t)
+    return {"traffic": dict(device=np.full(len(t), device_id), t=t,
+                            iface=np.ones(len(t), int),
+                            rx=1000.0 + t, tx=np.full(len(t), 100.0))}
+
+
+class _Scripted:
+    """A generator whose uniforms are scripted; past the script every
+    uniform is 0.99 (an attempt succeeds and sends no duplicate)."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = uniforms
+
+    def random(self, n):
+        out = np.full(n, 0.99)
+        head = self.uniforms[:n]
+        out[:len(head)] = head
+        return out
+
+
+def _receive_all(server, device_id, tables):
+    """Hand ``server`` every batch of ``tables``, as a lossless upload."""
+    slots = upload_slots(device_id, tables, N_SLOTS)
+    return server.receive_bulk(device_id, tables, slots,
+                               occupied_slots(slots, N_SLOTS))
+
+
+def _replay(slots, plan, rng=None, n_slots=N_SLOTS, technology=LTE):
+    return replay_uploads(
+        0, np.asarray(slots, dtype=np.int64), plan, technology,
+        rng if rng is not None else np.random.default_rng(0), n_slots,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +135,20 @@ def _tables_for(simulated, os):
 
 
 class TestAgent:
+    """What the on-device agent sends: one upload batch per slot."""
+
     def test_basic_sampling(self):
-        agent = MeasurementAgent(_device())
-        uploads = list(agent.package_uploads(_slot_tables(0, 7), N_SLOTS))
-        assert [t for t, _ in uploads] == [7]
-        payload = uploads[0][1]
-        assert {name: hi - lo for name, (_, lo, hi)
-                in payload.ranges.items()} == {"traffic": 2, "wifi": 1,
-                                              "geo": 1}
-        assert len(payload) == 4
+        slots = upload_slots(0, _slot_tables(0, 7), N_SLOTS)
+        assert {name: key.tolist() for name, key in slots.items()} == {
+            "traffic": [7, 7], "wifi": [7], "geo": [7]}
+        assert occupied_slots(slots, N_SLOTS).tolist() == [7]
+
+    def test_daily_rows_ride_the_last_slot_of_their_day(self):
+        apps = dict(device=np.zeros(2, int), day=np.array([0, 2]),
+                    category=np.zeros(2, int))
+        slots = upload_slots(0, {"apps": apps}, 3 * SAMPLES_PER_DAY)
+        assert slots["apps"].tolist() == [SAMPLES_PER_DAY - 1,
+                                          3 * SAMPLES_PER_DAY - 1]
 
     def test_geo_quantized_to_cells(self, simulated):
         for _, tables in simulated.values():
@@ -116,167 +175,241 @@ class TestAgent:
         assert any("apps" in tables for tables in android)
 
     def test_monotonic_time_enforced(self):
-        # Rows arrive out of slot order; uploads still go out in slot order.
+        # Rows arrive out of slot order; batches still go out in slot order
+        # and the built dataset holds them in slot order.
         tables = {"geo": dict(device=np.zeros(3, int), t=np.array([9, 2, 5]),
                               col=np.array([1, 2, 3]), row=np.zeros(3, int))}
-        uploads = list(MeasurementAgent(_device()).package_uploads(tables,
-                                                                   N_SLOTS))
-        assert [t for t, _ in uploads] == [2, 5, 9]
-        cols = [p.ranges["geo"][0]["col"][p.ranges["geo"][1]]
-                for _, p in uploads]
-        assert cols == [2, 3, 1]
+        slots = upload_slots(0, tables, N_SLOTS)
+        assert occupied_slots(slots, N_SLOTS).tolist() == [2, 5, 9]
+        server = _server(_device())
+        assert _receive_all(server, 0, tables) == 3
+        geo = server.build_dataset().geo
+        assert geo.t.tolist() == [2, 5, 9]
+        assert geo.col.tolist() == [2, 3, 1]
 
     def test_update_event_carried(self):
-        agent = MeasurementAgent(_device(os=DeviceOS.IOS))
         tables = _slot_tables(0, 10)
         tables["updates"] = dict(device=np.array([0]), t=np.array([10]),
                                  bytes=np.array([565e6]))
-        (t, payload), = agent.package_uploads(tables, N_SLOTS)
-        cols, lo, hi = payload.ranges["updates"]
-        assert t == 10
-        assert cols["bytes"][lo:hi].tolist() == [565e6]
+        slots = upload_slots(0, tables, N_SLOTS)
+        assert occupied_slots(slots, N_SLOTS).tolist() == [10]
+        server = _server(_device(os=DeviceOS.IOS))
+        _receive_all(server, 0, tables)
+        updates = server.build_dataset().updates
+        assert updates.t.tolist() == [10]
+        assert updates.bytes.tolist() == [565e6]
 
 
 class TestUploader:
+    """The §2 upload rules, replayed over batch numbers."""
+
     def test_reliable_transport_delivers(self):
-        received = []
-        transport = FlakyTransport(received.append, failure_rate=0.0)
-        uploader = Uploader(device_id=0, transport=transport)
-        assert uploader.upload(_empty())
-        assert len(received) == 1
-        assert uploader.cached_batches == 0
+        delivered, stats, failures = _replay(
+            [3, 4, 9], FaultPlan(max_cache_batches=1))
+        assert delivered.tolist() == [3, 4, 9]
+        assert failures == 0
+        assert stats == DeviceCollectionStats(
+            device_id=0, ticks=3, churn_slot=None, churned=0, uploaded=3,
+            delivered=3, duplicates=0, dropped=0, cached=0)
 
-    def test_failures_cached_and_retried(self, rng):
-        received = []
-
-        class FailNTimes:
-            def __init__(self, n):
-                self.n = n
-
-            def deliver(self, batch):
-                if self.n > 0:
-                    self.n -= 1
-                    raise UploadError("down")
-                received.append(batch)
-
-        uploader = Uploader(device_id=0, transport=FailNTimes(2))
-        assert not uploader.upload(_empty())
-        assert uploader.cached_batches == 1
-        assert not uploader.flush()
-        assert uploader.flush()
-        assert len(received) == 1
+    def test_failures_cached_and_retried(self):
+        plan = FaultPlan(upload_failure_p=0.5, final_drain_rounds=0)
+        # Batch 0 fails on ticks 0 and 1, then goes out with batches 1, 2.
+        delivered, stats, failures = _replay(
+            [0, 1, 2], plan, _Scripted(0.1, 0.1, 0.9, 0.9, 0.9))
+        assert delivered.tolist() == [0, 1, 2]
+        assert (failures, stats.cached) == (2, 0)
+        # Still failing at the last tick: both batches stay cached.
+        delivered, stats, failures = _replay(
+            [0, 1], plan, _Scripted(0.1, 0.1))
+        assert delivered.tolist() == []
+        assert (failures, stats.cached, stats.delivered) == (2, 2, 0)
 
     def test_ordering_preserved_after_failure(self):
-        received = []
-
-        class FailFirst:
-            def __init__(self):
-                self.calls = 0
-
-            def deliver(self, batch):
-                self.calls += 1
-                if self.calls == 1:
-                    raise UploadError("down")
-                received.append(batch.sequence)
-
-        uploader = Uploader(device_id=0, transport=FailFirst())
-        uploader.upload(_empty())  # seq 0 fails
-        uploader.upload(_empty())  # retries 0, then 1
-        assert received == [0, 1]
+        # Tick 2 retries batch 1 first; once it fails, batch 2 is not tried
+        # (its uniform would have been a success), so both stay cached.
+        plan = FaultPlan(upload_failure_p=0.5, final_drain_rounds=0)
+        delivered, stats, failures = _replay(
+            [0, 1, 2], plan, _Scripted(0.9, 0.1, 0.1, 0.9))
+        assert delivered.tolist() == [0]
+        assert (failures, stats.cached) == (2, 2)
 
     def test_cache_overflow_evicts_oldest(self):
-        received = []
-
-        class Down:
-            def __init__(self):
-                self.up = False
-
-            def deliver(self, batch):
-                if not self.up:
-                    raise UploadError("down")
-                received.append(batch.sequence)
-
-        transport = Down()
-        uploader = Uploader(device_id=0, transport=transport, max_cache_batches=2)
-        for _ in range(4):
-            uploader.upload(_empty())
-        # Bounded storage: the two oldest batches were evicted, recorded as
-        # data loss, and the uploader keeps working.
-        assert uploader.dropped_batches == 2
-        assert uploader.cached_batches == 2
-        transport.up = True
-        assert uploader.flush()
-        assert received == [2, 3]
+        # Down for four ticks with room for two batches: the two oldest are
+        # evicted, recorded as data loss, and the rest drain at the end.
+        plan = FaultPlan(outages=(OutageWindow(0, 4),), max_cache_batches=2)
+        delivered, stats, failures = _replay([0, 1, 2, 3], plan)
+        assert delivered.tolist() == [2, 3]
+        assert (stats.dropped, stats.cached, failures) == (2, 0, 4)
+        # An outage inside the campaign: batches 10-14 fail and 13, 14 are
+        # left; slot 15's batch evicts 13 before the flush that recovers.
+        plan = FaultPlan(outages=(OutageWindow(10, 15),), max_cache_batches=2)
+        delivered, stats, failures = _replay(range(8, 18), plan)
+        assert delivered.tolist() == [8, 9, 14, 15, 16, 17]
+        assert (stats.dropped, stats.cached, failures) == (4, 0, 5)
 
     def test_flaky_transport_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
-            FlakyTransport(lambda b: None, failure_rate=1.5)
+            FaultPlan(upload_failure_p=1.5)
         with pytest.raises(ConfigurationError):
-            FlakyTransport(lambda b: None, failure_rate=-0.1)
+            FaultPlan(upload_failure_p=-0.1)
+        # 3G extra loss stacks on the base rate, capped at certain failure.
+        plan = FaultPlan(upload_failure_p=0.7, upload_failure_p_3g_extra=0.5)
+        assert plan.failure_p(CellularTechnology.THREE_G) == 1.0
+        assert plan.failure_p(LTE) == 0.7
 
     def test_flaky_transport_permanent_outage(self):
-        # failure_rate == 1.0 is a valid permanent-outage configuration.
-        transport = FlakyTransport(lambda b: None, failure_rate=1.0)
-        uploader = Uploader(device_id=0, transport=transport)
-        uploader.upload(_empty())
-        assert uploader.cached_batches == 1
-        with pytest.raises(UploadError, match="did not drain"):
-            drain_all([uploader], max_rounds=3)
+        # upload_failure_p == 1.0 is a valid permanent-outage configuration:
+        # every attempt fails without a draw, the cache keeps the newest
+        # batches and the bounded final drain stalls without raising.
+        plan = FaultPlan(upload_failure_p=1.0, max_cache_batches=4,
+                         final_drain_rounds=3)
+        delivered, stats, failures = _replay(range(10), plan, _Scripted())
+        assert delivered.tolist() == []
+        assert (stats.dropped, stats.cached) == (6, 4)
+        assert failures == 10 + 3
 
-    def test_flaky_transport_rate(self, rng):
-        transport = FlakyTransport(lambda b: None, failure_rate=0.3, rng=rng)
-        failures = 0
-        for i in range(1000):
-            try:
-                transport.deliver(UploadBatch(0, i, _empty()))
-            except UploadError:
-                failures += 1
-        assert failures / 1000 == pytest.approx(0.3, abs=0.05)
+    def test_flaky_transport_rate(self):
+        plan = FaultPlan(upload_failure_p=0.3, final_drain_rounds=100)
+        delivered, stats, failures = _replay(
+            range(1000), plan, np.random.default_rng(12345), n_slots=1000)
+        assert len(delivered) == stats.delivered == 1000
+        assert failures / (failures + 1000) == pytest.approx(0.3, abs=0.05)
 
-    def test_drain_all_gives_up(self):
-        def always_fail(batch):
-            raise UploadError("down")
+    def test_final_drain_gives_up(self):
+        # Dark past the campaign end: each drain round fails once and the
+        # drain stops after final_drain_rounds.
+        for rounds in (0, 3):
+            plan = FaultPlan(outages=(OutageWindow(5, 10_000),),
+                             final_drain_rounds=rounds)
+            delivered, stats, failures = _replay(range(8), plan)
+            assert delivered.tolist() == [0, 1, 2, 3, 4]
+            assert stats.cached == 3
+            assert failures == 3 + rounds
 
-        class Down:
-            def deliver(self, batch):
-                always_fail(batch)
+    def test_churn_stops_uploads(self):
+        plan = FaultPlan(dropout_p=1.0, dropout_min_frac=0.5)
+        delivered, stats, _ = _replay(range(0, N_SLOTS, 2), plan)
+        assert stats.churn_slot >= N_SLOTS // 2
+        assert delivered.max() < stats.churn_slot
+        assert stats.churned == sum(
+            1 for t in range(0, N_SLOTS, 2) if t >= stats.churn_slot)
 
-        uploader = Uploader(device_id=0, transport=Down())
-        uploader.upload(_empty())
-        with pytest.raises(UploadError, match="did not drain"):
-            drain_all([uploader], max_rounds=3)
+    def test_duplicates_follow_successes(self):
+        # duplicate_p == 1: every delivered batch is retransmitted once.
+        plan = FaultPlan(upload_failure_p=0.5, duplicate_p=1.0,
+                         final_drain_rounds=0)
+        delivered, stats, failures = _replay(
+            [0, 1, 2], plan, _Scripted(0.9, 0.5, 0.1, 0.9, 0.5, 0.9, 0.5))
+        assert delivered.tolist() == [0, 1, 2]
+        assert stats.duplicates == stats.delivered == 3
+        assert failures == 1
+
+
+def _scalar_replay(slots, plan, technology, rng, n_slots):
+    """The upload rules one tick and one attempt at a time, one scalar
+    draw per uniform: the reference the block-drawn replay must match."""
+    churn_slot = None
+    if plan.dropout_p and rng.random() < plan.dropout_p:
+        churn_slot = int(rng.integers(
+            min(int(n_slots * plan.dropout_min_frac), n_slots - 1), n_slots))
+    p = plan.failure_p(technology)
+    cache, delivered = [], []
+    counts = dict(dropped=0, duplicates=0, failures=0)
+
+    def flush(now):
+        while cache:
+            if any(w.covers(now) for w in plan.outages) or p >= 1.0 or (
+                    p > 0.0 and rng.random() < p):
+                counts["failures"] += 1
+                return
+            delivered.append(cache.pop(0))
+            if plan.duplicate_p and rng.random() < plan.duplicate_p:
+                counts["duplicates"] += 1
+
+    uploaded = [t for t in slots if churn_slot is None or t < churn_slot]
+    for t in uploaded:
+        cache.append(t)
+        while len(cache) > plan.max_cache_batches:
+            cache.pop(0)
+            counts["dropped"] += 1
+        flush(t)
+    for _ in range(plan.final_drain_rounds):
+        if not cache:
+            break
+        flush(n_slots)
+    stats = DeviceCollectionStats(
+        device_id=0, ticks=len(slots), churn_slot=churn_slot,
+        churned=len(slots) - len(uploaded), uploaded=len(uploaded),
+        delivered=len(delivered), duplicates=counts["duplicates"],
+        dropped=counts["dropped"], cached=len(cache))
+    return delivered, stats, counts["failures"]
+
+
+@st.composite
+def fault_plans(draw):
+    n_windows = draw(st.integers(0, 2))
+    outages = []
+    for _ in range(n_windows):
+        start = draw(st.integers(0, 200))
+        outages.append(OutageWindow(start, start + draw(st.integers(1, 150))))
+    probability = st.sampled_from([0.0, 0.02, 0.3, 0.9, 1.0])
+    return FaultPlan(
+        upload_failure_p=draw(probability),
+        upload_failure_p_3g_extra=draw(st.sampled_from([0.0, 0.2])),
+        outages=tuple(outages),
+        dropout_p=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        duplicate_p=draw(probability),
+        max_cache_batches=draw(st.sampled_from([1, 3, 16, 4096])),
+        final_drain_rounds=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+class TestReplayProperties:
+    @given(plan=fault_plans(),
+           occupied=st.sets(st.integers(0, 199), max_size=120),
+           technology=st.sampled_from(list(CellularTechnology)),
+           key=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_block_replay_is_the_scalar_replay(self, plan, occupied,
+                                               technology, key):
+        slots = sorted(occupied)
+        expected = _scalar_replay(slots, plan, technology,
+                                  np.random.default_rng(key), 200)
+        delivered, stats, failures = replay_uploads(
+            0, np.array(slots, dtype=np.int64), plan, technology,
+            np.random.default_rng(key), 200)
+        assert (delivered.tolist(), stats, failures) == expected
+
+    @given(plan=fault_plans(),
+           occupied=st.sets(st.integers(0, 199), max_size=120),
+           key=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_every_batch_is_accounted_once(self, plan, occupied, key):
+        delivered, s, _ = replay_uploads(
+            0, np.array(sorted(occupied), dtype=np.int64), plan, LTE,
+            np.random.default_rng(key), 200)
+        assert s.ticks == len(occupied)
+        assert s.ticks == s.churned + s.uploaded
+        assert s.uploaded == s.delivered + s.dropped + s.cached
+        assert len(delivered) == s.delivered
+        assert set(delivered.tolist()) <= occupied
 
 
 class TestServerPipeline:
-    def test_end_to_end_with_flaky_uploads(self, rng):
-        """Agent -> flaky uploader -> server -> dataset, no data loss."""
-        axis = TimeAxis(date(2015, 3, 2), 2)
-        server = CollectionServer(2015, axis)
-        infos = [_device(0), _device(1, os=DeviceOS.IOS)]
-        for info in infos:
-            server.register_device(info)
-
-        uploaders = []
-        for info in infos:
-            agent = MeasurementAgent(info)
-            transport = FlakyTransport(
-                server.receive, failure_rate=0.4,
-                rng=np.random.default_rng(info.device_id),
-            )
-            uploader = Uploader(device_id=info.device_id, transport=transport)
-            uploaders.append((agent, uploader))
-
+    def test_end_to_end_with_flaky_uploads(self):
+        """Device → faulty uploads → server → dataset, no data loss."""
+        server = _server(_device(0), _device(1, os=DeviceOS.IOS), n_days=2)
+        pump = CollectionPump(
+            server, FaultPlan(upload_failure_p=0.4, final_drain_rounds=200),
+            n_slots=2 * N_SLOTS,
+        )
         n_ticks = 50
-        for agent, uploader in uploaders:
-            device_id = agent.info.device_id
-            tables = {"traffic": dict(
-                device=np.full(n_ticks, device_id), t=np.arange(n_ticks),
-                iface=np.ones(n_ticks, int),
-                rx=1000.0 + np.arange(n_ticks), tx=np.full(n_ticks, 100.0),
-            )}
-            for _, payload in agent.package_uploads(tables, N_SLOTS):
-                uploader.upload(payload)
-        drain_all([u for _, u in uploaders])
+        for device_id in (0, 1):
+            stats = pump.transmit_bulk(
+                _device(device_id), _traffic(device_id, np.arange(n_ticks)))
+            assert stats.delivered == n_ticks
 
         dataset = server.build_dataset()
         # Every tick's traffic arrived exactly once despite 40% failures.
@@ -287,49 +420,39 @@ class TestServerPipeline:
             assert sorted(dataset.traffic.t[rows]) == list(range(n_ticks))
 
     def test_duplicate_batches_dropped(self):
-        axis = TimeAxis(date(2015, 3, 2), 1)
-        server = CollectionServer(2015, axis)
-        server.register_device(_device(0))
-        batch = UploadBatch(0, 0, _empty())
-        server.receive(batch)
-        server.receive(batch)
-        assert server.batches_received == 1
-        assert server.duplicates_dropped == 1
+        server = _server(_device(0))
+        pump = CollectionPump(server, FaultPlan(duplicate_p=1.0),
+                              n_slots=N_SLOTS)
+        stats = pump.transmit_bulk(_device(0), _traffic(0, [3, 4, 5]))
+        assert stats.duplicates == 3
+        assert server.batches_received == 3
+        assert server.duplicates_dropped == 3
+        assert server.build_dataset().traffic.t.tolist() == [3, 4, 5]
 
     def test_unregistered_device_rejected(self):
-        axis = TimeAxis(date(2015, 3, 2), 1)
-        server = CollectionServer(2015, axis)
+        server = _server()
         with pytest.raises(CollectionError):
-            server.receive(UploadBatch(3, 0, _empty()))
+            server.receive_bulk(3, {}, {}, np.array([], dtype=np.int64))
 
     def test_registration_checked_against_actual_ids(self):
         # Validation is against the registered id set, not a dense-range
         # assumption: with two devices enrolled, device 2 is still foreign.
-        axis = TimeAxis(date(2015, 3, 2), 1)
-        server = CollectionServer(2015, axis)
-        server.register_device(_device(0))
-        server.register_device(_device(1))
-        server.receive(UploadBatch(1, 0, _empty()))
+        server = _server(_device(0), _device(1))
+        _receive_all(server, 1, _traffic(1, [0]))
         with pytest.raises(CollectionError, match="unregistered device 2"):
-            server.receive(UploadBatch(2, 0, _empty()))
-        assert server.received_by_device == {1: 1}
+            _receive_all(server, 2, _traffic(2, [0]))
+        assert server.batches_received == 1
 
     def test_foreign_row_mid_table_rejected(self):
         # First and last rows belong to device 0; the middle one does not.
-        from repro.collection.faults import FaultPlan
-        from repro.collection.pipeline import CollectionPump
-
-        axis = TimeAxis(date(2015, 3, 2), 1)
         tables = {"geo": dict(device=np.array([0, 1, 0]), t=np.arange(3),
                               col=np.zeros(3, int), row=np.zeros(3, int))}
-        server = CollectionServer(2015, axis)
-        server.register_device(_device(0))
-        server.register_device(_device(1))
         with pytest.raises(CollectionError, match="foreign device"):
-            server.receive_bulk(0, tables, axis.n_slots)
-        # transmit() is the per-tick replay, whatever the plan.
-        pump = CollectionPump(server, FaultPlan.zero(), n_slots=axis.n_slots)
-        with pytest.raises(CollectionError, match="foreign device"):
-            pump.transmit(_device(0), tables)
-        assert server.received_by_device == {}
+            upload_slots(0, tables, N_SLOTS)
+        server = _server(_device(0), _device(1))
+        for plan in (FaultPlan.zero(), FaultPlan(upload_failure_p=0.5)):
+            pump = CollectionPump(server, plan, n_slots=N_SLOTS)
+            with pytest.raises(CollectionError, match="foreign device"):
+                pump.transmit_bulk(_device(0), tables)
+        assert server.batches_received == 0
         assert len(server.build_dataset().geo) == 0

@@ -1,18 +1,15 @@
-"""Property test: bulk ingest == per-tick replay, bit for bit.
+"""Property test: bulk ingest == direct builder appends, bit for bit.
 
-The batch kernel's whole-device column arrays reach a dataset three ways:
-appended straight into ``DatasetBuilder.extend_*``, handed to
-``CollectionServer.receive_bulk`` (the zero-fault collection path), or cut
-into per-slot uploads by ``MeasurementAgent.package_uploads`` and replayed
-one ``CollectionServer.receive`` at a time (the path every faulted
-campaign takes). The builder's stable ``(device, t)`` lexsort makes all
-three ingest orders converge on the same built dataset, so the property is
-exact equality — not statistical agreement — for *any* batch, including
-the awkward ones (devices with no records at all, all-zero traffic rows,
-rows out of slot order).
+The batch kernel's whole-device column arrays reach a dataset through
+``CollectionServer.receive_bulk``, the only ingest. Appending the same
+arrays straight into ``DatasetBuilder.extend_*`` must build the same
+dataset: the builder's stable ``(device, t)`` lexsort makes both ingest
+orders converge, so the property is exact equality — not statistical
+agreement — for *any* batch, including the awkward ones (devices with no
+records at all, all-zero traffic rows, rows out of slot order).
 
 Fuzzed with hypothesis over a small panel; example counts are kept modest
-because each example builds three datasets.
+because each example builds two datasets.
 """
 
 from datetime import date
@@ -21,9 +18,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection.agent import MeasurementAgent
-from repro.collection.server import CollectionServer
-from repro.collection.uploader import UploadBatch
+from repro.collection.server import (
+    CollectionServer,
+    occupied_slots,
+    upload_slots,
+)
 from repro.net.cellular import CellularTechnology
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import DatasetBuilder
@@ -167,47 +166,44 @@ def _columns(device_id, batch):
     return tables
 
 
-def _ingest_three_ways(batches):
-    """Build the batches' dataset via extend_*, receive_bulk and per-tick
-    replay through ``package_uploads`` -> ``receive``."""
+def _ingest_two_ways(batches):
+    """Build the batches' dataset via extend_* and via receive_bulk."""
     infos = [_info(device_id) for device_id in range(len(batches))]
     by_chunk = DatasetBuilder(YEAR, _axis())
     bulk = CollectionServer(YEAR, _axis())
-    per_tick = CollectionServer(YEAR, _axis())
     for info in infos:
         by_chunk.add_device(info)
         bulk.register_device(info)
-        per_tick.register_device(info)
 
+    ticks = 0
     for info, batch in zip(infos, batches):
         tables = _columns(info.device_id, batch)
         for name, columns in tables.items():
             getattr(by_chunk, f"extend_{name}")(**columns)
-        ticks = bulk.receive_bulk(info.device_id, tables, N_SLOTS)
-        uploads = MeasurementAgent(info).package_uploads(tables, N_SLOTS)
-        for sequence, (_, payload) in enumerate(uploads):
-            per_tick.receive(UploadBatch(info.device_id, sequence, payload))
-        assert per_tick.received_by_device.get(info.device_id, 0) == ticks
+        slots = upload_slots(info.device_id, tables, N_SLOTS)
+        occupied = occupied_slots(slots, N_SLOTS)
+        # One batch per slot holding any of the device's rows.
+        assert occupied.tolist() == sorted(set().union(
+            *(key.tolist() for key in slots.values())))
+        ticks += bulk.receive_bulk(info.device_id, tables, slots, occupied)
 
-    assert per_tick.batches_received == bulk.batches_received
-    return by_chunk.build(), bulk.build_dataset(), per_tick.build_dataset()
+    assert bulk.batches_received == ticks
+    return by_chunk.build(), bulk.build_dataset()
 
 
 @given(st.lists(device_batch(), min_size=1, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_bulk_ingest_matches_per_record_ingest(batches):
-    expected, bulk, per_tick = _ingest_three_ways(batches)
+    expected, bulk = _ingest_two_ways(batches)
     assert_datasets_identical(expected, bulk)
-    assert_datasets_identical(expected, per_tick)
 
 
 @given(device_batch())
 @settings(max_examples=10, deadline=None)
 def test_single_device_panel(batch):
     """A one-device panel holds too."""
-    expected, bulk, per_tick = _ingest_three_ways([batch])
+    expected, bulk = _ingest_two_ways([batch])
     assert_datasets_identical(expected, bulk)
-    assert_datasets_identical(expected, per_tick)
 
 
 def test_empty_batch_is_zero_ticks():
@@ -215,7 +211,11 @@ def test_empty_batch_is_zero_ticks():
     info = _info(0)
     server = CollectionServer(YEAR, _axis())
     server.register_device(info)
-    assert server.receive_bulk(0, {}, N_SLOTS) == 0
+    slots = upload_slots(0, {}, N_SLOTS)
+    assert slots == {}
+    received = server.receive_bulk(0, {}, slots,
+                                   occupied_slots(slots, N_SLOTS))
+    assert received == 0
     assert server.batches_received == 0
     dataset = server.build_dataset()
     for name in ("traffic", "wifi", "geo", "scans", "sightings", "apps",
@@ -224,13 +224,38 @@ def test_empty_batch_is_zero_ticks():
 
 
 def test_all_zero_traffic_rows_are_kept():
-    """Zero-byte counter rows survive every ingest path identically."""
+    """Zero-byte counter rows survive ingest identically."""
     batch = {
         "traffic": [(5, 2, 0.0, 0.0, 0, 0), (6, 0, 0.0, 0.0, 0, 0)],
         "wifi": [], "geo": [], "scans": [], "sightings": [], "apps": [],
         "updates": [], "battery": [],
     }
-    expected, bulk, per_tick = _ingest_three_ways([batch])
+    expected, bulk = _ingest_two_ways([batch])
     assert len(expected.traffic) == 2
     assert_datasets_identical(expected, bulk)
-    assert_datasets_identical(expected, per_tick)
+
+
+@given(device_batch(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_partial_delivery_keeps_exactly_the_delivered_rows(batch, random):
+    """``receive_bulk`` with a delivered subset of the batches == appending
+    only the rows of those batches, in their original order."""
+    info = _info(0)
+    tables = _columns(0, batch)
+    slots = upload_slots(0, tables, N_SLOTS)
+    occupied = occupied_slots(slots, N_SLOTS).tolist()
+    delivered = sorted(random.sample(occupied,
+                                     random.randint(0, len(occupied))))
+    by_chunk = DatasetBuilder(YEAR, _axis())
+    by_chunk.add_device(info)
+    for name, columns in tables.items():
+        keep = np.isin(slots[name], delivered)
+        getattr(by_chunk, f"extend_{name}")(
+            **{col: values[keep] for col, values in columns.items()})
+    server = CollectionServer(YEAR, _axis())
+    server.register_device(info)
+    received = server.receive_bulk(0, tables, slots,
+                                   np.array(delivered, dtype=np.int64), 2)
+    assert received == server.batches_received == len(delivered)
+    assert server.duplicates_dropped == 2
+    assert_datasets_identical(by_chunk.build(), server.build_dataset())

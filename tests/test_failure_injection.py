@@ -1,11 +1,18 @@
 """Failure-injection tests: corrupted inputs, degenerate data, byzantine IO."""
 
+from datetime import date
+
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError, DatasetError, SchemaError, UploadError
+from repro.errors import AnalysisError, DatasetError, SchemaError
+from repro.net.cellular import CellularTechnology
+from repro.timeutil import TimeAxis
+from repro.traces.records import DeviceInfo, DeviceOS
 from repro.traces.store import load_dataset, save_dataset
 from tests.helpers import add_ap, add_daily_traffic, make_builder
+
+_INFO = DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
 
 
 class TestCorruptedPersistence:
@@ -85,97 +92,76 @@ class TestDegenerateDatasets:
 
 class TestByzantineTransport:
     def test_transport_raising_unrelated_errors_propagates(self):
-        from repro.collection.agent import ColumnarRecords
-        from repro.collection.uploader import Uploader
+        from repro.collection.faults import FaultPlan
+        from repro.collection.pipeline import CollectionPump
+        from repro.collection.server import CollectionServer
+        from repro.errors import CollectionError
 
-        class Exploding:
-            def deliver(self, batch):
-                raise RuntimeError("segfault in modem firmware")
-
-        uploader = Uploader(device_id=0, transport=Exploding())
-        # Only UploadError is treated as retryable; other bugs surface.
-        with pytest.raises(RuntimeError):
-            uploader.upload(ColumnarRecords({}))
+        server = CollectionServer(2015, TimeAxis(date(2015, 3, 2), 1))
+        server.register_device(_INFO)
+        pump = CollectionPump(server, FaultPlan(upload_failure_p=0.5),
+                              n_slots=144)
+        # Upload failures are accounted loss; a malformed upload is a bug
+        # and surfaces, leaving nothing behind.
+        traffic = dict(device=np.array([0, 7]), t=np.array([1, 2]),
+                       iface=np.array([1, 1]), rx=np.ones(2), tx=np.ones(2))
+        with pytest.raises(CollectionError, match="foreign device"):
+            pump.transmit_bulk(_INFO, {"traffic": traffic})
+        assert server.batches_received == 0
 
     def test_intermittent_recovery(self, rng):
-        from repro.collection.agent import ColumnarRecords
-        from repro.collection.uploader import FlakyTransport, Uploader, drain_all
+        from repro.collection.faults import FaultPlan
+        from repro.collection.uploader import replay_uploads
 
-        received = []
-        transport = FlakyTransport(received.append, failure_rate=0.8, rng=rng)
-        uploader = Uploader(device_id=0, transport=transport)
-        for _ in range(30):
-            uploader.upload(ColumnarRecords({}))
-        drain_all([uploader], max_rounds=200)
-        assert len(received) == 30
-        sequences = [batch.sequence for batch in received]
-        assert sequences == sorted(sequences)  # order preserved end to end
+        plan = FaultPlan(upload_failure_p=0.8, final_drain_rounds=200)
+        delivered, stats, failures = replay_uploads(
+            0, np.arange(30), plan, CellularTechnology.LTE, rng, 144)
+        assert delivered.tolist() == list(range(30))
+        assert stats.cached == stats.dropped == 0
+        assert failures > 30
 
     def test_server_rejects_foreign_year_slots(self):
-        from datetime import date
-        from repro.collection.agent import ColumnarRecords
-        from repro.collection.server import CollectionServer
-        from repro.collection.uploader import UploadBatch
-        from repro.net.cellular import CellularTechnology
-        from repro.timeutil import TimeAxis
-        from repro.traces.records import DeviceInfo, DeviceOS
+        from repro.collection.server import CollectionServer, upload_slots
+        from repro.errors import CollectionError
 
         axis = TimeAxis(date(2015, 3, 2), 1)  # 144 slots only
         server = CollectionServer(2015, axis)
-        info = DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
-        server.register_device(info)
+        server.register_device(_INFO)
         traffic = dict(device=np.array([0]), t=np.array([999]),
                        iface=np.array([1]), rx=np.array([5.0]),
                        tx=np.array([0.0]))
-        records = ColumnarRecords({"traffic": (traffic, 0, 1)})
-        server.receive(UploadBatch(0, 0, records))
-        with pytest.raises(SchemaError):
-            server.build_dataset()  # out-of-range slot caught at freeze
+        with pytest.raises(CollectionError, match="outside the campaign"):
+            upload_slots(0, {"traffic": traffic}, axis.n_slots)
+        assert len(server.build_dataset().traffic) == 0
 
 
 class TestFaultPlanScenarios:
     def test_outage_window_caches_then_recovers(self):
-        from repro.collection.agent import ColumnarRecords
-        from repro.collection.faults import FaultedTransport, FaultPlan, OutageWindow
-        from repro.collection.uploader import Uploader
-        from repro.net.cellular import CellularTechnology
+        from repro.collection.faults import FaultPlan, OutageWindow
+        from repro.collection.uploader import replay_uploads
 
-        received = []
         plan = FaultPlan(outages=(OutageWindow(3, 7),))
-        transport = FaultedTransport(
-            received.append, plan, CellularTechnology.LTE,
-            np.random.default_rng(0),
-        )
-        uploader = Uploader(device_id=0, transport=transport)
-        for t in range(10):
-            transport.now = t
-            uploader.upload(ColumnarRecords({}))
-            if 3 <= t < 7:
-                assert uploader.cached_batches == t - 3 + 1
+        delivered, stats, failures = replay_uploads(
+            0, np.arange(10), plan, CellularTechnology.LTE,
+            np.random.default_rng(0), 144)
         # Every batch made it out once coverage returned, in order.
-        assert uploader.cached_batches == 0
-        assert [b.sequence for b in received] == list(range(10))
-        assert transport.failures == 4
+        assert delivered.tolist() == list(range(10))
+        assert stats.cached == 0
+        assert failures == 4
 
     def test_outage_covering_campaign_end_strands_cache(self):
-        from repro.collection.agent import ColumnarRecords
-        from repro.collection.faults import FaultedTransport, FaultPlan, OutageWindow
-        from repro.collection.uploader import Uploader
-        from repro.net.cellular import CellularTechnology
+        from repro.collection.faults import FaultPlan, OutageWindow
+        from repro.collection.uploader import replay_uploads
 
-        plan = FaultPlan(outages=(OutageWindow(0, 10_000),))
-        transport = FaultedTransport(
-            lambda b: None, plan, CellularTechnology.LTE,
-            np.random.default_rng(0),
-        )
-        uploader = Uploader(device_id=0, transport=transport)
-        for t in range(5):
-            transport.now = t
-            assert not uploader.upload(ColumnarRecords({}))
-        for _ in range(4):  # bounded final drain: stalls, never raises
-            uploader.flush()
-        assert uploader.cached_batches == 5
-        assert uploader.delivered == 0
+        plan = FaultPlan(outages=(OutageWindow(0, 10_000),),
+                         final_drain_rounds=4)
+        delivered, stats, failures = replay_uploads(
+            0, np.arange(5), plan, CellularTechnology.LTE,
+            np.random.default_rng(0), 144)
+        # The bounded final drain stalls, never raises.
+        assert stats.cached == 5
+        assert stats.delivered == len(delivered) == 0
+        assert failures == 5 + 4
 
     def test_churn_stops_reporting_mid_campaign(self):
         from repro.collection.faults import FaultPlan

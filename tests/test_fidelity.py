@@ -434,6 +434,25 @@ def test_undefined_agr_renders_and_skips():
     assert "undefined" in record.note
 
 
+
+def test_campaign_without_capped_days_renders_and_skips():
+    """Seed 1 at scale 0.02 has no potentially capped device-day in
+    2014: Figure 19 still renders (an empty curve reads ``(no data)``)
+    and the gap check skips instead of raising."""
+    from repro.analysis import cap_effect
+    from repro.analysis.context import AnalysisContext
+    from repro.reporting.experiments import run_experiment
+    from repro.simulation.study import run_study
+
+    ctx = AnalysisContext(run_study(scale=0.02, seed=1, n_jobs=1))
+    effect = cap_effect(ctx.campaign(2014))
+    assert effect.capped_ratio_cdf is None
+    assert effect.capped_below_half is None and effect.median_gap() is None
+    assert "(no data)" in run_experiment("fig19", ctx).render()
+    (record,) = score_fidelity(ctx, checks=["f19_gap_narrows"]).records
+    assert record.verdict == VERDICT_SKIP
+    assert "device-days" in record.note
+
 #: Checks that compare campaign years; every other check reads one year.
 _YEAR_COMPARISONS = {
     "t1_panel_shrinks", "t1_lte_share", "t3_median_all",

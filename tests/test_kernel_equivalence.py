@@ -8,16 +8,17 @@ What this module pins:
 * **The batch kernel is fully deterministic** and its per-device
   streams are shard-layout independent: simulating a panel in one call
   or any partition of calls yields bit-identical per-device tables.
-* **Bulk collection is exact.** With a zero fault plan,
-  ``CollectionPump.transmit_bulk`` must produce a bit-identical built
-  dataset and the same accounting as the per-tick replay it replaces.
+* **The zero plan is the replay's closed form.** ``transmit_bulk`` skips
+  the upload replay for a zero fault plan; a plan that can lose nothing
+  but still runs the replay must build a bit-identical dataset with the
+  same accounting.
 """
 
 import dataclasses
 
 import numpy as np
 
-from repro.collection.faults import FaultPlan
+from repro.collection.faults import FaultPlan, OutageWindow
 from repro.collection.pipeline import CollectionPump
 from repro.collection.server import CollectionServer
 from repro.simulation.campaign import plan_campaign, run_campaign
@@ -85,7 +86,7 @@ class TestBatchDeterminism:
 
 class TestBulkCollection:
     def test_transmit_bulk_matches_per_tick_replay(self):
-        """Zero-fault bulk hand-off == tick-by-tick replay, bit for bit."""
+        """Zero-plan closed form == the upload replay, bit for bit."""
         config = dataclasses.replace(
             default_campaign_config(2013, scale=0.004, seed=11), n_days=4
         )
@@ -98,41 +99,43 @@ class TestBulkCollection:
             device_ids=[info.device_id for info in world.infos],
         ))
 
-        def collect(method_name):
+        def collect(fault_plan):
             server = CollectionServer(config.year, axis)
             for info in world.infos:
                 server.register_device(info)
             pump = CollectionPump(
-                server, FaultPlan.zero(), n_slots=axis.n_slots,
+                server, fault_plan, n_slots=axis.n_slots,
                 seed=config.seed, year=config.year,
             )
             stats = [
-                getattr(pump, method_name)(
-                    world.infos[result.device_id], result.tables
-                )
+                pump.transmit_bulk(world.infos[result.device_id],
+                                   result.tables)
                 for result in results
             ]
             server.flush_buffers()
             return server, stats
 
-        replay_server, replay_stats = collect("transmit")
-        bulk_server, bulk_stats = collect("transmit_bulk")
+        # An outage after the campaign end makes the plan non-zero, so the
+        # replay runs, but no attempt can fail and nothing is drawn.
+        lossless = FaultPlan(outages=(OutageWindow(axis.n_slots + 1,
+                                                   axis.n_slots + 2),))
+        assert not lossless.is_zero
+        replay_server, replay_stats = collect(lossless)
+        bulk_server, bulk_stats = collect(FaultPlan.zero())
 
         assert_datasets_identical(
             replay_server.build_dataset(), bulk_server.build_dataset()
         )
         assert bulk_server.batches_received == replay_server.batches_received
         assert bulk_server.duplicates_dropped == 0
-        for replay, bulk in zip(replay_stats, bulk_stats):
-            assert bulk.device_id == replay.device_id
-            assert bulk.ticks == replay.ticks
-            assert bulk.uploaded == replay.uploaded
-            assert bulk.delivered == replay.delivered
+        assert bulk_stats == replay_stats
+        for bulk in bulk_stats:
+            assert bulk.delivered == bulk.ticks
             assert (bulk.churned, bulk.duplicates, bulk.dropped,
                     bulk.cached) == (0, 0, 0, 0)
 
     def test_transmit_bulk_falls_back_under_faults(self):
-        """A lossy plan must take the per-tick path (faults need ticks)."""
+        """A lossy plan must leave the closed form for the replay."""
         config = dataclasses.replace(
             default_campaign_config(2013, scale=0.004, seed=11), n_days=4
         )

@@ -1,15 +1,17 @@
 """Property-based tests over the simulation-side models."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import AnalysisContext, run_study
 from repro.apps.demand import DemandModel
 from repro.apps.updates import UpdatePolicy
 from repro.mobility.schedule import LocationState, ScheduleGenerator
 from repro.net.identifiers import bssid_prefix, random_bssid, sibling_bssid
 from repro.population.demographics import Occupation
 from repro.radio.pathloss import PathLossModel
+from repro.reporting.experiments import list_experiments
 
 
 seeds = st.integers(0, 2**31 - 1)
@@ -111,3 +113,19 @@ class TestPathLossProperties:
         model = PathLossModel(exponent=exponent)
         loss = model.loss_db(distance)
         assert np.isfinite(loss) and loss > 0
+
+
+class TestSmallPanelsRender:
+    """Every registered experiment renders on any valid small campaign:
+    an undefined quantity reads ``n/a`` or ``(no data)``, it never raises.
+    At scale 0.02, seeds 1 and 4 each have a campaign without capped
+    device-days (Figure 19)."""
+
+    @given(seed=st.integers(0, 11), scale=st.sampled_from([0.01, 0.015, 0.02]))
+    @example(seed=1, scale=0.02)
+    @example(seed=4, scale=0.02)
+    @settings(max_examples=6, deadline=None)
+    def test_every_experiment_renders(self, seed, scale):
+        ctx = AnalysisContext(run_study(scale=scale, seed=seed, n_jobs=1))
+        for experiment in list_experiments():
+            assert experiment.run(ctx).render()
