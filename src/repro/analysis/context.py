@@ -5,9 +5,19 @@ intermediates: the cleaned dataset, the traffic folds (handed out per kind
 as (device, day) matrices and hourly series), the (device, t) join indexes
 of :mod:`repro.traces.query`, the WiFi-available scan mask, user classes,
 the AP classification, the app breakdown and the WiFi ratios, each computed
-once per campaign and handed out cached, with per-artifact instrumentation
-(hits, misses, self compute seconds, cached bytes counted once) exposed as
-a :class:`CacheStats` report.
+once and handed out cached, with per-artifact instrumentation (hits,
+misses, self compute seconds, cached bytes counted once) exposed as a
+:class:`CacheStats` report.
+
+One memo serves a context and its views; a view is a focus year plus a
+cleaned-or-verbatim flag (verbatim: :meth:`AnalysisContext.raw_campaign`
+and ``of(dataset)``). Each artifact keys on the identity of what it reads:
+the traffic folds on ``traffic``, ``geo_index`` on ``geo``,
+``association_index`` on ``wifi``, ``available_scan_mask`` on ``wifi`` and
+``scans``, ``clean`` on the raw dataset and the composites on the dataset
+analyzed. Cleaning rewrites only the 2015 ``traffic`` and ``apps``, so a
+raw view shares every other artifact with the clean campaign. The memo
+holds what it keys, so no id is reused.
 
 Every analysis entry point accepts either a plain
 :class:`~repro.traces.dataset.CampaignDataset` or an ``AnalysisContext``
@@ -27,6 +37,7 @@ Layering: this module may call :func:`clean_for_main_analysis`,
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 from dataclasses import dataclass, fields as _dataclass_fields, is_dataclass
@@ -203,23 +214,8 @@ def _is_flat(value: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Per-campaign memo
+# The memo
 # ----------------------------------------------------------------------
-
-class _CampaignState:
-    """One campaign's source dataset plus its memoized artifacts."""
-
-    __slots__ = ("raw", "raw_is_analysis", "artifacts", "raw_state")
-
-    def __init__(self, raw: CampaignDataset, raw_is_analysis: bool) -> None:
-        self.raw = raw
-        #: True when the caller handed us the dataset to analyze verbatim
-        #: (``AnalysisContext.of(dataset)``); False when the raw capture
-        #: still needs :func:`clean_for_main_analysis` (study campaigns).
-        self.raw_is_analysis = raw_is_analysis
-        self.artifacts: Dict[tuple, object] = {}
-        self.raw_state: Optional["_CampaignState"] = None  # raw_campaign's
-
 
 DatasetOrContext = Union[CampaignDataset, "AnalysisContext"]
 
@@ -229,47 +225,47 @@ class AnalysisContext:
 
     Construct from a :class:`~repro.simulation.study.Study` (or any object
     with ``campaigns`` and ``dataset(year)``) for the multi-campaign
-    reporting path — per-campaign artifacts are then derived from the
-    *cleaned* dataset, and :meth:`raw_campaign` analyzes one raw capture
-    through the same memo. Construct via
-    :meth:`of` from a single :class:`CampaignDataset` for the analysis
-    path — the dataset is analyzed verbatim (no implicit cleaning), which
-    keeps ``fn(dataset)`` and ``fn(AnalysisContext.of(dataset))``
-    bit-identical.
+    reporting path — artifacts are then derived from the *cleaned*
+    dataset, and :meth:`raw_campaign` analyzes one raw capture through the
+    same memo. Construct via :meth:`of` from a single
+    :class:`CampaignDataset` for the analysis path — the dataset is
+    analyzed verbatim (no implicit cleaning), which keeps ``fn(dataset)``
+    and ``fn(AnalysisContext.of(dataset))`` bit-identical.
     """
 
     def __init__(self, source: object) -> None:
         self.study = None
         self._stats = CacheStats()
+        #: key -> (value, the objects the key names by id); every view
+        #: shares it, and holding what it keys keeps each id unique.
+        self._memo: Dict[tuple, Tuple[object, tuple]] = {}
         self._focus: Optional[int] = None
+        #: True: analyze the source datasets as captured; False: clean them.
+        self._verbatim = False
         if isinstance(source, CampaignDataset):
-            self._states = {source.year: _CampaignState(source, True)}
+            self._raw = {source.year: source}
             self._focus = source.year
+            self._verbatim = True
         elif isinstance(source, dict):
             if not source:
                 raise AnalysisError("no campaign datasets to analyze")
-            self._states = {
-                int(year): _CampaignState(dataset, False)
-                for year, dataset in source.items()
-            }
+            self._raw = {int(year): dataset for year, dataset in source.items()}
         elif hasattr(source, "campaigns") and hasattr(source, "dataset"):
             if not source.campaigns:
                 raise AnalysisError("study has not been run")
             self.study = source
-            self._states = {
-                year: _CampaignState(source.dataset(year), False)
-                for year in sorted(source.campaigns)
-            }
+            self._raw = {year: source.dataset(year)
+                         for year in sorted(source.campaigns)}
         else:
             raise AnalysisError(
                 f"cannot build an AnalysisContext from "
                 f"{type(source).__name__}; expected a Study, a "
                 f"CampaignDataset or a {{year: dataset}} mapping"
             )
-        for state in self._states.values():
+        for raw in self._raw.values():
             # The source datasets are not cache: whatever an artifact
             # shares with them is not counted.
-            _cached_nbytes(state.raw, self._stats.held)
+            _cached_nbytes(raw, self._stats.held)
 
     @classmethod
     def of(cls, data: DatasetOrContext) -> "AnalysisContext":
@@ -291,7 +287,7 @@ class AnalysisContext:
 
     @property
     def years(self) -> tuple:
-        return tuple(sorted(self._states))
+        return tuple(sorted(self._raw))
 
     def campaign(self, year: int) -> "AnalysisContext":
         """A view of this context focused on one campaign.
@@ -300,44 +296,37 @@ class AnalysisContext:
         functions handed a view still populate (and benefit from) the
         parent's cache; its year-optional accessors resolve to ``year``.
         """
-        year = self._resolve_year(year)
-        view = object.__new__(AnalysisContext)
-        view.study = self.study
-        view._stats = self._stats
-        view._states = self._states
-        view._focus = year
+        view = copy.copy(self)
+        view._focus = self._resolve_year(year)
         return view
 
     def raw_campaign(self, year: int) -> "AnalysisContext":
-        """A :meth:`campaign` view of one raw capture: it reads the clean
-        campaign's memo entries when cleaning dropped nothing (``clean(year)
-        is raw(year)``) and memoizes its own artifacts otherwise."""
+        """A :meth:`campaign` view that analyzes one raw capture verbatim.
+
+        It shares the memo, which keys each artifact on the tables it
+        reads: whatever cleaning left alone (every table of a campaign
+        without update events) is read from the clean campaign's entries.
+        """
         view = self.campaign(year)
-        state = self._states[view._focus]
-        if state.raw_state is None:
-            shared = state.raw_is_analysis or self.clean(year) is state.raw
-            state.raw_state = state if shared else _CampaignState(state.raw, True)
-        view._states = {view._focus: state.raw_state}
+        view._raw = {view._focus: self._raw[view._focus]}
+        view._verbatim = True
         return view
 
     def _resolve_year(self, year: Optional[int]) -> int:
         if year is None:
             if self._focus is not None:
                 return self._focus
-            if len(self._states) == 1:
-                return next(iter(self._states))
+            if len(self._raw) == 1:
+                return next(iter(self._raw))
             raise AnalysisError(
                 f"year is required for a multi-campaign context; "
                 f"have {list(self.years)} — use .campaign(year)"
             )
-        if year not in self._states:
+        if year not in self._raw:
             raise AnalysisError(
                 f"no campaign for year {year}; have {list(self.years)}"
             )
         return year
-
-    def _state(self, year: Optional[int]) -> _CampaignState:
-        return self._states[self._resolve_year(year)]
 
     # -- memo core ---------------------------------------------------------
 
@@ -345,16 +334,15 @@ class AnalysisContext:
     def stats(self) -> CacheStats:
         return self._stats
 
-    def _artifact(
-        self, year: Optional[int], key: tuple, compute: Callable[[], object],
-        view: bool = False,
-    ) -> object:
-        """``compute()`` once per key; a ``view`` is part of another cached
-        artifact, so its bytes are not counted again."""
-        state = self._state(year)
-        if key in state.artifacts:
+    def _artifact(self, key: tuple, reads: tuple,
+                  compute: Callable[[], object], view: bool = False) -> object:
+        """``compute()`` once per ``key`` and identity of the objects it
+        ``reads``; a ``view`` is part of another cached artifact, so its
+        bytes are not counted again."""
+        full_key = key + tuple(id(source) for source in reads)
+        if full_key in self._memo:
             self._stats.record_hit(key[0])
-            return state.artifacts[key]
+            return self._memo[full_key][0]
         # A memo miss is a run stage: spanned under artifact.<family> so a
         # run manifest shows compute time per artifact next to the
         # engine stages (no-op recorder by default — see repro.obs.recorder).
@@ -366,7 +354,7 @@ class AnalysisContext:
             value = compute()
             elapsed = time.perf_counter() - start
         nested = self._stats.compute_seconds - recorded
-        state.artifacts[key] = value
+        self._memo[full_key] = (value, reads)
         self._stats.record_miss(
             key[0], elapsed - nested,
             0 if view else _cached_nbytes(value, self._stats.held))
@@ -376,25 +364,32 @@ class AnalysisContext:
 
     def raw(self, year: Optional[int] = None) -> CampaignDataset:
         """The source dataset exactly as captured (never cleaned)."""
-        return self._state(year).raw
+        return self._raw[self._resolve_year(year)]
 
     def clean(self, year: Optional[int] = None) -> CampaignDataset:
         """The campaign after §2 cleaning (memoized)."""
-        state = self._state(year)
+        raw = self.raw(year)
         return self._artifact(
-            year, ("clean",), lambda: clean_for_main_analysis(state.raw)
+            ("clean",), (raw,), lambda: clean_for_main_analysis(raw)
         )
 
     def dataset(self, year: Optional[int] = None) -> CampaignDataset:
         """The dataset analyses run on.
 
-        For ``of(dataset)`` contexts this is the source verbatim; for
-        study-backed contexts it is the cleaned campaign.
+        For ``of(dataset)`` contexts and :meth:`raw_campaign` views this is
+        the source verbatim; for study-backed contexts it is the cleaned
+        campaign.
         """
-        state = self._state(year)
-        if state.raw_is_analysis:
-            return state.raw
-        return self.clean(year)
+        return self.raw(year) if self._verbatim else self.clean(year)
+
+    def _analyzed(self, year: Optional[int]) -> CampaignDataset:
+        """:meth:`dataset` for building a key, which records no hit (a
+        compute reads through :meth:`dataset`, like any other reader)."""
+        raw = self.raw(year)
+        if self._verbatim:
+            return raw
+        entry = self._memo.get(("clean", id(raw)))
+        return entry[0] if entry else self.clean(year)
 
     def traffic_fold(
         self, by: str = "day", direction: str = "rx",
@@ -407,7 +402,8 @@ class AnalysisContext:
             for totals in fold.values():
                 totals.setflags(write=False)
             return fold
-        return self._artifact(year, ("traffic_fold", by, direction), compute)
+        return self._artifact(("traffic_fold", by, direction),
+                              (self._analyzed(year).traffic,), compute)
 
     def daily_matrix(
         self, kind: str = "all", direction: str = "rx",
@@ -427,7 +423,8 @@ class AnalysisContext:
                    year: Optional[int]) -> np.ndarray:
         def compute() -> np.ndarray:
             return pick_kind(self.traffic_fold(by, direction, year), kind)
-        return self._artifact(year, (family, kind, direction), compute,
+        return self._artifact((family, kind, direction),
+                              (self._analyzed(year).traffic,), compute,
                               view=True)
 
     def geo_index(self, year: Optional[int] = None) -> SlotIndex:
@@ -436,7 +433,8 @@ class AnalysisContext:
             index = geo_cell_index(self.dataset(year))
             index.keys.setflags(write=False)
             return index
-        return self._artifact(year, ("geo_index",), compute)
+        return self._artifact(("geo_index",), (self._analyzed(year).geo,),
+                              compute)
 
     def association_index(
         self, year: Optional[int] = None
@@ -447,54 +445,49 @@ class AnalysisContext:
             index.keys.setflags(write=False)
             ap_ids.setflags(write=False)
             return index, ap_ids
-        return self._artifact(year, ("association_index",), compute)
+        return self._artifact(("association_index",),
+                              (self._analyzed(year).wifi,), compute)
 
     def available_scan_mask(self, year: Optional[int] = None) -> np.ndarray:
         """Memoized read-only mask of the scans taken while WiFi-available."""
         from repro.analysis.availability import available_scan_mask
 
+        dataset = self._analyzed(year)
+
         def compute() -> np.ndarray:
             mask = available_scan_mask(self.dataset(year))
             mask.setflags(write=False)
             return mask
-        return self._artifact(year, ("available_scan_mask",), compute)
+        return self._artifact(("available_scan_mask",),
+                              (dataset.wifi, dataset.scans), compute)
+
+    def _composite(self, family: str, year: Optional[int],
+                   analysis: Callable[["AnalysisContext"], object]) -> object:
+        """``analysis`` of one campaign, keyed on the dataset it analyzes."""
+        year = self._resolve_year(year)
+        return self._artifact((family,), (self._analyzed(year),),
+                              lambda: analysis(self.campaign(year)))
 
     def user_classes(self, year: Optional[int] = None):
         """Memoized §2 light/heavy per-(device, day) classification."""
         from repro.analysis.users import classify_user_days
 
-        year = self._resolve_year(year)
-        return self._artifact(
-            year, ("user_classes",),
-            lambda: classify_user_days(self.campaign(year)),
-        )
+        return self._composite("user_classes", year, classify_user_days)
 
     def classification(self, year: Optional[int] = None):
         """Memoized §3.4.1 AP classification."""
         from repro.analysis.ap_classification import classify_aps
 
-        year = self._resolve_year(year)
-        return self._artifact(
-            year, ("classification",),
-            lambda: classify_aps(self.campaign(year)),
-        )
+        return self._composite("classification", year, classify_aps)
 
     def wifi_ratios(self, year: Optional[int] = None):
         """Memoized Figures 6-8 WiFi-traffic and WiFi-user ratios."""
         from repro.analysis.ratios import wifi_ratios
 
-        year = self._resolve_year(year)
-        return self._artifact(
-            year, ("wifi_ratios",),
-            lambda: wifi_ratios(self.campaign(year)),
-        )
+        return self._composite("wifi_ratios", year, wifi_ratios)
 
     def app_breakdown(self, year: Optional[int] = None):
         """Memoized Tables 6-7 category shares (RX and TX)."""
         from repro.analysis.app_breakdown import app_breakdown
 
-        year = self._resolve_year(year)
-        return self._artifact(
-            year, ("app_breakdown",),
-            lambda: app_breakdown(self.campaign(year)),
-        )
+        return self._composite("app_breakdown", year, app_breakdown)

@@ -166,7 +166,7 @@ def lifetime_stats() -> Dict[str, int]:
 
 
 def shutdown_warm_pools(wait_for_workers: bool = True) -> int:
-    """No pools are parked any more; kept for perfbench (ROADMAP item 5)."""
+    """No pools are parked any more; kept for perfbench (ROADMAP item 4)."""
     return 0
 
 
@@ -304,7 +304,7 @@ class ParallelExecutor(_ResilienceMixin):
     """
 
     name = "parallel"
-    #: Read by perfbench/traced.py; goes with ``repro bench`` (ROADMAP item 5).
+    #: Read by perfbench/traced.py; goes with ``repro bench`` (ROADMAP item 4).
     steals = 0
 
     def __init__(

@@ -52,8 +52,8 @@ class ShardOutput:
     shard_index: int
     device_ids: Tuple[int, ...]
     chunks: Optional[ChunkMap] = None
-    #: Per-device collection accounting in canonical device order
-    #: (empty when the campaign bypassed the collection pipeline).
+    #: Per-device collection accounting, one per device of the shard,
+    #: in canonical device order.
     stats: List[DeviceCollectionStats] = field(default_factory=list)
     batches_received: int = 0
     duplicates_dropped: int = 0

@@ -7,11 +7,10 @@ exactly the APs that were actually observed (associated or sighted) — the
 dataset never reveals the full deployed universe, just like the real
 measurement.
 
-Every device's records flow through the full collection substrate
-(agent → uploader → transport → server) under a
-:class:`~repro.collection.faults.FaultPlan` — zero-fault unless configured
-otherwise, in which case nothing is lost. A nonzero plan loses data exactly
-the way real campaigns do, and the resulting
+Every device's records flow through the collection pump (upload replay →
+server) under a :class:`~repro.collection.faults.FaultPlan` — zero-fault
+unless configured otherwise, in which case nothing is lost. A nonzero plan
+loses data exactly the way real campaigns do, and the resulting
 :class:`~repro.collection.faults.CollectionReport` rides along on the
 :class:`CampaignResult`.
 
@@ -116,7 +115,7 @@ class CampaignResult:
     dataset: CampaignDataset
     profiles: List[UserProfile]
     deployment: Deployment
-    #: Collection accounting (None when the pipeline was bypassed).
+    #: Collection accounting (None for campaigns reloaded from disk).
     collection: Optional[CollectionReport] = None
     #: How the campaign was executed (None for reloaded datasets).
     execution: Optional[ExecutionInfo] = None

@@ -340,7 +340,8 @@ class DatasetBuilder:
         tables = {}
         for name, chunks in self._chunks.items():
             tables[name] = self._concat(name, chunks)
-        self._validate_ranges(tables)
+        for name, table in tables.items():
+            check_ranges(name, [table.columns], len(self.devices), self.axis)
         return CampaignDataset(
             year=self.year,
             axis=self.axis,
@@ -385,18 +386,25 @@ class DatasetBuilder:
         order = np.lexsort((table.columns[sort_key], table.columns["device"]))
         return table.select(order)
 
-    def _validate_ranges(self, tables: Dict[str, _Table]) -> None:
-        n_slots = self.axis.n_slots
-        n_dev = len(self.devices)
-        for name, table in tables.items():
-            if len(table) == 0:
-                continue
-            if table.device.min() < 0 or table.device.max() >= n_dev:
-                raise SchemaError(f"table {name!r} references unknown device")
-            key = "t" if "t" in table.columns else "day"
-            limit = n_slots if key == "t" else self.axis.n_days
-            if table.columns[key].min() < 0 or table.columns[key].max() >= limit:
-                raise SchemaError(f"table {name!r} has out-of-range {key}")
+
+def check_ranges(table: str, chunks: Sequence[Mapping[str, np.ndarray]],
+                 n_devices: int, axis: TimeAxis) -> None:
+    """Raise :class:`SchemaError` unless every row of ``table``'s
+    ``chunks`` names a known device and a slot (or day) on ``axis``.
+
+    The one range check of both merges: :meth:`DatasetBuilder.build` and
+    :meth:`repro.traces.store.CampaignStore.finalize`.
+    """
+    key = "t" if "t" in dict(_EMPTY_DTYPES[table]) else "day"
+    limit = axis.n_slots if key == "t" else axis.n_days
+    for column, bound, fault in (
+        ("device", n_devices, "references unknown device"),
+        (key, limit, f"has out-of-range {key}"),
+    ):
+        values = [chunk[column] for chunk in chunks if len(chunk[column])]
+        if values and (min(int(v.min()) for v in values) < 0
+                       or max(int(v.max()) for v in values) >= bound):
+            raise SchemaError(f"table {table!r} {fault}")
 
 
 def pick_kind(fold: Mapping[str, np.ndarray], kind: str) -> np.ndarray:

@@ -72,7 +72,7 @@ from repro.radio.bands import Band
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import (
     CampaignDataset, ChunkMap, GroundTruth, _EMPTY_DTYPES,
-    _in_canonical_order, _Table,
+    _in_canonical_order, _Table, check_ranges,
 )
 from repro.traces.records import ApDirectoryEntry, DeviceInfo, DeviceOS
 
@@ -458,14 +458,7 @@ class CampaignStore:
                     keys.append((device, chunk[sort_key]))
         total = sum(len(device) for device, _ in keys)
 
-        # Range validation, mirroring DatasetBuilder._validate_ranges.
-        limit = self.axis.n_slots if sort_key == "t" else self.axis.n_days
-        if keys and (min(int(d.min()) for d, _ in keys) < 0
-                     or max(int(d.max()) for d, _ in keys) >= n_devices):
-            raise DatasetError(f"table {table!r} references unknown device")
-        if keys and (min(int(k.min()) for _, k in keys) < 0
-                     or max(int(k.max()) for _, k in keys) >= limit):
-            raise DatasetError(f"table {table!r} has out-of-range {sort_key}")
+        check_ranges(table, chunks, n_devices, self.axis)
 
         in_order = all(_in_canonical_order(d, k) for d, k in keys) and all(
             (int(d0[-1]), int(k0[-1])) <= (int(d1[0]), int(k1[0]))

@@ -264,6 +264,32 @@ class TestContextConstruction:
         assert context.clean(2015) is not context.raw(2015)
         assert context.clean(2013) is context.raw(2013)
 
+        # 2015's cleaning rewrote traffic and apps only: the artifacts over
+        # the tables it left alone are the clean campaign's.
+        raw, clean = context.raw_campaign(2015), context.campaign(2015)
+        for artifact in ("association_index", "geo_index",
+                         "available_scan_mask"):
+            assert getattr(raw, artifact)() is getattr(clean, artifact)(), artifact
+        assert raw.traffic_fold() is not clean.traffic_fold()
+        # 2013's cleaning left every table alone: every artifact is shared.
+        raw, clean = context.raw_campaign(2013), context.campaign(2013)
+        for artifact in ("traffic_fold", "daily_matrix", "hourly_series",
+                         "geo_index", "association_index",
+                         "available_scan_mask", "user_classes",
+                         "classification", "wifi_ratios", "app_breakdown"):
+            assert getattr(raw, artifact)() is getattr(clean, artifact)(), artifact
+
+    def test_raw_campaign_composites_read_the_raw_capture(self, study):
+        from repro.analysis import classify_aps
+
+        context = AnalysisContext(study)
+        raw = context.raw_campaign(2015).classification()
+        assert raw is not context.classification(2015)
+        direct = classify_aps(study.dataset(2015))
+        assert raw.ap_class == direct.ap_class
+        assert raw.home_ap_of_device == direct.home_ap_of_device
+        assert raw.wifi_devices == direct.wifi_devices
+
 
 class TestFoldSharing:
     """Raw campaigns fold through the shared memo, day folds only."""

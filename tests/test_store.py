@@ -23,7 +23,7 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import ConfigurationError, DatasetError, SchemaError
 from repro.simulation.campaign import (
     identity_of, plan_campaign, run_campaign, simulate_shard,
 )
@@ -37,6 +37,7 @@ from repro.traces.store import (
     sweep_orphan_partitions,
 )
 from tests.test_columnar_ingest_property import (
+    N_DAYS,
     YEAR,
     _axis,
     _columns,
@@ -92,6 +93,37 @@ class TestRoundTripProperty:
             reopened = CampaignStore.open(store.root)
             assert_datasets_identical(expected, reopened.load_dataset())
             assert reopened.fingerprint == store.fingerprint
+
+
+def _apps_chunk(device, day):
+    n = len(device)
+    return dict(device=np.asarray(device, np.int32),
+                day=np.asarray(day, np.int16),
+                category=np.zeros(n, np.int8), cellular=np.zeros(n, np.int8),
+                ap_id=np.zeros(n, np.int32), col=np.zeros(n, np.int16),
+                row=np.zeros(n, np.int16), rx=np.ones(n), tx=np.zeros(n))
+
+
+@pytest.mark.parametrize("device, day, message", [
+    ([0, 2], [0, 1], "table 'apps' references unknown device"),
+    ([-1, 0], [0, 1], "table 'apps' references unknown device"),
+    ([0, 1], [0, N_DAYS], "table 'apps' has out-of-range day"),
+    ([0, 1], [-1, 0], "table 'apps' has out-of-range day"),
+])
+def test_both_merges_reject_a_bad_chunk_alike(tmp_path, device, day, message):
+    """The in-memory build and the store's finalize run one range check."""
+    chunk = _apps_chunk(device, day)
+    builder = DatasetBuilder(YEAR, _axis())
+    for device_id in range(2):
+        builder.add_device(_info(device_id))
+    builder.extend_apps(**chunk)
+    with pytest.raises(SchemaError) as built:
+        builder.build()
+    store = CampaignStore(tmp_path / "campaign", YEAR, _axis())
+    with pytest.raises(SchemaError) as finalized:
+        store.finalize(builder.devices, builder.ap_directory, None,
+                       [{"apps": [chunk]}])
+    assert str(built.value) == str(finalized.value) == message
 
 
 # ---------------------------------------------------------------------------
