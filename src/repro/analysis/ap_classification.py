@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from repro.constants import (
     HOME_NIGHT_START_HOUR,
     OFFICE_END_HOUR,
     OFFICE_START_HOUR,
+    SAMPLES_PER_DAY,
     SAMPLES_PER_HOUR,
 )
 from repro.errors import AnalysisError
 from repro.net.identifiers import is_fon_public_essid, is_public_essid
-from repro.traces.dataset import CampaignDataset
 from repro.traces.query import (
     device_day_of,
     group_starts,
@@ -117,39 +117,46 @@ def classify_aps(data: DatasetOrContext) -> APClassification:
     assoc_mask = wifi.state == int(WifiStateCode.ASSOCIATED)
     if not assoc_mask.any():
         return result
-    device = wifi.device[assoc_mask].astype(np.int64)
-    t = wifi.t[assoc_mask].astype(np.int64)
-    ap_id = wifi.ap_id[assoc_mask].astype(np.int64)
-    result.wifi_devices = {int(d) for d in np.unique(device)}
+    # Associated rows stay in canonical (device, t) order, so each device
+    # is one run and the columns keep their narrow schema dtypes.
+    device = wifi.device[assoc_mask]
+    t = wifi.t[assoc_mask]
+    ap_id = wifi.ap_id[assoc_mask]
+    result.wifi_devices = set(device[group_starts(device)].tolist())
 
     hour = hour_of_day(t)
     day = device_day_of(t)
-    weekday = dataset.axis.weekday_of(t)
+    workday = dataset.axis.weekday_of(
+        np.arange(dataset.n_days) * SAMPLES_PER_DAY) < 5
+
+    # AP ids are small non-negative directory keys: count per id.
+    totals = np.bincount(ap_id)
+    unique_aps = np.flatnonzero(totals)
+    essid = {a: dataset.ap_directory[a].essid for a in unique_aps.tolist()}
+    fon_aps = {a for a, name in essid.items() if is_fon_public_essid(name)}
 
     home_of_device = _infer_home_aps(device, day, hour, ap_id)
     home_aps = set(home_of_device.values())
-    fon_home_aps = _fon_reclassification(dataset, device, ap_id)
+    fon_home_aps = _fon_reclassification(device, ap_id, fon_aps)
     home_aps |= fon_home_aps
     mobile_aps = _infer_mobile_aps(ctx, device, t, ap_id)
 
     in_window = (
-        (hour >= OFFICE_START_HOUR) & (hour < OFFICE_END_HOUR) & (weekday < 5)
+        (hour >= OFFICE_START_HOUR) & (hour < OFFICE_END_HOUR) & workday[day]
     )
-    unique_aps, inverse = np.unique(ap_id, return_inverse=True)
-    totals = np.bincount(inverse, minlength=len(unique_aps))
-    window_counts = np.bincount(inverse[in_window], minlength=len(unique_aps))
+    window_counts = np.bincount(ap_id[in_window], minlength=len(totals))
+    totals, window_counts = totals[unique_aps], window_counts[unique_aps]
     office = (window_counts / totals >= OFFICE_WINDOW_FRACTION) & (
         totals >= MIN_NIGHT_SLOTS
     )
 
     for a, is_office in zip(unique_aps.tolist(), office.tolist()):
-        essid = dataset.ap_directory[a].essid
         if a in home_aps:
             result.ap_class[a] = "home"
         elif a in mobile_aps:
             result.ap_class[a] = "mobile"
-        elif is_public_essid(essid) or (
-            is_fon_public_essid(essid) and a not in fon_home_aps
+        elif is_public_essid(essid[a]) or (
+            a in fon_aps and a not in fon_home_aps
         ):
             result.ap_class[a] = "public"
         elif is_office:
@@ -158,13 +165,11 @@ def classify_aps(data: DatasetOrContext) -> APClassification:
             result.ap_class[a] = "other"
 
     result.home_ap_of_device = home_of_device
-    # FON home APs belong to whoever used them at night; attribute them to
-    # their heaviest nighttime user if that device has no home AP yet.
+    # A FON home AP goes to the device with the most associated slots on it
+    # (at any hour, as ``_fon_reclassification`` counts them; the smallest
+    # id among equal counts) if that device has no home AP yet.
     for a in fon_home_aps:
-        users = device[ap_id == a]
-        if len(users) == 0:
-            continue
-        top_user = int(Counter(users.tolist()).most_common(1)[0][0])
+        top_user = int(np.bincount(device[ap_id == a]).argmax())
         result.home_ap_of_device.setdefault(top_user, a)
     return result
 
@@ -182,13 +187,13 @@ def _infer_home_aps(
     night = (hour >= HOME_NIGHT_START_HOUR) | (hour < HOME_NIGHT_END_HOUR)
     if not night.any():
         return {}
-    d = device[night]
-    dy = day[night]
-    a = ap_id[night]
+    d, dy, a, slots = _runs(device[night], day[night], ap_id[night])
     # Slots per (device, day, ap) group, in sorted (device, day, ap) order.
-    _, first, counts = np.unique(
-        packed_keys(d, dy, a), return_index=True, return_counts=True
-    )
+    key = packed_keys(d, dy, a)
+    order = np.argsort(key, kind="stable")
+    starts = group_starts(key[order])
+    first = order[starts]
+    counts = np.add.reduceat(slots[order], starts)
     g_dev, g_ap = d[first], a[first]
     night_key = packed_keys(g_dev, dy[first])
     # Per (device, day): total night slots and the dominant AP. The stable
@@ -217,20 +222,15 @@ def _infer_home_aps(
 
 
 def _fon_reclassification(
-    dataset: CampaignDataset, device: np.ndarray, ap_id: np.ndarray
+    device: np.ndarray, ap_id: np.ndarray, fon_aps: Set[int]
 ) -> Set[int]:
     """FON public ESSIDs used for >24 cumulative hours by one device are
-    actually home routers (§3.4.1)."""
-    fon_aps = {
-        a for a, entry in dataset.ap_directory.items()
-        if is_fon_public_essid(entry.essid)
-    }
+    actually home routers (§3.4.1). ``fon_aps`` are the associated APs
+    with a FON ESSID."""
     if not fon_aps:
         return set()
     threshold_slots = 24 * SAMPLES_PER_HOUR
     fon_mask = np.isin(ap_id, list(fon_aps))
-    if not fon_mask.any():
-        return set()
     fon_ap = ap_id[fon_mask]
     _, first, slots = np.unique(
         packed_keys(device[fon_mask], fon_ap),
@@ -254,12 +254,11 @@ def _infer_mobile_aps(
     idx = np.flatnonzero(found)
     if idx.size == 0:
         return set()
-    dev, ap = device[idx], ap_id[idx]
-    _, distinct = np.unique(
-        packed_keys(dev, ap, index.gather(geo.col, pos[idx]),
-                    index.gather(geo.row, pos[idx])),
-        return_index=True,
-    )
+    pos = pos[idx]
+    dev, ap, col, row, _ = _runs(device[idx], ap_id[idx],
+                                 index.gather(geo.col, pos),
+                                 index.gather(geo.row, pos))
+    _, distinct = np.unique(packed_keys(dev, ap, col, row), return_index=True)
     # Count distinct cells per (device, ap) pair.
     _, first, n_cells = np.unique(
         packed_keys(dev[distinct], ap[distinct]),
@@ -268,3 +267,20 @@ def _infer_mobile_aps(
     return {
         int(a) for a in ap[distinct][first[n_cells >= MOBILE_CELL_THRESHOLD]]
     }
+
+
+def _runs(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """One row per run of equal consecutive rows of ``columns``, then the
+    run lengths.
+
+    Associated rows come in (device, t) order and a device stays on one AP
+    in one cell for hours, so a grouping over runs sorts a few thousand
+    keys where one over rows would sort every slot.
+    """
+    head = np.zeros(len(columns[0]), dtype=bool)
+    head[:1] = True
+    for column in columns:
+        head[1:] |= column[1:] != column[:-1]
+    start = np.flatnonzero(head)
+    return tuple(column[start] for column in columns) + (
+        np.diff(np.r_[start, len(head)]),)

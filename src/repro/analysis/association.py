@@ -164,14 +164,10 @@ def association_durations(
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
     if not assoc.any():
         raise AnalysisError("no associations in dataset")
-    device = wifi.device[assoc].astype(np.int64)
-    t = wifi.t[assoc].astype(np.int64)
-    ap = wifi.ap_id[assoc].astype(np.int64)
-    order = np.lexsort((t, device))
-    device, t, ap = device[order], t[order], ap[order]
-
-    # A run breaks where the device changes, a slot is skipped or the AP
-    # changes.
+    # The wifi table is in canonical (device, t) order (as ``SlotIndex``
+    # relies on), so the associated rows need no sort. A run breaks where
+    # the device changes, a slot is skipped or the AP changes.
+    device, t, ap = wifi.device[assoc], wifi.t[assoc], wifi.ap_id[assoc]
     starts = np.flatnonzero(np.r_[
         True,
         (device[1:] != device[:-1]) | (t[1:] != t[:-1] + 1) | (ap[1:] != ap[:-1]),

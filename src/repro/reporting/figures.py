@@ -70,10 +70,27 @@ def render_ascii_series(values: Sequence[float], width: int = 72) -> str:
     if arr.size == 0:
         return "(no data)"
     if arr.size > width:
-        edges = np.linspace(0, arr.size, width + 1).astype(int)
-        arr = np.array([arr[a:b].mean() for a, b in zip(edges[:-1], edges[1:]) if b > a])
+        arr = _bucket_means(arr, width)
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         return _BLOCKS[1] * len(arr)
     scaled = (arr - lo) / (hi - lo) * (len(_BLOCKS) - 2) + 1
-    return "".join(_BLOCKS[int(round(v))] for v in scaled)
+    # ``np.rint`` rounds half to even, as ``round`` does.
+    return "".join([_BLOCKS[i] for i in np.rint(scaled).astype(int).tolist()])
+
+
+def _bucket_means(arr: np.ndarray, width: int) -> np.ndarray:
+    """Means of ``arr`` over ``width`` ``linspace`` buckets (``arr.size >
+    width``, so none is empty).
+
+    The buckets have at most two sizes. Each size is one (buckets, size)
+    gather whose row means equal each slice's ``.mean()`` bit for bit;
+    ``np.add.reduceat`` would not: it groups the additions differently.
+    """
+    edges = np.linspace(0, arr.size, width + 1).astype(int)
+    starts, sizes = edges[:-1], np.diff(edges)
+    means = np.empty(width)
+    for size in np.unique(sizes).tolist():
+        pick = sizes == size
+        means[pick] = arr[starts[pick, None] + np.arange(size)].mean(axis=1)
+    return means

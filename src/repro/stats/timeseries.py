@@ -43,13 +43,13 @@ class HourlySeries:
         Default 5 (Saturday) to match the paper's Sat->Sat x-axes. Hours with
         no coverage are NaN.
         """
-        sums = np.zeros(HOURS_PER_WEEK)
-        counts = np.zeros(HOURS_PER_WEEK)
-        for h, v in enumerate(self.values):
-            weekday = (self.start_weekday + h // 24) % 7
-            hour_of_week = ((weekday - week_start_weekday) % 7) * 24 + h % 24
-            sums[hour_of_week] += v
-            counts[hour_of_week] += 1
+        h = np.arange(self.n_hours)
+        weekday = (self.start_weekday + h // 24) % 7
+        hour_of_week = ((weekday - week_start_weekday) % 7) * 24 + h % 24
+        # ``bincount`` adds each bin's values in hour order, as a loop would.
+        sums = np.bincount(hour_of_week, weights=self.values,
+                           minlength=HOURS_PER_WEEK)
+        counts = np.bincount(hour_of_week, minlength=HOURS_PER_WEEK)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = sums / counts
         out[counts == 0] = np.nan

@@ -45,39 +45,38 @@ def drop_update_window(dataset: CampaignDataset) -> "tuple[CampaignDataset, Clea
     if len(updates) == 0:
         return dataset, CleaningReport(0, 0, 0)
 
-    update_day = {}
-    for device, t in zip(updates.device, updates.t):
-        day = int(t) // SAMPLES_PER_DAY
-        # A device updates once; keep the earliest event defensively.
-        update_day[int(device)] = min(day, update_day.get(int(device), day))
+    # Rows are in canonical (device, t) order, so a device's first update
+    # is its earliest (a device updates once; this is defensive).
+    devices, first = np.unique(updates.device, return_index=True)
+    days = updates.t[first] // SAMPLES_PER_DAY
+    traffic, traffic_dropped = _drop_windows(
+        dataset.traffic, "t", devices, days * SAMPLES_PER_DAY,
+        2 * SAMPLES_PER_DAY)
+    apps, apps_dropped = _drop_windows(dataset.apps, "day", devices, days, 2)
+    report = CleaningReport(len(devices), traffic_dropped, apps_dropped)
+    return replace(dataset, traffic=traffic, apps=apps), report
 
-    devices = np.array(sorted(update_day), dtype=np.int64)
-    days = np.array([update_day[d] for d in devices], dtype=np.int64)
 
-    def window_mask(dev_col: np.ndarray, day_col: np.ndarray) -> np.ndarray:
-        """True where the row falls in some device's blackout window."""
-        pos = np.searchsorted(devices, dev_col)
-        pos = np.clip(pos, 0, len(devices) - 1)
-        hit = devices[pos] == dev_col
-        start = days[pos]
-        in_window = (day_col >= start) & (day_col <= start + 1)
-        return hit & in_window
+def _drop_windows(table, key: str, devices: np.ndarray, start: np.ndarray,
+                  length: int):
+    """Copy of ``table`` without the rows of each ``devices[i]`` whose
+    ``key`` lies in ``[start[i], start[i] + length)``, and the number of
+    rows dropped.
 
-    traffic_day = dataset.traffic.t // SAMPLES_PER_DAY
-    traffic_drop = window_mask(dataset.traffic.device, traffic_day)
-    apps_drop = window_mask(dataset.apps.device, dataset.apps.day.astype(np.int64))
-
-    cleaned = replace(
-        dataset,
-        traffic=dataset.traffic.select(~traffic_drop),
-        apps=dataset.apps.select(~apps_drop),
-    )
-    report = CleaningReport(
-        devices_affected=len(devices),
-        traffic_rows_dropped=int(traffic_drop.sum()),
-        app_rows_dropped=int(apps_drop.sum()),
-    )
-    return cleaned, report
+    The table is in canonical (device, key) order, so a device's rows are
+    one run sorted by ``key`` and each window is one row range.
+    """
+    device, keys = table.device, table.columns[key]
+    bounds = [0]
+    for d, low in zip(devices.tolist(), start.tolist()):
+        a, b = np.searchsorted(device, [d, d + 1])
+        bounds += (a + np.searchsorted(keys[a:b], [low, low + length])).tolist()
+    bounds.append(len(table))
+    kept = list(zip(bounds[::2], bounds[1::2]))
+    columns = {name: np.concatenate([col[a:b] for a, b in kept])
+               for name, col in table.columns.items()}
+    dropped = len(table) - sum(b - a for a, b in kept)
+    return replace(table, columns=columns), dropped
 
 
 def clean_for_main_analysis(dataset: CampaignDataset) -> CampaignDataset:
