@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,28 @@ def dataset2015(study):
 @pytest.fixture(scope="session")
 def raw2015(study):
     return study.dataset(2015)
+
+
+@pytest.fixture(scope="session")
+def hard_killed_run(tmp_path_factory):
+    """One ``--events`` campaign SIGKILLed mid-execute: (dir, log, code)."""
+    tmp_path = tmp_path_factory.mktemp("hard_kill")
+    log = tmp_path / "events.jsonl"
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    # No pipes on the victim: orphaned pool workers inherit them and
+    # would keep capture_output waiting long after the SIGKILL lands.
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate",
+         "--scale", "0.004", "--seed", "11", "--jobs", "2",
+         "--out", str(tmp_path / "data"), "--store", "disk",
+         "--chaos-kill-after", "1", "--chaos-kill-hard",
+         "--events", str(log)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=480, env=env, cwd=str(tmp_path),
+    )
+    return tmp_path, log, result.returncode
 
 
 @pytest.fixture()

@@ -222,22 +222,50 @@ def _event(kind, **fields):
     return {"ts": 0.0, "pid": 1, "kind": kind, **fields}
 
 
+#: A run killed in execute_shards: no run_end made it to disk.
+INTERRUPTED_LOG = [
+    _event("run_start", command="simulate", seed=7, scale=0.01),
+    _event("span_start", name="plan_campaign"),
+    _event("span_end", name="plan_campaign", wall_s=0.1, ok=True),
+    _event("span_start", name="execute_shards"),
+    # A pool worker's spans interleave in the same file.
+    {**_event("span_start", name="simulate_shard"), "pid": 2},
+    _event("shard_queued", year=2013, shard=0),
+    _event("shard_queued", year=2013, shard=1),
+    _event("shard_completed", year=2013, shard=0),
+    _event("spill", year=2013, partition="shard-0000", bytes=64),
+    _event("shard_retry", failure="crash", unit="2013:1"),
+    _event("resource_sample", rss_bytes=1024, cpu_s=0.5),
+    _event("chaos", fault="kill", shard=1, hard=True),
+]
+
+#: A resumed run that reused one partition and rejected another.
+CORRUPT_CHECKPOINT_LOG = [
+    _event("run_start", command="simulate", seed=7),
+    _event("checkpoint_loaded", year=2013, shard=0),
+    _event("checkpoint_loaded", corrupt=True, year=2013,
+           partition="shard-0001"),
+    _event("run_end", status="ok", exit_code=0),
+]
+
+#: A finished gate run with one verdict.
+CLEAN_LOG = [
+    _event("run_start", command="bench", seed=7),
+    _event("verdict", source="bench", gate="pass"),
+    _event("run_end", status="ok", exit_code=0),
+]
+
+#: (kind, fields) of a short finished run, written through a recorder.
+CLI_LOG = [
+    ("run_start", {"command": "simulate", "seed": 7, "scale": 0.01}),
+    ("shard_queued", {"year": 2013, "shard": 0}),
+    ("shard_completed", {"year": 2013, "shard": 0}),
+    ("run_end", {"status": "ok", "exit_code": 0}),
+]
+
+
 def test_reconstruct_interrupted_run():
-    events = [
-        _event("run_start", command="simulate", seed=7, scale=0.01),
-        _event("span_start", name="plan_campaign"),
-        _event("span_end", name="plan_campaign", wall_s=0.1, ok=True),
-        _event("span_start", name="execute_shards"),
-        # A pool worker's spans interleave in the same file.
-        {**_event("span_start", name="simulate_shard"), "pid": 2},
-        _event("shard_queued", year=2013, shard=0),
-        _event("shard_queued", year=2013, shard=1),
-        _event("shard_completed", year=2013, shard=0),
-        _event("spill", year=2013, partition="shard-0000", bytes=64),
-        _event("shard_retry", failure="crash", unit="2013:1"),
-        _event("resource_sample", rss_bytes=1024, cpu_s=0.5),
-        _event("chaos", fault="kill", shard=1, hard=True),
-    ]
+    events = INTERRUPTED_LOG
     post = reconstruct(events)
     assert post.status == "interrupted"  # no run_end made it to disk
     assert post.last_stage == "execute_shards"
@@ -256,25 +284,14 @@ def test_reconstruct_interrupted_run():
 
 
 def test_reconstruct_distinguishes_corrupt_checkpoints():
-    events = [
-        _event("run_start", command="simulate", seed=7),
-        _event("checkpoint_loaded", year=2013, shard=0),
-        _event("checkpoint_loaded", corrupt=True, year=2013,
-               partition="shard-0001"),
-        _event("run_end", status="ok", exit_code=0),
-    ]
-    post = reconstruct(events)
+    post = reconstruct(CORRUPT_CHECKPOINT_LOG)
     assert post.checkpoints_loaded == 1
     assert post.checkpoints_corrupt == 1
     assert "1 loaded, 1 corrupt" in post.render()
 
 
 def test_reconstruct_clean_run_and_summary():
-    events = [
-        _event("run_start", command="bench", seed=7),
-        _event("verdict", source="bench", gate="pass"),
-        _event("run_end", status="ok", exit_code=0),
-    ]
+    events = CLEAN_LOG
     post = reconstruct(events)
     assert post.status == "ok" and post.exit_code == 0
     assert post.verdicts[0]["gate"] == "pass"
@@ -427,12 +444,7 @@ def _write_log(path, events):
 
 def test_events_cli_summary_tail_postmortem(tmp_path, capsys):
     log = tmp_path / "events.jsonl"
-    _write_log(log, [
-        ("run_start", {"command": "simulate", "seed": 7, "scale": 0.01}),
-        ("shard_queued", {"year": 2013, "shard": 0}),
-        ("shard_completed", {"year": 2013, "shard": 0}),
-        ("run_end", {"status": "ok", "exit_code": 0}),
-    ])
+    _write_log(log, CLI_LOG)
     assert main(["events", str(log)]) == 0
     out = capsys.readouterr().out
     assert "4 events" in out and "shard_completed" in out
@@ -552,25 +564,6 @@ def _pids_mentioning(text):
         if text.encode() in cmdline:
             found.append(int(entry.name))
     return found
-
-
-@pytest.fixture(scope="module")
-def hard_killed_run(tmp_path_factory):
-    """One ``--events`` campaign SIGKILLed mid-execute: (dir, log, code)."""
-    tmp_path = tmp_path_factory.mktemp("hard_kill")
-    log = tmp_path / "events.jsonl"
-    # No pipes on the victim: orphaned pool workers inherit them and
-    # would keep capture_output waiting long after the SIGKILL lands.
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "simulate",
-         "--scale", "0.004", "--seed", "11", "--jobs", "2",
-         "--out", str(tmp_path / "data"), "--store", "disk",
-         "--chaos-kill-after", "1", "--chaos-kill-hard",
-         "--events", str(log)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        timeout=480, env=_subprocess_env(), cwd=str(tmp_path),
-    )
-    return tmp_path, log, result.returncode
 
 
 def test_hard_kill_leaves_reconstructable_black_box(hard_killed_run):
