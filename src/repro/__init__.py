@@ -55,7 +55,6 @@ from repro.analysis.context import AnalysisContext, CacheStats
 from repro.obs import (
     EventKind,
     FlightRecorder,
-    MetricsRegistry,
     RunManifest,
     Span,
     get_recorder,
@@ -105,7 +104,6 @@ __all__ = [
     "CacheStats",
     "EventKind",
     "FlightRecorder",
-    "MetricsRegistry",
     "RunManifest",
     "Span",
     "get_recorder",

@@ -36,9 +36,6 @@ class DensityMaps:
         except KeyError:
             raise AnalysisError(f"no grid for class {ap_class!r}") from None
 
-    def cells_with_at_least(self, ap_class: str, threshold: int) -> int:
-        return self.grid(ap_class).n_cells_with_at_least(threshold)
-
 
 def association_density_maps(
     data: DatasetOrContext,
@@ -76,12 +73,6 @@ class DetectedCoverage:
 
     year: int
     grids: Dict[str, DensityGrid]
-
-    def cells_with_at_least(self, key: str, threshold: int) -> int:
-        try:
-            return self.grids[key].n_cells_with_at_least(threshold)
-        except KeyError:
-            raise AnalysisError(f"unknown coverage key {key!r}") from None
 
 
 def detected_coverage(data: DatasetOrContext) -> DetectedCoverage:

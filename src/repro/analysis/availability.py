@@ -21,7 +21,7 @@ from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.stats.distributions import Ecdf, ccdf
 from repro.traces.dataset import CampaignDataset
-from repro.traces.query import SlotIndex
+from repro.traces.query import SlotIndex, group_starts
 from repro.traces.records import IfaceKind, WifiStateCode
 
 
@@ -104,10 +104,13 @@ def offload_estimate(data: DatasetOrContext) -> OffloadEstimate:
     if not mask.any():
         raise AnalysisError("no scans in WiFi-available state")
     strong = mask & ((scans.n24_strong + scans.n5_strong) >= 1)
-    available_devices = np.unique(scans.device[mask])
-    opportunity_devices = np.unique(scans.device[strong])
+    # Masked rows keep canonical (device, t) order: one run per device.
+    available = scans.device[mask]
+    available_devices = available[group_starts(available)]
+    opportunity = scans.device[strong]
+    opportunity_devices = opportunity[group_starts(opportunity)]
     offload_slots = SlotIndex.build(
-        scans.device[strong], scans.t[strong], dataset.n_slots
+        opportunity, scans.t[strong], dataset.n_slots
     )
 
     traffic = dataset.traffic

@@ -13,11 +13,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.net.identifiers import bssid_prefix, is_public_essid
+from repro.traces.query import distinct_ids
 from repro.traces.records import WifiStateCode
 
 
@@ -64,9 +63,9 @@ def shared_infrastructure(
     observed = set()
     wifi = dataset.wifi
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
-    observed.update(int(a) for a in np.unique(wifi.ap_id[assoc]))
+    observed.update(distinct_ids(wifi.ap_id[assoc]).tolist())
     if include_sightings and len(dataset.sightings):
-        observed.update(int(a) for a in np.unique(dataset.sightings.ap_id))
+        observed.update(distinct_ids(dataset.sightings.ap_id).tolist())
     if not observed:
         raise AnalysisError("no observed APs")
 

@@ -19,6 +19,7 @@ from repro.constants import NUM_24GHZ_CHANNELS
 from repro.errors import AnalysisError
 from repro.radio.bands import Band
 from repro.traces.dataset import CampaignDataset
+from repro.traces.query import distinct_ids
 from repro.traces.records import ApDirectoryEntry, WifiStateCode
 
 
@@ -27,7 +28,8 @@ def _associated_aps(
 ) -> Tuple[List[ApDirectoryEntry], np.ndarray]:
     """Directory entries and WIFI_CLASSES codes of associated unique APs."""
     wifi = dataset.wifi
-    aps = np.unique(wifi.ap_id[wifi.state == int(WifiStateCode.ASSOCIATED)])
+    aps = distinct_ids(
+        wifi.ap_id[wifi.state == int(WifiStateCode.ASSOCIATED)])
     entries = [dataset.ap_directory[a] for a in aps.tolist()]
     return entries, classification.class_codes(aps)
 

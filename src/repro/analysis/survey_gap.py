@@ -19,6 +19,7 @@ from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
 from repro.errors import AnalysisError
 from repro.population.survey import SurveyResponse
+from repro.traces.query import group_starts
 from repro.traces.records import WifiStateCode
 
 LOCATION_CLASSES = {"home": ("home",), "office": ("office",), "public": ("public",)}
@@ -59,13 +60,14 @@ def survey_gap(
 
     wifi = dataset.wifi
     assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
+    # Masked rows keep canonical (device, t) order: one run per device.
     device = wifi.device[assoc]
     codes = classification.class_codes(wifi.ap_id[assoc])
     n = dataset.n_devices
     measured = {}
     for loc, classes in LOCATION_CLASSES.items():
         wanted = np.isin(codes, [WIFI_CLASSES.index(c) for c in classes])
-        measured[loc] = 100.0 * np.unique(device[wanted]).size / n
+        measured[loc] = 100.0 * group_starts(device[wanted]).size / n
     claimed = {}
     for loc in LOCATION_CLASSES:
         yes = sum(1 for r in responses if r.connected.get(loc) == "yes")

@@ -7,7 +7,7 @@ from repro.apps.categories import (
     category_code,
     category_name,
 )
-from repro.apps.demand import CategoryMix, DemandModel, SlotDemand
+from repro.apps.demand import CategoryMix, DemandModel
 from repro.apps.updates import UpdatePolicy, UpdateModel
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "category_name",
     "CategoryMix",
     "DemandModel",
-    "SlotDemand",
     "UpdatePolicy",
     "UpdateModel",
 ]

@@ -58,14 +58,6 @@ class CategoryMix:
         return shares / total
 
 
-@dataclass(frozen=True)
-class SlotDemand:
-    """Demand realized in one slot, already split by direction."""
-
-    rx_bytes: float
-    tx_bytes: float
-
-
 _RX_TX = np.array([c.rx_tx_ratio for c in CATEGORIES])
 _BASE_WEIGHTS = np.array([c.weight for c in CATEGORIES])
 

@@ -337,13 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a flight-recorder events.jsonl and fold it into "
              "the run's artifacts",
         description="Read an events.jsonl written by --events (tolerant of "
-                    "the truncation a kill -9 leaves) and tail it, "
-                    "summarize per-kind counts, or reconstruct a "
+                    "the truncation a kill -9 leaves) and fold the last "
+                    "run in the file into its run manifest. Print its "
+                    "per-kind counts, tail the raw events, or render its "
                     "postmortem: which phase the run died in, completed vs "
                     "in-flight shards, retries/drops, checkpoint "
                     "and spill activity, and the last resource sample. "
-                    "--manifest, --trace and --report fold the last run in "
-                    "the file into its artifacts; a killed run folds to "
+                    "--manifest, --trace and --report write the "
+                    "manifest's artifacts; a killed run folds to "
                     "status 'interrupted'.",
     )
     events.add_argument("path", type=Path,
@@ -353,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     events_mode.add_argument("--tail", type=int, default=None, metavar="N",
                              help="print the last N events, one line each")
     events_mode.add_argument("--postmortem", action="store_true",
-                             help="reconstruct what happened to the run "
-                                  "from the (possibly truncated) log")
+                             help="render what happened to the run from "
+                                  "the (possibly truncated) log; with "
+                                  "--json, print the run manifest")
     events.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
     events.add_argument("--manifest", type=Path, default=None, metavar="OUT",
@@ -847,18 +849,13 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_events(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import (
-        format_event,
-        load_events,
-        reconstruct,
-        summarize_events,
-    )
+    from repro.obs.recorder import format_event, load_events
 
     if not args.path.exists():
         raise ReproError(f"no event log at {args.path}")
     events = load_events(args.path)
+    manifest = build_manifest(events)
     if args.manifest or args.trace or args.report:
-        manifest = build_manifest(events)
         if args.manifest is not None:
             manifest.write(args.manifest)
             print(f"wrote run manifest {args.manifest}")
@@ -884,26 +881,20 @@ def cmd_events(args: argparse.Namespace) -> int:
                 print(format_event(event))
         return 0
     if args.postmortem:
-        post = reconstruct(events)
         if args.json:
-            print(json.dumps(post.to_dict(), indent=2, sort_keys=True,
-                             default=str))
+            print(manifest.to_json(), end="")
         else:
-            print(post.render())
+            print(manifest.render_postmortem())
         return 0
     if args.json:
-        counts: dict = {}
-        for event in events:
-            kind = str(event.get("kind", "?"))
-            counts[kind] = counts.get(kind, 0) + 1
-        post = reconstruct(events)
         print(json.dumps(
-            {"n_events": len(events), "status": post.status,
-             "duration_s": round(post.duration_s, 3), "counts": counts},
+            {"n_events": manifest.n_events, "status": manifest.status,
+             "duration_s": round(manifest.duration_s, 3),
+             "counts": manifest.event_counts},
             indent=2, sort_keys=True,
         ))
         return 0
-    print(summarize_events(events))
+    print(manifest.render_summary())
     return 0
 
 

@@ -7,9 +7,9 @@ explicit recovery path:
 
 - :class:`ShardFailure` / :class:`ShardAttemptLog` — structured,
   classified records of every failed attempt (``crash`` vs ``timeout`` vs
-  ``broken-pool`` vs ``submit``), surfaced through
-  :class:`~repro.obs.metrics.MetricsRegistry` and the run manifest instead
-  of a silently incremented fallback counter.
+  ``broken-pool`` vs ``submit``), surfaced through the run manifest's
+  ``engine.*`` counters and ``shard_attempts`` instead of a silently
+  incremented fallback counter.
 - :class:`RetryPolicy` — bounded in-pool retries with exponential backoff
   and *deterministic seeded jitter*, plus a deadline-based per-shard
   timeout measured from the moment a shard actually starts (never from its
@@ -262,8 +262,8 @@ class ResilienceReport:
 
     Rides on :class:`~repro.simulation.campaign.CampaignResult` /
     :class:`~repro.simulation.study.Study` and lands in the run manifest
-    (``shard_attempts``) and :class:`~repro.obs.metrics.MetricsRegistry`
-    counters.
+    (``shard_attempts`` and the ``engine.*``/``checkpoint.*`` counters of
+    :func:`~repro.obs.manifest.run_summary`).
     """
 
     #: Per-shard attempt history: ``{"year", "shard", "attempts",

@@ -885,11 +885,6 @@ def score_fidelity(
     return report
 
 
-def registered_checks() -> List[PaperRef]:
-    """Every reference with an extractor, in check-id order (sanity API)."""
-    return [REFERENCES[k] for k in sorted(REFERENCES) if k in _EXTRACTORS]
-
-
 def missing_extractors() -> List[str]:
     """Registered checks with no extractor (must stay empty)."""
     return sorted(set(REFERENCES) - set(_EXTRACTORS))

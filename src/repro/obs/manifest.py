@@ -1,17 +1,19 @@
-"""The machine-readable run manifest, a fold of the events file.
+"""The machine-readable run manifest: the one fold of the events file.
 
 A :class:`RunManifest` is the single artifact that accounts for one run the
 way the paper accounts for a campaign: what was configured (config hash,
 seed, scale, years), how it executed (executor, shard layout, per-stage
-wall/CPU seconds), what the caches did (per-artifact hit rates), and what
-the collection pipeline lost (fault-loss accounting).
+wall/CPU seconds), what the caches did (per-artifact hit rates), what
+the collection pipeline lost (fault-loss accounting), and what the black
+box holds (the stages still open, the shards in flight, retries, spills,
+chaos faults and the last resource sample of a run that died).
 
 The run writes none of it directly. ``run_start`` carries the identity,
-the command's ``run_summary`` event (:func:`run_summary`) carries what
-its accounting objects know, ``run_end`` the status, and the span events
-everything else; :func:`build_manifest` folds them after the fact
-(``repro events PATH --manifest OUT``), the same way for finished and
-killed runs.
+the command's ``run_summary`` event (:func:`run_summary`) what its
+accounting objects know, ``run_end`` the status, and the other events
+the rest; :func:`build_manifest` folds them after the fact, the same way
+for finished and killed runs. Every ``repro events`` output renders
+from that one fold.
 
 Manifests round-trip losslessly through JSON: ``read(write(m)) == m`` is
 pinned by ``tests/test_obs.py``. All keys are strings and all values are
@@ -26,17 +28,18 @@ import json
 import os
 import platform
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import EventKind
 from repro.obs.span import Span, fold_spans, rollup
 
 __all__ = ["RunManifest", "build_manifest", "config_hash_of",
            "environment", "run_summary", "MANIFEST_SCHEMA_VERSION"]
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def config_hash_of(*configs: object) -> str:
@@ -107,6 +110,39 @@ class RunManifest:
     #: The saved-campaign directory an ``analyze``/``fidelity --data`` run
     #: read (None for a simulated run).
     data: Optional[str] = None
+    # The black box: what the events say happened, for a killed run too.
+    #: Process that wrote ``run_start``; ``run_end``'s exit code.
+    pid: Optional[int] = None
+    exit_code: Optional[int] = None
+    #: Events of the run, seconds from its first to its last, per kind.
+    n_events: int = 0
+    duration_s: float = 0.0
+    event_counts: Dict[str, int] = field(default_factory=dict)
+    #: Spans of the run's own process still open at its last event,
+    #: outermost first, and closed spans of every process rolled up by
+    #: name in closing order (``[{"name", "wall_s", "count"}, ...]``).
+    open_stages: List[str] = field(default_factory=list)
+    closed_stages: List[dict] = field(default_factory=list)
+    #: ``[year, shard]`` pairs: scheduled, accepted, scheduled but never
+    #: accepted, and dropped after exhausting retries.
+    queued_shards: List[List[int]] = field(default_factory=list)
+    completed_shards: List[List[int]] = field(default_factory=list)
+    outstanding_shards: List[List[int]] = field(default_factory=list)
+    dropped_shards: List[List[int]] = field(default_factory=list)
+    #: Failed shard attempts, in total and per failure kind.
+    retries: int = 0
+    failures_by_kind: Dict[str, int] = field(default_factory=dict)
+    #: Spill partitions written, reused on resume, rejected as damaged.
+    partitions_saved: int = 0
+    partitions_reused: int = 0
+    partitions_rejected: int = 0
+    #: ``fault_loss`` events per device; ``chaos`` and ``verdict`` events;
+    #: the last ``progress`` and ``resource_sample`` events.
+    fault_loss_devices: Dict[str, int] = field(default_factory=dict)
+    chaos_events: List[dict] = field(default_factory=list)
+    verdicts: List[dict] = field(default_factory=list)
+    last_progress: Optional[dict] = None
+    last_sample: Optional[dict] = None
     schema_version: int = MANIFEST_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -114,15 +150,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
 
     def write(self, path: Union[str, Path]) -> Path:
         path = Path(path)
@@ -132,11 +159,104 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "RunManifest":
-        return cls.from_json(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
+        known = set(cls.__dataclass_fields__)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
     def stage_wall_s(self, stage: str) -> float:
         """Total wall seconds recorded for one stage (0.0 if absent)."""
         return float(self.stages.get(stage, {}).get("wall_s", 0.0))
+
+    def _label(self) -> str:
+        """``data=PATH`` over saved campaigns, else seed and scale."""
+        return (f"data={self.data}" if self.data is not None
+                else f"seed={self.seed} scale={self.scale}")
+
+    def render_summary(self) -> str:
+        """Counts per kind plus run identity — ``repro events``."""
+        lines = [f"{self.n_events} events over {self.duration_s:.1f}s "
+                 f"({self.status})"]
+        if self.event_counts.get("run_start"):
+            lines.append(f"  command: {self.command} {self._label()}")
+        known = [kind.value for kind in EventKind]
+        for kind in known:
+            if kind in self.event_counts:
+                lines.append(f"  {kind:18s} {self.event_counts[kind]}")
+        for kind, count in sorted(self.event_counts.items()):
+            if kind not in known:  # forward-compat: foreign kinds
+                lines.append(f"  {kind:18s} {count} (undocumented)")
+        return "\n".join(lines)
+
+    def render_postmortem(self) -> str:
+        """What happened to the run — ``repro events --postmortem``."""
+        lines = [f"postmortem: {self.status} "
+                 f"({self.n_events} events, {self.duration_s:.1f}s)"]
+        if self.event_counts.get("run_start"):
+            lines.append(f"  run: {self.command} {self._label()} "
+                         f"pid={self.pid}")
+        if self.exit_code is not None:
+            lines.append(f"  exit code: {self.exit_code}")
+        if self.open_stages:
+            lines.append(f"  died in stage: {self.open_stages[-1]} "
+                         f"(open: {' > '.join(self.open_stages)})")
+        if self.closed_stages:
+            lines.append("  closed stages:")
+            width = max(len(entry["name"]) for entry in self.closed_stages)
+            for entry in self.closed_stages:
+                lines.append(f"    {entry['name'].ljust(width)}  "
+                             f"x{entry['count']:<4d} {entry['wall_s']:9.3f}s")
+        outstanding = self.outstanding_shards
+        lines.append(
+            f"  shards: {len(self.completed_shards)}/"
+            f"{len(self.queued_shards)} completed"
+            + (f", {len(outstanding)} in flight" if outstanding else "")
+        )
+        if outstanding:
+            shown = ", ".join(f"{y}:{s}" for y, s in outstanding[:8])
+            more = "..." if len(outstanding) > 8 else ""
+            lines.append(f"  in flight: {shown}{more}")
+        if self.retries:
+            kinds = ", ".join(f"{kind}={count}" for kind, count
+                              in sorted(self.failures_by_kind.items()))
+            lines.append(f"  retries: {self.retries} ({kinds})")
+        if self.dropped_shards:
+            lines.append(f"  dropped shards: {self.dropped_shards}")
+        if (self.partitions_saved or self.partitions_reused
+                or self.partitions_rejected):
+            line = (f"  checkpoints: {self.partitions_saved} saved, "
+                    f"{self.partitions_reused} loaded")
+            if self.partitions_rejected:
+                line += f", {self.partitions_rejected} corrupt"
+            lines.append(line)
+        if self.fault_loss_devices:
+            total = sum(self.fault_loss_devices.values())
+            lines.append(f"  collection losses: {total} device(s) affected")
+        for event in self.chaos_events:
+            lines.append(f"  chaos: {event.get('fault', '?')} "
+                         f"(shard={event.get('shard', '?')})")
+        if self.last_progress is not None:
+            progress = self.last_progress
+            lines.append(
+                f"  last progress: {progress.get('done')}/"
+                f"{progress.get('total')} shards, "
+                f"{progress.get('devices_done')}/"
+                f"{progress.get('devices_total')} devices, "
+                f"{progress.get('rate', 0.0):.1f} dev/s"
+            )
+        if self.last_sample is not None:
+            sample = self.last_sample
+            rss_mib = float(sample.get("rss_bytes", 0)) / 2**20
+            child_mib = float(sample.get("children_rss_bytes", 0)) / 2**20
+            shm_mib = float(sample.get("shm_bytes", 0)) / 2**20
+            lines.append(
+                f"  last sample: rss={rss_mib:.1f}MiB "
+                f"children={child_mib:.1f}MiB shm={shm_mib:.1f}MiB "
+                f"cpu={sample.get('cpu_s', 0.0):.1f}s"
+            )
+        for verdict in self.verdicts:
+            lines.append(f"  verdict: {verdict.get('source', '?')} "
+                         f"{verdict.get('gate', '?')}")
+        return "\n".join(lines)
 
 
 def run_summary(
@@ -153,33 +273,70 @@ def run_summary(
 ) -> dict:
     """The fields of a command's ``run_summary`` event.
 
-    Folds the run's accounting objects into JSON-ready manifest fields.
-    Every argument is optional so each command contributes what it
-    actually has: ``simulate`` has collection reports but no cache stats,
-    ``analyze`` the reverse. ``resilience`` takes a ``ResilienceReport``;
-    ``losses`` a list of per-year ``ExecutionLosses``.
+    Folds the run's accounting objects into JSON-ready manifest fields,
+    with one namespaced counter schema: ``cache.<artifact>.*`` from
+    ``CacheStats``, ``collection.<year>.*`` from each
+    ``CollectionReport``, ``engine.*`` from ``ExecutionInfo``, the
+    ``ResilienceReport`` and per-year ``ExecutionLosses``, and
+    ``checkpoint.*`` from the resilience report. Every argument is
+    optional so each command contributes what it actually has:
+    ``simulate`` has collection reports but no cache stats, ``analyze``
+    the reverse.
     """
-    registry = MetricsRegistry()
+    counters: Dict[str, Union[int, float]] = {}
     if cache_stats is not None:
-        registry.ingest_cache_stats(cache_stats)
+        entries = cache_stats.per_artifact()
+        for entry in entries:
+            for name in ("hits", "misses", "cached_bytes"):
+                counters[f"cache.{entry.artifact}.{name}"] = getattr(
+                    entry, name)
+        hits = sum(entry.hits for entry in entries)
+        lookups = hits + sum(entry.misses for entry in entries)
+        counters["cache.hit_rate"] = (round(hits / lookups, 6) if lookups
+                                      else 0.0)
     for year, report in (collection_reports or {}).items():
-        if report is not None:
-            registry.ingest_collection_report(report, year=year)
+        if report is None:
+            continue
+        totals = report.totals()
+        ticks = totals.get("ticks", 0)
+        for key, value in {
+            **totals,
+            "batches_received": report.batches_received,
+            "duplicates_dropped": report.duplicates_dropped,
+            "recruited": report.recruited,
+            "valid": report.n_valid(),
+            "completeness": (round(totals.get("delivered", 0) / ticks, 6)
+                             if ticks else 1.0),
+        }.items():
+            counters[f"collection.{year}.{key}"] = value
     if execution is not None:
-        registry.ingest_execution(execution)
+        counters["engine.n_jobs"] = execution.n_jobs
+        counters["engine.shards"] = execution.n_shards
+        counters["engine.executor_parallel"] = int(
+            execution.executor != "serial")
+        counters["engine.transport_bytes"] = execution.transport_bytes
     if resilience is not None:
-        registry.ingest_resilience(resilience)
+        for name in ("retries", "fallbacks", "dropped_shards"):
+            counters[f"engine.{name}"] = getattr(resilience, name)
+        for kind, n in resilience.failures_by_kind.items():
+            counters[f"engine.failures.{kind}"] = n
+        for name in ("saved", "hits", "corrupt"):
+            counters[f"checkpoint.{name}"] = getattr(
+                resilience, f"checkpoint_{name}")
     losses = [loss for loss in losses or [] if loss is not None]
     for loss in losses:
-        registry.ingest_losses(loss)
-    for name, value in (extra_counters or {}).items():
-        registry.set(name, value)
+        base = f"engine.{loss.year}"
+        counters[f"{base}.shards_dropped"] = len(loss.dropped_shards)
+        counters[f"{base}.devices_dropped"] = loss.dropped_devices
+        counters[f"{base}.device_completeness"] = round(
+            loss.device_completeness, 6)
+    counters.update(extra_counters or {})
     return {
         "years": list(years or []),
         "executor": getattr(execution, "executor", "serial"),
         "n_jobs": getattr(execution, "n_jobs", 1),
         "shards": list(shards or []),
-        "counters": registry.counters,
+        "counters": dict(sorted(counters.items())),
         "shard_attempts": list(resilience.shard_attempts)
         if resilience is not None else [],
         "losses": [loss.to_dict() for loss in losses],
@@ -187,65 +344,126 @@ def run_summary(
     }
 
 
+#: The ``run_summary`` fields a manifest takes as they are.
+_SUMMARY_FIELDS = ("years", "executor", "n_jobs", "shards",
+                   "shard_attempts", "losses", "artifacts")
+
+
+def _pair(event: dict) -> List[int]:
+    return [event.get("year"), event.get("shard")]
+
+
+def _last(events: List[dict], default=None):
+    return events[-1] if events else default
+
+
 def build_manifest(events: Sequence[dict]) -> RunManifest:
     """Fold an event list (``load_events(path)``) into the run's manifest.
 
     Only the last run in the list is folded: a file several runs appended
     to is cut at its last ``run_start``. The span events fold into
-    ``spans``, ``stages`` and the ``span.*`` counters; the last
-    ``run_summary`` supplies the accounting fields and ``run_end`` the
-    status. A log without ``run_end`` is a killed run: its status is
-    ``"interrupted"`` and its open spans are timed up to the last event.
+    ``spans``, ``stages``, the ``span.*`` counters and the open and
+    closed stages; the last ``run_summary`` supplies the accounting
+    fields and ``run_end`` the status; the other events fill the
+    black-box fields. A log without ``run_end`` is a killed run: its
+    status is ``"interrupted"`` and its open spans are timed up to the
+    last event.
     """
     events = list(events)
     starts = [i for i, e in enumerate(events) if e.get("kind") == "run_start"]
     if starts:
         events = events[starts[-1]:]
     run = events[0] if starts else {}
-    summary: dict = {}
-    end: Optional[dict] = None
+    by_kind: Dict[str, List[dict]] = {}
     for event in events:
-        if event.get("kind") == "run_summary":
-            summary = event
-        elif event.get("kind") == "run_end":
-            end = event
-    command = str(run.get("command", "?"))
-    spans: dict = {}
-    stages: Dict[str, dict] = {}
+        by_kind.setdefault(str(event.get("kind", "?")), []).append(event)
+
+    def of(kind: str) -> List[dict]:
+        return by_kind.get(kind, [])
+
+    summary = _last(of("run_summary"), {})
+    end = _last(of("run_end"))
+    code = end.get("exit_code") if end else None
+    stamps = [e["ts"] for e in events
+              if isinstance(e.get("ts"), (int, float))]
+    loaded = of("checkpoint_loaded")
+    rejected = sum(1 for e in loaded if e.get("corrupt"))
+    manifest = RunManifest(
+        command=str(run.get("command", "?")),
+        config_hash=str(run.get("config_hash") or ""),
+        seed=run.get("seed"),
+        scale=run.get("scale"),
+        **{key: summary[key] for key in _SUMMARY_FIELDS if key in summary},
+        status=str(end.get("status", "ok")) if end else "interrupted",
+        error=str(end.get("error") or "") if end else "",
+        environment=dict(run.get("environment") or {}),
+        data=run.get("data"),
+        pid=run.get("pid"),
+        exit_code=int(code) if code is not None else None,
+        n_events=len(events),
+        duration_s=max(stamps) - min(stamps) if stamps else 0.0,
+        event_counts={kind: len(group) for kind, group in by_kind.items()},
+        queued_shards=[_pair(e) for e in of("shard_queued")],
+        completed_shards=[_pair(e) for e in of("shard_completed")],
+        dropped_shards=[_pair(e) for e in of("shard_dropped")],
+        retries=len(of("shard_retry")),
+        failures_by_kind=dict(Counter(
+            str(e.get("failure", "?")) for e in of("shard_retry"))),
+        partitions_saved=len(of("spill")),
+        partitions_reused=len(loaded) - rejected,
+        partitions_rejected=rejected,
+        fault_loss_devices=dict(Counter(
+            str(e.get("device", "?")) for e in of("fault_loss"))),
+        chaos_events=of("chaos"),
+        verdicts=of("verdict"),
+        last_progress=_last(of("progress")),
+        last_sample=_last(of("resource_sample")),
+    )
+    done = {tuple(pair) for pair in manifest.completed_shards}
+    manifest.outstanding_shards = [
+        pair for pair in manifest.queued_shards if tuple(pair) not in done]
+
+    # Open span names per process: pool workers append to the same file,
+    # so their spans interleave with the parent's.
+    open_by_pid: Dict[object, List[str]] = {}
+    closed: Dict[str, dict] = {}
+    for event in events:
+        kind = event.get("kind")
+        if kind == "span_start":
+            open_by_pid.setdefault(event.get("pid"), []).append(
+                str(event.get("name", "?")))
+        elif kind == "span_end":
+            name = str(event.get("name", "?"))
+            stack = open_by_pid.get(event.get("pid"), [])
+            if name in stack:
+                del stack[len(stack) - 1 - stack[::-1].index(name):]
+            entry = closed.setdefault(
+                name, {"name": name, "wall_s": 0.0, "count": 0})
+            entry["wall_s"] += float(event.get("wall_s", 0.0))
+            entry["count"] += 1
+    manifest.closed_stages = list(closed.values())
+    # The run's own process is the one that wrote run_start (or, in a
+    # log without it, the first event).
+    manifest.open_stages = open_by_pid.get(
+        events[0].get("pid") if events else None, [])
+
     counters: Dict[str, Union[int, float]] = {}
     roots, _ = fold_spans(events)
     if roots:
         if len(roots) == 1:
             tree = roots[0]
         else:  # several top-level spans: hang them under one root
-            tree = Span(command)
+            tree = Span(manifest.command)
             tree.children = roots
             tree.wall_s = sum(root.wall_s for root in roots)
             tree.cpu_s = sum(root.cpu_s for root in roots)
-        spans = tree.as_dict()
+        manifest.spans = tree.as_dict()
         stages, counters = rollup(tree)
-    counters.update(summary.get("counters") or {})
-    return RunManifest(
-        command=command,
-        config_hash=str(run.get("config_hash") or ""),
-        seed=run.get("seed"),
-        scale=run.get("scale"),
-        years=list(summary.get("years", [])),
-        executor=summary.get("executor", "serial"),
-        n_jobs=summary.get("n_jobs", 1),
-        shards=list(summary.get("shards", [])),
-        stages={
+        manifest.stages = {
             name: {k: round(v, 6) if isinstance(v, float) else v
                    for k, v in stages[name].items()}
             for name in sorted(stages)
-        },
-        counters={name: counters[name] for name in sorted(counters)},
-        spans=spans,
-        shard_attempts=list(summary.get("shard_attempts", [])),
-        losses=list(summary.get("losses", [])),
-        status=str(end.get("status", "ok")) if end else "interrupted",
-        error=str(end.get("error") or "") if end else "",
-        artifacts=dict(summary.get("artifacts") or {}),
-        environment=dict(run.get("environment") or {}),
-        data=run.get("data"),
-    )
+        }
+    counters.update(summary.get("counters") or {})
+    manifest.counters = dict(sorted(counters.items()))
+    return manifest

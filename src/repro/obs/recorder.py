@@ -3,10 +3,12 @@
 Every observation a run makes is an event on one list: command start and
 end, span open and close, shard scheduling, checkpoints, spills, losses,
 chaos faults, progress, resource samples and gate verdicts. The span
-tree, the run manifest, the Chrome trace, the HTML run report,
-``--progress`` and the ``repro events --postmortem`` report are all folds
-over that list, and every one of them except ``--progress`` is computed
-after the fact from the events file.
+tree, the run manifest (and with it the ``repro events`` summaries and
+``--postmortem`` report), the Chrome trace, the HTML run report and
+``--progress`` are all folds over that list, and every one of them
+except ``--progress`` is computed after the fact from the events file
+(:func:`repro.obs.manifest.build_manifest`). This module emits, parses
+and prints events; it folds none of them.
 
 A :class:`FlightRecorder` routes each event to two sinks:
 
@@ -35,10 +37,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 __all__ = [
     "EventKind",
@@ -46,7 +48,6 @@ __all__ = [
     "FlightRecorder",
     "NoopRecorder",
     "NOOP_RECORDER",
-    "Postmortem",
     "StageClock",
     "format_event",
     "get_recorder",
@@ -54,8 +55,6 @@ __all__ = [
     "use_recorder",
     "parse_events",
     "load_events",
-    "reconstruct",
-    "summarize_events",
 ]
 
 #: Setting this to a path enables flight recording process-wide; pool
@@ -293,20 +292,15 @@ class StageClock:
             recorder.count(f"stage.{stage}_s", seconds)
 
 
-class use_recorder:
-    """Temporarily install a recorder (tests and shards use this)."""
-
-    def __init__(self,
-                 recorder: Union[FlightRecorder, NoopRecorder]) -> None:
-        self._recorder = recorder
-        self._previous: Optional[Union[FlightRecorder, NoopRecorder]] = None
-
-    def __enter__(self) -> Union[FlightRecorder, NoopRecorder]:
-        self._previous = set_recorder(self._recorder)
-        return self._recorder
-
-    def __exit__(self, *exc_info) -> None:
-        set_recorder(self._previous)
+@contextmanager
+def use_recorder(recorder: Union[FlightRecorder, NoopRecorder]
+                 ) -> Iterator[Union[FlightRecorder, NoopRecorder]]:
+    """Temporarily install a recorder."""
+    previous = set_recorder(recorder)
+    try:
+        yield recorder
+    finally:
+        set_recorder(previous)
 
 
 # ----------------------------------------------------------------------
@@ -363,219 +357,3 @@ def format_event(event: dict) -> str:
         if key not in ("ts", "pid", "kind")
     )
     return f"{stamp} [{event.get('pid', '?')}] {kind:16s} {rest}".rstrip()
-
-
-# ----------------------------------------------------------------------
-# Postmortem reconstruction
-# ----------------------------------------------------------------------
-
-@dataclass
-class Postmortem:
-    """What a (possibly truncated) event log says happened to a run."""
-
-    run: Optional[dict] = None          # the run_start event, if recorded
-    status: str = "interrupted"         # ok | failed | interrupted
-    exit_code: Optional[int] = None
-    n_events: int = 0
-    duration_s: float = 0.0
-    #: Spans of the run's own process still open, outermost first.
-    open_stages: List[str] = field(default_factory=list)
-    last_stage: Optional[str] = None    # innermost span still open
-    #: Closed spans rolled up by name: ``{"wall_s", "count"}`` each.
-    stages: Dict[str, dict] = field(default_factory=dict)
-    queued: List[List[int]] = field(default_factory=list)    # [year, shard]
-    completed: List[List[int]] = field(default_factory=list)
-    outstanding: List[List[int]] = field(default_factory=list)
-    retries: int = 0
-    failures_by_kind: Dict[str, int] = field(default_factory=dict)
-    dropped: List[List[int]] = field(default_factory=list)
-    checkpoints_saved: int = 0
-    checkpoints_loaded: int = 0
-    checkpoints_corrupt: int = 0
-    losses: Dict[str, int] = field(default_factory=dict)
-    chaos: List[dict] = field(default_factory=list)
-    last_progress: Optional[dict] = None
-    last_sample: Optional[dict] = None
-    verdicts: List[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    def render(self) -> str:
-        lines = [f"postmortem: {self.status} "
-                 f"({self.n_events} events, {self.duration_s:.1f}s)"]
-        if self.run is not None:
-            command = self.run.get("command", "?")
-            lines.append(f"  run: {command} {run_label(self.run)} "
-                         f"pid={self.run.get('pid')}")
-        if self.exit_code is not None:
-            lines.append(f"  exit code: {self.exit_code}")
-        if self.last_stage is not None:
-            lines.append(f"  died in stage: {self.last_stage} "
-                         f"(open: {' > '.join(self.open_stages)})")
-        if self.stages:
-            lines.append("  closed stages:")
-            width = max(len(name) for name in self.stages)
-            for name, entry in self.stages.items():
-                lines.append(f"    {name.ljust(width)}  x{entry['count']:<4d}"
-                             f" {entry['wall_s']:9.3f}s")
-        lines.append(
-            f"  shards: {len(self.completed)}/{len(self.queued)} completed"
-            + (f", {len(self.outstanding)} in flight" if self.outstanding
-               else "")
-        )
-        if self.outstanding:
-            shown = ", ".join(
-                f"{year}:{shard}" for year, shard in self.outstanding[:8]
-            )
-            more = ("..." if len(self.outstanding) > 8 else "")
-            lines.append(f"  in flight: {shown}{more}")
-        if self.retries:
-            kinds = ", ".join(f"{kind}={count}" for kind, count
-                              in sorted(self.failures_by_kind.items()))
-            lines.append(f"  retries: {self.retries} ({kinds})")
-        if self.dropped:
-            lines.append(f"  dropped shards: {self.dropped}")
-        if (self.checkpoints_saved or self.checkpoints_loaded
-                or self.checkpoints_corrupt):
-            line = (f"  checkpoints: {self.checkpoints_saved} saved, "
-                    f"{self.checkpoints_loaded} loaded")
-            if self.checkpoints_corrupt:
-                line += f", {self.checkpoints_corrupt} corrupt"
-            lines.append(line)
-        if self.losses:
-            total = sum(self.losses.values())
-            lines.append(f"  collection losses: {total} device(s) affected")
-        for event in self.chaos:
-            lines.append(f"  chaos: {event.get('fault', '?')} "
-                         f"(shard={event.get('shard', '?')})")
-        if self.last_progress is not None:
-            progress = self.last_progress
-            lines.append(
-                f"  last progress: {progress.get('done')}/"
-                f"{progress.get('total')} shards, "
-                f"{progress.get('devices_done')}/"
-                f"{progress.get('devices_total')} devices, "
-                f"{progress.get('rate', 0.0):.1f} dev/s"
-            )
-        if self.last_sample is not None:
-            sample = self.last_sample
-            rss_mib = float(sample.get("rss_bytes", 0)) / 2**20
-            child_mib = float(sample.get("children_rss_bytes", 0)) / 2**20
-            shm_mib = float(sample.get("shm_bytes", 0)) / 2**20
-            lines.append(
-                f"  last sample: rss={rss_mib:.1f}MiB "
-                f"children={child_mib:.1f}MiB shm={shm_mib:.1f}MiB "
-                f"cpu={sample.get('cpu_s', 0.0):.1f}s"
-            )
-        for verdict in self.verdicts:
-            lines.append(f"  verdict: {verdict.get('source', '?')} "
-                         f"{verdict.get('gate', '?')}")
-        return "\n".join(lines)
-
-
-def run_label(run: dict) -> str:
-    """``data=PATH`` for a run over saved campaigns, else its seed and
-    scale (``run`` is a ``run_start`` event)."""
-    if run.get("data") is not None:
-        return f"data={run['data']}"
-    return f"seed={run.get('seed')} scale={run.get('scale')}"
-
-
-def reconstruct(events: List[dict]) -> Postmortem:
-    """Rebuild run state from a (possibly truncated) event sequence."""
-    post = Postmortem(n_events=len(events))
-    stamps = [e["ts"] for e in events
-              if isinstance(e.get("ts"), (int, float))]
-    if stamps:
-        post.duration_s = max(stamps) - min(stamps)
-    queued: List[tuple] = []
-    completed: List[tuple] = []
-    # Open span names per process: pool workers append to the same file,
-    # so their spans interleave with the parent's.
-    open_by_pid: Dict[object, List[str]] = {}
-    for event in events:
-        kind = event.get("kind")
-        if kind == "run_start":
-            post.run = event
-        elif kind == "run_end":
-            post.status = str(event.get("status", "ok"))
-            code = event.get("exit_code")
-            post.exit_code = int(code) if code is not None else None
-        elif kind == "span_start":
-            open_by_pid.setdefault(event.get("pid"), []).append(
-                str(event.get("name", "?")))
-        elif kind == "span_end":
-            name = str(event.get("name", "?"))
-            stack = open_by_pid.get(event.get("pid"), [])
-            if name in stack:
-                del stack[len(stack) - 1 - stack[::-1].index(name):]
-            entry = post.stages.setdefault(name, {"wall_s": 0.0, "count": 0})
-            entry["wall_s"] += float(event.get("wall_s", 0.0))
-            entry["count"] += 1
-        elif kind == "shard_queued":
-            queued.append((event.get("year"), event.get("shard")))
-        elif kind == "shard_completed":
-            completed.append((event.get("year"), event.get("shard")))
-        elif kind == "shard_retry":
-            post.retries += 1
-            fail_kind = str(event.get("failure", "?"))
-            post.failures_by_kind[fail_kind] = (
-                post.failures_by_kind.get(fail_kind, 0) + 1
-            )
-        elif kind == "shard_dropped":
-            post.dropped.append(
-                [event.get("year"), event.get("shard")]
-            )
-        elif kind == "spill":
-            post.checkpoints_saved += 1
-        elif kind == "checkpoint_loaded":
-            if event.get("corrupt"):
-                post.checkpoints_corrupt += 1
-            else:
-                post.checkpoints_loaded += 1
-        elif kind == "fault_loss":
-            device = str(event.get("device", "?"))
-            post.losses[device] = post.losses.get(device, 0) + 1
-        elif kind == "chaos":
-            post.chaos.append(event)
-        elif kind == "progress":
-            post.last_progress = event
-        elif kind == "resource_sample":
-            post.last_sample = event
-        elif kind == "verdict":
-            post.verdicts.append(event)
-    # The run's own process is the one that wrote run_start (or, in a
-    # log without it, the first event).
-    main = (post.run or (events[0] if events else {})).get("pid")
-    post.open_stages = open_by_pid.get(main, [])
-    post.last_stage = post.open_stages[-1] if post.open_stages else None
-    post.queued = [list(pair) for pair in queued]
-    post.completed = [list(pair) for pair in completed]
-    done = set(completed)
-    post.outstanding = [list(pair) for pair in queued if pair not in done]
-    return post
-
-
-def summarize_events(events: List[dict]) -> str:
-    """Counts per kind plus run identity — ``repro events --summary``."""
-    counts: Dict[str, int] = {}
-    for event in events:
-        kind = str(event.get("kind", "?"))
-        counts[kind] = counts.get(kind, 0) + 1
-    post = reconstruct(events)
-    lines = [f"{len(events)} events over {post.duration_s:.1f}s "
-             f"({post.status})"]
-    if post.run is not None:
-        lines.append(f"  command: {post.run.get('command', '?')} "
-                     f"{run_label(post.run)}")
-    known = [kind.value for kind in EventKind]
-    for kind in known:
-        if kind in counts:
-            lines.append(f"  {kind:18s} {counts[kind]}")
-    for kind, count in sorted(counts.items()):
-        if kind not in known:  # forward-compat: foreign kinds
-            lines.append(f"  {kind:18s} {count} (undocumented)")
-    return "\n".join(lines)

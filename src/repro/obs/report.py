@@ -2,12 +2,12 @@
 
 :func:`render_run_report` folds one run's artifacts — the
 :class:`~repro.obs.manifest.RunManifest` folded from its events file, its
-counters and per-stage timings, the span-tree timeline (rendered inline
-by :func:`repro.reporting.svg.span_timeline_svg`), and for a ``fidelity``
-run the scoreboard and history trends — into a single HTML page with
-zero external assets: every style and SVG is inline, so the file can be
-uploaded as a CI artifact and opened anywhere. ``repro events PATH
---report OUT`` writes it after the run.
+postmortem, counters and per-stage timings, the span-tree timeline
+(rendered inline by :func:`repro.reporting.svg.span_timeline_svg`), and
+for a ``fidelity`` run the scoreboard and history trends — into a single
+HTML page with zero external assets: every style and SVG is inline, so
+the file can be uploaded as a CI artifact and opened anywhere. ``repro
+events PATH --report OUT`` writes it after the run.
 
 Like :mod:`repro.obs.bench`, this module reaches up into the reporting
 layer and is therefore deliberately **not** imported by
@@ -72,6 +72,11 @@ def _manifest_section(manifest: RunManifest) -> str:
         ("python / numpy",
          f"{env.get('python', '?')} / {env.get('numpy', '?')}"),
     ])
+
+
+def _postmortem_section(manifest: RunManifest) -> str:
+    return ("<h2>Black box</h2>"
+            f"<pre>{_esc(manifest.render_postmortem())}</pre>")
 
 
 def _metrics_section(manifest: RunManifest) -> str:
@@ -218,6 +223,7 @@ def render_run_report(
     body = "".join([
         f"<h1>{_esc(title)}</h1>",
         _manifest_section(manifest),
+        _postmortem_section(manifest),
         _fidelity_section(fidelity),
         _timeline_section(manifest),
         _metrics_section(manifest),

@@ -48,8 +48,18 @@ def packed_keys(*columns: np.ndarray) -> np.ndarray:
 
 
 def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal (sorted) keys."""
-    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    """Index of the first element of each run of equal (sorted) keys.
+
+    ``sorted_keys[group_starts(sorted_keys)]`` is ``np.unique`` of a
+    sorted array, without the sort.
+    """
+    return np.flatnonzero(
+        np.r_[sorted_keys.size > 0, sorted_keys[1:] != sorted_keys[:-1]])
+
+
+def distinct_ids(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of small non-negative integer ids, by counting."""
+    return np.flatnonzero(np.bincount(ids)).astype(ids.dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ asserts bit-identical output (``tobytes()``) or dataclass equality:
 * ``HourlySeries.fold_week`` (a per-hour Python loop);
 * ``association_durations`` (which sorted rows already in canonical order);
 * ``drop_update_window`` (a per-row window mask and a boolean compress);
-* ``classify_aps`` (sort-based unique counts over int64 copies).
+* ``classify_aps`` (sort-based unique counts over int64 copies);
+* the distinct devices of ``offload_estimate`` and ``survey_gap`` and the
+  distinct AP ids of ``_associated_aps`` and ``shared_infrastructure``
+  (``np.unique`` over whole columns).
 
 The canonical (device, t) row order that ``DatasetBuilder.build`` and
 ``CampaignStore.finalize`` guarantee is what lets the new code skip sorts,
@@ -33,6 +36,7 @@ from repro.analysis.ap_classification import (
     classify_aps,
 )
 from repro.analysis.association import association_durations
+from repro.analysis.survey_gap import LOCATION_CLASSES
 from repro.constants import SAMPLES_PER_DAY, SAMPLES_PER_HOUR
 from repro.errors import AnalysisError
 from repro.net.identifiers import is_fon_public_essid, is_public_essid
@@ -42,6 +46,7 @@ from repro.stats.timeseries import HOURS_PER_WEEK, HourlySeries
 from repro.traces.cleaning import CleaningReport, drop_update_window
 from repro.traces.query import (
     device_day_of,
+    distinct_ids,
     group_starts,
     hour_of_day,
     packed_keys,
@@ -578,3 +583,55 @@ def wifi_campaigns(draw):
 @given(wifi_campaigns())
 def test_classification_on_generated_campaigns(dataset):
     _assert_classification_equal(dataset)
+
+
+# ---------------------------------------------------------------------------
+# Distinct devices and AP ids without np.unique
+# ---------------------------------------------------------------------------
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _sorted_distinct(values):
+    return values[group_starts(values)]
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 50), max_size=60),
+       st.sampled_from([np.int32, np.int64]))
+def test_distinct_helpers_match_unique(values, dtype):
+    ids = np.array(values, dtype=dtype)
+    _assert_same_array(distinct_ids(ids), np.unique(ids))
+    ids.sort()
+    _assert_same_array(_sorted_distinct(ids), np.unique(ids))
+
+
+def test_distinct_columns_on_studies(small_study):
+    context = AnalysisContext(small_study)
+    for year in sorted(small_study.campaigns):
+        ctx = context.campaign(year)
+        dataset = ctx.dataset()
+        # offload_estimate: devices with available scans, and with strong
+        # ones.
+        scans = dataset.scans
+        mask = ctx.available_scan_mask()
+        strong = mask & ((scans.n24_strong + scans.n5_strong) >= 1)
+        for rows in (mask, strong):
+            devices = scans.device[rows]
+            _assert_same_array(_sorted_distinct(devices), np.unique(devices))
+        # survey_gap: associated devices per location class.
+        wifi = dataset.wifi
+        assoc = wifi.state == int(WifiStateCode.ASSOCIATED)
+        device = wifi.device[assoc]
+        codes = ctx.classification().class_codes(wifi.ap_id[assoc])
+        for classes in LOCATION_CLASSES.values():
+            wanted = np.isin(codes, [WIFI_CLASSES.index(c) for c in classes])
+            assert (group_starts(device[wanted]).size
+                    == np.unique(device[wanted]).size)
+        # _associated_aps and shared_infrastructure: associated and
+        # sighted AP ids.
+        for ids in (wifi.ap_id[assoc], dataset.sightings.ap_id):
+            assert len(ids)
+            _assert_same_array(distinct_ids(ids), np.unique(ids))

@@ -640,16 +640,29 @@ def test_run_summary_counters_match_registry(study):
     from repro.engine.resilience import ExecutionLosses, ResilienceReport
     from repro.reporting.experiments import run_experiment
 
+    from repro.collection.faults import (
+        CollectionReport,
+        DeviceCollectionStats,
+    )
+
     cache = AnalysisContext(study)
     run_experiment("table1", cache)
     run_experiment("fig06", cache)
+    # A lossy campaign: completeness 3/7 needs all six rounded digits.
+    lossy = CollectionReport(
+        n_slots=7, batches_received=3, duplicates_dropped=1,
+        devices=[DeviceCollectionStats(
+            device_id=1, ticks=7, churn_slot=None, churned=0, uploaded=5,
+            delivered=3, duplicates=1, dropped=2, cached=1)],
+    )
     accounting = dict(
         years=list(study.years), execution=study.execution,
         shards=[{"year": y, "n_shards": 1, "n_devices": 1}
                 for y in study.years],
         cache_stats=cache.stats,
         collection_reports={
-            y: study.campaigns[y].collection for y in study.years},
+            **{y: study.campaigns[y].collection for y in study.years},
+            2016: lossy},
         resilience=ResilienceReport(
             shard_attempts=[{"year": 2013, "shard": 0, "unit": 0,
                              "attempts": 2, "outcome": "retried",

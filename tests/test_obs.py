@@ -18,7 +18,6 @@ from repro.obs.manifest import (
     config_hash_of,
     run_summary,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
     EVENTS_ENV_VAR,
     NOOP_RECORDER,
@@ -271,9 +270,7 @@ def test_metrics_registry_ingests_collection_report():
     report = CollectionReport(
         n_slots=10, devices=[stats], batches_received=9, duplicates_dropped=1
     )
-    registry = MetricsRegistry()
-    registry.ingest_collection_report(report, 2015)
-    counters = registry.counters
+    counters = run_summary(collection_reports={2015: report})["counters"]
     assert counters["collection.2015.delivered"] == 9
     assert counters["collection.2015.dropped"] == 1
     assert 0.0 < counters["collection.2015.completeness"] <= 1.0
@@ -321,7 +318,7 @@ def test_manifest_round_trip(tmp_path, recorder):
     assert loaded.spans["name"] == "repro.simulate"
     assert loaded.status == "interrupted"
     # The manifest file itself must be valid, plain JSON.
-    assert json.loads(path.read_text())["schema_version"] == 1
+    assert json.loads(path.read_text())["schema_version"] == 2
 
     recorder.emit(EventKind.RUN_END, status="ok", exit_code=0)
     finished = build_manifest(_events(recorder))

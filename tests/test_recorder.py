@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.obs.manifest import build_manifest
 from repro.obs.history import (
     append_history,
     bench_record,
@@ -39,9 +40,7 @@ from repro.obs.recorder import (
     get_recorder,
     load_events,
     parse_events,
-    reconstruct,
     set_recorder,
-    summarize_events,
     use_recorder,
 )
 from repro.obs.resources import ResourceSampler, rss_bytes
@@ -215,7 +214,7 @@ def test_parse_events_never_raises_on_garbage(blob):
 
 
 # ----------------------------------------------------------------------
-# Postmortem reconstruction
+# The black box of a run, folded into its manifest
 # ----------------------------------------------------------------------
 
 def _event(kind, **fields):
@@ -265,38 +264,104 @@ CLI_LOG = [
 
 
 def test_reconstruct_interrupted_run():
-    events = INTERRUPTED_LOG
-    post = reconstruct(events)
-    assert post.status == "interrupted"  # no run_end made it to disk
-    assert post.last_stage == "execute_shards"
-    assert post.open_stages == ["execute_shards"]
-    assert post.stages == {"plan_campaign": {"wall_s": 0.1, "count": 1}}
-    assert post.completed == [[2013, 0]]
-    assert post.outstanding == [[2013, 1]]
-    assert post.checkpoints_saved == 1
-    assert post.retries == 1 and post.failures_by_kind == {"crash": 1}
-    assert post.last_sample["rss_bytes"] == 1024
-    assert post.chaos[0]["fault"] == "kill"
-    text = post.render()
+    manifest = build_manifest(INTERRUPTED_LOG)
+    assert manifest.status == "interrupted"  # no run_end made it to disk
+    assert manifest.exit_code is None and manifest.pid == 1
+    assert manifest.open_stages == ["execute_shards"]
+    assert manifest.closed_stages == [
+        {"name": "plan_campaign", "wall_s": 0.1, "count": 1}]
+    assert manifest.queued_shards == [[2013, 0], [2013, 1]]
+    assert manifest.completed_shards == [[2013, 0]]
+    assert manifest.outstanding_shards == [[2013, 1]]
+    assert manifest.partitions_saved == 1
+    assert manifest.retries == 1
+    assert manifest.failures_by_kind == {"crash": 1}
+    assert manifest.last_sample["rss_bytes"] == 1024
+    assert manifest.chaos_events[0]["fault"] == "kill"
+    assert manifest.n_events == len(INTERRUPTED_LOG)
+    assert manifest.event_counts["span_start"] == 3
+    text = manifest.render_postmortem()
     assert "died in stage: execute_shards" in text
     assert "plan_campaign" in text
     assert "1/2 completed" in text
 
 
 def test_reconstruct_distinguishes_corrupt_checkpoints():
-    post = reconstruct(CORRUPT_CHECKPOINT_LOG)
-    assert post.checkpoints_loaded == 1
-    assert post.checkpoints_corrupt == 1
-    assert "1 loaded, 1 corrupt" in post.render()
+    manifest = build_manifest(CORRUPT_CHECKPOINT_LOG)
+    assert manifest.partitions_reused == 1
+    assert manifest.partitions_rejected == 1
+    assert "1 loaded, 1 corrupt" in manifest.render_postmortem()
 
 
 def test_reconstruct_clean_run_and_summary():
-    events = CLEAN_LOG
-    post = reconstruct(events)
-    assert post.status == "ok" and post.exit_code == 0
-    assert post.verdicts[0]["gate"] == "pass"
-    summary = summarize_events(events)
+    manifest = build_manifest(CLEAN_LOG)
+    assert manifest.status == "ok" and manifest.exit_code == 0
+    assert manifest.verdicts[0]["gate"] == "pass"
+    assert manifest.open_stages == [] and manifest.last_sample is None
+    summary = manifest.render_summary()
     assert "3 events" in summary and "verdict" in summary
+
+
+def test_appended_log_folds_only_the_last_run(tmp_path, capsys):
+    # A run killed mid-execute, then its --resume, appended to one events
+    # file: every account of the file describes the resumed run alone.
+    def at(ts, pid, kind, **fields):
+        return {"ts": ts, "pid": pid, "kind": kind, **fields}
+
+    killed = [
+        at(1000.0, 10, "run_start", command="simulate", seed=7, scale=0.02),
+        at(1000.1, 10, "span_start", name="plan_campaign"),
+        at(1000.6, 10, "span_end", name="plan_campaign", wall_s=0.5),
+        at(1000.6, 10, "span_start", name="execute_shards"),
+        at(1000.7, 10, "shard_queued", year=2013, shard=0),
+        at(1000.7, 10, "shard_queued", year=2013, shard=1),
+        at(1000.8, 10, "shard_retry", failure="crash", unit="2013:0"),
+        at(1000.9, 10, "shard_completed", year=2013, shard=0),
+        at(1001.0, 10, "spill", year=2013, partition="shard-0000"),
+        at(1001.0, 10, "chaos", fault="kill", shard=1),
+    ]
+    resumed = [
+        at(2000.0, 20, "run_start", command="simulate", seed=7, scale=0.02),
+        at(2000.1, 20, "span_start", name="plan_campaign"),
+        at(2000.35, 20, "span_end", name="plan_campaign", wall_s=0.25),
+        at(2000.4, 20, "span_start", name="execute_shards"),
+        at(2000.4, 20, "shard_queued", year=2013, shard=0),
+        at(2000.4, 20, "shard_queued", year=2013, shard=1),
+        at(2000.5, 20, "checkpoint_loaded", year=2013, shard=0),
+        at(2000.5, 20, "shard_completed", year=2013, shard=0),
+        at(2001.0, 20, "shard_completed", year=2013, shard=1),
+        at(2001.0, 20, "spill", year=2013, partition="shard-0001"),
+        at(2001.2, 20, "span_end", name="execute_shards", wall_s=0.8),
+        at(2001.5, 20, "run_end", status="ok", exit_code=0),
+    ]
+    log = tmp_path / "events.jsonl"
+    log.write_text("".join(json.dumps(e) + "\n" for e in killed + resumed))
+
+    manifest = build_manifest(load_events(log))
+    assert manifest.pid == 20 and manifest.n_events == len(resumed)
+    assert manifest.duration_s == pytest.approx(1.5)
+    assert manifest.queued_shards == [[2013, 0], [2013, 1]]
+    assert manifest.outstanding_shards == []
+    assert manifest.retries == 0 and manifest.chaos_events == []
+    assert manifest.partitions_saved == 1
+    assert manifest.partitions_reused == 1
+
+    assert main(["events", str(log), "--postmortem"]) == 0
+    assert capsys.readouterr().out == (
+        f"postmortem: ok ({len(resumed)} events, 1.5s)\n"
+        "  run: simulate seed=7 scale=0.02 pid=20\n"
+        "  exit code: 0\n"
+        "  closed stages:\n"
+        "    plan_campaign   x1        0.250s\n"
+        "    execute_shards  x1        0.800s\n"
+        "  shards: 2/2 completed\n"
+        "  checkpoints: 1 saved, 1 loaded\n"
+    )
+    assert main(["events", str(log), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_events"] == len(resumed)
+    assert summary["duration_s"] == 1.5
+    assert summary["counts"]["shard_queued"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +521,11 @@ def test_events_cli_summary_tail_postmortem(tmp_path, capsys):
     assert main(["events", str(log), "--postmortem"]) == 0
     assert "postmortem: ok" in capsys.readouterr().out
 
+    # The JSON postmortem is the run manifest.
     assert main(["events", str(log), "--postmortem", "--json"]) == 0
     post = json.loads(capsys.readouterr().out)
-    assert post["status"] == "ok" and post["completed"] == [[2013, 0]]
+    assert post["status"] == "ok" and post["completed_shards"] == [[2013, 0]]
+    assert post == build_manifest(load_events(log)).to_dict()
 
     assert main(["events", str(log), "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -572,15 +639,16 @@ def test_hard_kill_leaves_reconstructable_black_box(hard_killed_run):
     assert returncode == -9
 
     events = load_events(log)
-    post = reconstruct(events)
+    post = build_manifest(events)
     assert post.status == "interrupted"  # no run_end was written
-    assert post.run is not None and post.run["command"] == "simulate"
+    assert post.event_counts["run_start"] == 1
+    assert post.command == "simulate" and post.pid is not None
     # Died inside execute with work still in flight.
     assert "execute_shards" in post.open_stages
-    assert len(post.completed) >= 1
-    assert post.outstanding
+    assert len(post.completed_shards) >= 1
+    assert post.outstanding_shards
     # The completed shard spilled its partition before the kill...
-    assert post.checkpoints_saved >= 1
+    assert post.partitions_saved >= 1
     # ...and the chaos event itself outlived its sender.
     assert any(e["kind"] == "chaos" and e.get("fault") == "kill"
                and e.get("hard") for e in events)
@@ -608,19 +676,20 @@ def test_hard_kill_leaves_reconstructable_black_box(hard_killed_run):
 def test_hard_kill_postmortem_lists_closed_and_open_stages(hard_killed_run):
     _, log, returncode = hard_killed_run
     assert returncode == -9
-    post = reconstruct(load_events(log))
+    post = build_manifest(load_events(log))
     # The stage the parent died in, with the stages enclosing it.
     assert post.open_stages == ["repro.simulate", "study.run",
                                 "execute_shards"]
-    assert post.last_stage == "execute_shards"
     # Every stage that closed before the kill, with its wall seconds:
     # the three years' plans, and the shard a worker finished.
-    plan = post.stages["plan_campaign"]
+    closed = {entry["name"]: entry for entry in post.closed_stages}
+    plan = closed["plan_campaign"]
     assert plan["count"] == 3 and plan["wall_s"] > 0.0
-    shard = post.stages["simulate_shard"]
+    shard = closed["simulate_shard"]
     assert shard["count"] >= 1 and shard["wall_s"] > 0.0
-    assert "merge_campaign" not in post.stages
-    text = post.render()
+    assert "merge_campaign" not in closed
+    assert "execute_shards" not in closed
+    text = post.render_postmortem()
     assert "closed stages:" in text and "plan_campaign" in text
 
 
@@ -644,6 +713,9 @@ def test_hard_kill_folds_to_interrupted_manifest_and_trace(
 
     manifest = RunManifest.read(manifest_path)
     assert manifest.status == "interrupted"
+    # The written manifest carries the black box.
+    assert manifest.outstanding_shards and manifest.last_sample is not None
+    assert manifest == build_manifest(load_events(log))
     assert manifest.command == "simulate"
     assert manifest.seed == 11 and manifest.scale == 0.004
     # plan_campaign closed three times; execute_shards never closed and
@@ -664,6 +736,7 @@ def test_hard_kill_folds_to_interrupted_manifest_and_trace(
     assert rebuilt.as_dict() == manifest.spans
     page = report_path.read_text()
     assert "Run manifest" in page and "Timeline" in page
+    assert "died in stage: execute_shards" in page
 
 
 @pytest.fixture(scope="module")

@@ -36,7 +36,6 @@ from repro.engine.resilience import (
 )
 from repro.errors import ConfigurationError, EngineError
 from repro.obs.manifest import RunManifest, build_manifest, run_summary
-from repro.obs.metrics import MetricsRegistry
 from repro.simulation.campaign import (
     identity_of,
     merge_campaign,
@@ -614,9 +613,7 @@ class TestObservability:
         )
 
     def test_metrics_ingest_resilience(self):
-        registry = MetricsRegistry()
-        registry.ingest_resilience(self._report())
-        counters = registry.counters
+        counters = run_summary(resilience=self._report())["counters"]
         assert counters["engine.retries"] == 1
         assert counters["engine.failures.crash"] == 1
         assert counters["checkpoint.saved"] == 2
@@ -625,10 +622,9 @@ class TestObservability:
     def test_metrics_ingest_losses(self):
         losses = ExecutionLosses(year=2014, n_shards=4, dropped_shards=(1,),
                                  n_devices=16, dropped_devices=4)
-        registry = MetricsRegistry()
-        registry.ingest_losses(losses)
-        assert registry.counters["engine.2014.devices_dropped"] == 4
-        assert registry.counters["engine.2014.device_completeness"] == 0.75
+        counters = run_summary(losses=[losses])["counters"]
+        assert counters["engine.2014.devices_dropped"] == 4
+        assert counters["engine.2014.device_completeness"] == 0.75
 
     def test_manifest_carries_shard_attempts_and_round_trips(self, tmp_path):
         losses = ExecutionLosses(year=2014, n_shards=4, dropped_shards=(1,),
