@@ -854,8 +854,9 @@ def cmd_events(args: argparse.Namespace) -> int:
     if not args.path.exists():
         raise ReproError(f"no event log at {args.path}")
     events = load_events(args.path)
-    manifest = build_manifest(events)
+    manifest = None
     if args.manifest or args.trace or args.report:
+        manifest = build_manifest(events)
         if args.manifest is not None:
             manifest.write(args.manifest)
             print(f"wrote run manifest {args.manifest}")
@@ -880,6 +881,9 @@ def cmd_events(args: argparse.Namespace) -> int:
             else:
                 print(format_event(event))
         return 0
+    # Raw events print as they are; every other output is the manifest.
+    if manifest is None:
+        manifest = build_manifest(events)
     if args.postmortem:
         if args.json:
             print(manifest.to_json(), end="")

@@ -423,32 +423,21 @@ def build_manifest(events: Sequence[dict]) -> RunManifest:
     manifest.outstanding_shards = [
         pair for pair in manifest.queued_shards if tuple(pair) not in done]
 
-    # Open span names per process: pool workers append to the same file,
-    # so their spans interleave with the parent's.
-    open_by_pid: Dict[object, List[str]] = {}
-    closed: Dict[str, dict] = {}
-    for event in events:
-        kind = event.get("kind")
-        if kind == "span_start":
-            open_by_pid.setdefault(event.get("pid"), []).append(
-                str(event.get("name", "?")))
-        elif kind == "span_end":
-            name = str(event.get("name", "?"))
-            stack = open_by_pid.get(event.get("pid"), [])
-            if name in stack:
-                del stack[len(stack) - 1 - stack[::-1].index(name):]
-            entry = closed.setdefault(
-                name, {"name": name, "wall_s": 0.0, "count": 0})
-            entry["wall_s"] += float(event.get("wall_s", 0.0))
-            entry["count"] += 1
-    manifest.closed_stages = list(closed.values())
-    # The run's own process is the one that wrote run_start (or, in a
-    # log without it, the first event).
-    manifest.open_stages = open_by_pid.get(
-        events[0].get("pid") if events else None, [])
+    # Pool workers append to the same file: the run's own process is the
+    # one that wrote run_start (or, in a log without it, the first event).
+    roots, still_open, closed = fold_spans(events)
+    main = events[0].get("pid") if events else None
+    manifest.open_stages = [span.name for span in still_open
+                            if span.pid == main]
+    by_name: Dict[str, dict] = {}
+    for span in closed:
+        entry = by_name.setdefault(
+            span.name, {"name": span.name, "wall_s": 0.0, "count": 0})
+        entry["wall_s"] += span.wall_s
+        entry["count"] += 1
+    manifest.closed_stages = list(by_name.values())
 
     counters: Dict[str, Union[int, float]] = {}
-    roots, _ = fold_spans(events)
     if roots:
         if len(roots) == 1:
             tree = roots[0]

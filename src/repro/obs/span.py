@@ -40,10 +40,13 @@ Number = Union[int, float]
 class Span:
     """One timed stage: name, attributes, counters, children."""
 
-    __slots__ = ("name", "attrs", "counters", "children", "wall_s", "cpu_s")
+    __slots__ = ("name", "attrs", "counters", "children", "wall_s", "cpu_s",
+                 "pid")
 
     def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None):
         self.name = name
+        #: Process that emitted the span (set by :func:`fold_spans`).
+        self.pid: object = None
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.counters: Dict[str, Number] = {}
         self.children: List[Span] = []
@@ -82,19 +85,22 @@ class Span:
                 f"children={len(self.children)})")
 
 
-def fold_spans(events: Iterable[dict]) -> Tuple[List[Span], List[Span]]:
+def fold_spans(events: Iterable[dict]
+               ) -> Tuple[List[Span], List[Span], List[Span]]:
     """Rebuild the span forest from ``span_start``/``span_end`` events.
 
-    Returns ``(roots, still_open)``: the top-level spans in order, and the
-    spans that never closed. Each process (``pid``) keeps its own stack,
-    because pool workers append to the same file and their events
-    interleave with the parent's. The parent is the process of the first
-    event; a worker's top-level span hangs under the parent span that was
-    open at its ``span_start``. A span still open at the end of the list
+    Returns ``(roots, still_open, closed)``: the top-level spans in order,
+    the spans that never closed (per process, outermost first), and the
+    spans that did, in closing order. Each process (``pid``, kept on every
+    span) has its own stack, because pool workers append to the same file
+    and their events interleave with the parent's. The parent is the
+    process of the first event; a worker's top-level span hangs under the
+    parent span that was open at its ``span_start``. A span still open at the end of the list
     gets wall time = ts of the last event - ts of its ``span_start`` (CPU
     time and counters are only known at ``span_end`` and stay empty).
     """
     roots: List[Span] = []
+    closed: List[Span] = []
     stacks: Dict[object, List[Tuple[Span, float]]] = {}
     main: object = None
     last_ts = 0.0
@@ -110,6 +116,7 @@ def fold_spans(events: Iterable[dict]) -> Tuple[List[Span], List[Span]]:
             stack = stacks.setdefault(pid, [])
             parent = stack or stacks.get(main)
             span = Span(str(event.get("name", "?")), event.get("attrs"))
+            span.pid = pid
             (parent[-1][0].children if parent else roots).append(span)
             stack.append((span, float(ts) if isinstance(ts, (int, float))
                           else last_ts))
@@ -118,12 +125,13 @@ def fold_spans(events: Iterable[dict]) -> Tuple[List[Span], List[Span]]:
             span.wall_s = float(event.get("wall_s", 0.0))
             span.cpu_s = float(event.get("cpu_s", 0.0))
             span.counters = dict(event.get("counters") or {})
+            closed.append(span)
     still_open = []
     for stack in stacks.values():
         for span, started in stack:
             span.wall_s = max(0.0, last_ts - started)
             still_open.append(span)
-    return roots, still_open
+    return roots, still_open, closed
 
 
 def rollup(root: Span) -> Tuple[Dict[str, dict], Dict[str, Number]]:

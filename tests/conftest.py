@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,29 @@ def raw2015(study):
     return study.dataset(2015)
 
 
+def _pids_mentioning(text):
+    """Live processes whose command line contains ``text``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            found.append(int(entry.name))
+    return found
+
+
 @pytest.fixture(scope="session")
 def hard_killed_run(tmp_path_factory):
-    """One ``--events`` campaign SIGKILLed mid-execute: (dir, log, code)."""
+    """One ``--events`` campaign SIGKILLed mid-execute.
+
+    ``(dir, log, code, orphans)``: ``orphans`` lists the processes of the
+    run still alive 10 s after the kill, polled right after it lands so
+    the check does not depend on when a test reads it.
+    """
     tmp_path = tmp_path_factory.mktemp("hard_kill")
     log = tmp_path / "events.jsonl"
     env = dict(os.environ)
@@ -58,7 +79,12 @@ def hard_killed_run(tmp_path_factory):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         timeout=480, env=env, cwd=str(tmp_path),
     )
-    return tmp_path, log, result.returncode
+    # The killed parent's pool workers notice and exit: nothing started
+    # for this run outlives it by more than a few seconds.
+    deadline = time.monotonic() + 10.0
+    while _pids_mentioning(str(tmp_path)) and time.monotonic() < deadline:
+        time.sleep(0.2)
+    return tmp_path, log, result.returncode, _pids_mentioning(str(tmp_path))
 
 
 @pytest.fixture()

@@ -29,7 +29,8 @@ import repro.obs.manifest as manifest_mod
 from repro.cli import main
 from repro.obs.manifest import environment
 from repro.obs.recorder import EventKind, FlightRecorder, load_events
-from repro.obs.span import Span, fold_spans, rollup
+from repro.obs.span import Span, rollup
+from repro.obs.span import fold_spans as live_fold_spans
 from tests.test_recorder import (
     CLEAN_LOG,
     CLI_LOG,
@@ -42,6 +43,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: The manifest schema the references wrote.
 MANIFEST_SCHEMA_VERSION = 1
 Number = Union[int, float]
+
+
+def fold_spans(events):
+    """``fold_spans`` as the references called it: ``(roots, still_open)``."""
+    return live_fold_spans(events)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -588,7 +594,7 @@ def logs(tmp_path_factory, hard_killed_run):
         path = tmp / f"{name}.jsonl"
         assert main(argv + ["--events", str(path)]) == code, name
         paths[name] = path
-    _, paths["hard_killed"], returncode = hard_killed_run
+    _, paths["hard_killed"], returncode, _ = hard_killed_run
     assert returncode == -9
     return paths
 

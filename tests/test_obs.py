@@ -57,7 +57,7 @@ def _events(recorder):
 
 
 def fold(recorder):
-    roots, _ = fold_spans(_events(recorder))
+    roots, _, _ = fold_spans(_events(recorder))
     return roots
 
 
@@ -92,7 +92,7 @@ def test_span_dict_round_trip(recorder):
     # boundaries and land in events.jsonl); the fold of the JSON round
     # trip is the same tree.
     events = json.loads(json.dumps(_events(recorder)))
-    (again,), _ = fold_spans(events)
+    (again,), _, _ = fold_spans(events)
     assert again.as_dict() == exported
 
 
@@ -118,7 +118,7 @@ def test_fold_keeps_one_stack_per_pid():
         _span_event("span_end", "execute", 1, 0.7, wall_s=0.6),
         _span_event("span_start", "merge", 1, 0.8),
     ]
-    (run,), still_open = fold_spans(events)
+    (run,), still_open, closed = fold_spans(events)
     execute, merge = run.children
     assert [s.attrs["shard"] for s in execute.children] == [0, 1]
     assert all([c.name for c in s.children] == ["work"]
@@ -128,6 +128,10 @@ def test_fold_keeps_one_stack_per_pid():
     # Spans that never closed are timed up to the last event.
     assert still_open == [run, merge]
     assert run.wall_s == pytest.approx(0.8) and merge.wall_s == 0.0
+    # The others in the order they closed, each with its process.
+    assert [(s.name, s.pid) for s in closed] == [
+        ("work", 3), ("work", 2), ("shard", 2), ("shard", 3),
+        ("execute", 1)]
 
 
 def test_default_recorder_span_is_noop_singleton():

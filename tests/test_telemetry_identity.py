@@ -36,7 +36,7 @@ def traced(tmp_path):
 
 def fold(recorder):
     """The span forest folded from a recorder's events file."""
-    roots, _ = fold_spans(load_events(recorder.path))
+    roots, _, _ = fold_spans(load_events(recorder.path))
     return roots
 
 
