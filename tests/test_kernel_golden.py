@@ -8,7 +8,8 @@ give:
   directory and the whole deployment) is committed here, as the kernel
   produced it before its stages were vectorized. A rewrite that moves
   any RNG stream, row order, float summation order or dtype changes a
-  digest.
+  digest. The same digests pin the serial in-memory merge and the
+  two-worker store merge.
 * **Stream-equivalence pins.** Every batched draw or array rewrite in
   the world build and the kernel is checked against the scalar or
   per-group code it replaced, including the RNG state it leaves behind.
@@ -169,8 +170,9 @@ GOLDEN = {
 SCALE = 0.02
 
 
-def _study_digests(seed: int) -> dict:
-    study = run_study(scale=SCALE, seed=seed, n_jobs=1)
+def _study_digests(seed: int, n_jobs: int = 1, store_dir=None) -> dict:
+    study = run_study(scale=SCALE, seed=seed, n_jobs=n_jobs,
+                      store_dir=store_dir)
     out = {}
     for year in sorted(study.campaigns):
         dataset = study.dataset(year)
@@ -212,9 +214,15 @@ def _sha_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN))
-def test_dataset_digests_match_the_golden_record(seed):
-    digests = _study_digests(seed)
+@pytest.mark.parametrize("seed, store", [
+    param for seed in sorted(GOLDEN) for param in (
+        pytest.param(seed, False, id=str(seed)),
+        pytest.param(seed, True, id=f"{seed}-store-jobs2"),
+    )
+])
+def test_dataset_digests_match_the_golden_record(seed, store, tmp_path):
+    digests = (_study_digests(seed, n_jobs=2, store_dir=tmp_path) if store
+               else _study_digests(seed))
     assert sorted(digests) == sorted(GOLDEN[seed])
     moved = [key for key in sorted(digests) if digests[key] != GOLDEN[seed][key]]
     assert not moved, f"seed {seed}: digests moved for {moved}"
