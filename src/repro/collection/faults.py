@@ -11,8 +11,7 @@ device's upload batches; and the per-device accounting rolls up into a
 
 A plan with every knob at zero (:meth:`FaultPlan.zero`) is guaranteed to be
 lossless: routing a campaign through the collection pipeline with it yields
-a dataset identical to appending the kernel's output straight into a
-:class:`~repro.traces.dataset.DatasetBuilder`.
+a dataset bit-identical to the kernel's output frozen without the pipeline.
 """
 
 from __future__ import annotations

@@ -1,23 +1,25 @@
 """Central collection server (§2).
 
-Receives one device's delivered upload batches in a single call and
-assembles everything into a :class:`~repro.traces.dataset.DatasetBuilder`.
-A batch is everything a device recorded during one 10-minute slot; daily
-per-app counters ride the last slot of their day. Retransmitted batches are
-counted and dropped.
+Receives one device's delivered upload batches in a single call and hands
+the shard's rows to the engine's merge as one chunk map
+(:meth:`CollectionServer.flush_buffers`). A batch is everything a device
+recorded during one 10-minute slot; daily per-app counters ride the last
+slot of their day. Retransmitted batches are counted and dropped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set
+from typing import Dict, List, Mapping
 
 import numpy as np
 
 from repro.constants import SAMPLES_PER_DAY
-from repro.errors import CollectionError
+from repro.errors import CollectionError, SchemaError
 from repro.timeutil import TimeAxis
-from repro.traces.dataset import _EMPTY_DTYPES, DatasetBuilder
-from repro.traces.records import DeviceInfo
+from repro.traces.dataset import _EMPTY_DTYPES, ChunkMap
+from repro.traces.records import (
+    MEAN_RX_PACKET_BYTES, MEAN_TX_PACKET_BYTES, DeviceInfo,
+)
 
 
 def upload_slots(
@@ -63,12 +65,14 @@ def occupied_slots(
 
 
 class CollectionServer:
-    """Assembles delivered upload batches into a campaign dataset."""
+    """Assembles delivered upload batches into one shard's chunk map."""
 
     def __init__(self, year: int, axis: TimeAxis) -> None:
-        self.builder = DatasetBuilder(year, axis)
-        self._registered: Set[int] = set()
-        # Buffered column chunks per table, appended on flush.
+        self.year = year
+        self.axis = axis
+        #: Registered devices; ids are dense, 0..n-1.
+        self.devices: List[DeviceInfo] = []
+        # Buffered column chunks per table, concatenated on flush.
         self._buffers: Dict[str, List[Mapping[str, np.ndarray]]] = {
             name: [] for name in _EMPTY_DTYPES
         }
@@ -77,8 +81,12 @@ class CollectionServer:
 
     def register_device(self, info: DeviceInfo) -> None:
         """Enroll a device before it uploads."""
-        self.builder.add_device(info)
-        self._registered.add(info.device_id)
+        if info.device_id != len(self.devices):
+            raise SchemaError(
+                f"device ids must be dense: expected {len(self.devices)}, "
+                f"got {info.device_id}"
+            )
+        self.devices.append(info)
 
     def receive_bulk(
         self,
@@ -96,11 +104,11 @@ class CollectionServer:
         a copy; otherwise only its delivered rows are, in their original
         order. Returns the number of batches received.
         """
-        if device_id not in self._registered:
+        if not 0 <= device_id < len(self.devices):
             raise CollectionError(
                 f"upload from unregistered device {device_id}"
             )
-        arrived = np.zeros(self.builder.axis.n_slots, dtype=bool)
+        arrived = np.zeros(self.axis.n_slots, dtype=bool)
         arrived[delivered] = True
         for name, key in slots.items():
             cols = tables[name]
@@ -114,25 +122,31 @@ class CollectionServer:
         self.duplicates_dropped += duplicates
         return len(delivered)
 
-    def flush_buffers(self) -> None:
-        """Move buffered columns into the builder (idempotent)."""
+    def flush_buffers(self) -> ChunkMap:
+        """Hand over every row received since the last flush: each table
+        as one chunk in the schema dtypes, owned by the returned map.
+        Traffic rows uploaded without packet counters get them estimated
+        from their bytes, the estimate the dataset builder makes."""
+        chunks: ChunkMap = {}
         for table, buf in self._buffers.items():
+            chunks[table] = []
             if not buf:
                 continue
-            extend = getattr(self.builder, f"extend_{table}")
-            # Concatenate straight into the schema dtypes, so the
-            # builder's casts are no-ops and it owns the result.
             dtypes = dict(_EMPTY_DTYPES[table])
-            extend(**{
+            chunk = {
                 name: np.concatenate(
                     [cols[name] for cols in buf],
                     dtype=dtypes[name], casting="unsafe",
                 )
                 for name in buf[0]
-            })
+            }
+            if table == "traffic" and "rx_pkts" not in chunk:
+                chunk["rx_pkts"] = _packets(chunk["rx"], MEAN_RX_PACKET_BYTES)
+                chunk["tx_pkts"] = _packets(chunk["tx"], MEAN_TX_PACKET_BYTES)
+            chunks[table].append(chunk)
             buf.clear()
+        return chunks
 
-    def build_dataset(self):
-        """Freeze everything received so far into a dataset."""
-        self.flush_buffers()
-        return self.builder.build()
+
+def _packets(n_bytes: np.ndarray, mean_packet_bytes: float) -> np.ndarray:
+    return np.ceil(n_bytes / mean_packet_bytes).astype(np.int64)

@@ -1,12 +1,14 @@
 """Deterministic merge of shard-local results.
 
-Workers return :class:`ShardOutput`s — picklable bundles of
-:class:`~repro.traces.dataset.DatasetBuilder` column chunks plus
+Workers return :class:`ShardOutput`s — picklable bundles of the
+collection server's column chunks plus
 :class:`~repro.collection.pipeline.CollectionPump` accounting. The merge
 layer reassembles them **in canonical shard order** (shard 0's devices
-first, then shard 1's, …), which together with the builder's stable
-(device, t) sort makes the frozen dataset bit-for-bit independent of how
-many workers produced the pieces, or in what order they finished.
+first, then shard 1's, …), so the rows arrive in canonical (device, t)
+order, which both merges check
+(:func:`~repro.traces.dataset.canonical_chunks`) and neither sorts: the
+frozen dataset is bit-for-bit independent of how many workers produced
+the pieces, or in what order they finished.
 
 Merging validates engine invariants hard: every shard present exactly once,
 device coverage matching the plan. A violated invariant raises

@@ -69,7 +69,7 @@ from repro.simulation.kernel import simulate_devices
 from repro.simulation.params import SimParams
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import (
-    CampaignDataset, DatasetBuilder, GroundTruth, observed_ap_ids,
+    CampaignDataset, GroundTruth, merge_dataset, observed_ap_ids,
 )
 from repro.traces.records import ApDirectoryEntry, DeviceInfo
 from repro.traces.store import CampaignStore
@@ -303,8 +303,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
             recorder.count("devices")
 
     with recorder.span("flush_buffers"):
-        server.flush_buffers()
-    chunks = server.builder.export_chunks()
+        chunks = server.flush_buffers()
     payload: Optional[ShardPayload] = None
     if work.shm_token is not None:
         with recorder.span("pack_payload", shard=work.shard_index):
@@ -537,8 +536,10 @@ def merge_campaign(
     With a ``store``, the merge is out-of-core: the shards' chunks (spill
     partitions, mapped one column at a time, or inline ones) are
     streaming-merged into the store's canonical column files (same row
-    order as ``DatasetBuilder.build``, bit-identical at any ``n_jobs``) and
-    the returned dataset reads them memory-mapped. Spill partitions are
+    order as the in-memory :func:`~repro.traces.dataset.merge_dataset`,
+    bit-identical at any ``n_jobs``) and the returned dataset reads them
+    memory-mapped. Both merges refuse chunks out of ``(device, t)`` order
+    with :class:`~repro.errors.SchemaError`. Spill partitions are
     reclaimed after a successful finalize.
     """
     config = plan.config
@@ -579,14 +580,8 @@ def merge_campaign(
                                      world.deployment)
         truth = _ground_truth(world.profiles, world.deployment)
         if store is None:
-            builder = DatasetBuilder(config.year, config.axis)
-            for info in world.infos:
-                builder.add_device(info)
-            for chunk_map in chunk_maps:
-                builder.merge_chunks(chunk_map)
-            builder.ap_directory = ap_directory
-            builder.ground_truth = truth
-            dataset = builder.build()
+            dataset = merge_dataset(config.year, config.axis, world.infos,
+                                    ap_directory, truth, chunk_maps)
         else:
             store.finalize(world.infos, ap_directory, truth, chunk_maps)
             store.sweep_partitions()

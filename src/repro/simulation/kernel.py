@@ -55,8 +55,8 @@ counters: ``schedule``, ``associate``, ``traffic``, ``emit``, ``scans``,
 ``apps`` and ``battery`` (docs/ARCHITECTURE.md, "Simulation kernel").
 
 Every table leaves the kernel sorted by ``t`` (``apps`` by ``day``), WiFi
-traffic before cellular at equal ``t``: the order a stable ``(device, t)``
-sort would give, so the merges skip the sort
+traffic before cellular at equal ``t``: the canonical ``(device, t)``
+order that both merges require and neither restores
 (``tests/test_canonical_order.py``). Every column leaves in its dataset
 schema dtype (``traces.dataset._EMPTY_DTYPES``), so the buffered tables
 are as narrow as the dataset and the shard flush casts nothing.
@@ -143,8 +143,8 @@ def device_stream(seed: int, year: int, device_id: int) -> np.random.Generator:
 class DeviceResult:
     """One device's simulated campaign, as columnar record tables.
 
-    ``tables`` maps table name to named column arrays — the keyword
-    arguments of the matching ``DatasetBuilder.extend_*`` method.
+    ``tables`` maps table name to named column arrays, in the dataset
+    schema's column names (traffic without its packet counters).
     """
 
     device_id: int

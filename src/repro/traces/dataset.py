@@ -1,8 +1,9 @@
 """Columnar campaign dataset.
 
 A :class:`CampaignDataset` holds one campaign's records as numpy column
-arrays, which is what every analysis operates on. :class:`DatasetBuilder`
-accumulates column chunks and freezes them into a dataset.
+arrays, which is what every analysis operates on. :func:`merge_dataset`
+assembles one from shard chunk maps; :class:`DatasetBuilder` accumulates
+records and freezes them through the same merge.
 
 Ground truth (AP deployment categories, users' true home APs) is carried
 separately in :class:`GroundTruth` and is **never read by analyses** — it
@@ -30,8 +31,8 @@ from repro.traces.records import (
 )
 
 
-#: table -> list of column chunks, as exported by
-#: :meth:`DatasetBuilder.export_chunks` and consumed by the merge layers.
+#: table -> list of column chunks: one shard's tables as the collection
+#: server hands them over and the merges (:func:`canonical_chunks`) take them.
 ChunkMap = Dict[str, List[Mapping[str, np.ndarray]]]
 
 
@@ -217,10 +218,9 @@ class CampaignDataset:
 class DatasetBuilder:
     """Accumulates records and freezes them into a :class:`CampaignDataset`.
 
-    Records arrive as column chunks (:meth:`extend_traffic` etc.). The
-    simulation kernel emits them already in canonical (device, t) order,
-    which ``build`` checks in one pass and keeps; chunks appended out of
-    order are sorted stably by (device, t) instead.
+    Records arrive as column chunks (:meth:`extend_traffic` etc.), in
+    any order: ``build`` sorts them stably by (device, t) when they are
+    not already canonical.
     """
 
     def __init__(self, year: int, axis: TimeAxis) -> None:
@@ -298,93 +298,92 @@ class DatasetBuilder:
             raise SchemaError(f"ragged chunk for table {table!r}")
         self._chunks[table].append(columns)
 
-    # -- chunk introspection & merge (engine merge layer) -----------------
-
-    def table_names(self) -> Tuple[str, ...]:
-        """Names of every table this builder accumulates."""
-        return tuple(self._chunks)
-
-    def export_chunks(self) -> Dict[str, List[Dict[str, np.ndarray]]]:
-        """Snapshot every table's chunks (picklable; arrays not copied)."""
-        return {
-            table: [dict(chunk) for chunk in chunks]
-            for table, chunks in self._chunks.items()
-        }
-
-    def merge_chunks(
-        self, chunks: Mapping[str, Sequence[Mapping[str, np.ndarray]]]
-    ) -> None:
-        """Append another builder's exported chunks, table by table.
-
-        Chunk order is preserved, so merging shard-local builders in
-        canonical shard order reproduces the row order a single builder
-        would have seen.
-
-        Zero-copy: the column arrays are adopted by reference, not
-        copied — callers may pass read-only views over attached
-        shared-memory transport segments and the builder holds those
-        views until :meth:`build` concatenates them into owned arrays.
-        Shards merged in canonical order keep canonical row order, so
-        ``build`` needs no sort.
-        """
-        for table, chunk_list in chunks.items():
-            if table not in self._chunks:
-                raise SchemaError(f"unknown table {table!r}")
-            for chunk in chunk_list:
-                self._extend(table, **chunk)
-
     # -- freeze -----------------------------------------------------------
 
     def build(self) -> CampaignDataset:
-        """Freeze into an immutable, (device, t)-sorted dataset."""
-        tables = {}
-        for name, chunks in self._chunks.items():
-            tables[name] = self._concat(name, chunks)
-        for name, table in tables.items():
-            check_ranges(name, [table.columns], len(self.devices), self.axis)
-        return CampaignDataset(
-            year=self.year,
-            axis=self.axis,
-            devices=list(self.devices),
-            ap_directory=dict(self.ap_directory),
-            traffic=tables["traffic"],
-            wifi=tables["wifi"],
-            geo=tables["geo"],
-            scans=tables["scans"],
-            sightings=tables["sightings"],
-            apps=tables["apps"],
-            updates=tables["updates"],
-            battery=tables["battery"],
-            ground_truth=self.ground_truth,
-        )
+        """Freeze into a (device, t)-sorted dataset.
 
-    def _concat(self, name: str, chunks: List[Dict[str, np.ndarray]]) -> _Table:
-        if not chunks:
-            return _Table({col: np.array([], dtype=dt) for col, dt in _EMPTY_DTYPES[name]})
-        # Column order may differ between chunks (a shared-memory payload
-        # lists its columns sorted); the column set may not.
-        names = list(chunks[0])
-        for chunk in chunks:
-            if chunk.keys() != chunks[0].keys():
-                raise SchemaError(f"inconsistent columns in table {name!r}")
+        A table whose chunks were appended out of canonical order is first
+        sorted stably by ``(device, t)`` (``day`` for ``apps``); then the
+        chunks go through :func:`merge_dataset`, the engine's merge.
+        """
+        chunk_map = {}
+        for name, chunks in self._chunks.items():
+            chunks = [chunk for chunk in chunks if len(chunk["device"])]
+            if not _chunks_in_order(name, chunks):
+                columns = {
+                    col: np.concatenate([chunk[col] for chunk in chunks])
+                    for col, _ in _EMPTY_DTYPES[name]
+                }
+                order = np.lexsort((columns[_order_key(name)],
+                                    columns["device"]))
+                chunks = [{col: values[order]
+                           for col, values in columns.items()}]
+            chunk_map[name] = chunks
+        return merge_dataset(self.year, self.axis, self.devices,
+                             self.ap_directory, self.ground_truth,
+                             [chunk_map])
+
+
+def merge_dataset(
+    year: int,
+    axis: TimeAxis,
+    devices: Sequence[DeviceInfo],
+    ap_directory: Mapping[int, ApDirectoryEntry],
+    ground_truth: Optional[GroundTruth],
+    chunk_maps: Sequence[ChunkMap],
+) -> CampaignDataset:
+    """The in-memory merge: ``chunk_maps``, in shard order, as one dataset.
+
+    Every table's chunks pass :func:`canonical_chunks`. A table held in
+    one chunk that owns writeable memory is adopted; several chunks,
+    views over shared memory and memmaps are copied into owned columns.
+    """
+    tables = {}
+    for name, specs in _EMPTY_DTYPES.items():
+        chunks = canonical_chunks(name, chunk_maps, len(devices), axis)
         if len(chunks) == 1 and all(
             col.flags.owndata and col.flags.writeable
             for col in chunks[0].values()
         ):
-            # One chunk that owns its memory: adopt it. Views over shared
-            # memory and memmaps are copied out below.
-            columns = dict(chunks[0])
+            columns = {col: chunks[0][col] for col, _ in specs}
         else:
             columns = {
                 col: np.concatenate([chunk[col] for chunk in chunks])
-                for col in names
+                if chunks else np.array([], dtype=dtype)
+                for col, dtype in specs
             }
-        table = _Table(columns)
-        sort_key = "t" if "t" in columns else "day"
-        if _in_canonical_order(table.device, table.columns[sort_key]):
-            return table
-        order = np.lexsort((table.columns[sort_key], table.columns["device"]))
-        return table.select(order)
+        tables[name] = _Table(columns)
+    return CampaignDataset(
+        year=year, axis=axis, devices=list(devices),
+        ap_directory=dict(ap_directory), ground_truth=ground_truth,
+        **tables,
+    )
+
+
+def canonical_chunks(table: str, chunk_maps: Sequence[ChunkMap],
+                     n_devices: int,
+                     axis: TimeAxis) -> List[Mapping[str, np.ndarray]]:
+    """The non-empty chunks of ``table`` in ``chunk_maps`` (shard order),
+    checked as one merged table.
+
+    The one merge rule of both engine merges, :func:`merge_dataset` and
+    :meth:`repro.traces.store.CampaignStore.finalize`: every chunk holds
+    the table's columns, :func:`check_ranges` passes, and the rows stand
+    in ``(device, t)`` order (``day`` for ``apps``) within each chunk and
+    across chunk boundaries. Raises :class:`SchemaError` otherwise;
+    neither merge sorts.
+    """
+    chunks = [chunk for chunk_map in chunk_maps
+              for chunk in chunk_map.get(table, ()) if len(chunk["device"])]
+    columns = {column for column, _ in _EMPTY_DTYPES[table]}
+    if any(set(chunk) != columns for chunk in chunks):
+        raise SchemaError(f"inconsistent columns in table {table!r}")
+    check_ranges(table, chunks, n_devices, axis)
+    if not _chunks_in_order(table, chunks):
+        raise SchemaError(f"table {table!r} is not in (device, "
+                          f"{_order_key(table)}) order")
+    return chunks
 
 
 def check_ranges(table: str, chunks: Sequence[Mapping[str, np.ndarray]],
@@ -392,10 +391,9 @@ def check_ranges(table: str, chunks: Sequence[Mapping[str, np.ndarray]],
     """Raise :class:`SchemaError` unless every row of ``table``'s
     ``chunks`` names a known device and a slot (or day) on ``axis``.
 
-    The one range check of both merges: :meth:`DatasetBuilder.build` and
-    :meth:`repro.traces.store.CampaignStore.finalize`.
+    Part of :func:`canonical_chunks`, the rule of both merges.
     """
-    key = "t" if "t" in dict(_EMPTY_DTYPES[table]) else "day"
+    key = _order_key(table)
     limit = axis.n_slots if key == "t" else axis.n_days
     for column, bound, fault in (
         ("device", n_devices, "references unknown device"),
@@ -438,24 +436,47 @@ _EMPTY_DTYPES = {
 
 def observed_ap_ids(chunk_maps: Sequence[ChunkMap]) -> Set[int]:
     """AP ids observed in any chunk of ``chunk_maps`` (negative = no AP)."""
+    from repro.traces.query import distinct_ids  # query imports this module
+
     observed: Set[int] = set()
     for chunk_map in chunk_maps:
         for chunks in chunk_map.values():
             for chunk in chunks:
                 if "ap_id" in chunk:
-                    unique = np.unique(np.asarray(chunk["ap_id"]))
-                    observed.update(int(a) for a in unique if a >= 0)
+                    ap_id = np.asarray(chunk["ap_id"])
+                    observed.update(distinct_ids(ap_id[ap_id >= 0]).tolist())
     return observed
 
 
+def _order_key(table: str) -> str:
+    """The column that orders ``table``'s rows within a device."""
+    return "day" if table == "apps" else "t"
+
+
 def _in_canonical_order(device: np.ndarray, key: np.ndarray) -> bool:
-    """True when the rows already stand in stable ``lexsort((key, device))``
-    order, i.e. ``(device, key)`` never decreases: one O(n) pass."""
+    """True when ``(device, key)`` never decreases along the rows, the
+    order a stable sort by ``(device, key)`` leaves: one O(n) pass."""
     device, key = np.asarray(device), np.asarray(key)
     d0, d1 = device[:-1], device[1:]
     return bool(np.all(d1 >= d0)) and bool(
         np.all((d1 != d0) | (key[1:] >= key[:-1]))
     )
+
+
+def _chunks_in_order(table: str,
+                     chunks: Sequence[Mapping[str, np.ndarray]]) -> bool:
+    """True when the non-empty ``chunks``, concatenated, stand in
+    ``(device, key)`` order: within each chunk and at every boundary."""
+    key = _order_key(table)
+    last = None
+    for chunk in chunks:
+        device, order = chunk["device"], chunk[key]
+        first = (int(device[0]), int(order[0]))
+        if (last is not None and first < last) or not _in_canonical_order(
+                device, order):
+            return False
+        last = (int(device[-1]), int(order[-1]))
+    return True
 
 
 def _i8(x) -> np.ndarray:

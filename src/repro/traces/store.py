@@ -27,14 +27,15 @@ columns are read-only. A reader maps only the column files it touches.
 The manifest records ``"format": "npy"``; opening a store whose manifest
 names any other format is an error.
 
-Determinism: the streaming merge (:meth:`CampaignStore.finalize`)
-reproduces ``DatasetBuilder.build`` exactly — chunks are concatenated in
-the order given (canonical shard order) and, only if out of order,
-permuted by the same stable ``np.lexsort((t, device))`` — so a
-store-backed dataset is bit-for-bit identical to the in-memory path at
-any ``n_jobs`` (pinned by ``tests/test_store.py``). Peak memory of the
-merge is bounded by the sort keys plus the permutation (~16 bytes/row)
-and one copy block, never by the full table.
+Determinism: the streaming merge (:meth:`CampaignStore.finalize`) and
+the in-memory one (:func:`~repro.traces.dataset.merge_dataset`) check
+their chunks by the same rule,
+:func:`~repro.traces.dataset.canonical_chunks`, and concatenate them in
+the order given (canonical shard order), so a store-backed dataset is
+bit-for-bit identical to the in-memory path at any ``n_jobs`` (pinned by
+``tests/test_store.py``). Chunks out of ``(device, t)`` order are
+refused, not sorted. Peak memory of the merge is one copy block per
+column, never the full table.
 
 The **fingerprint** is a SHA-256 over the schema and the content digest of
 every finalized column: two saved campaigns with the same fingerprint hold
@@ -71,8 +72,8 @@ from repro.obs.recorder import EventKind, get_recorder
 from repro.radio.bands import Band
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import (
-    CampaignDataset, ChunkMap, GroundTruth, _EMPTY_DTYPES,
-    _in_canonical_order, _Table, check_ranges,
+    CampaignDataset, ChunkMap, GroundTruth, _EMPTY_DTYPES, _Table,
+    canonical_chunks,
 )
 from repro.traces.records import ApDirectoryEntry, DeviceInfo, DeviceOS
 
@@ -127,13 +128,12 @@ class PartitionRef:
         return hashlib.sha256(blob).hexdigest() == self.digest
 
     def chunk_map(self) -> ChunkMap:
-        """The partition's tables as one builder-compatible chunk each.
+        """The partition's tables as one chunk each.
 
-        Within a shard the builder concatenates chunks in append order
-        (sorting only out-of-order input), so the concatenated per-column
-        arrays stored here are interchangeable with the original chunk
-        list — merging them produces a bit-identical dataset. Each column
-        is memory-mapped afresh on every access and checked against the
+        The merges concatenate chunks in the order given, so the
+        concatenated per-column arrays stored here are interchangeable
+        with the shard's original chunk list. Each column is
+        memory-mapped afresh on every access and checked against the
         manifest's row count; the chunk holds no map, so a streaming
         merge keeps one column of one partition mapped at a time.
         """
@@ -301,9 +301,8 @@ class CampaignStore:
     ) -> PartitionRef:
         """Land one shard's columnar chunks as a spill partition.
 
-        Chunks are written per column in append order (exactly the order
-        ``DatasetBuilder.build`` would see), atomically (temp dir +
-        rename), and summarized in a ``part_manifest.json`` holding the
+        Chunks are written per column in the order given, atomically
+        (temp dir + rename), and summarized in a ``part_manifest.json`` holding the
         bound run identity, each column's SHA-256, the shard's
         ``collection`` accounting (JSON values) and a digest of the
         manifest itself; the file's digest rides on the returned
@@ -381,14 +380,13 @@ class CampaignStore:
         the finalized canonical column files, then write the manifests.
 
         A chunk map is a partition's :meth:`PartitionRef.chunk_map`, a
-        shard's inline chunks or a built dataset's own columns. Chunks
-        already in canonical ``(device, t)`` order, each starting at or
-        after the previous one's last row (what the kernel and the planner
-        produce), stream straight into the column files. Otherwise they
-        are copied into append-order staging files (mmap to mmap) and the
-        stable ``lexsort((t, device))`` permutation is applied block-wise.
-        The written bytes are hashed into the content fingerprint as they
-        are written. A store finalized before is replaced: its manifest
+        shard's inline chunks or a built dataset's own columns. Every
+        table's chunks pass
+        :func:`~repro.traces.dataset.canonical_chunks` (ranges and
+        ``(device, t)`` order, :class:`~repro.errors.SchemaError`
+        otherwise) and stream block by block into the column files; the
+        written bytes are hashed into the content fingerprint as they are
+        written. A store finalized before is replaced: its manifest
         goes first, so a merge that dies midway leaves no store that
         opens.
         """
@@ -447,56 +445,20 @@ class CampaignStore:
 
     def _merge_table(self, table: str, chunk_maps: Sequence[ChunkMap],
                      n_devices: int) -> dict:
-        column_specs = _EMPTY_DTYPES[table]
-        sort_key = "t" if "t" in dict(column_specs) else "day"
-        chunks, keys = [], []
-        for chunk_map in chunk_maps:
-            for chunk in chunk_map.get(table, ()):
-                device = chunk["device"]
-                if len(device):
-                    chunks.append(chunk)
-                    keys.append((device, chunk[sort_key]))
-        total = sum(len(device) for device, _ in keys)
-
-        check_ranges(table, chunks, n_devices, self.axis)
-
-        in_order = all(_in_canonical_order(d, k) for d, k in keys) and all(
-            (int(d0[-1]), int(k0[-1])) <= (int(d1[0]), int(k1[0]))
-            for (d0, k0), (d1, k1) in zip(keys, keys[1:])
-        )
-        del keys
-
-        def appended(column: str) -> Iterator[np.ndarray]:
-            return _blocks(chunk[column] for chunk in chunks)
-
-        stage: Dict[str, Path] = {}
-        if not in_order:
-            # Stage the partitions in append order, then apply the
-            # builder's exact stable sort block-wise.
-            for column, dtype in column_specs:
-                path = self.tables_dir / f".stage-{table}__{column}.npy"
-                _write_npy(path, dtype, total, appended(column))
-                stage[column] = path
-            staged = {c: np.load(p, mmap_mode="r") for c, p in stage.items()}
-            order = np.lexsort((np.asarray(staged[sort_key]),
-                                np.asarray(staged["device"])))
+        chunks = canonical_chunks(table, chunk_maps, n_devices, self.axis)
+        total = sum(len(chunk["device"]) for chunk in chunks)
         columns_meta = {}
-        for column, dtype in column_specs:
-            blocks = (appended(column) if in_order else
-                      (staged[column][rows] for rows in _blocks([order])))
+        for column, dtype in _EMPTY_DTYPES[table]:
             path = self.tables_dir / f"{table}__{column}.npy"
             columns_meta[column] = {
                 "dtype": np.dtype(dtype).str,
-                "sha256": _write_npy(path, dtype, total, blocks),
+                "sha256": _write_npy(path, dtype, total, _blocks(
+                    chunk[column] for chunk in chunks)),
             }
             # On disk before the manifest that names it is written. A
             # spill partition needs no sync: resume re-hashes it.
             with open(path, "rb") as written:
                 os.fsync(written.fileno())
-        if stage:
-            del staged  # release the staging maps before unlinking them
-            for path in stage.values():
-                path.unlink()
         return {"n_rows": int(total), "columns": columns_meta}
 
     # -- read path ---------------------------------------------------------

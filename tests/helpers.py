@@ -182,13 +182,27 @@ def kernel_reference(config) -> CampaignDataset:
     builder = DatasetBuilder(config.year, config.axis)
     for info in world.infos:
         builder.add_device(info)
+    chunks: Dict[str, list] = {}
     for result in simulate_devices(
         world.profiles, config.axis, world.deployment, world.demand,
         config.params, seed=config.seed, year=config.year,
     ):
         for name, columns in result.tables.items():
             getattr(builder, f"extend_{name}")(**columns)
-    for ap_id in sorted(observed_ap_ids([builder.export_chunks()])):
+            chunks.setdefault(name, []).append(columns)
+    for ap_id in sorted(observed_ap_ids([chunks])):
         ap = world.deployment.ap(ap_id)
         add_ap(builder, ap_id, ap.essid, ap.band, ap.channel, ap.bssid)
+    return builder.build()
+
+
+def received_dataset(server) -> CampaignDataset:
+    """Every row a :class:`~repro.collection.server.CollectionServer`
+    received, frozen by a :class:`DatasetBuilder` (which sorts)."""
+    builder = DatasetBuilder(server.year, server.axis)
+    for info in server.devices:
+        builder.add_device(info)
+    for name, chunks in server.flush_buffers().items():
+        for columns in chunks:
+            getattr(builder, f"extend_{name}")(**columns)
     return builder.build()

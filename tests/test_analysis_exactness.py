@@ -44,6 +44,7 @@ from repro.reporting.figures import _bucket_means, render_ascii_series
 from repro.stats.distributions import ccdf
 from repro.stats.timeseries import HOURS_PER_WEEK, HourlySeries
 from repro.traces.cleaning import CleaningReport, drop_update_window
+from repro.traces.dataset import observed_ap_ids
 from repro.traces.query import (
     device_day_of,
     distinct_ids,
@@ -635,3 +636,29 @@ def test_distinct_columns_on_studies(small_study):
         for ids in (wifi.ap_id[assoc], dataset.sightings.ap_id):
             assert len(ids)
             _assert_same_array(distinct_ids(ids), np.unique(ids))
+
+
+def _unique_ap_ids(chunk_map):
+    return {int(a) for chunks in chunk_map.values() for chunk in chunks
+            if "ap_id" in chunk for a in np.unique(chunk["ap_id"]) if a >= 0}
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(-1, 50), max_size=20), max_size=4))
+def test_observed_ap_ids_match_unique(chunks):
+    chunk_map = {"wifi": [{"ap_id": np.array(ids, np.int32)}
+                          for ids in chunks],
+                 "geo": [{"col": np.array([3], np.int16)}]}
+    assert observed_ap_ids([chunk_map]) == _unique_ap_ids(chunk_map)
+
+
+def test_observed_ap_ids_on_studies(small_study):
+    """The merged AP directory holds exactly the ``np.unique`` set of
+    every table's non-negative ``ap_id``."""
+    for year in sorted(small_study.campaigns):
+        dataset = small_study.dataset(year)
+        chunk_map = {table: [getattr(dataset, table).columns]
+                     for table in dataset.table_names}
+        want = _unique_ap_ids(chunk_map)
+        assert observed_ap_ids([chunk_map]) == want == set(
+            dataset.ap_directory)

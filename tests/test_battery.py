@@ -7,7 +7,10 @@ from repro.analysis.battery import battery_drain
 from repro.errors import AnalysisError, SchemaError
 from repro.traces.records import WifiStateCode
 from repro.traces.validate import validate_dataset
-from tests.helpers import add_ap, add_association_span, add_state_span, make_builder
+from tests.helpers import (
+    add_ap, add_association_span, add_state_span, make_builder,
+    received_dataset,
+)
 
 
 class TestBatterySchema:
@@ -117,6 +120,6 @@ class TestAgentBattery:
         assert slots["battery"].tolist() == [3]
         server.receive_bulk(0, {"battery": battery}, slots,
                             occupied_slots(slots, 144))
-        received = server.build_dataset().battery
+        received = received_dataset(server).battery
         assert received.level.tolist() == [77.0]
         assert received.charging.tolist() == [0]

@@ -3,10 +3,11 @@
 The kernel emits every table sorted by ``t`` (``apps`` by ``day``), with a
 device's WiFi traffic row before its cellular row at equal ``t``, and the
 shard planner hands out contiguous device ranges in canonical order. So
-the in-memory merge (``DatasetBuilder.build``) and the store merge
+the in-memory merge (``merge_dataset``) and the store merge
 (``CampaignStore.finalize``) find their input already in stable
-``(device, t)`` order: they check it in one pass and neither sort nor
-stage it. The sort stays as the fallback for out-of-order appends.
+``(device, t)`` order: they check it in one pass (``canonical_chunks``)
+and refuse anything else (``tests/test_store.py``). Only
+``DatasetBuilder.build`` sorts, for records appended out of order.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ from repro.traces.records import DeviceOS, IfaceKind
 from repro.traces.store import CampaignStore
 
 from tests.test_columnar_ingest_property import YEAR, _axis, _info
-from tests.test_engine import assert_datasets_identical
 
 
 def _small_config(year=2014, seed=11, faults=None):
@@ -160,7 +160,7 @@ def test_canonical_check_is_stable_lexsort_identity():
 
 
 # ---------------------------------------------------------------------------
-# Store merge: in-order partitions stream, out-of-order ones are staged
+# Store merge: in-order partitions stream straight into the columns
 # ---------------------------------------------------------------------------
 
 def _store(config, root):
@@ -174,19 +174,3 @@ def test_in_order_store_finalize_stages_nothing(tmp_path, no_sort):
     stored = run_campaign(config, n_jobs=1, store=store).dataset
     assert not list(store.tables_dir.glob(".stage-*"))
     assert stored.n_rows_total > 0
-
-
-def test_out_of_order_partitions_are_sorted(tmp_path):
-    builder = _builder()
-    late = _battery(np.array([3, 5], np.int32))
-    early = dict(_battery(np.array([1, 3], np.int32)),
-                 device=np.array([0, 1], np.int32))
-    store = CampaignStore(tmp_path / "campaign", YEAR, _axis())
-    refs = [store.write_partition("shard-0000", {"battery": [late]}),
-            store.write_partition("shard-0001", {"battery": [early]})]
-    builder.extend_battery(**late)
-    builder.extend_battery(**early)
-    store.finalize(builder.devices, builder.ap_directory, None,
-                   [ref.chunk_map() for ref in refs])
-    assert not list(store.tables_dir.glob(".stage-*"))
-    assert_datasets_identical(builder.build(), store.load_dataset())

@@ -39,6 +39,7 @@ from repro.simulation.kernel import simulate_devices
 from repro.simulation.params import default_params
 from repro.timeutil import TimeAxis
 from repro.traces.records import DeviceInfo, DeviceOS, WifiStateCode
+from tests.helpers import received_dataset
 
 N_SLOTS = 144
 LTE = CellularTechnology.LTE
@@ -183,7 +184,7 @@ class TestAgent:
         assert occupied_slots(slots, N_SLOTS).tolist() == [2, 5, 9]
         server = _server(_device())
         assert _receive_all(server, 0, tables) == 3
-        geo = server.build_dataset().geo
+        geo = received_dataset(server).geo
         assert geo.t.tolist() == [2, 5, 9]
         assert geo.col.tolist() == [2, 3, 1]
 
@@ -195,7 +196,7 @@ class TestAgent:
         assert occupied_slots(slots, N_SLOTS).tolist() == [10]
         server = _server(_device(os=DeviceOS.IOS))
         _receive_all(server, 0, tables)
-        updates = server.build_dataset().updates
+        updates = received_dataset(server).updates
         assert updates.t.tolist() == [10]
         assert updates.bytes.tolist() == [565e6]
 
@@ -411,7 +412,7 @@ class TestServerPipeline:
                 _device(device_id), _traffic(device_id, np.arange(n_ticks)))
             assert stats.delivered == n_ticks
 
-        dataset = server.build_dataset()
+        dataset = received_dataset(server)
         # Every tick's traffic arrived exactly once despite 40% failures.
         assert len(dataset.traffic) == n_ticks * 2
         assert server.duplicates_dropped == 0
@@ -427,7 +428,7 @@ class TestServerPipeline:
         assert stats.duplicates == 3
         assert server.batches_received == 3
         assert server.duplicates_dropped == 3
-        assert server.build_dataset().traffic.t.tolist() == [3, 4, 5]
+        assert received_dataset(server).traffic.t.tolist() == [3, 4, 5]
 
     def test_unregistered_device_rejected(self):
         server = _server()
@@ -455,4 +456,4 @@ class TestServerPipeline:
             with pytest.raises(CollectionError, match="foreign device"):
                 pump.transmit_bulk(_device(0), tables)
         assert server.batches_received == 0
-        assert len(server.build_dataset().geo) == 0
+        assert len(received_dataset(server).geo) == 0

@@ -28,6 +28,7 @@ from repro.timeutil import TimeAxis
 from repro.traces.dataset import DatasetBuilder
 from repro.traces.records import DeviceInfo, DeviceOS
 
+from tests.helpers import received_dataset
 from tests.test_engine import assert_datasets_identical
 
 N_DAYS = 2
@@ -188,7 +189,7 @@ def _ingest_two_ways(batches):
         ticks += bulk.receive_bulk(info.device_id, tables, slots, occupied)
 
     assert bulk.batches_received == ticks
-    return by_chunk.build(), bulk.build_dataset()
+    return by_chunk.build(), received_dataset(bulk)
 
 
 @given(st.lists(device_batch(), min_size=1, max_size=3))
@@ -217,7 +218,7 @@ def test_empty_batch_is_zero_ticks():
                                    occupied_slots(slots, N_SLOTS))
     assert received == 0
     assert server.batches_received == 0
-    dataset = server.build_dataset()
+    dataset = received_dataset(server)
     for name in ("traffic", "wifi", "geo", "scans", "sightings", "apps",
                  "updates", "battery"):
         assert len(getattr(dataset, name)) == 0
@@ -258,4 +259,4 @@ def test_partial_delivery_keeps_exactly_the_delivered_rows(batch, random):
                                    np.array(delivered, dtype=np.int64), 2)
     assert received == server.batches_received == len(delivered)
     assert server.duplicates_dropped == 2
-    assert_datasets_identical(by_chunk.build(), server.build_dataset())
+    assert_datasets_identical(by_chunk.build(), received_dataset(server))

@@ -10,7 +10,9 @@ from repro.net.cellular import CellularTechnology
 from repro.timeutil import TimeAxis
 from repro.traces.records import DeviceInfo, DeviceOS
 from repro.traces.store import load_dataset, save_dataset
-from tests.helpers import add_ap, add_daily_traffic, make_builder
+from tests.helpers import (
+    add_ap, add_daily_traffic, make_builder, received_dataset,
+)
 
 _INFO = DeviceInfo(0, DeviceOS.ANDROID, "docomo", CellularTechnology.LTE)
 
@@ -132,7 +134,7 @@ class TestByzantineTransport:
                        tx=np.array([0.0]))
         with pytest.raises(CollectionError, match="outside the campaign"):
             upload_slots(0, {"traffic": traffic}, axis.n_slots)
-        assert len(server.build_dataset().traffic) == 0
+        assert len(received_dataset(server).traffic) == 0
 
 
 class TestFaultPlanScenarios:

@@ -25,6 +25,7 @@ from repro.simulation.campaign import plan_campaign, run_campaign
 from repro.simulation.kernel import simulate_devices
 from repro.simulation.study import default_campaign_config
 
+from tests.helpers import received_dataset
 from tests.test_engine import assert_datasets_identical
 
 
@@ -112,7 +113,6 @@ class TestBulkCollection:
                                    result.tables)
                 for result in results
             ]
-            server.flush_buffers()
             return server, stats
 
         # An outage after the campaign end makes the plan non-zero, so the
@@ -124,7 +124,7 @@ class TestBulkCollection:
         bulk_server, bulk_stats = collect(FaultPlan.zero())
 
         assert_datasets_identical(
-            replay_server.build_dataset(), bulk_server.build_dataset()
+            received_dataset(replay_server), received_dataset(bulk_server)
         )
         assert bulk_server.batches_received == replay_server.batches_received
         assert bulk_server.duplicates_dropped == 0

@@ -28,7 +28,7 @@ from repro.simulation.campaign import (
     identity_of, plan_campaign, run_campaign, simulate_shard,
 )
 from repro.simulation.study import default_campaign_config
-from repro.traces.dataset import DatasetBuilder
+from repro.traces.dataset import DatasetBuilder, merge_dataset
 from repro.traces.store import (
     STORE_MANIFEST,
     CampaignStore,
@@ -62,9 +62,9 @@ def _store_for(config, root):
 # ---------------------------------------------------------------------------
 
 class TestRoundTripProperty:
-    @given(st.lists(device_batch(), min_size=1, max_size=3))
+    @given(st.lists(device_batch(), min_size=1, max_size=3), st.data())
     @settings(max_examples=15, deadline=None)
-    def test_store_round_trip_is_bit_identical(self, batches):
+    def test_store_round_trip_is_bit_identical(self, batches, data):
         """Any panel written through partitions reloads exactly."""
         builder = DatasetBuilder(YEAR, _axis())
         for device_id in range(len(batches)):
@@ -72,19 +72,22 @@ class TestRoundTripProperty:
         for device_id, batch in enumerate(batches):
             for name, columns in _columns(device_id, batch).items():
                 getattr(builder, f"extend_{name}")(**columns)
-        chunks = builder.export_chunks()
         expected = builder.build()
+
+        # Two shards, split at a device boundary: partitions concatenated
+        # in shard order must reproduce the dataset's canonical rows.
+        split = data.draw(st.integers(0, len(batches)), label="split")
+        shards = ({}, {})
+        for table in expected.table_names:
+            columns = getattr(expected, table).columns
+            cut = int(np.searchsorted(columns["device"], split))
+            shards[0][table] = [{c: v[:cut] for c, v in columns.items()}]
+            shards[1][table] = [{c: v[cut:] for c, v in columns.items()}]
 
         with tempfile.TemporaryDirectory() as tmp:
             store = CampaignStore(Path(tmp) / "campaign", YEAR, _axis())
-            # Split every table's chunk list at its midpoint: partitions
-            # concatenated in order must reproduce builder append order.
-            first = {t: lst[:(len(lst) + 1) // 2]
-                     for t, lst in chunks.items()}
-            second = {t: lst[(len(lst) + 1) // 2:]
-                      for t, lst in chunks.items()}
-            refs = [store.write_partition("shard-0000", first),
-                    store.write_partition("shard-0001", second)]
+            refs = [store.write_partition(f"shard-000{i}", shard)
+                    for i, shard in enumerate(shards)]
             store.finalize(builder.devices, builder.ap_directory,
                            builder.ground_truth,
                            [ref.chunk_map() for ref in refs])
@@ -124,6 +127,39 @@ def test_both_merges_reject_a_bad_chunk_alike(tmp_path, device, day, message):
         store.finalize(builder.devices, builder.ap_directory, None,
                        [{"apps": [chunk]}])
     assert str(built.value) == str(finalized.value) == message
+
+
+def _battery_chunk(device, t):
+    n = len(device)
+    return dict(device=np.asarray(device, np.int32),
+                t=np.asarray(t, np.int32), level=np.ones(n, np.float32),
+                charging=np.zeros(n, np.int8))
+
+
+@pytest.mark.parametrize("table, chunk_maps", [
+    ("battery", [{"battery": [_battery_chunk([0, 1], [1, 3])]},
+                 {"battery": [_battery_chunk([1], [2])]}]),
+    ("battery", [{"battery": [_battery_chunk([0, 0, 1], [2, 1, 0])]}]),
+    ("apps", [{"apps": [_apps_chunk([1], [1])]},
+              {"apps": [_apps_chunk([0], [0])]}]),
+    ("apps", [{"apps": [_apps_chunk([0, 0], [1, 0])]}]),
+], ids=["battery-boundary-goes-back", "battery-unsorted-inside",
+        "apps-boundary-goes-back", "apps-unsorted-inside"])
+def test_both_merges_refuse_out_of_order_chunks(tmp_path, table, chunk_maps):
+    """Neither merge sorts: rows out of (device, t) order are refused,
+    within a chunk and across a shard boundary alike."""
+    devices = [_info(0), _info(1)]
+    key = "day" if table == "apps" else "t"
+    message = f"table {table!r} is not in (device, {key}) order"
+    with pytest.raises(SchemaError) as merged:
+        merge_dataset(YEAR, _axis(), devices, {}, None, chunk_maps)
+    store = CampaignStore(tmp_path / "campaign", YEAR, _axis())
+    refs = [store.write_partition(f"shard-000{i}", chunk_map)
+            for i, chunk_map in enumerate(chunk_maps)]
+    with pytest.raises(SchemaError) as finalized:
+        store.finalize(devices, {}, None, [ref.chunk_map() for ref in refs])
+    assert str(merged.value) == str(finalized.value) == message
+    assert not (store.root / STORE_MANIFEST).exists()
 
 
 # ---------------------------------------------------------------------------
