@@ -30,8 +30,6 @@ from repro.analysis.ap_classification import APClassification, classify_aps
 from repro.analysis.ap_density import (
     DensityMaps,
     association_density_maps,
-    DetectedCoverage,
-    detected_coverage,
 )
 from repro.analysis.location_traffic import LocationTraffic, location_traffic
 from repro.analysis.association import (
@@ -60,7 +58,6 @@ from repro.analysis.software_update import UpdateTiming, update_timing
 from repro.analysis.bandwidth_cap import (
     CapEffect,
     cap_effect,
-    capped_users_without_home_ap,
 )
 from repro.analysis.implications import OffloadImpact, offload_impact
 from repro.analysis.battery import BatteryDrain, battery_drain
@@ -71,7 +68,6 @@ from repro.analysis.survey_gap import SurveyGap, survey_gap
 from repro.analysis.evolution import (
     CampaignOverview,
     campaign_overview,
-    overview_table,
     yearly,
 )
 
@@ -87,7 +83,6 @@ __all__ = [
     "InterfaceStateRatios", "interface_state_ratios", "ios_android_gap",
     "APClassification", "classify_aps",
     "DensityMaps", "association_density_maps",
-    "DetectedCoverage", "detected_coverage",
     "LocationTraffic", "location_traffic",
     "ApsPerDay", "aps_per_day",
     "HpoBreakdown", "hpo_breakdown",
@@ -99,12 +94,12 @@ __all__ = [
     "OffloadEstimate", "offload_estimate",
     "AppBreakdown", "app_breakdown", "infer_home_cells",
     "UpdateTiming", "update_timing",
-    "CapEffect", "cap_effect", "capped_users_without_home_ap",
+    "CapEffect", "cap_effect",
     "OffloadImpact", "offload_impact",
     "BatteryDrain", "battery_drain",
     "SharedInfrastructure", "shared_infrastructure",
     "InterferenceSummary", "channel_interference",
     "SurveyGap", "survey_gap",
     "MobilityStats", "mobility_stats",
-    "CampaignOverview", "campaign_overview", "overview_table", "yearly",
+    "CampaignOverview", "campaign_overview", "yearly",
 ]

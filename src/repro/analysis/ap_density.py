@@ -1,8 +1,7 @@
-"""AP density maps (Figure 10) and detected-network coverage (§3.5).
+"""AP density maps (Figure 10).
 
 Figure 10 counts *associated* unique APs per 5 km cell, split home vs
-public. The §3.5 coverage statistics count *detected* (scanned) public
-networks per cell, split all vs strong and 2.4 vs 5 GHz.
+public.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ import numpy as np
 
 from repro.analysis.ap_classification import WIFI_CLASSES, APClassification
 from repro.analysis.context import AnalysisContext, DatasetOrContext
-from repro.constants import STRONG_RSSI_DBM
 from repro.errors import AnalysisError
 from repro.geo.coords import cell_center
 from repro.geo.grid import DensityGrid
-from repro.radio.bands import Band
 from repro.traces.query import packed_keys
 from repro.traces.records import WifiStateCode
 
@@ -65,53 +62,6 @@ def association_density_maps(
                                  rows[first].tolist(), codes.tolist()):
         grids[WIFI_CLASSES[code]].add(cell_center((col, row)), a)
     return DensityMaps(year=dataset.year, grids=grids)
-
-
-@dataclass(frozen=True)
-class DetectedCoverage:
-    """§3.5: detected public networks per cell (all vs strong, per band)."""
-
-    year: int
-    grids: Dict[str, DensityGrid]
-
-
-def detected_coverage(data: DatasetOrContext) -> DetectedCoverage:
-    """Count detected public networks per cell from scan sightings."""
-    ctx = AnalysisContext.of(data)
-    dataset = ctx.dataset()
-    sightings = dataset.sightings
-    if len(sightings) == 0:
-        raise AnalysisError("dataset has no scan sightings")
-    device = sightings.device.astype(np.int64)
-    t = sightings.t.astype(np.int64)
-    cols, rows, found = _lookup_cells(ctx, device, t)
-
-    grids = {
-        "24_all": DensityGrid(), "24_strong": DensityGrid(),
-        "5_all": DensityGrid(), "5_strong": DensityGrid(),
-    }
-    directory = dataset.ap_directory
-    ap_id = sightings.ap_id.astype(np.int64)
-    strong = sightings.rssi >= STRONG_RSSI_DBM
-    # Each (ap, cell, strong) sighting once, in order of first sighting.
-    _, first = np.unique(
-        packed_keys(ap_id[found], cols[found], rows[found], strong[found]),
-        return_index=True,
-    )
-    rows_seen = np.flatnonzero(found)[np.sort(first)]
-    for a, col, row, is_strong in zip(
-        ap_id[rows_seen].tolist(), cols[rows_seen].tolist(),
-        rows[rows_seen].tolist(), strong[rows_seen].tolist(),
-    ):
-        entry = directory.get(a)
-        if entry is None:
-            continue
-        center = cell_center((col, row))
-        band_key = "24" if entry.band is Band.GHZ_2_4 else "5"
-        grids[f"{band_key}_all"].add(center, a)
-        if is_strong:
-            grids[f"{band_key}_strong"].add(center, a)
-    return DetectedCoverage(year=dataset.year, grids=grids)
 
 
 def _lookup_cells(ctx: AnalysisContext, device: np.ndarray, t: np.ndarray):

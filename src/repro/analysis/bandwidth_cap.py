@@ -98,23 +98,3 @@ def _ratio_summary(
     if ratios.size == 0:
         return None, None
     return ecdf(ratios), float((ratios < 0.5).mean())
-
-
-def capped_users_without_home_ap(
-    data: DatasetOrContext,
-    home_devices: set,
-    threshold_bytes: float = float(CAP_THRESHOLD_BYTES),
-    window_days: int = CAP_WINDOW_DAYS,
-) -> Optional[float]:
-    """§3.8: fraction of ever-capped devices lacking an inferred home AP."""
-    cell = AnalysisContext.of(data).daily_matrix("cell", "rx")
-    n_days = cell.shape[1]
-    ever_capped = np.zeros(cell.shape[0], dtype=bool)
-    for day in range(window_days, n_days):
-        window_sum = cell[:, day - window_days:day].sum(axis=1)
-        ever_capped |= window_sum > threshold_bytes
-    capped_ids = np.flatnonzero(ever_capped)
-    if capped_ids.size == 0:
-        return None
-    without_home = sum(1 for d in capped_ids if int(d) not in home_devices)
-    return without_home / capped_ids.size

@@ -8,7 +8,7 @@ the three-year comparisons (the heart of the paper) come from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Callable, Dict, Mapping
 
 from repro.analysis.aggregate import traffic_shares
 from repro.analysis.context import AnalysisContext, DatasetOrContext
@@ -49,11 +49,6 @@ def campaign_overview(data: DatasetOrContext) -> CampaignOverview:
         n_total=n_android + n_ios,
         lte_share=traffic_shares(ctx)[1],
     )
-
-
-def overview_table(datasets: Mapping[int, CampaignDataset]) -> Sequence[CampaignOverview]:
-    """Table 1 for every campaign, ordered by year."""
-    return [campaign_overview(datasets[year]) for year in sorted(datasets)]
 
 
 def yearly(

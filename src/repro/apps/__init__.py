@@ -4,7 +4,6 @@ from repro.apps.categories import (
     AppCategory,
     CATEGORIES,
     CATEGORY_BY_NAME,
-    category_code,
     category_name,
 )
 from repro.apps.demand import CategoryMix, DemandModel
@@ -14,7 +13,6 @@ __all__ = [
     "AppCategory",
     "CATEGORIES",
     "CATEGORY_BY_NAME",
-    "category_code",
     "category_name",
     "CategoryMix",
     "DemandModel",

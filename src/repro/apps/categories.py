@@ -99,14 +99,6 @@ if len(CATEGORIES) != 26:  # pragma: no cover - structural guard
     raise ConfigurationError("the paper defines 26 categories")
 
 
-def category_code(name: str) -> int:
-    """Category code for ``name``; raises on unknown names."""
-    try:
-        return CATEGORY_BY_NAME[name].code
-    except KeyError:
-        raise ConfigurationError(f"unknown app category: {name!r}") from None
-
-
 def category_name(code: int) -> str:
     """Category name for ``code``; raises on unknown codes."""
     try:

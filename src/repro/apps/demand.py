@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.categories import CATEGORIES, AppCategory
+from repro.apps.categories import CATEGORIES
 from repro.errors import ConfigurationError
 
 
@@ -119,8 +119,3 @@ class DemandModel:
         """Expected TX bytes per RX byte in a context, from the mix."""
         shares = mix.context_shares(on_wifi)
         return float((shares / _RX_TX).sum())
-
-
-def default_category(code: int) -> AppCategory:
-    """Convenience re-export used by tests."""
-    return CATEGORIES[code]

@@ -52,7 +52,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
+from typing import (
+    Callable, Deque, Dict, List, Optional, Protocol, Sequence, TypeVar,
+)
 
 from repro.engine.resilience import (
     FAILURE_SUBMIT,
@@ -519,30 +521,24 @@ class ParallelExecutor(_ResilienceMixin):
         self.close()
 
 
-try:  # pragma: no cover - typing nicety only
-    from typing import Protocol
+class Executor(Protocol):
+    """Structural contract every executor satisfies."""
 
-    class Executor(Protocol):
-        """Structural contract every executor satisfies."""
+    name: str
+    n_jobs: int
+    fallbacks: int
+    retries: int
+    dropped: int
+    failures: List[ShardFailure]
+    history: List[ShardAttemptLog]
 
-        name: str
-        n_jobs: int
-        fallbacks: int
-        retries: int
-        dropped: int
-        failures: List[ShardFailure]
-        history: List[ShardAttemptLog]
+    def run(
+        self,
+        fn: Callable[[T], R],
+        units: Sequence[T],
+        on_result: Optional[ResultCallback] = None,
+    ) -> List[Optional[R]]:
+        ...
 
-        def run(
-            self,
-            fn: Callable[[T], R],
-            units: Sequence[T],
-            on_result: Optional[ResultCallback] = None,
-        ) -> List[Optional[R]]:
-            ...
-
-        def close(self) -> None:
-            ...
-
-except ImportError:  # pragma: no cover - Python < 3.8
-    Executor = object  # type: ignore[assignment,misc]
+    def close(self) -> None:
+        ...

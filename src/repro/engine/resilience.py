@@ -210,12 +210,6 @@ class ExecutionLosses:
     dropped_devices: int
 
     @property
-    def shard_completeness(self) -> float:
-        if self.n_shards == 0:
-            return 1.0
-        return 1.0 - len(self.dropped_shards) / self.n_shards
-
-    @property
     def device_completeness(self) -> float:
         if self.n_devices == 0:
             return 1.0

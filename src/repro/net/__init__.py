@@ -11,7 +11,7 @@ from repro.net.identifiers import (
 )
 from repro.net.accesspoint import APType, AccessPoint
 from repro.net.cellular import CellularTechnology, Carrier, CARRIERS, CellularNetwork
-from repro.net.wifi import ScanResult, Association, WifiRadio, WifiState
+from repro.net.wifi import WifiState
 
 __all__ = [
     "Bssid",
@@ -27,8 +27,5 @@ __all__ = [
     "Carrier",
     "CARRIERS",
     "CellularNetwork",
-    "ScanResult",
-    "Association",
-    "WifiRadio",
     "WifiState",
 ]

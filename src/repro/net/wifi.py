@@ -1,23 +1,14 @@
-"""WiFi device-side primitives: radio state, scanning, and association.
+"""WiFi device-side interface state.
 
-Mirrors what the measurement software can observe (§2): Android reports
-non-associated (scanned) APs as well as the associated one when the interface
-is on; iOS reports only the associated AP. The three Android interface states
-of §3.3.4 — WiFi-user, WiFi-off, WiFi-available — map onto
-:class:`WifiState`.
+Android reports non-associated (scanned) APs as well as the associated one
+when the interface is on; iOS reports only the associated AP (§2). The
+three Android interface states of §3.3.4 — WiFi-user, WiFi-off,
+WiFi-available — map onto :class:`WifiState`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-from repro.constants import STRONG_RSSI_DBM
-from repro.geo.coords import Coordinate
-from repro.net.accesspoint import AccessPoint
 
 
 class WifiState(enum.Enum):
@@ -29,68 +20,3 @@ class WifiState(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """One AP as seen in a scan: identity plus observed RSSI."""
-
-    ap: AccessPoint
-    rssi_dbm: float
-
-    @property
-    def strong(self) -> bool:
-        """Whether the signal is strong enough to be usable (§3.5)."""
-        return self.rssi_dbm >= STRONG_RSSI_DBM
-
-
-@dataclass(frozen=True)
-class Association:
-    """A device's current association to an AP."""
-
-    ap: AccessPoint
-    rssi_dbm: float
-
-
-class WifiRadio:
-    """Scanning and association decisions for one device.
-
-    ``known_keys`` is the set of (BSSID, ESSID) pairs the device holds
-    credentials for — a device only associates with configured networks,
-    which is how "no configuration" users (Table 9) never offload even when
-    APs are in range.
-    """
-
-    def __init__(self, known_keys: Optional[set] = None) -> None:
-        self.known_keys = set(known_keys or ())
-
-    def add_network(self, ap: AccessPoint) -> None:
-        """Store credentials for ``ap``."""
-        self.known_keys.add(ap.key)
-
-    def forget_network(self, ap: AccessPoint) -> None:
-        """Remove stored credentials for ``ap`` (no-op if absent)."""
-        self.known_keys.discard(ap.key)
-
-    def scan(
-        self,
-        location: Coordinate,
-        aps: Sequence[AccessPoint],
-        rng: np.random.Generator,
-    ) -> List[ScanResult]:
-        """Return all APs audible from ``location`` with sampled RSSI."""
-        results = []
-        for ap in aps:
-            distance_m = location.distance_km(ap.location) * 1000.0
-            if not ap.in_coverage(distance_m):
-                continue
-            results.append(ScanResult(ap, ap.rssi_at(distance_m, rng)))
-        results.sort(key=lambda r: r.rssi_dbm, reverse=True)
-        return results
-
-    def select(self, scan: Sequence[ScanResult]) -> Optional[Association]:
-        """Associate with the strongest known, usable network (or nothing)."""
-        for result in scan:
-            if result.ap.key in self.known_keys and result.strong:
-                return Association(result.ap, result.rssi_dbm)
-        return None

@@ -50,7 +50,6 @@ __all__ = [
     "Holds",
     "PaperRef",
     "REFERENCES",
-    "refs_for",
     "reference_experiment_ids",
     "paper_item_of",
 ]
@@ -287,12 +286,6 @@ def _ref(check_id: str, experiment_id: str, quantity: str, paper: str,
         paper=paper, predicate=predicate, paper_value=paper_value,
         scale_free=scale_free, note=note,
     )
-
-
-def refs_for(experiment_id: str) -> List[PaperRef]:
-    """All registered checks for one experiment, in check-id order."""
-    return [REFERENCES[k] for k in sorted(REFERENCES)
-            if REFERENCES[k].experiment_id == experiment_id]
 
 
 def reference_experiment_ids() -> List[str]:

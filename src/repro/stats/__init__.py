@@ -11,8 +11,6 @@ from repro.stats.growth import annual_growth_rate, linear_fit
 from repro.stats.timeseries import (
     HourlySeries,
     bytes_to_mbps,
-    weekly_profile,
-    hour_of_week_labels,
 )
 
 __all__ = [
@@ -25,6 +23,4 @@ __all__ = [
     "linear_fit",
     "HourlySeries",
     "bytes_to_mbps",
-    "weekly_profile",
-    "hour_of_week_labels",
 ]

@@ -7,7 +7,6 @@ time-of-week; the ratio figures (Figures 6-8) plot per-hour-of-week means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -61,18 +60,3 @@ def bytes_to_mbps(byte_totals: np.ndarray, interval_s: float = SECONDS_PER_HOUR)
     if interval_s <= 0:
         raise AnalysisError(f"interval must be positive: {interval_s}")
     return np.asarray(byte_totals, dtype=float) * 8.0 / interval_s / 1e6
-
-
-def weekly_profile(series: HourlySeries, week_start_weekday: int = 5) -> np.ndarray:
-    """Convenience wrapper over :meth:`HourlySeries.fold_week`."""
-    return series.fold_week(week_start_weekday)
-
-
-def hour_of_week_labels(week_start_weekday: int = 5) -> List[str]:
-    """Labels like 'Sat 00:00' for each hour of the folded week."""
-    names = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]
-    labels = []
-    for hour in range(HOURS_PER_WEEK):
-        weekday = (week_start_weekday + hour // 24) % 7
-        labels.append(f"{names[weekday]} {hour % 24:02d}:00")
-    return labels

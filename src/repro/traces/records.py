@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import SchemaError
 from repro.net.cellular import CellularTechnology
@@ -121,19 +120,3 @@ class ApDirectoryEntry:
     @property
     def key(self) -> tuple:
         return (self.bssid, self.essid)
-
-
-def netloc_for(iface_cellular: bool, wifi_class: Optional[str] = None,
-               cell_at_home: bool = False) -> NetLocation:
-    """Map an app-traffic context onto a :class:`NetLocation` bucket."""
-    if iface_cellular:
-        return NetLocation.CELL_HOME if cell_at_home else NetLocation.CELL_OTHER
-    mapping = {
-        "home": NetLocation.WIFI_HOME,
-        "public": NetLocation.WIFI_PUBLIC,
-        "office": NetLocation.WIFI_OFFICE,
-        "other": NetLocation.WIFI_OTHER,
-    }
-    if wifi_class not in mapping:
-        raise SchemaError(f"unknown wifi class: {wifi_class!r}")
-    return mapping[wifi_class]

@@ -1,9 +1,8 @@
 """Counterfactual scenarios over the simulated study (§4's policy questions).
 
 The paper's implications section asks what operators and policy makers could
-change: deploy more public APs (§1/§4.3), lead WiFi-available users to
-existing networks (§3.5/§4.2), relax or tighten the soft cap (§3.8). The
-what-if engine re-runs a campaign under a modified configuration and reports
+change: deploy more public APs (§1/§4.3) or lead WiFi-available users to
+existing networks (§3.5/§4.2). The what-if engine re-runs a campaign under a modified configuration and reports
 how the headline offloading metrics move against the baseline.
 
 Example::
@@ -27,7 +26,6 @@ import repro.analysis as analysis
 from repro.errors import AnalysisError, ConfigurationError
 from repro.reporting.tables import Table
 from repro.simulation.campaign import CampaignConfig, run_campaign
-from repro.simulation.cap import SoftCapPolicy
 from repro.simulation.study import default_campaign_config
 from repro.traces.cleaning import clean_for_main_analysis
 
@@ -75,28 +73,6 @@ def enroll_everyone() -> ConfigTransform:
             config.recruitment, public_enrolled_share=1.0
         )
         return dataclasses.replace(config, recruitment=recruitment)
-
-    return transform
-
-
-def set_cap(threshold_gb: Optional[float], limit_kbps: float = 128.0) -> ConfigTransform:
-    """Replace the soft-cap policy; ``threshold_gb=None`` disables it."""
-
-    def transform(config: CampaignConfig) -> CampaignConfig:
-        if threshold_gb is None:
-            policy = SoftCapPolicy(threshold_bytes=1e15, limit_bps=1e12,
-                                   penalty_days=0)
-            response = 1.0
-        else:
-            policy = SoftCapPolicy(
-                threshold_bytes=threshold_gb * 1e9,
-                limit_bps=limit_kbps * 1000.0,
-            )
-            response = config.params.cap_demand_response
-        params = dataclasses.replace(
-            config.params, cap_policy=policy, cap_demand_response=response
-        )
-        return dataclasses.replace(config, params=params)
 
     return transform
 

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.app_breakdown import app_breakdown, infer_home_cells
 from repro.analysis.availability import offload_estimate, public_availability
 from repro.analysis.users import classify_user_days
-from repro.apps.categories import category_code
+from repro.apps.categories import CATEGORY_BY_NAME
 from repro.errors import AnalysisError
 from repro.traces.records import IfaceKind, WifiStateCode
 from tests.helpers import (
@@ -124,9 +124,9 @@ class TestAppBreakdown:
         add_ap(builder, 1, "0000docomo")
         nightly_home_association(builder, 0, 0, n_days=3)
         add_geo_span(builder, 0, (0, 0), 0, builder.axis.n_slots)
-        video = category_code("video")
-        browser = category_code("browser")
-        prod = category_code("productivity")
+        video = CATEGORY_BY_NAME["video"].code
+        browser = CATEGORY_BY_NAME["browser"].code
+        prod = CATEGORY_BY_NAME["productivity"].code
         # WiFi home: video-dominated.
         builder.extend_apps(
             device=[0, 0], day=[0, 0], category=[video, browser],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.ap_classification import classify_aps
-from repro.analysis.bandwidth_cap import cap_effect, capped_users_without_home_ap
-from repro.analysis.evolution import campaign_overview, overview_table, yearly
+from repro.analysis.bandwidth_cap import cap_effect
+from repro.analysis.evolution import campaign_overview, yearly
 from repro.analysis.implications import offload_impact
 from repro.analysis.software_update import update_timing
 from repro.errors import AnalysisError
@@ -108,17 +108,6 @@ class TestCapEffect:
             effect = cap_effect(cache.clean(year))
             assert effect.potentially_capped_fraction < 0.12
 
-    def test_capped_users_without_home_ap(self, cache):
-        ds = cache.clean(2014)
-        classification = cache.classification(2014)
-        fraction = capped_users_without_home_ap(
-            ds, set(classification.home_ap_of_device)
-        )
-        if fraction is not None:
-            # §3.8: most capped users lack home APs (65% in the paper).
-            assert fraction > 0.3
-
-
 class TestImplications:
     def test_exact_arithmetic(self):
         builder = make_builder(n_devices=5, n_days=1)
@@ -152,13 +141,6 @@ class TestEvolution:
         assert row.year == 2015
         assert row.n_total == row.n_android + row.n_ios
         assert 0.5 < row.lte_share <= 1.0
-
-    def test_overview_table_sorted(self, study):
-        datasets = {y: study.dataset(y) for y in study.years}
-        rows = overview_table(datasets)
-        assert [r.year for r in rows] == [2013, 2014, 2015]
-        lte = [r.lte_share for r in rows]
-        assert lte[0] < lte[1] < lte[2]  # Table 1 %LTE growth
 
     def test_yearly_helper(self, study):
         datasets = {y: study.dataset(y) for y in study.years}

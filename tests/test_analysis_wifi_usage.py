@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.ap_classification import classify_aps
-from repro.analysis.ap_density import association_density_maps, detected_coverage
+from repro.analysis.ap_density import association_density_maps
 from repro.analysis.association import (
     aps_per_day,
     association_durations,
@@ -72,20 +72,6 @@ class TestDensityMaps:
         maps = association_density_maps(dataset2015, cache.classification(2015))
         with pytest.raises(AnalysisError):
             maps.grid("bogus")
-
-    def test_detected_coverage_from_sightings(self):
-        builder = _usage_dataset()
-        builder.extend_sightings(
-            device=[0, 0, 0], t=[slot(0, 12)] * 3, ap_id=[2, 2, 2],
-            rssi=[-60.0, -70.0, -70.0],
-        )
-        coverage = detected_coverage(builder.build())
-        assert coverage.grids["5_all"].max_count() == 1
-        assert coverage.grids["5_strong"].max_count() == 1
-
-    def test_detected_coverage_requires_sightings(self):
-        with pytest.raises(AnalysisError):
-            detected_coverage(make_builder().build())
 
     def test_public_denser_downtown_in_study(self, dataset2015, cache):
         maps = association_density_maps(dataset2015, cache.classification(2015))

@@ -7,7 +7,6 @@ from repro.apps.categories import (
     CATEGORIES,
     CATEGORY_BY_NAME,
     category,
-    category_code,
     category_name,
 )
 from repro.apps.demand import CategoryMix, DemandModel
@@ -30,13 +29,10 @@ class TestCategories:
             assert name in CATEGORY_BY_NAME
 
     def test_lookups(self):
-        assert category_code("video") == CATEGORY_BY_NAME["video"].code
-        assert category_name(category_code("browser")) == "browser"
+        assert category_name(CATEGORY_BY_NAME["browser"].code) == "browser"
         assert category(0).name == "browser"
 
     def test_unknown_lookups(self):
-        with pytest.raises(ConfigurationError):
-            category_code("flappy")
         with pytest.raises(ConfigurationError):
             category_name(99)
 
@@ -69,7 +65,7 @@ class TestCategoryMix:
         model = DemandModel(0, appetite_median_mb=50.0)
         mix = model.sample_mix(rng)
         cell_shares = mix.context_shares(on_wifi=False)
-        prod = category_code("productivity")
+        prod = CATEGORY_BY_NAME["productivity"].code
         assert cell_shares[prod] == 0.0
         assert cell_shares.sum() == pytest.approx(1.0)
 
@@ -78,7 +74,7 @@ class TestCategoryMix:
         mix = model.sample_mix(rng)
         wifi = mix.context_shares(on_wifi=True)
         cell = mix.context_shares(on_wifi=False)
-        video = category_code("video")
+        video = CATEGORY_BY_NAME["video"].code
         assert wifi[video] > cell[video]
 
     def test_invalid_mix_rejected(self):

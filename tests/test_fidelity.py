@@ -29,7 +29,6 @@ from repro.obs.reference import (
     Range,
     RelTol,
     paper_item_of,
-    refs_for,
     verdict_rank,
 )
 
@@ -82,12 +81,6 @@ def test_refs_are_well_formed():
         assert ref.quantity and ref.paper
         assert ref.predicate.describe()
         assert paper_item_of(ref.experiment_id)[0].isupper()
-
-
-def test_refs_for_groups_by_experiment():
-    table3 = refs_for("table3")
-    assert [r.experiment_id for r in table3] == ["table3"] * len(table3)
-    assert len(table3) >= 3
 
 
 def test_paper_item_of_display_names():
@@ -178,7 +171,8 @@ def test_resolve_all_and_subsets():
     assert resolve_check_ids() == sorted(REFERENCES)
     assert resolve_check_ids(["all"]) == sorted(REFERENCES)
     t3 = resolve_check_ids(["table3"])
-    assert t3 == [r.check_id for r in refs_for("table3")]
+    assert t3 == sorted(k for k, ref in REFERENCES.items()
+                        if ref.experiment_id == "table3")
     assert resolve_check_ids(["t3_median_all"]) == ["t3_median_all"]
     # Mixing experiment and check ids dedups.
     mixed = resolve_check_ids(["table3", "t3_median_all"])

@@ -22,7 +22,7 @@ from repro.net.identifiers import (
     random_bssid,
     validate_bssid,
 )
-from repro.net.wifi import WifiRadio, WifiState
+from repro.net.wifi import WifiState
 from repro.radio.bands import Band
 
 
@@ -135,44 +135,5 @@ class TestCellular:
 
 
 class TestWifiRadio:
-    def _ap(self, ap_id, distance_anchor, essid="net"):
-        return AccessPoint(
-            ap_id=ap_id,
-            bssid=f"02:00:00:00:00:{ap_id:02x}",
-            essid=essid,
-            band=Band.GHZ_2_4,
-            channel=6,
-            location=distance_anchor,
-            ap_type=APType.HOME,
-            coverage_m=200.0,
-        )
-
-    def test_scan_filters_by_coverage(self, rng):
-        here = Coordinate(35.68, 139.76)
-        near = self._ap(1, here)
-        far = self._ap(2, Coordinate(35.8, 139.76))  # ~13 km away
-        radio = WifiRadio()
-        results = radio.scan(here, [near, far], rng)
-        assert [r.ap.ap_id for r in results] == [1]
-
-    def test_scan_sorted_by_rssi(self, rng):
-        here = Coordinate(35.68, 139.76)
-        aps = [self._ap(i, here) for i in range(5)]
-        results = WifiRadio().scan(here, aps, rng)
-        rssis = [r.rssi_dbm for r in results]
-        assert rssis == sorted(rssis, reverse=True)
-
-    def test_select_requires_credentials_and_strength(self, rng):
-        here = Coordinate(35.68, 139.76)
-        ap = self._ap(1, here)
-        radio = WifiRadio()
-        scan = radio.scan(here, [ap], rng)
-        assert radio.select(scan) is None  # not configured
-        radio.add_network(ap)
-        assoc = radio.select(scan)
-        assert assoc is not None and assoc.ap.ap_id == 1
-        radio.forget_network(ap)
-        assert radio.select(scan) is None
-
     def test_wifi_state_enum(self):
         assert {s.value for s in WifiState} == {"off", "available", "associated"}

@@ -646,7 +646,6 @@ class TestObservability:
                                  n_devices=10, dropped_devices=5)
         assert "dropped 1/2 shards" in losses.describe()
         assert losses.to_dict()["device_completeness"] == 0.5
-        assert losses.shard_completeness == 0.5
 
     def test_report_describe(self):
         text = self._report().describe()

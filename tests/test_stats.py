@@ -6,11 +6,7 @@ import pytest
 from repro.errors import AnalysisError
 from repro.stats.distributions import ccdf, ecdf, pdf_histogram, percentile_band_mask
 from repro.stats.growth import annual_growth_rate, linear_fit
-from repro.stats.timeseries import (
-    HourlySeries,
-    bytes_to_mbps,
-    hour_of_week_labels,
-)
+from repro.stats.timeseries import HourlySeries, bytes_to_mbps
 
 
 class TestEcdf:
@@ -150,9 +146,3 @@ class TestTimeseries:
     def test_bad_weekday(self):
         with pytest.raises(AnalysisError):
             HourlySeries(np.ones(24), start_weekday=7)
-
-    def test_labels(self):
-        labels = hour_of_week_labels(week_start_weekday=5)
-        assert labels[0] == "Sat 00:00"
-        assert labels[24] == "Sun 00:00"
-        assert len(labels) == 168

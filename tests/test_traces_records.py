@@ -10,7 +10,6 @@ from repro.traces.records import (
     IfaceKind,
     NetLocation,
     WifiStateCode,
-    netloc_for,
 )
 from repro.traces.validate import validate_dataset
 from tests.helpers import make_builder
@@ -92,20 +91,6 @@ class TestRecordValidation:
 
 
 class TestNetLocation:
-    def test_netloc_for_cellular(self):
-        assert netloc_for(True, cell_at_home=True) is NetLocation.CELL_HOME
-        assert netloc_for(True, cell_at_home=False) is NetLocation.CELL_OTHER
-
-    def test_netloc_for_wifi_classes(self):
-        assert netloc_for(False, "home") is NetLocation.WIFI_HOME
-        assert netloc_for(False, "public") is NetLocation.WIFI_PUBLIC
-        assert netloc_for(False, "office") is NetLocation.WIFI_OFFICE
-        assert netloc_for(False, "other") is NetLocation.WIFI_OTHER
-
-    def test_netloc_for_unknown_class(self):
-        with pytest.raises(SchemaError):
-            netloc_for(False, "bogus")
-
     def test_labels(self):
         assert NetLocation.CELL_HOME.label == "Cell home"
         assert NetLocation.WIFI_PUBLIC.label == "WiFi public"

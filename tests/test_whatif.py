@@ -12,7 +12,6 @@ from repro.whatif import (
     enroll_everyone,
     give_everyone_home_wifi,
     scale_public_deployment,
-    set_cap,
 )
 
 SCALE = 0.035
@@ -37,18 +36,6 @@ class TestTransforms:
         config = default_campaign_config(2013, scale=0.1)
         enrolled = enroll_everyone()(config)
         assert enrolled.recruitment.public_enrolled_share == 1.0
-
-    def test_set_cap_disable(self):
-        config = default_campaign_config(2014, scale=0.1)
-        uncapped = set_cap(None)(config)
-        assert uncapped.params.cap_policy.threshold_bytes > 1e12
-        assert uncapped.params.cap_demand_response == 1.0
-
-    def test_set_cap_tighten(self):
-        config = default_campaign_config(2014, scale=0.1)
-        tight = set_cap(0.5, limit_kbps=64.0)(config)
-        assert tight.params.cap_policy.threshold_bytes == pytest.approx(0.5e9)
-        assert tight.params.cap_policy.limit_bps == pytest.approx(64_000.0)
 
     def test_give_everyone_home_wifi(self):
         config = default_campaign_config(2013, scale=0.1)
