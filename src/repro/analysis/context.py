@@ -15,8 +15,9 @@ and ``of(dataset)``). Each artifact keys on the identity of what it reads:
 the traffic folds on ``traffic``, ``geo_index`` on ``geo``,
 ``association_index`` on ``wifi``, ``available_scan_mask`` on ``wifi`` and
 ``scans``, ``clean`` on the raw dataset and the composites on the dataset
-analyzed. Cleaning rewrites only the 2015 ``traffic`` and ``apps``, so a
-raw view shares every other artifact with the clean campaign. The memo
+analyzed. Cleaning rewrites only the 2015 ``traffic`` (and ``apps`` when
+an update window holds app rows), so a raw view shares every other
+artifact with the clean campaign. The memo
 holds what it keys, so no id is reused.
 
 Every analysis entry point accepts either a plain

@@ -101,7 +101,7 @@ class VolumeGrowthTable:
 def volume_growth_table(datasets: Sequence[DatasetOrContext]) -> VolumeGrowthTable:
     """Build Table 3 from the three campaign datasets."""
     if len(datasets) < 2:
-        raise AnalysisError("growth table needs at least two campaigns")
+        raise AnalysisError("needs at least two campaign years")
     contexts = [AnalysisContext.of(ds) for ds in datasets]
     years = [ctx.dataset().year for ctx in contexts]
     median: Dict[str, Dict[int, float]] = {k: {} for k in ("all", "cell", "wifi")}

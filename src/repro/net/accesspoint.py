@@ -1,26 +1,23 @@
 """Access-point model.
 
 An :class:`AccessPoint` carries everything the radio environment needs to
-present a network to a device: identifiers, band, channel, location, and an
-RSSI model. ``ap_type`` is the *ground-truth* deployment category, which the
-analysis never reads — analyses must infer home/public/office from behaviour
-(§3.4.1); ground truth exists so tests can score the inference.
+present a network to a device: identifiers, band, channel and location.
+The kernel draws RSSI from its own per-type models. ``ap_type`` is the
+*ground-truth* deployment category, which the analysis never reads —
+analyses must infer home/public/office from behaviour (§3.4.1); ground
+truth exists so tests can score the inference.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.geo.coords import Coordinate
 from repro.net.identifiers import Bssid, validate_bssid
 from repro.radio.bands import Band
 from repro.radio.channels import CHANNELS_24GHZ, CHANNELS_5GHZ
-from repro.radio.pathloss import RssiModel
 
 
 class APType(enum.Enum):
@@ -47,8 +44,6 @@ class AccessPoint:
     channel: int
     location: Coordinate
     ap_type: APType
-    rssi_model: RssiModel = field(default_factory=RssiModel, repr=False)
-    coverage_m: float = 50.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bssid", validate_bssid(self.bssid))
@@ -57,20 +52,3 @@ class AccessPoint:
             raise ConfigurationError(
                 f"channel {self.channel} invalid for band {self.band}"
             )
-        if self.coverage_m <= 0:
-            raise ConfigurationError(f"coverage must be > 0: {self.coverage_m}")
-
-    @property
-    def key(self) -> tuple[Bssid, str]:
-        """The (BSSID, ESSID) pair the analysis uses as the AP identity."""
-        return (self.bssid, self.essid)
-
-    def rssi_at(self, distance_m: float, rng: Optional[np.random.Generator] = None) -> float:
-        """RSSI observed at ``distance_m``; shadowed when ``rng`` is given."""
-        if rng is None:
-            return self.rssi_model.mean_rssi(distance_m)
-        return self.rssi_model.sample(distance_m, rng)
-
-    def in_coverage(self, distance_m: float) -> bool:
-        """Whether a device at ``distance_m`` can hear this AP at all."""
-        return distance_m <= self.coverage_m

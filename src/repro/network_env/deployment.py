@@ -34,7 +34,6 @@ from repro.population.demographics import Occupation
 from repro.population.profiles import UserProfile, WifiPolicy
 from repro.radio.bands import Band
 from repro.radio.channels import CHANNELS_5GHZ, ChannelPlanner
-from repro.radio.pathloss import PathLossModel, RssiModel
 
 CellIndex = Tuple[int, int]
 
@@ -46,19 +45,6 @@ _PUBLIC_ANCHORS = (
     ("narita", 0.02, 2.5), ("odawara", 0.02, 2.5), ("yokosuka", 0.02, 2.5),
     ("tokyo", 0.02, 12.0),  # thin wide-area scatter
 )
-
-PUBLIC_RSSI = RssiModel(
-    tx_power_dbm=17.0,
-    path_loss=PathLossModel(exponent=3.0),
-    shadowing_sigma_db=5.0,
-)
-
-OFFICE_RSSI = RssiModel(
-    tx_power_dbm=16.0,
-    path_loss=PathLossModel(exponent=3.0),
-    shadowing_sigma_db=3.5,
-)
-
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -158,8 +144,6 @@ def _build_office_ap(
         channel=channel,
         location=profile.office,
         ap_type=APType.OFFICE,
-        rssi_model=OFFICE_RSSI,
-        coverage_m=80.0,
     )
 
 
@@ -174,16 +158,7 @@ def _build_mobile_ap(
         channel=ChannelPlanner(mode="auto").assign(rng),
         location=profile.home,
         ap_type=APType.MOBILE,
-        rssi_model=HOME_LIKE_RSSI,
-        coverage_m=20.0,
     )
-
-
-HOME_LIKE_RSSI = RssiModel(
-    tx_power_dbm=12.0,
-    path_loss=PathLossModel(exponent=2.5),
-    shadowing_sigma_db=2.5,
-)
 
 
 def _scatter_around(
@@ -239,8 +214,6 @@ def _build_public_universe(
                 channel=channel,
                 location=location,
                 ap_type=APType.PUBLIC,
-                rssi_model=PUBLIC_RSSI,
-                coverage_m=120.0,
             )
             deployment.aps[next_id] = ap
             _index_venue_ap(deployment, ap)
@@ -264,8 +237,6 @@ def _build_open_universe(
             channel=ChannelPlanner(mode="auto").assign(rng),
             location=location,
             ap_type=APType.OPEN,
-            rssi_model=PUBLIC_RSSI,
-            coverage_m=60.0,
         )
         deployment.aps[next_id] = ap
         _index_venue_ap(deployment, ap, public=False)

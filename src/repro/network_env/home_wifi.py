@@ -19,7 +19,6 @@ from repro.net.accesspoint import AccessPoint, APType
 from repro.net.identifiers import random_bssid
 from repro.radio.bands import Band
 from repro.radio.channels import CHANNELS_5GHZ, ChannelPlanner
-from repro.radio.pathloss import PathLossModel, RssiModel
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,6 @@ class HomeWifiConfig:
         ):
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]: {v}")
-
-
-#: Home association distances: devices sit near their router.
-HOME_RSSI = RssiModel(
-    tx_power_dbm=16.0,
-    path_loss=PathLossModel(exponent=3.0),
-    shadowing_sigma_db=3.0,
-)
 
 
 def build_home_ap(
@@ -76,6 +67,4 @@ def build_home_ap(
         channel=channel,
         location=location,
         ap_type=APType.HOME,
-        rssi_model=HOME_RSSI,
-        coverage_m=60.0,
     )

@@ -9,11 +9,12 @@ carrying the paper's reported value, a display string, and a
 divergence and a ``pass``/``warn``/``fail`` verdict.
 
 The registry is *pure data plus arithmetic*: it is stdlib-only and imports
-nothing from the analysis layer. Measured quantities are produced by the
-per-check extractors in :mod:`repro.obs.fidelity`, which is the only module
-that reaches up into ``repro.analysis``; keeping the two apart means the
-reference values (and the doc generator that rewrites ``EXPERIMENTS.md``
-from them) can be inspected without paying any numpy/simulation import.
+nothing from the analysis layer. Each reference names the experiment
+(:mod:`repro.reporting.experiments`) and the one named measure of its
+result that it reads; :mod:`repro.obs.fidelity` runs the experiment and
+scores the measure. Keeping the two apart means the reference values (and
+the doc generator that rewrites ``EXPERIMENTS.md`` from them) can be
+inspected without paying any numpy/simulation import.
 
 Divergence is normalized uniformly across predicate kinds so verdicts have
 one semantics everywhere:
@@ -24,9 +25,10 @@ one semantics everywhere:
 - ``divergence > warn_factor`` — **fail**: the reproduction has drifted.
 
 A fourth verdict, ``skip``, is produced by the scorer (not by predicates)
-when a quantity cannot be extracted at the current scale — e.g. too few
-potentially-capped device-days for Figure 19 on a tiny panel — or when
-the context holds too few campaign years for a check that compares them.
+when the experiment leaves its measure undefined at the current scale —
+e.g. too few potentially-capped device-days for Figure 19 on a tiny panel
+— or when the context holds too few campaign years for a check that
+compares them.
 """
 
 from __future__ import annotations
@@ -260,6 +262,8 @@ class PaperRef:
 
     check_id: str
     experiment_id: str
+    #: The measure of the experiment's result that the check reads.
+    measure: str
     #: Human name of the compared quantity ("Median daily RX, all (MB)").
     quantity: str
     #: The paper's reported value as printed ("57.9 / 90.3 / 126.5").
@@ -276,15 +280,16 @@ class PaperRef:
 REFERENCES: Dict[str, PaperRef] = {}
 
 
-def _ref(check_id: str, experiment_id: str, quantity: str, paper: str,
-         predicate: Predicate, paper_value: Optional[Measured] = None,
-         scale_free: bool = True, note: str = "") -> None:
+def _ref(check_id: str, experiment_id: str, measure: str, quantity: str,
+         paper: str, predicate: Predicate,
+         paper_value: Optional[Measured] = None, scale_free: bool = True,
+         note: str = "") -> None:
     if check_id in REFERENCES:
         raise ValueError(f"duplicate check id {check_id!r}")
     REFERENCES[check_id] = PaperRef(
-        check_id=check_id, experiment_id=experiment_id, quantity=quantity,
-        paper=paper, predicate=predicate, paper_value=paper_value,
-        scale_free=scale_free, note=note,
+        check_id=check_id, experiment_id=experiment_id, measure=measure,
+        quantity=quantity, paper=paper, predicate=predicate,
+        paper_value=paper_value, scale_free=scale_free, note=note,
     )
 
 
@@ -307,84 +312,84 @@ def paper_item_of(experiment_id: str) -> str:
 
 # -- Tables -------------------------------------------------------------
 
-_ref("t1_panel_shrinks", "table1",
+_ref("t1_panel_shrinks", "table1", "panel_size",
      "Panel size declines across campaigns",
      "948/807 -> 887/789 -> 835/781",
      Ordering("decreasing"), scale_free=False)
-_ref("t1_lte_share", "table1",
+_ref("t1_lte_share", "table1", "lte_share",
      "%LTE of cellular traffic",
      "25% -> 70% -> 80%",
      RelTol(tol=0.35), paper_value=(0.25, 0.70, 0.80))
-_ref("t2_occupation_mix", "table2",
+_ref("t2_occupation_mix", "table2", "occupation_gap",
      "Survey occupation mix vs Table 2 (max |diff|, pct points)",
      "sampled from Table 2; within ~3 points",
      Range(lo=0.0, hi=6.0), paper_value=3.0,
      note="survey-backed: skipped on reloaded datasets")
-_ref("t3_median_all", "table3",
+_ref("t3_median_all", "table3", "median_all",
      "Median daily RX, all interfaces (MB)",
      "57.9 / 90.3 / 126.5",
      RelTol(tol=0.55), paper_value=(57.9, 90.3, 126.5))
-_ref("t3_wifi_overtakes_cell", "table3",
+_ref("t3_wifi_overtakes_cell", "table3", "wifi_cell_medians",
      "Median WiFi crosses median cellular",
      "9.2 < 19.5 (2013) -> 50.7 > 35.6 (2015)",
      Crossover())
-_ref("t3_mean_wifi_gt_cell", "table3",
+_ref("t3_mean_wifi_gt_cell", "table3", "mean_wifi_cell",
      "Mean WiFi exceeds mean cellular (2015)",
      "WiFi mean > cellular mean every year",
      Greater())
-_ref("t3_agr_ordering", "table3",
+_ref("t3_agr_ordering", "table3", "median_agr",
      "AGR ordering (median): WiFi >> all > cell",
      "134% >> 48% > 35%",
      Ordering("decreasing"))
-_ref("t4_public_ap_growth", "table4",
+_ref("t4_public_ap_growth", "table4", "public_growth",
      "Public APs grow strongly (last/first)",
      "5041 -> 10481 (~2.1x)",
      Range(lo=1.5, hi=8.0), paper_value=2.1, scale_free=False,
      note="growth steeper than the paper; see Known deviations")
-_ref("t4_home_flat", "table4",
+_ref("t4_home_flat", "table4", "home_growth",
      "Home APs roughly flat (last/first)",
      "1139 -> 1289 (~1.1x)",
      Range(lo=0.7, hi=1.6), paper_value=1.13, scale_free=False)
-_ref("t4_office_flat", "table4",
+_ref("t4_office_flat", "table4", "office_growth",
      "Office APs stable (last/first)",
      "166 -> 166 (~1.0x)",
      Range(lo=0.6, hi=2.0), paper_value=1.0, scale_free=False)
-_ref("t4_home_ap_users", "table4",
+_ref("t4_home_ap_users", "table4", "home_ap_users",
      "Users with an inferred home AP",
      "66% -> 73% -> 79%",
      RelTol(tol=0.15), paper_value=(0.66, 0.73, 0.79))
-_ref("t5_home_only_declines", "table5",
+_ref("t5_home_only_declines", "table5", "home_only",
      "Home-only (100) share of device-days declines",
      "54.7% -> 46.4%",
      Ordering("decreasing"))
-_ref("t5_multi_combo_grows", "table5",
+_ref("t5_multi_combo_grows", "table5", "home_other",
      "Home+other (101) combo grows",
      "10.7% -> 16.5%",
      Ordering("increasing"))
-_ref("t6_browser_video_lead", "table6",
+_ref("t6_browser_video_lead", "table6", "browser_video_lead",
      "Browser and video lead WiFi-home RX categories",
      "browser/video lead; video & dload grow on WiFi",
      Holds())
-_ref("t7_productivity_tx", "table7",
+_ref("t7_productivity_tx", "table7", "productivity_tx",
      "Productivity categories prominent in WiFi TX top-5",
      "productivity prominent on WiFi",
      Holds())
-_ref("t8_home_yes_grows", "table8",
+_ref("t8_home_yes_grows", "table8", "home_yes",
      "Survey: home 'yes' share (%)",
      "70 -> 73 -> 78%",
      RelTol(tol=0.15), paper_value=(70.0, 73.0, 78.0),
      note="survey-backed: skipped on reloaded datasets")
-_ref("t8_public_optimism", "table8",
+_ref("t8_public_optimism", "table8", "public_yes",
      "Survey: public 'yes' share grows (optimism bias)",
      "45 -> 48 -> 54%",
      Ordering("increasing"),
      note="survey-backed: skipped on reloaded datasets")
-_ref("t9_no_aps_leads_office", "table9",
+_ref("t9_no_aps_leads_office", "table9", "office_no_aps",
      "'No available APs' is the top office reason",
      "46-52%, largest office reason",
      Greater(),
      note="survey-backed: skipped on reloaded datasets")
-_ref("t9_security_public_gt_home", "table9",
+_ref("t9_security_public_gt_home", "table9", "security_public_home",
      "Security concern strongest in public (2014+)",
      "NA -> 15 -> 35%, public >> home",
      Greater(),
@@ -392,136 +397,136 @@ _ref("t9_security_public_gt_home", "table9",
 
 # -- Figures ------------------------------------------------------------
 
-_ref("f1_cellular_share_2014", "fig01",
+_ref("f1_cellular_share_2014", "fig01", "cellular_share_2014",
      "Cellular share of broadband by end 2014",
      "~20%",
      RelTol(tol=0.15), paper_value=0.20)
-_ref("f2_wifi_share_grows", "fig02",
+_ref("f2_wifi_share_grows", "fig02", "wifi_share",
      "WiFi share of total volume",
      "59% -> 67%",
      RelTol(tol=0.25), paper_value=(0.59, 0.67))
-_ref("f2_evening_wifi_peak", "fig02",
+_ref("f2_evening_wifi_peak", "fig02", "evening_wifi_peak",
      "WiFi peaks in the evening (21:00-01:00)",
      "evening WiFi peak, commute cellular peaks",
      Holds())
-_ref("f2_weekend_wifi_gt_cell", "fig02",
+_ref("f2_weekend_wifi_gt_cell", "fig02", "weekend_ratios",
      "Weekend/weekday volume ratio: WiFi exceeds cellular (2015)",
      "weekends: cellular down, WiFi up",
      Greater())
-_ref("f3_rx_tx_ratio", "fig03",
+_ref("f3_rx_tx_ratio", "fig03", "rx_tx_ratio",
      "Total RX / TX ratio (2015)",
      "RX ~ 5x TX",
      Range(lo=3.0, hi=9.0), paper_value=5.0)
-_ref("f3_volumes_grow", "fig03",
+_ref("f3_volumes_grow", "fig03", "mean_volume",
      "Mean daily volume grows yearly (MB)",
      "CDFs shift right every year",
      Ordering("increasing"))
-_ref("f4_zero_wifi", "fig04",
+_ref("f4_zero_wifi", "fig04", "zero_wifi",
      "Zero-traffic WiFi interface-days (2015)",
      "~20%",
      Range(lo=0.08, hi=0.35), paper_value=0.20)
-_ref("f4_zero_cell_small", "fig04",
+_ref("f4_zero_cell_small", "fig04", "zero_cell",
      "Zero-traffic cellular interface-days small (2015)",
      "~8%",
      Range(lo=0.0, hi=0.15), paper_value=0.08)
-_ref("f5_cell_intensive_declines", "fig05",
+_ref("f5_cell_intensive_declines", "fig05", "cell_intensive",
      "Cellular-intensive device-day share declines",
      "35% -> 22%",
      Ordering("decreasing"))
-_ref("f5_wifi_intensive_small", "fig05",
+_ref("f5_wifi_intensive_small", "fig05", "wifi_intensive",
      "WiFi-intensive share stays a small minority (2015)",
      "~8%",
      Range(lo=0.0, hi=0.20), paper_value=0.08)
-_ref("f6_traffic_ratio", "fig06",
+_ref("f6_traffic_ratio", "fig06", "traffic_ratio",
      "Mean WiFi-traffic ratio",
      "0.58 -> 0.71",
      RelTol(tol=0.20), paper_value=(0.58, 0.71))
-_ref("f6_user_ratio", "fig06",
+_ref("f6_user_ratio", "fig06", "user_ratio",
      "Mean WiFi-user ratio",
      "0.32 -> 0.48",
      RelTol(tol=0.30), paper_value=(0.32, 0.48))
-_ref("f7_heavy_gt_light", "fig07",
+_ref("f7_heavy_gt_light", "fig07", "heavy_light_traffic",
      "Heavy users offload more than light users (2015)",
      "0.89 vs 0.52",
      Greater())
-_ref("f8_heavy_user_ratio_grows", "fig08",
+_ref("f8_heavy_user_ratio_grows", "fig08", "heavy_user_ratio",
      "Heavy-user WiFi-user ratio grows",
      "0.51 -> 0.68",
      Ordering("increasing"))
-_ref("f9_wifi_off_declines", "fig09",
+_ref("f9_wifi_off_declines", "fig09", "wifi_off",
      "Android WiFi-off share declines",
      "~50% -> ~40% daytime",
      Ordering("decreasing"))
-_ref("f9_ios_gt_android", "fig09",
+_ref("f9_ios_gt_android", "fig09", "ios_android_gap",
      "iOS connects more than Android (gap, 2015)",
      "+30%",
      Range(lo=0.0, hi=1.0), paper_value=0.30)
-_ref("f10_coverage_grows", "fig10",
+_ref("f10_coverage_grows", "fig10", "public_coverage",
      "5km cells with >= 1 public AP grow",
      "229 -> 265",
      Ordering("increasing"), scale_free=False)
-_ref("f11_home_volume_share", "fig11",
+_ref("f11_home_volume_share", "fig11", "home_volume_share",
      "Home share of WiFi volume (2015)",
      "~95%",
      Range(lo=0.80, hi=1.0), paper_value=0.95)
-_ref("f12_single_ap_declines", "fig12",
+_ref("f12_single_ap_declines", "fig12", "single_ap",
      "Single-AP device-day share declines",
      "70% -> 60%",
      Ordering("decreasing"))
-_ref("f13_duration_ordering", "fig13",
+_ref("f13_duration_ordering", "fig13", "p90_durations",
      "p90 association duration: home > office > public (h)",
      "12h / 8h / 1h",
      Ordering("decreasing"))
-_ref("f14_public_5ghz_majority", "fig14",
+_ref("f14_public_5ghz_majority", "fig14", "public_5ghz",
      "Public 5GHz fraction by 2015",
      "> 50%",
      Range(lo=0.35, hi=1.0), paper_value=0.50)
-_ref("f14_public_outpaces_home", "fig14",
+_ref("f14_public_outpaces_home", "fig14", "public_home_5ghz",
      "Public 5GHz rollout outpaces home (2015)",
      "> 50% vs < 20%",
      Greater())
-_ref("f15_home_rssi_bell", "fig15",
+_ref("f15_home_rssi_bell", "fig15", "home_rssi_mean",
      "Home max-RSSI mean (dBm, 2015)",
      "~-54 dBm",
      Range(lo=-60.0, hi=-47.0), paper_value=-54.0)
-_ref("f15_public_rssi_mean", "fig15",
+_ref("f15_public_rssi_mean", "fig15", "public_rssi_mean",
      "Public max-RSSI mean (dBm, 2015)",
      "~-60 dBm",
      Range(lo=-66.0, hi=-53.0), paper_value=-60.0)
-_ref("f15_public_weaker", "fig15",
+_ref("f15_public_weaker", "fig15", "weak_public_home",
      "Public weak-signal fraction exceeds home (2015)",
      "12% vs 3% below -70 dBm",
      Greater())
-_ref("f16_public_trio", "fig16",
+_ref("f16_public_trio", "fig16", "public_trio",
      "Public 2.4GHz channels on the 1/6/11 trio (2015)",
      "all on 1/6/11",
      Range(lo=0.90, hi=1.0), paper_value=1.0)
-_ref("f16_home_ch1_declines", "fig16",
+_ref("f16_home_ch1_declines", "fig16", "home_ch1",
      "Home channel-1 concentration declines",
      "Ch1 pile-up shrinks",
      Ordering("decreasing"))
-_ref("f17_sparse_public", "fig17",
+_ref("f17_sparse_public", "fig17", "sparse_public",
      "Available samples seeing < 10 public 2.4GHz APs (2015)",
      "~90%",
      Range(lo=0.70, hi=1.0), paper_value=0.90)
-_ref("f17_strong_lt_all", "fig17",
+_ref("f17_strong_lt_all", "fig17", "strong_all",
      "Strong networks rarer than all detected (2015)",
      "strong << all",
      Greater())
-_ref("f18_update_adoption", "fig18",
+_ref("f18_update_adoption", "fig18", "updated",
      "iOS devices updating in the window (2015)",
      "58%",
      Range(lo=0.30, hi=0.80), paper_value=0.58)
-_ref("f18_no_home_update_less", "fig18",
+_ref("f18_no_home_update_less", "fig18", "updated_no_home",
      "No-home users update less",
      "14% vs 58%",
      Greater())
-_ref("f19_gap_narrows", "fig19",
+_ref("f19_gap_narrows", "fig19", "median_gaps",
      "Capped-vs-others median gap narrows in 2015",
      "0.29 -> 0.15",
      Ordering("decreasing"),
      note="needs capped device-days; skipped at tiny scales")
-_ref("f19_capped_below_half", "fig19",
+_ref("f19_capped_below_half", "fig19", "below_half",
      "Capped users more often below half their 3-day mean (2015)",
      "45% vs 30% (2014)",
      Greater(),
@@ -529,20 +534,20 @@ _ref("f19_capped_below_half", "fig19",
 
 # -- Section estimates --------------------------------------------------
 
-_ref("s35_opportunity", "sec35",
+_ref("s35_opportunity", "sec35", "opportunity",
      "Available users with stable public-WiFi opportunity (2015)",
      "~60%",
      Range(lo=0.40, hi=1.0), paper_value=0.60)
-_ref("s35_offloadable_share", "sec35",
+_ref("s35_offloadable_share", "sec35", "offloadable",
      "Offloadable share of their cellular download (2015)",
      "15-20%",
      Range(lo=0.05, hi=0.35), paper_value=0.18)
-_ref("s41_wifi_beats_cell", "sec41",
+_ref("s41_wifi_beats_cell", "sec41", "wifi_cell_ratio",
      "WiFi:cellular median ratio (2015)",
      "1.4 (WiFi wins)",
      Range(lo=1.0, hi=5.0), paper_value=1.4,
      note="overshoots with the WiFi median; see Known deviations")
-_ref("s41_home_share", "sec41",
+_ref("s41_home_share", "sec41", "home_share",
      "One phone's share of home broadband (2015)",
      "~12%",
      Range(lo=0.03, hi=0.35), paper_value=0.12)

@@ -8,7 +8,7 @@ sparkline so the shape is visible without a plotting stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -32,11 +32,17 @@ class FigureSeries:
 
 @dataclass
 class Figure:
-    """A reproduced figure: id, caption, and its series."""
+    """A reproduced figure: id, caption, and its series.
+
+    ``measures`` names the quantities the fidelity scorer reads, each a
+    zero-argument callable over what the experiment built.
+    """
 
     figure_id: str
     caption: str
     series: List[FigureSeries] = field(default_factory=list)
+    measures: Dict[str, Callable[[], object]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def add(self, label: str, x: Sequence[float], y: Sequence[float]) -> None:
         self.series.append(

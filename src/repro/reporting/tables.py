@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 
 
 @dataclass
 class Table:
-    """A titled table of rows; renders aligned monospace text."""
+    """A titled table of rows; renders aligned monospace text.
+
+    ``measures`` names the quantities the fidelity scorer reads, each a
+    zero-argument callable over what the experiment built.
+    """
 
     title: str
     columns: Sequence[str]
     rows: List[Sequence[object]] = field(default_factory=list)
+    measures: Dict[str, Callable[[], object]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def add_row(self, *values: object) -> None:
         if len(values) != len(self.columns):

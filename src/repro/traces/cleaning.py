@@ -61,17 +61,24 @@ def _drop_windows(table, key: str, devices: np.ndarray, start: np.ndarray,
                   length: int):
     """Copy of ``table`` without the rows of each ``devices[i]`` whose
     ``key`` lies in ``[start[i], start[i] + length)``, and the number of
-    rows dropped.
+    rows dropped; ``table`` itself when no window holds a row.
 
     The table is in canonical (device, key) order, so a device's rows are
-    one run sorted by ``key`` and each window is one row range.
+    one run sorted by ``key`` and each window is one row range. Every
+    needle has its column's dtype: a needle of another dtype makes numpy
+    cast the whole column on each call.
     """
     device, keys = table.device, table.columns[key]
+    firsts = np.searchsorted(device, devices.astype(device.dtype))
+    ends = np.searchsorted(device, (devices + 1).astype(device.dtype))
+    window = np.empty(2, dtype=keys.dtype)
     bounds = [0]
-    for d, low in zip(devices.tolist(), start.tolist()):
-        a, b = np.searchsorted(device, [d, d + 1])
-        bounds += (a + np.searchsorted(keys[a:b], [low, low + length])).tolist()
+    for a, b, low in zip(firsts.tolist(), ends.tolist(), start.tolist()):
+        window[:] = low, low + length
+        bounds += (a + np.searchsorted(keys[a:b], window)).tolist()
     bounds.append(len(table))
+    if bounds[1:-1:2] == bounds[2::2]:
+        return table, 0
     kept = list(zip(bounds[::2], bounds[1::2]))
     columns = {name: np.concatenate([col[a:b] for a, b in kept])
                for name, col in table.columns.items()}

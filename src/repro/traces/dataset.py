@@ -189,12 +189,16 @@ class CampaignDataset:
             raise DatasetError(f"unknown direction: {direction!r}")
         traffic = self.traffic
         values = traffic.columns[direction]
+        # ``key`` is the group; ``scratch`` holds each finer key in turn.
+        scratch = np.empty(len(traffic), dtype=np.int64)
         if by == "day":
-            key = traffic.device.astype(np.int64) * self.n_days
-            key += traffic.t // SAMPLES_PER_DAY
+            key = traffic.device.astype(np.int64)
+            key *= self.n_days
+            key += np.floor_divide(traffic.t, SAMPLES_PER_DAY, out=scratch)
             shape: Tuple[int, ...] = (self.n_devices, self.n_days)
         elif by == "hour":
-            key = (traffic.t // SAMPLES_PER_HOUR).astype(np.int64)
+            key = traffic.t.astype(np.int64)
+            key //= SAMPLES_PER_HOUR
             shape = (self.n_days * 24,)
         else:
             raise DatasetError(f"unknown fold grouping: {by!r}")
@@ -206,8 +210,12 @@ class CampaignDataset:
             return np.bincount(keys, weights=values, minlength=n * per_group
                                ).reshape(n, per_group).T
 
-        wifi, cell = bins(key * 2 + (iface != int(IfaceKind.WIFI)), 2)
-        by_code = bins(key * len(IfaceKind) + iface, len(IfaceKind))
+        np.multiply(key, 2, out=scratch)
+        scratch += iface != int(IfaceKind.WIFI)
+        wifi, cell = bins(scratch, 2)
+        np.multiply(key, len(IfaceKind), out=scratch)
+        scratch += iface
+        by_code = bins(scratch, len(IfaceKind))
         kinds = {"all": bins(key, 1)[0], "wifi": wifi, "cell": cell,
                  "3g": by_code[IfaceKind.CELL_3G],
                  "lte": by_code[IfaceKind.CELL_LTE]}

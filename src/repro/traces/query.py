@@ -21,7 +21,10 @@ from repro.traces.records import WifiStateCode
 
 def composite_keys(device: np.ndarray, t: np.ndarray, n_slots: int) -> np.ndarray:
     """Sortable (device, slot) composite keys."""
-    return device.astype(np.int64) * n_slots + t.astype(np.int64)
+    key = device.astype(np.int64)
+    key *= n_slots
+    key += t.astype(np.int64, copy=False)
+    return key
 
 
 def packed_keys(*columns: np.ndarray) -> np.ndarray:
@@ -91,9 +94,15 @@ class SlotIndex:
         keys = self.keys
         if len(keys) == 0:
             return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), bool)
-        dense = keys[-1] - keys[0] == len(keys) - 1
-        pos = want - keys[0] if dense else np.searchsorted(keys, want)
-        pos = np.clip(pos, 0, len(keys) - 1)
+        last = len(keys) - 1
+        if keys[-1] - keys[0] == last:
+            # Dense: the key at position p is keys[0] + p, so a key is
+            # found exactly when its offset is in range.
+            want -= keys[0]
+            found = (want >= 0) & (want <= last)
+            return np.clip(want, 0, last, out=want), found
+        pos = np.searchsorted(keys, want)
+        np.minimum(pos, last, out=pos)
         return pos, keys[pos] == want
 
     def gather(self, column: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -116,7 +116,3 @@ class ApDirectoryEntry:
     essid: str
     band: Band
     channel: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.bssid, self.essid)

@@ -22,9 +22,13 @@ from repro.simulation.kernel import simulate_devices
 from repro.simulation.study import default_campaign_config
 from repro.traces import dataset as dataset_module
 from repro.traces import store as store_module
-from repro.traces.dataset import DatasetBuilder, _in_canonical_order
+from repro.traces.dataset import (
+    _EMPTY_DTYPES,
+    DatasetBuilder,
+    _in_canonical_order,
+)
 from repro.traces.records import DeviceOS, IfaceKind
-from repro.traces.store import CampaignStore
+from repro.traces.store import STORE_MANIFEST, CampaignStore
 
 from tests.test_columnar_ingest_property import YEAR, _axis, _info
 
@@ -172,5 +176,10 @@ def test_in_order_store_finalize_stages_nothing(tmp_path, no_sort):
     config = _small_config(2013)
     store = _store(config, tmp_path)
     stored = run_campaign(config, n_jobs=1, store=store).dataset
-    assert not list(store.tables_dir.glob(".stage-*"))
+    # Finalize leaves the manifests and one file per column, nothing else.
+    assert {p.name for p in store.root.iterdir()} == {
+        STORE_MANIFEST, "meta.json", "tables"}
+    assert {p.name for p in store.tables_dir.iterdir()} == {
+        f"{table}__{column}.npy"
+        for table, columns in _EMPTY_DTYPES.items() for column, _ in columns}
     assert stored.n_rows_total > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -37,11 +38,6 @@ from repro.obs.reference import (
 # Registry invariants
 # ----------------------------------------------------------------------
 
-def test_every_reference_has_an_extractor():
-    assert F.missing_extractors() == []
-    assert set(F._EXTRACTORS) == set(REFERENCES)
-
-
 def test_registry_covers_every_experiment():
     from repro.reporting.experiments import EXPERIMENTS
 
@@ -49,9 +45,10 @@ def test_registry_covers_every_experiment():
     assert covered == set(EXPERIMENTS)
 
 
-def test_registry_covers_headline_sections():
-    """Every headline claim of §3.1-§4.1 has a registered, extractable
-    check; the paper's values live in the registry and nowhere else."""
+def test_registry_covers_headline_sections(scored):
+    """Every headline claim of §3.1-§4.1 has a registered check that
+    scores on the fixture study; the paper's values live in the registry
+    and nowhere else."""
     by_section = {
         "§3.1": ["f2_wifi_share_grows", "t1_lte_share",
                  "f2_weekend_wifi_gt_cell"],
@@ -72,7 +69,8 @@ def test_registry_covers_headline_sections():
     for section, check_ids in by_section.items():
         for check_id in check_ids:
             assert check_id in REFERENCES, (section, check_id)
-            assert check_id in F._EXTRACTORS, (section, check_id)
+            assert scored.record(check_id).verdict != VERDICT_SKIP, (
+                section, check_id)
 
 
 def test_refs_are_well_formed():
@@ -221,10 +219,54 @@ def test_most_checks_pass_on_fixture_study(scored):
     assert scored.n_skip == 0  # every quantity extractable at this scale
 
 
+def test_every_check_reads_one_measure_of_its_experiment(cache):
+    """Each check names one measure of the experiment it names, and each
+    measure an experiment returns is read by exactly one check."""
+    from repro.reporting.experiments import run_experiment
+
+    by_experiment = {}
+    for ref in REFERENCES.values():
+        by_experiment.setdefault(ref.experiment_id, []).append(ref.measure)
+    for experiment_id, names in sorted(by_experiment.items()):
+        result = run_experiment(experiment_id, cache)
+        assert sorted(names) == sorted(result.measures), experiment_id
+        assert len(set(names)) == len(names), experiment_id
+
+
+def _patch_measure(monkeypatch, experiment_id, measure, fn):
+    """Make ``experiment_id``'s result carry ``fn`` as ``measure``."""
+    from repro.reporting.experiments import EXPERIMENTS
+
+    real = EXPERIMENTS[experiment_id]
+
+    def run(ctx):
+        result = real.run(ctx)
+        result.measures[measure] = fn
+        return result
+
+    monkeypatch.setitem(EXPERIMENTS, experiment_id,
+                        dataclasses.replace(real, fn=run))
+
+
+def test_each_experiment_runs_once_per_score(cache, monkeypatch):
+    from repro.reporting.experiments import EXPERIMENTS
+
+    real = EXPERIMENTS["table3"]
+    runs = []
+
+    def counted(ctx):
+        runs.append(ctx)
+        return real.run(ctx)
+
+    monkeypatch.setitem(EXPERIMENTS, "table3",
+                        dataclasses.replace(real, fn=counted))
+    report = score_fidelity(cache, checks=["table3"])
+    assert len(report.records) == 4 and runs == [cache]
+
+
 def test_fail_verdict_on_perturbed_quantity(cache, monkeypatch):
     # Simulate an analysis regression: home share of WiFi volume collapses.
-    monkeypatch.setitem(F._EXTRACTORS, "f11_home_volume_share",
-                        lambda ctx: 0.05)
+    _patch_measure(monkeypatch, "fig11", "home_volume_share", lambda: 0.05)
     report = score_fidelity(cache, checks=["f11_home_volume_share"],
                             scale=0.045, seed=42)
     rec = report.record("f11_home_volume_share")
@@ -235,10 +277,10 @@ def test_fail_verdict_on_perturbed_quantity(cache, monkeypatch):
 def test_skip_verdict_on_analysis_error(cache, monkeypatch):
     from repro.errors import AnalysisError
 
-    def boom(ctx):
+    def boom():
         raise AnalysisError("too few capped device-days")
 
-    monkeypatch.setitem(F._EXTRACTORS, "f19_gap_narrows", boom)
+    _patch_measure(monkeypatch, "fig19", "median_gaps", boom)
     report = score_fidelity(cache, checks=["f19_gap_narrows"],
                             scale=0.045, seed=42)
     rec = report.record("f19_gap_narrows")

@@ -79,27 +79,11 @@ class TestAccessPoint:
         defaults.update(kwargs)
         return AccessPoint(**defaults)
 
-    def test_key_is_bssid_essid_pair(self):
-        ap = self._ap()
-        assert ap.key == ("02:00:00:00:00:01", "test-net")
-
     def test_channel_must_match_band(self):
         with pytest.raises(ConfigurationError):
             self._ap(band=Band.GHZ_5, channel=6)
         with pytest.raises(ConfigurationError):
             self._ap(band=Band.GHZ_2_4, channel=36)
-
-    def test_rssi_deterministic_without_rng(self):
-        ap = self._ap()
-        assert ap.rssi_at(10.0) == ap.rssi_at(10.0)
-        assert ap.rssi_at(5.0) > ap.rssi_at(50.0)
-
-    def test_coverage(self):
-        ap = self._ap(coverage_m=50.0)
-        assert ap.in_coverage(49.0)
-        assert not ap.in_coverage(51.0)
-        with pytest.raises(ConfigurationError):
-            self._ap(coverage_m=0.0)
 
 
 class TestCellular:

@@ -561,8 +561,11 @@ class TestPartialResults:
 
     def test_fidelity_skips_instead_of_crashing_on_partial(self, tmp_path,
                                                            monkeypatch):
+        import dataclasses
+
         from repro.analysis.context import AnalysisContext
         from repro.obs import fidelity as fidelity_mod
+        from repro.reporting.experiments import EXPERIMENTS
 
         config = _small_config(2013)
         partial = run_campaign(config, n_jobs=2,
@@ -580,8 +583,8 @@ class TestPartialResults:
         def explode(_ctx):
             raise RuntimeError("hole in the data")
 
-        monkeypatch.setitem(fidelity_mod._EXTRACTORS, "t1_panel_shrinks",
-                            explode)
+        monkeypatch.setitem(EXPERIMENTS, "table1", dataclasses.replace(
+            EXPERIMENTS["table1"], fn=explode))
         report = fidelity_mod.score_fidelity(ctx,
                                              checks=["t1_panel_shrinks"])
         assert report.records[0].verdict == "skip"
